@@ -695,10 +695,11 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     """Consume measurement lines, emitting one setpoint record per interval.
 
     Records are aggregated over fixed windows of cfg.step_hours anchored
-    at the first record's timestamp.  The first two completed windows
-    initialize the controller history (status "warmup"); afterwards each
-    completed window w triggers the solve for the next interval.  Windows
-    missing data hold the previous setpoints with status "stale".
+    at the first record's timestamp.  Window 0 only starts the controller
+    history (status "warmup").  From window 1 on, which completes the
+    two-step history, each completed window w triggers the solve for
+    interval w - 1.  Windows missing data hold the previous setpoints
+    with status "stale".
     Malformed and out-of-order lines are skipped and counted.
     """
     validate_config(cfg)

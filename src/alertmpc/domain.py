@@ -9,7 +9,9 @@ Celsius, illuminances are lux, step lengths are hours.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,10 @@ class ComfortOutsideBounds(ConfigError):
 
 
 class NonPositiveCoefficient(ConfigError):
+    pass
+
+
+class NonFiniteSetting(ConfigError):
     pass
 
 
@@ -118,6 +124,15 @@ class StateSnapshot:
             raise ValueError(f"temp_current out of range: {self.temp_current}")
         if not 0.0 <= self.illum_current <= 10000.0:
             raise ValueError(f"illum_current out of range: {self.illum_current}")
+
+    @cached_property
+    def worker_columns(self) -> np.ndarray:
+        """Read-only (4, workers) array: d_current, d_plus, d_minus, effort."""
+        columns = np.array(
+            [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in self.workers]
+        ).T
+        columns.flags.writeable = False
+        return columns
 
 
 @dataclass(frozen=True)
@@ -233,6 +248,9 @@ class MpcConfig:
 
 def validate_config(cfg: MpcConfig) -> None:
     """Raise a ConfigError subclass naming the offending field(s)."""
+    for field in fields(cfg):
+        if field.type == "float" and not math.isfinite(getattr(cfg, field.name)):
+            raise NonFiniteSetting(f"{field.name} must be finite, got {getattr(cfg, field.name)}")
     if cfg.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {cfg.horizon}")
     if cfg.num_workers < 1:
@@ -284,6 +302,7 @@ __all__ = [
     "BoundsInverted",
     "ComfortOutsideBounds",
     "NonPositiveCoefficient",
+    "NonFiniteSetting",
     "ControlMode",
     "WorkerState",
     "StateSnapshot",

@@ -6,13 +6,18 @@ a per-worker effort term that the rollout holds at its measured value.
 Room temperature follows an asymmetric first-order lag toward the
 setpoint; illuminance follows a one-step affine response.
 
-This module is the optimizer's inner loop, so the recursion is written
-with plain floats and tuples rather than arrays.
+The single-step predictors take plain floats; the plant simulator uses
+them.  The controller scores a whole optimizer population per call, so
+the horizon recursion runs over (P, workers, horizon) arrays, with the
+single-schedule rollout, objective and violation as P=1 views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .domain import (
     DL_MAX,
@@ -108,24 +113,29 @@ class HorizonPrediction:
         return len(self.temps)
 
 
-def rollout(
+def rollout_batch(
     models: ModelSet,
     snapshot: StateSnapshot,
-    schedule: ControlSchedule,
+    temp_sets: np.ndarray,
+    illum_sets: np.ndarray,
     cfg: MpcConfig,
-) -> HorizonPrediction:
-    """Propagate the environment and every worker across the horizon.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Propagate P setpoint schedules at once across the horizon.
+
+    temp_sets and illum_sets are (P, horizon).  Returns the predicted
+    temperatures and illuminances, both (P, horizon), and drowsiness,
+    (P, workers, horizon).
 
     Environment increments are taken along the predicted trajectory,
     anchored at the measured state.  Drowsiness increments are lagged:
     step 1 uses the measured ones from the snapshot, later steps use the
     increments of the model's own clamped predictions.  Effort is frozen
-    at each worker's measured value.
+    at each worker's measured value.  Each row equals the scalar
+    recursion of predict_idt, predict_ami and predict_dl bit for bit.
     """
-    if schedule.horizon != cfg.horizon:
-        raise ShapeMismatch(
-            f"schedule covers {schedule.horizon} steps, config expects {cfg.horizon}"
-        )
+    pop, horizon = temp_sets.shape
+    if horizon != cfg.horizon:
+        raise ShapeMismatch(f"schedules cover {horizon} steps, config expects {cfg.horizon}")
     if len(snapshot.workers) != cfg.num_workers:
         raise ShapeMismatch(
             f"snapshot has {len(snapshot.workers)} workers, config expects {cfg.num_workers}"
@@ -134,67 +144,99 @@ def rollout(
     idt = models.idt
     ami = models.ami
     dl = models.dl
+    c = dl.coef
 
-    temps: list[float] = []
-    illums: list[float] = []
-    temp_incs: list[tuple[float, float]] = []
-    illum_incs: list[tuple[float, float]] = []
-    t_prev = snapshot.temp_current
-    l_prev = snapshot.illum_current
-    for t_set, l_set in zip(schedule.temp_setpoints, schedule.illum_setpoints):
-        t_next = predict_idt(idt, t_prev, t_set)
-        l_next = predict_ami(ami, l_prev, l_set)
-        temps.append(t_next)
-        illums.append(l_next)
-        temp_incs.append(increments(t_next, t_prev))
-        illum_incs.append(increments(l_next, l_prev))
-        t_prev = t_next
-        l_prev = l_next
+    # Room, step-major: row 0 is the measured state.
+    temps = np.empty((horizon + 1, pop))
+    illums = np.empty((horizon + 1, pop))
+    temps[0] = snapshot.temp_current
+    illums[0] = snapshot.illum_current
+    t_sets = temp_sets.T
+    lights = ami.theta_set * illum_sets.T
+    for step in range(horizon):
+        t_prev = temps[step]
+        k = np.where(t_sets[step] >= t_prev, idt.k_up, idt.k_down)
+        np.add(k * t_sets[step], (1.0 - k) * t_prev, out=temps[step + 1])
+        level = ami.theta0 + ami.theta_prev * illums[step] + lights[step]
+        np.maximum(level, 0.0, out=illums[step + 1])
 
-    dls: list[tuple[float, ...]] = []
-    for worker in snapshot.workers:
-        d_prev = worker.d_current
-        d_plus = worker.d_plus
-        d_minus = worker.d_minus
-        effort = worker.effort
-        path: list[float] = []
-        for step in range(cfg.horizon):
-            t_plus, t_minus = temp_incs[step]
-            l_plus, l_minus = illum_incs[step]
-            d_next = predict_dl(
-                dl,
-                d_prev,
-                d_plus,
-                d_minus,
-                temps[step],
-                t_plus,
-                t_minus,
-                illums[step],
-                l_plus,
-                l_minus,
-                effort,
-            )
-            path.append(d_next)
-            d_plus, d_minus = increments(d_next, d_prev)
-            d_prev = d_next
-        dls.append(tuple(path))
+    # The room's terms of predict_dl's sum, in order, per step and row.
+    room = (
+        c["temp"] * temps[1:, :, None],
+        _pair(temps[1:] - temps[:-1], c["temp_plus"], c["temp_minus"])[:, :, None],
+        c["illum"] * illums[1:, :, None],
+        _pair(illums[1:] - illums[:-1], c["illum_plus"], c["illum_minus"])[:, :, None],
+    )
 
-    return HorizonPrediction(tuple(temps), tuple(illums), tuple(dls))
+    d_prev, d_plus, d_minus, effort = snapshot.worker_columns
+    d_delta = d_plus - d_minus
+    effort_term = c["effort"] * effort
+    dls = np.empty((horizon, pop, len(snapshot.workers)))
+    for step in range(horizon):
+        # Left to right in DL_FEATURES order, as predict_dl sums.
+        raw = dl.intercept + c["d_prev"] * d_prev
+        raw = raw + _pair(d_delta, c["d_plus_prev"], c["d_minus_prev"])
+        for term in room:
+            raw = raw + term[step]
+        raw = raw + effort_term
+        d_next = dls[step]
+        np.minimum(np.maximum(raw, DL_MIN), DL_MAX, out=d_next)
+        d_delta = d_next - d_prev
+        d_prev = d_next
+    return temps[1:].T, illums[1:].T, dls.transpose(1, 2, 0)
+
+
+def _pair(delta: np.ndarray, c_plus: float, c_minus: float) -> np.ndarray:
+    """The increment pair's two terms of predict_dl's sum, as one term.
+
+    predict_dl adds c_plus * max(delta, 0), then c_minus * max(-delta, 0).
+    One of the two is zero and adding zero leaves a sum unchanged, so
+    delta times c_plus or -c_minus gives the same sum.
+    """
+    return delta * np.where(delta >= 0.0, c_plus, -c_minus)
+
+
+def objective_batch(dls: np.ndarray) -> np.ndarray:
+    """Mean predicted drowsiness per row, summed worker by worker, step by step."""
+    flat = dls.reshape(dls.shape[0], -1)
+    return np.cumsum(flat, axis=1)[:, -1] / flat.shape[1]
+
+
+def violation_batch(temps: np.ndarray, illums: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """constraint_violation of each row of (P, horizon) trajectories."""
+    excess = comfort_penalty(temps, illums, cfg) - cfg.penalty_cap
+    return np.cumsum(np.where(excess > 0.0, excess, 0.0), axis=1)[:, -1]
+
+
+def rollout(
+    models: ModelSet,
+    snapshot: StateSnapshot,
+    schedule: ControlSchedule,
+    cfg: MpcConfig,
+) -> HorizonPrediction:
+    """Propagate one schedule: rollout_batch for a population of one."""
+    temps, illums, dls = rollout_batch(
+        models,
+        snapshot,
+        np.array([schedule.temp_setpoints]),
+        np.array([schedule.illum_setpoints]),
+        cfg,
+    )
+    return HorizonPrediction(
+        tuple(temps[0].tolist()),
+        tuple(illums[0].tolist()),
+        tuple(tuple(path) for path in dls[0].tolist()),
+    )
 
 
 def objective(pred: HorizonPrediction) -> float:
     """Mean predicted drowsiness across workers and steps."""
-    total = 0.0
-    count = 0
-    for path in pred.dls:
-        for value in path:
-            total += value
-            count += 1
-    return total / count
+    dls = np.fromiter(chain.from_iterable(pred.dls), dtype=float)
+    return float(objective_batch(dls[None, :])[0])
 
 
-def comfort_penalty(temp: float, illum: float, cfg: MpcConfig) -> float:
-    """Weighted absolute deviation from the comfort point."""
+def comfort_penalty(temp, illum, cfg: MpcConfig):
+    """Weighted absolute deviation from the comfort point (elementwise on arrays)."""
     return cfg.p_temp * abs(temp - cfg.temp_comfort) + cfg.p_illum * abs(
         illum - cfg.illum_comfort
     )
@@ -206,12 +248,9 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
     Zero exactly when every predicted step satisfies the comfort
     constraint.
     """
-    total = 0.0
-    for temp, illum in zip(pred.temps, pred.illums):
-        excess = comfort_penalty(temp, illum, cfg) - cfg.penalty_cap
-        if excess > 0.0:
-            total += excess
-    return total
+    temps = np.array([pred.temps], dtype=float)
+    illums = np.array([pred.illums], dtype=float)
+    return float(violation_batch(temps, illums, cfg)[0])
 
 
 __all__ = [
@@ -221,6 +260,9 @@ __all__ = [
     "predict_ami",
     "predict_dl",
     "HorizonPrediction",
+    "rollout_batch",
+    "objective_batch",
+    "violation_batch",
     "rollout",
     "objective",
     "comfort_penalty",

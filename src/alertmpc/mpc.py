@@ -2,11 +2,11 @@
 
 solve() turns one measured state into a setpoint schedule.  NOC simply
 holds the comfort point; the optimizing modes search the setpoint box by
-differential evolution, sharing one rollout per candidate between the
-objective and the constraint.  step_controller() wraps solve() with the
-measurement history and the per-interval seed policy; Controller keeps
-the loop state (log + last applied setpoints) for simulator and daemon
-use.
+differential evolution, scoring each generation's objective and
+constraint from one batched rollout of the whole population.
+step_controller() wraps solve() with the measurement history and the
+per-interval seed policy; Controller keeps the loop state (log + last
+applied setpoints) for simulator and daemon use.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from .models import (
     HorizonPrediction,
     constraint_violation,
     objective,
+    objective_batch,
     rollout,
+    rollout_batch,
+    violation_batch,
 )
 from .optimizer import DeParams, DeResult, de_minimize
 
@@ -85,46 +88,25 @@ def solve(
             applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
         )
 
-    if cfg.mode is ControlMode.MPC1:
-        lower = np.full(horizon, cfg.temp_lo)
-        upper = np.full(horizon, cfg.temp_hi)
-        pinned = (cfg.illum_comfort,) * horizon
+    mpc2 = cfg.mode is ControlMode.MPC2
+    lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
+    upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
 
-        def to_schedule(vec: np.ndarray) -> ControlSchedule:
-            return ControlSchedule(tuple(vec), pinned)
+    def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Temperature and illuminance setpoints of each row."""
+        if mpc2:
+            return pop[:, :horizon], pop[:, horizon:]
+        return pop, np.full_like(pop, cfg.illum_comfort)
 
-    else:
-        lower = np.concatenate(
-            [np.full(horizon, cfg.temp_lo), np.full(horizon, cfg.illum_lo)]
-        )
-        upper = np.concatenate(
-            [np.full(horizon, cfg.temp_hi), np.full(horizon, cfg.illum_hi)]
-        )
+    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        temps, illums, dls = rollout_batch(models, snapshot, *split(pop), cfg)
+        return objective_batch(dls), violation_batch(temps, illums, cfg)
 
-        def to_schedule(vec: np.ndarray) -> ControlSchedule:
-            return ControlSchedule.unflatten(vec)
+    # params by keyword: the perfbench de_minimize hook reads it from there.
+    result: DeResult = de_minimize(evaluate, lower, upper, params=de)
 
-    # One rollout per candidate, shared by both callbacks.
-    cache: dict[bytes, tuple[float, float]] = {}
-
-    def eval_pair(vec: np.ndarray) -> tuple[float, float]:
-        key = vec.tobytes()
-        pair = cache.get(key)
-        if pair is None:
-            pred = rollout(models, snapshot, to_schedule(vec), cfg)
-            pair = (objective(pred), constraint_violation(pred, cfg))
-            cache[key] = pair
-        return pair
-
-    result: DeResult = de_minimize(
-        lambda v: eval_pair(v)[0],
-        lambda v: eval_pair(v)[1],
-        lower,
-        upper,
-        de,
-    )
-
-    schedule = to_schedule(result.best_vector)
+    temp_sets, illum_sets = split(result.best_vector[None, :])
+    schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
     pred = rollout(models, snapshot, schedule, cfg)
     return MpcSolution(
         schedule=schedule,
@@ -144,7 +126,12 @@ class _StepRecord:
 
 
 class MeasurementLog:
-    """Step-indexed record of averaged measurements feeding the controller."""
+    """Step-indexed record of averaged measurements feeding the controller.
+
+    Only the steps snapshot() can read are kept: the latest one and, if
+    recorded, the step right before it.  So the log stays bounded however
+    long it runs.
+    """
 
     def __init__(self):
         self._records: dict[int, _StepRecord] = {}
@@ -176,6 +163,8 @@ class MeasurementLog:
             raise ValueError(
                 f"step indices must advance strictly: {step_index} after {self._latest}"
             )
+        previous = self._records.get(step_index - 1)
+        self._records = {} if previous is None else {step_index - 1: previous}
         self._records[step_index] = _StepRecord(dl_means, dl_sds, float(temp), float(illum))
         self._latest = step_index
 

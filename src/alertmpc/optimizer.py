@@ -1,10 +1,13 @@
 """Box-constrained differential evolution with feasibility-first selection.
 
-Classic DE/rand/1/bin.  Candidates are compared by constraint violation
-before objective: any feasible point beats any infeasible one, two
-infeasible points compare on violation, two feasible ones on objective.
-Mutants are clipped back into the box, so bound-hitting optima are
-reachable exactly.  Runs are bit-reproducible for a fixed seed.
+Classic DE/rand/1/bin over a whole population at a time: each generation
+draws its donors and crossover masks as arrays and scores every trial
+with one call of the caller's evaluate(pop) -> (objective, violation).
+Candidates are compared by constraint violation before objective: any
+feasible point beats any infeasible one, two infeasible points compare
+on violation, two feasible ones on objective.  Mutants are clipped back
+into the box, so bound-hitting optima are reachable exactly.  Runs are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -48,44 +51,76 @@ class DeParams:
             raise ValueError(f"crossover_rate must lie in [0, 1], got {self.crossover_rate}")
         if self.max_generations < 1:
             raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
-        if self.tolerance < 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not (np.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class DeResult:
+    """Best member found, plus how the search ended.
+
+    evaluations counts evaluated rows (population members and trials);
+    stop_reason is "tolerance" when the spread test stopped the search
+    and "budget" when it ran max_generations.
+    """
+
     best_vector: np.ndarray
     best_objective: float
     best_violation: float
     generations_used: int
     feasible: bool
+    evaluations: int
+    stop_reason: str
 
 
-def _deb_not_worse(f_a: float, v_a: float, f_b: float, v_b: float) -> bool:
-    """True when (f_a, v_a) is at least as good as (f_b, v_b)."""
-    if v_a == 0.0 and v_b == 0.0:
-        return f_a <= f_b
-    if v_a == 0.0:
-        return True
-    if v_b == 0.0:
-        return False
-    return v_a <= v_b
+def not_worse(f_a, v_a, f_b, v_b) -> np.ndarray:
+    """Elementwise: is (f_a, v_a) at least as good as (f_b, v_b)?
+
+    Feasibility first: two feasible points compare on objective,
+    otherwise the smaller violation wins (a feasible point has violation
+    0, so it beats every infeasible one).  Violations must be >= 0.
+    """
+    return np.where((v_a == 0.0) & (v_b == 0.0), f_a <= f_b, v_a <= v_b)
+
+
+def incumbent(fs: np.ndarray, vs: np.ndarray) -> int:
+    """Index of the best member: the first minimum of the objective among
+    feasible members, else the first minimum of the violation."""
+    feasible = vs == 0.0
+    if feasible.any():
+        return int(np.argmin(np.where(feasible, fs, np.inf)))
+    return int(np.argmin(vs))
+
+
+def donor_indices(rng: np.random.Generator, pop_size: int) -> np.ndarray:
+    """(3, pop_size) donors: per column three distinct indices, none the column.
+
+    Each donor is a uniform draw over the indices its member has not yet
+    taken, shifted past the taken ones in increasing order.
+    """
+    draws = rng.integers(pop_size - 1 - np.arange(3)[:, None], size=(3, pop_size))
+    taken = [np.arange(pop_size)]
+    for draw in draws:
+        for index in np.sort(taken, axis=0):
+            draw += draw >= index
+        taken.append(draw)
+    return draws
 
 
 def de_minimize(
-    objective: Callable[[np.ndarray], float],
-    violation: Callable[[np.ndarray], float],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lower,
     upper,
     params: DeParams,
 ) -> DeResult:
-    """Minimize objective subject to violation == 0 inside the box.
+    """Minimize the objective subject to violation == 0 inside the box.
 
-    violation must be nonnegative, zero exactly on the feasible set.
-    Both callbacks must be pure; selection works from stored values only,
-    so evaluation order never changes the result.
+    evaluate(pop) scores a (P, D) population at once and returns the
+    objective and the violation, each of shape (P,).  Violation must be
+    nonnegative, zero exactly on the feasible set.  evaluate must be
+    pure and score each row independently of the others.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -104,65 +139,60 @@ def de_minimize(
     if pop_size < 4:
         pop_size = 4
     span = upper - lower
+    rows = np.arange(pop_size)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    def evaluate(vec: np.ndarray) -> tuple[float, float]:
-        f = float(objective(vec))
-        v = float(violation(vec))
-        if not np.isfinite(f):
-            raise NonFiniteObjective(f"objective returned {f} at {vec.tolist()}")
-        if not np.isfinite(v):
-            raise NonFiniteObjective(f"violation returned {v} at {vec.tolist()}")
+    def checked(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, v = evaluate(pop)
+        f = np.array(f, dtype=float)
+        v = np.array(v, dtype=float)
+        if f.shape != (pop_size,) or v.shape != (pop_size,):
+            raise ValueError(
+                f"evaluate must return two ({pop_size},) arrays, got {f.shape} and {v.shape}"
+            )
+        for name, values in (("objective", f), ("violation", v)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NonFiniteObjective(f"{name} returned {values[i]} at {pop[i].tolist()}")
+        if (v < 0.0).any():
+            i = int(np.argmax(v < 0.0))
+            raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
         return f, v
 
     pop = lower + rng.random((pop_size, dim)) * span
-    fs = np.empty(pop_size)
-    vs = np.empty(pop_size)
-    for i in range(pop_size):
-        fs[i], vs[i] = evaluate(pop[i])
-
-    def best_index() -> int:
-        best = 0
-        for i in range(1, pop_size):
-            if not _deb_not_worse(fs[best], vs[best], fs[i], vs[i]):
-                best = i
-        return best
-
-    f_factor = params.mutation_factor
-    cr = params.crossover_rate
+    fs, vs = checked(pop)
     generations = 0
+    stop_reason = "budget"
     for _ in range(params.max_generations):
         if np.all(vs == 0.0) and float(fs.max() - fs.min()) < params.tolerance:
+            stop_reason = "tolerance"
             break
         generations += 1
 
-        # Build the whole trial generation before any selection so the
-        # outcome cannot depend on evaluation order.
-        trials = np.empty_like(pop)
-        for i in range(pop_size):
-            candidates = [j for j in range(pop_size) if j != i]
-            r1, r2, r3 = rng.choice(candidates, size=3, replace=False)
-            mutant = pop[r1] + f_factor * (pop[r2] - pop[r3])
-            np.clip(mutant, lower, upper, out=mutant)
-            cross = rng.random(dim) < cr
-            cross[rng.integers(dim)] = True
-            trials[i] = np.where(cross, mutant, pop[i])
+        r1, r2, r3 = donor_indices(rng, pop_size)
+        mutants = pop[r1] + params.mutation_factor * (pop[r2] - pop[r3])
+        np.minimum(np.maximum(mutants, lower), upper, out=mutants)
+        cross = rng.random((pop_size, dim)) < params.crossover_rate
+        cross[rows, rng.integers(dim, size=pop_size)] = True
+        trials = np.where(cross, mutants, pop)
 
-        for i in range(pop_size):
-            f_t, v_t = evaluate(trials[i])
-            if _deb_not_worse(f_t, v_t, fs[i], vs[i]):
-                pop[i] = trials[i]
-                fs[i] = f_t
-                vs[i] = v_t
+        f_t, v_t = checked(trials)
+        take = not_worse(f_t, v_t, fs, vs)
+        pop[take] = trials[take]
+        fs[take] = f_t[take]
+        vs[take] = v_t[take]
 
-    best = best_index()
+    best = incumbent(fs, vs)
     return DeResult(
         best_vector=pop[best].copy(),
         best_objective=float(fs[best]),
         best_violation=float(vs[best]),
         generations_used=generations,
         feasible=bool(vs[best] == 0.0),
+        evaluations=pop_size * (1 + generations),
+        stop_reason=stop_reason,
     )
 
 

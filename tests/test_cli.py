@@ -332,6 +332,16 @@ class TestConfigParsing:
         with pytest.raises(CliError, match="temp_lo"):
             parse_control_config(path)
 
+    @pytest.mark.parametrize("line,field", [
+        ("penalty_cap = nan", "penalty_cap"),
+        ("p_temp = inf", "p_temp"),
+        ("[de]\ntolerance = nan", "tolerance"),
+    ])
+    def test_nonfinite_settings_rejected(self, tmp_path, line, field):
+        path = put(tmp_path, "c.cfg", f"[mpc]\nmode = mpc2\n{line}\n")
+        with pytest.raises(CliError, match=field):
+            parse_control_config(path)
+
     def test_bad_mode(self, tmp_path):
         path = put(tmp_path, "c.cfg", "[mpc]\nmode = pid\n")
         with pytest.raises(CliError, match="pid"):

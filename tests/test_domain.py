@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from alertmpc.domain import (
     AmiModel,
     IdtModel,
     MpcConfig,
+    NonFiniteSetting,
     NonPositiveCoefficient,
     StateSnapshot,
     WorkerState,
@@ -172,6 +175,22 @@ class TestMpcConfig:
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
             validate_config(MpcConfig(horizon=0))
+
+    FLOAT_FIELDS = ("step_hours", "temp_lo", "temp_hi", "illum_lo", "illum_hi",
+                    "temp_comfort", "illum_comfort", "p_temp", "p_illum",
+                    "penalty_cap")
+
+    def test_float_field_list_is_complete(self):
+        floats = {f.name for f in dataclasses.fields(MpcConfig) if f.type == "float"}
+        assert floats == set(self.FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite(self, name, value):
+        # A NaN cap makes every excess comparison false and an infinite
+        # weight fails every step; both must be refused up front.
+        with pytest.raises(NonFiniteSetting, match=name):
+            validate_config(MpcConfig(**{name: value}))
 
 
 def test_mode_parse():

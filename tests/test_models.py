@@ -22,10 +22,13 @@ from alertmpc.models import (
     constraint_violation,
     increments,
     objective,
+    objective_batch,
     predict_ami,
     predict_dl,
     predict_idt,
     rollout,
+    rollout_batch,
+    violation_batch,
 )
 
 
@@ -258,6 +261,81 @@ class TestRollout:
         with pytest.raises(ShapeMismatch):
             rollout(models, snapshot_one(), ControlSchedule((26.0,), (600.0,)),
                     MpcConfig(horizon=3))
+
+
+class TestRolloutBatch:
+    MODELS = ModelSet(
+        dl=DlModel(intercept=0.2, coef=zero_coef(
+            d_prev=0.85, d_plus_prev=0.1, d_minus_prev=-0.05,
+            temp=0.01, temp_plus=2.5, temp_minus=-2.5,
+            illum=-1e-4, illum_plus=-1e-3, illum_minus=1e-3, effort=-0.3)),
+        idt=IdtModel(k_up=0.6, k_down=0.5),
+        ami=AmiModel(theta0=-250.0, theta_prev=0.2, theta_set=0.8),
+    )
+
+    def population(self, rng, pop, horizon):
+        temps = rng.uniform(22.0, 31.0, (pop, horizon))
+        illums = rng.uniform(0.0, 900.0, (pop, horizon))
+        # Push rows onto the clamps: hard heating (DL up to 5), hard
+        # cooling (DL down to 1), lights off (illuminance clamped at 0).
+        temps[0] = 31.0
+        temps[1] = 20.0
+        illums[2] = 0.0
+        return temps, illums
+
+    def test_rows_equal_reference_recursion(self):
+        rng = np.random.default_rng(31)
+        hit = {"dl_high": False, "dl_low": False, "dark": False}
+        for trial in range(10):
+            horizon = 4
+            workers = tuple(
+                WorkerState.from_history(rng.uniform(1.2, 4.8), rng.uniform(1.2, 4.8),
+                                         effort=rng.uniform(0, 0.4))
+                for _ in range(3)
+            )
+            snap = StateSnapshot(workers, 26.0, rng.uniform(300, 900))
+            cfg = MpcConfig(horizon=horizon, num_workers=3)
+            temp_sets, illum_sets = self.population(rng, 16, horizon)
+            temps, illums, dls = rollout_batch(self.MODELS, snap, temp_sets, illum_sets, cfg)
+            assert temps.shape == illums.shape == (16, horizon)
+            assert dls.shape == (16, 3, horizon)
+            for row in range(16):
+                sched = ControlSchedule(tuple(temp_sets[row]), tuple(illum_sets[row]))
+                want_t, want_l, want_d = reference_rollout(self.MODELS, snap, sched)
+                assert tuple(temps[row]) == want_t, (trial, row)
+                assert tuple(illums[row]) == want_l, (trial, row)
+                assert tuple(map(tuple, dls[row])) == want_d, (trial, row)
+            hit["dl_high"] |= bool((dls == 5.0).any())
+            hit["dl_low"] |= bool((dls == 1.0).any())
+            hit["dark"] |= bool((illums == 0.0).any())
+        assert all(hit.values()), hit
+
+    def test_scores_equal_single_schedule_views(self):
+        rng = np.random.default_rng(5)
+        snap = StateSnapshot((WorkerState(2.5, 0.0, 0.3, 0.1), WorkerState(3.1)), 27.4, 480.0)
+        cfg = MpcConfig(horizon=3, num_workers=2, penalty_cap=0.6)
+        temp_sets, illum_sets = self.population(rng, 16, 3)
+        # Half the rows stay near comfort, so both outcomes occur.
+        temp_sets[8:] = rng.uniform(25.8, 26.2, (8, 3))
+        illum_sets[8:] = rng.uniform(900.0, 920.0, (8, 3))
+        temps, illums, dls = rollout_batch(self.MODELS, snap, temp_sets, illum_sets, cfg)
+        fs = objective_batch(dls)
+        vs = violation_batch(temps, illums, cfg)
+        assert (vs > 0.0).any() and (vs == 0.0).any()
+        for row in range(16):
+            pred = rollout(self.MODELS, snap,
+                           ControlSchedule(tuple(temp_sets[row]), tuple(illum_sets[row])), cfg)
+            assert fs[row] == objective(pred)
+            assert vs[row] == constraint_violation(pred, cfg)
+
+    def test_shape_mismatch(self):
+        snap = snapshot_one()
+        with pytest.raises(ShapeMismatch):
+            rollout_batch(self.MODELS, snap, np.zeros((4, 2)), np.zeros((4, 2)),
+                          MpcConfig(horizon=3))
+        with pytest.raises(ShapeMismatch):
+            rollout_batch(self.MODELS, snap, np.zeros((4, 3)), np.zeros((4, 3)),
+                          MpcConfig(horizon=3, num_workers=2))
 
 
 class TestObjectiveAndConstraint:

@@ -195,6 +195,37 @@ class TestMeasurementLog:
         with pytest.raises(ValueError, match="advance strictly"):
             log.record_step(3, [2.1], [0.1], 26.0, 600.0)
 
+    def test_bounded_to_the_steps_snapshot_reads(self):
+        rng = np.random.default_rng(4)
+        steps = [
+            (s, rng.uniform(1.0, 5.0, 3), rng.uniform(0.0, 0.3, 3),
+             rng.uniform(24.0, 28.0), rng.uniform(400.0, 800.0))
+            for s in range(1000)
+        ]
+        log = MeasurementLog()
+        for step in steps:
+            log.record_step(*step)
+        assert len(log) == 2
+        assert log.latest_index == 999
+        # the state the two latest steps define, as an unbounded log gave
+        (_, prev_dl, _, _, _), (_, cur_dl, cur_sd, temp, illum) = steps[-2:]
+        want = StateSnapshot(
+            tuple(WorkerState.from_history(float(d), float(p), float(e))
+                  for d, p, e in zip(cur_dl, prev_dl, cur_sd)),
+            float(temp), float(illum))
+        assert log.snapshot() == want
+
+    def test_gap_drops_unreadable_step(self):
+        log = MeasurementLog()
+        log.record_step(0, [2.0], [0.1], 26.0, 600.0)
+        log.record_step(1, [2.2], [0.1], 26.0, 600.0)
+        log.record_step(3, [2.4], [0.1], 26.0, 600.0)
+        assert len(log) == 1
+        log.record_step(4, [2.3], [0.1], 26.0, 600.0)
+        assert len(log) == 2
+        w, = log.snapshot().workers
+        assert (w.d_current, w.d_minus) == (2.3, pytest.approx(0.1))
+
     def test_snapshot_requires_consecutive_steps(self):
         log = MeasurementLog()
         log.record_step(0, [2.0], [0.1], 26.0, 600.0)
@@ -231,9 +262,9 @@ class TestStepController:
         captured = []
         real = mpc_mod.de_minimize
 
-        def spy(obj, vio, lo, hi, params):
+        def spy(evaluate, lo, hi, params):
             captured.append(params.seed)
-            return real(obj, vio, lo, hi, params)
+            return real(evaluate, lo, hi, params)
 
         monkeypatch.setattr(mpc_mod, "de_minimize", spy)
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)

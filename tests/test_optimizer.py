@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,21 @@ from alertmpc.optimizer import (
     DeParams,
     NonFiniteObjective,
     de_minimize,
+    donor_indices,
+    incumbent,
+    not_worse,
 )
 
 LO4 = np.full(4, -5.0)
 HI4 = np.full(4, 5.0)
+
+
+def batched(obj, vio):
+    """evaluate(pop) from scalar objective and violation callbacks."""
+    def evaluate(pop):
+        return (np.array([obj(x) for x in pop], dtype=float),
+                np.array([vio(x) for x in pop], dtype=float))
+    return evaluate
 
 
 def no_violation(x):
@@ -38,10 +51,16 @@ class TestDeParams:
         with pytest.raises(ValueError):
             DeParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["mutation_factor", "crossover_rate", "tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DeParams(**{name: value})
+
 
 class TestConvergence:
     def test_sphere(self):
-        res = de_minimize(sphere, no_violation, LO4, HI4,
+        res = de_minimize(batched(sphere, no_violation), LO4, HI4,
                           DeParams(population_size=40, max_generations=300,
                                    tolerance=0.0, seed=7))
         assert res.feasible
@@ -50,7 +69,7 @@ class TestConvergence:
 
     def test_linear_reaches_corner(self):
         lo, hi = np.full(3, 1.0), np.full(3, 3.0)
-        res = de_minimize(lambda x: float(np.sum(x)), no_violation, lo, hi,
+        res = de_minimize(batched(lambda x: float(np.sum(x)), no_violation), lo, hi,
                           DeParams(population_size=30, max_generations=200,
                                    tolerance=0.0, seed=11))
         assert np.allclose(res.best_vector, 1.0, atol=1e-9)
@@ -59,8 +78,7 @@ class TestConvergence:
     def test_constraint_boundary(self):
         # Objective pulls left, feasibility requires x0 >= 1.
         res = de_minimize(
-            lambda x: float(x[0]),
-            lambda x: max(0.0, 1.0 - float(x[0])),
+            batched(lambda x: float(x[0]), lambda x: max(0.0, 1.0 - float(x[0]))),
             np.array([0.0]), np.array([3.0]),
             DeParams(population_size=20, max_generations=200, tolerance=0.0, seed=3),
         )
@@ -82,8 +100,7 @@ class TestFeasibilityOrdering:
             return v
 
         res = de_minimize(
-            lambda x: -float(x[0]),
-            violation,
+            batched(lambda x: -float(x[0]), violation),
             np.array([1.0]), np.array([5.0]),
             DeParams(population_size=30, max_generations=50, tolerance=0.0, seed=5),
         )
@@ -93,8 +110,7 @@ class TestFeasibilityOrdering:
 
     def test_all_infeasible_returns_least_violating(self):
         res = de_minimize(
-            lambda x: float(x[0]),
-            lambda x: 1.0 + float(x[0]) ** 2,
+            batched(lambda x: float(x[0]), lambda x: 1.0 + float(x[0]) ** 2),
             np.array([-2.0]), np.array([2.0]),
             DeParams(population_size=15, max_generations=60, tolerance=0.0, seed=9),
         )
@@ -105,8 +121,8 @@ class TestFeasibilityOrdering:
 class TestDeterminism:
     def test_same_seed_bitwise(self):
         p = DeParams(population_size=25, max_generations=40, tolerance=0.0, seed=123)
-        a = de_minimize(sphere, no_violation, LO4, HI4, p)
-        b = de_minimize(sphere, no_violation, LO4, HI4, p)
+        a = de_minimize(batched(sphere, no_violation), LO4, HI4, p)
+        b = de_minimize(batched(sphere, no_violation), LO4, HI4, p)
         assert np.array_equal(a.best_vector, b.best_vector)
         assert a.best_objective == b.best_objective
         assert a.generations_used == b.generations_used
@@ -116,7 +132,7 @@ class TestDeterminism:
         # so the incumbent can only improve.
         prev = None
         for g in range(1, 12):
-            res = de_minimize(sphere, no_violation, LO4, HI4,
+            res = de_minimize(batched(sphere, no_violation), LO4, HI4,
                               DeParams(population_size=20, max_generations=g,
                                        tolerance=0.0, seed=42))
             if prev is not None:
@@ -134,42 +150,63 @@ class TestMechanics:
             seen.append(x.copy())
             return sphere(x)
 
-        res = de_minimize(f, no_violation, lo, hi,
+        res = de_minimize(batched(f, no_violation), lo, hi,
                           DeParams(population_size=20, max_generations=30, seed=1))
         arr = np.array(seen)
         assert np.all(arr >= lo - 1e-15) and np.all(arr <= hi + 1e-15)
         assert np.all(res.best_vector >= lo) and np.all(res.best_vector <= hi)
 
     def test_default_population_is_ten_per_dimension(self):
-        calls = []
+        rows = []
+        evaluate = batched(sphere, no_violation)
 
-        def f(x):
-            calls.append(1)
-            return sphere(x)
+        def counting(pop):
+            rows.append(len(pop))
+            return evaluate(pop)
 
-        de_minimize(f, no_violation, LO4, HI4,
-                    DeParams(max_generations=1, tolerance=0.0, seed=2))
-        # init evaluations + one generation of trials: 2 * pop
-        assert len(calls) == 2 * 10 * 4
+        res = de_minimize(counting, LO4, HI4,
+                          DeParams(max_generations=1, tolerance=0.0, seed=2))
+        # init evaluations + one generation of trials: 2 * pop rows,
+        # one call each
+        assert rows == [10 * 4, 10 * 4]
+        assert res.evaluations == 2 * 10 * 4
 
     def test_degenerate_equal_bounds(self):
         lo = np.array([2.0, 600.0])
-        res = de_minimize(sphere, no_violation, lo, lo.copy(),
+        res = de_minimize(batched(sphere, no_violation), lo, lo.copy(),
                           DeParams(population_size=8, max_generations=5, seed=0))
         assert np.array_equal(res.best_vector, lo)
 
     def test_early_stop_on_flat_objective(self):
-        res = de_minimize(lambda x: 1.0, no_violation, LO4, HI4,
+        res = de_minimize(batched(lambda x: 1.0, no_violation), LO4, HI4,
                           DeParams(population_size=12, max_generations=500,
                                    tolerance=1e-8, seed=6))
         assert res.generations_used == 0
+        assert res.stop_reason == "tolerance"
+        assert res.evaluations == 12
+
+    def test_budget_stop_counts_every_row(self):
+        res = de_minimize(batched(sphere, no_violation), LO4, HI4,
+                          DeParams(population_size=12, max_generations=7,
+                                   tolerance=0.0, seed=6))
+        assert res.generations_used == 7
+        assert res.stop_reason == "budget"
+        assert res.evaluations == 12 * (1 + 7)
+
+    def test_tolerance_stop_after_some_generations(self):
+        res = de_minimize(batched(sphere, no_violation), LO4, HI4,
+                          DeParams(population_size=20, max_generations=2000,
+                                   tolerance=1e-6, seed=8))
+        assert 0 < res.generations_used < 2000
+        assert res.stop_reason == "tolerance"
+        assert res.evaluations == 20 * (1 + res.generations_used)
 
     def test_result_vector_isolated_from_later_runs(self):
-        res = de_minimize(sphere, no_violation, LO4, HI4,
+        res = de_minimize(batched(sphere, no_violation), LO4, HI4,
                           DeParams(population_size=10, max_generations=5, seed=4))
         orig = res.best_vector.copy()
         res.best_vector[0] = 99.0
-        res2 = de_minimize(sphere, no_violation, LO4, HI4,
+        res2 = de_minimize(batched(sphere, no_violation), LO4, HI4,
                            DeParams(population_size=10, max_generations=5, seed=4))
         assert np.array_equal(res2.best_vector, orig)
 
@@ -177,17 +214,140 @@ class TestMechanics:
 class TestErrors:
     def test_bad_bounds(self):
         with pytest.raises(BadBounds):
-            de_minimize(sphere, no_violation, np.zeros(3), np.ones(2), DeParams())
+            de_minimize(batched(sphere, no_violation), np.zeros(3), np.ones(2), DeParams())
         with pytest.raises(BadBounds):
-            de_minimize(sphere, no_violation, np.ones(2), np.zeros(2), DeParams())
+            de_minimize(batched(sphere, no_violation), np.ones(2), np.zeros(2), DeParams())
         with pytest.raises(BadBounds):
-            de_minimize(sphere, no_violation, np.array([0.0, np.nan]),
+            de_minimize(batched(sphere, no_violation), np.array([0.0, np.nan]),
                         np.ones(2), DeParams())
 
     def test_nonfinite_objective(self):
         def f(x):
             return float("nan") if x[0] > 0 else sphere(x)
 
-        with pytest.raises(NonFiniteObjective):
-            de_minimize(f, no_violation, LO4, HI4,
+        with pytest.raises(NonFiniteObjective, match="objective returned nan"):
+            de_minimize(batched(f, no_violation), LO4, HI4,
                         DeParams(population_size=20, max_generations=10, seed=1))
+
+    def test_nonfinite_violation(self):
+        def v(x):
+            return float("inf") if x[1] > 4.0 else 0.0
+
+        with pytest.raises(NonFiniteObjective, match="violation returned inf"):
+            de_minimize(batched(sphere, v), LO4, HI4,
+                        DeParams(population_size=20, max_generations=10, seed=1))
+
+    def test_negative_violation(self):
+        with pytest.raises(ValueError, match="violation returned -1.0"):
+            de_minimize(batched(sphere, lambda x: -1.0), LO4, HI4,
+                        DeParams(population_size=8, max_generations=3, seed=1))
+
+    def test_wrong_result_shape(self):
+        def evaluate(pop):
+            return np.zeros(len(pop) - 1), np.zeros(len(pop))
+
+        with pytest.raises(ValueError, match="evaluate must return"):
+            de_minimize(evaluate, LO4, HI4, DeParams(population_size=8, seed=1))
+
+
+def _deb_not_worse(f_a, v_a, f_b, v_b):
+    """Scalar feasibility-first comparison: the oracle for not_worse."""
+    if v_a == 0.0 and v_b == 0.0:
+        return f_a <= f_b
+    if v_a == 0.0:
+        return True
+    if v_b == 0.0:
+        return False
+    return v_a <= v_b
+
+
+def _best_index(fs, vs):
+    """Scalar incumbent scan: the oracle for incumbent."""
+    best = 0
+    for i in range(1, len(fs)):
+        if not _deb_not_worse(fs[best], vs[best], fs[i], vs[i]):
+            best = i
+    return best
+
+
+class TestBatchedSelection:
+    # Objectives with a tie, violations with 0 and a tie among positives.
+    F = (1.0, 2.0, 2.0, -3.0)
+    V = (0.0, 0.5, 0.5, 1.0)
+
+    def test_not_worse_matches_scalar_rule(self):
+        pairs = list(itertools.product(itertools.product(self.F, self.V), repeat=2))
+        f_a, v_a, f_b, v_b = (np.array(col) for col in zip(*(a + b for a, b in pairs)))
+        got = not_worse(f_a, v_a, f_b, v_b)
+        want = [_deb_not_worse(*a, *b) for a, b in pairs]
+        assert got.tolist() == want
+        # every feasibility pairing and both tie kinds are covered
+        assert {(a[1] == 0.0, b[1] == 0.0) for a, b in pairs} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        assert any(a[1] == 0.0 == b[1] and a[0] == b[0] for a, b in pairs)
+        assert any(0.0 < a[1] == b[1] for a, b in pairs)
+
+    def test_incumbent_matches_scalar_scan(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(4, 12))
+            fs = rng.choice(self.F, n)
+            vs = rng.choice(self.V, n)
+            assert incumbent(fs, vs) == _best_index(fs, vs)
+
+    def test_incumbent_first_of_ties(self):
+        assert incumbent(np.array([3.0, 1.0, 1.0]), np.zeros(3)) == 1
+        assert incumbent(np.array([0.0, -1.0, -1.0]), np.array([0.5, 0.2, 0.2])) == 1
+        assert incumbent(np.array([0.0, 9.0, 5.0]), np.array([0.5, 0.0, 0.0])) == 2
+
+    @pytest.mark.parametrize("pop_size", [4, 5, 17, 40])
+    def test_donors_distinct_and_not_self(self, pop_size):
+        rng = np.random.default_rng(pop_size)
+        seen = np.zeros((pop_size, pop_size), dtype=int)
+        for _ in range(500):
+            donors = donor_indices(rng, pop_size).T
+            assert donors.shape == (pop_size, 3)
+            rows = np.arange(pop_size)[:, None]
+            assert np.all((donors >= 0) & (donors < pop_size))
+            assert np.all(donors != rows)
+            assert np.all(donors[:, 0] != donors[:, 1])
+            assert np.all(donors[:, 0] != donors[:, 2])
+            assert np.all(donors[:, 1] != donors[:, 2])
+            np.add.at(seen, (np.repeat(rows, 3, axis=1), donors), 1)
+        # every other member gets drawn as a donor of every row
+        off_diagonal = ~np.eye(pop_size, dtype=bool)
+        assert np.all(seen[off_diagonal] > 0)
+
+    def test_one_evaluate_call_per_generation(self):
+        calls = []
+        evaluate = batched(sphere, no_violation)
+
+        def counting(pop):
+            calls.append(pop.shape)
+            return evaluate(pop)
+
+        res = de_minimize(counting, LO4, HI4,
+                          DeParams(population_size=16, max_generations=9,
+                                   tolerance=0.0, seed=3))
+        assert calls == [(16, 4)] * (1 + res.generations_used)
+
+
+def test_agrees_with_scipy_differential_evolution():
+    optimize = pytest.importorskip("scipy.optimize")
+    lo, hi = np.full(3, -2.0), np.full(3, 4.0)
+    target = np.array([1.5, -0.5, 3.0])
+
+    def shifted_sphere(pop):
+        return np.sum((pop - target) ** 2, axis=1)
+
+    ours = de_minimize(lambda pop: (shifted_sphere(pop), np.zeros(len(pop))), lo, hi,
+                       DeParams(population_size=30, max_generations=300,
+                                tolerance=0.0, seed=4))
+    theirs = optimize.differential_evolution(
+        lambda x: shifted_sphere(np.atleast_2d(x.T)), list(zip(lo, hi)),
+        strategy="rand1bin", popsize=10, mutation=0.7, recombination=0.9,
+        maxiter=300, tol=0.0, polish=False, seed=4, vectorized=True,
+        updating="deferred")
+    assert np.allclose(ours.best_vector, target, atol=1e-6)
+    assert np.allclose(theirs.x, target, atol=1e-6)
+    assert ours.best_objective == pytest.approx(theirs.fun, abs=1e-10)
