@@ -20,8 +20,10 @@ import csv
 import enum
 import io
 import json
+import math
 import os
 import sys
+from array import array
 from dataclasses import asdict, is_dataclass, replace
 from datetime import datetime, timedelta
 
@@ -44,8 +46,9 @@ from .domain import (
 from .identify import (
     DegenerateSweep,
     InsufficientData,
-    TelemetryRow,
+    InvalidTelemetry,
     TelemetryTable,
+    VALUE_COLUMNS,
     fit_ami_model,
     fit_dl_model,
     fit_idt_coeffs,
@@ -193,7 +196,9 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot read telemetry {path}: {err}")
-    rows: list[TelemetryRow] = []
+    # Typed buffers hold 8 bytes a value where a list of floats holds 32.
+    step, line_of_row, worker = array("q"), array("q"), []
+    dl, effort, temp, illum, temp_set, illum_set = (array("d") for _ in range(6))
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -211,24 +216,21 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
                     f"got {len(record)}"
                 )
             try:
-                rows.append(
-                    TelemetryRow(
-                        step_index=int(record[0]),
-                        worker_id=record[1],
-                        dl=float(record[2]),
-                        effort=float(record[3]),
-                        temp=float(record[4]),
-                        illum=float(record[5]),
-                        temp_set=float(record[6]),
-                        illum_set=float(record[7]),
-                    )
-                )
-            except ValueError as err:
+                step.append(int(record[0]))
+                dl.append(float(record[2]))
+                effort.append(float(record[3]))
+                temp.append(float(record[4]))
+                illum.append(float(record[5]))
+                temp_set.append(float(record[6]))
+                illum_set.append(float(record[7]))
+            except (ValueError, OverflowError) as err:  # OverflowError: step beyond int64
                 raise CliError(f"{path}:{line_no}: {err}")
+            worker.append(record[1])
+            line_of_row.append(line_no)
     try:
-        return TelemetryTable(tuple(rows))
-    except ValueError as err:
-        raise CliError(f"{path}: {err}")
+        return TelemetryTable.from_columns(step, worker, dl, effort, temp, illum, temp_set, illum_set)
+    except InvalidTelemetry as err:
+        raise CliError(f"{path}:{line_of_row[err.row]}: {err}")
 
 
 def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
@@ -236,18 +238,7 @@ def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TELEMETRY_HEADER)
         for row in table:
-            writer.writerow(
-                [
-                    row.step_index,
-                    row.worker_id,
-                    fmt6(row.dl),
-                    fmt6(row.effort),
-                    fmt6(row.temp),
-                    fmt6(row.illum),
-                    fmt6(row.temp_set),
-                    fmt6(row.illum_set),
-                ]
-            )
+            writer.writerow([row.step_index, row.worker_id, *(fmt6(getattr(row, n)) for n in VALUE_COLUMNS)])
 
 
 def read_snapshot_csv(path: str) -> StateSnapshot:
@@ -686,7 +677,7 @@ def _parse_stream_record(line: str):
     illum = float(doc["illum_lx"])
     if not (1.0 <= dl <= 5.0):
         raise ValueError(f"dl {dl} outside the 1-5 scale")
-    if not all(np.isfinite([dl, temp, illum])):
+    if not (math.isfinite(dl) and math.isfinite(temp) and math.isfinite(illum)):
         raise ValueError("non-finite measurement")
     return when, worker, dl, temp, illum
 

@@ -154,18 +154,6 @@ class ControlSchedule:
     def horizon(self) -> int:
         return len(self.temp_setpoints)
 
-    def flatten(self) -> np.ndarray:
-        """The decision vector: temperature setpoints first, then illuminance."""
-        return np.asarray(self.temp_setpoints + self.illum_setpoints, dtype=float)
-
-    @classmethod
-    def unflatten(cls, vec) -> "ControlSchedule":
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or vec.size % 2 != 0 or vec.size == 0:
-            raise ValueError(f"decision vector must be 1-D with even length, got shape {vec.shape}")
-        half = vec.size // 2
-        return cls(tuple(vec[:half]), tuple(vec[half:]))
-
 
 @dataclass(frozen=True)
 class DlModel:
@@ -246,11 +234,19 @@ class MpcConfig:
     mode: ControlMode = ControlMode.MPC2
 
 
+def require_finite(settings) -> None:
+    """Raise NonFiniteSetting naming the first float (or float tuple) field
+    of a settings dataclass that holds a nan or an infinity."""
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        values = value if field.type == "tuple[float, ...]" else (value,) if field.type == "float" else ()
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteSetting(f"{field.name} must be finite, got {value}")
+
+
 def validate_config(cfg: MpcConfig) -> None:
     """Raise a ConfigError subclass naming the offending field(s)."""
-    for field in fields(cfg):
-        if field.type == "float" and not math.isfinite(getattr(cfg, field.name)):
-            raise NonFiniteSetting(f"{field.name} must be finite, got {getattr(cfg, field.name)}")
+    require_finite(cfg)
     if cfg.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {cfg.horizon}")
     if cfg.num_workers < 1:
@@ -312,6 +308,7 @@ __all__ = [
     "AmiModel",
     "ModelSet",
     "MpcConfig",
+    "require_finite",
     "validate_config",
     "case1_config",
     "case2_config",

@@ -10,11 +10,11 @@ the minimum-norm coefficient vector with the intercept carrying the mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domain import DL_FEATURES, DL_MAX, DL_MIN, AmiModel, DlModel, IdtModel
-from .models import increments
 
 # Fitted lag gains are clipped into this range to stay physical.
 _K_FLOOR = 1e-9
@@ -30,6 +30,8 @@ class DegenerateSweep(ValueError):
 
 @dataclass(frozen=True)
 class TelemetryRow:
+    """One logged interval of one worker; TelemetryTable validates it."""
+
     step_index: int
     worker_id: str
     dl: float
@@ -39,67 +41,88 @@ class TelemetryRow:
     temp_set: float
     illum_set: float
 
-    def __post_init__(self):
-        if not DL_MIN <= self.dl <= DL_MAX:
-            raise ValueError(
-                f"dl must lie in [{DL_MIN}, {DL_MAX}], got {self.dl} "
-                f"(worker {self.worker_id}, step {self.step_index})"
-            )
-        if self.effort < 0:
-            raise ValueError(
-                f"effort must be >= 0, got {self.effort} "
-                f"(worker {self.worker_id}, step {self.step_index})"
-            )
+
+VALUE_COLUMNS = ("dl", "effort", "temp", "illum", "temp_set", "illum_set")
 
 
-@dataclass(frozen=True)
+class InvalidTelemetry(ValueError):
+    """A telemetry row failed validation; row is its index in the table."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class TelemetryTable:
-    """Validated telemetry stream: one row per worker per step."""
+    """Validated telemetry stream held as columns: one row per worker per step.
 
-    rows: tuple[TelemetryRow, ...]
+    step is int64; worker holds each row's index into worker_ids, which
+    lists the worker ids in order of first appearance; dl, effort, temp,
+    illum, temp_set and illum_set are float64.  All arrays are read-only.
+    Every value must be finite, dl must lie on the DL scale, effort must
+    be >= 0, and each worker's step indices must strictly increase.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        last_step: dict[str, int] = {}
-        for row in self.rows:
-            prev = last_step.get(row.worker_id)
-            if prev is not None and row.step_index <= prev:
-                raise ValueError(
-                    f"step indices must be strictly increasing per worker: "
-                    f"worker {row.worker_id} repeats or reverses at step {row.step_index}"
-                )
-            last_step[row.worker_id] = row.step_index
+    def __init__(self, rows):
+        rows = tuple(rows)
+        self._load(*([getattr(r, f) for r in rows] for f in ("step_index", "worker_id", *VALUE_COLUMNS)))
+
+    @classmethod
+    def from_columns(cls, step, worker_id, *values) -> "TelemetryTable":
+        """Build a table from per-row sequences, values in VALUE_COLUMNS order."""
+        table = cls.__new__(cls)
+        table._load(step, worker_id, *values)
+        return table
+
+    def _load(self, step, worker_id, *values) -> None:
+        codes: dict[str, int] = {}
+        self.worker = np.array([codes.setdefault(w, len(codes)) for w in worker_id], dtype=np.int64)
+        self.worker_ids = tuple(codes)
+        self.step = np.array(step, dtype=np.int64)
+        for name, column in zip(VALUE_COLUMNS, values):
+            setattr(self, name, np.array(column, dtype=float))
+        # Rows grouped by worker (in first-appearance order), in row order within each.
+        self._by_worker = np.argsort(self.worker, kind="stable")
+        self._validate()
+        for array in (self.worker, self.step, self._by_worker, *self._values()):
+            array.flags.writeable = False
+
+    def _values(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in VALUE_COLUMNS]
+
+    def _validate(self) -> None:
+        g, worker, step = self._by_worker, self.worker, self.step
+        repeated = np.zeros(len(step), dtype=bool)  # indexed by row, as every mask below
+        repeated[g[1:]] = (worker[g[1:]] == worker[g[:-1]]) & (step[g[1:]] <= step[g[:-1]])
+        checks = [(~np.isfinite(v), v, f"{n} must be finite") for n, v in zip(VALUE_COLUMNS, self._values())]
+        checks += [
+            ((self.dl < DL_MIN) | (self.dl > DL_MAX), self.dl, f"dl must lie in [{DL_MIN}, {DL_MAX}]"),
+            (self.effort < 0, self.effort, "effort must be >= 0"),
+            (repeated, step, "step indices must be strictly increasing per worker"),
+        ]
+        for bad, column, message in checks:
+            if bad.any():
+                row = int(np.argmax(bad))
+                where = f"worker {self.worker_ids[worker[row]]}, step {step[row]}"
+                raise InvalidTelemetry(f"{message}, got {column[row]} ({where})", row)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.step)
 
     def __iter__(self):
-        return iter(self.rows)
+        workers = [self.worker_ids[c] for c in self.worker.tolist()]
+        return map(TelemetryRow, self.step.tolist(), workers, *(v.tolist() for v in self._values()))
 
-    def by_worker(self) -> dict[str, list[TelemetryRow]]:
-        grouped: dict[str, list[TelemetryRow]] = {}
-        for row in self.rows:
-            grouped.setdefault(row.worker_id, []).append(row)
-        return grouped
+    @cached_property
+    def rows(self) -> tuple[TelemetryRow, ...]:
+        return tuple(self)
 
-    def step_environment(self) -> list[tuple[int, float, float, float, float]]:
-        """Per-step (index, temp, illum, temp_set, illum_set), worker-averaged."""
-        buckets: dict[int, list[TelemetryRow]] = {}
-        for row in self.rows:
-            buckets.setdefault(row.step_index, []).append(row)
-        env = []
-        for step in sorted(buckets):
-            rows = buckets[step]
-            env.append(
-                (
-                    step,
-                    float(np.mean([r.temp for r in rows])),
-                    float(np.mean([r.illum for r in rows])),
-                    float(np.mean([r.temp_set for r in rows])),
-                    float(np.mean([r.illum_set for r in rows])),
-                )
-            )
-        return env
+    def step_environment(self) -> tuple[np.ndarray, ...]:
+        """Sorted step indices and, per step, the worker-averaged temp,
+        illum, temp_set and illum_set."""
+        steps, at, counts = np.unique(self.step, return_inverse=True, return_counts=True)
+        columns = (self.temp, self.illum, self.temp_set, self.illum_set)
+        return (steps, *(np.bincount(at, weights=c) / counts for c in columns))
 
 
 @dataclass(frozen=True)
@@ -134,6 +157,11 @@ def _rmse(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(residuals))))
 
 
+def _parts(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative parts, elementwise as models.increments."""
+    return np.where(delta >= 0, delta, 0.0), np.where(delta >= 0, 0.0, -delta)
+
+
 def dl_design(
     data: TelemetryTable, exclude_boundary: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,37 +169,23 @@ def dl_design(
 
     A sample needs three consecutive step indices for its worker; gaps
     break the chain.  With exclude_boundary, samples whose target sits on
-    the scale limits are dropped since the clamp censors them.
+    the scale limits are dropped since the clamp censors them.  Samples
+    come grouped by worker in order of first appearance, then in row order.
     """
-    features: list[list[float]] = []
-    targets: list[float] = []
-    for rows in data.by_worker().values():
-        for older, prev, cur in zip(rows, rows[1:], rows[2:]):
-            if prev.step_index != older.step_index + 1:
-                continue
-            if cur.step_index != prev.step_index + 1:
-                continue
-            if exclude_boundary and cur.dl in (DL_MIN, DL_MAX):
-                continue
-            d_plus, d_minus = increments(prev.dl, older.dl)
-            t_plus, t_minus = increments(cur.temp, prev.temp)
-            l_plus, l_minus = increments(cur.illum, prev.illum)
-            features.append(
-                [
-                    prev.dl,
-                    d_plus,
-                    d_minus,
-                    cur.temp,
-                    t_plus,
-                    t_minus,
-                    cur.illum,
-                    l_plus,
-                    l_minus,
-                    cur.effort,
-                ]
-            )
-            targets.append(cur.dl)
-    return np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
+    g, step, dl = data._by_worker, data.step, data.dl
+    older, prev, cur = g[:-2], g[1:-1], g[2:]
+    keep = (data.worker[older] == data.worker[cur]) & (step[prev] == step[older] + 1) & (step[cur] == step[prev] + 1)
+    if exclude_boundary:
+        keep &= (dl[cur] != DL_MIN) & (dl[cur] != DL_MAX)
+    older, prev, cur = older[keep], prev[keep], cur[keep]
+    temp, illum = data.temp[cur], data.illum[cur]
+    X = np.column_stack((
+        dl[prev], *_parts(dl[prev] - dl[older]),
+        temp, *_parts(temp - data.temp[prev]),
+        illum, *_parts(illum - data.illum[prev]),
+        data.effort[cur],
+    ))
+    return X, dl[cur]
 
 
 def fit_dl_model(
@@ -203,47 +217,41 @@ def fit_idt_coeffs(data: TelemetryTable) -> tuple[IdtModel, FitReport]:
     gain has a closed form; results outside (0, 1] are clipped and
     flagged via condition_warning.
     """
-    env = data.step_environment()
-    raising: list[tuple[float, float]] = []  # (setpoint - prev, observed - prev)
-    lowering: list[tuple[float, float]] = []
-    for (s0, t0, _, _, _), (s1, t1, _, tset, _) in zip(env, env[1:]):
-        if s1 != s0 + 1:
-            continue
-        pair = (tset - t0, t1 - t0)
-        if tset >= t0:
-            raising.append(pair)
-        else:
-            lowering.append(pair)
-    for name, branch in (("raising", raising), ("lowering", lowering)):
-        if len(branch) < 2:
+    steps, temp, _, temp_set, _ = data.step_environment()
+    pair = steps[1:] == steps[:-1] + 1
+    t0, t1, tset = temp[:-1][pair], temp[1:][pair], temp_set[1:][pair]
+    dp, do = tset - t0, t1 - t0  # commanded and observed moves
+    raising = tset >= t0
+    for name, mask in (("raising", raising), ("lowering", ~raising)):
+        if np.count_nonzero(mask) < 2:
             raise InsufficientData(
-                f"temperature fit needs >= 2 {name} transitions, got {len(branch)}"
+                f"temperature fit needs >= 2 {name} transitions, got {np.count_nonzero(mask)}"
             )
 
     clipped = False
 
-    def branch_gain(branch: list[tuple[float, float]], name: str) -> float:
+    def branch_gain(mask: np.ndarray, name: str) -> float:
         nonlocal clipped
-        denom = sum(dp * dp for dp, _ in branch)
+        # Python's sum over the per-transition products keeps the row-wise
+        # fit's left-to-right summation, so a near-cancelling sum repeats it.
+        denom = sum((dp[mask] * dp[mask]).tolist())
         if denom == 0.0:
             raise InsufficientData(
                 f"temperature fit has no informative {name} transitions "
                 "(setpoint always equals the previous temperature)"
             )
-        k = sum(dp * do for dp, do in branch) / denom
+        k = sum((dp[mask] * do[mask]).tolist()) / denom
         if not _K_FLOOR <= k <= 1.0:
             clipped = True
             k = min(max(k, _K_FLOOR), 1.0)
         return k
 
     k_up = branch_gain(raising, "raising")
-    k_down = branch_gain(lowering, "lowering")
-    residuals = [do - k_up * dp for dp, do in raising]
-    residuals += [do - k_down * dp for dp, do in lowering]
+    k_down = branch_gain(~raising, "lowering")
     model = IdtModel(k_up=k_up, k_down=k_down)
     report = FitReport(
-        rmse=_rmse(np.asarray(residuals)),
-        n_samples=len(raising) + len(lowering),
+        rmse=_rmse(do - np.where(raising, k_up, k_down) * dp),
+        n_samples=len(dp),
         condition_warning=clipped,
     )
     return model, report
@@ -251,20 +259,14 @@ def fit_idt_coeffs(data: TelemetryTable) -> tuple[IdtModel, FitReport]:
 
 def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
     """Identify the illuminance response by least squares."""
-    env = data.step_environment()
-    features: list[list[float]] = []
-    targets: list[float] = []
-    for (s0, _, l0, _, _), (s1, _, l1, _, lset) in zip(env, env[1:]):
-        if s1 != s0 + 1:
-            continue
-        features.append([l0, lset])
-        targets.append(l1)
-    if len(targets) < 3:
+    steps, _, illum, _, illum_set = data.step_environment()
+    pair = steps[1:] == steps[:-1] + 1
+    X = np.column_stack((illum[:-1][pair], illum_set[1:][pair]))
+    y = illum[1:][pair]
+    if len(y) < 3:
         raise InsufficientData(
-            f"illuminance fit needs >= 3 samples, got {len(targets)}"
+            f"illuminance fit needs >= 3 samples, got {len(y)}"
         )
-    X = np.asarray(features)
-    y = np.asarray(targets)
     if np.unique(X[:, 1]).size < 2:
         raise DegenerateSweep(
             "illuminance setpoint never varied; sweep the setpoint to identify the response"
@@ -283,8 +285,10 @@ def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
 __all__ = [
     "InsufficientData",
     "DegenerateSweep",
+    "InvalidTelemetry",
     "TelemetryRow",
     "TelemetryTable",
+    "VALUE_COLUMNS",
     "FitReport",
     "dl_design",
     "fit_dl_model",

@@ -27,6 +27,7 @@ from .domain import (
     ModelSet,
     MpcConfig,
     clamp_dl,
+    require_finite,
     validate_config,
 )
 from .identify import TelemetryRow, TelemetryTable
@@ -58,6 +59,7 @@ class PlantConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(float(x) for x in self.drift))
+        require_finite(self)
         for name in ("idt_noise_sd", "ami_noise_sd", "dl_noise_sd", "effort_sd", "ambient_pull"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

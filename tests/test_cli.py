@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -202,12 +203,37 @@ class TestTelemetryCsv:
         with pytest.raises(CliError, match="t.csv:3"):
             read_telemetry_csv(path)
 
+    def test_step_beyond_int64_reports_line(self, tmp_path):
+        path = put(tmp_path, "t.csv",
+                   "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
+                   "0,w0,2.0,0.1,26.0,600,26,600\n"
+                   "99999999999999999999,w0,2.0,0.1,26.0,600,26,600\n")
+        with pytest.raises(CliError, match="t.csv:3"):
+            read_telemetry_csv(path)
+
     def test_field_count(self, tmp_path):
         path = put(tmp_path, "t.csv",
                    "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
                    "0,w0,2.0\n")
         with pytest.raises(CliError, match="expected 8 fields"):
             read_telemetry_csv(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("dl", "nan"), ("effort", "nan"), ("temp_c", "nan"),
+        ("illum_lx", "inf"), ("temp_set_c", "-inf"), ("illum_set_lx", "nan"),
+    ])
+    def test_nonfinite_value_reports_line_and_column(self, workdir, capsys, column, value):
+        header = "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx"
+        fields = dict(zip(header.split(","), "1,w0,2.1,0.1,26.0,600,26,600".split(",")))
+        fields[column] = value
+        path = put(workdir, "t.csv",
+                   f"{header}\n0,w0,2.0,0.1,26.0,600,26,600\n" + ",".join(fields.values()) + "\n")
+        name = column.removesuffix("_c").removesuffix("_lx")
+        with pytest.raises(CliError, match=f"t.csv:3: {name} must be finite"):
+            read_telemetry_csv(path)
+        rc = main(["identify", path, str(workdir / "m.json"), "--out-dir", str(workdir)])
+        assert rc == 2
+        assert "t.csv:3" in capsys.readouterr().err
 
     def test_reversed_steps(self, tmp_path):
         path = put(tmp_path, "t.csv",
@@ -341,6 +367,17 @@ class TestConfigParsing:
         path = put(tmp_path, "c.cfg", f"[mpc]\nmode = mpc2\n{line}\n")
         with pytest.raises(CliError, match=field):
             parse_control_config(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ("init_temp = nan", "init_temp"),
+        ("idt_noise_sd = inf", "idt_noise_sd"),
+        ("drift = 0.1, nan", "drift"),
+    ])
+    def test_nonfinite_plant_settings_rejected(self, tmp_path, line, field):
+        text = re.sub(rf"(?m)^{field} = .*\n", "", SCENARIO_CFG)
+        text = text.replace("[plant]\n", f"[plant]\n{line}\n")
+        with pytest.raises(CliError, match=f"{field} must be finite"):
+            parse_scenario_config(put(tmp_path, "s.cfg", text))
 
     def test_bad_mode(self, tmp_path):
         path = put(tmp_path, "c.cfg", "[mpc]\nmode = pid\n")

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alertmpc.domain import AmiModel, DlModel, DL_FEATURES, IdtModel
+from alertmpc.domain import AmiModel, DlModel, DL_FEATURES, DL_MAX, DL_MIN, IdtModel
 from alertmpc.identify import (
     DegenerateSweep,
     InsufficientData,
+    InvalidTelemetry,
     TelemetryRow,
     TelemetryTable,
     dl_design,
@@ -99,11 +103,11 @@ def coefficient_standard_errors(X, y, intercept, beta):
 class TestTelemetryValidation:
     def test_row_rejects_out_of_scale_dl(self):
         with pytest.raises(ValueError, match="w3"):
-            TelemetryRow(0, "w3", 5.4, 0.1, 26.0, 600.0, 26.0, 600.0)
+            TelemetryTable((TelemetryRow(0, "w3", 5.4, 0.1, 26.0, 600.0, 26.0, 600.0),))
 
     def test_row_rejects_negative_effort(self):
         with pytest.raises(ValueError, match="effort"):
-            TelemetryRow(2, "w0", 2.0, -0.1, 26.0, 600.0, 26.0, 600.0)
+            TelemetryTable((TelemetryRow(2, "w0", 2.0, -0.1, 26.0, 600.0, 26.0, 600.0),))
 
     def test_table_rejects_nonincreasing_steps(self):
         rows = (
@@ -121,7 +125,7 @@ class TestTelemetryValidation:
             TelemetryRow(1, "b", 2.4, 0.1, 26.0, 600.0, 26.0, 600.0),
         )
         table = TelemetryTable(rows)
-        assert set(table.by_worker()) == {"a", "b"}
+        assert set(table.worker_ids) == {"a", "b"}
 
 
 class TestDlDesign:
@@ -329,3 +333,197 @@ class TestAmiFit:
         m1, _ = fit_ami_model(single)
         m2, _ = fit_ami_model(double)
         assert m1.theta_set == pytest.approx(m2.theta_set, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise reference implementations of the designs and the environment
+# fits.  The columnar code must reproduce them: the DL design bitwise, the
+# environment fits to 1e-12 relative (per-step means may sum in another
+# order once a step has 8 or more rows).
+
+
+def reference_dl_design(data, exclude_boundary=True):
+    grouped = {}
+    for row in data.rows:
+        grouped.setdefault(row.worker_id, []).append(row)
+    features, targets = [], []
+    for rows in grouped.values():
+        for older, prev, cur in zip(rows, rows[1:], rows[2:]):
+            if prev.step_index != older.step_index + 1:
+                continue
+            if cur.step_index != prev.step_index + 1:
+                continue
+            if exclude_boundary and cur.dl in (DL_MIN, DL_MAX):
+                continue
+            d_plus, d_minus = increments(prev.dl, older.dl)
+            t_plus, t_minus = increments(cur.temp, prev.temp)
+            l_plus, l_minus = increments(cur.illum, prev.illum)
+            features.append([prev.dl, d_plus, d_minus, cur.temp, t_plus, t_minus,
+                             cur.illum, l_plus, l_minus, cur.effort])
+            targets.append(cur.dl)
+    X = np.asarray(features, dtype=float).reshape(-1, len(DL_FEATURES))
+    return X, np.asarray(targets, dtype=float)
+
+
+def reference_step_environment(data):
+    buckets = {}
+    for row in data.rows:
+        buckets.setdefault(row.step_index, []).append(row)
+    return [
+        (step,
+         float(np.mean([r.temp for r in buckets[step]])),
+         float(np.mean([r.illum for r in buckets[step]])),
+         float(np.mean([r.temp_set for r in buckets[step]])),
+         float(np.mean([r.illum_set for r in buckets[step]])))
+        for step in sorted(buckets)
+    ]
+
+
+def reference_idt(data):
+    """(k_up, k_down, rmse) of the row-wise fit, or the exception it raised."""
+    env = reference_step_environment(data)
+    raising, lowering = [], []
+    for (s0, t0, _, _, _), (s1, t1, _, tset, _) in zip(env, env[1:]):
+        if s1 == s0 + 1:
+            (raising if tset >= t0 else lowering).append((tset - t0, t1 - t0))
+    for name, branch in (("raising", raising), ("lowering", lowering)):
+        if len(branch) < 2:
+            return InsufficientData(
+                f"temperature fit needs >= 2 {name} transitions, got {len(branch)}")
+    gains = []
+    for name, branch in (("raising", raising), ("lowering", lowering)):
+        denom = sum(dp * dp for dp, _ in branch)
+        if denom == 0.0:
+            return InsufficientData(
+                f"temperature fit has no informative {name} transitions "
+                "(setpoint always equals the previous temperature)")
+        gains.append(min(max(sum(dp * do for dp, do in branch) / denom, 1e-9), 1.0))
+    k_up, k_down = gains
+    residuals = [do - k_up * dp for dp, do in raising]
+    residuals += [do - k_down * dp for dp, do in lowering]
+    return k_up, k_down, float(np.sqrt(np.mean(np.square(residuals))))
+
+
+def reference_ami(data):
+    """(theta0, theta_prev, theta_set, rmse) of the row-wise fit, or the
+    exception it raised."""
+    env = reference_step_environment(data)
+    pairs = [((l0, lset), l1) for (s0, _, l0, _, _), (s1, _, l1, _, lset)
+             in zip(env, env[1:]) if s1 == s0 + 1]
+    if len(pairs) < 3:
+        return InsufficientData(f"illuminance fit needs >= 3 samples, got {len(pairs)}")
+    X = np.asarray([f for f, _ in pairs])
+    y = np.asarray([t for _, t in pairs])
+    if np.unique(X[:, 1]).size < 2:
+        return DegenerateSweep(
+            "illuminance setpoint never varied; sweep the setpoint to identify the response")
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    beta = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)[0]
+    intercept = float(y_mean - x_mean @ beta)
+    if abs(beta[0]) >= 1.0:
+        return ValueError(f"|theta_prev| must be < 1 for stability, got {float(beta[0])}")
+    rmse = float(np.sqrt(np.mean(np.square(y - (intercept + X @ beta)))))
+    return intercept, float(beta[0]), float(beta[1]), rmse
+
+
+def outcome(fit, data):
+    try:
+        model, report = fit(data)
+    except ValueError as err:
+        return err
+    if isinstance(model, IdtModel):
+        return model.k_up, model.k_down, report.rmse
+    return model.theta0, model.theta_prev, model.theta_set, report.rmse
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    for a, b in zip(got, want, strict=True):
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (got, want)
+
+
+def assert_matches_reference(table):
+    for exclude in (True, False):
+        X, y = dl_design(table, exclude)
+        X_ref, y_ref = reference_dl_design(table, exclude)
+        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
+    steps, *means = table.step_environment()
+    ref = reference_step_environment(table)
+    assert steps.tolist() == [e[0] for e in ref]
+    for column, got in enumerate(means, start=1):
+        np.testing.assert_allclose(got, [e[column] for e in ref], rtol=1e-12, atol=0)
+    assert_same_outcome(outcome(fit_idt_coeffs, table), reference_idt(table))
+    assert_same_outcome(outcome(fit_ami_model, table), reference_ami(table))
+
+
+WORKER_NAMES = ("w7", "a", "w10", "m", "w2")
+DL_VALUES = st.one_of(st.sampled_from([DL_MIN, DL_MAX]), st.floats(DL_MIN, DL_MAX))
+
+
+@st.composite
+def telemetry_tables(draw):
+    """Workers in non-sorted id order, each reporting a random subset of
+    steps (so chains have gaps, some workers have fewer than 3 rows and
+    some steps have only some workers), interleaved in random order."""
+    names = draw(st.permutations(WORKER_NAMES))[: draw(st.integers(1, len(WORKER_NAMES)))]
+    queues = {
+        name: sorted(draw(st.sets(st.integers(0, 14), max_size=12))) for name in names
+    }
+    rows = []
+    while any(queues.values()):
+        name = draw(st.sampled_from([n for n in names if queues[n]]))
+        step = queues[name].pop(0)
+        rows.append(TelemetryRow(
+            step, name, draw(DL_VALUES), draw(st.floats(0.0, 0.5)),
+            draw(st.floats(24.0, 28.0)), draw(st.floats(300.0, 900.0)),
+            draw(st.sampled_from([24.5, 25.5, 26.5, 27.5])),
+            draw(st.sampled_from([400.0, 550.0, 700.0, 850.0])),
+        ))
+    return TelemetryTable(rows)
+
+
+class TestColumnarMatchesRowwise:
+    @settings(max_examples=200, deadline=None)
+    @given(telemetry_tables())
+    def test_random_tables(self, table):
+        assert_matches_reference(table)
+
+    def test_fleet_with_gaps_and_partial_steps(self):
+        # 12 workers per step, so per-step means sum in another order than
+        # np.mean; each worker reads the room with its own sensor noise,
+        # w3 misses steps 10-11 and w5 stops after 2 rows.
+        rng = np.random.default_rng(8)
+        rows = [
+            replace(r, temp=r.temp + rng.normal(0.0, 0.05), illum=r.illum + rng.normal(0.0, 5.0))
+            for r in make_sweep(steps=40, workers=12, seed=8, noise_sd=0.05).rows
+            if not (r.worker_id == "w3" and r.step_index in (10, 11))
+            and not (r.worker_id == "w5" and r.step_index > 1)
+        ]
+        assert_matches_reference(TelemetryTable(rows))
+
+
+class TestColumnarTable:
+    def test_rows_round_trip(self):
+        rows = (
+            TelemetryRow(3, "b", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
+            TelemetryRow(0, "a", 1.0, 0.0, 25.0, 500.0, 25.5, 450.0),
+            TelemetryRow(4, "b", 5.0, 0.2, 27.0, 700.0, 26.5, 750.0),
+        )
+        table = TelemetryTable(rows)
+        assert table.rows == rows and list(table) == list(rows) and len(table) == 3
+        assert table.worker_ids == ("b", "a")
+        assert table.worker.tolist() == [0, 1, 0]
+        assert not table.dl.flags.writeable
+
+    @pytest.mark.parametrize("column", ["dl", "effort", "temp", "illum", "temp_set", "illum_set"])
+    def test_rejects_nonfinite(self, column):
+        values = dict(dl=2.0, effort=0.1, temp=26.0, illum=600.0, temp_set=26.0, illum_set=600.0)
+        ok = TelemetryRow(0, "w0", **values)
+        bad = TelemetryRow(1, "w1", **{**values, column: float("nan")})
+        with pytest.raises(InvalidTelemetry, match=f"{column} must be finite.*w1, step 1") as info:
+            TelemetryTable((ok, TelemetryRow(1, "w0", **values), bad))
+        assert info.value.row == 2

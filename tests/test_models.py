@@ -390,7 +390,7 @@ class TestObjectiveGradient:
         x0 = np.array([26.2, 25.8, 26.1, 640.0, 560.0, 610.0])
 
         def f(vec):
-            return objective(rollout(models, snap, ControlSchedule.unflatten(vec), cfg))
+            return objective(rollout(models, snap, ControlSchedule(tuple(vec[:3]), tuple(vec[3:])), cfg))
 
         for j in range(x0.size):
             h = 1e-3 if j < 3 else 1e-1

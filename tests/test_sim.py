@@ -10,6 +10,7 @@ from alertmpc.domain import (
     DlModel,
     IdtModel,
     MpcConfig,
+    NonFiniteSetting,
 )
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
 from alertmpc.mpc import Controller
@@ -277,12 +278,29 @@ class TestRunScenario:
         assert quiet_plant().drift_at(3) == 0.0
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"idt_noise_sd": float("nan")}, "idt_noise_sd"),
+    ({"ami_noise_sd": float("inf")}, "ami_noise_sd"),
+    ({"dl_noise_sd": float("nan")}, "dl_noise_sd"),
+    ({"effort_sd": float("inf")}, "effort_sd"),
+    ({"ambient_pull": float("nan")}, "ambient_pull"),
+    ({"ambient_temp": float("-inf")}, "ambient_temp"),
+    ({"init_temp": float("nan")}, "init_temp"),
+    ({"init_illum": float("nan")}, "init_illum"),
+    ({"init_dl": float("nan")}, "init_dl"),
+    ({"drift": (0.0, float("nan"))}, "drift"),
+])
+def test_plant_rejects_nonfinite_settings(overrides, field):
+    with pytest.raises(NonFiniteSetting, match=f"{field} must be finite"):
+        quiet_plant(**overrides)
+
+
 class TestOpenLoopAndTelemetry:
     def test_open_loop_shape(self):
         table = run_open_loop(noisy_plant(), num_workers=2,
                               setpoints=[(26.0, 600.0)] * 5, seed=4)
         assert len(table) == 10
-        assert set(table.by_worker()) == {"w0", "w1"}
+        assert set(table.worker_ids) == {"w0", "w1"}
 
     def test_open_loop_rejects_empty(self):
         with pytest.raises(ValueError):
