@@ -207,9 +207,10 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
                 f"{path}: telemetry header must be "
                 f"{','.join(TELEMETRY_HEADER)!r}, got {header!r}"
             )
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
+            line_no = reader.line_num  # physical line: quoted fields may span lines
             if len(record) != len(TELEMETRY_HEADER):
                 raise CliError(
                     f"{path}:{line_no}: expected {len(TELEMETRY_HEADER)} fields, "
@@ -257,9 +258,10 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
                 f"{path}: snapshot header must be "
                 f"{','.join(SNAPSHOT_HEADER)!r}, got {header!r}"
             )
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
+            line_no = reader.line_num  # physical line: quoted fields may span lines
             if len(record) != len(SNAPSHOT_HEADER):
                 raise CliError(
                     f"{path}:{line_no}: expected {len(SNAPSHOT_HEADER)} fields, "

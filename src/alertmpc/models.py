@@ -112,6 +112,16 @@ class HorizonPrediction:
     def horizon(self) -> int:
         return len(self.temps)
 
+    @classmethod
+    def from_row(cls, temps: np.ndarray, illums: np.ndarray, dls: np.ndarray) -> HorizonPrediction:
+        """One row of rollout_batch's output: (horizon,), (horizon,) and
+        (workers, horizon) arrays."""
+        return cls(
+            tuple(temps.tolist()),
+            tuple(illums.tolist()),
+            tuple(tuple(path) for path in dls.tolist()),
+        )
+
 
 def rollout_batch(
     models: ModelSet,
@@ -199,13 +209,15 @@ def _pair(delta: np.ndarray, c_plus: float, c_minus: float) -> np.ndarray:
 def objective_batch(dls: np.ndarray) -> np.ndarray:
     """Mean predicted drowsiness per row, summed worker by worker, step by step."""
     flat = dls.reshape(dls.shape[0], -1)
-    return np.cumsum(flat, axis=1)[:, -1] / flat.shape[1]
+    # cumsum adds strictly left to right, as the scalar sum did; sum() and
+    # np.add.reduce may add pairwise (they do for a single row).
+    return flat.cumsum(axis=1)[:, -1] / flat.shape[1]
 
 
 def violation_batch(temps: np.ndarray, illums: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     """constraint_violation of each row of (P, horizon) trajectories."""
     excess = comfort_penalty(temps, illums, cfg) - cfg.penalty_cap
-    return np.cumsum(np.where(excess > 0.0, excess, 0.0), axis=1)[:, -1]
+    return np.where(excess > 0.0, excess, 0.0).cumsum(axis=1)[:, -1]
 
 
 def rollout(
@@ -222,11 +234,7 @@ def rollout(
         np.array([schedule.illum_setpoints]),
         cfg,
     )
-    return HorizonPrediction(
-        tuple(temps[0].tolist()),
-        tuple(illums[0].tolist()),
-        tuple(tuple(path) for path in dls[0].tolist()),
-    )
+    return HorizonPrediction.from_row(temps[0], illums[0], dls[0])
 
 
 def objective(pred: HorizonPrediction) -> float:

@@ -24,7 +24,10 @@ from .domain import (
     WorkerState,
     validate_config,
 )
-from .models import (
+# rollout, objective and constraint_violation are not called here any more;
+# they stay importable from this module because the perfbench trace hooks
+# look them up on it.
+from .models import (  # noqa: F401
     HorizonPrediction,
     constraint_violation,
     objective,
@@ -49,13 +52,43 @@ class StaleDataError(RuntimeError):
 
 @dataclass(frozen=True)
 class MpcSolution:
-    """One interval's decision: the schedule and its predicted outcome."""
+    """One interval's decision: the schedule and its predicted outcome.
+
+    generations_used, evaluations and stop_reason are the optimizer's
+    (see DeResult); NOC runs no search and reports 0, 0 and None.
+    """
 
     schedule: ControlSchedule
     predicted: HorizonPrediction
     objective_value: float
     feasible: bool
     applied_setpoints: tuple[float, float]
+    generations_used: int = 0
+    evaluations: int = 0
+    stop_reason: str | None = None
+
+
+def _predict(
+    models: ModelSet, snapshot: StateSnapshot, schedule: ControlSchedule, cfg: MpcConfig
+) -> tuple[HorizonPrediction, float, float]:
+    """One schedule's prediction, objective and violation.
+
+    Scored straight from a one-row rollout_batch: the same values as
+    rollout, objective and constraint_violation, without rebuilding
+    arrays from the prediction's tuples.
+    """
+    temps, illums, dls = rollout_batch(
+        models,
+        snapshot,
+        np.array([schedule.temp_setpoints]),
+        np.array([schedule.illum_setpoints]),
+        cfg,
+    )
+    return (
+        HorizonPrediction.from_row(temps[0], illums[0], dls[0]),
+        float(objective_batch(dls)[0]),
+        float(violation_batch(temps, illums, cfg)[0]),
+    )
 
 
 def solve(
@@ -79,12 +112,12 @@ def solve(
         schedule = ControlSchedule(
             (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
         )
-        pred = rollout(models, snapshot, schedule, cfg)
+        pred, objective_value, violation = _predict(models, snapshot, schedule, cfg)
         return MpcSolution(
             schedule=schedule,
             predicted=pred,
-            objective_value=objective(pred),
-            feasible=constraint_violation(pred, cfg) == 0.0,
+            objective_value=objective_value,
+            feasible=violation == 0.0,
             applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
         )
 
@@ -107,13 +140,16 @@ def solve(
 
     temp_sets, illum_sets = split(result.best_vector[None, :])
     schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
-    pred = rollout(models, snapshot, schedule, cfg)
+    pred, objective_value, _ = _predict(models, snapshot, schedule, cfg)
     return MpcSolution(
         schedule=schedule,
         predicted=pred,
-        objective_value=objective(pred),
+        objective_value=objective_value,
         feasible=result.feasible,
         applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
+        generations_used=result.generations_used,
+        evaluations=result.evaluations,
+        stop_reason=result.stop_reason,
     )
 
 

@@ -1,8 +1,9 @@
 """Box-constrained differential evolution with feasibility-first selection.
 
-Classic DE/rand/1/bin over a whole population at a time: each generation
-draws its donors and crossover masks as arrays and scores every trial
-with one call of the caller's evaluate(pop) -> (objective, violation).
+Classic DE/rand/1/bin over a whole population at a time: donors and
+crossover masks are drawn as arrays, a block of generations at a time,
+and each generation scores every trial with one call of the caller's
+evaluate(pop) -> (objective, violation).
 Candidates are compared by constraint violation before objective: any
 feasible point beats any infeasible one, two infeasible points compare
 on violation, two feasible ones on objective.  Mutants are clipped back
@@ -16,6 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+# Generations whose random draws are made together.  One block holds
+# _BLOCK * P * (24 + D) bytes of draws (40 KB at P=40, D=8) whatever the
+# budget.
+_BLOCK = 32
 
 
 class BadBounds(ValueError):
@@ -94,19 +101,26 @@ def incumbent(fs: np.ndarray, vs: np.ndarray) -> int:
     return int(np.argmin(vs))
 
 
-def donor_indices(rng: np.random.Generator, pop_size: int) -> np.ndarray:
-    """(3, pop_size) donors: per column three distinct indices, none the column.
+def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> np.ndarray:
+    """(generations, 3, pop_size) donors: per generation and member three
+    distinct indices, none the member.
 
     Each donor is a uniform draw over the indices its member has not yet
     taken, shifted past the taken ones in increasing order.
     """
-    draws = rng.integers(pop_size - 1 - np.arange(3)[:, None], size=(3, pop_size))
-    taken = [np.arange(pop_size)]
-    for draw in draws:
-        for index in np.sort(taken, axis=0):
+    shape = (generations, pop_size)
+    taken = [np.broadcast_to(np.arange(pop_size), shape)]  # kept in increasing order
+    draws = []
+    for k in range(3):
+        draw = rng.integers(pop_size - 1 - k, size=shape)
+        for index in taken:
             draw += draw >= index
+        draws.append(draw)
+        # Insert the new donor into the ordered list by compare-and-swap.
+        for i, index in enumerate(taken):
+            taken[i], draw = np.minimum(index, draw), np.maximum(index, draw)
         taken.append(draw)
-    return draws
+    return np.stack(draws, axis=1)
 
 
 def de_minimize(
@@ -121,6 +135,12 @@ def de_minimize(
     objective and the violation, each of shape (P,).  Violation must be
     nonnegative, zero exactly on the feasible set.  evaluate must be
     pure and score each row independently of the others.
+
+    The initial population is drawn first; then, right before
+    generations 0, _BLOCK, 2 * _BLOCK, ... run, the donors, crossover
+    masks and forced crossover columns of the next _BLOCK generations.
+    The draws depend only on the seed and the generation index, so a run
+    with a budget of g generations is a prefix of one with g + 1.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -139,7 +159,7 @@ def de_minimize(
     if pop_size < 4:
         pop_size = 4
     span = upper - lower
-    rows = np.arange(pop_size)
+    factor = params.mutation_factor
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
@@ -151,38 +171,48 @@ def de_minimize(
             raise ValueError(
                 f"evaluate must return two ({pop_size},) arrays, got {f.shape} and {v.shape}"
             )
+        if np.isfinite(f).all() and np.isfinite(v).all() and v.min() >= 0.0:
+            return f, v
         for name, values in (("objective", f), ("violation", v)):
             bad = ~np.isfinite(values)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise NonFiniteObjective(f"{name} returned {values[i]} at {pop[i].tolist()}")
-        if (v < 0.0).any():
-            i = int(np.argmax(v < 0.0))
-            raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
-        return f, v
+        i = int(np.argmax(v < 0.0))
+        raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
+
+    def draw_block() -> tuple[np.ndarray, np.ndarray]:
+        """Donors (_BLOCK, 3, P) and crossover masks (_BLOCK, P, D)."""
+        donors = donor_indices(rng, pop_size, _BLOCK)
+        cross = rng.random((_BLOCK, pop_size, dim)) < params.crossover_rate
+        forced = rng.integers(dim, size=(_BLOCK, pop_size))
+        cross[np.arange(_BLOCK)[:, None], np.arange(pop_size), forced] = True
+        return donors, cross
 
     pop = lower + rng.random((pop_size, dim)) * span
     fs, vs = checked(pop)
     generations = 0
     stop_reason = "budget"
-    for _ in range(params.max_generations):
-        if np.all(vs == 0.0) and float(fs.max() - fs.min()) < params.tolerance:
+    for gen in range(params.max_generations):
+        # checked() guarantees vs >= 0, so "none nonzero" is "all feasible".
+        if not vs.any() and float(fs.max() - fs.min()) < params.tolerance:
             stop_reason = "tolerance"
             break
+        step = gen % _BLOCK
+        if step == 0:
+            donors, cross = draw_block()
         generations += 1
 
-        r1, r2, r3 = donor_indices(rng, pop_size)
-        mutants = pop[r1] + params.mutation_factor * (pop[r2] - pop[r3])
-        np.minimum(np.maximum(mutants, lower), upper, out=mutants)
-        cross = rng.random((pop_size, dim)) < params.crossover_rate
-        cross[rows, rng.integers(dim, size=pop_size)] = True
-        trials = np.where(cross, mutants, pop)
+        r1, r2, r3 = pop.take(donors[step], axis=0)
+        mutants = r1 + factor * (r2 - r3)
+        np.minimum(np.maximum(mutants, lower, out=mutants), upper, out=mutants)
+        trials = np.where(cross[step], mutants, pop)
 
         f_t, v_t = checked(trials)
         take = not_worse(f_t, v_t, fs, vs)
-        pop[take] = trials[take]
-        fs[take] = f_t[take]
-        vs[take] = v_t[take]
+        np.copyto(pop, trials, where=take[:, None])
+        np.copyto(fs, f_t, where=take)
+        np.copyto(vs, v_t, where=take)
 
     best = incumbent(fs, vs)
     return DeResult(

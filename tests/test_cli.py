@@ -203,6 +203,29 @@ class TestTelemetryCsv:
         with pytest.raises(CliError, match="t.csv:3"):
             read_telemetry_csv(path)
 
+    def test_lines_counted_past_quoted_newline(self, tmp_path):
+        # Row 2's worker id spans physical lines 2-3, so the bad float sits
+        # on physical line 4 although it is the file's third CSV record.
+        path = put(tmp_path, "t.csv",
+                   "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
+                   '0,"w\n0",2.0,0.1,26.0,600,26,600\n'
+                   '1,"w\n0",oops,0.1,26.0,600,26,600\n')
+        with pytest.raises(CliError, match=r"t\.csv:5:"):
+            read_telemetry_csv(path)
+        path = put(tmp_path, "u.csv",
+                   "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
+                   '0,"w\n0",2.0,0.1,26.0,600,26,600\n'
+                   "1,w1,oops,0.1,26.0,600,26,600\n")
+        with pytest.raises(CliError, match=r"u\.csv:4:"):
+            read_telemetry_csv(path)
+        # Table-level checks name the physical line too: a dl off the scale.
+        path = put(tmp_path, "v.csv",
+                   "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
+                   '0,"w\n0",2.0,0.1,26.0,600,26,600\n'
+                   "1,w1,9.0,0.1,26.0,600,26,600\n")
+        with pytest.raises(CliError, match=r"v\.csv:4:"):
+            read_telemetry_csv(path)
+
     def test_step_beyond_int64_reports_line(self, tmp_path):
         path = put(tmp_path, "t.csv",
                    "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n"
@@ -268,6 +291,14 @@ class TestSnapshotCsv:
                    "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n"
                    "w0,7.5,0,0,0.1,26.8,540\n")
         with pytest.raises(CliError, match="s.csv:2"):
+            read_snapshot_csv(path)
+
+    def test_lines_counted_past_quoted_newline(self, tmp_path):
+        path = put(tmp_path, "s.csv",
+                   "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n"
+                   '"w\n0",2.4,0.1,0,0.12,26.8,540\n'
+                   "w1,7.5,0,0,0.1,26.8,540\n")
+        with pytest.raises(CliError, match=r"s\.csv:4:"):
             read_snapshot_csv(path)
 
     def test_rejects_empty(self, tmp_path):

@@ -79,6 +79,20 @@ class TestNoc:
         sol = solve(models, snapshot(), cfg)
         assert not sol.feasible
 
+    def test_no_search_diagnostics(self):
+        sol = solve(demo_models(), snapshot(), MpcConfig(mode=ControlMode.NOC, num_workers=1))
+        assert (sol.generations_used, sol.evaluations, sol.stop_reason) == (0, 0, None)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_prediction_equals_single_schedule_views(self, workers):
+        cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
+        snap = snapshot(workers=workers, temp=28.3, illum=410.0)
+        sol = solve(demo_models(), snap, cfg)
+        pred = rollout(demo_models(), snap, sol.schedule, cfg)
+        assert sol.predicted == pred
+        assert sol.objective_value == objective(pred)
+        assert sol.feasible == (constraint_violation(pred, cfg) == 0.0)
+
 
 class TestSolveModes:
     def test_constant_dl_objective(self):
@@ -141,6 +155,29 @@ class TestSolveModes:
                 assert cfg.illum_lo <= l <= cfg.illum_hi
             assert cfg.temp_lo <= sol.applied_setpoints[0] <= cfg.temp_hi
             assert cfg.illum_lo <= sol.applied_setpoints[1] <= cfg.illum_hi
+
+    @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+    def test_carries_search_diagnostics(self, monkeypatch, mode):
+        results = []
+        real = mpc_mod.de_minimize
+
+        def spy(evaluate, lo, hi, params):
+            results.append(real(evaluate, lo, hi, params))
+            return results[-1]
+
+        monkeypatch.setattr(mpc_mod, "de_minimize", spy)
+        cfg = MpcConfig(mode=mode, num_workers=2, horizon=3)
+        snap = snapshot(workers=2)
+        sol = solve(demo_models(), snap, cfg,
+                    DeParams(population_size=16, max_generations=300, tolerance=1e-9, seed=4))
+        (res,) = results
+        assert sol.generations_used == res.generations_used > 0
+        assert sol.evaluations == res.evaluations == 16 * (1 + res.generations_used)
+        assert sol.stop_reason == res.stop_reason == "tolerance"
+        # The reported prediction and objective are the single-schedule views'.
+        pred = rollout(demo_models(), snap, sol.schedule, cfg)
+        assert sol.predicted == pred
+        assert sol.objective_value == objective(pred)
 
     def test_feasible_flag_backed_by_predictions(self):
         # Tighter cap than the default so the constraint actually binds.

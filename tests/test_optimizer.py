@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,44 @@ class TestDeterminism:
             if prev is not None:
                 assert res.best_objective <= prev + 1e-15
             prev = res.best_objective
+
+    @pytest.mark.parametrize("budget", [31, 32, 33, 64])
+    def test_budget_run_is_prefix_of_longer_run(self, budget):
+        # The draws of generation g depend only on the seed and g, also
+        # across the block boundaries, whatever max_generations is.
+        def populations(g):
+            seen = []
+            evaluate = batched(sphere, no_violation)
+
+            def recording(pop):
+                seen.append(pop.copy())
+                return evaluate(pop)
+
+            res = de_minimize(recording, LO4, HI4,
+                              DeParams(population_size=12, max_generations=g,
+                                       tolerance=0.0, seed=17))
+            assert res.generations_used == g
+            return seen
+
+        short, long = populations(budget), populations(budget + 1)
+        assert len(short) == budget + 1 and len(long) == budget + 2
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("objective, past_first_block",
+                             [(lambda x: 1.0, False), (sphere, True)], ids=["flat", "sphere"])
+    def test_memory_bounded_by_one_block(self, objective, past_first_block):
+        tracemalloc.start()
+        try:
+            res = de_minimize(batched(objective, no_violation), LO4, HI4,
+                              DeParams(population_size=20, max_generations=10**7,
+                                       tolerance=1e-6, seed=8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.stop_reason == "tolerance"
+        assert (res.generations_used > 32) == past_first_block
+        assert peak < 5 * 2**20
 
 
 class TestMechanics:
@@ -303,11 +342,12 @@ class TestBatchedSelection:
     @pytest.mark.parametrize("pop_size", [4, 5, 17, 40])
     def test_donors_distinct_and_not_self(self, pop_size):
         rng = np.random.default_rng(pop_size)
+        block = donor_indices(rng, pop_size, 500)
+        assert block.shape == (500, 3, pop_size)
         seen = np.zeros((pop_size, pop_size), dtype=int)
-        for _ in range(500):
-            donors = donor_indices(rng, pop_size).T
-            assert donors.shape == (pop_size, 3)
-            rows = np.arange(pop_size)[:, None]
+        rows = np.arange(pop_size)[:, None]
+        for generation in block:
+            donors = generation.T
             assert np.all((donors >= 0) & (donors < pop_size))
             assert np.all(donors != rows)
             assert np.all(donors[:, 0] != donors[:, 1])
@@ -317,6 +357,20 @@ class TestBatchedSelection:
         # every other member gets drawn as a donor of every row
         off_diagonal = ~np.eye(pop_size, dtype=bool)
         assert np.all(seen[off_diagonal] > 0)
+
+    def test_donor_triples_uniform(self):
+        # Each member's ordered triple of donors is one of (P-1)(P-2)(P-3)
+        # equally likely ones: 24 at P=5, about 833 draws each here.
+        pop_size, generations = 5, 20000
+        block = donor_indices(np.random.default_rng(3), pop_size, generations)
+        for member in range(pop_size):
+            r1, r2, r3 = block[:, :, member].T
+            counts = np.bincount((r1 * pop_size + r2) * pop_size + r3,
+                                 minlength=pop_size**3)
+            counts = counts[counts > 0]
+            assert len(counts) == 24
+            expected = generations / 24
+            assert np.all(np.abs(counts - expected) < 0.15 * expected)
 
     def test_one_evaluate_call_per_generation(self):
         calls = []
