@@ -668,20 +668,62 @@ def shipped_config_path(name: str) -> str:
 # daemon
 
 
+_decode_json = json.JSONDecoder().raw_decode
+_JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
+
+
 def _parse_stream_record(line: str):
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
+    """(when, worker, dl, temp, illum) from one stripped stream line.
+
+    The line must be exactly one JSON object: "t" and "worker" JSON
+    strings, "dl", "temp_c" and "illum_lx" JSON numbers (not true/false),
+    all finite, dl on the 1-5 scale.  Anything else raises KeyError,
+    ValueError or TypeError, including nesting too deep to decode and
+    integers too large for a float.
+    """
+    try:
+        doc, end = _decode_json(line)
+    except RecursionError:
+        raise ValueError("record nested too deeply") from None
+    if end != len(line):
+        raise ValueError("extra data after the record")
+    if type(doc) is not dict:
         raise ValueError("record must be a JSON object")
-    when = datetime.fromisoformat(str(doc["t"]))
-    worker = str(doc["worker"])
-    dl = float(doc["dl"])
-    temp = float(doc["temp_c"])
-    illum = float(doc["illum_lx"])
+    t, worker = doc["t"], doc["worker"]
+    if type(t) is not str or type(worker) is not str:
+        raise TypeError("t and worker must be JSON strings")
+    dl, temp, illum = doc["dl"], doc["temp_c"], doc["illum_lx"]
+    if not (type(dl) in _JSON_NUMBER and type(temp) in _JSON_NUMBER and type(illum) in _JSON_NUMBER):
+        raise TypeError("dl, temp_c and illum_lx must be JSON numbers")
+    try:
+        dl, temp, illum = float(dl), float(temp), float(illum)
+    except OverflowError:
+        raise ValueError("measurement too large for a float") from None
     if not (1.0 <= dl <= 5.0):
         raise ValueError(f"dl {dl} outside the 1-5 scale")
-    if not (math.isfinite(dl) and math.isfinite(temp) and math.isfinite(illum)):
+    if not (math.isfinite(temp) and math.isfinite(illum)):
         raise ValueError("non-finite measurement")
-    return when, worker, dl, temp, illum
+    return datetime.fromisoformat(t), worker, dl, temp, illum
+
+
+def _window_stats(buffers) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Mean and standard deviation of each buffer, in buffer order.
+
+    Buffers of equal length are stacked into one (k, n) array and reduced
+    along its rows.  Each row is summed pairwise exactly as np.mean and
+    np.std sum a lone buffer, so the values are bitwise equal to theirs.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, buf in enumerate(buffers):
+        by_length.setdefault(len(buf), []).append(i)
+    means = [0.0] * len(buffers)
+    stds = [0.0] * len(buffers)
+    for rows in by_length.values():
+        block = np.array([buffers[i] for i in rows])
+        for i, mean, std in zip(rows, block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
+            means[i] = mean
+            stds[i] = std
+    return tuple(means), tuple(stds)
 
 
 def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record) -> dict:
@@ -692,7 +734,9 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     history (status "warmup").  From window 1 on, which completes the
     two-step history, each completed window w triggers the solve for
     interval w - 1.  Windows missing data hold the previous setpoints
-    with status "stale".
+    with status "stale".  Each record also carries the solve's
+    "generations" and "stop_reason" (0 and None under NOC, None on warmup
+    and stale windows).
     Malformed and out-of-order lines are skipped and counted.
     """
     validate_config(cfg)
@@ -718,13 +762,9 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
             and all(dl_buf.get(wid) for wid in roster)
         )
         if complete:
-            ctl.observe(
-                w - 2,
-                tuple(float(np.mean(dl_buf[wid])) for wid in roster),
-                tuple(float(np.std(dl_buf[wid])) for wid in roster),
-                float(np.mean(temps)),
-                float(np.mean(illums)),
-            )
+            means, stds = _window_stats([dl_buf[wid] for wid in roster] + [temps, illums])
+            ctl.observe(w - 2, means[:-2], stds[:-2], means[-2], means[-1])
+        solution = None
         if w == 0:
             setpoints, status = ctl.last_applied, "warmup"
         else:
@@ -737,6 +777,8 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
             "illum_set_lx": setpoints[1],
             "feasible": last_feasible,
             "status": status,
+            "generations": None if solution is None else solution.generations_used,
+            "stop_reason": None if solution is None else solution.stop_reason,
         }
 
     for line in lines:

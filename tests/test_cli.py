@@ -1,12 +1,17 @@
 import json
+import math
 import os
 import re
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertmpc.cli import (
     CliError,
+    _parse_stream_record,
+    _window_stats,
     fmt6,
     main,
     parse_control_config,
@@ -29,6 +34,7 @@ from alertmpc.domain import (
     ModelSet,
 )
 from alertmpc.identify import fit_ami_model, fit_dl_model, fit_idt_coeffs
+from alertmpc.mpc import Controller
 from alertmpc.sim import (
     PlantConfig,
     SimTrace,
@@ -684,6 +690,168 @@ class TestReportCommand:
         assert rc == 2
 
 
+# Lines that once escaped the daemon's malformed-line handling: nesting
+# deep enough to exhaust the decoder's recursion limit, and integers too
+# large for a float in each measurement field.
+DEEP_LINE = "[" * 100000 + "]" * 100000
+NINES = "9" * 400
+OVERFLOW_LINES = [
+    '{"t": "2026-01-05T08:00:00", "worker": "w0", "dl": %s, '
+    '"temp_c": %s, "illum_lx": %s}' % values
+    for values in ((NINES, "26.0", "600.0"), ("2.0", NINES, "600.0"), ("2.0", "26.0", NINES))
+]
+RECORD_FIELDS = ("t", "worker", "dl", "temp_c", "illum_lx")
+
+
+def stream_doc(**changes):
+    doc = {"t": "2026-01-05T08:00:00", "worker": "w0", "dl": 2.0,
+           "temp_c": 26.0, "illum_lx": 600.0}
+    doc.update(changes)
+    return doc
+
+
+def reference_parse(line: str):
+    """The daemon's record grammar read with json.loads: one JSON object,
+    t and worker JSON strings, dl/temp_c/illum_lx JSON numbers (not bool),
+    all finite, dl on the 1-5 scale."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError("not an object")
+    t, worker = doc["t"], doc["worker"]
+    if not (isinstance(t, str) and isinstance(worker, str)):
+        raise TypeError("t and worker must be strings")
+    values = []
+    for key in ("dl", "temp_c", "illum_lx"):
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{key} must be a number")
+        values.append(float(value))
+    dl, temp, illum = values
+    if not (all(math.isfinite(v) for v in values) and 1.0 <= dl <= 5.0):
+        raise ValueError("out of range")
+    return datetime.fromisoformat(t), worker, dl, temp, illum
+
+
+def parse_outcome(parse, line):
+    """parse(line)'s result, or None when it rejects the line."""
+    try:
+        return parse(line)
+    except (KeyError, ValueError, TypeError):
+        return None
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(),
+    st.integers(min_value=10**308, max_value=10**400), st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+well_typed_records = st.fixed_dictionaries({
+    "t": st.datetimes().map(datetime.isoformat),
+    "worker": st.text(max_size=8),
+    "dl": st.floats(0.5, 5.5) | st.integers(0, 6),
+    "temp_c": st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-10**6, 10**6),
+    "illum_lx": st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(0, 10**6),
+})
+
+
+class TestStreamRecord:
+    """_parse_stream_record takes a line already stripped by run_daemon."""
+
+    @pytest.mark.parametrize("line", [DEEP_LINE] + OVERFLOW_LINES,
+                             ids=["deep", "dl", "temp_c", "illum_lx"])
+    def test_pathological_line_is_value_error(self, line):
+        with pytest.raises(ValueError):
+            _parse_stream_record(line)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dl", True), ("dl", "2.0"), ("temp_c", False), ("temp_c", "26"),
+        ("illum_lx", None), ("illum_lx", [600]), ("worker", None),
+        ("worker", 0), ("worker", ["w0"]), ("t", 1767600000), ("t", None),
+    ])
+    def test_fields_are_not_coerced(self, field, value):
+        with pytest.raises((KeyError, ValueError, TypeError)):
+            _parse_stream_record(json.dumps(stream_doc(**{field: value})))
+
+    def test_integer_numbers_read_as_floats(self):
+        when, worker, dl, temp, illum = _parse_stream_record(
+            json.dumps(stream_doc(dl=2, temp_c=26, illum_lx=583)))
+        assert (when, worker) == (datetime(2026, 1, 5, 8), "w0")
+        assert [(type(v), v) for v in (dl, temp, illum)] == [
+            (float, 2.0), (float, 26.0), (float, 583.0)]
+
+    @pytest.mark.parametrize("line", [
+        json.dumps(stream_doc()) + " x",
+        json.dumps(stream_doc()) + "{}",
+        "\ufeff" + json.dumps(stream_doc()),
+        "[" + json.dumps(stream_doc()) + "]",
+        "",
+    ])
+    def test_whole_line_must_be_one_object(self, line):
+        with pytest.raises(ValueError):
+            _parse_stream_record(line)
+
+    @staticmethod
+    def assert_parsed_or_rejected(line):
+        try:
+            when, worker, dl, temp, illum = _parse_stream_record(line)
+        except (KeyError, ValueError, TypeError):
+            return
+        assert isinstance(when, datetime)
+        assert type(worker) is str
+        for value in (dl, temp, illum):
+            assert type(value) is float and math.isfinite(value)
+        assert 1.0 <= dl <= 5.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_text_parses_or_is_rejected(self, text):
+        self.assert_parsed_or_rejected(text.strip())
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_typed_records,
+           st.dictionaries(st.sampled_from(RECORD_FIELDS) | st.text(max_size=4),
+                           json_values, max_size=3),
+           st.sets(st.sampled_from(RECORD_FIELDS), max_size=2))
+    def test_any_object_parses_or_is_rejected(self, base, overrides, dropped):
+        doc = {**base, **overrides}
+        for key in dropped:
+            doc.pop(key, None)
+        self.assert_parsed_or_rejected(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_typed_records,
+           st.sampled_from(["", " ", "\t", "\r\n", "\ufeff", "\x0b", "\u00a0", "\u2028"]),
+           st.sampled_from(["", " ", "\t\n", "\ufeff", "\u00a0"]),
+           st.sampled_from(["", " x", "}", "{}", ",", "0", "\ufeff", " []"]),
+           st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " : ")]),
+           st.booleans())
+    def test_matches_json_loads_reference(self, doc, lead, trail, garbage, separators, ascii_only):
+        raw = lead + json.dumps(doc, separators=separators, ensure_ascii=ascii_only) + garbage + trail
+        line = raw.strip()  # as run_daemon hands it over
+        assert parse_outcome(_parse_stream_record, line) == parse_outcome(reference_parse, line)
+
+
+class TestWindowStats:
+    def test_bitwise_equal_to_per_buffer_reductions(self):
+        rng = np.random.default_rng(5)
+        lengths = [n for n in range(1, 301) for _ in range(3)] + [40] * 24
+        rng.shuffle(lengths)
+        buffers = [[round(x, 4) for x in rng.normal(2.5, 0.7, n).tolist()] for n in lengths]
+        means, stds = _window_stats(buffers)
+        assert len(means) == len(stds) == len(buffers)
+        for buf, mean, std in zip(buffers, means, stds):
+            assert type(mean) is float and type(std) is float
+            assert mean.hex() == float(np.mean(buf)).hex()
+            assert std.hex() == float(np.std(buf)).hex()
+
+
 class TestDaemonCommand:
     def files(self, tmp_path):
         model = str(tmp_path / "m.json")
@@ -730,6 +898,20 @@ class TestDaemonCommand:
         assert rc == 0
         err = capsys.readouterr().err
         assert "2 malformed" in err
+
+    @pytest.mark.parametrize("bad", [DEEP_LINE] + OVERFLOW_LINES,
+                             ids=["deep", "dl", "temp_c", "illum_lx"])
+    def test_pathological_line_counted_as_malformed(self, workdir, capsys, bad):
+        model, cfg_path = self.files(workdir)
+        lines = [json.dumps(stream_doc()), bad,
+                 json.dumps(stream_doc(t="2026-01-05T08:20:00"))]
+        stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        assert "skipped 1 malformed and 0 late" in capsys.readouterr().err
+        assert [json.loads(line)["status"] for line in open(out_path)] == ["warmup"]
 
     def test_late_lines_counted(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
@@ -780,6 +962,48 @@ class TestDaemonCommand:
         for stale in records[3:6]:
             assert stale["temp_set_c"] == held["temp_set_c"]
             assert stale["illum_set_lx"] == held["illum_set_lx"]
+
+    @pytest.mark.parametrize("mode", ["mpc2", "noc"])
+    def test_records_carry_search_diagnostics(self, workdir, capsys, monkeypatch, mode):
+        model, _ = self.files(workdir)
+        cfg_path = put(workdir, "control.cfg",
+                       CONTROL_CFG.replace("mode = mpc2", f"mode = {mode}"))
+        solutions = []
+        decide = Controller.decide
+
+        def recording_decide(self, clock):
+            result = decide(self, clock)
+            solutions.append(result[1])
+            return result
+
+        monkeypatch.setattr(Controller, "decide", recording_decide)
+
+        def rec(ts):
+            return json.dumps(stream_doc(t=ts, temp_c=26.2, illum_lx=590.0))
+
+        # windows 0,1,2 have data, 3 is silent, 4 and 5 resume, 6 closes 5
+        times = ["08:00", "08:15", "08:30", "09:00", "09:15", "09:30"]
+        stream = put(workdir, "stream.jsonl",
+                     "\n".join(rec(f"2026-01-05T{hm}:00") for hm in times) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        records = [json.loads(line) for line in open(out_path)]
+        assert [r["status"] for r in records] == ["warmup", "ok", "ok", "stale", "stale", "ok"]
+        assert len(solutions) == len(records) - 1
+        for record, solution in zip(records, [None] + solutions):
+            if solution is None:
+                assert record["generations"] is None and record["stop_reason"] is None
+            else:
+                assert record["generations"] == solution.generations_used
+                assert record["stop_reason"] == solution.stop_reason
+        ok = [r for r in records if r["status"] == "ok"]
+        if mode == "noc":
+            assert all(r["generations"] == 0 and r["stop_reason"] is None for r in ok)
+        else:
+            assert all(r["generations"] > 0 and r["stop_reason"] in ("tolerance", "budget")
+                       for r in ok)
 
     def test_empty_stream(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
