@@ -19,8 +19,6 @@ from .domain import (
     MpcConfig,
     StateSnapshot,
     WorkerState,
-    case1_config,
-    case2_config,
     validate_config,
 )
 from .identify import (
@@ -60,8 +58,6 @@ __all__ = [
     "MpcConfig",
     "StateSnapshot",
     "WorkerState",
-    "case1_config",
-    "case2_config",
     "validate_config",
     "TelemetryRow",
     "TelemetryTable",

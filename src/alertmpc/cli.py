@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import enum
 import io
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -423,173 +424,110 @@ def _load_config(path: str) -> configparser.ConfigParser:
         raise CliError(f"cannot read config {path}: {err}")
     except configparser.Error as err:
         raise CliError(f"config {path} is malformed: {err}")
+    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    if parser.defaults():  # configparser would copy these keys into every section
+        unknown.append(parser.default_section)
+    if unknown:
+        raise CliError(f"config {path}: unknown section(s) {unknown}")
     return parser
 
 
-def _check_keys(path: str, section: str, present, allowed) -> None:
-    unknown = sorted(set(present) - set(allowed))
-    if unknown:
-        raise CliError(
-            f"config {path}: unknown key(s) {unknown} in section [{section}]; "
-            f"allowed: {sorted(allowed)}"
-        )
+# How a value is read, by the declared type of the field it sets.  A field
+# of any other type (a nested dataclass or model set) takes no key.
+_READERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    "ControlMode": ControlMode.parse,
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split(",")) if raw else (),
+}
 
-
-def _get_typed(path: str, parser: configparser.ConfigParser, section: str, key: str, kind):
-    raw = parser.get(section, key)
-    try:
-        if kind is bool:
-            return parser.getboolean(section, key)
-        return kind(raw)
-    except ValueError:
-        raise CliError(
-            f"config {path}: key {key!r} in [{section}] has bad value {raw!r} "
-            f"(expected {kind.__name__})"
-        )
-
-
-_MPC_KEYS = {
-    "horizon": int,
-    "step_hours": float,
-    "num_workers": int,
-    "temp_lo": float,
-    "temp_hi": float,
-    "illum_lo": float,
-    "illum_hi": float,
-    "temp_comfort": float,
-    "illum_comfort": float,
-    "p_temp": float,
-    "p_illum": float,
-    "penalty_cap": float,
-    "mode": str,
+# The dataclasses whose fields each section's keys set, with the prefix
+# their keys carry.
+_SECTIONS = {
+    "mpc": ((MpcConfig, ""),),
+    "de": ((DeParams, ""),),
+    "plant": ((IdtModel, ""), (AmiModel, ""), (DlModel, "dl_"), (PlantConfig, "")),
+    "scenario": ((ScenarioConfig, ""),),
 }
 
 
-def parse_mpc_section(path: str, parser: configparser.ConfigParser) -> MpcConfig:
-    if not parser.has_section("mpc"):
-        raise CliError(f"config {path}: missing required [mpc] section")
-    _check_keys(path, "mpc", parser.options("mpc"), _MPC_KEYS)
-    kwargs = {}
-    for key, kind in _MPC_KEYS.items():
-        if not parser.has_option("mpc", key):
+def _section_keys(section: str) -> dict[str, tuple[int, Field, str | None, str]]:
+    """Key -> (i, field, entry, type) for each key of a section.
+
+    i indexes the section's dataclasses.  DlModel.coef, the one dict
+    field, takes a float key per drowsiness feature, named by entry;
+    entry is None for every other field.
+    """
+    keys = {}
+    for i, (cls, prefix) in enumerate(_SECTIONS[section]):
+        for f in fields(cls):
+            if f.type == "dict[str, float]":
+                keys.update({prefix + name: (i, f, name, "float") for name in DL_FEATURES})
+            elif f.type in _READERS:
+                keys[prefix + f.name] = (i, f, None, f.type)
+    return keys
+
+
+def _read_section(path: str, parser, section: str, required: bool) -> list[dict]:
+    """Keyword arguments for each dataclass of a section, from its keys."""
+    kwargs: list[dict] = [{} for _ in _SECTIONS[section]]
+    if not parser.has_section(section):
+        if required:
+            raise CliError(f"config {path}: missing required [{section}] section")
+        return kwargs
+    try:
+        values = dict(parser.items(section))
+    except configparser.Error as err:
+        raise CliError(f"config {path} is malformed: {err}")
+    keys = _section_keys(section)
+    unknown = sorted(set(values) - set(keys))
+    if unknown:
+        raise CliError(
+            f"config {path}: unknown key(s) {unknown} in section [{section}]; "
+            f"allowed: {sorted(keys)}"
+        )
+    missing = [
+        key
+        for key, (_, f, _, _) in keys.items()
+        if key not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise CliError(f"config {path}: [{section}] missing key(s) {missing}")
+    for key, (i, f, entry, kind) in keys.items():
+        if key not in values:
             continue
-        if key == "mode":
-            try:
-                kwargs["mode"] = ControlMode.parse(parser.get("mpc", "mode"))
-            except ConfigError as err:
-                raise CliError(f"config {path}: {err}")
+        raw = values[key]
+        if raw.lower() == f.metadata.get("config_none"):
+            value = None
         else:
-            kwargs[key] = _get_typed(path, parser, "mpc", key, kind)
-    cfg = MpcConfig(**kwargs)
+            try:
+                value = _READERS[kind](raw)
+            except (KeyError, ValueError):  # KeyError: not a boolean spelling
+                raise CliError(
+                    f"config {path}: key {key!r} in [{section}] has bad value {raw!r} "
+                    f"(expected {kind})"
+                )
+        if entry is None:
+            kwargs[i][f.name] = value
+        else:
+            kwargs[i].setdefault(f.name, {})[entry] = value
+    return kwargs
+
+
+def _control_config(path: str, parser) -> tuple[MpcConfig, DeParams]:
+    (mpc,) = _read_section(path, parser, "mpc", required=True)
+    cfg = MpcConfig(**mpc)
     try:
         validate_config(cfg)
     except ConfigError as err:
         raise CliError(f"config {path}: {err}")
-    return cfg
-
-
-_DE_KEYS = {
-    "population_size": int,
-    "mutation_factor": float,
-    "crossover_rate": float,
-    "max_generations": int,
-    "tolerance": float,
-    "seed": int,
-}
-
-
-def parse_de_section(path: str, parser: configparser.ConfigParser) -> DeParams:
-    if not parser.has_section("de"):
-        return DeParams()
-    _check_keys(path, "de", parser.options("de"), _DE_KEYS)
-    kwargs = {}
-    for key, kind in _DE_KEYS.items():
-        if not parser.has_option("de", key):
-            continue
-        if key == "population_size" and parser.get("de", key).strip().lower() == "auto":
-            kwargs[key] = None
-            continue
-        kwargs[key] = _get_typed(path, parser, "de", key, kind)
+    (de,) = _read_section(path, parser, "de", required=False)
     try:
-        return DeParams(**kwargs)
+        return cfg, DeParams(**de)
     except ValueError as err:
         raise CliError(f"config {path}: [de] {err}")
-
-
-_PLANT_MODEL_KEYS = {
-    "k_up": float,
-    "k_down": float,
-    "theta0": float,
-    "theta_prev": float,
-    "theta_set": float,
-    "dl_intercept": float,
-}
-_PLANT_DL_KEYS = {f"dl_{name}": float for name in DL_FEATURES}
-_PLANT_OTHER_KEYS = {
-    "idt_noise_sd": float,
-    "ami_noise_sd": float,
-    "dl_noise_sd": float,
-    "effort_sd": float,
-    "substeps": int,
-    "drift": str,
-    "ambient_pull": float,
-    "ambient_temp": float,
-    "init_temp": float,
-    "init_illum": float,
-    "init_dl": float,
-}
-_PLANT_KEYS = {**_PLANT_MODEL_KEYS, **_PLANT_DL_KEYS, **_PLANT_OTHER_KEYS}
-
-_SCENARIO_KEYS = {
-    "steps": int,
-    "seed": int,
-    "model_mismatch": bool,
-    "lunch_start": int,
-    "lunch_steps": int,
-}
-
-
-def parse_plant_section(path: str, parser: configparser.ConfigParser) -> PlantConfig:
-    if not parser.has_section("plant"):
-        raise CliError(f"config {path}: missing required [plant] section")
-    _check_keys(path, "plant", parser.options("plant"), _PLANT_KEYS)
-    required = ["k_up", "k_down", "theta0", "theta_prev", "theta_set", "dl_intercept"]
-    required += sorted(_PLANT_DL_KEYS)
-    missing = [k for k in required if not parser.has_option("plant", k)]
-    if missing:
-        raise CliError(f"config {path}: [plant] missing key(s) {missing}")
-
-    def get(key, kind):
-        return _get_typed(path, parser, "plant", key, kind)
-
-    coef = {name: get(f"dl_{name}", float) for name in DL_FEATURES}
-    kwargs = {}
-    for key, kind in _PLANT_OTHER_KEYS.items():
-        if key == "drift" or not parser.has_option("plant", key):
-            continue
-        kwargs[key] = get(key, kind)
-    if parser.has_option("plant", "drift"):
-        raw = parser.get("plant", "drift").strip()
-        if raw:
-            try:
-                kwargs["drift"] = tuple(float(tok) for tok in raw.split(","))
-            except ValueError:
-                raise CliError(
-                    f"config {path}: [plant] drift must be comma-separated floats, got {raw!r}"
-                )
-    try:
-        return PlantConfig(
-            true_idt=IdtModel(k_up=get("k_up", float), k_down=get("k_down", float)),
-            true_ami=AmiModel(
-                theta0=get("theta0", float),
-                theta_prev=get("theta_prev", float),
-                theta_set=get("theta_set", float),
-            ),
-            true_dl=DlModel(intercept=get("dl_intercept", float), coef=coef),
-            **kwargs,
-        )
-    except ValueError as err:
-        raise CliError(f"config {path}: [plant] {err}")
 
 
 def parse_scenario_config(
@@ -597,48 +535,17 @@ def parse_scenario_config(
 ) -> ScenarioConfig:
     """Assemble a full scenario from [mpc], [de], [plant] and [scenario]."""
     parser = _load_config(path)
-    known_sections = {"mpc", "de", "plant", "scenario"}
-    unknown = sorted(set(parser.sections()) - known_sections)
-    if unknown:
-        raise CliError(f"config {path}: unknown section(s) {unknown}")
-    cfg = parse_mpc_section(path, parser)
-    de = parse_de_section(path, parser)
-    plant = parse_plant_section(path, parser)
-    if not parser.has_section("scenario"):
-        raise CliError(f"config {path}: missing required [scenario] section")
-    _check_keys(path, "scenario", parser.options("scenario"), _SCENARIO_KEYS)
-    for key in ("steps", "seed"):
-        if not parser.has_option("scenario", key):
-            raise CliError(f"config {path}: [scenario] missing key {key!r}")
-    steps = _get_typed(path, parser, "scenario", "steps", int)
-    seed = _get_typed(path, parser, "scenario", "seed", int)
-    mismatch = (
-        _get_typed(path, parser, "scenario", "model_mismatch", bool)
-        if parser.has_option("scenario", "model_mismatch")
-        else False
-    )
-    lunch_start = (
-        _get_typed(path, parser, "scenario", "lunch_start", int)
-        if parser.has_option("scenario", "lunch_start")
-        else None
-    )
-    lunch_steps = (
-        _get_typed(path, parser, "scenario", "lunch_steps", int)
-        if parser.has_option("scenario", "lunch_steps")
-        else 4
-    )
+    cfg, de = _control_config(path, parser)
+    idt, ami, dl, rest = _read_section(path, parser, "plant", required=True)
+    try:
+        plant = PlantConfig(
+            true_idt=IdtModel(**idt), true_ami=AmiModel(**ami), true_dl=DlModel(**dl), **rest
+        )
+    except ValueError as err:
+        raise CliError(f"config {path}: [plant] {err}")
+    (scenario,) = _read_section(path, parser, "scenario", required=True)
     sc = ScenarioConfig(
-        mode=cfg.mode,
-        num_workers=cfg.num_workers,
-        steps=steps,
-        seed=seed,
-        plant=plant,
-        mpc_cfg=cfg,
-        de=de,
-        model_mismatch=mismatch,
-        controller_models=controller_models,
-        lunch_start=lunch_start,
-        lunch_steps=lunch_steps,
+        plant=plant, mpc_cfg=cfg, de=de, controller_models=controller_models, **scenario
     )
     try:
         validate_scenario(sc)
@@ -649,11 +556,7 @@ def parse_scenario_config(
 
 def parse_control_config(path: str) -> tuple[MpcConfig, DeParams]:
     """[mpc] + [de] only, as needed by solve and daemon."""
-    parser = _load_config(path)
-    unknown = sorted(set(parser.sections()) - {"mpc", "de", "plant", "scenario"})
-    if unknown:
-        raise CliError(f"config {path}: unknown section(s) {unknown}")
-    return parse_mpc_section(path, parser), parse_de_section(path, parser)
+    return _control_config(path, _load_config(path))
 
 
 def shipped_config_path(name: str) -> str:
@@ -811,51 +714,28 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     return stats
 
 
-def replay_stream_lines(
-    trace: SimTrace,
-    plant: PlantConfig,
-    cfg: MpcConfig,
-    start: str = "2026-01-05T08:00:00",
-) -> list[str]:
-    """Recast a simulation trace as a daemon input stream.
-
-    Two leading windows carry the initial conditions (the same synthetic
-    history the simulator seeds), then each trace step becomes one window
-    with a single record per worker, so window averages reproduce the
-    simulator's measurements exactly.  A final marker record closes the
-    last step's window.
-    """
-    window = timedelta(hours=cfg.step_hours)
-    origin = datetime.fromisoformat(start)
-    lines: list[str] = []
-
-    def emit(w: int, worker: str, dl: float, temp: float, illum: float):
-        lines.append(
-            json.dumps(
-                {
-                    "t": (origin + w * window).isoformat(),
-                    "worker": worker,
-                    "dl": dl,
-                    "temp_c": temp,
-                    "illum_lx": illum,
-                },
-                sort_keys=True,
-            )
-        )
-
-    for w in (0, 1):
-        for i in range(trace.num_workers):
-            emit(w, f"w{i}", plant.init_dl, plant.init_temp, plant.init_illum)
-    for step in trace.steps:
-        for i in range(trace.num_workers):
-            emit(step.step + 2, f"w{i}", step.dls[i], step.temp, step.illum)
-    # closes the final window; its own window never completes
-    emit(len(trace.steps) + 2, "w0", plant.init_dl, plant.init_temp, plant.init_illum)
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _override_seed(de: DeParams, seed: int | None) -> DeParams:
+    if seed is None:
+        return de
+    try:
+        return replace(de, seed=seed)
+    except ValueError as err:
+        raise CliError(f"--seed: {err}")
+
+
+def _open_stream(path: str, mode: str, std):
+    """The file at path, or the standard stream std for "-"."""
+    if path == "-":
+        return contextlib.nullcontext(std)
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as err:
+        verb = "read" if mode == "r" else "write"
+        raise CliError(f"cannot {verb} stream {path}: {err}")
 
 
 def cmd_identify(args) -> int:
@@ -896,8 +776,7 @@ def cmd_identify(args) -> int:
 def cmd_solve(args) -> int:
     models = read_model_set(args.model)
     cfg, de = parse_control_config(args.config)
-    if args.seed is not None:
-        de = replace(de, seed=args.seed)
+    de = _override_seed(de, args.seed)
     snapshot = read_snapshot_csv(args.snapshot)
     if len(snapshot.workers) != cfg.num_workers:
         raise CliError(
@@ -1053,36 +932,16 @@ def cmd_report(args) -> int:
 def cmd_daemon(args) -> int:
     models = read_model_set(args.model)
     cfg, de = parse_control_config(args.config)
-    if args.seed is not None:
-        de = replace(de, seed=args.seed)
-
-    if args.infile == "-":
-        in_fh = sys.stdin
-        close_in = False
-    else:
-        try:
-            in_fh = open(args.infile, encoding="utf-8")
-        except OSError as err:
-            raise CliError(f"cannot read stream {args.infile}: {err}")
-        close_in = True
-    if args.outfile == "-":
-        out_fh = sys.stdout
-        close_out = False
-    else:
-        out_fh = open(args.outfile, "w", encoding="utf-8")
-        close_out = True
+    de = _override_seed(de, args.seed)
 
     def on_record(record: dict):
         out_fh.write(json.dumps(record, sort_keys=True) + "\n")
         out_fh.flush()
 
-    try:
-        stats = run_daemon(models, cfg, de, in_fh, on_record)
-    finally:
-        if close_in:
-            in_fh.close()
-        if close_out:
-            out_fh.close()
+    # Nested, so --in is closed again when --out cannot be opened.
+    with _open_stream(args.infile, "r", sys.stdin) as in_fh:
+        with _open_stream(args.outfile, "w", sys.stdout) as out_fh:
+            stats = run_daemon(models, cfg, de, in_fh, on_record)
     if stats["malformed"] or stats["late"]:
         print(
             f"warning: skipped {stats['malformed']} malformed and "

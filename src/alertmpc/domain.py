@@ -279,16 +279,6 @@ def validate_config(cfg: MpcConfig) -> None:
         raise ConfigError(f"mode must be a ControlMode, got {cfg.mode!r}")
 
 
-def case1_config(mode: ControlMode = ControlMode.MPC2) -> MpcConfig:
-    """Five-worker room, narrow 25.5-26.5 degC temperature band."""
-    return MpcConfig(num_workers=5, temp_lo=25.5, temp_hi=26.5, mode=mode)
-
-
-def case2_config(mode: ControlMode = ControlMode.MPC2) -> MpcConfig:
-    """Six-worker room, wider 25.0-27.0 degC temperature band."""
-    return MpcConfig(num_workers=6, temp_lo=25.0, temp_hi=27.0, mode=mode)
-
-
 __all__ = [
     "DL_MIN",
     "DL_MAX",
@@ -310,6 +300,4 @@ __all__ = [
     "MpcConfig",
     "require_finite",
     "validate_config",
-    "case1_config",
-    "case2_config",
 ]

@@ -31,6 +31,8 @@ from .domain import (
     StateSnapshot,
 )
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 class ShapeMismatch(ValueError):
     """Schedule or snapshot dimensions disagree with the configuration."""
@@ -215,9 +217,15 @@ def objective_batch(dls: np.ndarray) -> np.ndarray:
 
 
 def violation_batch(temps: np.ndarray, illums: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    """constraint_violation of each row of (P, horizon) trajectories."""
+    """constraint_violation of each row of (P, horizon) trajectories.
+
+    A total too large for a float (huge comfort weights) saturates at the
+    largest float: the search still ranks it as the worst violation, where
+    an infinity would stop it as a non-finite evaluation.
+    """
     excess = comfort_penalty(temps, illums, cfg) - cfg.penalty_cap
-    return np.where(excess > 0.0, excess, 0.0).cumsum(axis=1)[:, -1]
+    total = np.where(excess > 0.0, excess, 0.0).cumsum(axis=1)[:, -1]
+    return np.minimum(total, _FLOAT_MAX, out=total)
 
 
 def rollout(

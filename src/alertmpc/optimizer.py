@@ -13,7 +13,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,12 +37,13 @@ class NonFiniteObjective(RuntimeError):
 class DeParams:
     """Search budget and variation settings.
 
-    population_size of None means 10x the problem dimension.  tolerance
+    population_size of None means 10x the problem dimension (a config
+    file spells it auto).  tolerance
     controls early stopping: the search halts once every member is
     feasible and the population's objective spread falls below it.
     """
 
-    population_size: int | None = None
+    population_size: int | None = field(default=None, metadata={"config_none": "auto"})
     mutation_factor: float = 0.7
     crossover_rate: float = 0.9
     max_generations: int = 200

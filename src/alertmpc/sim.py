@@ -205,8 +205,6 @@ def plant_step(
 class ScenarioConfig:
     """Everything one closed-loop run needs."""
 
-    mode: ControlMode
-    num_workers: int
     steps: int
     seed: int
     plant: PlantConfig
@@ -220,14 +218,6 @@ class ScenarioConfig:
 
 def validate_scenario(sc: ScenarioConfig) -> None:
     validate_config(sc.mpc_cfg)
-    if sc.mode is not sc.mpc_cfg.mode:
-        raise ValueError(
-            f"scenario mode {sc.mode.value} disagrees with mpc config mode {sc.mpc_cfg.mode.value}"
-        )
-    if sc.num_workers != sc.mpc_cfg.num_workers:
-        raise ValueError(
-            f"scenario num_workers {sc.num_workers} disagrees with mpc config {sc.mpc_cfg.num_workers}"
-        )
     if sc.steps < 1:
         raise ValueError(f"steps must be >= 1, got {sc.steps}")
     if sc.seed < 0:
@@ -313,7 +303,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     validate_scenario(sc)
     plant = sc.plant
     cfg = sc.mpc_cfg
-    workers = sc.num_workers
+    workers = cfg.num_workers
 
     controller_models = sc.controller_models if sc.model_mismatch else plant.truth()
     ctl = Controller(controller_models, cfg, sc.de)
@@ -359,7 +349,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
         )
 
     trace = SimTrace(
-        mode=sc.mode,
+        mode=cfg.mode,
         seed=sc.seed,
         num_workers=workers,
         penalty_cap=cfg.penalty_cap,
@@ -404,25 +394,6 @@ def run_open_loop(
     return TelemetryTable(tuple(rows))
 
 
-def trace_to_telemetry(trace: SimTrace) -> TelemetryTable:
-    """Recast a closed-loop trace as identification telemetry."""
-    rows = [
-        TelemetryRow(
-            step_index=step.step,
-            worker_id=f"w{i}",
-            dl=step.dls[i],
-            effort=step.efforts[i],
-            temp=step.temp,
-            illum=step.illum,
-            temp_set=step.temp_set,
-            illum_set=step.illum_set,
-        )
-        for step in trace.steps
-        for i in range(trace.num_workers)
-    ]
-    return TelemetryTable(tuple(rows))
-
-
 @dataclass(frozen=True)
 class ArmComparison:
     """Per-arm metrics over a common seed list (paired by construction)."""
@@ -442,9 +413,7 @@ class ArmComparison:
 
 
 def scenario_for_arm(base: ScenarioConfig, mode: ControlMode, seed: int) -> ScenarioConfig:
-    return replace(
-        base, mode=mode, seed=seed, mpc_cfg=replace(base.mpc_cfg, mode=mode)
-    )
+    return replace(base, seed=seed, mpc_cfg=replace(base.mpc_cfg, mode=mode))
 
 
 def compare_arms(base: ScenarioConfig, seeds) -> ArmComparison:
@@ -460,17 +429,6 @@ def compare_arms(base: ScenarioConfig, seeds) -> ArmComparison:
             per_seed.append(metrics)
         results[mode.value] = tuple(per_seed)
     return ArmComparison(seeds=seeds, metrics=results)
-
-
-def working_day_drift(steps: int = 28, bump: float = 0.08) -> tuple[float, ...]:
-    """A mild drowsiness drift peaking after the midpoint of the day."""
-    profile = []
-    for t in range(steps):
-        if steps // 2 <= t < steps // 2 + 6:
-            profile.append(bump)
-        else:
-            profile.append(0.0)
-    return tuple(profile)
 
 
 __all__ = [
@@ -489,9 +447,7 @@ __all__ = [
     "compute_metrics",
     "run_scenario",
     "run_open_loop",
-    "trace_to_telemetry",
     "ArmComparison",
     "scenario_for_arm",
     "compare_arms",
-    "working_day_drift",
 ]

@@ -37,7 +37,6 @@ import pytest
 from alertmpc.cli import (
     main,
     parse_scenario_config,
-    replay_stream_lines,
     shipped_config_path,
     write_model_set,
 )
@@ -77,8 +76,9 @@ from alertmpc.sim import (
     ScenarioConfig,
     compare_arms,
     run_scenario,
-    working_day_drift,
 )
+
+from helpers import replay_stream_lines, working_day_drift
 
 FIXTURE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -473,7 +473,7 @@ def _paired_comparison(_cache={}):
         )
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
         base = ScenarioConfig(
-            mode=ControlMode.MPC2, num_workers=1, steps=24, seed=0,
+            steps=24, seed=0,
             plant=plant, mpc_cfg=cfg,
             de=DeParams(population_size=24, max_generations=50, seed=500),
         )

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import alertmpc.cli as cli_module
 from alertmpc.cli import (
     CliError,
     _parse_stream_record,
@@ -20,7 +22,6 @@ from alertmpc.cli import (
     read_snapshot_csv,
     read_telemetry_csv,
     read_trace_csv,
-    replay_stream_lines,
     shipped_config_path,
     write_model_set,
     write_telemetry_csv,
@@ -32,9 +33,11 @@ from alertmpc.domain import (
     DlModel,
     IdtModel,
     ModelSet,
+    StateSnapshot,
+    WorkerState,
 )
 from alertmpc.identify import fit_ami_model, fit_dl_model, fit_idt_coeffs
-from alertmpc.mpc import Controller
+from alertmpc.mpc import Controller, solve
 from alertmpc.sim import (
     PlantConfig,
     SimTrace,
@@ -42,6 +45,8 @@ from alertmpc.sim import (
     run_open_loop,
     run_scenario,
 )
+
+from helpers import replay_stream_lines
 
 TRUTH = ModelSet(
     dl=DlModel(intercept=0.14, coef={
@@ -459,6 +464,101 @@ class TestConfigParsing:
         path = put(tmp_path, "c.cfg", "[mpc]\nmode = mpc2  # main arm\nhorizon = 3 ; short\n")
         cfg, _ = parse_control_config(path)
         assert cfg.horizon == 3
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_control_config, "[DEFAULT]\nhorizon = 3\n[mpc]\nmode = mpc2\n"),
+        (parse_scenario_config, "[DEFAULT]\nseed = 3\n" + SCENARIO_CFG),
+    ])
+    def test_default_section_rejected(self, tmp_path, parse, text):
+        with pytest.raises(CliError, match=r"unknown section\(s\) \['DEFAULT'\]"):
+            parse(put(tmp_path, "c.cfg", text))
+
+    @pytest.mark.parametrize("section, keys", [
+        ("mpc", {"horizon", "step_hours", "num_workers", "temp_lo", "temp_hi", "illum_lo",
+                 "illum_hi", "temp_comfort", "illum_comfort", "p_temp", "p_illum",
+                 "penalty_cap", "mode"}),
+        ("de", {"population_size", "mutation_factor", "crossover_rate", "max_generations",
+                "tolerance", "seed"}),
+        ("plant", {"k_up", "k_down", "theta0", "theta_prev", "theta_set", "dl_intercept",
+                   "dl_d_prev", "dl_d_plus_prev", "dl_d_minus_prev", "dl_temp",
+                   "dl_temp_plus", "dl_temp_minus", "dl_illum", "dl_illum_plus",
+                   "dl_illum_minus", "dl_effort", "idt_noise_sd", "ami_noise_sd",
+                   "dl_noise_sd", "effort_sd", "substeps", "drift", "ambient_pull",
+                   "ambient_temp", "init_temp", "init_illum", "init_dl"}),
+        ("scenario", {"steps", "seed", "model_mismatch", "lunch_start", "lunch_steps"}),
+    ])
+    def test_accepted_keys_per_section(self, tmp_path, section, keys):
+        text = SCENARIO_CFG.replace(f"[{section}]\n", f"[{section}]\ntypo_key = 1\n")
+        with pytest.raises(CliError, match="typo_key") as exc:
+            parse_scenario_config(put(tmp_path, "s.cfg", text))
+        allowed = ast.literal_eval(str(exc.value).split("allowed: ", 1)[1])
+        assert set(allowed) == keys
+
+
+CONTROL_BASE = {
+    "mpc": {"mode": "mpc2", "horizon": "2", "num_workers": "1"},
+    "de": {"population_size": "8", "max_generations": "4", "seed": "3"},
+}
+CONTROL_KEYS = {
+    "mpc": ("horizon", "step_hours", "num_workers", "temp_lo", "temp_hi", "illum_lo",
+            "illum_hi", "temp_comfort", "illum_comfort", "p_temp", "p_illum",
+            "penalty_cap", "mode", "typo_key"),
+    "de": ("population_size", "mutation_factor", "crossover_rate", "max_generations",
+           "tolerance", "seed", "typo_key"),
+}
+# Keys that size the search; their values stay small so no example
+# allocates much or runs long.
+SIZE_KEYS = {"horizon", "num_workers", "population_size", "max_generations"}
+ODD_VALUES = st.sampled_from(
+    ["", "auto", "AUTO", "x", "nan", "inf", "-inf", "yes", "off", "1e3", "0x10",
+     "1_0", "mpc1", "NOC", "MPC2 ", "pid", "%", "%%", "%(horizon)s", "0.1, 0.2"])
+
+
+@st.composite
+def mutated_control_config(draw):
+    """The small base control config with one key set, added or dropped."""
+    sections = {name: dict(keys) for name, keys in CONTROL_BASE.items()}
+    section = draw(st.sampled_from(sorted(CONTROL_KEYS)))
+    key = draw(st.sampled_from(CONTROL_KEYS[section]))
+    if key in SIZE_KEYS:
+        values = st.one_of(st.integers(-2, 12).map(str), ODD_VALUES)
+    else:
+        values = st.one_of(
+            st.floats().map(repr),
+            st.integers(-10**6, 10**6).map(str),
+            ODD_VALUES,
+            st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8),
+        )
+    value = draw(st.none() | values)
+    if value is None:
+        sections[section].pop(key, None)
+    else:
+        sections[section][key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+# Comfort weights near the largest float overflow the penalty, which the
+# violation saturates; numpy warns on the way.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_control_config())
+def test_any_control_config_is_rejected_or_solves_inside_the_box(tmp_path_factory, text):
+    path = put(tmp_path_factory.mktemp("cfg"), "c.cfg", text)
+    try:
+        cfg, de = parse_control_config(path)
+    except CliError:
+        return
+    workers = tuple(WorkerState(d_current=2.5) for _ in range(cfg.num_workers))
+    solution = solve(TRUTH, StateSnapshot(workers, 26.0, 600.0), cfg, de)
+    temps = np.array(solution.schedule.temp_setpoints)
+    illums = np.array(solution.schedule.illum_setpoints)
+    assert len(temps) == cfg.horizon
+    assert np.all(np.isfinite(temps)) and np.all(np.isfinite(illums))
+    assert np.all((cfg.temp_lo <= temps) & (temps <= cfg.temp_hi))
+    assert np.all((cfg.illum_lo <= illums) & (illums <= cfg.illum_hi))
 
 
 class TestShippedConfigs:
@@ -1021,6 +1121,39 @@ class TestDaemonCommand:
                    "--out", str(workdir / "out.jsonl"),
                    "--out-dir", str(workdir)])
         assert rc == 2
+
+    def test_unwritable_out_file(self, workdir, capsys, monkeypatch):
+        model, cfg_path = self.files(workdir)
+        stream = put(workdir, "stream.jsonl", "")
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(cli_module, "open", tracking_open, raising=False)
+        bad_out = str(workdir / "absent_dir" / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", bad_out, "--out-dir", str(workdir)])
+        assert rc == 2
+        assert f"cannot write stream {bad_out}" in capsys.readouterr().err
+        assert opened and all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("command", ["solve", "daemon"])
+def test_negative_seed_is_usage_error(workdir, capsys, command):
+    model = str(workdir / "m.json")
+    write_model_set(model, TRUTH)
+    cfg = put(workdir, "control.cfg", CONTROL_CFG)
+    if command == "solve":
+        argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV)]
+    else:
+        argv = ["daemon", "--in", put(workdir, "stream.jsonl", "")]
+    rc = main(argv + ["--model", model, "--config", cfg, "--seed", "-1",
+                      "--out-dir", str(workdir)])
+    assert rc == 2
+    assert "--seed: seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_argparse_usage_error():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
     BoundsInverted,
     ComfortOutsideBounds,
@@ -19,11 +20,14 @@ from alertmpc.domain import (
     StateSnapshot,
     WorkerState,
     DL_FEATURES,
-    case1_config,
-    case2_config,
     clamp_dl,
     validate_config,
 )
+
+
+def shipped_mpc_config(name):
+    """The [mpc] settings of a packaged case config, the only case presets."""
+    return parse_scenario_config(shipped_config_path(name)).mpc_cfg
 
 
 def flatten(schedule):
@@ -155,13 +159,13 @@ class TestModels:
 class TestMpcConfig:
     def test_defaults_are_valid(self):
         validate_config(MpcConfig())
-        validate_config(case1_config())
-        validate_config(case2_config())
+        validate_config(shipped_mpc_config("case1_mpc2.cfg"))
+        validate_config(shipped_mpc_config("case2_mpc2.cfg"))
 
     def test_case_factories(self):
-        c1 = case1_config()
+        c1 = shipped_mpc_config("case1_mpc2.cfg")
         assert (c1.num_workers, c1.temp_lo, c1.temp_hi) == (5, 25.5, 26.5)
-        c2 = case2_config(ControlMode.NOC)
+        c2 = shipped_mpc_config("case2_noc.cfg")
         assert (c2.num_workers, c2.temp_lo, c2.temp_hi) == (6, 25.0, 27.0)
         assert c2.mode is ControlMode.NOC
 

@@ -31,10 +31,10 @@ from alertmpc.sim import (
     run_scenario,
     scenario_for_arm,
     step_rng,
-    trace_to_telemetry,
     validate_scenario,
-    working_day_drift,
 )
+
+from helpers import trace_to_telemetry, working_day_drift
 
 TRUE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -70,7 +70,7 @@ FAST_DE = DeParams(population_size=12, max_generations=10, tolerance=0.0, seed=9
 def small_scenario(mode=ControlMode.MPC2, plant=None, **overrides):
     cfg = MpcConfig(mode=mode, num_workers=1)
     defaults = dict(
-        mode=mode, num_workers=1, steps=6, seed=0,
+        steps=6, seed=0,
         plant=plant if plant is not None else noisy_plant(),
         mpc_cfg=cfg, de=FAST_DE,
     )
@@ -166,14 +166,6 @@ class TestPlantStep:
 
 
 class TestScenarioValidation:
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            validate_scenario(replace(small_scenario(), mode=ControlMode.NOC))
-
-    def test_worker_mismatch(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            validate_scenario(replace(small_scenario(), num_workers=3))
-
     def test_mismatch_requires_models(self):
         with pytest.raises(ValueError, match="controller_models"):
             validate_scenario(replace(small_scenario(), model_mismatch=True))
@@ -331,7 +323,6 @@ class TestComparison:
 
     def test_scenario_for_arm_keeps_configs_aligned(self):
         sc = scenario_for_arm(small_scenario(), ControlMode.NOC, seed=9)
-        assert sc.mode is ControlMode.NOC
         assert sc.mpc_cfg.mode is ControlMode.NOC
         assert sc.seed == 9
         validate_scenario(sc)
