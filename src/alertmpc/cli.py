@@ -19,11 +19,13 @@ import configparser
 import contextlib
 import csv
 import enum
+import functools
 import io
 import json
 import math
 import os
 import sys
+import warnings
 from array import array
 from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
 from datetime import datetime, timedelta
@@ -56,7 +58,7 @@ from .identify import (
 )
 from .models import ShapeMismatch
 from .mpc import Controller, solve
-from .optimizer import DeParams
+from .optimizer import BadBounds, DeParams, NonFiniteObjective
 from .sim import (
     Metrics,
     PlantConfig,
@@ -192,15 +194,20 @@ def read_model_set(path: str) -> ModelSet:
 # telemetry and snapshot CSV
 
 
-def read_telemetry_csv(path: str) -> TelemetryTable:
+# One telemetry row as np.loadtxt reads it: fields in TELEMETRY_HEADER order.
+_TELEMETRY_DTYPE = np.dtype(
+    [("step", np.int64), ("worker_id", object), *((name, np.float64) for name in VALUE_COLUMNS)]
+)
+
+
+def _open_telemetry(path: str):
+    """The open telemetry file and a csv reader over it, past its checked header."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot read telemetry {path}: {err}")
-    # Typed buffers hold 8 bytes a value where a list of floats holds 32.
-    step, line_of_row, worker = array("q"), array("q"), []
-    dl, effort, temp, illum, temp_set, illum_set = (array("d") for _ in range(6))
-    with fh:
+    with contextlib.ExitStack() as on_error:
+        on_error.callback(fh.close)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TELEMETRY_HEADER:
@@ -208,6 +215,60 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
                 f"{path}: telemetry header must be "
                 f"{','.join(TELEMETRY_HEADER)!r}, got {header!r}"
             )
+        on_error.pop_all()
+    return fh, reader
+
+
+# The ASCII separators FS, GS, RS and US: numpy strips them from around a
+# number as whitespace, where int() and float() refuse the field.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _holds_numpy_only_space(raw) -> bool:
+    """Whether the binary file raw, read from its start, holds a _NUMPY_ONLY_SPACE byte."""
+    raw.seek(0)
+    chunks = iter(functools.partial(raw.read, 1 << 20), b"")
+    return any(sep in chunk for chunk in chunks for sep in _NUMPY_ONLY_SPACE)
+
+
+def read_telemetry_csv(path: str) -> TelemetryTable:
+    """The validated telemetry table in the CSV file at path.
+
+    The body is parsed in one np.loadtxt call.  Where numpy's reading
+    could differ from the row reader's, the file is read again row by
+    row: when numpy refuses it or warns (numpy refuses 1_5 and non-ASCII
+    digits, which int() and float() accept), when it holds a _NUMPY_ONLY_SPACE
+    byte, and when the table fails validation.  So the accepted grammar
+    is the row reader's, and every error names its physical line.
+    """
+    fh, _ = _open_telemetry(path)
+    with fh:
+        try:
+            with warnings.catch_warnings():
+                # A warning means numpy read some text its own way (numpy 1.x
+                # reads an int64 "1.0" with a DeprecationWarning) ...
+                warnings.simplefilter("error")
+                # ... but a header-only file is an empty table, as the row reader returns.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(
+                    fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+            table = TelemetryTable.from_columns(*(body[name] for name in _TELEMETRY_DTYPE.names))
+        except (ValueError, Warning):  # InvalidTelemetry is a ValueError too
+            table = None
+        # loadtxt has read fh to its end, so its bytes can be scanned again.
+        if table is not None and not _holds_numpy_only_space(fh.buffer):
+            return table
+    return _read_telemetry_rows(path)
+
+
+def _read_telemetry_rows(path: str) -> TelemetryTable:
+    """read_telemetry_csv one record at a time, naming the physical line of an error."""
+    # Typed buffers hold 8 bytes a value where a list of floats holds 32.
+    step, line_of_row, worker = array("q"), array("q"), []
+    dl, effort, temp, illum, temp_set, illum_set = (array("d") for _ in range(6))
+    fh, reader = _open_telemetry(path)
+    with fh:
         for record in reader:
             if not record:
                 continue
@@ -637,7 +698,10 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     history (status "warmup").  From window 1 on, which completes the
     two-step history, each completed window w triggers the solve for
     interval w - 1.  Windows missing data hold the previous setpoints
-    with status "stale".  Each record also carries the solve's
+    with status "stale".  The roster is the names of the latest window
+    that named exactly cfg.num_workers workers; a window counts as data
+    when every roster worker has a record in it, and a new roster starts
+    the two-step history afresh.  Each record also carries the solve's
     "generations" and "stop_reason" (0 and None under NOC, None on warmup
     and stale windows).
     Malformed and out-of-order lines are skipped and counted.
@@ -657,8 +721,13 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     def close_window(w: int) -> dict:
         nonlocal roster, last_feasible
         distinct = tuple(sorted(dl_buf))
-        if roster is None and len(distinct) == cfg.num_workers:
+        if len(distinct) == cfg.num_workers and distinct != roster:
+            # The roster is missing from this window, which names exactly
+            # num_workers workers: they become the roster.  The history
+            # logged under the old names goes, so that no worker's readings
+            # are paired with another's.
             roster = distinct
+            ctl.restart_history()
         complete = (
             roster is not None
             and temps
@@ -784,7 +853,7 @@ def cmd_solve(args) -> int:
         )
     try:
         solution = solve(models, snapshot, cfg, de)
-    except ShapeMismatch as err:
+    except (ShapeMismatch, NonFiniteObjective, BadBounds) as err:
         raise CliError(str(err))
     if args.format == "csv":
         print(f"# objective={fmt6(solution.objective_value)}")

@@ -261,6 +261,12 @@ def validate_config(cfg: MpcConfig) -> None:
         raise BoundsInverted(
             f"illum_lo {cfg.illum_lo} exceeds illum_hi {cfg.illum_hi}"
         )
+    for lo, hi in (("temp_lo", "temp_hi"), ("illum_lo", "illum_hi")):
+        # Finite bounds can still be further apart than the largest float.
+        if not math.isfinite(getattr(cfg, hi) - getattr(cfg, lo)):
+            raise NonFiniteSetting(
+                f"{hi} - {lo} must be finite, got {getattr(cfg, hi)} - {getattr(cfg, lo)}"
+            )
     if not cfg.temp_lo <= cfg.temp_comfort <= cfg.temp_hi:
         raise ComfortOutsideBounds(
             f"temp_comfort {cfg.temp_comfort} outside [{cfg.temp_lo}, {cfg.temp_hi}]"

@@ -75,9 +75,9 @@ class TelemetryTable:
         return table
 
     def _load(self, step, worker_id, *values) -> None:
-        codes: dict[str, int] = {}
-        self.worker = np.array([codes.setdefault(w, len(codes)) for w in worker_id], dtype=np.int64)
-        self.worker_ids = tuple(codes)
+        self.worker_ids = tuple(dict.fromkeys(worker_id))
+        codes = {w: i for i, w in enumerate(self.worker_ids)}
+        self.worker = np.fromiter(map(codes.__getitem__, worker_id), np.int64, count=len(worker_id))
         self.step = np.array(step, dtype=np.int64)
         for name, column in zip(VALUE_COLUMNS, values):
             setattr(self, name, np.array(column, dtype=float))

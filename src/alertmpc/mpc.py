@@ -260,6 +260,10 @@ class Controller:
     def observe(self, step_index: int, dl_means, dl_sds, temp: float, illum: float):
         self.log.record_step(step_index, dl_means, dl_sds, temp, illum)
 
+    def restart_history(self) -> None:
+        """Forget the logged measurements; the last applied setpoints stay."""
+        self.log = MeasurementLog()
+
     def decide(self, clock: int) -> tuple[tuple[float, float], MpcSolution | None, str]:
         """Setpoints for interval `clock` plus the solution and a status.
 

@@ -154,12 +154,18 @@ def de_minimize(
     if np.any(lower > upper):
         bad = int(np.argmax(lower > upper))
         raise BadBounds(f"lower[{bad}]={lower[bad]} exceeds upper[{bad}]={upper[bad]}")
+    with np.errstate(over="ignore"):
+        span = upper - lower
+    if not np.isfinite(span).all():
+        bad = int(np.argmax(~np.isfinite(span)))
+        raise BadBounds(
+            f"upper[{bad}] - lower[{bad}] must be finite, got {upper[bad]} - {lower[bad]}"
+        )
 
     dim = lower.size
     pop_size = params.population_size if params.population_size is not None else 10 * dim
     if pop_size < 4:
         pop_size = 4
-    span = upper - lower
     factor = params.mutation_factor
 
     rng = np.random.Generator(np.random.PCG64(params.seed))

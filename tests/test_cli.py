@@ -3,11 +3,12 @@ import json
 import math
 import os
 import re
-from datetime import datetime
+import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import alertmpc.cli as cli_module
 from alertmpc.cli import (
@@ -36,7 +37,7 @@ from alertmpc.domain import (
     StateSnapshot,
     WorkerState,
 )
-from alertmpc.identify import fit_ami_model, fit_dl_model, fit_idt_coeffs
+from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_idt_coeffs
 from alertmpc.mpc import Controller, solve
 from alertmpc.sim import (
     PlantConfig,
@@ -118,8 +119,9 @@ def workdir(tmp_path, monkeypatch):
 
 
 def put(tmp_path, name, text):
+    """Write text to tmp_path/name with its line endings untouched (CRLF stays CRLF)."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     return str(path)
 
 
@@ -276,6 +278,102 @@ class TestTelemetryCsv:
                    "0,w0,2.1,0.1,26.0,600,26,600\n")
         with pytest.raises(CliError, match="strictly increasing"):
             read_telemetry_csv(path)
+
+
+TELEMETRY_HEADER_LINE = "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx"
+
+
+def telemetry_outcome(read, path):
+    """What a telemetry reader makes of path: the table, floats by float.hex, or its error."""
+    try:
+        table = read(path)
+    except CliError as err:
+        return "error", str(err)
+    columns = [[x.hex() for x in getattr(table, name).tolist()] for name in VALUE_COLUMNS]
+    return "table", table.step.tolist(), table.worker.tolist(), table.worker_ids, columns
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+# Number spellings the two parsers could read differently: Python-only
+# ones (1_0, non-ASCII digits, ideographic space), the ASCII separators
+# numpy strips as whitespace, non-finite values and junk.
+ODD_NUMBERS = ["1_0", "٢", "3　", "\x1f3", "3\x1c", "nan", "inf", "-inf", "1e400",
+               "", "x", " 2.5 ", "+2", "2.", ".5"]
+ODD_STEPS = ["99999999999999999999", "-99999999999999999999", "1_0", " 7 ", "+2", "1.0", "", "\x1e1"]
+MALFORMED_ROWS = ["0,w0,2.0", "0,w0,2.0,0.1,26,600,26,600,", '0,"w0,2.0,0.1,26,600,26,600',
+                  "0,w0,2.0,0.1,26,600,26,600,1"]
+
+
+@st.composite
+def telemetry_texts(draw):
+    """Telemetry CSV text: mostly valid rows, with odd spellings, ids and line breaks mixed in."""
+    def number(low, high):
+        if draw(st.integers(0, 29)) == 0:
+            return draw(st.sampled_from(ODD_NUMBERS))
+        return repr(draw(st.floats(low, high)))
+
+    ids = st.one_of(st.sampled_from(["w0", "w1", " w0", "w#1", ""]),
+                    st.text(alphabet='w01,\n\r" #', max_size=4).map(quoted))
+    text = TELEMETRY_HEADER_LINE + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    for i in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 49)) == 0:
+            row = draw(st.sampled_from(MALFORMED_ROWS))
+        else:
+            step = draw(st.sampled_from(ODD_STEPS)) if draw(st.integers(0, 29)) == 0 else str(i)
+            row = ",".join([step, draw(ids), number(1.0, 5.0), number(0.0, 1.0),
+                            *(number(0.0, 1e3) for _ in range(4))])
+        odd_breaks = ["\n\n", "\r\n\r\n", "\n \n", "\n\t\n"]  # blank and whitespace-only lines
+        breaks = odd_breaks if draw(st.integers(0, 9)) == 0 else ["\n", "\r\n"]
+        text += row + draw(st.sampled_from(breaks))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestTelemetryFastPath:
+    """read_telemetry_csv parses with np.loadtxt; _read_telemetry_rows is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=telemetry_texts())
+    @example(text=TELEMETRY_HEADER_LINE + "\n0,w0,\x1f2.0,0.1,26,600,26,600\n")
+    @example(text=TELEMETRY_HEADER_LINE + '\n0,"w\n0",1_5,0.1,26,600,26,600\n')
+    @example(text=TELEMETRY_HEADER_LINE + '\r\n0,"a,""b""",2.0,0.1,26,600,26,600\r\n')
+    @example(text=TELEMETRY_HEADER_LINE)
+    def test_agrees_with_row_reader(self, tmp_path_factory, text):
+        path = put(tmp_path_factory.mktemp("telemetry"), "t.csv", text)
+        assert telemetry_outcome(read_telemetry_csv, path) == telemetry_outcome(
+            cli_module._read_telemetry_rows, path)
+
+    def test_well_formed_file_never_reaches_row_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        ids = ['"w,0"', '"w""1"', '"w\n2"', "w3"]
+        lines = [TELEMETRY_HEADER_LINE]
+        for step in range(500):
+            for worker in ids:
+                values = [rng.uniform(1.0, 5.0), rng.uniform(0.0, 0.3),
+                          *rng.uniform([24.0, 400.0, 24.0, 400.0], [28.0, 700.0, 28.0, 700.0])]
+                lines.append(",".join([str(step), worker, *(repr(float(v)) for v in values)]))
+        lines.insert(1000, "")
+        path = put(tmp_path, "t.csv", "\r\n".join(lines) + "\r\n")
+        expected = telemetry_outcome(cli_module._read_telemetry_rows, path)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read row by row")
+
+        monkeypatch.setattr(cli_module, "_read_telemetry_rows", refuse)
+        assert telemetry_outcome(read_telemetry_csv, path) == expected
+        assert len(expected[1]) == 2000
+        assert expected[3] == ("w,0", 'w"1', "w\n2", "w3")
+
+    def test_header_only_file_is_an_empty_table_without_warning(self, tmp_path):
+        path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = read_telemetry_csv(path)
+        assert len(table) == 0 and table.worker_ids == ()
 
 
 class TestSnapshotCsv:
@@ -692,6 +790,30 @@ class TestSolveCommand:
         assert "# feasible=0" in captured.out
         assert "no feasible schedule" in captured.err
 
+    def test_box_wider_than_largest_float_is_config_error(self, workdir, capsys):
+        model, _, snap = self.setup_files(workdir)
+        cfg = put(workdir, "wide.cfg", CONTROL_CFG.replace(
+            "num_workers = 1", "num_workers = 1\ntemp_lo = -1.7e308\ntemp_hi = 1.7e308"))
+        rc = main(["solve", snap, "--model", model, "--config", cfg,
+                   "--out-dir", str(workdir)])
+        assert rc == 2
+        assert "temp_hi - temp_lo must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nonfinite_objective_is_usage_error(self, workdir, capsys):
+        # Coefficients this large overflow the drowsiness rollout to nan.
+        coef = dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)
+        huge = ModelSet(dl=DlModel(intercept=0.0, coef=coef), idt=TRUTH.idt, ami=TRUTH.ami)
+        model = str(workdir / "huge.json")
+        write_model_set(model, huge)
+        cfg = put(workdir, "control.cfg", CONTROL_CFG)
+        snap = put(workdir, "snap.csv", SNAPSHOT_CSV)
+        rc = main(["solve", snap, "--model", model, "--config", cfg,
+                   "--out-dir", str(workdir)])
+        assert rc == 2
+        assert "error: objective returned nan" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_outputs_and_determinism(self, workdir, capsys):
@@ -1104,6 +1226,46 @@ class TestDaemonCommand:
         else:
             assert all(r["generations"] > 0 and r["stop_reason"] in ("tolerance", "budget")
                        for r in ok)
+
+    def test_mistyped_first_window_does_not_fix_the_roster(self, workdir, capsys):
+        # Window 0 carries w1x for w1, and every later window the right
+        # names: window 1 elects w0, w1 and starts a new history.
+        model, _ = self.files(workdir)
+        cfg_path = put(workdir, "control.cfg",
+                       CONTROL_CFG.replace("num_workers = 1", "num_workers = 2"))
+        lines = []
+        for w in range(6):
+            t = (datetime(2026, 1, 5, 8) + w * timedelta(minutes=15)).isoformat()
+            for worker in ("w0", "w1x" if w == 0 else "w1"):
+                lines.append(json.dumps(stream_doc(t=t, worker=worker, dl=2.0 + 0.1 * w)))
+        stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        statuses = [json.loads(line)["status"] for line in open(out_path)]
+        assert statuses == ["warmup", "stale", "ok", "ok", "ok"]
+
+    def test_two_worker_replay_matches_simulation(self, workdir, capsys):
+        # Ten windows of a stream whose names never change: the roster
+        # stays w0, w1 and the daemon applies the simulator's setpoints.
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        cfg_path = put(workdir, "scenario.cfg", SCENARIO_CFG.replace(
+            "num_workers = 1", "num_workers = 2").replace("steps = 4", "steps = 8"))
+        sc = parse_scenario_config(cfg_path)
+        trace, _ = run_scenario(sc)
+        stream = put(workdir, "stream.jsonl",
+                     "\n".join(replay_stream_lines(trace, sc.plant, sc.mpc_cfg)) + "\n")
+        out_path = str(workdir / "setpoints.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        records = [json.loads(line) for line in open(out_path)]
+        assert len(records) == 10
+        assert [r["status"] for r in records] == ["warmup"] + ["ok"] * 9
+        for record, step in zip(records[1:], trace.steps):
+            assert (record["temp_set_c"], record["illum_set_lx"]) == (step.temp_set, step.illum_set)
 
     def test_empty_stream(self, workdir, capsys):
         model, cfg_path = self.files(workdir)

@@ -209,6 +209,12 @@ class TestMpcConfig:
         with pytest.raises(NonFiniteSetting, match=name):
             validate_config(MpcConfig(**{name: value}))
 
+    @pytest.mark.parametrize("lo, hi", [("temp_lo", "temp_hi"), ("illum_lo", "illum_hi")])
+    def test_rejects_box_wider_than_largest_float(self, lo, hi):
+        # Each bound is finite, but hi - lo overflows to inf.
+        with pytest.raises(NonFiniteSetting, match=f"{hi} - {lo} must be finite"):
+            validate_config(MpcConfig(**{lo: -1.7e308, hi: 1.7e308}))
+
 
 def test_mode_parse():
     assert ControlMode.parse("mpc2") is ControlMode.MPC2

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,13 @@ class TestErrors:
         with pytest.raises(BadBounds):
             de_minimize(batched(sphere, no_violation), np.array([0.0, np.nan]),
                         np.ones(2), DeParams())
+
+    def test_span_beyond_largest_float(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(BadBounds, match=r"upper\[1\] - lower\[1\] must be finite"):
+                de_minimize(batched(sphere, no_violation), np.array([0.0, -1.7e308]),
+                            np.array([1.0, 1.7e308]), DeParams())
 
     def test_nonfinite_objective(self):
         def f(x):
