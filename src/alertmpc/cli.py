@@ -200,6 +200,20 @@ _TELEMETRY_DTYPE = np.dtype(
 )
 
 
+@contextlib.contextmanager
+def _csv_errors(path: str, reader=None, lines_before: int = 0):
+    """Raise a file that is not UTF-8 text, or a record that the csv
+    module refuses (a field longer than csv.field_size_limit(), say), as a
+    CliError naming path and, for a refused record, its physical line:
+    lines_before plus the lines reader has read."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text ({err.reason})")
+    except csv.Error as err:
+        raise CliError(f"{path}:{lines_before + reader.line_num}: {err}")
+
+
 def _open_telemetry(path: str):
     """The open telemetry file and a csv reader over it, past its checked header."""
     try:
@@ -209,7 +223,8 @@ def _open_telemetry(path: str):
     with contextlib.ExitStack() as on_error:
         on_error.callback(fh.close)
         reader = csv.reader(fh)
-        header = next(reader, None)
+        with _csv_errors(path, reader):
+            header = next(reader, None)
         if header != TELEMETRY_HEADER:
             raise CliError(
                 f"{path}: telemetry header must be "
@@ -268,7 +283,7 @@ def _read_telemetry_rows(path: str) -> TelemetryTable:
     step, line_of_row, worker = array("q"), array("q"), []
     dl, effort, temp, illum, temp_set, illum_set = (array("d") for _ in range(6))
     fh, reader = _open_telemetry(path)
-    with fh:
+    with fh, _csv_errors(path, reader):
         for record in reader:
             if not record:
                 continue
@@ -312,8 +327,8 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
         raise CliError(f"cannot read snapshot {path}: {err}")
     workers: list[WorkerState] = []
     temp = illum = None
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(fh)
+    with fh, _csv_errors(path, reader):
         header = next(reader, None)
         if header != SNAPSHOT_HEADER:
             raise CliError(
@@ -396,14 +411,17 @@ def read_trace_csv(path: str) -> SimTrace:
         raise CliError(f"cannot read trace {path}: {err}")
     meta: dict[str, str] = {}
     with fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            try:
-                key, value = line[1:].strip().split("=", 1)
-            except ValueError:
-                raise CliError(f"{path}: malformed metadata line {line.strip()!r}")
-            meta[key.strip()] = value.strip()
+        meta_lines = 0
+        with _csv_errors(path):
             line = fh.readline()
+            while line.startswith("#"):
+                try:
+                    key, value = line[1:].strip().split("=", 1)
+                except ValueError:
+                    raise CliError(f"{path}: malformed metadata line {line.strip()!r}")
+                meta[key.strip()] = value.strip()
+                meta_lines += 1
+                line = fh.readline()
         required = {"mode", "seed", "workers", "penalty_cap", "temp_comfort", "illum_comfort"}
         missing = required - set(meta)
         if missing:
@@ -417,36 +435,41 @@ def read_trace_csv(path: str) -> SimTrace:
         expected_header = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
         for i in range(workers):
             expected_header += [f"dl_w{i}", f"effort_w{i}"]
-        header = next(csv.reader(io.StringIO(line)), None)
+        header_reader = csv.reader(io.StringIO(line))
+        with _csv_errors(path, header_reader, meta_lines):
+            header = next(header_reader, None)
         if header != expected_header:
             raise CliError(f"{path}: trace header mismatch, got {header!r}")
         steps: list[TraceStep] = []
-        for line_no, record in enumerate(csv.reader(fh), start=len(meta) + 2):
-            if not record:
-                continue
-            if len(record) != len(expected_header):
-                raise CliError(
-                    f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(record)}"
-                )
-            try:
-                dls = tuple(float(record[8 + 2 * i]) for i in range(workers))
-                efforts = tuple(float(record[9 + 2 * i]) for i in range(workers))
-                steps.append(
-                    TraceStep(
-                        step=int(record[0]),
-                        temp_set=float(record[1]),
-                        illum_set=float(record[2]),
-                        temp=float(record[3]),
-                        illum=float(record[4]),
-                        penalty=float(record[5]),
-                        feasible=bool(int(record[6])),
-                        status=record[7],
-                        dls=dls,
-                        efforts=efforts,
+        reader = csv.reader(fh)
+        with _csv_errors(path, reader, meta_lines + 1):
+            for record in reader:
+                if not record:
+                    continue
+                line_no = meta_lines + 1 + reader.line_num  # physical line
+                if len(record) != len(expected_header):
+                    raise CliError(
+                        f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(record)}"
                     )
-                )
-            except ValueError as err:
-                raise CliError(f"{path}:{line_no}: {err}")
+                try:
+                    dls = tuple(float(record[8 + 2 * i]) for i in range(workers))
+                    efforts = tuple(float(record[9 + 2 * i]) for i in range(workers))
+                    steps.append(
+                        TraceStep(
+                            step=int(record[0]),
+                            temp_set=float(record[1]),
+                            illum_set=float(record[2]),
+                            temp=float(record[3]),
+                            illum=float(record[4]),
+                            penalty=float(record[5]),
+                            feasible=bool(int(record[6])),
+                            status=record[7],
+                            dls=dls,
+                            efforts=efforts,
+                        )
+                    )
+                except ValueError as err:
+                    raise CliError(f"{path}:{line_no}: {err}")
     try:
         return SimTrace(
             mode=mode,
@@ -1010,7 +1033,10 @@ def cmd_daemon(args) -> int:
     # Nested, so --in is closed again when --out cannot be opened.
     with _open_stream(args.infile, "r", sys.stdin) as in_fh:
         with _open_stream(args.outfile, "w", sys.stdout) as out_fh:
-            stats = run_daemon(models, cfg, de, in_fh, on_record)
+            try:
+                stats = run_daemon(models, cfg, de, in_fh, on_record)
+            except (NonFiniteObjective, BadBounds) as err:
+                raise CliError(str(err))
     if stats["malformed"] or stats["late"]:
         print(
             f"warning: skipped {stats['malformed']} malformed and "

@@ -24,17 +24,15 @@ from .domain import (
     WorkerState,
     validate_config,
 )
-# rollout, objective and constraint_violation are not called here any more;
-# they stay importable from this module because the perfbench trace hooks
-# look them up on it.
+# rollout, objective and constraint_violation are not called here; they
+# stay importable from this module because the perfbench trace hooks look
+# them up on it.
 from .models import (  # noqa: F401
+    HorizonKernel,
     HorizonPrediction,
     constraint_violation,
     objective,
-    objective_batch,
     rollout,
-    rollout_batch,
-    violation_batch,
 )
 from .optimizer import DeParams, DeResult, de_minimize
 
@@ -54,41 +52,21 @@ class StaleDataError(RuntimeError):
 class MpcSolution:
     """One interval's decision: the schedule and its predicted outcome.
 
-    generations_used, evaluations and stop_reason are the optimizer's
-    (see DeResult); NOC runs no search and reports 0, 0 and None.
+    violation is the schedule's predicted constraint violation, zero
+    exactly when feasible.  generations_used, evaluations and stop_reason
+    are the optimizer's (see DeResult); NOC runs no search and reports 0,
+    0 and None.
     """
 
     schedule: ControlSchedule
     predicted: HorizonPrediction
     objective_value: float
     feasible: bool
+    violation: float
     applied_setpoints: tuple[float, float]
     generations_used: int = 0
     evaluations: int = 0
     stop_reason: str | None = None
-
-
-def _predict(
-    models: ModelSet, snapshot: StateSnapshot, schedule: ControlSchedule, cfg: MpcConfig
-) -> tuple[HorizonPrediction, float, float]:
-    """One schedule's prediction, objective and violation.
-
-    Scored straight from a one-row rollout_batch: the same values as
-    rollout, objective and constraint_violation, without rebuilding
-    arrays from the prediction's tuples.
-    """
-    temps, illums, dls = rollout_batch(
-        models,
-        snapshot,
-        np.array([schedule.temp_setpoints]),
-        np.array([schedule.illum_setpoints]),
-        cfg,
-    )
-    return (
-        HorizonPrediction.from_row(temps[0], illums[0], dls[0]),
-        float(objective_batch(dls)[0]),
-        float(violation_batch(temps, illums, cfg)[0]),
-    )
 
 
 def solve(
@@ -107,17 +85,19 @@ def solve(
     """
     validate_config(cfg)
     horizon = cfg.horizon
+    kernel = HorizonKernel(models, snapshot, cfg)
 
     if cfg.mode is ControlMode.NOC:
         schedule = ControlSchedule(
             (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
         )
-        pred, objective_value, violation = _predict(models, snapshot, schedule, cfg)
+        pred, objective_value, violation = kernel.predict(schedule)
         return MpcSolution(
             schedule=schedule,
             predicted=pred,
             objective_value=objective_value,
             feasible=violation == 0.0,
+            violation=violation,
             applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
         )
 
@@ -132,20 +112,20 @@ def solve(
         return pop, np.full_like(pop, cfg.illum_comfort)
 
     def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        temps, illums, dls = rollout_batch(models, snapshot, *split(pop), cfg)
-        return objective_batch(dls), violation_batch(temps, illums, cfg)
+        return kernel.evaluate(*split(pop))
 
     # params by keyword: the perfbench de_minimize hook reads it from there.
     result: DeResult = de_minimize(evaluate, lower, upper, params=de)
 
     temp_sets, illum_sets = split(result.best_vector[None, :])
     schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
-    pred, objective_value, _ = _predict(models, snapshot, schedule, cfg)
+    pred, objective_value, violation = kernel.predict(schedule)
     return MpcSolution(
         schedule=schedule,
         predicted=pred,
         objective_value=objective_value,
         feasible=result.feasible,
+        violation=violation,
         applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
         generations_used=result.generations_used,
         evaluations=result.evaluations,

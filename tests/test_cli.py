@@ -458,6 +458,54 @@ class TestTraceCsv:
             read_trace_csv(path)
 
 
+HUGE_FIELD = "x" * 200_000  # longer than csv.field_size_limit()
+
+
+def trace_text():
+    """A one-step trace file's text; the step's status is "ok"."""
+    return (
+        "# mode=MPC2\n# seed=7\n# workers=1\n# penalty_cap=2\n"
+        "# temp_comfort=26\n# illum_comfort=600\n"
+        "step,temp_set_c,illum_set_lx,temp_c,illum_lx,penalty,feasible,status,dl_w0,effort_w0\n"
+        "0,26,600,26.4,598.7,0.22,1,ok,2.1,0.05\n"
+    )
+
+
+UNREADABLE_FILES = {
+    # reader: (file name, text with a field placeholder {}, physical line of it)
+    "telemetry": (read_telemetry_csv, "t.csv",
+                  TELEMETRY_HEADER_LINE + "\n0,w{},2.0,0.1,26,600,26,600\n"
+                  # a bad float, so the np.loadtxt path refuses the file
+                  "1,w0,x,0.1,26,600,26,600\n", 2),
+    "snapshot": (read_snapshot_csv, "s.csv",
+                 "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\nw{},2.4,0,0,0.1,26.8,540\n", 2),
+    "trace": (read_trace_csv, "r.csv", trace_text().replace(",ok,", ",ok{},"), 8),
+}
+
+
+class TestUnreadableText:
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_FILES))
+    def test_not_utf8_is_named_error(self, tmp_path, kind):
+        reader, name, text, _ = UNREADABLE_FILES[kind]
+        path = tmp_path / name
+        path.write_bytes(text.format("\xe9").encode("latin-1"))
+        with pytest.raises(CliError, match=f"{name}: not UTF-8 text"):
+            reader(str(path))
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_FILES))
+    def test_field_over_csv_limit_names_line(self, tmp_path, kind):
+        reader, name, text, line = UNREADABLE_FILES[kind]
+        path = put(tmp_path, name, text.format(HUGE_FIELD))
+        with pytest.raises(CliError, match=f"{name}:{line}: field larger than field limit"):
+            reader(path)
+
+    def test_identify_exit_code(self, workdir, capsys):
+        _, name, text, _ = UNREADABLE_FILES["telemetry"]
+        (workdir / name).write_bytes(text.format("\xe9").encode("latin-1"))
+        assert main(["identify", name, "m.json", "--out-dir", str(workdir)]) == 2
+        assert f"error: {name}: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_control_config_defaults(self, tmp_path):
         cfg, de = parse_control_config(put(tmp_path, "c.cfg", CONTROL_CFG))
@@ -1133,6 +1181,24 @@ class TestDaemonCommand:
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
         assert "skipped 1 malformed and 0 late" in capsys.readouterr().err
+        assert [json.loads(line)["status"] for line in open(out_path)] == ["warmup"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nonfinite_objective_is_usage_error(self, workdir, capsys):
+        # Coefficients this large overflow the drowsiness rollout to nan.
+        coef = dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)
+        model = str(workdir / "huge.json")
+        write_model_set(model, ModelSet(dl=DlModel(0.0, coef), idt=TRUTH.idt, ami=TRUTH.ami))
+        _, cfg_path = self.files(workdir)
+        lines = [json.dumps(stream_doc(t=f"2026-01-05T08:{15 * w:02d}:00")) for w in range(3)]
+        stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 2
+        assert "error: objective returned nan" in capsys.readouterr().err
+        # Window 1 completes the two-step history, so its solve is the first.
         assert [json.loads(line)["status"] for line in open(out_path)] == ["warmup"]
 
     def test_late_lines_counted(self, workdir, capsys):

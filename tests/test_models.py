@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
     AmiModel,
     ControlSchedule,
@@ -17,6 +18,7 @@ from alertmpc.domain import (
     clamp_dl,
 )
 from alertmpc.models import (
+    HorizonKernel,
     ShapeMismatch,
     comfort_penalty,
     constraint_violation,
@@ -30,6 +32,7 @@ from alertmpc.models import (
     rollout_batch,
     violation_batch,
 )
+from alertmpc.mpc import solve
 
 
 def zero_coef(**overrides):
@@ -336,6 +339,127 @@ class TestRolloutBatch:
         with pytest.raises(ShapeMismatch):
             rollout_batch(self.MODELS, snap, np.zeros((4, 3)), np.zeros((4, 3)),
                           MpcConfig(horizon=3, num_workers=2))
+
+
+def reference_scores(temps, illums, dls, cfg):
+    """Objective and violation of reference_rollout's trajectories, summed
+    one float at a time in the scalar order."""
+    total = 0.0
+    for path in dls:
+        for d in path:
+            total += d
+    violation = 0.0
+    for t, l in zip(temps, illums):
+        excess = comfort_penalty(t, l, cfg) - cfg.penalty_cap
+        violation += excess if excess > 0.0 else 0.0
+    return total / (len(dls) * len(temps)), min(violation, np.finfo(float).max)
+
+
+class TestHorizonKernel:
+    MODELS = TestRolloutBatch.MODELS
+
+    def kernel(self, rng, workers, horizon):
+        snap = StateSnapshot(
+            tuple(
+                WorkerState.from_history(rng.uniform(1.2, 4.8), rng.uniform(1.2, 4.8),
+                                         effort=rng.uniform(0, 0.4))
+                for _ in range(workers)
+            ),
+            26.0, rng.uniform(300, 900))
+        cfg = MpcConfig(horizon=horizon, num_workers=workers, penalty_cap=0.6)
+        return HorizonKernel(self.MODELS, snap, cfg), snap, cfg
+
+    @pytest.mark.parametrize("horizon", [1, 4, 6])
+    @pytest.mark.parametrize("workers", [1, 5, 24])
+    @pytest.mark.parametrize("pop", [1, 4, 40])
+    def test_equals_reference_and_single_schedule_views(self, pop, workers, horizon):
+        rng = np.random.default_rng(1000 * pop + 10 * workers + horizon)
+        kernel, snap, cfg = self.kernel(rng, workers, horizon)
+        # 40 rows, scored pop at a time: the first three sit on the clamps.
+        temp_sets, illum_sets = TestRolloutBatch().population(rng, 40, horizon)
+        hit = {"dl_high": False, "dl_low": False, "dark": False, "violated": False}
+        for start in range(0, 40, pop):
+            rows = slice(start, start + pop)
+            f, v = kernel.evaluate(temp_sets[rows], illum_sets[rows])
+            temps, illums, dls = kernel.rollout(temp_sets[rows], illum_sets[rows])
+            assert f.shape == v.shape == (pop,)
+            assert temps.shape == illums.shape == (horizon, pop)
+            assert dls.shape == (workers, horizon, pop)
+            for j, row in enumerate(range(start, start + pop)):
+                sched = ControlSchedule(tuple(temp_sets[row]), tuple(illum_sets[row]))
+                want_t, want_l, want_d = reference_rollout(self.MODELS, snap, sched)
+                assert tuple(temps[:, j]) == want_t, row
+                assert tuple(illums[:, j]) == want_l, row
+                assert tuple(map(tuple, dls[:, :, j])) == want_d, row
+                assert (f[j], v[j]) == reference_scores(want_t, want_l, want_d, cfg), row
+                pred = rollout(self.MODELS, snap, sched, cfg)
+                assert (pred.temps, pred.illums, pred.dls) == (want_t, want_l, want_d)
+                assert (objective(pred), constraint_violation(pred, cfg)) == (f[j], v[j])
+            hit["dl_high"] |= bool((dls == 5.0).any())
+            hit["dl_low"] |= bool((dls == 1.0).any())
+            hit["dark"] |= bool((illums == 0.0).any())
+            hit["violated"] |= bool((v > 0.0).any())
+        assert all(hit.values()), hit
+
+    def test_workspace_reuse_and_fresh_scores(self):
+        rng = np.random.default_rng(8)
+        kernel, _, _ = self.kernel(rng, 5, 4)
+        a = TestRolloutBatch().population(rng, 40, 4)
+        b = TestRolloutBatch().population(rng, 40, 4)
+        f_a, v_a = kernel.evaluate(*a)
+        want = f_a.copy(), v_a.copy()
+        f_b, v_b = kernel.evaluate(*b)
+        assert not (np.array_equal(f_a, f_b) and np.array_equal(v_a, v_b))
+        # Scoring B left A's arrays alone: they are not the workspace's.
+        assert np.array_equal(f_a, want[0]) and np.array_equal(v_a, want[1])
+        # Another population size has its own workspace.
+        kernel.evaluate(a[0][:1], a[1][:1])
+        # The caller may write into the returned arrays, as de_minimize does.
+        np.copyto(f_a, -1.0)
+        np.copyto(v_a, -1.0)
+        f_again, v_again = kernel.evaluate(*a)
+        assert np.array_equal(f_again, want[0]) and np.array_equal(v_again, want[1])
+
+    def test_shape_mismatch(self):
+        kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3)
+        with pytest.raises(ShapeMismatch, match="schedules cover 2 steps"):
+            kernel.evaluate(np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch, match="snapshot has 1 workers"):
+            HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2))
+
+
+# Seeded solves on the shipped rooms, pinned as float.hex: the schedule
+# (the optimizer's best vector), the objective and the generations used.
+PINNED_SOLVES = {
+    "case1_mpc1.cfg": (["0x1.9800000000000p+4"] * 4, "0x1.20a60e3b92e26p+1", 29),
+    "case1_mpc2.cfg": (
+        ["0x1.9800000000000p+4"] * 4
+        + ["0x1.7700000000000p+9"] * 2 + ["0x1.76f9b270dababp+9", "0x1.76ef03a28442fp+9"],
+        "0x1.033dc9c4b1f89p+1",
+        60,
+    ),
+    "case2_mpc2.cfg": (
+        ["0x1.9000000000000p+4"] * 4 + ["0x1.7700000000000p+9"] * 4,
+        "0x1.0b7bc954e9657p+1",
+        60,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_pinned_seeded_solve(name):
+    sc = parse_scenario_config(shipped_config_path(name))
+    workers = tuple(
+        WorkerState(1.8 + 0.45 * i, 0.1 * (i % 2), 0.07 * ((i + 1) % 2), 0.05 + 0.02 * i)
+        for i in range(sc.mpc_cfg.num_workers)
+    )
+    sol = solve(sc.plant.truth(), StateSnapshot(workers, 26.7, 530.0), sc.mpc_cfg, sc.de)
+    vector = sol.schedule.temp_setpoints
+    if "mpc2" in name:
+        vector += sol.schedule.illum_setpoints
+    assert ([x.hex() for x in vector], sol.objective_value.hex(), sol.generations_used) == (
+        PINNED_SOLVES[name]
+    )
 
 
 class TestObjectiveAndConstraint:

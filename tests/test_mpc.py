@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import alertmpc.mpc as mpc_mod
+from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
@@ -206,6 +209,24 @@ class TestSolveModes:
                 assert constraint_violation(sol.predicted, cfg) > 0.0
         assert outcomes[True] > 0, "tight-cap sweep never produced a feasible solve"
         assert outcomes[False] > 0, "tight-cap sweep never produced an infeasible solve"
+
+
+@pytest.mark.parametrize("room", ["case1", "case2"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_violation_reported_and_backs_feasible(room, mode):
+    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
+    cfg = replace(sc.mpc_cfg, mode=mode)
+    de = replace(sc.de, max_generations=15)
+    models = sc.plant.truth()
+    outcomes = set()
+    # A room at 36 C cannot be brought within the comfort cap in one step.
+    for temp in (26.7, 36.0):
+        snap = snapshot(workers=cfg.num_workers, temp=temp, illum=530.0)
+        sol = solve(models, snap, cfg, de)
+        assert sol.feasible == (sol.violation == 0.0)
+        assert sol.violation == constraint_violation(sol.predicted, cfg)
+        outcomes.add(sol.feasible)
+    assert outcomes == {True, False}
 
 
 class TestMeasurementLog:
