@@ -20,7 +20,7 @@ import contextlib
 import csv
 import enum
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -194,56 +194,109 @@ def read_model_set(path: str) -> ModelSet:
 # telemetry and snapshot CSV
 
 
+class _CsvFile:
+    """A CSV file read with the rules every CSV reader here shares.
+
+    Opening it raises CliError "cannot read <what> <path>".  In a with
+    block, text that is not UTF-8 and a record the csv module refuses (a
+    field longer than csv.field_size_limit(), say) raise a CliError naming
+    the path and, for the record, its physical line.
+    """
+
+    def __init__(self, path: str, what: str):
+        try:
+            self.fh = open(path, newline="", encoding="utf-8")
+        except OSError as err:
+            raise CliError(f"cannot read {what} {path}: {err}")
+        self.path, self.what = path, what
+        self.reader = csv.reader(self.fh)
+        self.lines_before = 0  # lines read before the reader's first: metadata lines
+
+    def __enter__(self) -> "_CsvFile":
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        self.fh.close()
+        if isinstance(err, UnicodeDecodeError):
+            raise CliError(f"{self.path}: not UTF-8 text ({err.reason})")
+        if isinstance(err, csv.Error):
+            raise CliError(f"{self.path}:{self.lines_before + self.reader.line_num}: {err}")
+
+    def metadata_lines(self) -> list[str]:
+        """The leading lines that start with "#"."""
+        lines = []
+        for line in self.fh:
+            if not line.startswith("#"):
+                self.reader = csv.reader(itertools.chain([line], self.fh))
+                break
+            lines.append(line)
+        self.lines_before = len(lines)
+        return lines
+
+    def header(self, expected: list[str]) -> None:
+        """Read the header record, which must be expected."""
+        self.width = len(expected)
+        got = next(self.reader, None)
+        if got != expected:
+            raise CliError(
+                f"{self.path}: {self.what} header mismatch, expected "
+                f"{','.join(expected)!r}, got {got!r}"
+            )
+
+    def rows(self, convert):
+        """(physical line, convert(record)) for each non-blank record past
+        the header; a ValueError or OverflowError of convert names the line."""
+        for record in self.reader:
+            if not record:
+                continue
+            line = self.lines_before + self.reader.line_num  # quoted fields may span lines
+            if len(record) != self.width:
+                raise CliError(f"{self.path}:{line}: expected {self.width} fields, got {len(record)}")
+            try:
+                yield line, convert(record)
+            except (ValueError, OverflowError) as err:
+                raise CliError(f"{self.path}:{line}: {err}")
+
+
 # One telemetry row as np.loadtxt reads it: fields in TELEMETRY_HEADER order.
 _TELEMETRY_DTYPE = np.dtype(
     [("step", np.int64), ("worker_id", object), *((name, np.float64) for name in VALUE_COLUMNS)]
 )
-
-
-@contextlib.contextmanager
-def _csv_errors(path: str, reader=None, lines_before: int = 0):
-    """Raise a file that is not UTF-8 text, or a record that the csv
-    module refuses (a field longer than csv.field_size_limit(), say), as a
-    CliError naming path and, for a refused record, its physical line:
-    lines_before plus the lines reader has read."""
-    try:
-        yield
-    except UnicodeDecodeError as err:
-        raise CliError(f"{path}: not UTF-8 text ({err.reason})")
-    except csv.Error as err:
-        raise CliError(f"{path}:{lines_before + reader.line_num}: {err}")
-
-
-def _open_telemetry(path: str):
-    """The open telemetry file and a csv reader over it, past its checked header."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot read telemetry {path}: {err}")
-    with contextlib.ExitStack() as on_error:
-        on_error.callback(fh.close)
-        reader = csv.reader(fh)
-        with _csv_errors(path, reader):
-            header = next(reader, None)
-        if header != TELEMETRY_HEADER:
-            raise CliError(
-                f"{path}: telemetry header must be "
-                f"{','.join(TELEMETRY_HEADER)!r}, got {header!r}"
-            )
-        on_error.pop_all()
-    return fh, reader
-
 
 # The ASCII separators FS, GS, RS and US: numpy strips them from around a
 # number as whitespace, where int() and float() refuse the field.
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _holds_numpy_only_space(raw) -> bool:
-    """Whether the binary file raw, read from its start, holds a _NUMPY_ONLY_SPACE byte."""
+def _numpy_may_differ(raw) -> bool:
+    """Whether np.loadtxt may have read the binary file raw otherwise than
+    the csv module: raw holds a _NUMPY_ONLY_SPACE byte, or a run of more
+    than csv.field_size_limit() bytes without a comma, which could be a
+    number field the csv module refuses as too long.
+    """
+    limit = csv.field_size_limit()
+    # A comma-free run longer than limit holds a whole block of this size,
+    # if the blocks start just past a comma.
+    block = limit // 2 + 1
+    run = 0  # comma-free bytes at the end of the chunks so far
     raw.seek(0)
-    chunks = iter(functools.partial(raw.read, 1 << 20), b"")
-    return any(sep in chunk for chunk in chunks for sep in _NUMPY_ONLY_SPACE)
+    for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
+        if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
+            return True
+        first, last = chunk.find(b","), chunk.rfind(b",")
+        if first < 0:
+            run += len(chunk)
+        elif run + first > limit:
+            return True
+        else:
+            for start in range(first + 1, last - block + 1, block):
+                if chunk.find(b",", start, start + block) < 0:
+                    if chunk.find(b",", start + block) - chunk.rfind(b",", 0, start) - 1 > limit:
+                        return True
+            run = len(chunk) - 1 - last
+        if run > limit:
+            return True
+    return False
 
 
 def read_telemetry_csv(path: str) -> TelemetryTable:
@@ -252,12 +305,13 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
     The body is parsed in one np.loadtxt call.  Where numpy's reading
     could differ from the row reader's, the file is read again row by
     row: when numpy refuses it or warns (numpy refuses 1_5 and non-ASCII
-    digits, which int() and float() accept), when it holds a _NUMPY_ONLY_SPACE
-    byte, and when the table fails validation.  So the accepted grammar
-    is the row reader's, and every error names its physical line.
+    digits, which int() and float() accept), when _numpy_may_differ,
+    when a worker id is longer than csv.field_size_limit(), and when the
+    table fails validation.  So the accepted grammar is the row reader's,
+    and every error names its physical line.
     """
-    fh, _ = _open_telemetry(path)
-    with fh:
+    with _CsvFile(path, "telemetry") as csv_file:
+        csv_file.header(TELEMETRY_HEADER)
         try:
             with warnings.catch_warnings():
                 # A warning means numpy read some text its own way (numpy 1.x
@@ -266,13 +320,18 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
                 # ... but a header-only file is an empty table, as the row reader returns.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 body = np.loadtxt(
-                    fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
+                    csv_file.fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"',
+                    comments=None, ndmin=1,
                 )
             table = TelemetryTable.from_columns(*(body[name] for name in _TELEMETRY_DTYPE.names))
-        except (ValueError, Warning):  # InvalidTelemetry is a ValueError too
+        except (ValueError, Warning):  # InvalidTelemetry and UnicodeDecodeError are ValueErrors
             table = None
-        # loadtxt has read fh to its end, so its bytes can be scanned again.
-        if table is not None and not _holds_numpy_only_space(fh.buffer):
+        # loadtxt has read the file to its end, so its bytes can be scanned again.
+        if not (
+            table is None
+            or any(len(worker) > csv.field_size_limit() for worker in table.worker_ids)
+            or _numpy_may_differ(csv_file.fh.buffer)
+        ):
             return table
     return _read_telemetry_rows(path)
 
@@ -281,32 +340,20 @@ def _read_telemetry_rows(path: str) -> TelemetryTable:
     """read_telemetry_csv one record at a time, naming the physical line of an error."""
     # Typed buffers hold 8 bytes a value where a list of floats holds 32.
     step, line_of_row, worker = array("q"), array("q"), []
-    dl, effort, temp, illum, temp_set, illum_set = (array("d") for _ in range(6))
-    fh, reader = _open_telemetry(path)
-    with fh, _csv_errors(path, reader):
-        for record in reader:
-            if not record:
-                continue
-            line_no = reader.line_num  # physical line: quoted fields may span lines
-            if len(record) != len(TELEMETRY_HEADER):
-                raise CliError(
-                    f"{path}:{line_no}: expected {len(TELEMETRY_HEADER)} fields, "
-                    f"got {len(record)}"
-                )
-            try:
-                step.append(int(record[0]))
-                dl.append(float(record[2]))
-                effort.append(float(record[3]))
-                temp.append(float(record[4]))
-                illum.append(float(record[5]))
-                temp_set.append(float(record[6]))
-                illum_set.append(float(record[7]))
-            except (ValueError, OverflowError) as err:  # OverflowError: step beyond int64
-                raise CliError(f"{path}:{line_no}: {err}")
-            worker.append(record[1])
-            line_of_row.append(line_no)
+    values = [array("d") for _ in VALUE_COLUMNS]
+
+    def append(record: list[str]) -> None:
+        step.append(int(record[0]))  # OverflowError beyond int64
+        for column, text in zip(values, record[2:]):
+            column.append(float(text))
+        worker.append(record[1])
+
+    with _CsvFile(path, "telemetry") as csv_file:
+        csv_file.header(TELEMETRY_HEADER)
+        for line, _ in csv_file.rows(append):
+            line_of_row.append(line)
     try:
-        return TelemetryTable.from_columns(step, worker, dl, effort, temp, illum, temp_set, illum_set)
+        return TelemetryTable.from_columns(step, worker, *values)
     except InvalidTelemetry as err:
         raise CliError(f"{path}:{line_of_row[err.row]}: {err}")
 
@@ -319,60 +366,39 @@ def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
             writer.writerow([row.step_index, row.worker_id, *(fmt6(getattr(row, n)) for n in VALUE_COLUMNS)])
 
 
+def _snapshot_row(record: list[str]) -> tuple[WorkerState, tuple[float, float]]:
+    return WorkerState(*map(float, record[1:5])), (float(record[5]), float(record[6]))
+
+
 def read_snapshot_csv(path: str) -> StateSnapshot:
     """One row per worker plus the shared room temperature/illuminance."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot read snapshot {path}: {err}")
     workers: list[WorkerState] = []
-    temp = illum = None
-    reader = csv.reader(fh)
-    with fh, _csv_errors(path, reader):
-        header = next(reader, None)
-        if header != SNAPSHOT_HEADER:
-            raise CliError(
-                f"{path}: snapshot header must be "
-                f"{','.join(SNAPSHOT_HEADER)!r}, got {header!r}"
-            )
-        for record in reader:
-            if not record:
-                continue
-            line_no = reader.line_num  # physical line: quoted fields may span lines
-            if len(record) != len(SNAPSHOT_HEADER):
-                raise CliError(
-                    f"{path}:{line_no}: expected {len(SNAPSHOT_HEADER)} fields, "
-                    f"got {len(record)}"
-                )
-            try:
-                workers.append(
-                    WorkerState(
-                        d_current=float(record[1]),
-                        d_plus=float(record[2]),
-                        d_minus=float(record[3]),
-                        effort=float(record[4]),
-                    )
-                )
-                row_temp = float(record[5])
-                row_illum = float(record[6])
-            except ValueError as err:
-                raise CliError(f"{path}:{line_no}: {err}")
-            if temp is None:
-                temp, illum = row_temp, row_illum
-            elif (row_temp, row_illum) != (temp, illum):
-                raise CliError(
-                    f"{path}:{line_no}: temp_c/illum_lx must be identical on every row"
-                )
+    room = None
+    with _CsvFile(path, "snapshot") as csv_file:
+        csv_file.header(SNAPSHOT_HEADER)
+        for line, (worker, row_room) in csv_file.rows(_snapshot_row):
+            workers.append(worker)
+            if room is None:
+                room = row_room
+            elif row_room != room:
+                raise CliError(f"{path}:{line}: temp_c/illum_lx must be identical on every row")
     if not workers:
         raise CliError(f"{path}: snapshot has no worker rows")
     try:
-        return StateSnapshot(tuple(workers), temp, illum)
+        return StateSnapshot(tuple(workers), *room)
     except ValueError as err:
         raise CliError(f"{path}: {err}")
 
 
 # ---------------------------------------------------------------------------
 # trace and metrics CSV
+
+
+def _trace_header(workers: int) -> list[str]:
+    header = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
+    for i in range(workers):
+        header += [f"dl_w{i}", f"effort_w{i}"]
+    return header
 
 
 def write_trace_csv(path: str, trace: SimTrace) -> None:
@@ -384,10 +410,7 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
         fh.write(f"# temp_comfort={fmt6(trace.temp_comfort)}\n")
         fh.write(f"# illum_comfort={fmt6(trace.illum_comfort)}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
-        for i in range(trace.num_workers):
-            header += [f"dl_w{i}", f"effort_w{i}"]
-        writer.writerow(header)
+        writer.writerow(_trace_header(trace.num_workers))
         for step in trace.steps:
             record = [
                 step.step,
@@ -404,24 +427,24 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
             writer.writerow(record)
 
 
+def _trace_step(record: list[str]) -> TraceStep:
+    if record[6] not in ("0", "1"):
+        raise ValueError(f"feasible must be 0 or 1, got {record[6]!r}")
+    measured = tuple(map(float, record[8:]))  # dl_w0, effort_w0, dl_w1, ...
+    return TraceStep(
+        int(record[0]), *map(float, record[1:6]), record[6] == "1", record[7], measured[0::2], measured[1::2]
+    )
+
+
 def read_trace_csv(path: str) -> SimTrace:
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot read trace {path}: {err}")
     meta: dict[str, str] = {}
-    with fh:
-        meta_lines = 0
-        with _csv_errors(path):
-            line = fh.readline()
-            while line.startswith("#"):
-                try:
-                    key, value = line[1:].strip().split("=", 1)
-                except ValueError:
-                    raise CliError(f"{path}: malformed metadata line {line.strip()!r}")
-                meta[key.strip()] = value.strip()
-                meta_lines += 1
-                line = fh.readline()
+    with _CsvFile(path, "trace") as csv_file:
+        for line in csv_file.metadata_lines():
+            try:
+                key, value = line[1:].strip().split("=", 1)
+            except ValueError:
+                raise CliError(f"{path}: malformed metadata line {line.strip()!r}")
+            meta[key.strip()] = value.strip()
         required = {"mode", "seed", "workers", "penalty_cap", "temp_comfort", "illum_comfort"}
         missing = required - set(meta)
         if missing:
@@ -432,44 +455,8 @@ def read_trace_csv(path: str) -> SimTrace:
             workers = int(meta["workers"])
         except (ValueError, ConfigError) as err:
             raise CliError(f"{path}: bad trace metadata: {err}")
-        expected_header = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
-        for i in range(workers):
-            expected_header += [f"dl_w{i}", f"effort_w{i}"]
-        header_reader = csv.reader(io.StringIO(line))
-        with _csv_errors(path, header_reader, meta_lines):
-            header = next(header_reader, None)
-        if header != expected_header:
-            raise CliError(f"{path}: trace header mismatch, got {header!r}")
-        steps: list[TraceStep] = []
-        reader = csv.reader(fh)
-        with _csv_errors(path, reader, meta_lines + 1):
-            for record in reader:
-                if not record:
-                    continue
-                line_no = meta_lines + 1 + reader.line_num  # physical line
-                if len(record) != len(expected_header):
-                    raise CliError(
-                        f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(record)}"
-                    )
-                try:
-                    dls = tuple(float(record[8 + 2 * i]) for i in range(workers))
-                    efforts = tuple(float(record[9 + 2 * i]) for i in range(workers))
-                    steps.append(
-                        TraceStep(
-                            step=int(record[0]),
-                            temp_set=float(record[1]),
-                            illum_set=float(record[2]),
-                            temp=float(record[3]),
-                            illum=float(record[4]),
-                            penalty=float(record[5]),
-                            feasible=bool(int(record[6])),
-                            status=record[7],
-                            dls=dls,
-                            efforts=efforts,
-                        )
-                    )
-                except ValueError as err:
-                    raise CliError(f"{path}:{line_no}: {err}")
+        csv_file.header(_trace_header(workers))
+        steps = tuple(step for _, step in csv_file.rows(_trace_step))
     try:
         return SimTrace(
             mode=mode,
@@ -478,7 +465,7 @@ def read_trace_csv(path: str) -> SimTrace:
             penalty_cap=float(meta["penalty_cap"]),
             temp_comfort=float(meta["temp_comfort"]),
             illum_comfort=float(meta["illum_comfort"]),
-            steps=tuple(steps),
+            steps=steps,
         )
     except ValueError as err:
         raise CliError(f"{path}: {err}")
@@ -870,10 +857,6 @@ def cmd_solve(args) -> int:
     cfg, de = parse_control_config(args.config)
     de = _override_seed(de, args.seed)
     snapshot = read_snapshot_csv(args.snapshot)
-    if len(snapshot.workers) != cfg.num_workers:
-        raise CliError(
-            f"snapshot has {len(snapshot.workers)} workers, config expects {cfg.num_workers}"
-        )
     try:
         solution = solve(models, snapshot, cfg, de)
     except (ShapeMismatch, NonFiniteObjective, BadBounds) as err:

@@ -16,8 +16,8 @@ writes the two drowsiness terms that depend on the previous prediction
 and adds all eight terms with one np.add.reduce along the term axis.
 That axis is never the innermost one, so numpy adds term by term, left
 to right, and every row stays bitwise equal to the scalar recursion.
-rollout_batch and the single-schedule rollout, objective and violation
-are views of the kernel.
+The single-schedule rollout, objective and constraint_violation are
+views of the kernel.
 """
 
 from __future__ import annotations
@@ -350,34 +350,6 @@ def _violation(room: np.ndarray, comfort: np.ndarray, weights: np.ndarray, cap: 
     return np.minimum(total, _FLOAT_MAX, out=total)
 
 
-def rollout_batch(
-    models: ModelSet,
-    snapshot: StateSnapshot,
-    temp_sets: np.ndarray,
-    illum_sets: np.ndarray,
-    cfg: MpcConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate P setpoint schedules at once across the horizon.
-
-    temp_sets and illum_sets are (P, horizon).  Returns the predicted
-    temperatures and illuminances, both (P, horizon), and drowsiness,
-    (P, workers, horizon): HorizonKernel.rollout, transposed.
-    """
-    temps, illums, dls = HorizonKernel(models, snapshot, cfg).rollout(temp_sets, illum_sets)
-    return temps.T, illums.T, dls.transpose(2, 0, 1)
-
-
-def objective_batch(dls: np.ndarray) -> np.ndarray:
-    """Mean predicted drowsiness per row of (P, workers, horizon) values,
-    summed worker by worker, step by step."""
-    return _objective(np.moveaxis(dls, 0, -1))
-
-
-def violation_batch(temps: np.ndarray, illums: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    """constraint_violation of each row of (P, horizon) trajectories."""
-    return _violation(np.stack([temps.T, illums.T], axis=1), *_comfort_arrays(cfg))
-
-
 def rollout(
     models: ModelSet,
     snapshot: StateSnapshot,
@@ -418,9 +390,6 @@ __all__ = [
     "predict_dl",
     "HorizonPrediction",
     "HorizonKernel",
-    "rollout_batch",
-    "objective_batch",
-    "violation_batch",
     "rollout",
     "objective",
     "comfort_penalty",

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -457,6 +459,12 @@ class TestTraceCsv:
         with pytest.raises(CliError, match="header mismatch"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("value", ["2", "-1", " 1", "+1", "01", "", "true"])
+    def test_feasible_must_be_0_or_1(self, tmp_path, value):
+        path = put(tmp_path, "r.csv", trace_text().replace(",1,ok,", f",{value},ok,"))
+        with pytest.raises(CliError, match=r"r\.csv:8: feasible must be 0 or 1"):
+            read_trace_csv(path)
+
 
 HUGE_FIELD = "x" * 200_000  # longer than csv.field_size_limit()
 
@@ -483,6 +491,31 @@ UNREADABLE_FILES = {
 }
 
 
+def telemetry_row(worker="w0", dl="2.0"):
+    return TELEMETRY_HEADER_LINE + f"\n0,{worker},{dl},0.1,26,600,26,600\n"
+
+
+# Files with a field longer than csv.field_size_limit(): (reader, file name,
+# text, physical line on which the field passes the limit).
+OVER_LIMIT_FILES = {
+    kind: (reader, name, text.format(HUGE_FIELD), line)
+    for kind, (reader, name, text, line) in UNREADABLE_FILES.items()
+}
+# Telemetry that np.loadtxt reads whole, so only the limit check keeps the
+# fast path from accepting it.
+OVER_LIMIT_FILES.update({
+    f"telemetry-{kind}": (read_telemetry_csv, "t.csv", text, line)
+    for kind, text, line in [
+        ("long-id", telemetry_row(worker="w" + HUGE_FIELD), 2),
+        ("leading-zeros", telemetry_row(dl="0" * 200_000 + "2.0"), 2),
+        ("leading-spaces", telemetry_row(dl=" " * 200_000 + "2.0"), 2),
+        ("quoted-id-over-lines", telemetry_row(worker=quoted("\n".join(["x" * 1000] * 200))), 132),
+        ("quoted-id-with-commas", telemetry_row(worker=quoted("\n".join(["x," * 500] * 200))), 132),
+        ("quoted-number-over-lines", telemetry_row(dl=quoted("\n".join([" " * 1000] * 200) + "2.0")), 132),
+    ]
+})
+
+
 class TestUnreadableText:
     @pytest.mark.parametrize("kind", sorted(UNREADABLE_FILES))
     def test_not_utf8_is_named_error(self, tmp_path, kind):
@@ -492,18 +525,53 @@ class TestUnreadableText:
         with pytest.raises(CliError, match=f"{name}: not UTF-8 text"):
             reader(str(path))
 
-    @pytest.mark.parametrize("kind", sorted(UNREADABLE_FILES))
+    @pytest.mark.parametrize("kind", sorted(OVER_LIMIT_FILES))
     def test_field_over_csv_limit_names_line(self, tmp_path, kind):
-        reader, name, text, line = UNREADABLE_FILES[kind]
-        path = put(tmp_path, name, text.format(HUGE_FIELD))
+        reader, name, text, line = OVER_LIMIT_FILES[kind]
+        path = put(tmp_path, name, text)
         with pytest.raises(CliError, match=f"{name}:{line}: field larger than field limit"):
             reader(path)
+
+    def test_fields_at_csv_limit_load_without_row_reader(self, tmp_path, monkeypatch):
+        limit = csv.field_size_limit()
+        worker = "w" * limit
+        path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + f"\n0,{worker},"
+                   + "0" * (limit - 3) + "2.0,0.1,26,600,26,600\n")
+        monkeypatch.setattr(cli_module, "_read_telemetry_rows", None)  # a fall-back would fail
+        table = read_telemetry_csv(path)
+        assert table.worker_ids == (worker,) and table.dl.tolist() == [2.0]
 
     def test_identify_exit_code(self, workdir, capsys):
         _, name, text, _ = UNREADABLE_FILES["telemetry"]
         (workdir / name).write_bytes(text.format("\xe9").encode("latin-1"))
         assert main(["identify", name, "m.json", "--out-dir", str(workdir)]) == 2
         assert f"error: {name}: not UTF-8 text" in capsys.readouterr().err
+
+
+def longest_comma_free_run(data: bytes) -> int:
+    return max(len(run) for run in data.split(b","))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(st.sampled_from([b",", b"x", b"\n", b"xxxxx"]), max_size=60),
+       limit=st.integers(0, 30))
+def test_run_scan_matches_longest_comma_free_run(chunks, limit):
+    data = b"".join(chunks)
+    old = csv.field_size_limit(limit)
+    try:
+        assert cli_module._numpy_may_differ(io.BytesIO(data)) == (longest_comma_free_run(data) > limit)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_run_scan_carries_a_run_across_read_chunks(extra):
+    # A run of limit + extra bytes that starts before the 1 MiB read boundary and ends after it.
+    limit = csv.field_size_limit()
+    start = (1 << 20) - limit // 2
+    data = b"1," * (start // 2) + b"x" * (limit + extra) + b",1\n"
+    assert longest_comma_free_run(data) == limit + extra
+    assert cli_module._numpy_may_differ(io.BytesIO(data)) == bool(extra)
 
 
 class TestConfigParsing:

@@ -24,13 +24,10 @@ from alertmpc.models import (
     constraint_violation,
     increments,
     objective,
-    objective_batch,
     predict_ami,
     predict_dl,
     predict_idt,
     rollout,
-    rollout_batch,
-    violation_batch,
 )
 from alertmpc.mpc import solve
 
@@ -299,15 +296,16 @@ class TestRolloutBatch:
             snap = StateSnapshot(workers, 26.0, rng.uniform(300, 900))
             cfg = MpcConfig(horizon=horizon, num_workers=3)
             temp_sets, illum_sets = self.population(rng, 16, horizon)
-            temps, illums, dls = rollout_batch(self.MODELS, snap, temp_sets, illum_sets, cfg)
-            assert temps.shape == illums.shape == (16, horizon)
-            assert dls.shape == (16, 3, horizon)
+            kernel = HorizonKernel(self.MODELS, snap, cfg)
+            temps, illums, dls = kernel.rollout(temp_sets, illum_sets)
+            assert temps.shape == illums.shape == (horizon, 16)
+            assert dls.shape == (3, horizon, 16)
             for row in range(16):
                 sched = ControlSchedule(tuple(temp_sets[row]), tuple(illum_sets[row]))
                 want_t, want_l, want_d = reference_rollout(self.MODELS, snap, sched)
-                assert tuple(temps[row]) == want_t, (trial, row)
-                assert tuple(illums[row]) == want_l, (trial, row)
-                assert tuple(map(tuple, dls[row])) == want_d, (trial, row)
+                assert tuple(temps[:, row]) == want_t, (trial, row)
+                assert tuple(illums[:, row]) == want_l, (trial, row)
+                assert tuple(map(tuple, dls[..., row])) == want_d, (trial, row)
             hit["dl_high"] |= bool((dls == 5.0).any())
             hit["dl_low"] |= bool((dls == 1.0).any())
             hit["dark"] |= bool((illums == 0.0).any())
@@ -321,9 +319,7 @@ class TestRolloutBatch:
         # Half the rows stay near comfort, so both outcomes occur.
         temp_sets[8:] = rng.uniform(25.8, 26.2, (8, 3))
         illum_sets[8:] = rng.uniform(900.0, 920.0, (8, 3))
-        temps, illums, dls = rollout_batch(self.MODELS, snap, temp_sets, illum_sets, cfg)
-        fs = objective_batch(dls)
-        vs = violation_batch(temps, illums, cfg)
+        fs, vs = HorizonKernel(self.MODELS, snap, cfg).evaluate(temp_sets, illum_sets)
         assert (vs > 0.0).any() and (vs == 0.0).any()
         for row in range(16):
             pred = rollout(self.MODELS, snap,
@@ -334,11 +330,11 @@ class TestRolloutBatch:
     def test_shape_mismatch(self):
         snap = snapshot_one()
         with pytest.raises(ShapeMismatch):
-            rollout_batch(self.MODELS, snap, np.zeros((4, 2)), np.zeros((4, 2)),
-                          MpcConfig(horizon=3))
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3)).rollout(
+                np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(ShapeMismatch):
-            rollout_batch(self.MODELS, snap, np.zeros((4, 3)), np.zeros((4, 3)),
-                          MpcConfig(horizon=3, num_workers=2))
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2)).rollout(
+                np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 def reference_scores(temps, illums, dls, cfg):
