@@ -27,6 +27,7 @@ import os
 import sys
 import warnings
 from array import array
+from collections.abc import Callable
 from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
 from datetime import datetime, timedelta
 
@@ -233,10 +234,15 @@ class _CsvFile:
         self.lines_before = len(lines)
         return lines
 
-    def header(self, expected: list[str]) -> None:
-        """Read the header record, which must be expected."""
-        self.width = len(expected)
+    def header(self, width: int, names: Callable[[], list[str]]) -> None:
+        """Read the header record, which must be the width names that
+        names() returns.  A record of another length is refused before
+        names() is called, so a width read from the file costs nothing."""
+        self.width = width
         got = next(self.reader, None)
+        if got is None or len(got) != width:
+            raise CliError(f"{self.path}: {self.what} header mismatch, expected {width} fields, got {got!r}")
+        expected = names()
         if got != expected:
             raise CliError(
                 f"{self.path}: {self.what} header mismatch, expected "
@@ -311,7 +317,7 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
     and every error names its physical line.
     """
     with _CsvFile(path, "telemetry") as csv_file:
-        csv_file.header(TELEMETRY_HEADER)
+        csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
         try:
             with warnings.catch_warnings():
                 # A warning means numpy read some text its own way (numpy 1.x
@@ -349,7 +355,7 @@ def _read_telemetry_rows(path: str) -> TelemetryTable:
         worker.append(record[1])
 
     with _CsvFile(path, "telemetry") as csv_file:
-        csv_file.header(TELEMETRY_HEADER)
+        csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
         for line, _ in csv_file.rows(append):
             line_of_row.append(line)
     try:
@@ -375,7 +381,7 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
     workers: list[WorkerState] = []
     room = None
     with _CsvFile(path, "snapshot") as csv_file:
-        csv_file.header(SNAPSHOT_HEADER)
+        csv_file.header(len(SNAPSHOT_HEADER), lambda: SNAPSHOT_HEADER)
         for line, (worker, row_room) in csv_file.rows(_snapshot_row):
             workers.append(worker)
             if room is None:
@@ -394,8 +400,12 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
 # trace and metrics CSV
 
 
+# A trace record: these columns, then dl_w<i>, effort_w<i> for each worker.
+_TRACE_STEP_COLUMNS = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
+
+
 def _trace_header(workers: int) -> list[str]:
-    header = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
+    header = list(_TRACE_STEP_COLUMNS)
     for i in range(workers):
         header += [f"dl_w{i}", f"effort_w{i}"]
     return header
@@ -419,7 +429,7 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
                 fmt6(step.temp),
                 fmt6(step.illum),
                 fmt6(step.penalty),
-                1 if step.feasible else 0,
+                "" if step.feasible is None else int(step.feasible),
                 step.status,
             ]
             for dl, effort in zip(step.dls, step.efforts):
@@ -428,11 +438,13 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
 
 
 def _trace_step(record: list[str]) -> TraceStep:
-    if record[6] not in ("0", "1"):
-        raise ValueError(f"feasible must be 0 or 1, got {record[6]!r}")
+    feasible, status = record[6:8]
+    if feasible not in ("0", "1") and not (feasible == "" and status != "ok"):
+        raise ValueError(f"feasible must be 0 or 1, or empty on a step that is not ok, got {feasible!r}")
     measured = tuple(map(float, record[8:]))  # dl_w0, effort_w0, dl_w1, ...
     return TraceStep(
-        int(record[0]), *map(float, record[1:6]), record[6] == "1", record[7], measured[0::2], measured[1::2]
+        int(record[0]), *map(float, record[1:6]), None if feasible == "" else feasible == "1", status,
+        measured[0::2], measured[1::2],
     )
 
 
@@ -453,9 +465,11 @@ def read_trace_csv(path: str) -> SimTrace:
             mode = ControlMode.parse(meta["mode"])
             seed = int(meta["seed"])
             workers = int(meta["workers"])
+            if workers < 1:
+                raise ValueError(f"workers must be >= 1, got {workers}")
         except (ValueError, ConfigError) as err:
             raise CliError(f"{path}: bad trace metadata: {err}")
-        csv_file.header(_trace_header(workers))
+        csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
         steps = tuple(step for _, step in csv_file.rows(_trace_step))
     try:
         return SimTrace(

@@ -4,9 +4,10 @@ solve() turns one measured state into a setpoint schedule.  NOC simply
 holds the comfort point; the optimizing modes search the setpoint box by
 differential evolution, scoring each generation's objective and
 constraint from one batched rollout of the whole population.
-step_controller() wraps solve() with the measurement history and the
-per-interval seed policy; Controller keeps the loop state (log + last
-applied setpoints) for simulator and daemon use.
+Controller decides each interval for the simulator and the daemon: it
+keeps the measurement log and the last applied setpoints, holds those
+setpoints while the log lags the clock, and otherwise solves with the
+optimizer seeded as base seed + clock.
 """
 
 from __future__ import annotations
@@ -37,36 +38,32 @@ from .models import (  # noqa: F401
 from .optimizer import DeParams, DeResult, de_minimize
 
 
-class StaleDataError(RuntimeError):
-    """The measurement log has not caught up with the controller clock."""
-
-    def __init__(self, latest_index, clock):
-        self.latest_index = latest_index
-        self.clock = clock
-        super().__init__(
-            f"latest recorded step is {latest_index}, interval {clock} needs step {clock - 1}"
-        )
-
-
 @dataclass(frozen=True)
 class MpcSolution:
     """One interval's decision: the schedule and its predicted outcome.
 
-    violation is the schedule's predicted constraint violation, zero
-    exactly when feasible.  generations_used, evaluations and stop_reason
-    are the optimizer's (see DeResult); NOC runs no search and reports 0,
-    0 and None.
+    violation is the schedule's predicted constraint violation.
+    generations_used, evaluations and stop_reason are the optimizer's (see
+    DeResult); NOC runs no search and reports 0, 0 and None.
     """
 
     schedule: ControlSchedule
     predicted: HorizonPrediction
     objective_value: float
-    feasible: bool
     violation: float
-    applied_setpoints: tuple[float, float]
     generations_used: int = 0
     evaluations: int = 0
     stop_reason: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        """True exactly when the schedule's violation is zero."""
+        return self.violation == 0.0
+
+    @property
+    def applied_setpoints(self) -> tuple[float, float]:
+        """The schedule's first step, the one applied this interval."""
+        return self.schedule.temp_setpoints[0], self.schedule.illum_setpoints[0]
 
 
 def solve(
@@ -91,46 +88,29 @@ def solve(
         schedule = ControlSchedule(
             (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
         )
-        pred, objective_value, violation = kernel.predict(schedule)
-        return MpcSolution(
-            schedule=schedule,
-            predicted=pred,
-            objective_value=objective_value,
-            feasible=violation == 0.0,
-            violation=violation,
-            applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
-        )
+        search = (0, 0, None)
+    else:
+        mpc2 = cfg.mode is ControlMode.MPC2
+        lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
+        upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
 
-    mpc2 = cfg.mode is ControlMode.MPC2
-    lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
-    upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
+        def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Temperature and illuminance setpoints of each row."""
+            if mpc2:
+                return pop[:, :horizon], pop[:, horizon:]
+            return pop, np.full_like(pop, cfg.illum_comfort)
 
-    def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature and illuminance setpoints of each row."""
-        if mpc2:
-            return pop[:, :horizon], pop[:, horizon:]
-        return pop, np.full_like(pop, cfg.illum_comfort)
+        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return kernel.evaluate(*split(pop))
 
-    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return kernel.evaluate(*split(pop))
+        # params by keyword: the perfbench de_minimize hook reads it from there.
+        result: DeResult = de_minimize(evaluate, lower, upper, params=de)
+        temp_sets, illum_sets = split(result.best_vector[None, :])
+        schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
+        search = (result.generations_used, result.evaluations, result.stop_reason)
 
-    # params by keyword: the perfbench de_minimize hook reads it from there.
-    result: DeResult = de_minimize(evaluate, lower, upper, params=de)
-
-    temp_sets, illum_sets = split(result.best_vector[None, :])
-    schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
     pred, objective_value, violation = kernel.predict(schedule)
-    return MpcSolution(
-        schedule=schedule,
-        predicted=pred,
-        objective_value=objective_value,
-        feasible=result.feasible,
-        violation=violation,
-        applied_setpoints=(schedule.temp_setpoints[0], schedule.illum_setpoints[0]),
-        generations_used=result.generations_used,
-        evaluations=result.evaluations,
-        stop_reason=result.stop_reason,
-    )
+    return MpcSolution(schedule, pred, objective_value, violation, *search)
 
 
 @dataclass(frozen=True)
@@ -201,33 +181,9 @@ class MeasurementLog:
         )
 
 
-def step_controller(
-    models: ModelSet,
-    history: MeasurementLog,
-    cfg: MpcConfig,
-    de: DeParams,
-    clock: int,
-) -> MpcSolution:
-    """Solve interval `clock`, seeding the optimizer as base seed + clock.
-
-    The interval needs measurements through step clock - 1; older data
-    raises StaleDataError so the caller can hold its previous setpoints.
-    """
-    latest = history.latest_index
-    if latest is None or latest < clock - 1:
-        raise StaleDataError(latest, clock)
-    try:
-        snapshot = history.snapshot()
-    except ValueError as err:
-        # Fresh latest step but the one before it is missing (data gap):
-        # the increment features are unavailable, so treat it as stale.
-        raise StaleDataError(latest, clock) from err
-    de_interval = replace(de, seed=de.seed + clock)
-    return solve(models, snapshot, cfg, de_interval)
-
-
 class Controller:
-    """Closed-loop wrapper: owns the log and holds setpoints on stale data."""
+    """Decides each interval of the closed loop: owns the measurement log
+    and the last applied setpoints, which it holds on stale data."""
 
     def __init__(self, models: ModelSet, cfg: MpcConfig, de: DeParams = DeParams()):
         validate_config(cfg)
@@ -247,22 +203,26 @@ class Controller:
     def decide(self, clock: int) -> tuple[tuple[float, float], MpcSolution | None, str]:
         """Setpoints for interval `clock` plus the solution and a status.
 
-        Status is "ok" on a fresh solve and "stale" when the log lags the
-        clock, in which case the previous setpoints are held.
+        The interval needs the two consecutive steps ending at clock - 1 or
+        later, since the increment features are formed from both.  Then
+        it is solved with the optimizer seeded as base seed + clock, and
+        the status is "ok".  Otherwise the log lags the clock or has a gap
+        before its latest step: the previous setpoints are held, with no
+        solution and status "stale".
         """
-        try:
-            solution = step_controller(self.models, self.log, self.cfg, self.de, clock)
-        except StaleDataError:
+        # The log keeps only its latest step and the one before it, if
+        # recorded, so two steps are the two consecutive ones.
+        if len(self.log) < 2 or self.log.latest_index < clock - 1:
             return self.last_applied, None, "stale"
+        de_interval = replace(self.de, seed=self.de.seed + clock)
+        solution = solve(self.models, self.log.snapshot(), self.cfg, de_interval)
         self.last_applied = solution.applied_setpoints
         return self.last_applied, solution, "ok"
 
 
 __all__ = [
-    "StaleDataError",
     "MpcSolution",
     "solve",
     "MeasurementLog",
-    "step_controller",
     "Controller",
 ]

@@ -78,9 +78,13 @@ class DeResult:
     best_objective: float
     best_violation: float
     generations_used: int
-    feasible: bool
     evaluations: int
     stop_reason: str
+
+    @property
+    def feasible(self) -> bool:
+        """True exactly when the best member's violation is zero."""
+        return self.best_violation == 0.0
 
 
 def not_worse(f_a, v_a, f_b, v_b) -> np.ndarray:
@@ -164,8 +168,6 @@ def de_minimize(
 
     dim = lower.size
     pop_size = params.population_size if params.population_size is not None else 10 * dim
-    if pop_size < 4:
-        pop_size = 4
     factor = params.mutation_factor
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
@@ -227,7 +229,6 @@ def de_minimize(
         best_objective=float(fs[best]),
         best_violation=float(vs[best]),
         generations_used=generations,
-        feasible=bool(vs[best] == 0.0),
         evaluations=pop_size * (1 + generations),
         stop_reason=stop_reason,
     )

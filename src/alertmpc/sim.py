@@ -33,7 +33,7 @@ from .domain import (
 from .identify import TelemetryRow, TelemetryTable
 from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
 from .mpc import Controller
-from .optimizer import DeParams
+from .optimizer import BadBounds, DeParams, NonFiniteObjective
 
 ARMS = (ControlMode.NOC, ControlMode.MPC1, ControlMode.MPC2)
 
@@ -238,7 +238,7 @@ class TraceStep:
     temp: float
     illum: float
     penalty: float
-    feasible: bool
+    feasible: bool | None  # None on a step without a solve (lunch, error, stale)
     status: str
     dls: tuple[float, ...]
     efforts: tuple[float, ...]
@@ -297,8 +297,9 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
 
     The controller history is seeded with two synthetic pre-run steps at
     the initial conditions, so control decisions start at step 0.
-    Controller failures are recorded in the per-step status (holding the
-    previous setpoints) rather than aborting the run.
+    A solve that fails with NonFiniteObjective or BadBounds is recorded
+    as an "error" step (holding the previous setpoints) rather than
+    aborting the run; any other exception propagates.
     """
     validate_scenario(sc)
     plant = sc.plant
@@ -325,7 +326,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
         else:
             try:
                 setpoints, solution, status = ctl.decide(t)
-            except Exception:
+            except (NonFiniteObjective, BadBounds):
                 setpoints, solution, status = ctl.last_applied, None, "error"
 
         rng = step_rng(sc.seed, t)
@@ -341,7 +342,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
                 temp=outcome.temp,
                 illum=outcome.illum,
                 penalty=comfort_penalty(outcome.temp, outcome.illum, cfg),
-                feasible=solution.feasible if solution is not None else True,
+                feasible=None if solution is None else solution.feasible,
                 status=status,
                 dls=outcome.dls,
                 efforts=outcome.efforts,

@@ -7,6 +7,7 @@ import os
 import re
 import warnings
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,9 +173,9 @@ class TestModelFiles:
     def test_rejects_wrong_version(self, tmp_path):
         path = str(tmp_path / "m.json")
         write_model_set(path, TRUTH)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["version"] = 99
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         with pytest.raises(CliError, match="version"):
             read_model_set(path)
 
@@ -186,9 +187,9 @@ class TestModelFiles:
     def test_rejects_missing_block(self, tmp_path):
         path = str(tmp_path / "m.json")
         write_model_set(path, TRUTH)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         del doc["idt"]
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         with pytest.raises(CliError, match="malformed"):
             read_model_set(path)
 
@@ -203,7 +204,7 @@ class TestTelemetryCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_telemetry_csv(p1, table)
         write_telemetry_csv(p2, read_telemetry_csv(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_header_mismatch(self, tmp_path):
         path = put(tmp_path, "t.csv", "step,worker\n0,w0\n")
@@ -443,7 +444,7 @@ class TestTraceCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_trace_csv(p1, self.small_trace())
         write_trace_csv(p2, read_trace_csv(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_missing_metadata(self, tmp_path):
         path = put(tmp_path, "trace.csv",
@@ -464,6 +465,24 @@ class TestTraceCsv:
         path = put(tmp_path, "r.csv", trace_text().replace(",1,ok,", f",{value},ok,"))
         with pytest.raises(CliError, match=r"r\.csv:8: feasible must be 0 or 1"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("status", ["lunch", "error", "stale"])
+    def test_feasible_may_be_empty_on_a_step_that_is_not_ok(self, tmp_path, status):
+        path = put(tmp_path, "r.csv", trace_text().replace(",1,ok,", f",,{status},"))
+        (step,) = read_trace_csv(path).steps
+        assert (step.feasible, step.status) == (None, status)
+
+    @pytest.mark.parametrize("workers, message", [
+        ("-1", "bad trace metadata: workers must be >= 1, got -1"),
+        ("0", "bad trace metadata: workers must be >= 1, got 0"),
+        # The header names one worker, so it has 10 fields.
+        ("100000", "trace header mismatch, expected 200008 fields"),
+    ], ids=["negative", "zero", "wider-than-header"])
+    def test_workers_metadata_is_checked(self, tmp_path, workers, message):
+        path = put(tmp_path, "r.csv", trace_text().replace("# workers=1\n", f"# workers={workers}\n"))
+        with pytest.raises(CliError, match=message) as err:
+            read_trace_csv(path)
+        assert len(str(err.value)) < 1000
 
 
 HUGE_FIELD = "x" * 200_000  # longer than csv.field_size_limit()
@@ -940,10 +959,10 @@ class TestSimulateCommand:
         assert "mode=MPC2" in summary and "mean_dl=" in summary
         assert main(["simulate", "--config", cfg, "--out-dir", d2]) == 0
         for name in ("trace.csv", "metrics.csv"):
-            a = open(os.path.join(d1, name), "rb").read()
-            b = open(os.path.join(d2, name), "rb").read()
+            a = Path(d1, name).read_bytes()
+            b = Path(d2, name).read_bytes()
             assert a == b, name
-        manifest = json.load(open(os.path.join(d1, "simulate_manifest.json")))
+        manifest = json.loads(Path(d1, "simulate_manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["scenario"]["seed"] == 11
 
@@ -953,8 +972,8 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg, "--out-dir", d1])
         main(["simulate", "--config", cfg, "--seed", "29", "--out-dir", d2])
         capsys.readouterr()
-        t1 = open(os.path.join(d1, "trace.csv")).read()
-        t2 = open(os.path.join(d2, "trace.csv")).read()
+        t1 = Path(d1, "trace.csv").read_text()
+        t2 = Path(d2, "trace.csv").read_text()
         assert "# seed=11" in t1 and "# seed=29" in t2
 
     def test_mismatch_requires_model(self, workdir, capsys):
@@ -1207,7 +1226,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        records = [json.loads(line) for line in open(out_path)]
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
         # one warmup record, then one decision per trace step plus a final
         # decision for the interval after the last step
         assert len(records) == len(trace.steps) + 2
@@ -1249,7 +1268,7 @@ class TestDaemonCommand:
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
         assert "skipped 1 malformed and 0 late" in capsys.readouterr().err
-        assert [json.loads(line)["status"] for line in open(out_path)] == ["warmup"]
+        assert [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()] == ["warmup"]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -1267,7 +1286,7 @@ class TestDaemonCommand:
         assert rc == 2
         assert "error: objective returned nan" in capsys.readouterr().err
         # Window 1 completes the two-step history, so its solve is the first.
-        assert [json.loads(line)["status"] for line in open(out_path)] == ["warmup"]
+        assert [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()] == ["warmup"]
 
     def test_late_lines_counted(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
@@ -1311,7 +1330,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        records = [json.loads(line) for line in open(out_path)]
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
         statuses = [r["status"] for r in records]
         assert statuses == ["warmup", "ok", "ok", "stale", "stale", "stale", "ok"]
         held = records[2]
@@ -1345,7 +1364,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        records = [json.loads(line) for line in open(out_path)]
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
         assert [r["status"] for r in records] == ["warmup", "ok", "ok", "stale", "stale", "ok"]
         assert len(solutions) == len(records) - 1
         for record, solution in zip(records, [None] + solutions):
@@ -1377,7 +1396,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        statuses = [json.loads(line)["status"] for line in open(out_path)]
+        statuses = [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()]
         assert statuses == ["warmup", "stale", "ok", "ok", "ok"]
 
     def test_two_worker_replay_matches_simulation(self, workdir, capsys):
@@ -1395,7 +1414,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        records = [json.loads(line) for line in open(out_path)]
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
         assert len(records) == 10
         assert [r["status"] for r in records] == ["warmup"] + ["ok"] * 9
         for record, step in zip(records[1:], trace.steps):
@@ -1408,7 +1427,7 @@ class TestDaemonCommand:
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
         assert rc == 0
-        assert open(out_path).read() == ""
+        assert Path(out_path).read_text() == ""
 
     def test_missing_stream_file(self, workdir, capsys):
         model, cfg_path = self.files(workdir)

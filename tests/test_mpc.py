@@ -17,13 +17,7 @@ from alertmpc.domain import (
     WorkerState,
 )
 from alertmpc.models import comfort_penalty, constraint_violation, objective, rollout
-from alertmpc.mpc import (
-    Controller,
-    MeasurementLog,
-    StaleDataError,
-    solve,
-    step_controller,
-)
+from alertmpc.mpc import Controller, MeasurementLog, solve
 from alertmpc.optimizer import DeParams
 
 
@@ -293,28 +287,28 @@ class TestMeasurementLog:
 
 
 class TestStepController:
-    def fresh_history(self, through_step):
-        log = MeasurementLog()
-        for s in range(through_step + 1):
-            log.record_step(s, [2.2 + 0.05 * s], [0.1], 26.5, 560.0)
-        return log
+    """One interval decided by Controller.decide: freshness and seeding."""
 
-    def test_stale_history_raises(self):
+    def fresh_controller(self, cfg, de, through_step):
+        ctl = Controller(demo_models(), cfg, de)
+        for s in range(through_step + 1):
+            ctl.observe(s, [2.2 + 0.05 * s], [0.1], 26.5, 560.0)
+        return ctl
+
+    def test_stale_history_holds_setpoints(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        log = self.fresh_history(through_step=3)
-        with pytest.raises(StaleDataError, match="interval 6 needs step 5"):
-            step_controller(demo_models(), log, cfg, FAST_DE, clock=6)
+        ctl = self.fresh_controller(cfg, FAST_DE, through_step=3)
+        assert ctl.decide(6) == ((cfg.temp_comfort, cfg.illum_comfort), None, "stale")
 
     def test_gap_before_latest_step_is_stale(self):
         # Fresh latest measurement but the step before it is missing, so
         # the increment features cannot be formed.
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        log = MeasurementLog()
-        log.record_step(0, [2.2], [0.1], 26.5, 560.0)
-        log.record_step(1, [2.3], [0.1], 26.4, 565.0)
-        log.record_step(3, [2.4], [0.1], 26.3, 570.0)
-        with pytest.raises(StaleDataError):
-            step_controller(demo_models(), log, cfg, FAST_DE, clock=4)
+        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl.observe(0, [2.2], [0.1], 26.5, 560.0)
+        ctl.observe(1, [2.3], [0.1], 26.4, 565.0)
+        ctl.observe(3, [2.4], [0.1], 26.3, 570.0)
+        assert ctl.decide(4) == ((cfg.temp_comfort, cfg.illum_comfort), None, "stale")
 
     def test_interval_seed_offsets_base(self, monkeypatch):
         captured = []
@@ -326,17 +320,17 @@ class TestStepController:
 
         monkeypatch.setattr(mpc_mod, "de_minimize", spy)
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)
-        log = self.fresh_history(through_step=4)
         de = DeParams(population_size=8, max_generations=2, seed=100)
-        step_controller(demo_models(), log, cfg, de, clock=5)
+        ctl = self.fresh_controller(cfg, de, through_step=4)
+        ctl.decide(5)
         assert captured == [105]
 
     def test_same_clock_same_solution(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)
-        log = self.fresh_history(through_step=2)
         de = DeParams(population_size=16, max_generations=20, seed=7)
-        a = step_controller(demo_models(), log, cfg, de, clock=3)
-        b = step_controller(demo_models(), log, cfg, de, clock=3)
+        ctl = self.fresh_controller(cfg, de, through_step=2)
+        _, a, _ = ctl.decide(3)
+        _, b, _ = ctl.decide(3)
         assert a.schedule == b.schedule
         assert a.objective_value == b.objective_value
 

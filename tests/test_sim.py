@@ -14,7 +14,8 @@ from alertmpc.domain import (
 )
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
 from alertmpc.mpc import Controller
-from alertmpc.optimizer import DeParams
+from alertmpc.cli import read_trace_csv, write_trace_csv
+from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
     Metrics,
@@ -35,6 +36,27 @@ from alertmpc.sim import (
 )
 
 from helpers import trace_to_telemetry, working_day_drift
+
+
+def flaky_controller(error):
+    """A Controller stand-in whose decide raises error at clock 1."""
+
+    class Flaky:
+        def __init__(self, models, cfg, de):
+            self.inner = Controller(models, cfg, de)
+            self.last_applied = self.inner.last_applied
+
+        def observe(self, *args):
+            self.inner.observe(*args)
+
+        def decide(self, clock):
+            if clock == 1:
+                raise error
+            out = self.inner.decide(clock)
+            self.last_applied = self.inner.last_applied
+            return out
+
+    return Flaky
 
 TRUE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -239,28 +261,28 @@ class TestRunScenario:
         assert trace.steps[2].efforts == (0.0,)
 
     def test_controller_failure_is_contained(self, monkeypatch):
-        class Flaky:
-            def __init__(self, models, cfg, de):
-                self.inner = Controller(models, cfg, de)
-                self.last_applied = self.inner.last_applied
-
-            def observe(self, *args):
-                self.inner.observe(*args)
-
-            def decide(self, clock):
-                if clock == 1:
-                    raise RuntimeError("solver crashed")
-                out = self.inner.decide(clock)
-                self.last_applied = self.inner.last_applied
-                return out
-
-        monkeypatch.setattr(sim_mod, "Controller", Flaky)
+        monkeypatch.setattr(sim_mod, "Controller", flaky_controller(NonFiniteObjective("solver crashed")))
         trace, _ = run_scenario(small_scenario(steps=3))
         assert trace.steps[1].status == "error"
+        assert trace.steps[1].feasible is None
         assert trace.steps[1].temp_set == trace.steps[0].temp_set
         assert trace.steps[1].illum_set == trace.steps[0].illum_set
         assert trace.steps[0].status == "ok"
         assert trace.steps[2].status == "ok"
+
+    def test_other_controller_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "Controller", flaky_controller(RuntimeError("program fault")))
+        with pytest.raises(RuntimeError, match="program fault"):
+            run_scenario(small_scenario(steps=3))
+
+    def test_lunch_steps_have_no_feasible_flag(self, tmp_path):
+        sc = small_scenario(plant=quiet_plant(), steps=5, lunch_start=2, lunch_steps=2)
+        trace, _ = run_scenario(sc)
+        path = str(tmp_path / "trace.csv")
+        write_trace_csv(path, trace)
+        for steps in (trace.steps, read_trace_csv(path).steps):
+            assert [s.status for s in steps] == ["ok", "ok", "lunch", "lunch", "ok"]
+            assert [s.feasible for s in steps] == [True, True, None, None, True]
 
     def test_drift_profile_cycles(self):
         plant = quiet_plant(drift=(0.0, 0.1))
