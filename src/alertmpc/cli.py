@@ -22,7 +22,6 @@ import enum
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 import warnings
@@ -40,10 +39,12 @@ from .domain import (
     ControlMode,
     DlModel,
     DL_FEATURES,
+    ILLUM_RANGE,
     IdtModel,
     ModelSet,
     MpcConfig,
     StateSnapshot,
+    TEMP_RANGE,
     WorkerState,
     validate_config,
 )
@@ -665,7 +666,8 @@ def _parse_stream_record(line: str):
 
     The line must be exactly one JSON object: "t" and "worker" JSON
     strings, "dl", "temp_c" and "illum_lx" JSON numbers (not true/false),
-    all finite, dl on the 1-5 scale.  Anything else raises KeyError,
+    dl on the 1-5 scale, temp_c and illum_lx in TEMP_RANGE and
+    ILLUM_RANGE.  Anything else raises KeyError,
     ValueError or TypeError, including nesting too deep to decode and
     integers too large for a float.
     """
@@ -689,8 +691,10 @@ def _parse_stream_record(line: str):
         raise ValueError("measurement too large for a float") from None
     if not (1.0 <= dl <= 5.0):
         raise ValueError(f"dl {dl} outside the 1-5 scale")
-    if not (math.isfinite(temp) and math.isfinite(illum)):
-        raise ValueError("non-finite measurement")
+    # One comparison chain rather than two require_in_range calls: this
+    # runs on every stream line.
+    if not (TEMP_RANGE[0] <= temp <= TEMP_RANGE[1] and ILLUM_RANGE[0] <= illum <= ILLUM_RANGE[1]):
+        raise ValueError(f"temp_c {temp} or illum_lx {illum} outside the measured range")
     return datetime.fromisoformat(t), worker, dl, temp, illum
 
 
@@ -725,12 +729,11 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     with status "stale".  The roster is the names of the latest window
     that named exactly cfg.num_workers workers; a window counts as data
     when every roster worker has a record in it, and a new roster starts
-    the two-step history afresh.  Each record also carries the solve's
-    "generations" and "stop_reason" (0 and None under NOC, None on warmup
-    and stale windows).
+    the two-step history afresh.  Each record carries "feasible",
+    "generations" and "stop_reason" (None without a solve; 0 and None
+    under NOC).  A failed solve is held as "error" and counted in "errors".
     Malformed and out-of-order lines are skipped and counted.
     """
-    validate_config(cfg)
     window = timedelta(hours=cfg.step_hours)
     ctl = Controller(models, cfg, de)
     origin = None
@@ -739,11 +742,10 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     temps: list[float] = []
     illums: list[float] = []
     roster: tuple[str, ...] | None = None
-    last_feasible = True
-    stats = {"records_in": 0, "records_out": 0, "malformed": 0, "late": 0}
+    stats = {"records_in": 0, "records_out": 0, "malformed": 0, "late": 0, "errors": 0}
 
     def close_window(w: int) -> dict:
-        nonlocal roster, last_feasible
+        nonlocal roster
         distinct = tuple(sorted(dl_buf))
         if len(distinct) == cfg.num_workers and distinct != roster:
             # The roster is missing from this window, which names exactly
@@ -760,19 +762,15 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
         if complete:
             means, stds = _window_stats([dl_buf[wid] for wid in roster] + [temps, illums])
             ctl.observe(w - 2, means[:-2], stds[:-2], means[-2], means[-1])
-        solution = None
-        if w == 0:
-            setpoints, status = ctl.last_applied, "warmup"
-        else:
-            setpoints, solution, status = ctl.decide(w - 1)
-            if solution is not None:
-                last_feasible = solution.feasible
+        decision = ctl.hold("warmup") if w == 0 else ctl.decide(w - 1)
+        solution = decision.solution
+        stats["errors"] += decision.status == "error"
         return {
             "t": (origin + (w + 1) * window).isoformat(),
-            "temp_set_c": setpoints[0],
-            "illum_set_lx": setpoints[1],
-            "feasible": last_feasible,
-            "status": status,
+            "temp_set_c": decision.setpoints[0],
+            "illum_set_lx": decision.setpoints[1],
+            "feasible": decision.feasible,
+            "status": decision.status,
             "generations": None if solution is None else solution.generations_used,
             "stop_reason": None if solution is None else solution.stop_reason,
         }
@@ -1030,14 +1028,11 @@ def cmd_daemon(args) -> int:
     # Nested, so --in is closed again when --out cannot be opened.
     with _open_stream(args.infile, "r", sys.stdin) as in_fh:
         with _open_stream(args.outfile, "w", sys.stdout) as out_fh:
-            try:
-                stats = run_daemon(models, cfg, de, in_fh, on_record)
-            except (NonFiniteObjective, BadBounds) as err:
-                raise CliError(str(err))
-    if stats["malformed"] or stats["late"]:
+            stats = run_daemon(models, cfg, de, in_fh, on_record)
+    if stats["malformed"] or stats["late"] or stats["errors"]:
         print(
-            f"warning: skipped {stats['malformed']} malformed and "
-            f"{stats['late']} late line(s)",
+            f"warning: skipped {stats['malformed']} malformed and {stats['late']} late "
+            f"line(s); {stats['errors']} window(s) held on a solver error",
             file=sys.stderr,
         )
     write_manifest(

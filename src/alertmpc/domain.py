@@ -18,6 +18,12 @@ import numpy as np
 DL_MIN = 1.0
 DL_MAX = 5.0
 
+# The measurable room state, in degrees Celsius and lux.  A snapshot, a
+# setpoint box, the simulated room's initial and ambient state and each
+# daemon reading lie inside it.
+TEMP_RANGE = (0.0, 50.0)
+ILLUM_RANGE = (0.0, 10000.0)
+
 # Regressor names for the drowsiness model, in canonical order.
 DL_FEATURES = (
     "d_prev",
@@ -36,6 +42,12 @@ DL_FEATURES = (
 def clamp_dl(value: float) -> float:
     """Clamp a drowsiness value onto the reportable 1-5 scale."""
     return min(max(value, DL_MIN), DL_MAX)
+
+
+def require_in_range(name: str, value: float, bounds: tuple[float, float], error=ValueError) -> None:
+    """Raise error naming name unless bounds[0] <= value <= bounds[1]."""
+    if not bounds[0] <= value <= bounds[1]:
+        raise error(f"{name} {value} outside the measured range [{bounds[0]}, {bounds[1]}]")
 
 
 class ConfigError(ValueError):
@@ -120,10 +132,8 @@ class StateSnapshot:
         object.__setattr__(self, "workers", tuple(self.workers))
         if not self.workers:
             raise ValueError("snapshot needs at least one worker")
-        if not 0.0 <= self.temp_current <= 50.0:
-            raise ValueError(f"temp_current out of range: {self.temp_current}")
-        if not 0.0 <= self.illum_current <= 10000.0:
-            raise ValueError(f"illum_current out of range: {self.illum_current}")
+        require_in_range("temp_current", self.temp_current, TEMP_RANGE)
+        require_in_range("illum_current", self.illum_current, ILLUM_RANGE)
 
     @cached_property
     def worker_columns(self) -> np.ndarray:
@@ -267,6 +277,9 @@ def validate_config(cfg: MpcConfig) -> None:
             raise NonFiniteSetting(
                 f"{hi} - {lo} must be finite, got {getattr(cfg, hi)} - {getattr(cfg, lo)}"
             )
+    for name, bounds in (("temp_lo", TEMP_RANGE), ("temp_hi", TEMP_RANGE),
+                         ("illum_lo", ILLUM_RANGE), ("illum_hi", ILLUM_RANGE)):
+        require_in_range(name, getattr(cfg, name), bounds, ConfigError)
     if not cfg.temp_lo <= cfg.temp_comfort <= cfg.temp_hi:
         raise ComfortOutsideBounds(
             f"temp_comfort {cfg.temp_comfort} outside [{cfg.temp_lo}, {cfg.temp_hi}]"
@@ -288,8 +301,11 @@ def validate_config(cfg: MpcConfig) -> None:
 __all__ = [
     "DL_MIN",
     "DL_MAX",
+    "TEMP_RANGE",
+    "ILLUM_RANGE",
     "DL_FEATURES",
     "clamp_dl",
+    "require_in_range",
     "ConfigError",
     "BoundsInverted",
     "ComfortOutsideBounds",

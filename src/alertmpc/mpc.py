@@ -4,15 +4,15 @@ solve() turns one measured state into a setpoint schedule.  NOC simply
 holds the comfort point; the optimizing modes search the setpoint box by
 differential evolution, scoring each generation's objective and
 constraint from one batched rollout of the whole population.
-Controller decides each interval for the simulator and the daemon: it
-keeps the measurement log and the last applied setpoints, holds those
-setpoints while the log lags the clock, and otherwise solves with the
-optimizer seeded as base seed + clock.
+Controller builds each interval's Decision for the simulator and the
+daemon: it holds the last applied setpoints while its log lags the clock
+or a solve fails, and otherwise solves seeded as base seed + clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .models import (  # noqa: F401
     objective,
     rollout,
 )
-from .optimizer import DeParams, DeResult, de_minimize
+from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, de_minimize
 
 
 @dataclass(frozen=True)
 class MpcSolution:
-    """One interval's decision: the schedule and its predicted outcome.
+    """One solve's schedule and its predicted outcome.
 
     violation is the schedule's predicted constraint violation.
     generations_used, evaluations and stop_reason are the optimizer's (see
@@ -59,11 +59,6 @@ class MpcSolution:
     def feasible(self) -> bool:
         """True exactly when the schedule's violation is zero."""
         return self.violation == 0.0
-
-    @property
-    def applied_setpoints(self) -> tuple[float, float]:
-        """The schedule's first step, the one applied this interval."""
-        return self.schedule.temp_setpoints[0], self.schedule.illum_setpoints[0]
 
 
 def solve(
@@ -111,6 +106,19 @@ def solve(
 
     pred, objective_value, violation = kernel.predict(schedule)
     return MpcSolution(schedule, pred, objective_value, violation, *search)
+
+
+class Decision(NamedTuple):
+    """One interval's applied setpoints, its solution (None unless status
+    is "ok") and its status; feasible is None without a solution."""
+
+    setpoints: tuple[float, float]
+    solution: MpcSolution | None
+    status: str
+
+    @property
+    def feasible(self) -> bool | None:
+        return None if self.solution is None else self.solution.feasible
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ class MeasurementLog:
 
 class Controller:
     """Decides each interval of the closed loop: owns the measurement log
-    and the last applied setpoints, which it holds on stale data."""
+    and the last applied setpoints, which it holds when it cannot solve."""
 
     def __init__(self, models: ModelSet, cfg: MpcConfig, de: DeParams = DeParams()):
         validate_config(cfg)
@@ -200,28 +208,37 @@ class Controller:
         """Forget the logged measurements; the last applied setpoints stay."""
         self.log = MeasurementLog()
 
-    def decide(self, clock: int) -> tuple[tuple[float, float], MpcSolution | None, str]:
-        """Setpoints for interval `clock` plus the solution and a status.
+    def hold(self, status: str) -> Decision:
+        """Keep the last applied setpoints for this interval, unsolved."""
+        return Decision(self.last_applied, None, status)
+
+    def decide(self, clock: int) -> Decision:
+        """The decision for interval `clock`.
 
         The interval needs the two consecutive steps ending at clock - 1 or
         later, since the increment features are formed from both.  Then
-        it is solved with the optimizer seeded as base seed + clock, and
-        the status is "ok".  Otherwise the log lags the clock or has a gap
-        before its latest step: the previous setpoints are held, with no
-        solution and status "stale".
+        it is solved with the optimizer seeded as base seed + clock: "ok",
+        or "error" (setpoints held) on NonFiniteObjective or BadBounds.  A
+        log that lags the clock or has a gap before its latest step holds
+        the setpoints as "stale".
         """
         # The log keeps only its latest step and the one before it, if
         # recorded, so two steps are the two consecutive ones.
         if len(self.log) < 2 or self.log.latest_index < clock - 1:
-            return self.last_applied, None, "stale"
+            return self.hold("stale")
         de_interval = replace(self.de, seed=self.de.seed + clock)
-        solution = solve(self.models, self.log.snapshot(), self.cfg, de_interval)
-        self.last_applied = solution.applied_setpoints
-        return self.last_applied, solution, "ok"
+        try:
+            solution = solve(self.models, self.log.snapshot(), self.cfg, de_interval)
+        except (NonFiniteObjective, BadBounds):
+            return self.hold("error")
+        schedule = solution.schedule
+        self.last_applied = schedule.temp_setpoints[0], schedule.illum_setpoints[0]
+        return Decision(self.last_applied, solution, "ok")
 
 
 __all__ = [
     "MpcSolution",
+    "Decision",
     "solve",
     "MeasurementLog",
     "Controller",

@@ -23,17 +23,20 @@ from .domain import (
     AmiModel,
     ControlMode,
     DlModel,
+    ILLUM_RANGE,
     IdtModel,
     ModelSet,
     MpcConfig,
+    TEMP_RANGE,
     clamp_dl,
     require_finite,
+    require_in_range,
     validate_config,
 )
 from .identify import TelemetryRow, TelemetryTable
 from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
 from .mpc import Controller
-from .optimizer import BadBounds, DeParams, NonFiniteObjective
+from .optimizer import DeParams
 
 ARMS = (ControlMode.NOC, ControlMode.MPC1, ControlMode.MPC2)
 
@@ -67,6 +70,9 @@ class PlantConfig:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
         if not 1.0 <= self.init_dl <= 5.0:
             raise ValueError(f"init_dl must lie on the 1-5 scale, got {self.init_dl}")
+        for name, bounds in (("init_temp", TEMP_RANGE), ("ambient_temp", TEMP_RANGE),
+                             ("init_illum", ILLUM_RANGE)):
+            require_in_range(name, getattr(self, name), bounds)
 
     def drift_at(self, step: int) -> float:
         """Drift profile value at a step; shorter profiles repeat cyclically."""
@@ -297,9 +303,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
 
     The controller history is seeded with two synthetic pre-run steps at
     the initial conditions, so control decisions start at step 0.
-    A solve that fails with NonFiniteObjective or BadBounds is recorded
-    as an "error" step (holding the previous setpoints) rather than
-    aborting the run; any other exception propagates.
+    Lunch steps hold the previous setpoints (Controller.hold).
     """
     validate_scenario(sc)
     plant = sc.plant
@@ -321,29 +325,23 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     records: list[TraceStep] = []
     for t in range(sc.steps):
         lunch = _in_lunch(sc, t)
-        if lunch:
-            setpoints, solution, status = ctl.last_applied, None, "lunch"
-        else:
-            try:
-                setpoints, solution, status = ctl.decide(t)
-            except (NonFiniteObjective, BadBounds):
-                setpoints, solution, status = ctl.last_applied, None, "error"
+        decision = ctl.hold("lunch") if lunch else ctl.decide(t)
 
         rng = step_rng(sc.seed, t)
         state, outcome = plant_step(
-            plant, state, setpoints, rng, plant.drift_at(t), freeze_workers=lunch
+            plant, state, decision.setpoints, rng, plant.drift_at(t), freeze_workers=lunch
         )
         ctl.observe(t, outcome.dls, outcome.efforts, outcome.temp, outcome.illum)
         records.append(
             TraceStep(
                 step=t,
-                temp_set=setpoints[0],
-                illum_set=setpoints[1],
+                temp_set=decision.setpoints[0],
+                illum_set=decision.setpoints[1],
                 temp=outcome.temp,
                 illum=outcome.illum,
                 penalty=comfort_penalty(outcome.temp, outcome.illum, cfg),
-                feasible=None if solution is None else solution.feasible,
-                status=status,
+                feasible=decision.feasible,
+                status=decision.status,
                 dls=outcome.dls,
                 efforts=outcome.efforts,
             )

@@ -1,9 +1,11 @@
 """Builders that only the tests use: telemetry and daemon input recast from
-a simulation trace, and a drift profile for a working day."""
+a simulation trace, a drift profile for a working day, and a solve that
+fails on one interval."""
 
 import json
 from datetime import datetime, timedelta
 
+import alertmpc.mpc as mpc_module
 from alertmpc.domain import MpcConfig
 from alertmpc.identify import TelemetryRow, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
@@ -80,3 +82,17 @@ def replay_stream_lines(
     # closes the final window; its own window never completes
     emit(len(trace.steps) + 2, "w0", plant.init_dl, plant.init_temp, plant.init_illum)
     return lines
+
+
+def solve_failing_at(seed: int, error: Exception):
+    """A stand-in for alertmpc.mpc.solve that raises error on the solve
+    whose optimizer seed is seed, which Controller.decide sets to base
+    seed + clock, and otherwise solves."""
+    real_solve = mpc_module.solve
+
+    def solve(models, snapshot, cfg, de):
+        if de.seed == seed:
+            raise error
+        return real_solve(models, snapshot, cfg, de)
+
+    return solve

@@ -2,7 +2,6 @@ import ast
 import csv
 import io
 import json
-import math
 import os
 import re
 import warnings
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import alertmpc.cli as cli_module
+import alertmpc.mpc as mpc_module
 from alertmpc.cli import (
     CliError,
     _parse_stream_record,
@@ -42,6 +42,7 @@ from alertmpc.domain import (
 )
 from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_idt_coeffs
 from alertmpc.mpc import Controller, solve
+from alertmpc.optimizer import NonFiniteObjective
 from alertmpc.sim import (
     PlantConfig,
     SimTrace,
@@ -50,7 +51,7 @@ from alertmpc.sim import (
     run_scenario,
 )
 
-from helpers import replay_stream_lines
+from helpers import replay_stream_lines, solve_failing_at
 
 TRUTH = ModelSet(
     dl=DlModel(intercept=0.14, coef={
@@ -983,6 +984,23 @@ class TestSimulateCommand:
         assert rc == 2
         assert "controller_models" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, field", [
+        ({"illum_hi": 20000, "illum_comfort": 15000, "init_illum": 15000}, "illum_hi"),
+        ({"temp_lo": -5}, "temp_lo"),
+        ({"init_illum": 15000}, "init_illum"),
+        ({"init_temp": 60}, "init_temp"),
+        ({"ambient_temp": 55}, "ambient_temp"),
+    ])
+    def test_state_outside_the_room_range_is_config_error(self, workdir, capsys, values, field):
+        text = Path(shipped_config_path("case1_mpc2.cfg")).read_text()
+        for key, value in values.items():
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1
+        cfg = put(workdir, "room.cfg", text)
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
+        assert rc == 2
+        assert f"{field} {float(values[field])} outside the measured range" in capsys.readouterr().err
+
     def test_trace_reads_back(self, workdir, capsys):
         cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
         out = str(workdir / "out")
@@ -1001,6 +1019,32 @@ def synth_trace(mode, seed, dl_level):
         for t in range(3)
     )
     return SimTrace(ControlMode(mode), seed, 1, 2.0, 26.0, 600.0, steps)
+
+
+# report's whole output on TestReportCommand's traces, byte for byte.
+REPORT_TEXT_ROWS = """\
+arm    traces   mean_dl viol_rate  temp_dev  illum_dev  setp_chg
+MPC2        2       2.4         0         0          0         0
+NOC         2       3.1         0         0          0         0
+"""
+REPORT_TEXT_DELTA = "paired mean_dl delta MPC2-NOC: -0.7 (2 shared seeds, negative favors MPC2)\n"
+REPORT_CSV_ROWS = """\
+kind,arm,metric,value
+arm,MPC2,traces,2
+arm,MPC2,mean_dl,2.4
+arm,MPC2,comfort_violation_rate,0
+arm,MPC2,mean_abs_temp_dev,0
+arm,MPC2,mean_abs_illum_dev,0
+arm,MPC2,mean_setpoint_changes,0
+arm,NOC,traces,2
+arm,NOC,mean_dl,3.1
+arm,NOC,comfort_violation_rate,0
+arm,NOC,mean_abs_temp_dev,0
+arm,NOC,mean_abs_illum_dev,0
+arm,NOC,mean_setpoint_changes,0
+"""
+REPORT_CSV_DELTA = "delta,MPC2-NOC,mean_dl,-0.7\n"
+REPORT_SEED_WARNING = "warning: seed sets of MPC2 and NOC differ; paired deltas skipped\n"
 
 
 class TestReportCommand:
@@ -1046,6 +1090,18 @@ class TestReportCommand:
         rc = main(["report", str(workdir / "nope.csv"), "--out-dir", str(workdir)])
         assert rc == 2
 
+    @pytest.mark.parametrize("mpc2_seeds, fmt, out, err", [
+        ((0, 1), "text", REPORT_TEXT_ROWS + REPORT_TEXT_DELTA, ""),
+        ((0, 1), "csv", REPORT_CSV_ROWS + REPORT_CSV_DELTA, ""),
+        ((0, 2), "text", REPORT_TEXT_ROWS, REPORT_SEED_WARNING),
+        ((0, 2), "csv", REPORT_CSV_ROWS, REPORT_SEED_WARNING),
+    ])
+    def test_output_is_pinned(self, workdir, capsys, mpc2_seeds, fmt, out, err):
+        paths = self.write_traces(workdir, mpc2_seeds=mpc2_seeds)
+        rc = main(["report", *paths, "--format", fmt, "--out-dir", str(workdir)])
+        assert rc == 0
+        assert capsys.readouterr() == (out, err)
+
 
 # Lines that once escaped the daemon's malformed-line handling: nesting
 # deep enough to exhaust the decoder's recursion limit, and integers too
@@ -1070,7 +1126,7 @@ def stream_doc(**changes):
 def reference_parse(line: str):
     """The daemon's record grammar read with json.loads: one JSON object,
     t and worker JSON strings, dl/temp_c/illum_lx JSON numbers (not bool),
-    all finite, dl on the 1-5 scale."""
+    dl on the 1-5 scale, temp_c in 0-50 and illum_lx in 0-10000."""
     doc = json.loads(line)
     if not isinstance(doc, dict):
         raise ValueError("not an object")
@@ -1084,7 +1140,7 @@ def reference_parse(line: str):
             raise TypeError(f"{key} must be a number")
         values.append(float(value))
     dl, temp, illum = values
-    if not (all(math.isfinite(v) for v in values) and 1.0 <= dl <= 5.0):
+    if not (1.0 <= dl <= 5.0 and 0.0 <= temp <= 50.0 and 0.0 <= illum <= 10000.0):
         raise ValueError("out of range")
     return datetime.fromisoformat(t), worker, dl, temp, illum
 
@@ -1111,9 +1167,9 @@ well_typed_records = st.fixed_dictionaries({
     "t": st.datetimes().map(datetime.isoformat),
     "worker": st.text(max_size=8),
     "dl": st.floats(0.5, 5.5) | st.integers(0, 6),
-    "temp_c": st.floats(allow_nan=False, allow_infinity=False)
+    "temp_c": st.floats(-1.0, 51.0) | st.floats(allow_nan=False, allow_infinity=False)
     | st.integers(-10**6, 10**6),
-    "illum_lx": st.floats(allow_nan=False, allow_infinity=False)
+    "illum_lx": st.floats(-1.0, 10001.0) | st.floats(allow_nan=False, allow_infinity=False)
     | st.integers(0, 10**6),
 })
 
@@ -1163,8 +1219,8 @@ class TestStreamRecord:
         assert isinstance(when, datetime)
         assert type(worker) is str
         for value in (dl, temp, illum):
-            assert type(value) is float and math.isfinite(value)
-        assert 1.0 <= dl <= 5.0
+            assert type(value) is float
+        assert 1.0 <= dl <= 5.0 and 0.0 <= temp <= 50.0 and 0.0 <= illum <= 10000.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.text())
@@ -1209,6 +1265,21 @@ class TestWindowStats:
             assert std.hex() == float(np.std(buf)).hex()
 
 
+def record_solutions(monkeypatch) -> list:
+    """Patch Controller.decide to append each decision's solution (None
+    when it ran no solve) to the list returned."""
+    solutions = []
+    decide = Controller.decide
+
+    def recording_decide(self, clock):
+        result = decide(self, clock)
+        solutions.append(result[1])
+        return result
+
+    monkeypatch.setattr(Controller, "decide", recording_decide)
+    return solutions
+
+
 class TestDaemonCommand:
     def files(self, tmp_path):
         model = str(tmp_path / "m.json")
@@ -1232,9 +1303,34 @@ class TestDaemonCommand:
         assert len(records) == len(trace.steps) + 2
         assert records[0]["status"] == "warmup"
         for record, step in zip(records[1:], trace.steps):
-            assert record["status"] == "ok"
-            assert record["temp_set_c"] == step.temp_set
-            assert record["illum_set_lx"] == step.illum_set
+            assert step.status == "ok"
+            assert (record["status"], record["feasible"], record["temp_set_c"], record["illum_set_lx"]) == (
+                step.status, step.feasible, step.temp_set, step.illum_set)
+        assert records[-1]["status"] == "ok"
+
+    def test_failed_solve_is_held_in_both_loops(self, workdir, capsys, monkeypatch):
+        # The solve at clock 1 fails: the simulator and the daemon replaying
+        # its trace both hold it as "error" and solve again at clock 2.
+        model, cfg_path = self.files(workdir)
+        sc = parse_scenario_config(cfg_path)
+        monkeypatch.setattr(mpc_module, "solve", solve_failing_at(
+            sc.de.seed + 1, NonFiniteObjective("objective returned nan")))
+        trace, _ = run_scenario(sc)
+        assert [step.status for step in trace.steps] == ["ok", "error", "ok", "ok"]
+        assert trace.steps[1].feasible is None
+        assert trace.steps[1].temp_set == trace.steps[0].temp_set
+        stream = put(workdir, "stream.jsonl",
+                     "\n".join(replay_stream_lines(trace, sc.plant, sc.mpc_cfg)) + "\n")
+        out_path = str(workdir / "setpoints.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        assert "1 window(s) held on a solver error" in capsys.readouterr().err
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
+        assert len(records) == len(trace.steps) + 2
+        for record, step in zip(records[1:], trace.steps):
+            assert (record["status"], record["feasible"], record["temp_set_c"], record["illum_set_lx"]) == (
+                step.status, step.feasible, step.temp_set, step.illum_set)
         assert records[-1]["status"] == "ok"
 
     def test_malformed_lines_counted(self, workdir, capsys):
@@ -1272,7 +1368,7 @@ class TestDaemonCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    def test_nonfinite_objective_is_usage_error(self, workdir, capsys):
+    def test_nonfinite_objective_is_held_as_error(self, workdir, capsys):
         # Coefficients this large overflow the drowsiness rollout to nan.
         coef = dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)
         model = str(workdir / "huge.json")
@@ -1283,10 +1379,14 @@ class TestDaemonCommand:
         out_path = str(workdir / "out.jsonl")
         rc = main(["daemon", "--model", model, "--config", cfg_path,
                    "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
-        assert rc == 2
-        assert "error: objective returned nan" in capsys.readouterr().err
+        assert rc == 0
+        assert "1 window(s) held on a solver error" in capsys.readouterr().err
         # Window 1 completes the two-step history, so its solve is the first.
-        assert [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()] == ["warmup"]
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
+        assert [(r["status"], r["feasible"]) for r in records] == [("warmup", None), ("error", None)]
+        assert (records[1]["temp_set_c"], records[1]["illum_set_lx"]) == (26.0, 600.0)
+        manifest = json.loads((workdir / "daemon_manifest.json").read_text())
+        assert manifest["stats"]["errors"] == 1
 
     def test_late_lines_counted(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
@@ -1343,15 +1443,7 @@ class TestDaemonCommand:
         model, _ = self.files(workdir)
         cfg_path = put(workdir, "control.cfg",
                        CONTROL_CFG.replace("mode = mpc2", f"mode = {mode}"))
-        solutions = []
-        decide = Controller.decide
-
-        def recording_decide(self, clock):
-            result = decide(self, clock)
-            solutions.append(result[1])
-            return result
-
-        monkeypatch.setattr(Controller, "decide", recording_decide)
+        solutions = record_solutions(monkeypatch)
 
         def rec(ts):
             return json.dumps(stream_doc(t=ts, temp_c=26.2, illum_lx=590.0))
@@ -1379,6 +1471,58 @@ class TestDaemonCommand:
         else:
             assert all(r["generations"] > 0 and r["stop_reason"] in ("tolerance", "budget")
                        for r in ok)
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["gap", "gap_then_data"])
+    def test_feasible_is_null_without_a_solve(self, workdir, capsys, monkeypatch, resume):
+        # case1_mpc2.cfg's five workers fill window 0; windows 1-3 are
+        # silent and window 4 logs a step without its predecessor, so
+        # eleven lines end on four stale windows.  With resume, windows 5
+        # and 6 complete the history and are solved.
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        solutions = record_solutions(monkeypatch)
+        origin = datetime(2026, 1, 5, 8)
+
+        def window(w, workers=range(5)):
+            t = (origin + w * timedelta(minutes=15)).isoformat()
+            return [json.dumps(stream_doc(t=t, worker=f"w{i}")) for i in workers]
+
+        lines = window(0) + window(4) + window(5, [0])
+        if resume:
+            lines += window(5, range(1, 5)) + window(6) + window(7, [0])
+        assert len(lines) == (21 if resume else 11)
+        stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", shipped_config_path("case1_mpc2.cfg"),
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        records = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
+        statuses = ["warmup"] + ["stale"] * 4 + ["ok", "ok"] * resume
+        assert [r["status"] for r in records] == statuses
+        assert len(solutions) == len(records) - 1
+        for record, solution in zip(records, [None] + solutions):
+            if record["status"] == "ok":
+                assert type(record["feasible"]) is bool and record["feasible"] == solution.feasible
+            else:
+                assert solution is None and record["feasible"] is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("temp_c", 60.0), ("temp_c", -0.5), ("illum_lx", 10000.5), ("illum_lx", 20000),
+    ])
+    def test_reading_outside_the_room_range_is_malformed(self, workdir, capsys, field, value):
+        # Window 2's only line is out of range: the window is skipped as
+        # missing data, not decided on.
+        model, cfg_path = self.files(workdir)
+        lines = [json.dumps(stream_doc(t=f"2026-01-05T{hm}:00", **({field: value} if w == 2 else {})))
+                 for w, hm in enumerate(["08:00", "08:15", "08:30", "08:45", "09:00", "09:15"])]
+        stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
+        out_path = str(workdir / "out.jsonl")
+        rc = main(["daemon", "--model", model, "--config", cfg_path,
+                   "--in", stream, "--out", out_path, "--out-dir", str(workdir)])
+        assert rc == 0
+        assert "skipped 1 malformed and 0 late" in capsys.readouterr().err
+        statuses = [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()]
+        assert statuses == ["warmup", "ok", "stale", "stale", "ok"]
 
     def test_mistyped_first_window_does_not_fix_the_roster(self, workdir, capsys):
         # Window 0 carries w1x for w1, and every later window the right

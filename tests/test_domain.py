@@ -215,6 +215,13 @@ class TestMpcConfig:
         with pytest.raises(NonFiniteSetting, match=f"{hi} - {lo} must be finite"):
             validate_config(MpcConfig(**{lo: -1.7e308, hi: 1.7e308}))
 
+    @pytest.mark.parametrize("name, value", [
+        ("temp_lo", -0.5), ("temp_hi", 50.5), ("illum_lo", -1.0), ("illum_hi", 20000.0),
+    ])
+    def test_rejects_box_outside_the_room_range(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} {value} outside the measured range"):
+            validate_config(MpcConfig(**{name: value}))
+
 
 def test_mode_parse():
     assert ControlMode.parse("mpc2") is ControlMode.MPC2

@@ -18,7 +18,9 @@ from alertmpc.domain import (
 )
 from alertmpc.models import comfort_penalty, constraint_violation, objective, rollout
 from alertmpc.mpc import Controller, MeasurementLog, solve
-from alertmpc.optimizer import DeParams
+from alertmpc.optimizer import BadBounds, DeParams
+
+from helpers import solve_failing_at
 
 
 def demo_models():
@@ -61,7 +63,6 @@ class TestNoc:
         sol = solve(demo_models(), snapshot(), cfg)
         assert sol.schedule.temp_setpoints == (cfg.temp_comfort,) * cfg.horizon
         assert sol.schedule.illum_setpoints == (cfg.illum_comfort,) * cfg.horizon
-        assert sol.applied_setpoints == (26.0, 600.0)
         assert sol.feasible
 
     def test_reports_infeasibility_honestly(self):
@@ -150,8 +151,6 @@ class TestSolveModes:
                 assert cfg.temp_lo <= t <= cfg.temp_hi
             for l in sol.schedule.illum_setpoints:
                 assert cfg.illum_lo <= l <= cfg.illum_hi
-            assert cfg.temp_lo <= sol.applied_setpoints[0] <= cfg.temp_hi
-            assert cfg.illum_lo <= sol.applied_setpoints[1] <= cfg.illum_hi
 
     @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
     def test_carries_search_diagnostics(self, monkeypatch, mode):
@@ -351,7 +350,24 @@ class TestController:
         ctl.observe(5, [2.6], [0.12], 26.7, 540.0)
         applied, solution, status = ctl.decide(6)
         assert status == "ok" and solution is not None
+        assert applied == (solution.schedule.temp_setpoints[0], solution.schedule.illum_setpoints[0])
         held, held_solution, held_status = ctl.decide(8)
         assert held_status == "stale"
         assert held_solution is None
         assert held == applied
+
+    def test_failed_solve_is_held_as_error(self, monkeypatch):
+        cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)
+        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl.observe(4, [2.4], [0.1], 27.0, 520.0)
+        ctl.observe(5, [2.6], [0.12], 26.7, 540.0)
+        ok = ctl.decide(6)
+        assert ok.feasible == ok.solution.feasible and ok.feasible is not None
+        assert ctl.hold("lunch") == (ok.setpoints, None, "lunch")
+        assert ctl.hold("lunch").feasible is None
+        monkeypatch.setattr(mpc_mod, "solve", solve_failing_at(FAST_DE.seed + 7, BadBounds("no box")))
+        ctl.observe(6, [2.5], [0.1], 26.6, 545.0)
+        error = ctl.decide(7)
+        assert error == (ok.setpoints, None, "error") and error.feasible is None
+        ctl.observe(7, [2.5], [0.1], 26.5, 550.0)
+        assert ctl.decide(8).status == "ok"

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import alertmpc.sim as sim_mod
+import alertmpc.mpc as mpc_mod
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
@@ -35,28 +35,8 @@ from alertmpc.sim import (
     validate_scenario,
 )
 
-from helpers import trace_to_telemetry, working_day_drift
+from helpers import solve_failing_at, trace_to_telemetry, working_day_drift
 
-
-def flaky_controller(error):
-    """A Controller stand-in whose decide raises error at clock 1."""
-
-    class Flaky:
-        def __init__(self, models, cfg, de):
-            self.inner = Controller(models, cfg, de)
-            self.last_applied = self.inner.last_applied
-
-        def observe(self, *args):
-            self.inner.observe(*args)
-
-        def decide(self, clock):
-            if clock == 1:
-                raise error
-            out = self.inner.decide(clock)
-            self.last_applied = self.inner.last_applied
-            return out
-
-    return Flaky
 
 TRUE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -261,8 +241,9 @@ class TestRunScenario:
         assert trace.steps[2].efforts == (0.0,)
 
     def test_controller_failure_is_contained(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "Controller", flaky_controller(NonFiniteObjective("solver crashed")))
-        trace, _ = run_scenario(small_scenario(steps=3))
+        sc = small_scenario(steps=3)
+        monkeypatch.setattr(mpc_mod, "solve", solve_failing_at(sc.de.seed + 1, NonFiniteObjective("solver crashed")))
+        trace, _ = run_scenario(sc)
         assert trace.steps[1].status == "error"
         assert trace.steps[1].feasible is None
         assert trace.steps[1].temp_set == trace.steps[0].temp_set
@@ -271,9 +252,10 @@ class TestRunScenario:
         assert trace.steps[2].status == "ok"
 
     def test_other_controller_errors_propagate(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "Controller", flaky_controller(RuntimeError("program fault")))
+        sc = small_scenario(steps=3)
+        monkeypatch.setattr(mpc_mod, "solve", solve_failing_at(sc.de.seed + 1, RuntimeError("program fault")))
         with pytest.raises(RuntimeError, match="program fault"):
-            run_scenario(small_scenario(steps=3))
+            run_scenario(sc)
 
     def test_lunch_steps_have_no_feasible_flag(self, tmp_path):
         sc = small_scenario(plant=quiet_plant(), steps=5, lunch_start=2, lunch_steps=2)
@@ -306,6 +288,17 @@ class TestRunScenario:
 ])
 def test_plant_rejects_nonfinite_settings(overrides, field):
     with pytest.raises(NonFiniteSetting, match=f"{field} must be finite"):
+        quiet_plant(**overrides)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"init_temp": 50.5}, "init_temp"),
+    ({"init_temp": -1.0}, "init_temp"),
+    ({"ambient_temp": 60.0}, "ambient_temp"),
+    ({"init_illum": 10000.5}, "init_illum"),
+])
+def test_plant_rejects_state_outside_the_room_range(overrides, field):
+    with pytest.raises(ValueError, match=f"{field} .* outside the measured range"):
         quiet_plant(**overrides)
 
 
