@@ -62,8 +62,10 @@ from .models import ShapeMismatch
 from .mpc import Controller, solve
 from .optimizer import BadBounds, DeParams, NonFiniteObjective
 from .sim import (
+    ArmComparison,
     Metrics,
     PlantConfig,
+    PlantOutOfRange,
     ScenarioConfig,
     SimTrace,
     TraceStep,
@@ -472,6 +474,8 @@ def read_trace_csv(path: str) -> SimTrace:
             raise CliError(f"{path}: bad trace metadata: {err}")
         csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
         steps = tuple(step for _, step in csv_file.rows(_trace_step))
+    if not steps:
+        raise CliError(f"{path}: trace has no step rows")
     try:
         return SimTrace(
             mode=mode,
@@ -490,11 +494,9 @@ def write_metrics_csv(path: str, metrics: Metrics) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
-        writer.writerow(["mean_dl", fmt6(metrics.mean_dl)])
-        writer.writerow(["comfort_violation_rate", fmt6(metrics.comfort_violation_rate)])
-        writer.writerow(["mean_abs_temp_dev", fmt6(metrics.mean_abs_temp_dev)])
-        writer.writerow(["mean_abs_illum_dev", fmt6(metrics.mean_abs_illum_dev)])
-        writer.writerow(["setpoint_change_count", metrics.setpoint_change_count])
+        for f in fields(metrics):
+            value = getattr(metrics, f.name)
+            writer.writerow([f.name, fmt6(value) if f.type == "float" else value])
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +920,10 @@ def cmd_simulate(args) -> int:
         validate_scenario(sc)
     except ValueError as err:
         raise CliError(str(err))
-    trace, metrics = run_scenario(sc)
+    try:
+        trace, metrics = run_scenario(sc)
+    except PlantOutOfRange as err:
+        raise CliError(f"config {args.config}: {err}")
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -943,71 +948,53 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    traces = [read_trace_csv(path) for path in args.traces]
-    by_mode: dict[str, list[SimTrace]] = {}
-    for trace in traces:
-        by_mode.setdefault(trace.mode.value, []).append(trace)
-    rows = []
-    for mode_name in sorted(by_mode):
-        group = by_mode[mode_name]
-        per_trace = [compute_metrics(t) for t in group]
-        rows.append(
-            (
-                mode_name,
-                len(group),
-                float(np.mean([m.mean_dl for m in per_trace])),
-                float(np.mean([m.comfort_violation_rate for m in per_trace])),
-                float(np.mean([m.mean_abs_temp_dev for m in per_trace])),
-                float(np.mean([m.mean_abs_illum_dev for m in per_trace])),
-                float(np.mean([m.setpoint_change_count for m in per_trace])),
-            )
-        )
+# The Metrics fields report averages per arm, in column order, and their
+# names in its CSV output.
+_REPORT_METRICS = {
+    "mean_dl": "mean_dl",
+    "comfort_violation_rate": "comfort_violation_rate",
+    "mean_abs_temp_dev": "mean_abs_temp_dev",
+    "mean_abs_illum_dev": "mean_abs_illum_dev",
+    "setpoint_change_count": "mean_setpoint_changes",
+}
 
-    deltas = []
-    seed_sets = {name: sorted(t.seed for t in group) for name, group in by_mode.items()}
-    base = "NOC" if "NOC" in by_mode else None
-    for mode_name in sorted(by_mode):
-        if base is None or mode_name == base:
+
+def cmd_report(args) -> int:
+    comparison = ArmComparison()
+    for path in args.traces:
+        trace = read_trace_csv(path)
+        try:
+            comparison.add(trace.mode.value, trace.seed, compute_metrics(trace))
+        except ValueError as err:  # a repeated (mode, seed)
+            raise CliError(f"{path}: {err}")
+    arms = sorted(comparison.runs)
+    means = {arm: [fmt6(comparison.mean_of(arm, name)) for name in _REPORT_METRICS] for arm in arms}
+    base = "NOC"
+    deltas = []  # (arm, mean of its paired mean_dl deltas against base, shared seeds)
+    for arm in arms:
+        if arm == base or base not in comparison.runs:
             continue
-        if seed_sets[mode_name] != seed_sets[base]:
-            print(
-                f"warning: seed sets of {mode_name} and {base} differ; "
-                "paired deltas skipped",
-                file=sys.stderr,
-            )
+        if not comparison.paired(arm, base):
+            print(f"warning: seed sets of {arm} and {base} differ; paired deltas skipped", file=sys.stderr)
             continue
-        a = {t.seed: compute_metrics(t).mean_dl for t in by_mode[mode_name]}
-        b = {t.seed: compute_metrics(t).mean_dl for t in by_mode[base]}
-        per_seed = [a[s] - b[s] for s in seed_sets[base]]
-        deltas.append((mode_name, base, float(np.mean(per_seed)), len(per_seed)))
+        per_seed = comparison.paired_delta(arm, base)
+        deltas.append((arm, fmt6(np.mean(per_seed)), len(per_seed)))
 
     if args.format == "csv":
         print("kind,arm,metric,value")
-        for name, n, mean_dl, viol, tdev, ldev, changes in rows:
-            print(f"arm,{name},traces,{n}")
-            print(f"arm,{name},mean_dl,{fmt6(mean_dl)}")
-            print(f"arm,{name},comfort_violation_rate,{fmt6(viol)}")
-            print(f"arm,{name},mean_abs_temp_dev,{fmt6(tdev)}")
-            print(f"arm,{name},mean_abs_illum_dev,{fmt6(ldev)}")
-            print(f"arm,{name},mean_setpoint_changes,{fmt6(changes)}")
-        for name, base_name, delta, n in deltas:
-            print(f"delta,{name}-{base_name},mean_dl,{fmt6(delta)}")
+        for arm in arms:
+            print(f"arm,{arm},traces,{len(comparison.runs[arm])}")
+            for name, mean in zip(_REPORT_METRICS.values(), means[arm]):
+                print(f"arm,{arm},{name},{mean}")
+        for arm, delta, _ in deltas:
+            print(f"delta,{arm}-{base},mean_dl,{delta}")
     else:
-        print(
-            f"{'arm':<6} {'traces':>6} {'mean_dl':>9} {'viol_rate':>9} "
-            f"{'temp_dev':>9} {'illum_dev':>10} {'setp_chg':>9}"
-        )
-        for name, n, mean_dl, viol, tdev, ldev, changes in rows:
-            print(
-                f"{name:<6} {n:>6} {fmt6(mean_dl):>9} {fmt6(viol):>9} "
-                f"{fmt6(tdev):>9} {fmt6(ldev):>10} {fmt6(changes):>9}"
-            )
-        for name, base_name, delta, n in deltas:
-            print(
-                f"paired mean_dl delta {name}-{base_name}: {fmt6(delta)} "
-                f"({n} shared seeds, negative favors {name})"
-            )
+        row = "{:<6} {:>6} {:>9} {:>9} {:>9} {:>10} {:>9}".format
+        print(row("arm", "traces", "mean_dl", "viol_rate", "temp_dev", "illum_dev", "setp_chg"))
+        for arm in arms:
+            print(row(arm, len(comparison.runs[arm]), *means[arm]))
+        for arm, delta, n in deltas:
+            print(f"paired mean_dl delta {arm}-{base}: {delta} ({n} shared seeds, negative favors {arm})")
     write_manifest(
         args.out_dir,
         "report",

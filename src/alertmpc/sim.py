@@ -15,7 +15,7 @@ the model's (disturbed, clamped) step average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,6 +114,16 @@ def initial_state(plant: PlantConfig, num_workers: int) -> PlantState:
     )
 
 
+class PlantOutOfRange(ValueError):
+    """The simulated room left the measured range (TEMP_RANGE, ILLUM_RANGE)."""
+
+
+def _require_room_in_range(step: int, outcome: StepOutcome) -> None:
+    """Refuse a step whose realized room state no snapshot could hold."""
+    require_in_range(f"step {step}: plant temperature", outcome.temp, TEMP_RANGE, PlantOutOfRange)
+    require_in_range(f"step {step}: plant illuminance", outcome.illum, ILLUM_RANGE, PlantOutOfRange)
+
+
 def step_rng(seed: int, step: int) -> np.random.Generator:
     """Disturbance stream for one step, independent of the control arm."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, step))))
@@ -149,20 +159,8 @@ def plant_step(
         illum = 0.0
 
     if freeze_workers:
-        outcome = StepOutcome(
-            temp=temp,
-            illum=illum,
-            dls=state.dls,
-            efforts=(0.0,) * len(state.dls),
-        )
-        next_state = PlantState(
-            temp=temp,
-            illum=illum,
-            dls=state.dls,
-            dl_plus=(0.0,) * len(state.dls),
-            dl_minus=(0.0,) * len(state.dls),
-        )
-        return next_state, outcome
+        zeros = (0.0,) * len(state.dls)
+        return PlantState(temp, illum, state.dls, zeros, zeros), StepOutcome(temp, illum, state.dls, zeros)
 
     t_plus, t_minus = increments(temp, state.temp)
     l_plus, l_minus = increments(illum, state.illum)
@@ -197,14 +195,9 @@ def plant_step(
         plus.append(d_plus)
         minus.append(d_minus)
 
-    next_state = PlantState(
-        temp=temp,
-        illum=illum,
-        dls=tuple(new_dls),
-        dl_plus=tuple(plus),
-        dl_minus=tuple(minus),
-    )
-    return next_state, StepOutcome(temp, illum, tuple(new_dls), tuple(efforts))
+    dls = tuple(new_dls)
+    next_state = PlantState(temp, illum, dls, tuple(plus), tuple(minus))
+    return next_state, StepOutcome(temp, illum, dls, tuple(efforts))
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,8 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
 
     The controller history is seeded with two synthetic pre-run steps at
     the initial conditions, so control decisions start at step 0.
-    Lunch steps hold the previous setpoints (Controller.hold).
+    Lunch steps hold the previous setpoints (Controller.hold).  A step
+    that takes the room out of the measured range raises PlantOutOfRange.
     """
     validate_scenario(sc)
     plant = sc.plant
@@ -331,6 +325,7 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
         state, outcome = plant_step(
             plant, state, decision.setpoints, rng, plant.drift_at(t), freeze_workers=lunch
         )
+        _require_room_in_range(t, outcome)
         ctl.observe(t, outcome.dls, outcome.efforts, outcome.temp, outcome.illum)
         records.append(
             TraceStep(
@@ -368,7 +363,8 @@ def run_open_loop(
     """Drive the plant with a fixed setpoint sequence and log telemetry.
 
     This is the identification data collector: sweep the setpoints over
-    their ranges and fit models from the returned table.
+    their ranges and fit models from the returned table.  A step that
+    takes the room out of the measured range raises PlantOutOfRange.
     """
     if not setpoints:
         raise ValueError("setpoint sequence must not be empty")
@@ -377,6 +373,7 @@ def run_open_loop(
     for t, pair in enumerate(setpoints):
         rng = step_rng(seed, t)
         state, outcome = plant_step(plant, state, pair, rng, plant.drift_at(t))
+        _require_room_in_range(t, outcome)
         for i in range(num_workers):
             rows.append(
                 TelemetryRow(
@@ -393,22 +390,36 @@ def run_open_loop(
     return TelemetryTable(tuple(rows))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ArmComparison:
-    """Per-arm metrics over a common seed list (paired by construction)."""
+    """Each arm's run metrics by seed, in the order the runs were added.
+    Two arms' runs pair on equal seeds, which saw the same disturbances."""
 
-    seeds: tuple[int, ...]
-    metrics: dict[str, tuple[Metrics, ...]]
+    runs: dict[str, dict[int, Metrics]] = field(default_factory=dict)
+
+    def add(self, arm: str, seed: int, metrics: Metrics) -> None:
+        arm_runs = self.runs.setdefault(arm, {})
+        if seed in arm_runs:
+            raise ValueError(f"arm {arm} already has a run for seed {seed}")
+        arm_runs[seed] = metrics
+
+    @property
+    def metrics(self) -> dict[str, tuple[Metrics, ...]]:
+        return {arm: tuple(arm_runs.values()) for arm, arm_runs in self.runs.items()}
 
     def mean_of(self, arm: str, attribute: str) -> float:
-        return float(np.mean([getattr(m, attribute) for m in self.metrics[arm]]))
+        return float(np.mean([getattr(m, attribute) for m in self.runs[arm].values()]))
+
+    def paired(self, arm_a: str, arm_b: str) -> bool:
+        """Whether the two arms ran the same seeds."""
+        return self.runs[arm_a].keys() == self.runs[arm_b].keys()
 
     def paired_delta(self, arm_a: str, arm_b: str, attribute: str = "mean_dl"):
-        """Per-seed differences attribute(arm_a) - attribute(arm_b)."""
-        return tuple(
-            getattr(a, attribute) - getattr(b, attribute)
-            for a, b in zip(self.metrics[arm_a], self.metrics[arm_b])
-        )
+        """Per-seed differences attribute(arm_a) - attribute(arm_b), by ascending seed."""
+        a, b = self.runs[arm_a], self.runs[arm_b]
+        if not self.paired(arm_a, arm_b):
+            raise ValueError(f"arms {arm_a} and {arm_b} ran different seeds: {sorted(a)} and {sorted(b)}")
+        return tuple(getattr(a[seed], attribute) - getattr(b[seed], attribute) for seed in sorted(a))
 
 
 def scenario_for_arm(base: ScenarioConfig, mode: ControlMode, seed: int) -> ScenarioConfig:
@@ -420,14 +431,12 @@ def compare_arms(base: ScenarioConfig, seeds) -> ArmComparison:
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds for a comparison, got {len(seeds)}")
-    results: dict[str, tuple[Metrics, ...]] = {}
+    comparison = ArmComparison()
     for mode in ARMS:
-        per_seed = []
         for seed in seeds:
             _, metrics = run_scenario(scenario_for_arm(base, mode, seed))
-            per_seed.append(metrics)
-        results[mode.value] = tuple(per_seed)
-    return ArmComparison(seeds=seeds, metrics=results)
+            comparison.add(mode.value, seed, metrics)
+    return comparison
 
 
 __all__ = [
@@ -436,6 +445,7 @@ __all__ = [
     "PlantState",
     "StepOutcome",
     "initial_state",
+    "PlantOutOfRange",
     "step_rng",
     "plant_step",
     "ScenarioConfig",

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import warnings
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -44,11 +45,14 @@ from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_id
 from alertmpc.mpc import Controller, solve
 from alertmpc.optimizer import NonFiniteObjective
 from alertmpc.sim import (
+    ARMS,
     PlantConfig,
     SimTrace,
     TraceStep,
+    compare_arms,
     run_open_loop,
     run_scenario,
+    scenario_for_arm,
 )
 
 from helpers import replay_stream_lines, solve_failing_at
@@ -1001,6 +1005,21 @@ class TestSimulateCommand:
         assert rc == 2
         assert f"{field} {float(values[field])} outside the measured range" in capsys.readouterr().err
 
+    def test_plant_leaving_the_measured_range_is_refused(self, workdir, capsys):
+        text = Path(shipped_config_path("case1_noc.cfg")).read_text()
+        for key, value in {"theta_prev": 0.5, "illum_hi": 10000, "illum_comfort": 9000, "init_illum": 9000}.items():
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1
+        cfg = put(workdir, "bright.cfg", text)
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: config {re.escape(cfg)}: step \d+: plant illuminance \S+ outside the measured range "
+            r"\[0\.0, 10000\.0\]\n", err
+        ), err
+        assert not (workdir / "trace.csv").exists()
+
     def test_trace_reads_back(self, workdir, capsys):
         cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
         out = str(workdir / "out")
@@ -1089,6 +1108,57 @@ class TestReportCommand:
     def test_unreadable_trace(self, workdir, capsys):
         rc = main(["report", str(workdir / "nope.csv"), "--out-dir", str(workdir)])
         assert rc == 2
+
+    @pytest.mark.parametrize("repeat", ["noc_0.csv", "other_noc_0.csv"])
+    def test_repeated_mode_and_seed_is_refused(self, workdir, capsys, repeat):
+        """The same file twice, or a second NOC trace of seed 0 (of another case, say)."""
+        paths = self.write_traces(workdir)
+        write_trace_csv(str(workdir / "other_noc_0.csv"), synth_trace("NOC", 0, 2.0))
+        rc = main(["report", *paths, str(workdir / repeat), "--out-dir", str(workdir)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {workdir / repeat}: arm NOC already has a run for seed 0\n")
+
+    def test_trace_without_step_rows_is_refused(self, workdir, capsys):
+        path = str(workdir / "empty.csv")
+        write_trace_csv(path, replace(synth_trace("NOC", 0, 3.0), steps=()))
+        rc = main(["report", path, "--out-dir", str(workdir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: trace has no step rows\n"
+
+    def test_agrees_with_compare_arms(self, workdir, capsys):
+        base = parse_scenario_config(put(workdir, "scenario.cfg", SCENARIO_CFG))
+        seeds = (0, 1)
+        paths = []
+        for mode in ARMS:
+            for seed in seeds:
+                trace, _ = run_scenario(scenario_for_arm(base, mode, seed))
+                paths.append(str(workdir / f"{mode.value}_{seed}.csv"))
+                write_trace_csv(paths[-1], trace)
+        assert main(["report", *paths, "--format", "csv", "--out-dir", str(workdir)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        cmp = compare_arms(base, seeds)
+        expected = []  # ("kind,arm,metric", value)
+        for arm in sorted(cmp.metrics):
+            expected.append((f"arm,{arm},traces", len(seeds)))
+            for attribute, name in (
+                ("mean_dl", "mean_dl"), ("comfort_violation_rate", "comfort_violation_rate"),
+                ("mean_abs_temp_dev", "mean_abs_temp_dev"), ("mean_abs_illum_dev", "mean_abs_illum_dev"),
+                ("setpoint_change_count", "mean_setpoint_changes"),
+            ):
+                expected.append((f"arm,{arm},{name}", cmp.mean_of(arm, attribute)))
+        for arm in ("MPC1", "MPC2"):
+            expected.append((f"delta,{arm}-NOC,mean_dl", np.mean(cmp.paired_delta(arm, "NOC"))))
+        assert header == "kind,arm,metric,value"
+        assert [line.rsplit(",", 1)[0] for line in lines] == [key for key, _ in expected]
+        # A trace holds each reading at 6 significant digits, so report's
+        # figures may differ from compare_arms' by that rounding: 5e-6 of the
+        # largest reading (DL at most 5, a mean_dl delta twice that;
+        # temperatures under 40 C, illuminance under 1000 lx here), plus
+        # fmt6's own (rel).  Counts and rates agree exactly.
+        tolerance = {"mean_dl": 5e-5, "mean_abs_temp_dev": 2e-4, "mean_abs_illum_dev": 5e-3}
+        for line, (key, value) in zip(lines, expected):
+            abs_tol = tolerance.get(key.rsplit(",", 1)[1], 0.0)
+            assert float(line.rsplit(",", 1)[1]) == pytest.approx(value, rel=1e-5, abs=abs_tol), line
 
     @pytest.mark.parametrize("mpc2_seeds, fmt, out, err", [
         ((0, 1), "text", REPORT_TEXT_ROWS + REPORT_TEXT_DELTA, ""),

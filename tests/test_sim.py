@@ -18,8 +18,10 @@ from alertmpc.cli import read_trace_csv, write_trace_csv
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
+    ArmComparison,
     Metrics,
     PlantConfig,
+    PlantOutOfRange,
     PlantState,
     ScenarioConfig,
     SimTrace,
@@ -313,6 +315,12 @@ class TestOpenLoopAndTelemetry:
         with pytest.raises(ValueError):
             run_open_loop(noisy_plant(), 1, [], seed=0)
 
+    def test_plant_leaving_the_measured_range_is_refused(self):
+        # Illuminance settles at (30 + 0.85 * 10000) / 0.5 lx; step 1 reaches 12925 lx.
+        plant = quiet_plant(true_ami=AmiModel(theta0=30.0, theta_prev=0.5, theta_set=0.85))
+        with pytest.raises(PlantOutOfRange, match=r"^step 1: plant illuminance 12925\.0 outside the measured range"):
+            run_open_loop(plant, 1, [(26.0, 10000.0)] * 3, seed=0)
+
     def test_trace_round_trip(self):
         trace, _ = run_scenario(small_scenario(steps=4))
         table = trace_to_telemetry(trace)
@@ -331,6 +339,32 @@ class TestComparison:
         deltas = cmp.paired_delta("MPC2", "NOC")
         assert len(deltas) == 2
         assert np.isfinite(cmp.mean_of("MPC1", "mean_dl"))
+
+    @staticmethod
+    def runs(*runs) -> ArmComparison:
+        """A comparison of (arm, seed, mean_dl) runs, added in the order given."""
+        comparison = ArmComparison()
+        for arm, seed, dl in runs:
+            comparison.add(arm, seed, Metrics(dl, 0.0, 0.0, 0.0, 0))
+        return comparison
+
+    def test_paired_delta_pairs_runs_by_seed(self):
+        cmp = self.runs(("NOC", 1, 3.0), ("NOC", 2, 3.5), ("MPC2", 2, 2.5), ("MPC2", 1, 2.75))
+        assert cmp.paired("MPC2", "NOC")
+        assert cmp.paired_delta("MPC2", "NOC") == (2.75 - 3.0, 2.5 - 3.5)
+        assert cmp.metrics["MPC2"] == (Metrics(2.5, 0.0, 0.0, 0.0, 0), Metrics(2.75, 0.0, 0.0, 0.0, 0))
+
+    def test_paired_delta_refuses_different_seeds(self):
+        cmp = self.runs(("NOC", 1, 3.0), ("NOC", 2, 3.5), ("MPC2", 1, 2.5), ("MPC2", 3, 2.75))
+        assert not cmp.paired("MPC2", "NOC")
+        with pytest.raises(ValueError, match=r"arms MPC2 and NOC ran different seeds: \[1, 3\] and \[1, 2\]"):
+            cmp.paired_delta("MPC2", "NOC")
+
+    def test_refuses_a_repeated_run(self):
+        cmp = self.runs(("NOC", 1, 3.0))
+        with pytest.raises(ValueError, match="arm NOC already has a run for seed 1"):
+            cmp.add("NOC", 1, Metrics(3.5, 0.0, 0.0, 0.0, 0))
+        assert cmp.metrics == {"NOC": (Metrics(3.0, 0.0, 0.0, 0.0, 0),)}
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="2 seeds"):
