@@ -89,11 +89,15 @@ def solve(
         lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
         upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
 
+        # MPC1's illuminance schedule, one row that the kernel shares
+        # among all rows.
+        pinned = np.full((1, horizon), cfg.illum_comfort)
+
         def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Temperature and illuminance setpoints of each row."""
             if mpc2:
                 return pop[:, :horizon], pop[:, horizon:]
-            return pop, np.full_like(pop, cfg.illum_comfort)
+            return pop, pinned
 
         def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return kernel.evaluate(*split(pop))

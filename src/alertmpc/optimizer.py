@@ -13,6 +13,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,7 +140,8 @@ def de_minimize(
     evaluate(pop) scores a (P, D) population at once and returns the
     objective and the violation, each of shape (P,).  Violation must be
     nonnegative, zero exactly on the feasible set.  evaluate must be
-    pure and score each row independently of the others.
+    pure and score each row independently of the others.  The array it
+    is given is a buffer that the next generation overwrites.
 
     The initial population is drawn first; then, right before
     generations 0, _BLOCK, 2 * _BLOCK, ... run, the donors, crossover
@@ -174,13 +176,18 @@ def de_minimize(
 
     def checked(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f, v = evaluate(pop)
-        f = np.array(f, dtype=float)
-        v = np.array(v, dtype=float)
+        f = np.asarray(f, dtype=float)
+        v = np.asarray(v, dtype=float)
         if f.shape != (pop_size,) or v.shape != (pop_size,):
             raise ValueError(
                 f"evaluate must return two ({pop_size},) arrays, got {f.shape} and {v.shape}"
             )
-        if np.isfinite(f).all() and np.isfinite(v).all() and v.min() >= 0.0:
+        # A NaN or an infinity makes the total non-finite, so a finite total
+        # vouches for every value; only a total that overflows needs the scans.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(f) + np.add.reduce(v)
+        finite = math.isfinite(total) or (np.isfinite(f).all() and np.isfinite(v).all())
+        if finite and v.min() >= 0.0:
             return f, v
         for name, values in (("objective", f), ("violation", v)):
             bad = ~np.isfinite(values)
@@ -191,15 +198,22 @@ def de_minimize(
         raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
 
     def draw_block() -> tuple[np.ndarray, np.ndarray]:
-        """Donors (_BLOCK, 3, P) and crossover masks (_BLOCK, P, D)."""
+        """Donors (_BLOCK, 3, P) and the complement of the crossover masks,
+        (_BLOCK, P, D): true where a trial keeps its member's value."""
         donors = donor_indices(rng, pop_size, _BLOCK)
         cross = rng.random((_BLOCK, pop_size, dim)) < params.crossover_rate
         forced = rng.integers(dim, size=(_BLOCK, pop_size))
         cross[np.arange(_BLOCK)[:, None], np.arange(pop_size), forced] = True
-        return donors, cross
+        return donors, ~cross
 
     pop = lower + rng.random((pop_size, dim)) * span
-    fs, vs = checked(pop)
+    # Copies: the search updates them in place, and checked() may return
+    # the caller's own arrays.
+    fs, vs = (x.copy() for x in checked(pop))
+    # Every generation's donors and trials go into these buffers.
+    donor_rows = np.empty((3, pop_size, dim))
+    r1, r2, r3 = donor_rows
+    trials = np.empty((pop_size, dim))
     generations = 0
     stop_reason = "budget"
     for gen in range(params.max_generations):
@@ -209,13 +223,18 @@ def de_minimize(
             break
         step = gen % _BLOCK
         if step == 0:
-            donors, cross = draw_block()
+            donors, keep = draw_block()
         generations += 1
 
-        r1, r2, r3 = pop.take(donors[step], axis=0)
-        mutants = r1 + factor * (r2 - r3)
-        np.minimum(np.maximum(mutants, lower, out=mutants), upper, out=mutants)
-        trials = np.where(cross[step], mutants, pop)
+        # The donors are valid indices, so "clip" changes none of them; it
+        # spares take the copy it makes of out for "raise".
+        pop.take(donors[step], axis=0, out=donor_rows, mode="clip")
+        np.subtract(r2, r3, out=trials)
+        np.multiply(factor, trials, out=trials)
+        np.add(r1, trials, out=trials)
+        np.maximum(trials, lower, out=trials)
+        np.minimum(trials, upper, out=trials)
+        np.copyto(trials, pop, where=keep[step])
 
         f_t, v_t = checked(trials)
         take = not_worse(f_t, v_t, fs, vs)

@@ -427,8 +427,15 @@ def scenario_for_arm(base: ScenarioConfig, mode: ControlMode, seed: int) -> Scen
 
 
 def compare_arms(base: ScenarioConfig, seeds) -> ArmComparison:
-    """Run every control arm over the same seeds with shared disturbances."""
+    """Run every control arm over the same seeds with shared disturbances.
+
+    The seeds are checked before any run: each may appear once, and at
+    least two are needed.
+    """
     seeds = tuple(int(s) for s in seeds)
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"seed {seed} is given more than once; each arm runs a seed once")
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds for a comparison, got {len(seeds)}")
     comparison = ArmComparison()

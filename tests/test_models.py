@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,6 +375,10 @@ class TestHorizonKernel:
         kernel, snap, cfg = self.kernel(rng, workers, horizon)
         # 40 rows, scored pop at a time: the first three sit on the clamps.
         temp_sets, illum_sets = TestRolloutBatch().population(rng, 40, horizon)
+        # Setpoints equal to the measured 26.0 tie, which takes k_up: rows 3
+        # to 5 start there and row 6 holds it at every step.
+        temp_sets[3:6, 0] = snap.temp_current
+        temp_sets[6] = snap.temp_current
         hit = {"dl_high": False, "dl_low": False, "dark": False, "violated": False}
         for start in range(0, 40, pop):
             rows = slice(start, start + pop)
@@ -415,6 +421,36 @@ class TestHorizonKernel:
         np.copyto(v_a, -1.0)
         f_again, v_again = kernel.evaluate(*a)
         assert np.array_equal(f_again, want[0]) and np.array_equal(v_again, want[1])
+
+    @pytest.mark.parametrize("pop", [1, 4, 40])
+    def test_tie_takes_the_rising_gain(self, pop):
+        # With these gains k * 26.0 + (1 - k) * 26.0 rounds differently for
+        # k_up and k_down, so the tie's branch shows in the temperature.
+        models = replace(self.MODELS, idt=IdtModel(k_up=0.1, k_down=0.15))
+        snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
+        kernel = HorizonKernel(models, snap, MpcConfig(horizon=2, num_workers=1))
+        temps, _, _ = kernel.rollout(np.full((pop, 2), 26.0), np.full((pop, 2), 600.0))
+        want = predict_idt(models.idt, 26.0, 26.0)
+        assert want != predict_idt(IdtModel(k_up=0.15, k_down=0.15), 26.0, 26.0)
+        assert (temps[0] == want).all()
+
+    def test_second_call_adds_no_workspace(self):
+        workers, pop = 24, 40
+        rng = np.random.default_rng(12)
+        kernel, _, _ = self.kernel(rng, workers, 4)
+        temp_sets, illum_sets = TestRolloutBatch().population(rng, pop, 4)
+        kernel.evaluate(temp_sets, illum_sets)
+        workspaces = dict(kernel._workspaces)
+        tracemalloc.start()
+        try:
+            kernel.evaluate(temp_sets, illum_sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel._workspaces == workspaces
+        # The call allocates its two (P,) results and small Python objects,
+        # nothing of a workers-by-rows size.
+        assert peak < np.empty((workers, pop)).nbytes
 
     def test_shape_mismatch(self):
         kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import alertmpc.mpc as mpc_mod
+import alertmpc.sim as sim_mod
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
@@ -369,6 +370,19 @@ class TestComparison:
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="2 seeds"):
             compare_arms(small_scenario(), seeds=(0,))
+
+    @pytest.mark.parametrize("seeds", [(1, 1), (3, 4, 3)], ids=["1,1", "3,4,3"])
+    def test_repeated_seed_is_refused_before_any_run(self, monkeypatch, seeds):
+        runs = []
+
+        def counting(sc):
+            runs.append(sc.seed)
+            return run_scenario(sc)
+
+        monkeypatch.setattr(sim_mod, "run_scenario", counting)
+        with pytest.raises(ValueError, match=f"seed {seeds[-1]} is given more than once"):
+            compare_arms(small_scenario(steps=2), seeds=seeds)
+        assert runs == []
 
     def test_scenario_for_arm_keeps_configs_aligned(self):
         sc = scenario_for_arm(small_scenario(), ControlMode.NOC, seed=9)
