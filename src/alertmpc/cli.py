@@ -162,35 +162,49 @@ def write_model_set(path: str, models: ModelSet) -> None:
         fh.write("\n")
 
 
+_JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
+
+
+def _model_number(block: dict, key: str) -> float:
+    value = block[key]
+    if type(value) not in _JSON_NUMBER:
+        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def read_model_set(path: str) -> ModelSet:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise CliError(f"cannot read model file {path}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8
         raise CliError(f"model file {path} is not valid JSON: {err}")
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_FILE_VERSION:
+    if not isinstance(doc, dict):
+        raise CliError(f"model file {path} must hold a JSON object, got {type(doc).__name__}")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_FILE_VERSION:
         raise CliError(
-            f"model file {path} has unsupported version {doc.get('version')!r}, "
-            f"expected {MODEL_FILE_VERSION}"
+            f"model file {path} has unsupported version {version!r}, expected {MODEL_FILE_VERSION}"
         )
     try:
+        dl, idt, ami = doc["dl"], doc["idt"], doc["ami"]
+        coef = dl["coef"]
+        if not isinstance(coef, dict):
+            raise TypeError(f"dl.coef must be a JSON object, got {type(coef).__name__}")
         return ModelSet(
             dl=DlModel(
-                intercept=float(doc["dl"]["intercept"]),
-                coef={k: float(v) for k, v in doc["dl"]["coef"].items()},
+                intercept=_model_number(dl, "intercept"),
+                coef={k: _model_number(coef, k) for k in coef},
             ),
-            idt=IdtModel(
-                k_up=float(doc["idt"]["k_up"]), k_down=float(doc["idt"]["k_down"])
-            ),
+            idt=IdtModel(k_up=_model_number(idt, "k_up"), k_down=_model_number(idt, "k_down")),
             ami=AmiModel(
-                theta0=float(doc["ami"]["theta0"]),
-                theta_prev=float(doc["ami"]["theta_prev"]),
-                theta_set=float(doc["ami"]["theta_set"]),
+                theta0=_model_number(ami, "theta0"),
+                theta_prev=_model_number(ami, "theta_prev"),
+                theta_set=_model_number(ami, "theta_set"),
             ),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CliError(f"model file {path} is malformed: {err}")
 
 
@@ -621,7 +635,8 @@ def _control_config(path: str, parser) -> tuple[MpcConfig, DeParams]:
 def parse_scenario_config(
     path: str, controller_models: ModelSet | None = None
 ) -> ScenarioConfig:
-    """Assemble a full scenario from [mpc], [de], [plant] and [scenario]."""
+    """Assemble a full scenario from [mpc], [de], [plant] and [scenario];
+    controller_models are simulate's --model."""
     parser = _load_config(path)
     cfg, de = _control_config(path, parser)
     idt, ami, dl, rest = _read_section(path, parser, "plant", required=True)
@@ -635,6 +650,9 @@ def parse_scenario_config(
     sc = ScenarioConfig(
         plant=plant, mpc_cfg=cfg, de=de, controller_models=controller_models, **scenario
     )
+    if controller_models is not None and not sc.model_mismatch:
+        raise CliError(f"config {path}: --model needs model_mismatch = true, "
+                       "or the controller ignores it and uses the plant's models")
     try:
         validate_scenario(sc)
     except ValueError as err:
@@ -660,7 +678,6 @@ def shipped_config_path(name: str) -> str:
 
 
 _decode_json = json.JSONDecoder().raw_decode
-_JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
 
 
 def _parse_stream_record(line: str):
@@ -1065,7 +1082,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a closed-loop scenario")
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--model", default=None,
-                   help="controller model JSON (required when model_mismatch is on)")
+                   help="controller model JSON: required when the config sets "
+                        "model_mismatch = true, refused otherwise")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out-dir", default=".", help="directory for trace.csv, metrics.csv, manifest")
     p.set_defaults(func=cmd_simulate)

@@ -19,9 +19,12 @@ eight terms with one np.add.reduce along the term axis.  The objective
 and the violation are each one np.add.reduce along the rows of a
 buffer.  None of these axes is the innermost one, so numpy adds term by
 term and row by row, in order, and every row stays bitwise equal to the
-scalar recursion.  The single-schedule objective and
-constraint_violation score through the same buffers; rollout is the
-kernel for one schedule.
+scalar recursion.
+
+rollout is the kernel for one schedule.  objective and
+constraint_violation are the plain definitions of the two scores of one
+prediction, summed one float at a time in the order the kernel adds, so
+each equals the kernel's score of that schedule bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .domain import (
     StateSnapshot,
 )
 
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class ShapeMismatch(ValueError):
@@ -121,20 +124,17 @@ class HorizonPrediction:
     illums: tuple[float, ...]
     dls: tuple[tuple[float, ...], ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.temps)
-
 
 class HorizonKernel:
     """The horizon rollout of one solve, for any number of schedules.
 
     Built once per solve from the models, the measured state and the
-    configuration; solve scores every generation and the final schedule
-    with it.  The terms of predict_dl's sum that depend only on the
-    snapshot (the intercept, the effort term and step 1's d_prev and
-    lagged increment terms) are computed here, once.  Each population
-    size gets a workspace on first use, which later calls reuse.
+    configuration; solve scores every generation of its search, or NOC's
+    one schedule, with it.  The terms of predict_dl's sum that depend
+    only on the snapshot (the intercept, the effort term and step 1's
+    d_prev and lagged increment terms) are computed here, once.  Each
+    population size gets a workspace on first use, which later calls
+    reuse.
 
     Environment increments are taken along the predicted trajectory,
     anchored at the measured state.  Drowsiness increments are lagged:
@@ -180,7 +180,6 @@ class HorizonKernel:
                 ]
             )[:, :, None, None]
         )
-        self._comfort = _comfort_arrays(cfg)
         self._workspaces: dict[int, _Workspace] = {}
 
     def _run(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> _Workspace:
@@ -234,9 +233,6 @@ class HorizonKernel:
         np.copyto(ws.dls_by_step, ws.d_steps)
         return ws
 
-    def _scores(self, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-        return ws.objective(), ws.violation(ws.room, *ws.comfort)
-
     def rollout(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
         """Predicted temperatures and illuminances, (horizon, P) each, and
         drowsiness, (workers, horizon, P), of P schedules.
@@ -250,74 +246,11 @@ class HorizonKernel:
 
     def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
         """Objective and violation of P schedules, as new (P,) arrays."""
-        return self._scores(self._run(temp_sets, illum_sets))
-
-    def predict(self, schedule: ControlSchedule) -> tuple[HorizonPrediction, float, float]:
-        """One schedule's prediction, objective and violation."""
-        ws = self._run(np.array([schedule.temp_setpoints]), np.array([schedule.illum_setpoints]))
-        f, v = self._scores(ws)
-        pred = HorizonPrediction(
-            tuple(ws.room[:, 0, 0].tolist()),
-            tuple(ws.room[:, 1, 0].tolist()),
-            tuple(map(tuple, ws.dls[:, :, 0].tolist())),
-        )
-        return pred, float(f[0]), float(v[0])
+        ws = self._run(temp_sets, illum_sets)
+        return ws.objective(), ws.violation()
 
 
-class _Scores:
-    """Buffers that score the predictions of P rows.
-
-    Both scores are sums over the rows of an (n, cols) buffer: the
-    drowsiness, dls_padded as (workers * horizon, cols), and the comfort
-    excess, (horizon, cols).  cols is P, plus a spare all-zero column
-    when P is 1.  np.add.reduce along axis 0 runs its inner loop along
-    the columns, so it adds row after row, in the order the scalar sums
-    add.  With a single column that axis would be the inner one and
-    numpy would sum it pairwise; the spare column prevents that.
-    """
-
-    def __init__(self, workers: int, horizon: int, pop: int):
-        cols = pop + (pop == 1)
-        self.pop = pop
-        self.dls_padded = np.zeros((workers, horizon, cols))
-        self.dls = self.dls_padded[..., :pop]
-        self._dl_rows = self.dls_padded.reshape(-1, cols)
-        self._deviation = np.empty((horizon, 2, pop))
-        self._excess_padded = np.zeros((horizon, cols))
-        self._excess = self._excess_padded[:, :pop]
-        self._over_padded = np.zeros((horizon, cols), dtype=bool)
-        self._over = self._over_padded[:, :pop]
-
-    def objective(self) -> np.ndarray:
-        """Mean drowsiness of each row, as a new (P,) array."""
-        total = np.add.reduce(self._dl_rows, axis=0)[: self.pop]
-        return np.divide(total, len(self._dl_rows), out=total)
-
-    def violation(self, room: np.ndarray, comfort: np.ndarray, weights: np.ndarray, cap: float):
-        """constraint_violation of each row of (horizon, 2, P) room
-        trajectories, as a new (P,) array.
-
-        The penalty is comfort_penalty's, one array operation at a time.
-        Only the positive excess is summed, from zero: that adds
-        where(excess > 0, excess, 0) row after row.  A total too large for
-        a float (huge comfort weights) saturates at the largest float: the
-        search still ranks it as the worst violation, where an infinity
-        would stop it as a non-finite evaluation.
-        """
-        deviation, excess = self._deviation, self._excess
-        np.subtract(room, comfort, out=deviation)
-        np.absolute(deviation, out=deviation)
-        np.multiply(weights, deviation, out=deviation)
-        np.add(deviation[:, 0], deviation[:, 1], out=excess)
-        np.subtract(excess, cap, out=excess)
-        np.greater(excess, 0.0, out=self._over)
-        total = np.add.reduce(
-            self._excess_padded, axis=0, where=self._over_padded, initial=0.0
-        )[: self.pop]
-        return np.minimum(total, _FLOAT_MAX, out=total)
-
-
-class _Workspace(_Scores):
+class _Workspace:
     """A HorizonKernel's buffers for populations of one size, P.
 
     room_state is (horizon + 1, 2, P): temperature and illuminance at
@@ -333,11 +266,30 @@ class _Workspace(_Scores):
     that size that it allocates.  So drowsiness is stepped in d_steps,
     one contiguous (workers, P) block per step, and the room's terms are
     computed for one worker and copied out for all of them.
+
+    Both scores are sums over the rows of an (n, cols) buffer: the
+    drowsiness, dls_padded as (workers * horizon, cols), and the comfort
+    excess, (horizon, cols).  cols is P, plus a spare all-zero column
+    when P is 1.  np.add.reduce along axis 0 runs its inner loop along
+    the columns, so it adds row after row, in the order the scalar sums
+    add.  With a single column that axis would be the inner one and
+    numpy would sum it pairwise; the spare column prevents that.
     """
 
     def __init__(self, kernel: HorizonKernel, pop: int):
-        horizon, workers = kernel.cfg.horizon, kernel.cfg.num_workers
-        super().__init__(workers, horizon, pop)
+        cfg = kernel.cfg
+        horizon, workers = cfg.horizon, cfg.num_workers
+        self.pop = pop
+        score_cols = pop + (pop == 1)
+        self.dls_padded = np.zeros((workers, horizon, score_cols))
+        self.dls = self.dls_padded[..., :pop]
+        self._dl_rows = self.dls_padded.reshape(-1, score_cols)
+        self._deviation = np.empty((horizon, 2, pop))
+        self._excess_padded = np.zeros((horizon, score_cols))
+        self._excess = self._excess_padded[:, :pop]
+        self._over_padded = np.zeros((horizon, score_cols), dtype=bool)
+        self._over = self._over_padded[:, :pop]
+
         # np.add.reduce over the term axis adds term by term, left to right,
         # as predict_dl does, because that axis is not the innermost one.
         # With one worker and one row it would be the only axis, and numpy
@@ -369,10 +321,11 @@ class _Workspace(_Scores):
         self.room_state[0, 0] = kernel.snapshot.temp_current
         self.room_state[0, 1] = kernel.snapshot.illum_current
         self.room = self.room_state[1:]
-        comfort, weights, cap = kernel._comfort
-        self.comfort = (np.empty_like(self.room), np.empty_like(self.room), cap)
-        self.comfort[0][...] = comfort
-        self.comfort[1][...] = weights
+        # The comfort point and the penalty weights, at every step and row.
+        self.comfort, self.weights = np.empty((2, *self.room.shape))
+        self.comfort[:, 0], self.comfort[:, 1] = cfg.temp_comfort, cfg.illum_comfort
+        self.weights[:, 0], self.weights[:, 1] = cfg.p_temp, cfg.p_illum
+        self.cap = cfg.penalty_cap
         # Steps 1.. and 0.. with a worker axis, as the room's terms have.
         self.room_next = self.room_state[1:, :, None]
         self.room_prev = self.room_state[:-1, :, None]
@@ -403,6 +356,33 @@ class _Workspace(_Scores):
             zip(self.t_sets, temps, up, down, room, room[1:], illums, self.lights)
         )
 
+    def objective(self) -> np.ndarray:
+        """Mean drowsiness of each row, as a new (P,) array."""
+        total = np.add.reduce(self._dl_rows, axis=0)[: self.pop]
+        return np.divide(total, len(self._dl_rows), out=total)
+
+    def violation(self) -> np.ndarray:
+        """constraint_violation of each row, as a new (P,) array.
+
+        The penalty is comfort_penalty's, one array operation at a time.
+        Only the positive excess is summed, from zero: that adds
+        where(excess > 0, excess, 0) row after row.  A total too large for
+        a float (huge comfort weights) saturates at the largest float: the
+        search still ranks it as the worst violation, where an infinity
+        would stop it as a non-finite evaluation.
+        """
+        deviation, excess = self._deviation, self._excess
+        np.subtract(self.room, self.comfort, out=deviation)
+        np.absolute(deviation, out=deviation)
+        np.multiply(self.weights, deviation, out=deviation)
+        np.add(deviation[:, 0], deviation[:, 1], out=excess)
+        np.subtract(excess, self.cap, out=excess)
+        np.greater(excess, 0.0, out=self._over)
+        total = np.add.reduce(
+            self._excess_padded, axis=0, where=self._over_padded, initial=0.0
+        )[: self.pop]
+        return np.minimum(total, _FLOAT_MAX, out=total)
+
 
 def _signed(delta: np.ndarray, above, below, rising: np.ndarray, coef: np.ndarray, out):
     """delta times above where delta >= 0, else times below, into out.
@@ -419,31 +399,28 @@ def _signed(delta: np.ndarray, above, below, rising: np.ndarray, coef: np.ndarra
     np.multiply(delta, coef, out=out)
 
 
-def _comfort_arrays(cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """The comfort point and the penalty weights, (2, 1) each, for a
-    (temperature, illuminance) stack, and the penalty cap."""
-    comfort, weights = np.array(
-        [[[cfg.temp_comfort], [cfg.illum_comfort]], [[cfg.p_temp], [cfg.p_illum]]]
-    )
-    return comfort, weights, cfg.penalty_cap
-
-
 def rollout(
-    models: ModelSet,
-    snapshot: StateSnapshot,
-    schedule: ControlSchedule,
-    cfg: MpcConfig,
+    models: ModelSet, snapshot: StateSnapshot, schedule: ControlSchedule, cfg: MpcConfig
 ) -> HorizonPrediction:
     """Propagate one schedule: the kernel for a population of one."""
-    return HorizonKernel(models, snapshot, cfg).predict(schedule)[0]
+    predicted = HorizonKernel(models, snapshot, cfg).rollout(
+        np.array([schedule.temp_setpoints]), np.array([schedule.illum_setpoints])
+    )
+    temps, illums, dls = (x[..., 0].tolist() for x in predicted)
+    return HorizonPrediction(tuple(temps), tuple(illums), tuple(map(tuple, dls)))
 
 
 def objective(pred: HorizonPrediction) -> float:
-    """Mean predicted drowsiness across workers and steps."""
-    dls = np.array(pred.dls, dtype=float)
-    scores = _Scores(*dls.shape, 1)
-    scores.dls[..., 0] = dls
-    return float(scores.objective()[0])
+    """Mean predicted drowsiness across workers and steps.
+
+    Added worker by worker, then step by step, one float at a time, as
+    the kernel adds; sum() would compensate, and could differ.
+    """
+    total = 0.0
+    for path in pred.dls:
+        for d in path:
+            total += d
+    return total / (len(pred.dls) * len(pred.dls[0]))
 
 
 def comfort_penalty(temp, illum, cfg: MpcConfig):
@@ -457,10 +434,15 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
     """Total excess of the per-step comfort penalty over the cap.
 
     Zero exactly when every predicted step satisfies the comfort
-    constraint.
+    constraint.  The positive excesses are added step by step, from
+    zero; a total too large for a float saturates at the largest float.
     """
-    room = np.array([pred.temps, pred.illums], dtype=float).T[:, :, None]
-    return float(_Scores(1, len(room), 1).violation(room, *_comfort_arrays(cfg))[0])
+    total = 0.0
+    for temp, illum in zip(pred.temps, pred.illums):
+        excess = comfort_penalty(temp, illum, cfg) - cfg.penalty_cap
+        if excess > 0.0:
+            total += excess
+    return min(total, _FLOAT_MAX)
 
 
 __all__ = [

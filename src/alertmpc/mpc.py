@@ -1,9 +1,11 @@
 """Receding-horizon control built on the prediction models.
 
 solve() turns one measured state into a setpoint schedule.  NOC simply
-holds the comfort point; the optimizing modes search the setpoint box by
-differential evolution, scoring each generation's objective and
-constraint from one batched rollout of the whole population.
+holds the comfort point and scores it with one rollout; the optimizing
+modes search the setpoint box by differential evolution, scoring each
+generation's objective and constraint from one batched rollout of the
+whole population, and report the search's own scores of the schedule
+they pick.
 Controller builds each interval's Decision for the simulator and the
 daemon: it holds the last applied setpoints while its log lags the clock
 or a solve fails, and otherwise solves seeded as base seed + clock.
@@ -28,27 +30,22 @@ from .domain import (
 # rollout, objective and constraint_violation are not called here; they
 # stay importable from this module because the perfbench trace hooks look
 # them up on it.
-from .models import (  # noqa: F401
-    HorizonKernel,
-    HorizonPrediction,
-    constraint_violation,
-    objective,
-    rollout,
-)
+from .models import HorizonKernel, constraint_violation, objective, rollout  # noqa: F401
 from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, de_minimize
 
 
 @dataclass(frozen=True)
 class MpcSolution:
-    """One solve's schedule and its predicted outcome.
+    """One solve's schedule and its predicted scores.
 
-    violation is the schedule's predicted constraint violation.
+    objective_value and violation are the schedule's predicted mean
+    drowsiness and constraint violation, as objective and
+    constraint_violation give them for rollout's prediction.
     generations_used, evaluations and stop_reason are the optimizer's (see
     DeResult); NOC runs no search and reports 0, 0 and None.
     """
 
     schedule: ControlSchedule
-    predicted: HorizonPrediction
     objective_value: float
     violation: float
     generations_used: int = 0
@@ -80,36 +77,33 @@ def solve(
     kernel = HorizonKernel(models, snapshot, cfg)
 
     if cfg.mode is ControlMode.NOC:
-        schedule = ControlSchedule(
-            (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
-        )
-        search = (0, 0, None)
-    else:
-        mpc2 = cfg.mode is ControlMode.MPC2
-        lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
-        upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
+        temps, illums = (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
+        (f,), (v,) = kernel.evaluate(np.array([temps]), np.array([illums]))
+        return MpcSolution(ControlSchedule(temps, illums), float(f), float(v))
 
-        # MPC1's illuminance schedule, one row that the kernel shares
-        # among all rows.
-        pinned = np.full((1, horizon), cfg.illum_comfort)
+    mpc2 = cfg.mode is ControlMode.MPC2
+    lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
+    upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
 
-        def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Temperature and illuminance setpoints of each row."""
-            if mpc2:
-                return pop[:, :horizon], pop[:, horizon:]
-            return pop, pinned
+    # MPC1's illuminance schedule, one row that the kernel shares
+    # among all rows.
+    pinned = np.full((1, horizon), cfg.illum_comfort)
 
-        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return kernel.evaluate(*split(pop))
+    def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Temperature and illuminance setpoints of each row."""
+        if mpc2:
+            return pop[:, :horizon], pop[:, horizon:]
+        return pop, pinned
 
-        # params by keyword: the perfbench de_minimize hook reads it from there.
-        result: DeResult = de_minimize(evaluate, lower, upper, params=de)
-        temp_sets, illum_sets = split(result.best_vector[None, :])
-        schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
-        search = (result.generations_used, result.evaluations, result.stop_reason)
+    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return kernel.evaluate(*split(pop))
 
-    pred, objective_value, violation = kernel.predict(schedule)
-    return MpcSolution(schedule, pred, objective_value, violation, *search)
+    # params by keyword: the perfbench de_minimize hook reads it from there.
+    result: DeResult = de_minimize(evaluate, lower, upper, params=de)
+    temp_sets, illum_sets = split(result.best_vector[None, :])
+    schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
+    search = (result.generations_used, result.evaluations, result.stop_reason)
+    return MpcSolution(schedule, result.best_objective, result.best_violation, *search)
 
 
 class Decision(NamedTuple):

@@ -223,6 +223,8 @@ def validate_scenario(sc: ScenarioConfig) -> None:
         raise ValueError(f"seed must be >= 0, got {sc.seed}")
     if sc.model_mismatch and sc.controller_models is None:
         raise ValueError("model_mismatch requires controller_models")
+    if sc.controller_models is not None and not sc.model_mismatch:
+        raise ValueError("controller_models need model_mismatch, or the plant's models are used")
     if sc.lunch_start is not None and sc.lunch_start < 0:
         raise ValueError(f"lunch_start must be >= 0, got {sc.lunch_start}")
     if sc.lunch_steps < 0:

@@ -318,12 +318,13 @@ def test_3_constraint_guarantee():
                 assert cfg.temp_lo <= t_set <= cfg.temp_hi
             for l_set in sol.schedule.illum_setpoints:
                 assert cfg.illum_lo <= l_set <= cfg.illum_hi
+            pred = rollout(FIXTURE_MODELS, snap, sol.schedule, cfg)
             if sol.feasible:
-                assert constraint_violation(sol.predicted, cfg) == 0.0
-                for t, l in zip(sol.predicted.temps, sol.predicted.illums):
+                assert constraint_violation(pred, cfg) == 0.0
+                for t, l in zip(pred.temps, pred.illums):
                     assert comfort_penalty(t, l, cfg) <= cfg.penalty_cap
             else:
-                assert constraint_violation(sol.predicted, cfg) > 0.0
+                assert constraint_violation(pred, cfg) > 0.0
         assert outcomes[True] >= 20, outcomes
         assert outcomes[False] >= 20, outcomes
 

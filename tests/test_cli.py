@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -201,6 +202,37 @@ class TestModelFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):
             read_model_set(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("case", [
+        "top-level array", "coef list", "coef string", "not utf-8", "true coefficient",
+        "true intercept", "string gain", "int too large for a float", "true version",
+    ])
+    def test_rejects_malformed_documents(self, tmp_path, case):
+        path = tmp_path / "m.json"
+        write_model_set(str(path), TRUTH)
+        doc = json.loads(path.read_text())
+        if case == "top-level array":
+            doc = [doc]
+        elif case == "coef list":
+            doc["dl"]["coef"] = list(doc["dl"]["coef"].values())
+        elif case == "coef string":
+            doc["dl"]["coef"] = "d_prev"
+        elif case == "true coefficient":
+            doc["dl"]["coef"]["effort"] = True
+        elif case == "true intercept":
+            doc["dl"]["intercept"] = True
+        elif case == "string gain":
+            doc["idt"]["k_up"] = "0.3"
+        elif case == "int too large for a float":
+            doc["ami"]["theta0"] = 10 ** 400
+        elif case == "true version":
+            doc["version"] = True
+        data = json.dumps(doc).encode()
+        if case == "not utf-8":
+            data = data[:-1] + b', "note": "caf\xe9"}'
+        path.write_bytes(data)
+        with pytest.raises(CliError, match=re.escape(str(path))):
+            read_model_set(str(path))
 
 
 class TestTelemetryCsv:
@@ -823,6 +855,24 @@ class TestShippedConfigs:
         assert cfg.num_workers == 6
         assert (cfg.temp_lo, cfg.temp_hi) == (25.0, 27.0)
 
+    # sha256 of write_trace_csv's output for each shipped config at seed 1:
+    # a change that alters any decision or reading of these runs shows here.
+    TRACE_SHA256 = {
+        "case1_mpc1.cfg": "232bdfdf58f939d64974054bd80e6e0cbd345be96071c88483d800559d9d5f46",
+        "case1_mpc2.cfg": "7a4d9f28bfdd95b934d05abc99552c2d97c9489f3cd2ebcf2408bd4071c70420",
+        "case1_noc.cfg": "9a4185ba80fe62797ea26fa24a2e4e71c58006abd5854a6f767589fd621058c5",
+        "case2_mpc2.cfg": "4206c2bf538427f0b41a502d4f6e590e42c2ebaa62b2508b04496006bb25e668",
+        "case2_noc.cfg": "ec8bf55452505471c3bd8a08cd76b2160762d24c47cf573902367eeadeb3a64a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+    def test_trace_at_seed_1_is_pinned(self, tmp_path, name):
+        sc = replace(parse_scenario_config(shipped_config_path(name)), seed=1)
+        trace, _ = run_scenario(sc)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256[name]
+
 
 class TestIdentifyCommand:
     def telemetry_file(self, tmp_path, steps=60):
@@ -987,6 +1037,19 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
         assert rc == 2
         assert "controller_models" in capsys.readouterr().err
+
+    def test_model_without_mismatch_is_usage_error(self, workdir, capsys):
+        # With model_mismatch off the controller uses the plant's models, so
+        # a --model file would be read and then ignored.
+        cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        out = workdir / "out"
+        rc = main(["simulate", "--config", cfg, "--model", model, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "model_mismatch" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("values, field", [
         ({"illum_hi": 20000, "illum_comfort": 15000, "init_illum": 15000}, "illum_hi"),

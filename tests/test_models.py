@@ -524,6 +524,19 @@ class TestObjectiveAndConstraint:
         # penalties: 1.25, 0.0, 0.75 -> excesses 0.75, 0, 0.25
         assert constraint_violation(P(), cfg) == pytest.approx(1.0, abs=1e-12)
 
+    # The kernel's penalty overflows to infinity on the way; numpy warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_violation_saturates_as_the_kernel_does(self):
+        models = TestRolloutBatch.MODELS
+        cfg = MpcConfig(horizon=2, num_workers=1, p_temp=1e308, p_illum=1e308)
+        snap = StateSnapshot((WorkerState(2.0),), 29.0, 900.0)
+        sched = ControlSchedule((29.0, 29.0), (900.0, 900.0))
+        _, (v,) = HorizonKernel(models, snap, cfg).evaluate(
+            np.array([sched.temp_setpoints]), np.array([sched.illum_setpoints]))
+        violation = constraint_violation(rollout(models, snap, sched, cfg), cfg)
+        assert violation == v == np.finfo(float).max
+        assert type(violation) is float
+
 
 class TestObjectiveGradient:
     """Check smoothness of the optimizer's landscape at a kink-free point:

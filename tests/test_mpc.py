@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import alertmpc.models as models_mod
 import alertmpc.mpc as mpc_mod
 from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
@@ -16,7 +17,13 @@ from alertmpc.domain import (
     StateSnapshot,
     WorkerState,
 )
-from alertmpc.models import comfort_penalty, constraint_violation, objective, rollout
+from alertmpc.models import (
+    HorizonKernel,
+    comfort_penalty,
+    constraint_violation,
+    objective,
+    rollout,
+)
 from alertmpc.mpc import Controller, MeasurementLog, solve
 from alertmpc.optimizer import BadBounds, DeParams
 
@@ -87,8 +94,8 @@ class TestNoc:
         snap = snapshot(workers=workers, temp=28.3, illum=410.0)
         sol = solve(demo_models(), snap, cfg)
         pred = rollout(demo_models(), snap, sol.schedule, cfg)
-        assert sol.predicted == pred
         assert sol.objective_value == objective(pred)
+        assert sol.violation == constraint_violation(pred, cfg)
         assert sol.feasible == (constraint_violation(pred, cfg) == 0.0)
 
 
@@ -170,10 +177,12 @@ class TestSolveModes:
         assert sol.generations_used == res.generations_used > 0
         assert sol.evaluations == res.evaluations == 16 * (1 + res.generations_used)
         assert sol.stop_reason == res.stop_reason == "tolerance"
-        # The reported prediction and objective are the single-schedule views'.
+        # The search's own scores of its best member are the single-schedule
+        # definitions' scores of the returned schedule.
+        assert (sol.objective_value, sol.violation) == (res.best_objective, res.best_violation)
         pred = rollout(demo_models(), snap, sol.schedule, cfg)
-        assert sol.predicted == pred
         assert sol.objective_value == objective(pred)
+        assert sol.violation == constraint_violation(pred, cfg)
 
     def test_feasible_flag_backed_by_predictions(self):
         # Tighter cap than the default so the constraint actually binds.
@@ -195,13 +204,39 @@ class TestSolveModes:
             sol = solve(models, snap, cfg,
                         DeParams(population_size=24, max_generations=40, seed=i))
             outcomes[sol.feasible] += 1
+            pred = rollout(models, snap, sol.schedule, cfg)
             if sol.feasible:
-                for t, l in zip(sol.predicted.temps, sol.predicted.illums):
+                for t, l in zip(pred.temps, pred.illums):
                     assert comfort_penalty(t, l, cfg) <= cfg.penalty_cap
             else:
-                assert constraint_violation(sol.predicted, cfg) > 0.0
+                assert constraint_violation(pred, cfg) > 0.0
         assert outcomes[True] > 0, "tight-cap sweep never produced a feasible solve"
         assert outcomes[False] > 0, "tight-cap sweep never produced an infeasible solve"
+
+
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_solve_scores_whole_populations_only(monkeypatch, mode):
+    # Every kernel call and every workspace a solve makes, by row count: the
+    # search's generations, or NOC's one schedule, and nothing after them.
+    calls, built = [], []
+    for name in ("evaluate", "rollout"):
+        def spy(kernel, temp_sets, illum_sets, real=getattr(HorizonKernel, name), name=name):
+            calls.append((name, len(temp_sets)))
+            return real(kernel, temp_sets, illum_sets)
+        monkeypatch.setattr(HorizonKernel, name, spy)
+
+    class CountedWorkspace(models_mod._Workspace):
+        def __init__(self, kernel, pop):
+            built.append(pop)
+            super().__init__(kernel, pop)
+
+    monkeypatch.setattr(models_mod, "_Workspace", CountedWorkspace)
+    cfg = MpcConfig(mode=mode, num_workers=2, horizon=3)
+    sol = solve(demo_models(), snapshot(workers=2), cfg,
+                DeParams(population_size=16, max_generations=30, seed=3))
+    rows = 1 if mode is ControlMode.NOC else 16
+    assert calls == [("evaluate", rows)] * (1 + sol.generations_used)
+    assert built == [rows]
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])
@@ -217,7 +252,9 @@ def test_violation_reported_and_backs_feasible(room, mode):
         snap = snapshot(workers=cfg.num_workers, temp=temp, illum=530.0)
         sol = solve(models, snap, cfg, de)
         assert sol.feasible == (sol.violation == 0.0)
-        assert sol.violation == constraint_violation(sol.predicted, cfg)
+        pred = rollout(models, snap, sol.schedule, cfg)
+        assert sol.objective_value == objective(pred)
+        assert sol.violation == constraint_violation(pred, cfg)
         outcomes.add(sol.feasible)
     assert outcomes == {True, False}
 

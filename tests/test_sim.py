@@ -13,7 +13,7 @@ from alertmpc.domain import (
     MpcConfig,
     NonFiniteSetting,
 )
-from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
+from alertmpc.models import increments, predict_ami, predict_dl, predict_idt, rollout
 from alertmpc.mpc import Controller
 from alertmpc.cli import read_trace_csv, write_trace_csv
 from alertmpc.optimizer import DeParams, NonFiniteObjective
@@ -175,6 +175,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="controller_models"):
             validate_scenario(replace(small_scenario(), model_mismatch=True))
 
+    def test_models_require_mismatch(self):
+        sc = small_scenario()
+        with pytest.raises(ValueError, match="model_mismatch"):
+            validate_scenario(replace(sc, controller_models=sc.plant.truth()))
+
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
             validate_scenario(replace(small_scenario(), steps=0))
@@ -221,12 +226,14 @@ class TestRunScenario:
             ctl.observe(pre, [plant.init_dl], [0.0], plant.init_temp, plant.init_illum)
         state = initial_state(plant, 1)
         for t in range(5):
+            snap = ctl.log.snapshot()
             setpoints, solution, status = ctl.decide(t)
             assert status == "ok"
+            predicted = rollout(plant.truth(), snap, solution.schedule, cfg)
             state, out = plant_step(plant, state, setpoints, step_rng(0, t))
-            assert out.temp == pytest.approx(solution.predicted.temps[0], abs=1e-9)
-            assert out.illum == pytest.approx(solution.predicted.illums[0], abs=1e-9)
-            assert out.dls[0] == pytest.approx(solution.predicted.dls[0][0], abs=1e-9)
+            assert out.temp == pytest.approx(predicted.temps[0], abs=1e-9)
+            assert out.illum == pytest.approx(predicted.illums[0], abs=1e-9)
+            assert out.dls[0] == pytest.approx(predicted.dls[0][0], abs=1e-9)
             ctl.observe(t, out.dls, out.efforts, out.temp, out.illum)
 
     def test_lunch_freezes_workers_and_setpoints(self):
