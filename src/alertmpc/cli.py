@@ -22,6 +22,7 @@ import enum
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -39,6 +40,8 @@ from .domain import (
     ControlMode,
     DlModel,
     DL_FEATURES,
+    DL_MAX,
+    DL_MIN,
     ILLUM_RANGE,
     IdtModel,
     ModelSet,
@@ -417,8 +420,47 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
 # trace and metrics CSV
 
 
+def _bounded(low: float, high: float = math.inf):
+    """A converter of a named field's text to a finite float in [low, high]."""
+    def convert(name: str, text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise ValueError(f"{name} must be finite and lie in [{low}, {high}], got {text}")
+        return value
+    return convert
+
+
+def _at_least(low: int):
+    """A converter of a named field's text to an integer >= low."""
+    def convert(name: str, text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        return value
+    return convert
+
+
+# What a trace holds, each with its converter: its metadata, the float
+# columns of a step record, and each worker's drowsiness and effort.
+_TRACE_METADATA = {
+    "mode": lambda name, text: ControlMode.parse(text),
+    "seed": _at_least(0),
+    "workers": _at_least(1),
+    "penalty_cap": _bounded(0.0),
+    "temp_comfort": _bounded(*TEMP_RANGE),
+    "illum_comfort": _bounded(*ILLUM_RANGE),
+}
+_TRACE_FLOATS = {
+    "temp_set_c": _bounded(*TEMP_RANGE),
+    "illum_set_lx": _bounded(*ILLUM_RANGE),
+    "temp_c": _bounded(*TEMP_RANGE),
+    "illum_lx": _bounded(*ILLUM_RANGE),
+    "penalty": _bounded(0.0),
+}
+_TRACE_DL = _bounded(DL_MIN, DL_MAX)
+_TRACE_EFFORT = _bounded(0.0)
 # A trace record: these columns, then dl_w<i>, effort_w<i> for each worker.
-_TRACE_STEP_COLUMNS = ["step", "temp_set_c", "illum_set_lx", "temp_c", "illum_lx", "penalty", "feasible", "status"]
+_TRACE_STEP_COLUMNS = ["step", *_TRACE_FLOATS, "feasible", "status"]
 
 
 def _trace_header(workers: int) -> list[str]:
@@ -458,50 +500,43 @@ def _trace_step(record: list[str]) -> TraceStep:
     feasible, status = record[6:8]
     if feasible not in ("0", "1") and not (feasible == "" and status != "ok"):
         raise ValueError(f"feasible must be 0 or 1, or empty on a step that is not ok, got {feasible!r}")
-    measured = tuple(map(float, record[8:]))  # dl_w0, effort_w0, dl_w1, ...
+    room = [convert(name, text) for (name, convert), text in zip(_TRACE_FLOATS.items(), record[1:6])]
+    dls = tuple(_TRACE_DL(f"dl_w{i}", text) for i, text in enumerate(record[8::2]))
+    efforts = tuple(_TRACE_EFFORT(f"effort_w{i}", text) for i, text in enumerate(record[9::2]))
     return TraceStep(
-        int(record[0]), *map(float, record[1:6]), None if feasible == "" else feasible == "1", status,
-        measured[0::2], measured[1::2],
+        int(record[0]), *room, None if feasible == "" else feasible == "1", status, dls, efforts
     )
 
 
 def read_trace_csv(path: str) -> SimTrace:
-    meta: dict[str, str] = {}
+    """A trace that write_trace_csv wrote.  A field that cannot be such a
+    trace's (a non-finite number, a reading or setpoint outside the
+    measured range, a dl off the 1-5 scale, a negative effort, penalty or
+    seed) is a CliError naming the file and its line."""
+    meta: dict[str, tuple[int, str]] = {}  # key: (line, text)
     with _CsvFile(path, "trace") as csv_file:
-        for line in csv_file.metadata_lines():
+        for number, line in enumerate(csv_file.metadata_lines(), start=1):
             try:
                 key, value = line[1:].strip().split("=", 1)
             except ValueError:
-                raise CliError(f"{path}: malformed metadata line {line.strip()!r}")
-            meta[key.strip()] = value.strip()
-        required = {"mode", "seed", "workers", "penalty_cap", "temp_comfort", "illum_comfort"}
-        missing = required - set(meta)
+                raise CliError(f"{path}:{number}: malformed metadata line {line.strip()!r}")
+            meta[key.strip()] = number, value.strip()
+        missing = set(_TRACE_METADATA) - set(meta)
         if missing:
             raise CliError(f"{path}: missing trace metadata {sorted(missing)}")
-        try:
-            mode = ControlMode.parse(meta["mode"])
-            seed = int(meta["seed"])
-            workers = int(meta["workers"])
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {workers}")
-        except (ValueError, ConfigError) as err:
-            raise CliError(f"{path}: bad trace metadata: {err}")
+        values = {}
+        for key, convert in _TRACE_METADATA.items():
+            number, text = meta[key]
+            try:
+                values[key] = convert(key, text)
+            except ValueError as err:
+                raise CliError(f"{path}:{number}: bad trace metadata: {err}")
+        workers = values["workers"]
         csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
         steps = tuple(step for _, step in csv_file.rows(_trace_step))
     if not steps:
         raise CliError(f"{path}: trace has no step rows")
-    try:
-        return SimTrace(
-            mode=mode,
-            seed=seed,
-            num_workers=workers,
-            penalty_cap=float(meta["penalty_cap"]),
-            temp_comfort=float(meta["temp_comfort"]),
-            illum_comfort=float(meta["illum_comfort"]),
-            steps=steps,
-        )
-    except ValueError as err:
-        raise CliError(f"{path}: {err}")
+    return SimTrace(num_workers=values.pop("workers"), steps=steps, **values)
 
 
 def write_metrics_csv(path: str, metrics: Metrics) -> None:
@@ -650,9 +685,6 @@ def parse_scenario_config(
     sc = ScenarioConfig(
         plant=plant, mpc_cfg=cfg, de=de, controller_models=controller_models, **scenario
     )
-    if controller_models is not None and not sc.model_mismatch:
-        raise CliError(f"config {path}: --model needs model_mismatch = true, "
-                       "or the controller ignores it and uses the plant's models")
     try:
         validate_scenario(sc)
     except ValueError as err:
@@ -1082,8 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a closed-loop scenario")
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--model", default=None,
-                   help="controller model JSON: required when the config sets "
-                        "model_mismatch = true, refused otherwise")
+                   help="controller model JSON; without it the controller uses the plant's models")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out-dir", default=".", help="directory for trace.csv, metrics.csv, manifest")
     p.set_defaults(func=cmd_simulate)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from datetime import timedelta
 
 import numpy as np
 
@@ -135,15 +135,6 @@ class StateSnapshot:
         require_in_range("temp_current", self.temp_current, TEMP_RANGE)
         require_in_range("illum_current", self.illum_current, ILLUM_RANGE)
 
-    @cached_property
-    def worker_columns(self) -> np.ndarray:
-        """Read-only (4, workers) array: d_current, d_plus, d_minus, effort."""
-        columns = np.array(
-            [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in self.workers]
-        ).T
-        columns.flags.writeable = False
-        return columns
-
 
 @dataclass(frozen=True)
 class ControlSchedule:
@@ -263,6 +254,17 @@ def validate_config(cfg: MpcConfig) -> None:
         raise ConfigError(f"num_workers must be >= 1, got {cfg.num_workers}")
     if cfg.step_hours <= 0:
         raise ConfigError(f"step_hours must be positive, got {cfg.step_hours}")
+    # The daemon's windows are timedeltas: whole microseconds, up to
+    # timedelta.max.
+    try:
+        window = timedelta(hours=cfg.step_hours)
+    except OverflowError:
+        window = timedelta(0)
+    if window == timedelta(0):
+        raise ConfigError(
+            f"step_hours must round to a window of 1 microsecond to "
+            f"{timedelta.max.days} days, got {cfg.step_hours}"
+        )
     if cfg.temp_lo > cfg.temp_hi:
         raise BoundsInverted(
             f"temp_lo {cfg.temp_lo} exceeds temp_hi {cfg.temp_hi}"

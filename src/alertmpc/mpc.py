@@ -74,20 +74,20 @@ def solve(
     """
     validate_config(cfg)
     horizon = cfg.horizon
-    kernel = HorizonKernel(models, snapshot, cfg)
 
     if cfg.mode is ControlMode.NOC:
         temps, illums = (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
+        kernel = HorizonKernel(models, snapshot, cfg, 1)
         (f,), (v,) = kernel.evaluate(np.array([temps]), np.array([illums]))
         return MpcSolution(ControlSchedule(temps, illums), float(f), float(v))
 
     mpc2 = cfg.mode is ControlMode.MPC2
     lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
     upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
-
-    # MPC1's illuminance schedule, one row that the kernel shares
-    # among all rows.
-    pinned = np.full((1, horizon), cfg.illum_comfort)
+    rows = de.population_for(lower.size)
+    kernel = HorizonKernel(models, snapshot, cfg, rows)
+    # MPC1's illuminance schedule, the same in every row.
+    pinned = np.full((rows, horizon), cfg.illum_comfort)
 
     def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Temperature and illuminance setpoints of each row."""

@@ -39,7 +39,7 @@ class DeParams:
     """Search budget and variation settings.
 
     population_size of None means 10x the problem dimension (a config
-    file spells it auto).  tolerance
+    file spells it auto; see population_for).  tolerance
     controls early stopping: the search halts once every member is
     feasible and the population's objective spread falls below it.
     """
@@ -64,6 +64,10 @@ class DeParams:
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+
+    def population_for(self, dim: int) -> int:
+        """Population size of a search over dim dimensions."""
+        return 10 * dim if self.population_size is None else self.population_size
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ def de_minimize(
         )
 
     dim = lower.size
-    pop_size = params.population_size if params.population_size is not None else 10 * dim
+    pop_size = params.population_for(dim)
     factor = params.mutation_factor
 
     rng = np.random.Generator(np.random.PCG64(params.seed))

@@ -202,14 +202,14 @@ def plant_step(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one closed-loop run needs."""
+    """Everything one closed-loop run needs.  The controller uses
+    controller_models when they are given, else the plant's own models."""
 
     steps: int
     seed: int
     plant: PlantConfig
     mpc_cfg: MpcConfig
     de: DeParams = DeParams()
-    model_mismatch: bool = False
     controller_models: ModelSet | None = None
     lunch_start: int | None = None
     lunch_steps: int = 4
@@ -221,10 +221,6 @@ def validate_scenario(sc: ScenarioConfig) -> None:
         raise ValueError(f"steps must be >= 1, got {sc.steps}")
     if sc.seed < 0:
         raise ValueError(f"seed must be >= 0, got {sc.seed}")
-    if sc.model_mismatch and sc.controller_models is None:
-        raise ValueError("model_mismatch requires controller_models")
-    if sc.controller_models is not None and not sc.model_mismatch:
-        raise ValueError("controller_models need model_mismatch, or the plant's models are used")
     if sc.lunch_start is not None and sc.lunch_start < 0:
         raise ValueError(f"lunch_start must be >= 0, got {sc.lunch_start}")
     if sc.lunch_steps < 0:
@@ -306,8 +302,8 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     cfg = sc.mpc_cfg
     workers = cfg.num_workers
 
-    controller_models = sc.controller_models if sc.model_mismatch else plant.truth()
-    ctl = Controller(controller_models, cfg, sc.de)
+    models = plant.truth() if sc.controller_models is None else sc.controller_models
+    ctl = Controller(models, cfg, sc.de)
     for pre_step in (-2, -1):
         ctl.observe(
             pre_step,

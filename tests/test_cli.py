@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import alertmpc.cli as cli_module
 import alertmpc.mpc as mpc_module
+import alertmpc.sim as sim_module
 from alertmpc.cli import (
     CliError,
     _parse_stream_record,
@@ -509,6 +510,36 @@ class TestTraceCsv:
         (step,) = read_trace_csv(path).steps
         assert (step.feasible, step.status) == (None, status)
 
+    # Each case edits one field of trace_text()'s one-step trace: a
+    # non-finite number, a reading or setpoint outside the measured range,
+    # a dl off the 1-5 scale, a negative effort, penalty or seed.
+    @pytest.mark.parametrize("old, new, message", [
+        (",26.4,598.7,", ",nan,598.7,", r":8: temp_c must be finite"),
+        (",26.4,598.7,", ",1e6,598.7,", r":8: temp_c must be finite and lie in \[0.0, 50.0\]"),
+        (",26.4,598.7,", ",26.4,inf,", r":8: illum_lx must be finite"),
+        ("0,26,600,", "0,-1,600,", r":8: temp_set_c must be finite and lie in \[0.0, 50.0\]"),
+        ("0,26,600,", "0,26,1e5,", r":8: illum_set_lx must be finite and lie in \[0.0, 10000.0\]"),
+        (",0.22,1,", ",-0.1,1,", r":8: penalty must be finite and lie in \[0.0, inf\]"),
+        (",0.22,1,", ",nan,1,", r":8: penalty must be finite"),
+        ("ok,2.1,0.05", "ok,9,0.05", r":8: dl_w0 must be finite and lie in \[1.0, 5.0\]"),
+        ("ok,2.1,0.05", "ok,0.5,0.05", r":8: dl_w0 must be finite and lie in \[1.0, 5.0\]"),
+        ("ok,2.1,0.05", "ok,2.1,-1", r":8: effort_w0 must be finite and lie in \[0.0, inf\]"),
+        ("ok,2.1,0.05", "ok,2.1,inf", r":8: effort_w0 must be finite"),
+        ("# seed=7", "# seed=-5", r":2: bad trace metadata: seed must be >= 0, got -5"),
+        ("# penalty_cap=2", "# penalty_cap=nan", r":4: bad trace metadata: penalty_cap must be finite"),
+        ("# temp_comfort=26", "# temp_comfort=1e6", r":5: bad trace metadata: temp_comfort must be finite"),
+    ], ids=["nan-temp", "huge-temp", "inf-illum", "cold-temp-set", "bright-illum-set", "negative-penalty",
+            "nan-penalty", "dl-above-5", "dl-below-1", "negative-effort", "inf-effort", "negative-seed",
+            "nan-penalty-cap", "huge-temp-comfort"])
+    def test_impossible_fields_are_refused(self, tmp_path, capsys, old, new, message):
+        text = trace_text()
+        assert text.count(old) == 1
+        path = put(tmp_path, "r.csv", text.replace(old, new))
+        with pytest.raises(CliError, match=re.escape(path) + message):
+            read_trace_csv(path)
+        assert main(["report", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
     @pytest.mark.parametrize("workers, message", [
         ("-1", "bad trace metadata: workers must be >= 1, got -1"),
         ("0", "bad trace metadata: workers must be >= 1, got 0"),
@@ -755,7 +786,7 @@ class TestConfigParsing:
                    "dl_illum_minus", "dl_effort", "idt_noise_sd", "ami_noise_sd",
                    "dl_noise_sd", "effort_sd", "substeps", "drift", "ambient_pull",
                    "ambient_temp", "init_temp", "init_illum", "init_dl"}),
-        ("scenario", {"steps", "seed", "model_mismatch", "lunch_start", "lunch_steps"}),
+        ("scenario", {"steps", "seed", "lunch_start", "lunch_steps"}),
     ])
     def test_accepted_keys_per_section(self, tmp_path, section, keys):
         text = SCENARIO_CFG.replace(f"[{section}]\n", f"[{section}]\ntypo_key = 1\n")
@@ -872,6 +903,16 @@ class TestShippedConfigs:
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), trace)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256[name]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_traces_read_back(self, tmp_path, name):
+        # read_trace_csv's field checks accept every trace simulate writes.
+        for seed in range(1, 6):
+            trace, _ = run_scenario(replace(parse_scenario_config(shipped_config_path(name)), seed=seed))
+            path = str(tmp_path / f"trace_{seed}.csv")
+            write_trace_csv(path, trace)
+            back = read_trace_csv(path)
+            assert (back.seed, len(back.steps)) == (seed, len(trace.steps))
 
 
 class TestIdentifyCommand:
@@ -1031,25 +1072,34 @@ class TestSimulateCommand:
         t2 = Path(d2, "trace.csv").read_text()
         assert "# seed=11" in t1 and "# seed=29" in t2
 
-    def test_mismatch_requires_model(self, workdir, capsys):
+    def test_model_mismatch_key_is_refused(self, workdir, capsys):
+        # --model alone picks the controller's models; the key that used to
+        # say so is an unknown key now.
         text = SCENARIO_CFG.replace("seed = 11", "seed = 11\nmodel_mismatch = true")
         cfg = put(workdir, "scenario.cfg", text)
-        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
-        assert rc == 2
-        assert "controller_models" in capsys.readouterr().err
-
-    def test_model_without_mismatch_is_usage_error(self, workdir, capsys):
-        # With model_mismatch off the controller uses the plant's models, so
-        # a --model file would be read and then ignored.
-        cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
-        model = str(workdir / "m.json")
-        write_model_set(model, TRUTH)
-        out = workdir / "out"
-        rc = main(["simulate", "--config", cfg, "--model", model, "--out-dir", str(out)])
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--model" in err and "model_mismatch" in err
-        assert not out.exists()
+        assert "unknown key(s) ['model_mismatch'] in section [scenario]" in err, err
+        assert not (workdir / "out").exists()
+
+    def test_model_sets_the_controller_models(self, workdir, capsys, monkeypatch):
+        used = []
+
+        class Spy(Controller):
+            def __init__(self, models, cfg, de):
+                used.append(models)
+                super().__init__(models, cfg, de)
+
+        monkeypatch.setattr(sim_module, "Controller", Spy)
+        cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
+        other = replace(TRUTH, dl=replace(TRUTH.dl, intercept=0.3))
+        model = str(workdir / "m.json")
+        write_model_set(model, other)
+        assert main(["simulate", "--config", cfg, "--model", model, "--out-dir", str(workdir / "a")]) == 0
+        assert main(["simulate", "--config", cfg, "--out-dir", str(workdir / "b")]) == 0
+        capsys.readouterr()
+        assert used == [other, parse_scenario_config(cfg).plant.truth()]
 
     @pytest.mark.parametrize("values, field", [
         ({"illum_hi": 20000, "illum_comfort": 15000, "init_illum": 15000}, "illum_hi"),
@@ -1419,6 +1469,23 @@ class TestDaemonCommand:
         write_model_set(model, TRUTH)
         cfg = put(tmp_path, "scenario.cfg", SCENARIO_CFG)
         return model, cfg
+
+    @pytest.mark.parametrize("step_hours", ["1e-12", "1e300"])
+    def test_step_hours_without_a_window_is_refused(self, workdir, capsys, step_hours):
+        # A window that rounds to zero used to end in a ZeroDivisionError on
+        # the first record, one too long for a timedelta in an OverflowError.
+        model, _ = self.files(workdir)
+        text = Path(shipped_config_path("case1_noc.cfg")).read_text()
+        cfg = put(workdir, "c.cfg", text.replace("step_hours = 0.25", f"step_hours = {step_hours}"))
+        stream = put(workdir, "stream.jsonl", "".join(
+            json.dumps({"t": f"2026-01-05T08:{minute:02d}:00", "worker": f"w{w}", "dl": 2.0,
+                        "temp_c": 26.0, "illum_lx": 600.0}) + "\n"
+            for minute in (0, 20, 40) for w in range(5)))
+        rc = main(["daemon", "--model", model, "--config", cfg, "--in", stream,
+                   "--out", str(workdir / "out.jsonl"), "--out-dir", str(workdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg}: step_hours must round to a window"), err
 
     def test_replays_simulation_decisions_exactly(self, workdir, capsys):
         model, cfg_path = self.files(workdir)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,13 @@ class TestMpcConfig:
         # Each bound is finite, but hi - lo overflows to inf.
         with pytest.raises(NonFiniteSetting, match=f"{hi} - {lo} must be finite"):
             validate_config(MpcConfig(**{lo: -1.7e308, hi: 1.7e308}))
+
+    # The daemon's window is timedelta(hours=step_hours): 1e-12 h rounds to
+    # no microsecond at all, 1e300 h overflows it.
+    @pytest.mark.parametrize("value", [1e-12, 1.3e-10, 2.5e10, 1e300])
+    def test_rejects_step_hours_without_a_window(self, value):
+        with pytest.raises(ConfigError, match=f"step_hours must round to a window .* got {re.escape(str(value))}"):
+            validate_config(MpcConfig(step_hours=value))
 
     @pytest.mark.parametrize("name, value", [
         ("temp_lo", -0.5), ("temp_hi", 50.5), ("illum_lo", -1.0), ("illum_hi", 20000.0),

@@ -298,7 +298,7 @@ class TestRolloutBatch:
             snap = StateSnapshot(workers, 26.0, rng.uniform(300, 900))
             cfg = MpcConfig(horizon=horizon, num_workers=3)
             temp_sets, illum_sets = self.population(rng, 16, horizon)
-            kernel = HorizonKernel(self.MODELS, snap, cfg)
+            kernel = HorizonKernel(self.MODELS, snap, cfg, 16)
             temps, illums, dls = kernel.rollout(temp_sets, illum_sets)
             assert temps.shape == illums.shape == (horizon, 16)
             assert dls.shape == (3, horizon, 16)
@@ -321,7 +321,7 @@ class TestRolloutBatch:
         # Half the rows stay near comfort, so both outcomes occur.
         temp_sets[8:] = rng.uniform(25.8, 26.2, (8, 3))
         illum_sets[8:] = rng.uniform(900.0, 920.0, (8, 3))
-        fs, vs = HorizonKernel(self.MODELS, snap, cfg).evaluate(temp_sets, illum_sets)
+        fs, vs = HorizonKernel(self.MODELS, snap, cfg, 16).evaluate(temp_sets, illum_sets)
         assert (vs > 0.0).any() and (vs == 0.0).any()
         for row in range(16):
             pred = rollout(self.MODELS, snap,
@@ -332,10 +332,10 @@ class TestRolloutBatch:
     def test_shape_mismatch(self):
         snap = snapshot_one()
         with pytest.raises(ShapeMismatch):
-            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3)).rollout(
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3), 4).rollout(
                 np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(ShapeMismatch):
-            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2)).rollout(
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2), 4).rollout(
                 np.zeros((4, 3)), np.zeros((4, 3)))
 
 
@@ -356,7 +356,7 @@ def reference_scores(temps, illums, dls, cfg):
 class TestHorizonKernel:
     MODELS = TestRolloutBatch.MODELS
 
-    def kernel(self, rng, workers, horizon):
+    def kernel(self, rng, workers, horizon, rows):
         snap = StateSnapshot(
             tuple(
                 WorkerState.from_history(rng.uniform(1.2, 4.8), rng.uniform(1.2, 4.8),
@@ -365,14 +365,14 @@ class TestHorizonKernel:
             ),
             26.0, rng.uniform(300, 900))
         cfg = MpcConfig(horizon=horizon, num_workers=workers, penalty_cap=0.6)
-        return HorizonKernel(self.MODELS, snap, cfg), snap, cfg
+        return HorizonKernel(self.MODELS, snap, cfg, rows), snap, cfg
 
     @pytest.mark.parametrize("horizon", [1, 4, 6])
     @pytest.mark.parametrize("workers", [1, 5, 24])
     @pytest.mark.parametrize("pop", [1, 4, 40])
     def test_equals_reference_and_single_schedule_views(self, pop, workers, horizon):
         rng = np.random.default_rng(1000 * pop + 10 * workers + horizon)
-        kernel, snap, cfg = self.kernel(rng, workers, horizon)
+        kernel, snap, cfg = self.kernel(rng, workers, horizon, pop)
         # 40 rows, scored pop at a time: the first three sit on the clamps.
         temp_sets, illum_sets = TestRolloutBatch().population(rng, 40, horizon)
         # Setpoints equal to the measured 26.0 tie, which takes k_up: rows 3
@@ -405,7 +405,7 @@ class TestHorizonKernel:
 
     def test_workspace_reuse_and_fresh_scores(self):
         rng = np.random.default_rng(8)
-        kernel, _, _ = self.kernel(rng, 5, 4)
+        kernel, _, _ = self.kernel(rng, 5, 4, 40)
         a = TestRolloutBatch().population(rng, 40, 4)
         b = TestRolloutBatch().population(rng, 40, 4)
         f_a, v_a = kernel.evaluate(*a)
@@ -414,8 +414,9 @@ class TestHorizonKernel:
         assert not (np.array_equal(f_a, f_b) and np.array_equal(v_a, v_b))
         # Scoring B left A's arrays alone: they are not the workspace's.
         assert np.array_equal(f_a, want[0]) and np.array_equal(v_a, want[1])
-        # Another population size has its own workspace.
-        kernel.evaluate(a[0][:1], a[1][:1])
+        # Another row count is refused and leaves the buffers alone.
+        with pytest.raises(ShapeMismatch):
+            kernel.evaluate(a[0][:1], a[1][:1])
         # The caller may write into the returned arrays, as de_minimize does.
         np.copyto(f_a, -1.0)
         np.copyto(v_a, -1.0)
@@ -428,7 +429,7 @@ class TestHorizonKernel:
         # k_up and k_down, so the tie's branch shows in the temperature.
         models = replace(self.MODELS, idt=IdtModel(k_up=0.1, k_down=0.15))
         snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
-        kernel = HorizonKernel(models, snap, MpcConfig(horizon=2, num_workers=1))
+        kernel = HorizonKernel(models, snap, MpcConfig(horizon=2, num_workers=1), pop)
         temps, _, _ = kernel.rollout(np.full((pop, 2), 26.0), np.full((pop, 2), 600.0))
         want = predict_idt(models.idt, 26.0, 26.0)
         assert want != predict_idt(IdtModel(k_up=0.15, k_down=0.15), 26.0, 26.0)
@@ -437,27 +438,30 @@ class TestHorizonKernel:
     def test_second_call_adds_no_workspace(self):
         workers, pop = 24, 40
         rng = np.random.default_rng(12)
-        kernel, _, _ = self.kernel(rng, workers, 4)
+        kernel, _, _ = self.kernel(rng, workers, 4, pop)
         temp_sets, illum_sets = TestRolloutBatch().population(rng, pop, 4)
         kernel.evaluate(temp_sets, illum_sets)
-        workspaces = dict(kernel._workspaces)
         tracemalloc.start()
         try:
             kernel.evaluate(temp_sets, illum_sets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kernel._workspaces == workspaces
         # The call allocates its two (P,) results and small Python objects,
         # nothing of a workers-by-rows size.
         assert peak < np.empty((workers, pop)).nbytes
 
     def test_shape_mismatch(self):
-        kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3)
-        with pytest.raises(ShapeMismatch, match="schedules cover 2 steps"):
-            kernel.evaluate(np.zeros((4, 2)), np.zeros((4, 2)))
+        kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3, 4)
+        # Another horizon, another row count, or a row count that only
+        # one of the two schedules has.
+        for temp_shape, illum_shape in [((4, 2), (4, 2)), ((5, 3), (5, 3)), ((1, 3), (1, 3)),
+                                        ((4, 3), (1, 3)), ((3, 3), (4, 3))]:
+            for call in (kernel.evaluate, kernel.rollout):
+                with pytest.raises(ShapeMismatch, match=r"the kernel scores \(rows, horizon\) = \(4, 3\)"):
+                    call(np.full(temp_shape, 26.0), np.full(illum_shape, 600.0))
         with pytest.raises(ShapeMismatch, match="snapshot has 1 workers"):
-            HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2))
+            HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2), 1)
 
 
 # Seeded solves on the shipped rooms, pinned as float.hex: the schedule
@@ -531,7 +535,7 @@ class TestObjectiveAndConstraint:
         cfg = MpcConfig(horizon=2, num_workers=1, p_temp=1e308, p_illum=1e308)
         snap = StateSnapshot((WorkerState(2.0),), 29.0, 900.0)
         sched = ControlSchedule((29.0, 29.0), (900.0, 900.0))
-        _, (v,) = HorizonKernel(models, snap, cfg).evaluate(
+        _, (v,) = HorizonKernel(models, snap, cfg, 1).evaluate(
             np.array([sched.temp_setpoints]), np.array([sched.illum_setpoints]))
         violation = constraint_violation(rollout(models, snap, sched, cfg), cfg)
         assert violation == v == np.finfo(float).max

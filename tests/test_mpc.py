@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import alertmpc.models as models_mod
 import alertmpc.mpc as mpc_mod
 from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
@@ -216,7 +215,7 @@ class TestSolveModes:
 
 @pytest.mark.parametrize("mode", list(ControlMode))
 def test_solve_scores_whole_populations_only(monkeypatch, mode):
-    # Every kernel call and every workspace a solve makes, by row count: the
+    # Every kernel a solve builds and every call on it, by row count: the
     # search's generations, or NOC's one schedule, and nothing after them.
     calls, built = [], []
     for name in ("evaluate", "rollout"):
@@ -225,18 +224,22 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
             return real(kernel, temp_sets, illum_sets)
         monkeypatch.setattr(HorizonKernel, name, spy)
 
-    class CountedWorkspace(models_mod._Workspace):
-        def __init__(self, kernel, pop):
-            built.append(pop)
-            super().__init__(kernel, pop)
+    def counted_init(kernel, models, snapshot, cfg, rows, real=HorizonKernel.__init__):
+        built.append(rows)
+        real(kernel, models, snapshot, cfg, rows)
 
-    monkeypatch.setattr(models_mod, "_Workspace", CountedWorkspace)
+    monkeypatch.setattr(HorizonKernel, "__init__", counted_init)
     cfg = MpcConfig(mode=mode, num_workers=2, horizon=3)
-    sol = solve(demo_models(), snapshot(workers=2), cfg,
-                DeParams(population_size=16, max_generations=30, seed=3))
-    rows = 1 if mode is ControlMode.NOC else 16
-    assert calls == [("evaluate", rows)] * (1 + sol.generations_used)
-    assert built == [rows]
+    dim = cfg.horizon * (2 if mode is ControlMode.MPC2 else 1)
+    # A set population, then the default of 10 per dimension.
+    for population, search_rows in [(16, 16), (None, 10 * dim)]:
+        calls.clear()
+        built.clear()
+        sol = solve(demo_models(), snapshot(workers=2), cfg,
+                    DeParams(population_size=population, max_generations=30, seed=3))
+        rows = 1 if mode is ControlMode.NOC else search_rows
+        assert calls == [("evaluate", rows)] * (1 + sol.generations_used)
+        assert built == [rows]
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])

@@ -171,14 +171,21 @@ class TestPlantStep:
 
 
 class TestScenarioValidation:
-    def test_mismatch_requires_models(self):
-        with pytest.raises(ValueError, match="controller_models"):
-            validate_scenario(replace(small_scenario(), model_mismatch=True))
+    def test_controller_models_replace_the_plant_models(self, monkeypatch):
+        used = []
 
-    def test_models_require_mismatch(self):
-        sc = small_scenario()
-        with pytest.raises(ValueError, match="model_mismatch"):
-            validate_scenario(replace(sc, controller_models=sc.plant.truth()))
+        class Spy(Controller):
+            def __init__(self, models, cfg, de):
+                used.append(models)
+                super().__init__(models, cfg, de)
+
+        monkeypatch.setattr(sim_mod, "Controller", Spy)
+        sc = small_scenario(steps=1)
+        truth = sc.plant.truth()
+        other = replace(truth, dl=replace(truth.dl, intercept=truth.dl.intercept + 0.1))
+        run_scenario(sc)
+        run_scenario(replace(sc, controller_models=other))
+        assert used == [truth, other]
 
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
