@@ -461,6 +461,8 @@ _TRACE_DL = _bounded(DL_MIN, DL_MAX)
 _TRACE_EFFORT = _bounded(0.0)
 # A trace record: these columns, then dl_w<i>, effort_w<i> for each worker.
 _TRACE_STEP_COLUMNS = ["step", *_TRACE_FLOATS, "feasible", "status"]
+# The statuses run_scenario records; only "ok" steps ran a solve.
+_TRACE_STATUSES = ("ok", "stale", "error", "lunch")
 
 
 def _trace_header(workers: int) -> list[str]:
@@ -498,8 +500,12 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
 
 def _trace_step(record: list[str]) -> TraceStep:
     feasible, status = record[6:8]
-    if feasible not in ("0", "1") and not (feasible == "" and status != "ok"):
-        raise ValueError(f"feasible must be 0 or 1, or empty on a step that is not ok, got {feasible!r}")
+    if status not in _TRACE_STATUSES:
+        raise ValueError(f"status must be one of {', '.join(_TRACE_STATUSES)}, got {status!r}")
+    if status == "ok" and feasible not in ("0", "1"):
+        raise ValueError(f"feasible must be 0 or 1 on an ok step, got {feasible!r}")
+    if status != "ok" and feasible != "":
+        raise ValueError(f"feasible must be empty on a {status} step, got {feasible!r}")
     room = [convert(name, text) for (name, convert), text in zip(_TRACE_FLOATS.items(), record[1:6])]
     dls = tuple(_TRACE_DL(f"dl_w{i}", text) for i, text in enumerate(record[8::2]))
     efforts = tuple(_TRACE_EFFORT(f"effort_w{i}", text) for i, text in enumerate(record[9::2]))
@@ -512,7 +518,9 @@ def read_trace_csv(path: str) -> SimTrace:
     """A trace that write_trace_csv wrote.  A field that cannot be such a
     trace's (a non-finite number, a reading or setpoint outside the
     measured range, a dl off the 1-5 scale, a negative effort, penalty or
-    seed) is a CliError naming the file and its line."""
+    seed, a status run_scenario does not record, a feasible flag on a step
+    that is not ok or none on one that is, a step not numbered 0, 1, 2,
+    ... in file order) is a CliError naming the file and its line."""
     meta: dict[str, tuple[int, str]] = {}  # key: (line, text)
     with _CsvFile(path, "trace") as csv_file:
         for number, line in enumerate(csv_file.metadata_lines(), start=1):
@@ -533,10 +541,14 @@ def read_trace_csv(path: str) -> SimTrace:
                 raise CliError(f"{path}:{number}: bad trace metadata: {err}")
         workers = values["workers"]
         csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
-        steps = tuple(step for _, step in csv_file.rows(_trace_step))
+        steps = []
+        for line, step in csv_file.rows(_trace_step):
+            if step.step != len(steps):
+                raise CliError(f"{path}:{line}: step must be {len(steps)}, got {step.step}")
+            steps.append(step)
     if not steps:
         raise CliError(f"{path}: trace has no step rows")
-    return SimTrace(num_workers=values.pop("workers"), steps=steps, **values)
+    return SimTrace(num_workers=values.pop("workers"), steps=tuple(steps), **values)
 
 
 def write_metrics_csv(path: str, metrics: Metrics) -> None:
@@ -709,7 +721,8 @@ def shipped_config_path(name: str) -> str:
 # daemon
 
 
-_decode_json = json.JSONDecoder().raw_decode
+# The C scanner that JSONDecoder.raw_decode wraps, called without the wrapper.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _parse_stream_record(line: str):
@@ -723,7 +736,9 @@ def _parse_stream_record(line: str):
     integers too large for a float.
     """
     try:
-        doc, end = _decode_json(line)
+        doc, end = _scan_json(line, 0)
+    except StopIteration:  # no JSON value starts the line
+        raise ValueError("expecting a JSON value") from None
     except RecursionError:
         raise ValueError("record nested too deeply") from None
     if end != len(line):
@@ -762,7 +777,7 @@ def _window_stats(buffers) -> tuple[tuple[float, ...], tuple[float, ...]]:
     means = [0.0] * len(buffers)
     stds = [0.0] * len(buffers)
     for rows in by_length.values():
-        block = np.array([buffers[i] for i in rows])
+        block = np.array([buffers[i] for i in rows], dtype=float)
         for i, mean, std in zip(rows, block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
             means[i] = mean
             stds[i] = std
@@ -773,11 +788,13 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     """Consume measurement lines, emitting one setpoint record per interval.
 
     Records are aggregated over fixed windows of cfg.step_hours anchored
-    at the first record's timestamp.  Window 0 only starts the controller
-    history (status "warmup").  From window 1 on, which completes the
-    two-step history, each completed window w triggers the solve for
-    interval w - 1.  Windows missing data hold the previous setpoints
-    with status "stale".  The roster is the names of the latest window
+    at the first record's timestamp: a record belongs to window
+    (t - origin) // step, so one on a boundary opens the later window, and
+    one before the current window is late.  Window 0 only starts the
+    controller history (status "warmup").  From window 1 on, which
+    completes the two-step history, each completed window w triggers the
+    solve for interval w - 1.  Windows missing data hold the previous
+    setpoints with status "stale".  The roster is the names of the latest window
     that named exactly cfg.num_workers workers; a window counts as data
     when every roster worker has a record in it, and a new roster starts
     the two-step history afresh.  Each record carries "feasible",
@@ -789,10 +806,16 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     ctl = Controller(models, cfg, de)
     origin = None
     current = 0
+    # The current window's bounds [start, end).  Two comparisons place a
+    # record between them; only a record outside them works out its
+    # window number.  end is None before the first record and when the
+    # window ends past datetime.max.
+    start = end = None
     dl_buf: dict[str, list[float]] = {}
     temps: list[float] = []
     illums: list[float] = []
     roster: tuple[str, ...] | None = None
+    records_in = malformed = late = 0
     stats = {"records_in": 0, "records_out": 0, "malformed": 0, "late": 0, "errors": 0}
 
     def close_window(w: int) -> dict:
@@ -830,29 +853,46 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
         line = line.strip()
         if not line:
             continue
-        stats["records_in"] += 1
+        records_in += 1
         try:
             when, worker, dl, temp, illum = _parse_stream_record(line)
-            if origin is None:
-                origin = when
-            w = (when - origin) // window
+            # A naive timestamp against offset bounds, or the reverse,
+            # raises TypeError in the comparison as in the subtraction.
+            inside = end is not None and start <= when < end
+            if not inside:
+                if origin is None:
+                    origin = when
+                w = (when - origin) // window
         except (KeyError, ValueError, TypeError):
-            stats["malformed"] += 1
+            malformed += 1
             continue
-        if w < current:
-            stats["late"] += 1
-            continue
-        while current < w:
-            record = close_window(current)
-            on_record(record)
-            stats["records_out"] += 1
-            dl_buf.clear()
-            temps.clear()
-            illums.clear()
-            current += 1
-        dl_buf.setdefault(worker, []).append(dl)
+        if not inside:
+            if w < current:
+                late += 1
+                continue
+            while current < w:
+                record = close_window(current)
+                on_record(record)
+                stats["records_out"] += 1
+                dl_buf.clear()
+                temps.clear()
+                illums.clear()
+                current += 1
+            # origin + current * window is representable: it is origin or
+            # the "t" of the window just closed.
+            start = origin + current * window
+            try:
+                end = start + window
+            except OverflowError:
+                end = None  # every later record works out its window number
+        buf = dl_buf.get(worker)
+        if buf is None:
+            dl_buf[worker] = [dl]
+        else:
+            buf.append(dl)
         temps.append(temp)
         illums.append(illum)
+    stats.update(records_in=records_in, malformed=malformed, late=late)
     return stats
 
 
@@ -1078,6 +1118,8 @@ def cmd_daemon(args) -> int:
             "model": args.model,
             "config": args.config,
             "seed": args.seed,
+            "mpc": cfg,
+            "de": de,
             "stream": args.infile,
             "stats": stats,
         },

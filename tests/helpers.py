@@ -1,11 +1,13 @@
 """Builders that only the tests use: telemetry and daemon input recast from
-a simulation trace, a drift profile for a working day, and a solve that
-fails on one interval."""
+a simulation trace, a drift profile for a working day, a solve that
+fails on one interval, and a reference for the daemon's windows."""
 
 import json
+from collections import Counter
 from datetime import datetime, timedelta
 
 import alertmpc.mpc as mpc_module
+from alertmpc.cli import _parse_stream_record
 from alertmpc.domain import MpcConfig
 from alertmpc.identify import TelemetryRow, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
@@ -96,3 +98,48 @@ def solve_failing_at(seed: int, error: Exception):
         return real_solve(models, snapshot, cfg, de)
 
     return solve
+
+
+def daemon_windows_by_number(lines, step_hours: float) -> tuple[dict, list[tuple[str, str]]]:
+    """run_daemon's stats and each record's ("t", "status") for a stream
+    of one worker under NOC, with every line's window worked out by its
+    number: w = (t - origin) // step, origin the first record's t.
+
+    A line that does not parse, or whose t cannot be subtracted from the
+    origin (naive against offset), is malformed; one whose window is
+    before the latest window seen is late.  Every window before the latest
+    is closed: window 0 as "warmup", a later one as "ok" when it and the
+    window before it hold records (the two-step history), else "stale".
+    """
+    window = timedelta(hours=step_hours)
+    origin = None
+    current = 0
+    records = Counter()  # window: records in it
+    stats = {"records_in": 0, "records_out": 0, "malformed": 0, "late": 0, "errors": 0}
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        stats["records_in"] += 1
+        try:
+            when = _parse_stream_record(line)[0]
+            if origin is None:
+                origin = when
+            w = (when - origin) // window
+        except (KeyError, ValueError, TypeError):
+            stats["malformed"] += 1
+            continue
+        if w < current:
+            stats["late"] += 1
+            continue
+        current = w
+        records[w] += 1
+    stats["records_out"] = current
+    closed = [
+        (
+            (origin + (w + 1) * window).isoformat(),
+            "warmup" if w == 0 else "ok" if records[w] and records[w - 1] else "stale",
+        )
+        for w in range(current)
+    ]
+    return stats, closed

@@ -7,7 +7,7 @@ import os
 import re
 import warnings
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,13 @@ from alertmpc.domain import (
     DlModel,
     IdtModel,
     ModelSet,
+    MpcConfig,
     StateSnapshot,
     WorkerState,
 )
 from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_idt_coeffs
 from alertmpc.mpc import Controller, solve
-from alertmpc.optimizer import NonFiniteObjective
+from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
     PlantConfig,
@@ -57,7 +58,7 @@ from alertmpc.sim import (
     scenario_for_arm,
 )
 
-from helpers import replay_stream_lines, solve_failing_at
+from helpers import daemon_windows_by_number, replay_stream_lines, solve_failing_at
 
 TRUTH = ModelSet(
     dl=DlModel(intercept=0.14, coef={
@@ -463,8 +464,10 @@ class TestTraceCsv:
         steps = (
             TraceStep(0, 26.0, 600.0, 26.43, 598.7, 0.2236, True, "ok",
                       (2.123456789,), (0.05,)),
-            TraceStep(1, 25.5, 750.0, 26.01, 640.2, 0.273, False, "stale",
+            TraceStep(1, 25.5, 750.0, 26.01, 640.2, 0.273, False, "ok",
                       (2.3,), (0.0,)),
+            TraceStep(2, 25.5, 750.0, 25.8, 700.0, 0.1, None, "stale",
+                      (2.4,), (0.0,)),
         )
         return SimTrace(ControlMode.MPC2, 7, 1, 2.0, 26.0, 600.0, steps)
 
@@ -474,8 +477,9 @@ class TestTraceCsv:
         back = read_trace_csv(path)
         assert back.mode is ControlMode.MPC2
         assert back.seed == 7
-        assert back.steps[1].status == "stale"
         assert back.steps[1].feasible is False
+        assert back.steps[2].status == "stale"
+        assert back.steps[2].feasible is None
         assert back.steps[0].dls[0] == pytest.approx(2.123456789, rel=1e-5)
 
     def test_second_write_is_byte_identical(self, tmp_path):
@@ -509,6 +513,45 @@ class TestTraceCsv:
         path = put(tmp_path, "r.csv", trace_text().replace(",1,ok,", f",,{status},"))
         (step,) = read_trace_csv(path).steps
         assert (step.feasible, step.status) == (None, status)
+
+    # What simulate cannot write: a status it does not record, a feasible
+    # flag on a step without a solve, steps not numbered 0, 1, 2, ...
+    @pytest.mark.parametrize("old, new, message", [
+        (",1,ok,", ",1,bogus,", r":8: status must be one of ok, stale, error, lunch, got 'bogus'"),
+        (",1,ok,", ",1,OK,", r":8: status must be one of ok, stale, error, lunch, got 'OK'"),
+        (",1,ok,", ",1,warmup,", r":8: status must be one of ok, stale, error, lunch, got 'warmup'"),
+        (",1,ok,", ",1,lunch,", r":8: feasible must be empty on a lunch step, got '1'"),
+        (",1,ok,", ",0,stale,", r":8: feasible must be empty on a stale step, got '0'"),
+        ("\n0,26,", "\n-3,26,", r":8: step must be 0, got -3"),
+    ], ids=["bogus-status", "upper-case-status", "daemon-status", "feasible-on-lunch",
+            "feasible-on-stale", "negative-step"])
+    def test_steps_simulate_cannot_write_are_refused(self, tmp_path, capsys, old, new, message):
+        text = trace_text()
+        assert text.count(old) == 1
+        path = put(tmp_path, "r.csv", text.replace(old, new))
+        with pytest.raises(CliError, match=re.escape(path) + message):
+            read_trace_csv(path)
+        assert main(["report", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:8: ")
+
+    @pytest.mark.parametrize("numbers, line, message", [
+        ((0, 2, 3), 9, "step must be 1, got 2"),
+        ((0, 1, 1), 10, "step must be 2, got 1"),
+        ((1, 0, 2), 8, "step must be 0, got 1"),
+    ], ids=["skipped", "repeated", "swapped"])
+    def test_steps_are_numbered_in_file_order(self, tmp_path, numbers, line, message):
+        text = self.small_trace_text(tmp_path)
+        lines = text.splitlines(keepends=True)
+        for i, number in enumerate(numbers):
+            lines[7 + i] = f"{number}," + lines[7 + i].split(",", 1)[1]
+        path = put(tmp_path, "r.csv", "".join(lines))
+        with pytest.raises(CliError, match=re.escape(f"{path}:{line}: {message}")):
+            read_trace_csv(path)
+
+    def small_trace_text(self, tmp_path):
+        path = str(tmp_path / "small.csv")
+        write_trace_csv(path, self.small_trace())
+        return Path(path).read_text(encoding="utf-8")
 
     # Each case edits one field of trace_text()'s one-step trace: a
     # non-finite number, a reading or setpoint outside the measured range,
@@ -1238,6 +1281,20 @@ class TestReportCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path}: trace has no step rows\n"
 
+    @pytest.mark.parametrize("old, new, count", [
+        (",ok,", ",bogus,", 28),  # every step's status
+        ("\n0,", "\n-3,", 1),  # step 0 renumbered before step 1
+    ], ids=["bogus-status", "step-minus-3"])
+    def test_shipped_trace_simulate_cannot_write_is_refused(self, workdir, capsys, old, new, count):
+        trace, _ = run_scenario(replace(parse_scenario_config(shipped_config_path("case1_noc.cfg")), seed=1))
+        path = str(workdir / "trace.csv")
+        write_trace_csv(path, trace)
+        text = Path(path).read_text(encoding="utf-8")
+        assert text.count(old) == count
+        Path(path).write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["report", path, "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:8: ")
+
     def test_agrees_with_compare_arms(self, workdir, capsys):
         base = parse_scenario_config(put(workdir, "scenario.cfg", SCENARIO_CFG))
         seeds = (0, 1)
@@ -1773,6 +1830,19 @@ class TestDaemonCommand:
         assert rc == 0
         assert Path(out_path).read_text() == ""
 
+    @pytest.mark.parametrize("seed_args, seed", [([], 77), (["--seed", "5"], 5)], ids=["config-seed", "--seed"])
+    def test_manifest_records_the_effective_configuration(self, workdir, capsys, seed_args, seed):
+        model, cfg_path = self.files(workdir)
+        stream = put(workdir, "stream.jsonl", "")
+        rc = main(["daemon", "--model", model, "--config", cfg_path, "--in", stream,
+                   "--out", str(workdir / "out.jsonl"), "--out-dir", str(workdir), *seed_args])
+        assert rc == 0
+        manifest = json.loads((workdir / "daemon_manifest.json").read_text())
+        cfg, de = parse_control_config(cfg_path)
+        assert MpcConfig(**{**manifest["mpc"], "mode": ControlMode(manifest["mpc"]["mode"])}) == cfg
+        assert DeParams(**manifest["de"]) == replace(de, seed=seed)
+        assert manifest["seed"] == (int(seed_args[1]) if seed_args else None)
+
     def test_missing_stream_file(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
         rc = main(["daemon", "--model", model, "--config", cfg_path,
@@ -1798,6 +1868,69 @@ class TestDaemonCommand:
         assert rc == 2
         assert f"cannot write stream {bad_out}" in capsys.readouterr().err
         assert opened and all(fh.closed for fh in opened)
+
+
+# How a generated stream line writes its time: naive, or at one of these offsets.
+STREAM_ZONES = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                timezone(timedelta(hours=-8)), timezone(timedelta(hours=14))]
+# Where a line lies against the boundary of its window.
+BOUNDARY_SHIFTS = {"on": timedelta(0), "before": timedelta(microseconds=-1),
+                   "after": timedelta(microseconds=1)}
+
+stream_events = st.lists(st.tuples(
+    st.sampled_from([0, 0, 1, 1, 3, -1]),  # windows moved on from the line before
+    st.sampled_from([*BOUNDARY_SHIFTS, "inside"]),
+    st.sampled_from(STREAM_ZONES),
+    st.sampled_from(["record"] * 4 + ["junk", "blank"]),
+), max_size=25)
+
+
+class TestDaemonWindows:
+    """run_daemon's window assignment against daemon_windows_by_number."""
+
+    @staticmethod
+    def run(lines, step_hours):
+        cfg = MpcConfig(mode=ControlMode.NOC, horizon=2, num_workers=1, step_hours=step_hours)
+        records = []
+        stats = cli_module.run_daemon(TRUTH, cfg, DeParams(), lines, records.append)
+        return stats, [(r["t"], r["status"]) for r in records]
+
+    @staticmethod
+    def line(when):
+        return json.dumps(stream_doc(t=when.isoformat()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.datetimes(min_value=datetime(1970, 1, 2), max_value=datetime(2100, 1, 1)),
+           st.sampled_from(STREAM_ZONES),
+           st.sampled_from([0.25, 1 / 3600, 7.5]),
+           stream_events)
+    def test_matches_window_numbers(self, origin, origin_zone, step_hours, events):
+        window = timedelta(hours=step_hours)
+        origin = origin.replace(tzinfo=timezone.utc)
+
+        def written(instant, zone):
+            return instant.replace(tzinfo=None) if zone is None else instant.astimezone(zone)
+
+        lines = [self.line(written(origin, origin_zone))]
+        k = 0
+        for moved, where, zone, kind in events:
+            k += moved
+            start = origin + k * window
+            when = start + window / 2 if where == "inside" else start + BOUNDARY_SHIFTS[where]
+            lines.append({"record": self.line(written(when, zone)), "junk": "not json", "blank": "  "}[kind])
+        assert self.run(lines, step_hours) == daemon_windows_by_number(lines, step_hours)
+
+    @pytest.mark.parametrize("times", [
+        [datetime.max - timedelta(minutes=5)],
+        [datetime.max - timedelta(minutes=15) + timedelta(microseconds=1), datetime.max],
+        [datetime.max.replace(tzinfo=timezone.utc) - timedelta(minutes=5),
+         datetime.max.replace(tzinfo=timezone(timedelta(hours=-1))) - timedelta(minutes=62)],
+    ], ids=["one-line", "two-lines", "two-offset-lines"])
+    def test_first_record_within_one_window_of_datetime_max(self, times):
+        lines = [self.line(when) for when in times]
+        stats, records = self.run(lines, 0.25)
+        assert (stats, records) == daemon_windows_by_number(lines, 0.25)
+        assert (stats["records_in"], stats["malformed"], stats["late"], records) == (len(times), 0, 0, [])
 
 
 @pytest.mark.parametrize("command", ["solve", "daemon"])
