@@ -20,6 +20,7 @@ import contextlib
 import csv
 import enum
 import functools
+import io
 import itertools
 import json
 import math
@@ -269,7 +270,7 @@ class _CsvFile:
                 f"{','.join(expected)!r}, got {got!r}"
             )
 
-    def rows(self, convert):
+    def records(self, convert):
         """(physical line, convert(record)) for each non-blank record past
         the header; a ValueError or OverflowError of convert names the line."""
         for record in self.reader:
@@ -349,7 +350,7 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
                     csv_file.fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"',
                     comments=None, ndmin=1,
                 )
-            table = TelemetryTable.from_columns(*(body[name] for name in _TELEMETRY_DTYPE.names))
+            table = TelemetryTable(*(body[name] for name in _TELEMETRY_DTYPE.names))
         except (ValueError, Warning):  # InvalidTelemetry and UnicodeDecodeError are ValueErrors
             table = None
         # loadtxt has read the file to its end, so its bytes can be scanned again.
@@ -376,10 +377,10 @@ def _read_telemetry_rows(path: str) -> TelemetryTable:
 
     with _CsvFile(path, "telemetry") as csv_file:
         csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
-        for line, _ in csv_file.rows(append):
+        for line, _ in csv_file.records(append):
             line_of_row.append(line)
     try:
-        return TelemetryTable.from_columns(step, worker, *values)
+        return TelemetryTable(step, worker, *values)
     except InvalidTelemetry as err:
         raise CliError(f"{path}:{line_of_row[err.row]}: {err}")
 
@@ -388,8 +389,9 @@ def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TELEMETRY_HEADER)
-        for row in table:
-            writer.writerow([row.step_index, row.worker_id, *(fmt6(getattr(row, n)) for n in VALUE_COLUMNS)])
+        workers = [table.worker_ids[code] for code in table.worker.tolist()]
+        values = ([fmt6(x) for x in getattr(table, name).tolist()] for name in VALUE_COLUMNS)
+        writer.writerows(zip(table.step.tolist(), workers, *values))
 
 
 def _snapshot_row(record: list[str]) -> tuple[WorkerState, tuple[float, float]]:
@@ -402,7 +404,7 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
     room = None
     with _CsvFile(path, "snapshot") as csv_file:
         csv_file.header(len(SNAPSHOT_HEADER), lambda: SNAPSHOT_HEADER)
-        for line, (worker, row_room) in csv_file.rows(_snapshot_row):
+        for line, (worker, row_room) in csv_file.records(_snapshot_row):
             workers.append(worker)
             if room is None:
                 room = row_room
@@ -542,7 +544,7 @@ def read_trace_csv(path: str) -> SimTrace:
         workers = values["workers"]
         csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
         steps = []
-        for line, step in csv_file.rows(_trace_step):
+        for line, step in csv_file.records(_trace_step):
             if step.step != len(steps):
                 raise CliError(f"{path}:{line}: step must be {len(steps)}, got {step.step}")
             steps.append(step)
@@ -800,7 +802,8 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     the two-step history afresh.  Each record carries "feasible",
     "generations" and "stop_reason" (None without a solve; 0 and None
     under NOC).  A failed solve is held as "error" and counted in "errors".
-    Malformed and out-of-order lines are skipped and counted.
+    Malformed and out-of-order lines are skipped and counted; a line whose
+    window would start past year 9999 is malformed.
     """
     window = timedelta(hours=cfg.step_hours)
     ctl = Controller(models, cfg, de)
@@ -870,6 +873,11 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
             if w < current:
                 late += 1
                 continue
+            try:
+                w_start = origin + w * window
+            except OverflowError:  # the window starts past year 9999
+                malformed += 1
+                continue
             while current < w:
                 record = close_window(current)
                 on_record(record)
@@ -878,9 +886,7 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
                 temps.clear()
                 illums.clear()
                 current += 1
-            # origin + current * window is representable: it is origin or
-            # the "t" of the window just closed.
-            start = origin + current * window
+            start = w_start
             try:
                 end = start + window
             except OverflowError:
@@ -910,14 +916,36 @@ def _override_seed(de: DeParams, seed: int | None) -> DeParams:
 
 
 def _open_stream(path: str, mode: str, std):
-    """The file at path, or the standard stream std for "-"."""
+    """The file at path, or the standard stream std for "-".  Input is read
+    with errors="surrogateescape" (stdin through a wrapper of its own), so a
+    line that is not UTF-8 reaches _utf8_lines instead of stopping the read."""
+    errors = "surrogateescape" if mode == "r" else None
     if path == "-":
+        if errors:
+            return io.TextIOWrapper(std.buffer, encoding="utf-8", errors=errors)
         return contextlib.nullcontext(std)
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding="utf-8", errors=errors)
     except OSError as err:
         verb = "read" if mode == "r" else "write"
         raise CliError(f"cannot {verb} stream {path}: {err}")
+
+
+# Stands in for a stream line that is not UTF-8: run_daemon counts it
+# malformed, as it does not parse, and never reads the line's bytes.
+_NOT_UTF8 = "<not UTF-8>"
+
+
+def _utf8_lines(fh):
+    """fh's lines, each one that is not strictly UTF-8 replaced by _NOT_UTF8.
+    Under errors="surrogateescape" just the bytes that are not UTF-8 decode
+    to lone surrogates, which do not encode."""
+    for line in fh:
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            line = _NOT_UTF8
+        yield line
 
 
 def cmd_identify(args) -> int:
@@ -1104,7 +1132,7 @@ def cmd_daemon(args) -> int:
     # Nested, so --in is closed again when --out cannot be opened.
     with _open_stream(args.infile, "r", sys.stdin) as in_fh:
         with _open_stream(args.outfile, "w", sys.stdout) as out_fh:
-            stats = run_daemon(models, cfg, de, in_fh, on_record)
+            stats = run_daemon(models, cfg, de, _utf8_lines(in_fh), on_record)
     if stats["malformed"] or stats["late"] or stats["errors"]:
         print(
             f"warning: skipped {stats['malformed']} malformed and {stats['late']} late "

@@ -1,5 +1,6 @@
 """Model identification from logged telemetry.
 
+Telemetry is a TelemetryTable, built from its columns and held as them.
 All three fits are ordinary least squares on lagged telemetry columns.
 The drowsiness regression needs three consecutive steps per sample (the
 lagged DL increments reach two steps back); the environment fits need
@@ -10,7 +11,6 @@ the minimum-norm coefficient vector with the intercept carrying the mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,20 +26,6 @@ class InsufficientData(ValueError):
 
 class DegenerateSweep(ValueError):
     """The excitation never varied, so the model is unidentifiable."""
-
-
-@dataclass(frozen=True)
-class TelemetryRow:
-    """One logged interval of one worker; TelemetryTable validates it."""
-
-    step_index: int
-    worker_id: str
-    dl: float
-    effort: float
-    temp: float
-    illum: float
-    temp_set: float
-    illum_set: float
 
 
 VALUE_COLUMNS = ("dl", "effort", "temp", "illum", "temp_set", "illum_set")
@@ -61,25 +47,17 @@ class TelemetryTable:
     illum, temp_set and illum_set are float64.  All arrays are read-only.
     Every value must be finite, dl must lie on the DL scale, effort must
     be >= 0, and each worker's step indices must strictly increase.
+
+    The one constructor takes the table's columns: per-row sequences of
+    step indices, worker ids, and the values in VALUE_COLUMNS order.
     """
 
-    def __init__(self, rows):
-        rows = tuple(rows)
-        self._load(*([getattr(r, f) for r in rows] for f in ("step_index", "worker_id", *VALUE_COLUMNS)))
-
-    @classmethod
-    def from_columns(cls, step, worker_id, *values) -> "TelemetryTable":
-        """Build a table from per-row sequences, values in VALUE_COLUMNS order."""
-        table = cls.__new__(cls)
-        table._load(step, worker_id, *values)
-        return table
-
-    def _load(self, step, worker_id, *values) -> None:
+    def __init__(self, step, worker_id, dl, effort, temp, illum, temp_set, illum_set):
         self.worker_ids = tuple(dict.fromkeys(worker_id))
         codes = {w: i for i, w in enumerate(self.worker_ids)}
         self.worker = np.fromiter(map(codes.__getitem__, worker_id), np.int64, count=len(worker_id))
         self.step = np.array(step, dtype=np.int64)
-        for name, column in zip(VALUE_COLUMNS, values):
+        for name, column in zip(VALUE_COLUMNS, (dl, effort, temp, illum, temp_set, illum_set)):
             setattr(self, name, np.array(column, dtype=float))
         # Rows grouped by worker (in first-appearance order), in row order within each.
         self._by_worker = np.argsort(self.worker, kind="stable")
@@ -108,14 +86,6 @@ class TelemetryTable:
 
     def __len__(self) -> int:
         return len(self.step)
-
-    def __iter__(self):
-        workers = [self.worker_ids[c] for c in self.worker.tolist()]
-        return map(TelemetryRow, self.step.tolist(), workers, *(v.tolist() for v in self._values()))
-
-    @cached_property
-    def rows(self) -> tuple[TelemetryRow, ...]:
-        return tuple(self)
 
     def step_environment(self) -> tuple[np.ndarray, ...]:
         """Sorted step indices and, per step, the worker-averaged temp,
@@ -286,7 +256,6 @@ __all__ = [
     "InsufficientData",
     "DegenerateSweep",
     "InvalidTelemetry",
-    "TelemetryRow",
     "TelemetryTable",
     "VALUE_COLUMNS",
     "FitReport",

@@ -7,8 +7,9 @@ generation's objective and constraint from one batched rollout of the
 whole population, and report the search's own scores of the schedule
 they pick.
 Controller builds each interval's Decision for the simulator and the
-daemon: it holds the last applied setpoints while its log lags the clock
-or a solve fails, and otherwise solves seeded as base seed + clock.
+daemon.  It keeps the last two measured steps itself, holds the last
+applied setpoints while that history lags the clock or a solve fails,
+and otherwise solves seeded as base seed + clock.
 """
 
 from __future__ import annotations
@@ -119,92 +120,55 @@ class Decision(NamedTuple):
         return None if self.solution is None else self.solution.feasible
 
 
-@dataclass(frozen=True)
-class _StepRecord:
-    dl_means: tuple[float, ...]
-    dl_sds: tuple[float, ...]
-    temp: float
-    illum: float
-
-
-class MeasurementLog:
-    """Step-indexed record of averaged measurements feeding the controller.
-
-    Only the steps snapshot() can read are kept: the latest one and, if
-    recorded, the step right before it.  So the log stays bounded however
-    long it runs.
-    """
-
-    def __init__(self):
-        self._records: dict[int, _StepRecord] = {}
-        self._latest: int | None = None
-        self._num_workers: int | None = None
-
-    @property
-    def latest_index(self) -> int | None:
-        return self._latest
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def record_step(self, step_index: int, dl_means, dl_sds, temp: float, illum: float):
-        """Append one completed interval's averaged measurements."""
-        dl_means = tuple(float(x) for x in dl_means)
-        dl_sds = tuple(float(x) for x in dl_sds)
-        if len(dl_means) != len(dl_sds):
-            raise ValueError("dl_means and dl_sds must have matching lengths")
-        if not dl_means:
-            raise ValueError("a step record needs at least one worker")
-        if self._num_workers is None:
-            self._num_workers = len(dl_means)
-        elif len(dl_means) != self._num_workers:
-            raise ValueError(
-                f"worker count changed from {self._num_workers} to {len(dl_means)}"
-            )
-        if self._latest is not None and step_index <= self._latest:
-            raise ValueError(
-                f"step indices must advance strictly: {step_index} after {self._latest}"
-            )
-        previous = self._records.get(step_index - 1)
-        self._records = {} if previous is None else {step_index - 1: previous}
-        self._records[step_index] = _StepRecord(dl_means, dl_sds, float(temp), float(illum))
-        self._latest = step_index
-
-    def snapshot(self) -> StateSnapshot:
-        """Measured state from the two most recent (consecutive) steps."""
-        if self._latest is None or (self._latest - 1) not in self._records:
-            raise ValueError(
-                "history must contain the two most recent consecutive steps"
-            )
-        cur = self._records[self._latest]
-        prev = self._records[self._latest - 1]
-        workers = tuple(
-            WorkerState.from_history(d_cur, d_prev, effort)
-            for d_cur, d_prev, effort in zip(cur.dl_means, prev.dl_means, cur.dl_sds)
-        )
-        return StateSnapshot(
-            workers=workers, temp_current=cur.temp, illum_current=cur.illum
-        )
-
-
 class Controller:
-    """Decides each interval of the closed loop: owns the measurement log
-    and the last applied setpoints, which it holds when it cannot solve."""
+    """Decides each interval of the closed loop.
+
+    It keeps the measured history a snapshot reads: its latest step and,
+    only when that step directly follows it, the step before.  So its
+    state stays bounded however long it runs.  It also keeps the last
+    applied setpoints, which it holds when it cannot solve.
+    """
 
     def __init__(self, models: ModelSet, cfg: MpcConfig, de: DeParams = DeParams()):
         validate_config(cfg)
         self.models = models
         self.cfg = cfg
         self.de = de
-        self.log = MeasurementLog()
         self.last_applied: tuple[float, float] = (cfg.temp_comfort, cfg.illum_comfort)
+        # Each step as (step_index, dl_means, dl_sds, temp, illum).
+        self._latest: tuple | None = None
+        self._previous: tuple | None = None
 
     def observe(self, step_index: int, dl_means, dl_sds, temp: float, illum: float):
-        self.log.record_step(step_index, dl_means, dl_sds, temp, illum)
+        """Record one completed interval's averaged measurements."""
+        dl_means = tuple(float(x) for x in dl_means)
+        dl_sds = tuple(float(x) for x in dl_sds)
+        if len(dl_means) != len(dl_sds):
+            raise ValueError("dl_means and dl_sds must have matching lengths")
+        # validate_config holds num_workers >= 1, so a record without workers fails here.
+        if len(dl_means) != self.cfg.num_workers:
+            raise ValueError(f"worker count {len(dl_means)} differs from num_workers {self.cfg.num_workers}")
+        latest = self._latest
+        if latest is not None and step_index <= latest[0]:
+            raise ValueError(f"step indices must advance strictly: {step_index} after {latest[0]}")
+        self._previous = latest if latest is not None and latest[0] == step_index - 1 else None
+        self._latest = (step_index, dl_means, dl_sds, float(temp), float(illum))
 
     def restart_history(self) -> None:
-        """Forget the logged measurements; the last applied setpoints stay."""
-        self.log = MeasurementLog()
+        """Forget the observed steps; the last applied setpoints stay."""
+        self._latest = self._previous = None
+
+    def snapshot(self) -> StateSnapshot:
+        """Measured state from the two most recent (consecutive) steps."""
+        if self._previous is None:
+            raise ValueError("history must contain the two most recent consecutive steps")
+        _, dl_means, dl_sds, temp, illum = self._latest
+        prev_means = self._previous[1]
+        workers = tuple(
+            WorkerState.from_history(d_cur, d_prev, effort)
+            for d_cur, d_prev, effort in zip(dl_means, prev_means, dl_sds)
+        )
+        return StateSnapshot(workers=workers, temp_current=temp, illum_current=illum)
 
     def hold(self, status: str) -> Decision:
         """Keep the last applied setpoints for this interval, unsolved."""
@@ -217,16 +181,14 @@ class Controller:
         later, since the increment features are formed from both.  Then
         it is solved with the optimizer seeded as base seed + clock: "ok",
         or "error" (setpoints held) on NonFiniteObjective or BadBounds.  A
-        log that lags the clock or has a gap before its latest step holds
-        the setpoints as "stale".
+        history that lags the clock or has a gap before its latest step
+        holds the setpoints as "stale".
         """
-        # The log keeps only its latest step and the one before it, if
-        # recorded, so two steps are the two consecutive ones.
-        if len(self.log) < 2 or self.log.latest_index < clock - 1:
+        if self._previous is None or self._latest[0] < clock - 1:
             return self.hold("stale")
         de_interval = replace(self.de, seed=self.de.seed + clock)
         try:
-            solution = solve(self.models, self.log.snapshot(), self.cfg, de_interval)
+            solution = solve(self.models, self.snapshot(), self.cfg, de_interval)
         except (NonFiniteObjective, BadBounds):
             return self.hold("error")
         schedule = solution.schedule
@@ -238,6 +200,5 @@ __all__ = [
     "MpcSolution",
     "Decision",
     "solve",
-    "MeasurementLog",
     "Controller",
 ]

@@ -33,7 +33,7 @@ from .domain import (
     require_in_range,
     validate_config,
 )
-from .identify import TelemetryRow, TelemetryTable
+from .identify import TelemetryTable
 from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
 from .mpc import Controller
 from .optimizer import DeParams
@@ -367,25 +367,21 @@ def run_open_loop(
     if not setpoints:
         raise ValueError("setpoint sequence must not be empty")
     state = initial_state(plant, num_workers)
-    rows: list[TelemetryRow] = []
+    workers = [f"w{i}" for i in range(num_workers)]
+    step, worker_id, dl, effort, temp, illum, temp_set, illum_set = ([] for _ in range(8))
     for t, pair in enumerate(setpoints):
         rng = step_rng(seed, t)
         state, outcome = plant_step(plant, state, pair, rng, plant.drift_at(t))
         _require_room_in_range(t, outcome)
-        for i in range(num_workers):
-            rows.append(
-                TelemetryRow(
-                    step_index=t,
-                    worker_id=f"w{i}",
-                    dl=outcome.dls[i],
-                    effort=outcome.efforts[i],
-                    temp=outcome.temp,
-                    illum=outcome.illum,
-                    temp_set=pair[0],
-                    illum_set=pair[1],
-                )
-            )
-    return TelemetryTable(tuple(rows))
+        step += [t] * num_workers
+        worker_id += workers
+        dl += outcome.dls
+        effort += outcome.efforts
+        temp += [outcome.temp] * num_workers
+        illum += [outcome.illum] * num_workers
+        temp_set += [pair[0]] * num_workers
+        illum_set += [pair[1]] * num_workers
+    return TelemetryTable(step, worker_id, dl, effort, temp, illum, temp_set, illum_set)
 
 
 @dataclass

@@ -1,22 +1,50 @@
-"""Builders that only the tests use: telemetry and daemon input recast from
-a simulation trace, a drift profile for a working day, a solve that
-fails on one interval, and a reference for the daemon's windows."""
+"""Builders that only the tests use: telemetry tables from rows and back,
+telemetry and daemon input recast from a simulation trace, a drift
+profile for a working day, a solve that fails on one interval, and a
+reference for the daemon's windows."""
 
 import json
 from collections import Counter
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import alertmpc.mpc as mpc_module
 from alertmpc.cli import _parse_stream_record
 from alertmpc.domain import MpcConfig
-from alertmpc.identify import TelemetryRow, TelemetryTable
+from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
+
+
+class Row(NamedTuple):
+    """One telemetry row, fields in TelemetryTable's column order."""
+
+    step_index: int
+    worker_id: str
+    dl: float
+    effort: float
+    temp: float
+    illum: float
+    temp_set: float
+    illum_set: float
+
+
+def table_of(rows) -> TelemetryTable:
+    """The table whose rows are rows: each field becomes a column."""
+    rows = tuple(rows)
+    return TelemetryTable(*([row[i] for row in rows] for i in range(len(Row._fields))))
+
+
+def rows_of(table: TelemetryTable) -> tuple[Row, ...]:
+    """The table's rows, each value as the Python scalar its column holds."""
+    workers = [table.worker_ids[code] for code in table.worker.tolist()]
+    values = (getattr(table, name).tolist() for name in VALUE_COLUMNS)
+    return tuple(map(Row, table.step.tolist(), workers, *values))
 
 
 def trace_to_telemetry(trace: SimTrace) -> TelemetryTable:
     """Recast a closed-loop trace as identification telemetry."""
     rows = [
-        TelemetryRow(
+        Row(
             step_index=step.step,
             worker_id=f"w{i}",
             dl=step.dls[i],
@@ -29,7 +57,7 @@ def trace_to_telemetry(trace: SimTrace) -> TelemetryTable:
         for step in trace.steps
         for i in range(trace.num_workers)
     ]
-    return TelemetryTable(tuple(rows))
+    return table_of(rows)
 
 
 def working_day_drift(steps: int = 28, bump: float = 0.08) -> tuple[float, ...]:
@@ -107,7 +135,8 @@ def daemon_windows_by_number(lines, step_hours: float) -> tuple[dict, list[tuple
 
     A line that does not parse, or whose t cannot be subtracted from the
     origin (naive against offset), is malformed; one whose window is
-    before the latest window seen is late.  Every window before the latest
+    before the latest window seen is late; one whose window would start
+    past year 9999 is malformed too.  Every window before the latest
     is closed: window 0 as "warmup", a later one as "ok" when it and the
     window before it hold records (the two-step history), else "stale".
     """
@@ -131,6 +160,11 @@ def daemon_windows_by_number(lines, step_hours: float) -> tuple[dict, list[tuple
             continue
         if w < current:
             stats["late"] += 1
+            continue
+        try:
+            origin + w * window
+        except OverflowError:
+            stats["malformed"] += 1
             continue
         current = w
         records[w] += 1

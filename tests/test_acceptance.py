@@ -53,8 +53,6 @@ from alertmpc.domain import (
     WorkerState,
 )
 from alertmpc.identify import (
-    TelemetryRow,
-    TelemetryTable,
     fit_ami_model,
     fit_dl_model,
     fit_idt_coeffs,
@@ -78,7 +76,7 @@ from alertmpc.sim import (
     run_scenario,
 )
 
-from helpers import replay_stream_lines, working_day_drift
+from helpers import Row, replay_stream_lines, table_of, working_day_drift
 
 FIXTURE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -353,24 +351,24 @@ def _dl_chunk_table(truth, n_chunks, rng, noise_sd, d_lo, d_hi):
                   + c["effort"] * e2)
         if noise_sd:
             target += rng.normal(0.0, noise_sd)
-        rows.append(TelemetryRow(base, "w0", d0, 0.1, t1, l1, t1, l1))
-        rows.append(TelemetryRow(base + 1, "w0", d1, 0.1, t1, l1, t1, l1))
-        rows.append(TelemetryRow(base + 2, "w0", target, e2, t2, l2, t2, l2))
-    return TelemetryTable(tuple(rows))
+        rows.append(Row(base, "w0", d0, 0.1, t1, l1, t1, l1))
+        rows.append(Row(base + 1, "w0", d1, 0.1, t1, l1, t1, l1))
+        rows.append(Row(base + 2, "w0", target, e2, t2, l2, t2, l2))
+    return table_of(rows)
 
 
 def _env_sweep_table(idt_truth, ami_truth, steps=80):
     """Noiseless setpoint sweep whose room responses follow the lag and
     affine models exactly, exercising both temperature directions."""
-    rows = [TelemetryRow(0, "w0", 2.0, 0.1, 26.5, 520.0, 26.5, 520.0)]
+    rows = [Row(0, "w0", 2.0, 0.1, 26.5, 520.0, 26.5, 520.0)]
     t, l = 26.5, 520.0
     for i in range(1, steps):
         t_set = 25.2 if (i // 3) % 2 == 0 else 27.3
         l_set = 460.0 + (i * 53) % 280
         t = predict_idt(idt_truth, t, t_set)
         l = predict_ami(ami_truth, l, l_set)
-        rows.append(TelemetryRow(i, "w0", 2.0, 0.1, t, l, t_set, l_set))
-    return TelemetryTable(tuple(rows))
+        rows.append(Row(i, "w0", 2.0, 0.1, t, l, t_set, l_set))
+    return table_of(rows)
 
 
 def _random_dl_truth(rng):
@@ -440,15 +438,16 @@ def test_4_identification_round_trip():
             # standard errors from the same design the fit consumed
             design = []
             targets = []
-            for i in range(0, len(table.rows), 3):
-                r0, r1, r2 = table.rows[i:i + 3]
+            dl, temp, illum = table.dl.tolist(), table.temp.tolist(), table.illum.tolist()
+            effort = table.effort.tolist()
+            for i in range(0, len(table), 3):
                 design.append([
-                    1.0, r1.dl, max(r1.dl - r0.dl, 0.0), max(r0.dl - r1.dl, 0.0),
-                    r2.temp, max(r2.temp - r1.temp, 0.0), max(r1.temp - r2.temp, 0.0),
-                    r2.illum, max(r2.illum - r1.illum, 0.0), max(r1.illum - r2.illum, 0.0),
-                    r2.effort,
+                    1.0, dl[i + 1], max(dl[i + 1] - dl[i], 0.0), max(dl[i] - dl[i + 1], 0.0),
+                    temp[i + 2], max(temp[i + 2] - temp[i + 1], 0.0), max(temp[i + 1] - temp[i + 2], 0.0),
+                    illum[i + 2], max(illum[i + 2] - illum[i + 1], 0.0), max(illum[i + 1] - illum[i + 2], 0.0),
+                    effort[i + 2],
                 ])
-                targets.append(r2.dl)
+                targets.append(dl[i + 2])
             a = np.asarray(design)
             y = np.asarray(targets)
             beta = np.array([fit.intercept] + [fit.coef[n] for n in DL_FEATURES])

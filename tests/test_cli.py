@@ -245,6 +245,15 @@ class TestTelemetryCsv:
         write_telemetry_csv(p2, read_telemetry_csv(p1))
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
+    def test_open_loop_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_telemetry_csv(str(path), run_open_loop(sweep_plant(), 2, sweep_setpoints(20), seed=9))
+        data = path.read_bytes()
+        assert data.count(b"\n") == 41  # the header and 40 rows
+        assert hashlib.sha256(data).hexdigest() == (
+            "693e8de85cf8ad3c947aeecdcaf58d4e773b26f1e7d111a8ca7188f06673f034"
+        )
+
     def test_header_mismatch(self, tmp_path):
         path = put(tmp_path, "t.csv", "step,worker\n0,w0\n")
         with pytest.raises(CliError, match="header"):
@@ -1868,6 +1877,45 @@ class TestDaemonCommand:
         assert rc == 2
         assert f"cannot write stream {bad_out}" in capsys.readouterr().err
         assert opened and all(fh.closed for fh in opened)
+
+
+class TestDaemonStreamBytes:
+    """A stream line that is not UTF-8 is malformed, and the stream goes on."""
+
+    GOOD = json.dumps(stream_doc(t="2026-01-05T08:00:00")).encode() + b"\n"
+    # The second line holds the Latin-1 byte 0xe9; the fourth names a worker "w\xe9".
+    STREAM = GOOD + b'{"t": "\xe9"}\n' + GOOD + GOOD.replace(b'"w0"', b'"w\xe9"')
+
+    def run(self, workdir, capsys, in_args):
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        out = workdir / "out.jsonl"
+        rc = main(["daemon", "--model", model, "--config", shipped_config_path("case1_noc.cfg"),
+                   *in_args, "--out", str(out), "--out-dir", str(workdir)])
+        assert rc == 0
+        assert "skipped 2 malformed and 0 late line(s)" in capsys.readouterr().err
+        stats = json.loads((workdir / "daemon_manifest.json").read_text())["stats"]
+        assert stats == {"records_in": 4, "records_out": 0, "malformed": 2, "late": 0, "errors": 0}
+        assert out.read_text() == ""
+
+    def test_from_a_file(self, workdir, capsys):
+        (workdir / "stream.jsonl").write_bytes(self.STREAM)
+        self.run(workdir, capsys, ["--in", str(workdir / "stream.jsonl")])
+
+    def test_from_stdin(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.STREAM), encoding="utf-8"))
+        self.run(workdir, capsys, ["--in", "-"])
+
+
+def test_window_starting_past_year_9999_is_malformed():
+    # As an instant the second line is a day after the first, but its
+    # window would start past year 9999 in the first line's offset.
+    cfg, de = parse_control_config(shipped_config_path("case1_noc.cfg"))
+    lines = [json.dumps(stream_doc(t=t)) for t in ("9999-12-31T23:50:00+14:00", "9999-12-31T23:50:00-10:00")]
+    records = []
+    stats = cli_module.run_daemon(TRUTH, cfg, de, lines, records.append)
+    assert stats == {"records_in": 2, "records_out": 0, "malformed": 1, "late": 0, "errors": 0}
+    assert records == []
 
 
 # How a generated stream line writes its time: naive, or at one of these offsets.

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +7,13 @@ from alertmpc.identify import (
     DegenerateSweep,
     InsufficientData,
     InvalidTelemetry,
-    TelemetryRow,
-    TelemetryTable,
     dl_design,
     fit_ami_model,
     fit_dl_model,
     fit_idt_coeffs,
 )
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
+from helpers import Row, rows_of, table_of
 
 TRUTH_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
@@ -56,11 +53,11 @@ def make_sweep(steps=60, workers=2, seed=0, noise_sd=0.0,
             assert 1.0 < d < 5.0, "sweep left the linear region"
             if noise_sd:
                 d = float(np.clip(d + rng.normal(0.0, noise_sd), 1.0, 5.0))
-            rows.append(TelemetryRow(i, f"w{j}", d, effort, new_temp, new_illum,
+            rows.append(Row(i, f"w{j}", d, effort, new_temp, new_illum,
                                      tset, lset))
             prev[j], cur[j] = cur[j], d
         temp, illum = new_temp, new_illum
-    return TelemetryTable(tuple(rows))
+    return table_of(rows)
 
 
 def make_chunks(n_chunks, seed, noise_sd=0.05, truth_dl=TRUTH_DL):
@@ -84,10 +81,10 @@ def make_chunks(n_chunks, seed, noise_sd=0.05, truth_dl=TRUTH_DL):
         d2 = predict_dl(truth_dl, d1, dp, dm, t2, tp, tm, l2, lp, lm, e2)
         assert 1.0 < d2 < 5.0, "chunk left the linear region"
         d2 += rng.normal(0.0, noise_sd)
-        rows.append(TelemetryRow(0, wid, d0, e0, t0, l0, t0, l0))
-        rows.append(TelemetryRow(1, wid, d1, e1, t1, l1, t1, l1))
-        rows.append(TelemetryRow(2, wid, d2, e2, t2, l2, t2, l2))
-    return TelemetryTable(tuple(rows))
+        rows.append(Row(0, wid, d0, e0, t0, l0, t0, l0))
+        rows.append(Row(1, wid, d1, e1, t1, l1, t1, l1))
+        rows.append(Row(2, wid, d2, e2, t2, l2, t2, l2))
+    return table_of(rows)
 
 
 def coefficient_standard_errors(X, y, intercept, beta):
@@ -103,37 +100,37 @@ def coefficient_standard_errors(X, y, intercept, beta):
 class TestTelemetryValidation:
     def test_row_rejects_out_of_scale_dl(self):
         with pytest.raises(ValueError, match="w3"):
-            TelemetryTable((TelemetryRow(0, "w3", 5.4, 0.1, 26.0, 600.0, 26.0, 600.0),))
+            table_of((Row(0, "w3", 5.4, 0.1, 26.0, 600.0, 26.0, 600.0),))
 
     def test_row_rejects_negative_effort(self):
         with pytest.raises(ValueError, match="effort"):
-            TelemetryTable((TelemetryRow(2, "w0", 2.0, -0.1, 26.0, 600.0, 26.0, 600.0),))
+            table_of((Row(2, "w0", 2.0, -0.1, 26.0, 600.0, 26.0, 600.0),))
 
     def test_table_rejects_nonincreasing_steps(self):
         rows = (
-            TelemetryRow(0, "w0", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
-            TelemetryRow(0, "w0", 2.1, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(0, "w0", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(0, "w0", 2.1, 0.1, 26.0, 600.0, 26.0, 600.0),
         )
         with pytest.raises(ValueError, match="strictly increasing"):
-            TelemetryTable(rows)
+            table_of(rows)
 
     def test_interleaved_workers_allowed(self):
         rows = (
-            TelemetryRow(0, "a", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
-            TelemetryRow(0, "b", 2.5, 0.1, 26.0, 600.0, 26.0, 600.0),
-            TelemetryRow(1, "a", 2.1, 0.1, 26.0, 600.0, 26.0, 600.0),
-            TelemetryRow(1, "b", 2.4, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(0, "a", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(0, "b", 2.5, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(1, "a", 2.1, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(1, "b", 2.4, 0.1, 26.0, 600.0, 26.0, 600.0),
         )
-        table = TelemetryTable(rows)
+        table = table_of(rows)
         assert set(table.worker_ids) == {"a", "b"}
 
 
 class TestDlDesign:
     def row(self, step, dl, temp, illum, effort):
-        return TelemetryRow(step, "w", dl, effort, temp, illum, temp, illum)
+        return Row(step, "w", dl, effort, temp, illum, temp, illum)
 
     def test_hand_computed_features(self):
-        table = TelemetryTable((
+        table = table_of((
             self.row(0, 2.0, 26.0, 600.0, 0.10),
             self.row(1, 2.4, 25.5, 650.0, 0.12),
             self.row(2, 2.1, 26.5, 640.0, 0.08),
@@ -148,7 +145,7 @@ class TestDlDesign:
         assert y.tolist() == [2.1, 2.2]
 
     def test_gap_breaks_chain(self):
-        table = TelemetryTable(tuple(
+        table = table_of((
             self.row(s, 2.0 + 0.01 * s, 26.0, 600.0, 0.1)
             for s in (0, 1, 2, 4, 5, 6)
         ))
@@ -156,7 +153,7 @@ class TestDlDesign:
         assert X.shape[0] == 2  # (0,1,2) and (4,5,6) only
 
     def test_boundary_exclusion_flag(self):
-        table = TelemetryTable((
+        table = table_of((
             self.row(0, 2.0, 26.0, 600.0, 0.1),
             self.row(1, 3.0, 26.0, 600.0, 0.1),
             self.row(2, 5.0, 26.0, 600.0, 0.1),
@@ -181,11 +178,11 @@ class TestDlFit:
 
     def test_constant_dl_yields_minimum_norm(self):
         rows = tuple(
-            TelemetryRow(s, "w", 2.0, 0.05 * (s % 3), 25.0 + 0.3 * (s % 5),
+            Row(s, "w", 2.0, 0.05 * (s % 3), 25.0 + 0.3 * (s % 5),
                          500.0 + 17.0 * (s % 7), 26.0, 600.0)
             for s in range(16)
         )
-        model, report = fit_dl_model(TelemetryTable(rows))
+        model, report = fit_dl_model(table_of(rows))
         assert model.intercept == pytest.approx(2.0, abs=1e-9)
         for name in DL_FEATURES:
             assert model.coef[name] == pytest.approx(0.0, abs=1e-9), name
@@ -215,7 +212,7 @@ class TestDlFit:
 
 
 def env_row(step, temp, tset, illum=600.0, lset=600.0):
-    return TelemetryRow(step, "w", 2.0, 0.0, temp, illum, tset, lset)
+    return Row(step, "w", 2.0, 0.0, temp, illum, tset, lset)
 
 
 class TestIdtFit:
@@ -237,7 +234,7 @@ class TestIdtFit:
     def test_overshoot_clipped_with_warning(self):
         # Observed temperature moves 1.5x the commanded gap in both
         # directions, so both branch gains solve to 1.5 and get clipped.
-        table = TelemetryTable((
+        table = table_of((
             env_row(0, 25.0, 25.0),
             env_row(1, 28.0, 27.0),   # raising: dp=2, do=3
             env_row(2, 31.0, 30.0),   # raising: dp=2, do=3
@@ -250,7 +247,7 @@ class TestIdtFit:
         assert report.condition_warning
 
     def test_missing_branch(self):
-        table = TelemetryTable(tuple(
+        table = table_of((
             env_row(s, 25.0 + 0.2 * s, 28.0) for s in range(6)
         ))
         with pytest.raises(InsufficientData, match="lowering"):
@@ -259,7 +256,7 @@ class TestIdtFit:
     def test_uninformative_branch(self):
         # Raising transitions exist but the setpoint always equals the
         # previous temperature, so the gain is unidentifiable.
-        table = TelemetryTable((
+        table = table_of((
             env_row(0, 26.0, 26.0),
             env_row(1, 26.0, 26.0),
             env_row(2, 26.0, 26.0),
@@ -272,7 +269,7 @@ class TestIdtFit:
     def test_gap_transitions_skipped(self):
         # True gain 0.5 on every consecutive transition; the jump from step
         # 1 to step 5 carries a poison temperature and must be ignored.
-        table = TelemetryTable((
+        table = table_of((
             env_row(0, 28.0, 28.0),
             env_row(1, 27.0, 26.0),    # lowering: dp=-2, do=-1
             env_row(5, 20.0, 31.0),    # gap, not a transition
@@ -292,7 +289,7 @@ class TestAmiFit:
             env_row(s, 26.0, 26.0, illum=levels[s], lset=levels[s])
             for s in range(len(levels))
         )
-        model, report = fit_ami_model(TelemetryTable(rows))
+        model, report = fit_ami_model(table_of(rows))
         assert model.theta0 == pytest.approx(0.0, abs=1e-9)
         assert model.theta_prev == pytest.approx(0.0, abs=1e-9)
         assert model.theta_set == pytest.approx(1.0, abs=1e-9)
@@ -316,7 +313,7 @@ class TestAmiFit:
             for s in range(8)
         )
         with pytest.raises(DegenerateSweep):
-            fit_ami_model(TelemetryTable(rows))
+            fit_ami_model(table_of(rows))
 
     def test_insufficient_samples(self):
         rows = tuple(
@@ -324,7 +321,7 @@ class TestAmiFit:
             for s in range(3)
         )
         with pytest.raises(InsufficientData):
-            fit_ami_model(TelemetryTable(rows))
+            fit_ami_model(table_of(rows))
 
     def test_worker_averaging(self):
         # Two workers observing the same room must not distort the fit.
@@ -344,7 +341,7 @@ class TestAmiFit:
 
 def reference_dl_design(data, exclude_boundary=True):
     grouped = {}
-    for row in data.rows:
+    for row in rows_of(data):
         grouped.setdefault(row.worker_id, []).append(row)
     features, targets = [], []
     for rows in grouped.values():
@@ -367,7 +364,7 @@ def reference_dl_design(data, exclude_boundary=True):
 
 def reference_step_environment(data):
     buckets = {}
-    for row in data.rows:
+    for row in rows_of(data):
         buckets.setdefault(row.step_index, []).append(row)
     return [
         (step,
@@ -477,13 +474,13 @@ def telemetry_tables(draw):
     while any(queues.values()):
         name = draw(st.sampled_from([n for n in names if queues[n]]))
         step = queues[name].pop(0)
-        rows.append(TelemetryRow(
+        rows.append(Row(
             step, name, draw(DL_VALUES), draw(st.floats(0.0, 0.5)),
             draw(st.floats(24.0, 28.0)), draw(st.floats(300.0, 900.0)),
             draw(st.sampled_from([24.5, 25.5, 26.5, 27.5])),
             draw(st.sampled_from([400.0, 550.0, 700.0, 850.0])),
         ))
-    return TelemetryTable(rows)
+    return table_of(rows)
 
 
 class TestColumnarMatchesRowwise:
@@ -498,23 +495,23 @@ class TestColumnarMatchesRowwise:
         # w3 misses steps 10-11 and w5 stops after 2 rows.
         rng = np.random.default_rng(8)
         rows = [
-            replace(r, temp=r.temp + rng.normal(0.0, 0.05), illum=r.illum + rng.normal(0.0, 5.0))
-            for r in make_sweep(steps=40, workers=12, seed=8, noise_sd=0.05).rows
+            r._replace(temp=r.temp + rng.normal(0.0, 0.05), illum=r.illum + rng.normal(0.0, 5.0))
+            for r in rows_of(make_sweep(steps=40, workers=12, seed=8, noise_sd=0.05))
             if not (r.worker_id == "w3" and r.step_index in (10, 11))
             and not (r.worker_id == "w5" and r.step_index > 1)
         ]
-        assert_matches_reference(TelemetryTable(rows))
+        assert_matches_reference(table_of(rows))
 
 
 class TestColumnarTable:
     def test_rows_round_trip(self):
         rows = (
-            TelemetryRow(3, "b", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
-            TelemetryRow(0, "a", 1.0, 0.0, 25.0, 500.0, 25.5, 450.0),
-            TelemetryRow(4, "b", 5.0, 0.2, 27.0, 700.0, 26.5, 750.0),
+            Row(3, "b", 2.0, 0.1, 26.0, 600.0, 26.0, 600.0),
+            Row(0, "a", 1.0, 0.0, 25.0, 500.0, 25.5, 450.0),
+            Row(4, "b", 5.0, 0.2, 27.0, 700.0, 26.5, 750.0),
         )
-        table = TelemetryTable(rows)
-        assert table.rows == rows and list(table) == list(rows) and len(table) == 3
+        table = table_of(rows)
+        assert rows_of(table) == rows and len(table) == 3
         assert table.worker_ids == ("b", "a")
         assert table.worker.tolist() == [0, 1, 0]
         assert not table.dl.flags.writeable
@@ -522,8 +519,8 @@ class TestColumnarTable:
     @pytest.mark.parametrize("column", ["dl", "effort", "temp", "illum", "temp_set", "illum_set"])
     def test_rejects_nonfinite(self, column):
         values = dict(dl=2.0, effort=0.1, temp=26.0, illum=600.0, temp_set=26.0, illum_set=600.0)
-        ok = TelemetryRow(0, "w0", **values)
-        bad = TelemetryRow(1, "w1", **{**values, column: float("nan")})
+        ok = Row(0, "w0", **values)
+        bad = Row(1, "w1", **{**values, column: float("nan")})
         with pytest.raises(InvalidTelemetry, match=f"{column} must be finite.*w1, step 1") as info:
-            TelemetryTable((ok, TelemetryRow(1, "w0", **values), bad))
+            table_of((ok, Row(1, "w0", **values), bad))
         assert info.value.row == 2

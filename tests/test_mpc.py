@@ -23,7 +23,7 @@ from alertmpc.models import (
     objective,
     rollout,
 )
-from alertmpc.mpc import Controller, MeasurementLog, solve
+from alertmpc.mpc import Controller, solve
 from alertmpc.optimizer import BadBounds, DeParams
 
 from helpers import solve_failing_at
@@ -262,12 +262,20 @@ def test_violation_reported_and_backs_feasible(room, mode):
     assert outcomes == {True, False}
 
 
+def history(num_workers):
+    """A Controller for num_workers workers, to observe steps into."""
+    return Controller(demo_models(), MpcConfig(mode=ControlMode.MPC2, num_workers=num_workers), FAST_DE)
+
+
 class TestMeasurementLog:
+    """The measured history Controller keeps: observe, snapshot, and the
+    stale decision when the history cannot be read."""
+
     def test_snapshot_from_two_steps(self):
-        log = MeasurementLog()
-        log.record_step(0, [2.0, 3.0], [0.10, 0.20], 26.5, 610.0)
-        log.record_step(1, [2.5, 2.75], [0.15, 0.05], 26.2, 605.0)
-        snap = log.snapshot()
+        ctl = history(2)
+        ctl.observe(0, [2.0, 3.0], [0.10, 0.20], 26.5, 610.0)
+        ctl.observe(1, [2.5, 2.75], [0.15, 0.05], 26.2, 605.0)
+        snap = ctl.snapshot()
         assert snap.temp_current == 26.2
         assert snap.illum_current == 605.0
         w0, w1 = snap.workers
@@ -275,16 +283,23 @@ class TestMeasurementLog:
         assert (w1.d_current, w1.d_plus, w1.d_minus, w1.effort) == (2.75, 0.0, 0.25, 0.05)
 
     def test_rejects_worker_count_change(self):
-        log = MeasurementLog()
-        log.record_step(0, [2.0, 3.0], [0.1, 0.1], 26.0, 600.0)
-        with pytest.raises(ValueError, match="worker count"):
-            log.record_step(1, [2.0], [0.1], 26.0, 600.0)
+        ctl = history(2)
+        ctl.observe(0, [2.0, 3.0], [0.1, 0.1], 26.0, 600.0)
+        with pytest.raises(ValueError, match="worker count 1 differs from num_workers 2"):
+            ctl.observe(1, [2.0], [0.1], 26.0, 600.0)
+        # The count is checked against the config, so a first step is checked too.
+        with pytest.raises(ValueError, match="worker count 3"):
+            history(2).observe(0, [2.0] * 3, [0.1] * 3, 26.0, 600.0)
+        with pytest.raises(ValueError, match="matching lengths"):
+            history(2).observe(0, [2.0, 2.1], [0.1], 26.0, 600.0)
+        with pytest.raises(ValueError, match="worker count 0"):
+            history(2).observe(0, [], [], 26.0, 600.0)
 
     def test_rejects_nonadvancing_step(self):
-        log = MeasurementLog()
-        log.record_step(3, [2.0], [0.1], 26.0, 600.0)
+        ctl = history(1)
+        ctl.observe(3, [2.0], [0.1], 26.0, 600.0)
         with pytest.raises(ValueError, match="advance strictly"):
-            log.record_step(3, [2.1], [0.1], 26.0, 600.0)
+            ctl.observe(3, [2.1], [0.1], 26.0, 600.0)
 
     def test_bounded_to_the_steps_snapshot_reads(self):
         rng = np.random.default_rng(4)
@@ -293,36 +308,45 @@ class TestMeasurementLog:
              rng.uniform(24.0, 28.0), rng.uniform(400.0, 800.0))
             for s in range(1000)
         ]
-        log = MeasurementLog()
+        ctl = history(3)
         for step in steps:
-            log.record_step(*step)
-        assert len(log) == 2
-        assert log.latest_index == 999
+            ctl.observe(*step)
+        # the latest step and the one before it, nothing older
+        assert (ctl._previous[0], ctl._latest[0]) == (998, 999)
         # the state the two latest steps define, as an unbounded log gave
         (_, prev_dl, _, _, _), (_, cur_dl, cur_sd, temp, illum) = steps[-2:]
         want = StateSnapshot(
             tuple(WorkerState.from_history(float(d), float(p), float(e))
                   for d, p, e in zip(cur_dl, prev_dl, cur_sd)),
             float(temp), float(illum))
-        assert log.snapshot() == want
+        assert ctl.snapshot() == want
 
     def test_gap_drops_unreadable_step(self):
-        log = MeasurementLog()
-        log.record_step(0, [2.0], [0.1], 26.0, 600.0)
-        log.record_step(1, [2.2], [0.1], 26.0, 600.0)
-        log.record_step(3, [2.4], [0.1], 26.0, 600.0)
-        assert len(log) == 1
-        log.record_step(4, [2.3], [0.1], 26.0, 600.0)
-        assert len(log) == 2
-        w, = log.snapshot().workers
+        ctl = history(1)
+        ctl.observe(0, [2.0], [0.1], 26.0, 600.0)
+        ctl.observe(1, [2.2], [0.1], 26.0, 600.0)
+        ctl.observe(3, [2.4], [0.1], 26.0, 600.0)
+        assert ctl._previous is None
+        assert ctl.decide(4).status == "stale"
+        ctl.observe(4, [2.3], [0.1], 26.0, 600.0)
+        assert ctl._previous[0] == 3
+        w, = ctl.snapshot().workers
         assert (w.d_current, w.d_minus) == (2.3, pytest.approx(0.1))
+        assert ctl.decide(5).status == "ok"
 
     def test_snapshot_requires_consecutive_steps(self):
-        log = MeasurementLog()
-        log.record_step(0, [2.0], [0.1], 26.0, 600.0)
-        log.record_step(2, [2.1], [0.1], 26.0, 600.0)
+        ctl = history(1)
         with pytest.raises(ValueError, match="consecutive"):
-            log.snapshot()
+            ctl.snapshot()
+        ctl.observe(0, [2.0], [0.1], 26.0, 600.0)
+        ctl.observe(2, [2.1], [0.1], 26.0, 600.0)
+        with pytest.raises(ValueError, match="consecutive"):
+            ctl.snapshot()
+        ctl.observe(3, [2.2], [0.1], 26.0, 600.0)
+        ctl.restart_history()
+        with pytest.raises(ValueError, match="consecutive"):
+            ctl.snapshot()
+        assert ctl.decide(4).status == "stale"
 
 
 class TestStepController:

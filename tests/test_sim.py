@@ -233,7 +233,7 @@ class TestRunScenario:
             ctl.observe(pre, [plant.init_dl], [0.0], plant.init_temp, plant.init_illum)
         state = initial_state(plant, 1)
         for t in range(5):
-            snap = ctl.log.snapshot()
+            snap = ctl.snapshot()
             setpoints, solution, status = ctl.decide(t)
             assert status == "ok"
             predicted = rollout(plant.truth(), snap, solution.schedule, cfg)
@@ -340,9 +340,8 @@ class TestOpenLoopAndTelemetry:
         trace, _ = run_scenario(small_scenario(steps=4))
         table = trace_to_telemetry(trace)
         assert len(table) == 4
-        row = table.rows[0]
-        assert row.dl == trace.steps[0].dls[0]
-        assert row.temp_set == trace.steps[0].temp_set
+        assert table.dl[0] == trace.steps[0].dls[0]
+        assert table.temp_set[0] == trace.steps[0].temp_set
 
 
 class TestComparison:
