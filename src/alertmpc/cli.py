@@ -31,6 +31,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
 from datetime import datetime, timedelta
+from typing import get_type_hints
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .domain import (
     StateSnapshot,
     TEMP_RANGE,
     WorkerState,
+    require_in_range,
     validate_config,
 )
 from .identify import (
@@ -125,10 +127,8 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
@@ -151,64 +151,63 @@ def write_manifest(out_dir: str, command: str, payload: dict) -> str:
 
 
 def write_model_set(path: str, models: ModelSet) -> None:
-    doc = {
-        "version": MODEL_FILE_VERSION,
-        "dl": {"intercept": models.dl.intercept, "coef": dict(models.dl.coef)},
-        "idt": {"k_up": models.idt.k_up, "k_down": models.idt.k_down},
-        "ami": {
-            "theta0": models.ami.theta0,
-            "theta_prev": models.ami.theta_prev,
-            "theta_set": models.ami.theta_set,
-        },
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({"version": MODEL_FILE_VERSION, **asdict(models)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 _JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
 
 
-def _model_number(block: dict, key: str) -> float:
-    value = block[key]
-    if type(value) not in _JSON_NUMBER:
-        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
-    return float(value)
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises KeyError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise KeyError(f"repeated key among {[key for key, _ in pairs]}")
+    return doc
+
+
+def _from_json(kind, value, name: str):
+    """value, the JSON value named name in a model file, as the type kind
+    that write_model_set's declaration gives it: a dataclass takes an
+    object of exactly its fields, a float a number, DlModel.coef's dict an
+    object of numbers."""
+    if kind is float:
+        if type(value) not in _JSON_NUMBER:
+            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+        return float(value)
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
+    if not is_dataclass(kind):  # dict[str, float]
+        return {key: _from_json(float, item, key) for key, item in value.items()}
+    hints = get_type_hints(kind)
+    if value.keys() != hints.keys():
+        raise ValueError(f"{name} must hold the keys {sorted(hints)}, got {sorted(value)}")
+    return kind(**{key: _from_json(hint, value[key], key) for key, hint in hints.items()})
 
 
 def read_model_set(path: str) -> ModelSet:
+    """The model set in a file that write_model_set wrote: each object
+    holds exactly the keys written there, each once."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise CliError(f"cannot read model file {path}: {err}")
     except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8
         raise CliError(f"model file {path} is not valid JSON: {err}")
+    except KeyError as err:
+        raise CliError(f"model file {path} is malformed: {err.args[0]}")
     if not isinstance(doc, dict):
         raise CliError(f"model file {path} must hold a JSON object, got {type(doc).__name__}")
-    version = doc.get("version")
+    version = doc.pop("version", None)
     if type(version) is not int or version != MODEL_FILE_VERSION:
         raise CliError(
             f"model file {path} has unsupported version {version!r}, expected {MODEL_FILE_VERSION}"
         )
     try:
-        dl, idt, ami = doc["dl"], doc["idt"], doc["ami"]
-        coef = dl["coef"]
-        if not isinstance(coef, dict):
-            raise TypeError(f"dl.coef must be a JSON object, got {type(coef).__name__}")
-        return ModelSet(
-            dl=DlModel(
-                intercept=_model_number(dl, "intercept"),
-                coef={k: _model_number(coef, k) for k in coef},
-            ),
-            idt=IdtModel(k_up=_model_number(idt, "k_up"), k_down=_model_number(idt, "k_down")),
-            ami=AmiModel(
-                theta0=_model_number(ami, "theta0"),
-                theta_prev=_model_number(ami, "theta_prev"),
-                theta_set=_model_number(ami, "theta_set"),
-            ),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        return _from_json(ModelSet, doc, "the model set")
+    except (TypeError, ValueError, OverflowError) as err:
         raise CliError(f"model file {path} is malformed: {err}")
 
 
@@ -395,7 +394,10 @@ def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
 
 
 def _snapshot_row(record: list[str]) -> tuple[WorkerState, tuple[float, float]]:
-    return WorkerState(*map(float, record[1:5])), (float(record[5]), float(record[6]))
+    temp, illum = float(record[5]), float(record[6])
+    require_in_range("temp_c", temp, TEMP_RANGE)
+    require_in_range("illum_lx", illum, ILLUM_RANGE)
+    return WorkerState(*map(float, record[1:5])), (temp, illum)
 
 
 def read_snapshot_csv(path: str) -> StateSnapshot:
@@ -412,10 +414,7 @@ def read_snapshot_csv(path: str) -> StateSnapshot:
                 raise CliError(f"{path}:{line}: temp_c/illum_lx must be identical on every row")
     if not workers:
         raise CliError(f"{path}: snapshot has no worker rows")
-    try:
-        return StateSnapshot(tuple(workers), *room)
-    except ValueError as err:
-        raise CliError(f"{path}: {err}")
+    return StateSnapshot(tuple(workers), *room)
 
 
 # ---------------------------------------------------------------------------
@@ -442,78 +441,79 @@ def _at_least(low: int):
     return convert
 
 
-# What a trace holds, each with its converter: its metadata, the float
-# columns of a step record, and each worker's drowsiness and effort.
+# A trace, in file order: its metadata lines "# key=value", then the
+# columns of a step record, each with the SimTrace or TraceStep field it
+# holds and the converter of its text.  A step record ends in dl_w<i>,
+# effort_w<i> for each worker.
 _TRACE_METADATA = {
-    "mode": lambda name, text: ControlMode.parse(text),
-    "seed": _at_least(0),
-    "workers": _at_least(1),
-    "penalty_cap": _bounded(0.0),
-    "temp_comfort": _bounded(*TEMP_RANGE),
-    "illum_comfort": _bounded(*ILLUM_RANGE),
+    "mode": ("mode", lambda name, text: ControlMode.parse(text)),
+    "seed": ("seed", _at_least(0)),
+    "workers": ("num_workers", _at_least(1)),
+    "penalty_cap": ("penalty_cap", _bounded(0.0)),
+    "temp_comfort": ("temp_comfort", _bounded(*TEMP_RANGE)),
+    "illum_comfort": ("illum_comfort", _bounded(*ILLUM_RANGE)),
 }
-_TRACE_FLOATS = {
-    "temp_set_c": _bounded(*TEMP_RANGE),
-    "illum_set_lx": _bounded(*ILLUM_RANGE),
-    "temp_c": _bounded(*TEMP_RANGE),
-    "illum_lx": _bounded(*ILLUM_RANGE),
-    "penalty": _bounded(0.0),
+_TRACE_COLUMNS = {
+    "step": ("step", lambda name, text: int(text)),
+    "temp_set_c": ("temp_set", _bounded(*TEMP_RANGE)),
+    "illum_set_lx": ("illum_set", _bounded(*ILLUM_RANGE)),
+    "temp_c": ("temp", _bounded(*TEMP_RANGE)),
+    "illum_lx": ("illum", _bounded(*ILLUM_RANGE)),
+    "penalty": ("penalty", _bounded(0.0)),
+    # _trace_step checks these two together.
+    "feasible": ("feasible", lambda name, text: None if text == "" else text == "1"),
+    "status": ("status", lambda name, text: text),
 }
-_TRACE_DL = _bounded(DL_MIN, DL_MAX)
-_TRACE_EFFORT = _bounded(0.0)
-# A trace record: these columns, then dl_w<i>, effort_w<i> for each worker.
-_TRACE_STEP_COLUMNS = ["step", *_TRACE_FLOATS, "feasible", "status"]
 # The statuses run_scenario records; only "ok" steps ran a solve.
 _TRACE_STATUSES = ("ok", "stale", "error", "lunch")
+_TRACE_DL = _bounded(DL_MIN, DL_MAX)
+_TRACE_EFFORT = _bounded(0.0)
+
+
+def _cell(value) -> str:
+    """A value as a CSV cell: a float at fmt6, a flag 0 or 1, None empty,
+    a mode by its value, an int by str."""
+    if isinstance(value, bool):  # before int, as bool is a subclass of int
+        return str(int(value))
+    if isinstance(value, float):
+        return fmt6(value)
+    if value is None:
+        return ""
+    return value.value if isinstance(value, enum.Enum) else str(value)
 
 
 def _trace_header(workers: int) -> list[str]:
-    header = list(_TRACE_STEP_COLUMNS)
-    for i in range(workers):
-        header += [f"dl_w{i}", f"effort_w{i}"]
-    return header
+    return [*_TRACE_COLUMNS, *(f"{name}_w{i}" for i in range(workers) for name in ("dl", "effort"))]
 
 
 def write_trace_csv(path: str, trace: SimTrace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# mode={trace.mode.value}\n")
-        fh.write(f"# seed={trace.seed}\n")
-        fh.write(f"# workers={trace.num_workers}\n")
-        fh.write(f"# penalty_cap={fmt6(trace.penalty_cap)}\n")
-        fh.write(f"# temp_comfort={fmt6(trace.temp_comfort)}\n")
-        fh.write(f"# illum_comfort={fmt6(trace.illum_comfort)}\n")
+        fh.writelines(
+            f"# {key}={_cell(getattr(trace, field))}\n" for key, (field, _) in _TRACE_METADATA.items()
+        )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_trace_header(trace.num_workers))
         for step in trace.steps:
-            record = [
-                step.step,
-                fmt6(step.temp_set),
-                fmt6(step.illum_set),
-                fmt6(step.temp),
-                fmt6(step.illum),
-                fmt6(step.penalty),
-                "" if step.feasible is None else int(step.feasible),
-                step.status,
-            ]
+            record = [_cell(getattr(step, field)) for field, _ in _TRACE_COLUMNS.values()]
             for dl, effort in zip(step.dls, step.efforts):
                 record += [fmt6(dl), fmt6(effort)]
             writer.writerow(record)
 
 
 def _trace_step(record: list[str]) -> TraceStep:
-    feasible, status = record[6:8]
+    cells = dict(zip(_TRACE_COLUMNS, record))
+    feasible, status = cells["feasible"], cells["status"]
     if status not in _TRACE_STATUSES:
         raise ValueError(f"status must be one of {', '.join(_TRACE_STATUSES)}, got {status!r}")
     if status == "ok" and feasible not in ("0", "1"):
         raise ValueError(f"feasible must be 0 or 1 on an ok step, got {feasible!r}")
     if status != "ok" and feasible != "":
         raise ValueError(f"feasible must be empty on a {status} step, got {feasible!r}")
-    room = [convert(name, text) for (name, convert), text in zip(_TRACE_FLOATS.items(), record[1:6])]
-    dls = tuple(_TRACE_DL(f"dl_w{i}", text) for i, text in enumerate(record[8::2]))
-    efforts = tuple(_TRACE_EFFORT(f"effort_w{i}", text) for i, text in enumerate(record[9::2]))
-    return TraceStep(
-        int(record[0]), *room, None if feasible == "" else feasible == "1", status, dls, efforts
-    )
+    step = {field: convert(name, cells[name]) for name, (field, convert) in _TRACE_COLUMNS.items()}
+    workers = record[len(_TRACE_COLUMNS):]
+    dls = tuple(_TRACE_DL(f"dl_w{i}", text) for i, text in enumerate(workers[::2]))
+    efforts = tuple(_TRACE_EFFORT(f"effort_w{i}", text) for i, text in enumerate(workers[1::2]))
+    return TraceStep(**step, dls=dls, efforts=efforts)
 
 
 def read_trace_csv(path: str) -> SimTrace:
@@ -522,27 +522,26 @@ def read_trace_csv(path: str) -> SimTrace:
     measured range, a dl off the 1-5 scale, a negative effort, penalty or
     seed, a status run_scenario does not record, a feasible flag on a step
     that is not ok or none on one that is, a step not numbered 0, 1, 2,
-    ... in file order) is a CliError naming the file and its line."""
-    meta: dict[str, tuple[int, str]] = {}  # key: (line, text)
+    ... in file order) is a CliError naming the file and its line, and so
+    is a metadata key that is not a trace's or that repeats."""
+    values, pending = {}, dict(_TRACE_METADATA)  # pending: the keys not read yet
     with _CsvFile(path, "trace") as csv_file:
         for number, line in enumerate(csv_file.metadata_lines(), start=1):
-            try:
-                key, value = line[1:].strip().split("=", 1)
-            except ValueError:
+            key, sep, text = line[1:].partition("=")
+            if not sep:
                 raise CliError(f"{path}:{number}: malformed metadata line {line.strip()!r}")
-            meta[key.strip()] = number, value.strip()
-        missing = set(_TRACE_METADATA) - set(meta)
-        if missing:
-            raise CliError(f"{path}: missing trace metadata {sorted(missing)}")
-        values = {}
-        for key, convert in _TRACE_METADATA.items():
-            number, text = meta[key]
+            key = key.strip()
+            if key not in pending:
+                raise CliError(f"{path}:{number}: trace metadata key {key!r} is unknown or repeated")
+            field, convert = pending.pop(key)
             try:
-                values[key] = convert(key, text)
+                values[field] = convert(key, text.strip())
             except ValueError as err:
                 raise CliError(f"{path}:{number}: bad trace metadata: {err}")
-        workers = values["workers"]
-        csv_file.header(len(_TRACE_STEP_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
+        if pending:
+            raise CliError(f"{path}: missing trace metadata {list(pending)}")
+        workers = values["num_workers"]
+        csv_file.header(len(_TRACE_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
         steps = []
         for line, step in csv_file.records(_trace_step):
             if step.step != len(steps):
@@ -550,16 +549,14 @@ def read_trace_csv(path: str) -> SimTrace:
             steps.append(step)
     if not steps:
         raise CliError(f"{path}: trace has no step rows")
-    return SimTrace(num_workers=values.pop("workers"), steps=tuple(steps), **values)
+    return SimTrace(steps=tuple(steps), **values)
 
 
 def write_metrics_csv(path: str, metrics: Metrics) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
-        for f in fields(metrics):
-            value = getattr(metrics, f.name)
-            writer.writerow([f.name, fmt6(value) if f.type == "float" else value])
+        writer.writerows([f.name, _cell(getattr(metrics, f.name))] for f in fields(metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +712,7 @@ def shipped_config_path(name: str) -> str:
     """Filesystem path of a packaged configuration file."""
     from importlib.resources import files
 
-    resource = files("alertmpc").joinpath("configs", name)
-    return str(resource)
+    return str(files("alertmpc").joinpath("configs", name))
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +753,7 @@ def _parse_stream_record(line: str):
         dl, temp, illum = float(dl), float(temp), float(illum)
     except OverflowError:
         raise ValueError("measurement too large for a float") from None
-    if not (1.0 <= dl <= 5.0):
+    if not (DL_MIN <= dl <= DL_MAX):
         raise ValueError(f"dl {dl} outside the 1-5 scale")
     # One comparison chain rather than two require_in_range calls: this
     # runs on every stream line.
@@ -961,7 +957,8 @@ def cmd_identify(args) -> int:
         return 3
     models = ModelSet(dl=dl_model, idt=idt_model, ami=ami_model)
     write_model_set(args.out_model, models)
-    for name, report in (("dl", dl_report), ("idt", idt_report), ("ami", ami_report)):
+    reports = {"dl": dl_report, "idt": idt_report, "ami": ami_report}
+    for name, report in reports.items():
         flag = " condition_warning" if report.condition_warning else ""
         print(f"{name}: rmse={fmt6(report.rmse)} n={report.n_samples}{flag}")
     print(f"model file written to {args.out_model}")
@@ -973,11 +970,7 @@ def cmd_identify(args) -> int:
             "out_model": args.out_model,
             "keep_boundary": bool(args.keep_boundary),
             "ridge": args.ridge,
-            "reports": {
-                "dl": dl_report,
-                "idt": idt_report,
-                "ami": ami_report,
-            },
+            "reports": reports,
         },
     )
     return 0
@@ -992,20 +985,18 @@ def cmd_solve(args) -> int:
         solution = solve(models, snapshot, cfg, de)
     except (ShapeMismatch, NonFiniteObjective, BadBounds) as err:
         raise CliError(str(err))
+    schedule = solution.schedule
+    steps = enumerate(zip(schedule.temp_setpoints, schedule.illum_setpoints), start=1)
     if args.format == "csv":
         print(f"# objective={fmt6(solution.objective_value)}")
         print(f"# feasible={1 if solution.feasible else 0}")
         print("step,temp_set_c,illum_set_lx")
-        for i, (t_set, l_set) in enumerate(
-            zip(solution.schedule.temp_setpoints, solution.schedule.illum_setpoints), start=1
-        ):
+        for i, (t_set, l_set) in steps:
             print(f"{i},{fmt6(t_set)},{fmt6(l_set)}")
     else:
         feas = "yes" if solution.feasible else "NO (least-violating schedule shown)"
         print(f"objective {fmt6(solution.objective_value)}  feasible {feas}")
-        for i, (t_set, l_set) in enumerate(
-            zip(solution.schedule.temp_setpoints, solution.schedule.illum_setpoints), start=1
-        ):
+        for i, (t_set, l_set) in steps:
             print(f"step {i}: temp {fmt6(t_set)} C, illum {fmt6(l_set)} lx")
     write_manifest(
         args.out_dir,

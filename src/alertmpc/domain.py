@@ -103,8 +103,8 @@ class WorkerState:
             raise ValueError(
                 f"d_current must lie in [{DL_MIN}, {DL_MAX}], got {self.d_current}"
             )
-        if self.d_plus < 0 or self.d_minus < 0 or self.effort < 0:
-            raise ValueError("d_plus, d_minus and effort must be nonnegative")
+        if not all(0.0 <= x < math.inf for x in (self.d_plus, self.d_minus, self.effort)):  # NaN fails
+            raise ValueError("d_plus, d_minus and effort must be finite and nonnegative")
         if self.d_plus != 0.0 and self.d_minus != 0.0:
             raise ValueError("at most one of d_plus/d_minus may be nonzero")
 

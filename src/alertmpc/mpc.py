@@ -32,7 +32,7 @@ from .domain import (
 # stay importable from this module because the perfbench trace hooks look
 # them up on it.
 from .models import HorizonKernel, constraint_violation, objective, rollout  # noqa: F401
-from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, de_minimize
+from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, checked_scores, de_minimize
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ def solve(
 ) -> MpcSolution:
     """Choose the setpoint schedule for the coming horizon.
 
-    NOC returns the constant comfort schedule without touching the
-    optimizer.  MPC1 optimizes temperatures with illuminance pinned at
-    the comfort value; MPC2 optimizes both.  When no feasible schedule
-    is found the least-violating one is returned with feasible false so
-    the caller can decide what to apply.
+    NOC scores the constant comfort schedule without a search, raising
+    NonFiniteObjective on a non-finite score as the search does.  MPC1
+    optimizes temperatures with illuminance pinned at the comfort value;
+    MPC2 optimizes both.  When no feasible schedule is found the
+    least-violating one is returned with feasible false for the caller.
     """
     validate_config(cfg)
     horizon = cfg.horizon
@@ -79,8 +79,9 @@ def solve(
     if cfg.mode is ControlMode.NOC:
         temps, illums = (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
         kernel = HorizonKernel(models, snapshot, cfg, 1)
-        (f,), (v,) = kernel.evaluate(np.array([temps]), np.array([illums]))
-        return MpcSolution(ControlSchedule(temps, illums), float(f), float(v))
+        scores = kernel.evaluate(np.array([temps]), np.array([illums]))
+        f, v = checked_scores(np.array([temps + illums]), *scores)
+        return MpcSolution(ControlSchedule(temps, illums), float(f[0]), float(v[0]))
 
     mpc2 = cfg.mode is ControlMode.MPC2
     lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)

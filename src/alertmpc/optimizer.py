@@ -133,6 +133,34 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
     return np.stack(draws, axis=1)
 
 
+def checked_scores(pop: np.ndarray, f, v) -> tuple[np.ndarray, np.ndarray]:
+    """The objectives f and violations v of the rows pop as float arrays.
+
+    Raises ValueError unless each holds one value per row and v >= 0, and
+    NonFiniteObjective on a NaN or an infinity.
+    """
+    f = np.asarray(f, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if f.shape != (len(pop),) or v.shape != (len(pop),):
+        raise ValueError(
+            f"evaluate must return two ({len(pop)},) arrays, got {f.shape} and {v.shape}"
+        )
+    # A NaN or an infinity makes the total non-finite, so a finite total
+    # vouches for every value; only a total that overflows needs the scans.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(f) + np.add.reduce(v)
+    finite = math.isfinite(total) or (np.isfinite(f).all() and np.isfinite(v).all())
+    if finite and v.min() >= 0.0:
+        return f, v
+    for name, values in (("objective", f), ("violation", v)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteObjective(f"{name} returned {values[i]} at {pop[i].tolist()}")
+    i = int(np.argmax(v < 0.0))
+    raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
+
+
 def de_minimize(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lower,
@@ -178,29 +206,6 @@ def de_minimize(
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    def checked(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, v = evaluate(pop)
-        f = np.asarray(f, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if f.shape != (pop_size,) or v.shape != (pop_size,):
-            raise ValueError(
-                f"evaluate must return two ({pop_size},) arrays, got {f.shape} and {v.shape}"
-            )
-        # A NaN or an infinity makes the total non-finite, so a finite total
-        # vouches for every value; only a total that overflows needs the scans.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(f) + np.add.reduce(v)
-        finite = math.isfinite(total) or (np.isfinite(f).all() and np.isfinite(v).all())
-        if finite and v.min() >= 0.0:
-            return f, v
-        for name, values in (("objective", f), ("violation", v)):
-            bad = ~np.isfinite(values)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise NonFiniteObjective(f"{name} returned {values[i]} at {pop[i].tolist()}")
-        i = int(np.argmax(v < 0.0))
-        raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
-
     def draw_block() -> tuple[np.ndarray, np.ndarray]:
         """Donors (_BLOCK, 3, P) and the complement of the crossover masks,
         (_BLOCK, P, D): true where a trial keeps its member's value."""
@@ -211,9 +216,9 @@ def de_minimize(
         return donors, ~cross
 
     pop = lower + rng.random((pop_size, dim)) * span
-    # Copies: the search updates them in place, and checked() may return
-    # the caller's own arrays.
-    fs, vs = (x.copy() for x in checked(pop))
+    # Copies: the search updates them in place, and checked_scores() may
+    # return the caller's own arrays.
+    fs, vs = (x.copy() for x in checked_scores(pop, *evaluate(pop)))
     # Every generation's donors and trials go into these buffers.
     donor_rows = np.empty((3, pop_size, dim))
     r1, r2, r3 = donor_rows
@@ -221,7 +226,7 @@ def de_minimize(
     generations = 0
     stop_reason = "budget"
     for gen in range(params.max_generations):
-        # checked() guarantees vs >= 0, so "none nonzero" is "all feasible".
+        # checked_scores() guarantees vs >= 0, so "none nonzero" is "all feasible".
         if not vs.any() and float(fs.max() - fs.min()) < params.tolerance:
             stop_reason = "tolerance"
             break
@@ -240,7 +245,7 @@ def de_minimize(
         np.minimum(trials, upper, out=trials)
         np.copyto(trials, pop, where=keep[step])
 
-        f_t, v_t = checked(trials)
+        f_t, v_t = checked_scores(trials, *evaluate(trials))
         take = not_worse(f_t, v_t, fs, vs)
         np.copyto(pop, trials, where=take[:, None])
         np.copyto(fs, f_t, where=take)
@@ -257,4 +262,4 @@ def de_minimize(
     )
 
 
-__all__ = ["BadBounds", "NonFiniteObjective", "DeParams", "DeResult", "de_minimize"]
+__all__ = ["BadBounds", "NonFiniteObjective", "DeParams", "DeResult", "checked_scores", "de_minimize"]

@@ -22,6 +22,8 @@ import numpy as np
 from .domain import (
     AmiModel,
     ControlMode,
+    DL_MAX,
+    DL_MIN,
     DlModel,
     ILLUM_RANGE,
     IdtModel,
@@ -68,7 +70,7 @@ class PlantConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if not 1.0 <= self.init_dl <= 5.0:
+        if not DL_MIN <= self.init_dl <= DL_MAX:
             raise ValueError(f"init_dl must lie on the 1-5 scale, got {self.init_dl}")
         for name, bounds in (("init_temp", TEMP_RANGE), ("ambient_temp", TEMP_RANGE),
                              ("init_illum", ILLUM_RANGE)):

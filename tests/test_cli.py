@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import alertmpc.cli as cli_module
 import alertmpc.mpc as mpc_module
 import alertmpc.sim as sim_module
 from alertmpc.cli import (
+    SNAPSHOT_HEADER,
     CliError,
     _parse_stream_record,
     _window_stats,
@@ -35,6 +37,11 @@ from alertmpc.cli import (
     write_trace_csv,
 )
 from alertmpc.domain import (
+    DL_FEATURES,
+    DL_MAX,
+    DL_MIN,
+    ILLUM_RANGE,
+    TEMP_RANGE,
     AmiModel,
     ControlMode,
     DlModel,
@@ -172,7 +179,107 @@ class TestFmt6:
             assert fmt6(float(once)) == once
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+MODEL_SETS = st.builds(
+    ModelSet,
+    dl=st.builds(DlModel, intercept=FINITE, coef=st.fixed_dictionaries({name: FINITE for name in DL_FEATURES})),
+    idt=st.builds(IdtModel, k_up=st.floats(0.0, 1.0, exclude_min=True),
+                  k_down=st.floats(0.0, 1.0, exclude_min=True)),
+    ami=st.builds(AmiModel, theta0=FINITE, theta_prev=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                  theta_set=FINITE),
+)
+
+# Edits of one member of a model file: its value replaced by a JSON text,
+# or the member deleted, repeated, or joined by a key no writer writes.
+MODEL_MUTATIONS = ["true", "null", '"0.3"', "1e400", "[]", "{}", "delete", "repeat", "add"]
+
+
+def json_members(doc):
+    """(object, index) of each member of doc, a JSON document loaded as
+    nested lists of (key, value) pairs."""
+    for i, (_, value) in enumerate(doc):
+        yield doc, i
+        if isinstance(value, list):
+            yield from json_members(value)
+
+
+def json_text(doc) -> str:
+    """The JSON text of such a document, whose other values are JSON texts."""
+    if isinstance(doc, list):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(value)}" for key, value in doc) + "}"
+    return doc
+
+
+def mutated_model_text(text: str, member: int, mutation: str) -> str:
+    """text, a model file's text, with one member edited by mutation."""
+    doc = json.loads(text, object_pairs_hook=list, parse_float=str, parse_int=str)
+    members = list(json_members(doc))
+    obj, i = members[member % len(members)]
+    if mutation == "delete":
+        del obj[i]
+    elif mutation == "repeat":
+        obj.insert(i + 1, obj[i])
+    elif mutation == "add":
+        obj.insert(i, ("bogus", "1"))
+    else:
+        obj[i] = (obj[i][0], mutation)
+    return json_text(doc)
+
+
 class TestModelFiles:
+    @settings(max_examples=50, deadline=None)
+    @given(models=MODEL_SETS)
+    def test_any_model_set_reads_back_equal(self, tmp_path_factory, models):
+        path = str(tmp_path_factory.mktemp("model") / "m.json")
+        write_model_set(path, models)
+        assert read_model_set(path) == models
+
+    # The members are numbered depth first, in file order: 0 is "ami",
+    # 8 "dl.coef.d_prev", 19 "idt.k_up" and 20 "version".
+    @settings(max_examples=60, deadline=None)
+    @given(models=MODEL_SETS, member=st.integers(0, 20), mutation=st.sampled_from(MODEL_MUTATIONS))
+    @example(models=TRUTH, member=19, mutation="repeat")
+    @example(models=TRUTH, member=20, mutation="add")
+    @example(models=TRUTH, member=8, mutation="repeat")
+    def test_any_edited_member_is_refused_or_reads_back(self, tmp_path_factory, models, member, mutation):
+        directory = tmp_path_factory.mktemp("model")
+        path = str(directory / "m.json")
+        write_model_set(path, models)
+        edited = mutated_model_text(Path(path).read_text(), member, mutation)
+        put(directory, "m.json", edited)
+        try:
+            back = read_model_set(path)
+        except CliError as err:
+            assert path in str(err)
+            return
+        again = str(directory / "again.json")
+        write_model_set(again, back)
+        assert read_model_set(again) == back
+        # What was read is all the file holds: each key once, none the writer lacks.
+        sorted_pairs = functools.partial(json.loads, object_pairs_hook=sorted)
+        assert sorted_pairs(edited) == sorted_pairs(Path(again).read_text())
+
+    @pytest.mark.parametrize("edit", ["repeated k_up", "repeated coef", "unknown top-level key",
+                                      "unknown model key"])
+    def test_keys_no_writer_writes_are_refused(self, tmp_path, capsys, edit):
+        path = str(tmp_path / "m.json")
+        write_model_set(path, TRUTH)
+        text = Path(path).read_text()
+        old, new = {
+            "repeated k_up": ('"k_up"', '"k_up": 0.2, "k_up"'),
+            "repeated coef": ('"coef"', '"coef": {}, "coef"'),
+            "unknown top-level key": ('"version"', '"bogus": 1, "version"'),
+            "unknown model key": ('"k_up"', '"k_middle": 0.2, "k_up"'),
+        }[edit]
+        put(tmp_path, "m.json", text.replace(old, new))
+        with pytest.raises(CliError, match=re.escape(f"model file {path} is malformed: ")):
+            read_model_set(path)
+        snap = put(tmp_path, "snap.csv", SNAPSHOT_CSV)
+        cfg = put(tmp_path, "control.cfg", CONTROL_CFG)
+        assert main(["solve", snap, "--model", path, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert path in capsys.readouterr().err
+
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "m.json")
         write_model_set(path, TRUTH)
@@ -427,7 +534,48 @@ class TestTelemetryFastPath:
         assert len(table) == 0 and table.worker_ids == ()
 
 
+SNAPSHOT_ROWS = [["w0", "2.4", "0.1", "0", "0.12", "26.8", "540"],
+                 ["w1", "3.0", "0", "0.2", "0.05", "26.8", "540"]]
+
+# Field texts for snapshot edits: numbers in and out of range and odd spellings.
+SNAPSHOT_FIELD_TEXTS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "-0.1", "1e400", "0", "0.5", "5.5", "60", "2e4", "1,2"]),
+    st.text(alphabet="0123456789.-+e ", max_size=6),
+)
+
+
 class TestSnapshotCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(row=st.integers(0, 1), field=st.integers(0, 6), text=SNAPSHOT_FIELD_TEXTS)
+    @example(row=0, field=2, text="nan")
+    def test_any_edited_field_is_refused_or_in_range(self, tmp_path_factory, row, field, text):
+        rows = [list(r) for r in SNAPSHOT_ROWS]
+        rows[row][field] = text
+        path = put(tmp_path_factory.mktemp("snapshot"), "s.csv",
+                   "".join(",".join(r) + "\n" for r in [SNAPSHOT_HEADER, *rows]))
+        try:
+            snap = read_snapshot_csv(path)
+        except CliError as err:
+            assert re.match(re.escape(path) + r":\d+: ", str(err)), err
+            return
+        assert TEMP_RANGE[0] <= snap.temp_current <= TEMP_RANGE[1]
+        assert ILLUM_RANGE[0] <= snap.illum_current <= ILLUM_RANGE[1]
+        for worker in snap.workers:
+            assert DL_MIN <= worker.d_current <= DL_MAX
+            assert all(0.0 <= x < float("inf") for x in (worker.d_plus, worker.d_minus, worker.effort))
+
+    @pytest.mark.parametrize("row", ["w0,2.0,nan,0,0.1,26,600", "w0,2.0,0,0,inf,26,600"])
+    def test_rejects_nonfinite_worker_fields(self, tmp_path, row):
+        path = put(tmp_path, "s.csv", "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n" + row + "\n")
+        with pytest.raises(CliError, match=r"s\.csv:2: d_plus, d_minus and effort must be finite"):
+            read_snapshot_csv(path)
+
+    def test_room_outside_the_measured_range_names_its_line(self, tmp_path):
+        path = put(tmp_path, "s.csv", "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n"
+                                      "w0,2.0,0,0,0.1,60,600\n")
+        with pytest.raises(CliError, match=r"s\.csv:2: temp_c 60\.0 outside the measured range"):
+            read_snapshot_csv(path)
+
     def test_parses_workers_and_room(self, tmp_path):
         path = put(tmp_path, "s.csv",
                    "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n"
@@ -468,7 +616,93 @@ class TestSnapshotCsv:
             read_snapshot_csv(path)
 
 
+@st.composite
+def sim_traces(draw):
+    """A trace as run_scenario could record it: feasible is a flag exactly on ok steps."""
+    workers = draw(st.integers(1, 3))
+    temps, illums = st.floats(*TEMP_RANGE), st.floats(*ILLUM_RANGE)
+    nonnegative = st.floats(0.0, allow_infinity=False)
+    per_worker = functools.partial(st.lists, min_size=workers, max_size=workers)
+    steps = []
+    for i in range(draw(st.integers(1, 4))):
+        status = draw(st.sampled_from(["ok", "stale", "error", "lunch"]))
+        steps.append(TraceStep(
+            i, draw(temps), draw(illums), draw(temps), draw(illums), draw(nonnegative),
+            draw(st.booleans()) if status == "ok" else None, status,
+            tuple(draw(per_worker(st.floats(DL_MIN, DL_MAX)))), tuple(draw(per_worker(nonnegative))),
+        ))
+    return SimTrace(draw(st.sampled_from(ControlMode)), draw(st.integers(0, 2**64)), workers,
+                    draw(nonnegative), draw(temps), draw(illums), tuple(steps))
+
+
+# Field texts for trace edits: numbers in and out of range, odd spellings
+# of numbers and flags, statuses and metadata keys, a comma.
+TRACE_FIELD_TEXTS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1", "1e400", "0", "1", "2", " 1", "+1", "01", "true", "MPC1",
+                     "noc", "ok", "stale", "lunch", "error", "bogus", "mode", "seed", "workers",
+                     "penalty_cap", "temp_comfort", "illum_comfort", "1,2"]),
+    st.text(alphabet="0123456789.-+e ", max_size=6),
+)
+
+SMALL_TRACE = SimTrace(ControlMode.MPC2, 7, 1, 2.0, 26.0, 600.0, (
+    TraceStep(0, 26.0, 600.0, 26.43, 598.7, 0.2236, True, "ok", (2.123456789,), (0.05,)),
+    TraceStep(1, 25.5, 750.0, 25.8, 700.0, 0.1, None, "stale", (2.4,), (0.0,)),
+))
+
+
 class TestTraceCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(trace=sim_traces())
+    def test_any_trace_writes_back_byte_identical(self, tmp_path_factory, trace):
+        directory = tmp_path_factory.mktemp("trace")
+        first, second = str(directory / "a.csv"), str(directory / "b.csv")
+        write_trace_csv(first, trace)
+        write_trace_csv(second, read_trace_csv(first))
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+
+    # line and field pick one field of the file past its header: a
+    # metadata line's key (field 0) or value, or a cell of a step record.
+    @settings(max_examples=60, deadline=None)
+    @given(trace=sim_traces(), line=st.integers(0, 9), field=st.integers(0, 13), text=TRACE_FIELD_TEXTS)
+    @example(trace=SMALL_TRACE, line=1, field=0, text="mode")  # a repeated key
+    @example(trace=SMALL_TRACE, line=0, field=0, text="bogus")  # an unknown key
+    def test_any_edited_field_is_refused_or_reads_back(self, tmp_path_factory, trace, line, field, text):
+        directory = tmp_path_factory.mktemp("trace")
+        path = str(directory / "r.csv")
+        write_trace_csv(path, trace)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        i = [i for i in range(len(lines)) if i != 6][line % (len(lines) - 1)]  # line 6 is the header
+        if i < 6:
+            fields = list(lines[i][2:].partition("=")[::2])
+            fields[field % 2] = text
+            lines[i] = f"# {fields[0]}={fields[1]}"
+        else:
+            fields = lines[i].split(",")
+            fields[field % len(fields)] = text
+            lines[i] = ",".join(fields)
+        put(directory, "r.csv", "\n".join(lines) + "\n")
+        try:
+            back = read_trace_csv(path)
+        except CliError as err:
+            if i == 2 and field % 2 and "header mismatch" in str(err):
+                return  # another worker count, which the header refutes
+            assert re.match(re.escape(path) + (r":\d+: " if i < 6 else f":{i + 1}: "), str(err)), err
+            return
+        again = str(directory / "again.csv")
+        write_trace_csv(again, back)
+        assert read_trace_csv(again) == back
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("# seed=7\n", "# seed=7\n# seed=1\n", 3, "trace metadata key 'seed' is unknown or repeated"),
+        ("# mode=MPC2\n", "# bogus=1\n# mode=MPC2\n", 1, "trace metadata key 'bogus' is unknown or repeated"),
+    ], ids=["repeated-key", "unknown-key"])
+    def test_metadata_keys_no_writer_writes_are_refused(self, tmp_path, capsys, old, new, line, message):
+        path = put(tmp_path, "r.csv", trace_text().replace(old, new))
+        with pytest.raises(CliError, match=re.escape(f"{path}:{line}: {message}")):
+            read_trace_csv(path)
+        assert main(["report", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
     def small_trace(self):
         steps = (
             TraceStep(0, 26.0, 600.0, 26.43, 598.7, 0.2236, True, "ok",
@@ -1084,13 +1318,15 @@ class TestSolveCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    def test_nonfinite_objective_is_usage_error(self, workdir, capsys):
+    # NOC scores its one schedule without a search, and fails the same way.
+    @pytest.mark.parametrize("mode", ["mpc2", "noc"])
+    def test_nonfinite_objective_is_usage_error(self, workdir, capsys, mode):
         # Coefficients this large overflow the drowsiness rollout to nan.
         coef = dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)
         huge = ModelSet(dl=DlModel(intercept=0.0, coef=coef), idt=TRUTH.idt, ami=TRUTH.ami)
         model = str(workdir / "huge.json")
         write_model_set(model, huge)
-        cfg = put(workdir, "control.cfg", CONTROL_CFG)
+        cfg = put(workdir, "control.cfg", CONTROL_CFG.replace("mode = mpc2", f"mode = {mode}"))
         snap = put(workdir, "snap.csv", SNAPSHOT_CSV)
         rc = main(["solve", snap, "--model", model, "--config", cfg,
                    "--out-dir", str(workdir)])
@@ -1634,12 +1870,13 @@ class TestDaemonCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    def test_nonfinite_objective_is_held_as_error(self, workdir, capsys):
+    @pytest.mark.parametrize("mode", ["mpc2", "noc"])
+    def test_nonfinite_objective_is_held_as_error(self, workdir, capsys, mode):
         # Coefficients this large overflow the drowsiness rollout to nan.
         coef = dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)
         model = str(workdir / "huge.json")
         write_model_set(model, ModelSet(dl=DlModel(0.0, coef), idt=TRUTH.idt, ami=TRUTH.ami))
-        _, cfg_path = self.files(workdir)
+        cfg_path = put(workdir, "scenario.cfg", SCENARIO_CFG.replace("mode = mpc2", f"mode = {mode}"))
         lines = [json.dumps(stream_doc(t=f"2026-01-05T08:{15 * w:02d}:00")) for w in range(3)]
         stream = put(workdir, "stream.jsonl", "\n".join(lines) + "\n")
         out_path = str(workdir / "out.jsonl")

@@ -71,6 +71,12 @@ class TestWorkerState:
         with pytest.raises(ValueError):
             WorkerState(d_current=2.0, effort=-0.5)
 
+    @pytest.mark.parametrize("field", ["d_plus", "d_minus", "effort"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_fields(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            WorkerState(d_current=2.0, **{field: value})
+
     def test_from_history_increment_product_is_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
