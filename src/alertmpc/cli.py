@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .domain import (
     AmiModel,
-    ConfigError,
     ControlMode,
     DlModel,
     DL_FEATURES,
@@ -52,7 +51,6 @@ from .domain import (
     TEMP_RANGE,
     WorkerState,
     require_in_range,
-    validate_config,
 )
 from .identify import (
     DegenerateSweep,
@@ -77,7 +75,6 @@ from .sim import (
     TraceStep,
     compute_metrics,
     run_scenario,
-    validate_scenario,
 )
 
 MODEL_FILE_VERSION = 1
@@ -110,6 +107,16 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int = 2):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+@contextlib.contextmanager
+def _refused(lead: str, errors=ValueError):
+    """Turn an error of type errors raised in the block, a refused value,
+    into a CliError whose message is lead followed by the error's."""
+    try:
+        yield
+    except errors as err:
+        raise CliError(f"{lead}{err}")
 
 
 def fmt6(x: float) -> str:
@@ -205,10 +212,8 @@ def read_model_set(path: str) -> ModelSet:
         raise CliError(
             f"model file {path} has unsupported version {version!r}, expected {MODEL_FILE_VERSION}"
         )
-    try:
+    with _refused(f"model file {path} is malformed: ", (TypeError, ValueError, OverflowError)):
         return _from_json(ModelSet, doc, "the model set")
-    except (TypeError, ValueError, OverflowError) as err:
-        raise CliError(f"model file {path} is malformed: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +539,8 @@ def read_trace_csv(path: str) -> SimTrace:
             if key not in pending:
                 raise CliError(f"{path}:{number}: trace metadata key {key!r} is unknown or repeated")
             field, convert = pending.pop(key)
-            try:
+            with _refused(f"{path}:{number}: bad trace metadata: "):
                 values[field] = convert(key, text.strip())
-            except ValueError as err:
-                raise CliError(f"{path}:{number}: bad trace metadata: {err}")
         if pending:
             raise CliError(f"{path}: missing trace metadata {list(pending)}")
         workers = values["num_workers"]
@@ -666,16 +669,11 @@ def _read_section(path: str, parser, section: str, required: bool) -> list[dict]
 
 def _control_config(path: str, parser) -> tuple[MpcConfig, DeParams]:
     (mpc,) = _read_section(path, parser, "mpc", required=True)
-    cfg = MpcConfig(**mpc)
-    try:
-        validate_config(cfg)
-    except ConfigError as err:
-        raise CliError(f"config {path}: {err}")
+    with _refused(f"config {path}: "):
+        cfg = MpcConfig(**mpc)
     (de,) = _read_section(path, parser, "de", required=False)
-    try:
+    with _refused(f"config {path}: [de] "):
         return cfg, DeParams(**de)
-    except ValueError as err:
-        raise CliError(f"config {path}: [de] {err}")
 
 
 def parse_scenario_config(
@@ -686,21 +684,15 @@ def parse_scenario_config(
     parser = _load_config(path)
     cfg, de = _control_config(path, parser)
     idt, ami, dl, rest = _read_section(path, parser, "plant", required=True)
-    try:
+    with _refused(f"config {path}: [plant] "):
         plant = PlantConfig(
             true_idt=IdtModel(**idt), true_ami=AmiModel(**ami), true_dl=DlModel(**dl), **rest
         )
-    except ValueError as err:
-        raise CliError(f"config {path}: [plant] {err}")
     (scenario,) = _read_section(path, parser, "scenario", required=True)
-    sc = ScenarioConfig(
-        plant=plant, mpc_cfg=cfg, de=de, controller_models=controller_models, **scenario
-    )
-    try:
-        validate_scenario(sc)
-    except ValueError as err:
-        raise CliError(f"config {path}: {err}")
-    return sc
+    with _refused(f"config {path}: "):
+        return ScenarioConfig(
+            plant=plant, mpc_cfg=cfg, de=de, controller_models=controller_models, **scenario
+        )
 
 
 def parse_control_config(path: str) -> tuple[MpcConfig, DeParams]:
@@ -902,13 +894,13 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
 # commands
 
 
-def _override_seed(de: DeParams, seed: int | None) -> DeParams:
+def _override_seed(settings, seed: int | None):
+    """settings (a DeParams or a ScenarioConfig) with its seed replaced by
+    --seed, when that is given."""
     if seed is None:
-        return de
-    try:
-        return replace(de, seed=seed)
-    except ValueError as err:
-        raise CliError(f"--seed: {err}")
+        return settings
+    with _refused("--seed: "):
+        return replace(settings, seed=seed)
 
 
 def _open_stream(path: str, mode: str, std):
@@ -981,10 +973,8 @@ def cmd_solve(args) -> int:
     cfg, de = parse_control_config(args.config)
     de = _override_seed(de, args.seed)
     snapshot = read_snapshot_csv(args.snapshot)
-    try:
+    with _refused("", (ShapeMismatch, NonFiniteObjective, BadBounds)):
         solution = solve(models, snapshot, cfg, de)
-    except (ShapeMismatch, NonFiniteObjective, BadBounds) as err:
-        raise CliError(str(err))
     schedule = solution.schedule
     steps = enumerate(zip(schedule.temp_setpoints, schedule.illum_setpoints), start=1)
     if args.format == "csv":
@@ -1021,17 +1011,9 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     controller_models = read_model_set(args.model) if args.model else None
-    sc = parse_scenario_config(args.config, controller_models)
-    if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
-    try:
-        validate_scenario(sc)
-    except ValueError as err:
-        raise CliError(str(err))
-    try:
+    sc = _override_seed(parse_scenario_config(args.config, controller_models), args.seed)
+    with _refused(f"config {args.config}: ", PlantOutOfRange):
         trace, metrics = run_scenario(sc)
-    except PlantOutOfRange as err:
-        raise CliError(f"config {args.config}: {err}")
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -1071,10 +1053,8 @@ def cmd_report(args) -> int:
     comparison = ArmComparison()
     for path in args.traces:
         trace = read_trace_csv(path)
-        try:
+        with _refused(f"{path}: "):  # a repeated (mode, seed)
             comparison.add(trace.mode.value, trace.seed, compute_metrics(trace))
-        except ValueError as err:  # a repeated (mode, seed)
-            raise CliError(f"{path}: {err}")
     arms = sorted(comparison.runs)
     means = {arm: [fmt6(comparison.mean_of(arm, name)) for name in _REPORT_METRICS] for arm in arms}
     base = "NOC"

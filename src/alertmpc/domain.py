@@ -215,9 +215,9 @@ class ModelSet:
 class MpcConfig:
     """Controller tuning: horizon, bounds, comfort targets, penalty weights.
 
-    Constructing an instance performs no cross-field checks so that bad
-    configurations can be represented and reported; run validate_config
-    before use.
+    An instance is valid whenever it exists: constructing one (also by
+    dataclasses.replace) raises a ConfigError subclass naming the
+    offending field(s).
     """
 
     horizon: int = 4
@@ -234,6 +234,55 @@ class MpcConfig:
     penalty_cap: float = 2.0
     mode: ControlMode = ControlMode.MPC2
 
+    def __post_init__(self):
+        require_finite(self)
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.num_workers < 1:
+            raise ConfigError(f"num_workers must be >= 1, got {self.num_workers}")
+        if self.step_hours <= 0:
+            raise ConfigError(f"step_hours must be positive, got {self.step_hours}")
+        # The daemon's windows are timedeltas: whole microseconds, up to
+        # timedelta.max.
+        try:
+            window = timedelta(hours=self.step_hours)
+        except OverflowError:
+            window = timedelta(0)
+        if window == timedelta(0):
+            raise ConfigError(
+                f"step_hours must round to a window of 1 microsecond to "
+                f"{timedelta.max.days} days, got {self.step_hours}"
+            )
+        if self.temp_lo > self.temp_hi:
+            raise BoundsInverted(f"temp_lo {self.temp_lo} exceeds temp_hi {self.temp_hi}")
+        if self.illum_lo > self.illum_hi:
+            raise BoundsInverted(f"illum_lo {self.illum_lo} exceeds illum_hi {self.illum_hi}")
+        for lo, hi in (("temp_lo", "temp_hi"), ("illum_lo", "illum_hi")):
+            # Finite bounds can still be further apart than the largest float.
+            if not math.isfinite(getattr(self, hi) - getattr(self, lo)):
+                raise NonFiniteSetting(
+                    f"{hi} - {lo} must be finite, got {getattr(self, hi)} - {getattr(self, lo)}"
+                )
+        for name, bounds in (("temp_lo", TEMP_RANGE), ("temp_hi", TEMP_RANGE),
+                             ("illum_lo", ILLUM_RANGE), ("illum_hi", ILLUM_RANGE)):
+            require_in_range(name, getattr(self, name), bounds, ConfigError)
+        if not self.temp_lo <= self.temp_comfort <= self.temp_hi:
+            raise ComfortOutsideBounds(
+                f"temp_comfort {self.temp_comfort} outside [{self.temp_lo}, {self.temp_hi}]"
+            )
+        if not self.illum_lo <= self.illum_comfort <= self.illum_hi:
+            raise ComfortOutsideBounds(
+                f"illum_comfort {self.illum_comfort} outside [{self.illum_lo}, {self.illum_hi}]"
+            )
+        if self.p_temp <= 0:
+            raise NonPositiveCoefficient(f"p_temp must be positive, got {self.p_temp}")
+        if self.p_illum <= 0:
+            raise NonPositiveCoefficient(f"p_illum must be positive, got {self.p_illum}")
+        if self.penalty_cap <= 0:
+            raise NonPositiveCoefficient(f"penalty_cap must be positive, got {self.penalty_cap}")
+        if not isinstance(self.mode, ControlMode):
+            raise ConfigError(f"mode must be a ControlMode, got {self.mode!r}")
+
 
 def require_finite(settings) -> None:
     """Raise NonFiniteSetting naming the first float (or float tuple) field
@@ -243,61 +292,6 @@ def require_finite(settings) -> None:
         values = value if field.type == "tuple[float, ...]" else (value,) if field.type == "float" else ()
         if not all(map(math.isfinite, values)):
             raise NonFiniteSetting(f"{field.name} must be finite, got {value}")
-
-
-def validate_config(cfg: MpcConfig) -> None:
-    """Raise a ConfigError subclass naming the offending field(s)."""
-    require_finite(cfg)
-    if cfg.horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {cfg.horizon}")
-    if cfg.num_workers < 1:
-        raise ConfigError(f"num_workers must be >= 1, got {cfg.num_workers}")
-    if cfg.step_hours <= 0:
-        raise ConfigError(f"step_hours must be positive, got {cfg.step_hours}")
-    # The daemon's windows are timedeltas: whole microseconds, up to
-    # timedelta.max.
-    try:
-        window = timedelta(hours=cfg.step_hours)
-    except OverflowError:
-        window = timedelta(0)
-    if window == timedelta(0):
-        raise ConfigError(
-            f"step_hours must round to a window of 1 microsecond to "
-            f"{timedelta.max.days} days, got {cfg.step_hours}"
-        )
-    if cfg.temp_lo > cfg.temp_hi:
-        raise BoundsInverted(
-            f"temp_lo {cfg.temp_lo} exceeds temp_hi {cfg.temp_hi}"
-        )
-    if cfg.illum_lo > cfg.illum_hi:
-        raise BoundsInverted(
-            f"illum_lo {cfg.illum_lo} exceeds illum_hi {cfg.illum_hi}"
-        )
-    for lo, hi in (("temp_lo", "temp_hi"), ("illum_lo", "illum_hi")):
-        # Finite bounds can still be further apart than the largest float.
-        if not math.isfinite(getattr(cfg, hi) - getattr(cfg, lo)):
-            raise NonFiniteSetting(
-                f"{hi} - {lo} must be finite, got {getattr(cfg, hi)} - {getattr(cfg, lo)}"
-            )
-    for name, bounds in (("temp_lo", TEMP_RANGE), ("temp_hi", TEMP_RANGE),
-                         ("illum_lo", ILLUM_RANGE), ("illum_hi", ILLUM_RANGE)):
-        require_in_range(name, getattr(cfg, name), bounds, ConfigError)
-    if not cfg.temp_lo <= cfg.temp_comfort <= cfg.temp_hi:
-        raise ComfortOutsideBounds(
-            f"temp_comfort {cfg.temp_comfort} outside [{cfg.temp_lo}, {cfg.temp_hi}]"
-        )
-    if not cfg.illum_lo <= cfg.illum_comfort <= cfg.illum_hi:
-        raise ComfortOutsideBounds(
-            f"illum_comfort {cfg.illum_comfort} outside [{cfg.illum_lo}, {cfg.illum_hi}]"
-        )
-    if cfg.p_temp <= 0:
-        raise NonPositiveCoefficient(f"p_temp must be positive, got {cfg.p_temp}")
-    if cfg.p_illum <= 0:
-        raise NonPositiveCoefficient(f"p_illum must be positive, got {cfg.p_illum}")
-    if cfg.penalty_cap <= 0:
-        raise NonPositiveCoefficient(f"penalty_cap must be positive, got {cfg.penalty_cap}")
-    if not isinstance(cfg.mode, ControlMode):
-        raise ConfigError(f"mode must be a ControlMode, got {cfg.mode!r}")
 
 
 __all__ = [
@@ -323,5 +317,4 @@ __all__ = [
     "ModelSet",
     "MpcConfig",
     "require_finite",
-    "validate_config",
 ]

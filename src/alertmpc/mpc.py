@@ -26,7 +26,6 @@ from .domain import (
     MpcConfig,
     StateSnapshot,
     WorkerState,
-    validate_config,
 )
 # rollout, objective and constraint_violation are not called here; they
 # stay importable from this module because the perfbench trace hooks look
@@ -72,8 +71,8 @@ def solve(
     optimizes temperatures with illuminance pinned at the comfort value;
     MPC2 optimizes both.  When no feasible schedule is found the
     least-violating one is returned with feasible false for the caller.
+    cfg is not checked again: an MpcConfig is valid whenever it exists.
     """
-    validate_config(cfg)
     horizon = cfg.horizon
 
     if cfg.mode is ControlMode.NOC:
@@ -127,11 +126,11 @@ class Controller:
     It keeps the measured history a snapshot reads: its latest step and,
     only when that step directly follows it, the step before.  So its
     state stays bounded however long it runs.  It also keeps the last
-    applied setpoints, which it holds when it cannot solve.
+    applied setpoints, which it holds when it cannot solve.  Its cfg, an
+    MpcConfig, checked itself when it was built.
     """
 
     def __init__(self, models: ModelSet, cfg: MpcConfig, de: DeParams = DeParams()):
-        validate_config(cfg)
         self.models = models
         self.cfg = cfg
         self.de = de
@@ -146,7 +145,7 @@ class Controller:
         dl_sds = tuple(float(x) for x in dl_sds)
         if len(dl_means) != len(dl_sds):
             raise ValueError("dl_means and dl_sds must have matching lengths")
-        # validate_config holds num_workers >= 1, so a record without workers fails here.
+        # MpcConfig holds num_workers >= 1, so a record without workers fails here.
         if len(dl_means) != self.cfg.num_workers:
             raise ValueError(f"worker count {len(dl_means)} differs from num_workers {self.cfg.num_workers}")
         latest = self._latest

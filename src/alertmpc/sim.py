@@ -33,7 +33,6 @@ from .domain import (
     clamp_dl,
     require_finite,
     require_in_range,
-    validate_config,
 )
 from .identify import TelemetryTable
 from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
@@ -216,17 +215,15 @@ class ScenarioConfig:
     lunch_start: int | None = None
     lunch_steps: int = 4
 
-
-def validate_scenario(sc: ScenarioConfig) -> None:
-    validate_config(sc.mpc_cfg)
-    if sc.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {sc.steps}")
-    if sc.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {sc.seed}")
-    if sc.lunch_start is not None and sc.lunch_start < 0:
-        raise ValueError(f"lunch_start must be >= 0, got {sc.lunch_start}")
-    if sc.lunch_steps < 0:
-        raise ValueError(f"lunch_steps must be >= 0, got {sc.lunch_steps}")
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.lunch_start is not None and self.lunch_start < 0:
+            raise ValueError(f"lunch_start must be >= 0, got {self.lunch_start}")
+        if self.lunch_steps < 0:
+            raise ValueError(f"lunch_steps must be >= 0, got {self.lunch_steps}")
 
 
 @dataclass(frozen=True)
@@ -252,6 +249,14 @@ class SimTrace:
     temp_comfort: float
     illum_comfort: float
     steps: tuple[TraceStep, ...]
+
+    def __post_init__(self):
+        for step in self.steps:
+            if not len(step.dls) == len(step.efforts) == self.num_workers:
+                raise ValueError(
+                    f"step {step.step}: {len(step.dls)} dls and {len(step.efforts)} efforts "
+                    f"for {self.num_workers} workers"
+                )
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,6 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     Lunch steps hold the previous setpoints (Controller.hold).  A step
     that takes the room out of the measured range raises PlantOutOfRange.
     """
-    validate_scenario(sc)
     plant = sc.plant
     cfg = sc.mpc_cfg
     workers = cfg.num_workers
@@ -452,7 +456,6 @@ __all__ = [
     "step_rng",
     "plant_step",
     "ScenarioConfig",
-    "validate_scenario",
     "TraceStep",
     "SimTrace",
     "Metrics",

@@ -987,6 +987,21 @@ class TestConfigParsing:
         with pytest.raises(CliError, match="temp_lo"):
             parse_control_config(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("steps", "0", "steps must be >= 1, got 0"),
+        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("lunch_start", "-1", "lunch_start must be >= 0, got -1"),
+        ("lunch_steps", "-1", "lunch_steps must be >= 0, got -1"),
+    ])
+    def test_bad_scenario_value(self, workdir, capsys, key, value, message):
+        scenario = {"steps": "4", "seed": "11", key: value}
+        lines = "".join(f"{name} = {text}\n" for name, text in scenario.items())
+        path = put(workdir, "s.cfg", f"{CONTROL_CFG}\n{PLANT_SECTION}\n[scenario]\n{lines}")
+        with pytest.raises(CliError, match=re.escape(f"config {path}: {message}")):
+            parse_scenario_config(path)
+        assert main(["simulate", "--config", path, "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+
     @pytest.mark.parametrize("line,field", [
         ("penalty_cap = nan", "penalty_cap"),
         ("p_temp = inf", "p_temp"),
@@ -2218,19 +2233,25 @@ class TestDaemonWindows:
         assert (stats["records_in"], stats["malformed"], stats["late"], records) == (len(times), 0, 0, [])
 
 
-@pytest.mark.parametrize("command", ["solve", "daemon"])
+@pytest.mark.parametrize("command", ["solve", "daemon", "simulate"])
 def test_negative_seed_is_usage_error(workdir, capsys, command):
     model = str(workdir / "m.json")
     write_model_set(model, TRUTH)
     cfg = put(workdir, "control.cfg", CONTROL_CFG)
+    # solve and daemon override the [de] seed, simulate the [scenario] one.
+    message = "--seed: seed must be a nonnegative integer"
     if command == "solve":
         argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV)]
-    else:
+    elif command == "daemon":
         argv = ["daemon", "--in", put(workdir, "stream.jsonl", "")]
+    else:
+        argv = ["simulate"]
+        cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
+        message = "--seed: seed must be >= 0, got -1"
     rc = main(argv + ["--model", model, "--config", cfg, "--seed", "-1",
                       "--out-dir", str(workdir)])
     assert rc == 2
-    assert "--seed: seed must be a nonnegative integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_argparse_usage_error():

@@ -22,7 +22,6 @@ from alertmpc.domain import (
     WorkerState,
     DL_FEATURES,
     clamp_dl,
-    validate_config,
 )
 
 
@@ -165,9 +164,9 @@ class TestModels:
 
 class TestMpcConfig:
     def test_defaults_are_valid(self):
-        validate_config(MpcConfig())
-        validate_config(shipped_mpc_config("case1_mpc2.cfg"))
-        validate_config(shipped_mpc_config("case2_mpc2.cfg"))
+        MpcConfig()
+        shipped_mpc_config("case1_mpc2.cfg")
+        shipped_mpc_config("case2_mpc2.cfg")
 
     def test_case_factories(self):
         c1 = shipped_mpc_config("case1_mpc2.cfg")
@@ -178,27 +177,41 @@ class TestMpcConfig:
 
     def test_inverted_bounds(self):
         with pytest.raises(BoundsInverted, match="temp_lo"):
-            validate_config(MpcConfig(temp_lo=27.0, temp_hi=25.0))
+            MpcConfig(temp_lo=27.0, temp_hi=25.0)
         with pytest.raises(BoundsInverted, match="illum_lo"):
-            validate_config(MpcConfig(illum_lo=800.0, illum_hi=700.0))
+            MpcConfig(illum_lo=800.0, illum_hi=700.0)
 
     def test_comfort_outside_bounds(self):
         with pytest.raises(ComfortOutsideBounds, match="temp_comfort"):
-            validate_config(MpcConfig(temp_comfort=27.5))
+            MpcConfig(temp_comfort=27.5)
         with pytest.raises(ComfortOutsideBounds, match="illum_comfort"):
-            validate_config(MpcConfig(illum_comfort=100.0))
+            MpcConfig(illum_comfort=100.0)
 
     def test_nonpositive_coefficients(self):
         with pytest.raises(NonPositiveCoefficient, match="p_temp"):
-            validate_config(MpcConfig(p_temp=0.0))
+            MpcConfig(p_temp=0.0)
         with pytest.raises(NonPositiveCoefficient, match="p_illum"):
-            validate_config(MpcConfig(p_illum=-1.0))
+            MpcConfig(p_illum=-1.0)
         with pytest.raises(NonPositiveCoefficient, match="penalty_cap"):
-            validate_config(MpcConfig(penalty_cap=0.0))
+            MpcConfig(penalty_cap=0.0)
+
+    # dataclasses.replace builds a new instance, so it is checked as well.
+    @pytest.mark.parametrize("changes, error, match", [
+        (dict(temp_lo=99.0), BoundsInverted, "temp_lo 99.0 exceeds temp_hi"),
+        (dict(illum_lo=800.0, illum_hi=700.0), BoundsInverted, "illum_lo"),
+        (dict(penalty_cap=float("nan")), NonFiniteSetting, "penalty_cap"),
+        (dict(temp_comfort=27.5), ComfortOutsideBounds, "temp_comfort"),
+        (dict(p_temp=0.0), NonPositiveCoefficient, "p_temp"),
+        (dict(num_workers=0), ConfigError, "num_workers"),
+        (dict(mode="MPC2"), ConfigError, "mode must be a ControlMode"),
+    ], ids=["temp-box", "illum-box", "nan-cap", "comfort", "weight", "workers", "mode"])
+    def test_replace_is_checked(self, changes, error, match):
+        with pytest.raises(error, match=match):
+            dataclasses.replace(MpcConfig(), **changes)
 
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
-            validate_config(MpcConfig(horizon=0))
+            MpcConfig(horizon=0)
 
     FLOAT_FIELDS = ("step_hours", "temp_lo", "temp_hi", "illum_lo", "illum_hi",
                     "temp_comfort", "illum_comfort", "p_temp", "p_illum",
@@ -214,27 +227,27 @@ class TestMpcConfig:
         # A NaN cap makes every excess comparison false and an infinite
         # weight fails every step; both must be refused up front.
         with pytest.raises(NonFiniteSetting, match=name):
-            validate_config(MpcConfig(**{name: value}))
+            MpcConfig(**{name: value})
 
     @pytest.mark.parametrize("lo, hi", [("temp_lo", "temp_hi"), ("illum_lo", "illum_hi")])
     def test_rejects_box_wider_than_largest_float(self, lo, hi):
         # Each bound is finite, but hi - lo overflows to inf.
         with pytest.raises(NonFiniteSetting, match=f"{hi} - {lo} must be finite"):
-            validate_config(MpcConfig(**{lo: -1.7e308, hi: 1.7e308}))
+            MpcConfig(**{lo: -1.7e308, hi: 1.7e308})
 
     # The daemon's window is timedelta(hours=step_hours): 1e-12 h rounds to
     # no microsecond at all, 1e300 h overflows it.
     @pytest.mark.parametrize("value", [1e-12, 1.3e-10, 2.5e10, 1e300])
     def test_rejects_step_hours_without_a_window(self, value):
         with pytest.raises(ConfigError, match=f"step_hours must round to a window .* got {re.escape(str(value))}"):
-            validate_config(MpcConfig(step_hours=value))
+            MpcConfig(step_hours=value)
 
     @pytest.mark.parametrize("name, value", [
         ("temp_lo", -0.5), ("temp_hi", 50.5), ("illum_lo", -1.0), ("illum_hi", 20000.0),
     ])
     def test_rejects_box_outside_the_room_range(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} {value} outside the measured range"):
-            validate_config(MpcConfig(**{name: value}))
+            MpcConfig(**{name: value})
 
 
 def test_mode_parse():

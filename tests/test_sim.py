@@ -35,7 +35,6 @@ from alertmpc.sim import (
     run_scenario,
     scenario_for_arm,
     step_rng,
-    validate_scenario,
 )
 
 from helpers import solve_failing_at, trace_to_telemetry, working_day_drift
@@ -189,7 +188,12 @@ class TestScenarioValidation:
 
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            validate_scenario(replace(small_scenario(), steps=0))
+            replace(small_scenario(), steps=0)
+
+    @pytest.mark.parametrize("name", ["seed", "lunch_start", "lunch_steps"])
+    def test_negative_value_is_refused_when_built(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            small_scenario(**{name: -1})
 
 
 class TestRunScenario:
@@ -401,7 +405,22 @@ class TestComparison:
         sc = scenario_for_arm(small_scenario(), ControlMode.NOC, seed=9)
         assert sc.mpc_cfg.mode is ControlMode.NOC
         assert sc.seed == 9
-        validate_scenario(sc)
+
+
+class TestSimTrace:
+    # A step with another worker count would be written under a header of
+    # num_workers workers, which read_trace_csv then refuses.
+    @pytest.mark.parametrize("dls, efforts", [
+        ((2.0,), (0.1,)), ((2.0, 2.0), (0.1,)), ((2.0,), (0.1, 0.1)), ((2.0,) * 3, (0.1,) * 3),
+    ])
+    def test_step_with_another_worker_count_is_refused(self, dls, efforts):
+        steps = (
+            TraceStep(0, 26.0, 600.0, 26.0, 600.0, 0.0, None, "stale", (2.0, 2.0), (0.1, 0.1)),
+            TraceStep(1, 26.0, 600.0, 26.0, 600.0, 0.0, None, "stale", dls, efforts),
+        )
+        message = f"step 1: {len(dls)} dls and {len(efforts)} efforts for 2 workers"
+        with pytest.raises(ValueError, match=message):
+            SimTrace(ControlMode.NOC, 1, 2, 2.0, 26.0, 600.0, steps)
 
 
 class TestMetrics:
