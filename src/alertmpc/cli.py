@@ -53,6 +53,7 @@ from .domain import (
     require_in_range,
 )
 from .identify import (
+    BadRidge,
     DegenerateSweep,
     InsufficientData,
     InvalidTelemetry,
@@ -947,6 +948,8 @@ def cmd_identify(args) -> int:
     except (InsufficientData, DegenerateSweep) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except BadRidge as err:
+        raise CliError(f"--ridge: {err}")
     models = ModelSet(dl=dl_model, idt=idt_model, ami=ami_model)
     write_model_set(args.out_model, models)
     reports = {"dl": dl_report, "idt": idt_report, "ami": ami_report}

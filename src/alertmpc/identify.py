@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DL_FEATURES, DL_MAX, DL_MIN, AmiModel, DlModel, IdtModel
+from .domain import DL_FEATURES, DL_MAX, DL_MIN, ILLUM_RANGE, TEMP_RANGE, AmiModel, DlModel, IdtModel
 
 # Fitted lag gains are clipped into this range to stay physical.
 _K_FLOOR = 1e-9
@@ -28,7 +28,14 @@ class DegenerateSweep(ValueError):
     """The excitation never varied, so the model is unidentifiable."""
 
 
+class BadRidge(ValueError):
+    """The ridge strength of a fit is negative or not finite."""
+
+
 VALUE_COLUMNS = ("dl", "effort", "temp", "illum", "temp_set", "illum_set")
+# The range each bounded value column must lie in.
+_RANGES = {"dl": (DL_MIN, DL_MAX), "temp": TEMP_RANGE, "illum": ILLUM_RANGE,
+           "temp_set": TEMP_RANGE, "illum_set": ILLUM_RANGE}
 
 
 class InvalidTelemetry(ValueError):
@@ -45,8 +52,9 @@ class TelemetryTable:
     step is int64; worker holds each row's index into worker_ids, which
     lists the worker ids in order of first appearance; dl, effort, temp,
     illum, temp_set and illum_set are float64.  All arrays are read-only.
-    Every value must be finite, dl must lie on the DL scale, effort must
-    be >= 0, and each worker's step indices must strictly increase.
+    Every value must be finite, dl must lie on the DL scale, temp and
+    temp_set in TEMP_RANGE, illum and illum_set in ILLUM_RANGE, effort
+    must be >= 0, and each worker's step indices must strictly increase.
 
     The one constructor takes the table's columns: per-row sequences of
     step indices, worker ids, and the values in VALUE_COLUMNS order.
@@ -73,8 +81,10 @@ class TelemetryTable:
         repeated = np.zeros(len(step), dtype=bool)  # indexed by row, as every mask below
         repeated[g[1:]] = (worker[g[1:]] == worker[g[:-1]]) & (step[g[1:]] <= step[g[:-1]])
         checks = [(~np.isfinite(v), v, f"{n} must be finite") for n, v in zip(VALUE_COLUMNS, self._values())]
+        for name, (lo, hi) in _RANGES.items():
+            v = getattr(self, name)
+            checks.append(((v < lo) | (v > hi), v, f"{name} must lie in [{lo}, {hi}]"))
         checks += [
-            ((self.dl < DL_MIN) | (self.dl > DL_MAX), self.dl, f"dl must lie in [{DL_MIN}, {DL_MAX}]"),
             (self.effort < 0, self.effort, "effort must be >= 0"),
             (repeated, step, "step indices must be strictly increasing per worker"),
         ]
@@ -161,7 +171,10 @@ def dl_design(
 def fit_dl_model(
     data: TelemetryTable, exclude_boundary: bool = True, ridge: float = 0.0
 ) -> tuple[DlModel, FitReport]:
-    """Identify the drowsiness regression from telemetry."""
+    """Identify the drowsiness regression from telemetry; ridge must be
+    finite and >= 0, and 0 fits plain least squares."""
+    if not (np.isfinite(ridge) and ridge >= 0.0):
+        raise BadRidge(f"ridge must be finite and >= 0, got {ridge}")
     X, y = dl_design(data, exclude_boundary)
     n_params = len(DL_FEATURES) + 1
     if len(y) < n_params:
@@ -255,6 +268,7 @@ def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
 __all__ = [
     "InsufficientData",
     "DegenerateSweep",
+    "BadRidge",
     "InvalidTelemetry",
     "TelemetryTable",
     "VALUE_COLUMNS",

@@ -7,24 +7,23 @@ Room temperature follows an asymmetric first-order lag toward the
 setpoint; illuminance follows a one-step affine response.
 
 The single-step predictors take plain floats; the plant simulator uses
-them.  The controller scores a whole optimizer population per call with
+them.  rollout propagates one schedule with them, step by step, and
+objective and constraint_violation are the two scores of its prediction,
+summed one float at a time.  NOC scores its one schedule so.
+
+The search scores a whole population, two rows or more, per call with
 one HorizonKernel per solve, built for that population's row count.  The
 kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
 calls write and the views of each step that its loops read and write.
 It then runs the horizon over arrays of every row, worker and step in
-those buffers, so a call makes only fixed-shape ufunc calls.  At each step it writes the
-two drowsiness terms that depend on the previous prediction and adds all
-eight terms with one np.add.reduce along the term axis.  The objective
-and the violation are each one np.add.reduce along the rows of a
-buffer.  None of these axes is the innermost one, so numpy adds term by
-term and row by row, in order, and every row stays bitwise equal to the
-scalar recursion.
-
-rollout is the kernel for one schedule.  objective and
-constraint_violation are the plain definitions of the two scores of one
-prediction, summed one float at a time in the order the kernel adds, so
-each equals the kernel's score of that schedule bit for bit.
+those buffers, so a call makes only fixed-shape ufunc calls.  At each
+step it writes the two drowsiness terms that depend on the previous
+prediction and adds all eight terms with one np.add.reduce along the
+term axis.  The objective and the violation are each one np.add.reduce
+along the rows of a buffer.  None of these axes is the innermost one, so
+numpy adds in order, and every row's scores equal those of rollout's
+prediction bit for bit.
 """
 
 from __future__ import annotations
@@ -71,9 +70,13 @@ def predict_idt(m: IdtModel, temp_prev: float, setpoint: float) -> float:
 
 
 def predict_ami(m: AmiModel, illum_prev: float, setpoint: float) -> float:
-    """Next desk illuminance, clamped at physical zero."""
+    """Next desk illuminance, clamped at physical zero.
+
+    A NaN level (an overflowing model) stays NaN, as in HorizonKernel, so
+    the scores it feeds are refused as non-finite.
+    """
     level = m.theta0 + m.theta_prev * illum_prev + m.theta_set * setpoint
-    return level if level > 0.0 else 0.0
+    return 0.0 if level <= 0.0 else level
 
 
 def predict_dl(
@@ -125,29 +128,31 @@ class HorizonPrediction:
     dls: tuple[tuple[float, ...], ...]
 
 
+def _check_workers(snapshot: StateSnapshot, cfg: MpcConfig) -> None:
+    if len(snapshot.workers) != cfg.num_workers:
+        raise ShapeMismatch(
+            f"snapshot has {len(snapshot.workers)} workers, config expects {cfg.num_workers}"
+        )
+
+
 class HorizonKernel:
-    """The horizon rollout of one solve, for a fixed number of schedules.
+    """The horizon rollout of one search, for a fixed number of schedules.
 
     Built once per solve from the models, the measured state, the
-    configuration and the number of rows each call scores; solve scores
-    every generation of its search, or NOC's one schedule, with it.  A
-    call takes (rows, horizon) setpoints and refuses any other shape.
+    configuration and the number of rows each call scores, two or more;
+    solve scores every generation of its search with it.  A call takes
+    (rows, horizon) setpoints and refuses any other shape.
 
-    Environment increments are taken along the predicted trajectory,
-    anchored at the measured state.  Drowsiness increments are lagged:
-    step 1 uses the measured ones from the snapshot, later steps use the
-    increments of the model's own clamped predictions.  Effort is frozen
-    at each worker's measured value.  Every row equals the scalar
-    recursion of predict_idt, predict_ami and predict_dl bit for bit.
+    Each row's prediction equals rollout's of that schedule, and its
+    scores objective's and constraint_violation's, bit for bit.
 
     room_state is (horizon + 1, 2, rows): temperature and illuminance at
-    each step, step 0 being the measured state.  padded is
-    (horizon, 8, workers, rows), plus a spare column for one worker and
-    one row: predict_dl's terms at each step, in the order predict_dl
-    adds them.  The terms that depend only on the snapshot (the
-    intercept, the effort term and step 1's d_prev and increment terms)
-    are written here, once.  So are the views of each step that the room
-    and drowsiness loops read and write.
+    each step, step 0 being the measured state.  terms is
+    (horizon, 8, workers, rows): predict_dl's terms at each step, in the
+    order predict_dl adds them.  The terms that depend only on the
+    snapshot (the intercept, the effort term and step 1's d_prev and
+    increment terms) are written here, once.  So are the views of each
+    step that the room and drowsiness loops read and write.
 
     No ufunc call broadcasts into, or reads scattered, an operand of
     workers x rows values: numpy would run such a call through buffers of
@@ -157,46 +162,32 @@ class HorizonKernel:
 
     Every sum is an np.add.reduce along an axis that is not the innermost
     one, so numpy adds in order, one slice after another: each step's
-    terms along padded's term axis, and both scores down the rows of an
-    (n, cols) buffer, the drowsiness, dls_padded as
-    (workers * horizon, cols), and the comfort excess, (horizon, cols).
-    cols is rows, plus a spare all-zero column when there is one row.
-    Along the innermost axis numpy would sum pairwise.  padded's term
-    axis is the innermost only for one worker and one row, so only then
-    does padded get its spare column: one for every single-row kernel
-    would slow a single-row call with 24 workers by about 15%.
+    terms along their own axis, and both scores down the rows of an
+    (n, rows) buffer, the drowsiness, dls as (workers * horizon, rows),
+    and the comfort excess, (horizon, rows).  Along the innermost axis
+    numpy would sum pairwise, which is why a kernel has two rows or more:
+    one schedule is rollout's.
     """
 
     def __init__(self, models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig, rows: int):
         horizon, workers = cfg.horizon, cfg.num_workers
-        if len(snapshot.workers) != workers:
-            raise ShapeMismatch(
-                f"snapshot has {len(snapshot.workers)} workers, config expects {workers}"
-            )
+        _check_workers(snapshot, cfg)
+        if rows < 2:
+            raise ShapeMismatch(f"a kernel scores two rows or more, got {rows}; rollout scores one")
         self.shape = rows, horizon
         idt, ami, c = models.idt, models.ami, models.dl.coef
         self._d_coef = (c["d_prev"], c["d_plus_prev"], -c["d_minus_prev"])
         # predict_dl's coefficients of the room's level, rise and fall
         # (negated, see _signed), each (temperature, illuminance).
-        self._room_coef = tuple(
-            np.array(
-                [
-                    [c["temp"], c["illum"]],
-                    [c["temp_plus"], c["illum_plus"]],
-                    [-c["temp_minus"], -c["illum_minus"]],
-                ]
-            )[:, :, None, None]
-        )
+        room_coef = [[c["temp"], c["illum"]], [c["temp_plus"], c["illum_plus"]],
+                     [-c["temp_minus"], -c["illum_minus"]]]
+        self._room_coef = tuple(np.array(room_coef)[:, :, None, None])
 
-        cols = rows + (rows == 1)
-        self.dls_padded = np.zeros((workers, horizon, cols))
-        self.dls = self.dls_padded[..., :rows]
-        self._dl_rows = self.dls_padded.reshape(-1, cols)
+        self.dls = np.empty((workers, horizon, rows))
+        self._dl_rows = self.dls.reshape(-1, rows)
         self._deviation = np.empty((horizon, 2, rows))
-        self._excess_padded = np.zeros((horizon, cols))
-        self._excess = self._excess_padded[:, :rows]
-        self._over_padded = np.zeros((horizon, cols), dtype=bool)
-        self._over = self._over_padded[:, :rows]
+        self._excess = np.empty((horizon, rows))
+        self._over = np.empty((horizon, rows), dtype=bool)
 
         d_now, d_plus, d_minus, effort = np.array(
             [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in snapshot.workers]
@@ -204,15 +195,12 @@ class HorizonKernel:
         d_inc = d_plus - d_minus
         _signed(d_inc, c["d_plus_prev"], -c["d_minus_prev"],
                 np.empty(workers, dtype=bool), np.empty(workers), out=d_inc)
-        term_cols = rows + (rows * workers == 1)
-        self.padded = np.zeros((horizon, 8, workers, term_cols))
-        terms = self.padded[..., :rows]
+        self.terms = terms = np.empty((horizon, 8, workers, rows))
         terms[:, 0] = models.dl.intercept
         terms[0, 1] = (c["d_prev"] * d_now)[:, None]
         terms[0, 2] = d_inc[:, None]
         terms[:, 7] = (c["effort"] * effort)[:, None]
-        self.sums = np.empty((workers, term_cols))
-        self.raw = self.sums[:, :rows]
+        self.raw = np.empty((workers, rows))
         self.d_delta = np.empty((workers, rows))
         self.d_rising = np.empty((workers, rows), dtype=bool)
         self.d_coef = np.empty((workers, rows))
@@ -224,11 +212,10 @@ class HorizonKernel:
         self.d_steps = d_state[1:]
         self.dls_by_step = self.dls.transpose(1, 0, 2)
         d = tuple(d_state)
-        self.dl_steps = tuple(zip(self.padded, terms[:, 1], terms[:, 2], d, (None, *d), d[1:]))
+        self.dl_steps = tuple(zip(terms, terms[:, 1], terms[:, 2], d, (None, *d), d[1:]))
 
         self.room_state = np.empty((horizon + 1, 2, rows))
-        self.room_state[0, 0] = snapshot.temp_current
-        self.room_state[0, 1] = snapshot.illum_current
+        self.room_state[0] = [[snapshot.temp_current], [snapshot.illum_current]]
         self.room = self.room_state[1:]
         # The comfort point and the penalty weights, at every step and row.
         self.comfort, self.weights = np.empty((2, *self.room.shape))
@@ -241,21 +228,19 @@ class HorizonKernel:
         self.room_delta = np.empty((horizon, 2, 1, rows))
         self.room_rising = np.empty((horizon, 2, 1, rows), dtype=bool)
         self.room_coef = np.empty((horizon, 2, 1, rows))
-        # The room's terms for one worker, level then increment, and padded's
-        # slots 3 to 6 as (step, quantity, level or increment, worker, row).
+        # The room's terms for one worker, level then increment, and slots 3
+        # to 6 of terms as (step, quantity, level or increment, worker, row).
         once = np.empty((2, horizon, 2, 1, rows))
         self.room_level, self.room_inc = once[0], once[1]
         self.room_terms_once = once.transpose(1, 2, 0, 3, 4)
-        self.room_terms = self.padded[:, 3:7].reshape(horizon, 2, 2, workers, term_cols)[..., :rows]
+        self.room_terms = terms[:, 3:7].reshape(horizon, 2, 2, workers, rows)
 
         # Each room quantity's next value is a + b * now: (a, b) is
         # (k * setpoint, 1 - k) for temperature, with k the gain of a rising
         # or a falling move, and (theta0, theta_prev) for illuminance, which
         # then adds theta_set * setpoint and is clamped at zero.  ab_by_move
         # holds k in place of k * setpoint.
-        ab_by_move = np.array(
-            [[[k, ami.theta0], [1.0 - k, ami.theta_prev]] for k in (idt.k_up, idt.k_down)]
-        )
+        ab_by_move = np.array([[[k, ami.theta0], [1.0 - k, ami.theta_prev]] for k in (idt.k_up, idt.k_down)])
         self._k = ab_by_move[:, :1, :1]
         self._theta_set = ami.theta_set
         self.t_sets = np.empty((horizon, rows))
@@ -271,13 +256,12 @@ class HorizonKernel:
         up, down = up_down.transpose(2, 3, 0, 1, 4)
         temps, illums = self.room_state[:, 0], self.room_state[1:, 1]
         room = tuple(self.room_state)
-        self.room_steps = tuple(
-            zip(self.t_sets, temps, up, down, room, room[1:], illums, self.lights)
-        )
+        self.room_steps = tuple(zip(self.t_sets, temps, up, down, room, room[1:], illums, self.lights))
 
-    def _run(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> None:
-        """Roll the rows of temp_sets and illum_sets, (rows, horizon) each,
-        out into the kernel's buffers."""
+    def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
+        """Objective and violation of (rows, horizon) schedules, as new
+        (rows,) arrays.  The predictions stay in room and dls until the
+        next call."""
         if temp_sets.shape != self.shape or illum_sets.shape != self.shape:
             raise ShapeMismatch(
                 f"schedules are {temp_sets.shape} and {illum_sets.shape}, "
@@ -307,47 +291,27 @@ class HorizonKernel:
         # Drowsiness, step by step: the two terms that depend on the
         # previous prediction, then all eight summed in one reduction.
         c_prev, c_plus, c_minus = self._d_coef
-        sums, raw, delta, d_rising, d_coef = self.sums, self.raw, self.d_delta, self.d_rising, self.d_coef
+        raw, delta, d_rising, d_coef = self.raw, self.d_delta, self.d_rising, self.d_coef
         for terms, prev_term, inc_term, d_prev, d_before, d_next in self.dl_steps:
             if d_before is not None:
                 np.multiply(c_prev, d_prev, out=prev_term)
                 np.subtract(d_prev, d_before, out=delta)
                 _signed(delta, c_plus, c_minus, d_rising, d_coef, out=inc_term)
-            np.add.reduce(terms, axis=0, out=sums)
+            np.add.reduce(terms, axis=0, out=raw)
             np.maximum(raw, DL_MIN, out=raw)
             np.minimum(raw, DL_MAX, out=d_next)
         np.copyto(self.dls_by_step, self.d_steps)
 
-    def rollout(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
-        """Predicted temperatures and illuminances, (horizon, rows) each,
-        and drowsiness, (workers, horizon, rows), of (rows, horizon)
-        schedules.  The returned arrays are the kernel's: the next call
-        overwrites them.
-        """
-        self._run(temp_sets, illum_sets)
-        return self.room[:, 0], self.room[:, 1], self.dls
+        # The objective: each row's mean drowsiness.
+        mean = np.add.reduce(self._dl_rows, axis=0)
+        np.divide(mean, len(self._dl_rows), out=mean)
 
-    def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
-        """Objective and violation of (rows, horizon) schedules, as new
-        (rows,) arrays."""
-        self._run(temp_sets, illum_sets)
-        return self._objective(), self._violation()
-
-    def _objective(self) -> np.ndarray:
-        """Mean drowsiness of each row, as a new (rows,) array."""
-        total = np.add.reduce(self._dl_rows, axis=0)[: self.shape[0]]
-        return np.divide(total, len(self._dl_rows), out=total)
-
-    def _violation(self) -> np.ndarray:
-        """constraint_violation of each row, as a new (rows,) array.
-
-        The penalty is comfort_penalty's, one array operation at a time.
-        Only the positive excess is summed, from zero: that adds
-        where(excess > 0, excess, 0) row after row.  A total too large for
-        a float (huge comfort weights) saturates at the largest float: the
-        search still ranks it as the worst violation, where an infinity
-        would stop it as a non-finite evaluation.
-        """
+        # The violation: comfort_penalty, one array operation at a time.
+        # Only the positive excess is summed, from zero: that adds
+        # where(excess > 0, excess, 0) row after row.  A total too large for
+        # a float (huge comfort weights) saturates at the largest float: the
+        # search still ranks it as the worst violation, where an infinity
+        # would stop it as a non-finite evaluation.
         deviation, excess = self._deviation, self._excess
         np.subtract(self.room, self.comfort, out=deviation)
         np.absolute(deviation, out=deviation)
@@ -355,10 +319,8 @@ class HorizonKernel:
         np.add(deviation[:, 0], deviation[:, 1], out=excess)
         np.subtract(excess, self.cap, out=excess)
         np.greater(excess, 0.0, out=self._over)
-        total = np.add.reduce(
-            self._excess_padded, axis=0, where=self._over_padded, initial=0.0
-        )[: self.shape[0]]
-        return np.minimum(total, _FLOAT_MAX, out=total)
+        violation = np.add.reduce(excess, axis=0, where=self._over, initial=0.0)
+        return mean, np.minimum(violation, _FLOAT_MAX, out=violation)
 
 
 def _signed(delta: np.ndarray, above, below, rising: np.ndarray, coef: np.ndarray, out):
@@ -379,19 +341,39 @@ def _signed(delta: np.ndarray, above, below, rising: np.ndarray, coef: np.ndarra
 def rollout(
     models: ModelSet, snapshot: StateSnapshot, schedule: ControlSchedule, cfg: MpcConfig
 ) -> HorizonPrediction:
-    """Propagate one schedule: the kernel for a population of one."""
-    predicted = HorizonKernel(models, snapshot, cfg, 1).rollout(
-        np.array([schedule.temp_setpoints]), np.array([schedule.illum_setpoints])
-    )
-    temps, illums, dls = (x[..., 0].tolist() for x in predicted)
-    return HorizonPrediction(tuple(temps), tuple(illums), tuple(map(tuple, dls)))
+    """Propagate one schedule with predict_idt, predict_ami and predict_dl.
+
+    Environment increments are taken along the predicted trajectory,
+    anchored at the measured state.  Drowsiness increments are lagged:
+    step 1 uses the snapshot's, later steps those of the model's own
+    clamped predictions.  Effort stays at each worker's measured value.
+    """
+    _check_workers(snapshot, cfg)
+    if schedule.horizon != cfg.horizon:
+        raise ShapeMismatch(f"schedule has {schedule.horizon} steps, config horizon is {cfg.horizon}")
+    # predict_dl's room arguments at each step: temperature, its rise and
+    # fall, illuminance, its rise and fall.
+    room, temp, illum = [], snapshot.temp_current, snapshot.illum_current
+    for t_set, l_set in zip(schedule.temp_setpoints, schedule.illum_setpoints):
+        t_next, l_next = predict_idt(models.idt, temp, t_set), predict_ami(models.ami, illum, l_set)
+        room.append((t_next, *increments(t_next, temp), l_next, *increments(l_next, illum)))
+        temp, illum = t_next, l_next
+    dls = []
+    for worker in snapshot.workers:
+        d, d_plus, d_minus, path = worker.d_current, worker.d_plus, worker.d_minus, []
+        for env in room:
+            d_next = predict_dl(models.dl, d, d_plus, d_minus, *env, worker.effort)
+            (d_plus, d_minus), d = increments(d_next, d), d_next
+            path.append(d)
+        dls.append(tuple(path))
+    return HorizonPrediction(tuple(r[0] for r in room), tuple(r[3] for r in room), tuple(dls))
 
 
 def objective(pred: HorizonPrediction) -> float:
     """Mean predicted drowsiness across workers and steps.
 
     Added worker by worker, then step by step, one float at a time, as
-    the kernel adds; sum() would compensate, and could differ.
+    HorizonKernel adds; sum() would compensate, and could differ.
     """
     total = 0.0
     for path in pred.dls:

@@ -1,8 +1,8 @@
 """Receding-horizon control built on the prediction models.
 
 solve() turns one measured state into a setpoint schedule.  NOC simply
-holds the comfort point and scores it with one rollout; the optimizing
-modes search the setpoint box by differential evolution, scoring each
+holds the comfort point and scores it with the plain rollout; the
+optimizing modes search the setpoint box by differential evolution, scoring each
 generation's objective and constraint from one batched rollout of the
 whole population, and report the search's own scores of the schedule
 they pick.
@@ -27,10 +27,7 @@ from .domain import (
     StateSnapshot,
     WorkerState,
 )
-# rollout, objective and constraint_violation are not called here; they
-# stay importable from this module because the perfbench trace hooks look
-# them up on it.
-from .models import HorizonKernel, constraint_violation, objective, rollout  # noqa: F401
+from .models import HorizonKernel, constraint_violation, objective, rollout
 from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, checked_scores, de_minimize
 
 
@@ -76,11 +73,11 @@ def solve(
     horizon = cfg.horizon
 
     if cfg.mode is ControlMode.NOC:
-        temps, illums = (cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon
-        kernel = HorizonKernel(models, snapshot, cfg, 1)
-        scores = kernel.evaluate(np.array([temps]), np.array([illums]))
-        f, v = checked_scores(np.array([temps + illums]), *scores)
-        return MpcSolution(ControlSchedule(temps, illums), float(f[0]), float(v[0]))
+        schedule = ControlSchedule((cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon)
+        pred = rollout(models, snapshot, schedule, cfg)
+        row = np.array([schedule.temp_setpoints + schedule.illum_setpoints])
+        f, v = checked_scores(row, [objective(pred)], [constraint_violation(pred, cfg)])
+        return MpcSolution(schedule, float(f[0]), float(v[0]))
 
     mpc2 = cfg.mode is ControlMode.MPC2
     lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)

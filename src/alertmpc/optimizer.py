@@ -63,7 +63,7 @@ class DeParams:
         if not (np.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def population_for(self, dim: int) -> int:
         """Population size of a search over dim dimensions."""

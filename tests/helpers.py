@@ -1,4 +1,5 @@
-"""Builders that only the tests use: telemetry tables from rows and back,
+"""Builders that only the tests use: the case-1 model set, telemetry
+tables from rows and back,
 telemetry and daemon input recast from a simulation trace, a drift
 profile for a working day, a solve that fails on one interval, and a
 reference for the daemon's windows."""
@@ -9,10 +10,14 @@ from datetime import datetime, timedelta
 from typing import NamedTuple
 
 import alertmpc.mpc as mpc_module
-from alertmpc.cli import _parse_stream_record
+from alertmpc.cli import _parse_stream_record, parse_scenario_config, shipped_config_path
 from alertmpc.domain import MpcConfig
 from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
+
+
+# The shipped case-1 room's true models, the set most tests predict with.
+CASE1_MODELS = parse_scenario_config(shipped_config_path("case1_mpc2.cfg")).plant.truth()
 
 
 class Row(NamedTuple):

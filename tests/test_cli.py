@@ -65,18 +65,9 @@ from alertmpc.sim import (
     scenario_for_arm,
 )
 
-from helpers import daemon_windows_by_number, replay_stream_lines, solve_failing_at
+from helpers import CASE1_MODELS, daemon_windows_by_number, replay_stream_lines, solve_failing_at
 
-TRUTH = ModelSet(
-    dl=DlModel(intercept=0.14, coef={
-        "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
-        "temp": 0.02, "temp_plus": 0.05, "temp_minus": -0.18,
-        "illum": -0.0004, "illum_plus": -0.0011, "illum_minus": 0.0006,
-        "effort": -0.06,
-    }),
-    idt=IdtModel(k_up=0.3, k_down=0.45),
-    ami=AmiModel(theta0=30.0, theta_prev=0.1, theta_set=0.85),
-)
+TRUTH = CASE1_MODELS
 
 CONTROL_CFG = """\
 [mpc]
@@ -428,6 +419,25 @@ class TestTelemetryCsv:
         rc = main(["identify", path, str(workdir / "m.json"), "--out-dir", str(workdir)])
         assert rc == 2
         assert "t.csv:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("temp_c", "999", "temp must lie in [0.0, 50.0], got 999.0"),
+        ("temp_c", "1e300", "temp must lie in [0.0, 50.0], got 1e+300"),
+        ("illum_lx", "-5", "illum must lie in [0.0, 10000.0], got -5.0"),
+        ("temp_set_c", "1e200", "temp_set must lie in [0.0, 50.0], got 1e+200"),
+        ("illum_set_lx", "10000.5", "illum_set must lie in [0.0, 10000.0], got 10000.5"),
+    ])
+    def test_out_of_range_value_reports_line(self, workdir, capsys, column, value, message):
+        header = "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx"
+        fields = dict(zip(header.split(","), "1,w0,2.1,0.1,26.0,600,26,600".split(",")))
+        fields[column] = value
+        path = put(workdir, "t.csv",
+                   f"{header}\n0,w0,2.0,0.1,26.0,600,26,600\n" + ",".join(fields.values()) + "\n")
+        model = workdir / "m.json"
+        rc = main(["identify", path, str(model), "--out-dir", str(workdir)])
+        assert rc == 2
+        assert f"t.csv:3: {message} (worker w0, step 1)" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_reversed_steps(self, tmp_path):
         path = put(tmp_path, "t.csv",
@@ -1248,6 +1258,17 @@ class TestIdentifyCommand:
                    "--out-dir", str(workdir)])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    def test_bad_ridge_is_usage_error(self, workdir, capsys, ridge):
+        telem = self.telemetry_file(workdir)
+        model = workdir / "m.json"
+        rc = main(["identify", telem, str(model), "--ridge", ridge, "--out-dir", str(workdir)])
+        assert rc == 2
+        want = f"error: --ridge: ridge must be finite and >= 0, got {float(ridge)}\n"
+        assert capsys.readouterr().err == want
+        assert not model.exists()
+        assert not (workdir / "identify_manifest.json").exists()
 
     def test_missing_file_exit_code(self, workdir, capsys):
         rc = main(["identify", str(workdir / "nope.csv"), str(workdir / "m.json"),
@@ -2238,8 +2259,8 @@ def test_negative_seed_is_usage_error(workdir, capsys, command):
     model = str(workdir / "m.json")
     write_model_set(model, TRUTH)
     cfg = put(workdir, "control.cfg", CONTROL_CFG)
-    # solve and daemon override the [de] seed, simulate the [scenario] one.
-    message = "--seed: seed must be a nonnegative integer"
+    # solve and daemon override the [de] seed, simulate the [scenario] one;
+    # all three refuse a negative seed in the same words.
     if command == "solve":
         argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV)]
     elif command == "daemon":
@@ -2247,11 +2268,10 @@ def test_negative_seed_is_usage_error(workdir, capsys, command):
     else:
         argv = ["simulate"]
         cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
-        message = "--seed: seed must be >= 0, got -1"
     rc = main(argv + ["--model", model, "--config", cfg, "--seed", "-1",
                       "--out-dir", str(workdir)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert "error: --seed: seed must be >= 0, got -1\n" in capsys.readouterr().err
 
 
 def test_argparse_usage_error():

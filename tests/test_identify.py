@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertmpc.domain import AmiModel, DlModel, DL_FEATURES, DL_MAX, DL_MIN, IdtModel
+from alertmpc.domain import AmiModel, DL_FEATURES, DL_MAX, DL_MIN, IdtModel
 from alertmpc.identify import (
     DegenerateSweep,
     InsufficientData,
@@ -13,16 +13,9 @@ from alertmpc.identify import (
     fit_idt_coeffs,
 )
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
-from helpers import Row, rows_of, table_of
+from helpers import CASE1_MODELS, Row, rows_of, table_of
 
-TRUTH_DL = DlModel(intercept=0.14, coef={
-    "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
-    "temp": 0.02, "temp_plus": 0.05, "temp_minus": -0.18,
-    "illum": -0.0004, "illum_plus": -0.0011, "illum_minus": 0.0006,
-    "effort": -0.06,
-})
-TRUTH_IDT = IdtModel(k_up=0.3, k_down=0.45)
-TRUTH_AMI = AmiModel(theta0=30.0, theta_prev=0.1, theta_set=0.85)
+TRUTH_DL, TRUTH_IDT, TRUTH_AMI = CASE1_MODELS.dl, CASE1_MODELS.idt, CASE1_MODELS.ami
 
 
 def make_sweep(steps=60, workers=2, seed=0, noise_sd=0.0,

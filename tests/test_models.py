@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +16,6 @@ from alertmpc.domain import (
     MpcConfig,
     StateSnapshot,
     WorkerState,
-    clamp_dl,
 )
 from alertmpc.models import (
     HorizonKernel,
@@ -223,11 +221,7 @@ class TestRollout:
                 tuple(rng.uniform(24, 28, horizon)), tuple(rng.uniform(400, 800, horizon)))
             pred = rollout(models, snap, sched,
                            MpcConfig(horizon=horizon, num_workers=len(workers)))
-            temps, illums, dls = reference_rollout(models, snap, sched)
-            assert np.allclose(pred.temps, temps, atol=1e-12, rtol=0)
-            assert np.allclose(pred.illums, illums, atol=1e-12, rtol=0)
-            for got, want in zip(pred.dls, dls):
-                assert np.allclose(got, want, atol=1e-12, rtol=0), f"trial {trial}"
+            assert (pred.temps, pred.illums, pred.dls) == reference_rollout(models, snap, sched), trial
 
     def test_schedule_independent_when_env_coefs_zero(self):
         models = ModelSet(
@@ -260,9 +254,15 @@ class TestRollout:
 
     def test_shape_mismatch(self):
         models = ModelSet(DlModel(2.0, zero_coef()), IdtModel(0.5, 0.5), IDENTITY_AMI)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="schedule has 1 steps, config horizon is 3"):
             rollout(models, snapshot_one(), ControlSchedule((26.0,), (600.0,)),
                     MpcConfig(horizon=3))
+
+    def test_worker_count_mismatch(self):
+        models = ModelSet(DlModel(2.0, zero_coef()), IdtModel(0.5, 0.5), IDENTITY_AMI)
+        with pytest.raises(ShapeMismatch, match="snapshot has 1 workers, config expects 2"):
+            rollout(models, snapshot_one(), ControlSchedule((26.0,), (600.0,)),
+                    MpcConfig(horizon=1, num_workers=2))
 
 
 class TestRolloutBatch:
@@ -299,7 +299,8 @@ class TestRolloutBatch:
             cfg = MpcConfig(horizon=horizon, num_workers=3)
             temp_sets, illum_sets = self.population(rng, 16, horizon)
             kernel = HorizonKernel(self.MODELS, snap, cfg, 16)
-            temps, illums, dls = kernel.rollout(temp_sets, illum_sets)
+            kernel.evaluate(temp_sets, illum_sets)
+            temps, illums, dls = kernel.room[:, 0], kernel.room[:, 1], kernel.dls
             assert temps.shape == illums.shape == (horizon, 16)
             assert dls.shape == (3, horizon, 16)
             for row in range(16):
@@ -332,11 +333,10 @@ class TestRolloutBatch:
     def test_shape_mismatch(self):
         snap = snapshot_one()
         with pytest.raises(ShapeMismatch):
-            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3), 4).rollout(
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3), 4).evaluate(
                 np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(ShapeMismatch):
-            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2), 4).rollout(
-                np.zeros((4, 3)), np.zeros((4, 3)))
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2), 4)
 
 
 def reference_scores(temps, illums, dls, cfg):
@@ -353,10 +353,36 @@ def reference_scores(temps, illums, dls, cfg):
     return total / (len(dls) * len(temps)), min(violation, np.finfo(float).max)
 
 
+def scorer(models, snap, cfg, rows):
+    """Score rows schedules a call, as solve does: one through rollout,
+    objective and constraint_violation, more through one HorizonKernel.
+
+    The returned function takes (rows, horizon) setpoints and gives the
+    temperatures and illuminances, (horizon, rows) each, the drowsiness,
+    (workers, horizon, rows), and the objectives and violations, (rows,).
+    """
+    if rows > 1:
+        kernel = HorizonKernel(models, snap, cfg, rows)
+
+        def score(temp_sets, illum_sets):
+            f, v = kernel.evaluate(temp_sets, illum_sets)
+            return kernel.room[:, 0], kernel.room[:, 1], kernel.dls, f, v
+
+        return score
+
+    def score(temp_sets, illum_sets):
+        pred = rollout(models, snap, ControlSchedule(temp_sets[0], illum_sets[0]), cfg)
+        f, v = objective(pred), constraint_violation(pred, cfg)
+        return (*(np.array(x)[..., None] for x in (pred.temps, pred.illums, pred.dls)),
+                np.array([f]), np.array([v]))
+
+    return score
+
+
 class TestHorizonKernel:
     MODELS = TestRolloutBatch.MODELS
 
-    def kernel(self, rng, workers, horizon, rows):
+    def setting(self, rng, workers, horizon):
         snap = StateSnapshot(
             tuple(
                 WorkerState.from_history(rng.uniform(1.2, 4.8), rng.uniform(1.2, 4.8),
@@ -364,15 +390,20 @@ class TestHorizonKernel:
                 for _ in range(workers)
             ),
             26.0, rng.uniform(300, 900))
-        cfg = MpcConfig(horizon=horizon, num_workers=workers, penalty_cap=0.6)
+        return snap, MpcConfig(horizon=horizon, num_workers=workers, penalty_cap=0.6)
+
+    def kernel(self, rng, workers, horizon, rows):
+        snap, cfg = self.setting(rng, workers, horizon)
         return HorizonKernel(self.MODELS, snap, cfg, rows), snap, cfg
 
+    # A pop of 1 is NOC's one schedule, which rollout scores.
     @pytest.mark.parametrize("horizon", [1, 4, 6])
     @pytest.mark.parametrize("workers", [1, 5, 24])
-    @pytest.mark.parametrize("pop", [1, 4, 40])
+    @pytest.mark.parametrize("pop", [1, 2, 4, 40])
     def test_equals_reference_and_single_schedule_views(self, pop, workers, horizon):
         rng = np.random.default_rng(1000 * pop + 10 * workers + horizon)
-        kernel, snap, cfg = self.kernel(rng, workers, horizon, pop)
+        snap, cfg = self.setting(rng, workers, horizon)
+        score = scorer(self.MODELS, snap, cfg, pop)
         # 40 rows, scored pop at a time: the first three sit on the clamps.
         temp_sets, illum_sets = TestRolloutBatch().population(rng, 40, horizon)
         # Setpoints equal to the measured 26.0 tie, which takes k_up: rows 3
@@ -382,8 +413,7 @@ class TestHorizonKernel:
         hit = {"dl_high": False, "dl_low": False, "dark": False, "violated": False}
         for start in range(0, 40, pop):
             rows = slice(start, start + pop)
-            f, v = kernel.evaluate(temp_sets[rows], illum_sets[rows])
-            temps, illums, dls = kernel.rollout(temp_sets[rows], illum_sets[rows])
+            temps, illums, dls, f, v = score(temp_sets[rows], illum_sets[rows])
             assert f.shape == v.shape == (pop,)
             assert temps.shape == illums.shape == (horizon, pop)
             assert dls.shape == (workers, horizon, pop)
@@ -423,14 +453,14 @@ class TestHorizonKernel:
         f_again, v_again = kernel.evaluate(*a)
         assert np.array_equal(f_again, want[0]) and np.array_equal(v_again, want[1])
 
-    @pytest.mark.parametrize("pop", [1, 4, 40])
+    @pytest.mark.parametrize("pop", [1, 2, 4, 40])
     def test_tie_takes_the_rising_gain(self, pop):
         # With these gains k * 26.0 + (1 - k) * 26.0 rounds differently for
         # k_up and k_down, so the tie's branch shows in the temperature.
         models = replace(self.MODELS, idt=IdtModel(k_up=0.1, k_down=0.15))
         snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
-        kernel = HorizonKernel(models, snap, MpcConfig(horizon=2, num_workers=1), pop)
-        temps, _, _ = kernel.rollout(np.full((pop, 2), 26.0), np.full((pop, 2), 600.0))
+        score = scorer(models, snap, MpcConfig(horizon=2, num_workers=1), pop)
+        temps, *_ = score(np.full((pop, 2), 26.0), np.full((pop, 2), 600.0))
         want = predict_idt(models.idt, 26.0, 26.0)
         assert want != predict_idt(IdtModel(k_up=0.15, k_down=0.15), 26.0, 26.0)
         assert (temps[0] == want).all()
@@ -457,11 +487,16 @@ class TestHorizonKernel:
         # one of the two schedules has.
         for temp_shape, illum_shape in [((4, 2), (4, 2)), ((5, 3), (5, 3)), ((1, 3), (1, 3)),
                                         ((4, 3), (1, 3)), ((3, 3), (4, 3))]:
-            for call in (kernel.evaluate, kernel.rollout):
-                with pytest.raises(ShapeMismatch, match=r"the kernel scores \(rows, horizon\) = \(4, 3\)"):
-                    call(np.full(temp_shape, 26.0), np.full(illum_shape, 600.0))
+            with pytest.raises(ShapeMismatch, match=r"the kernel scores \(rows, horizon\) = \(4, 3\)"):
+                kernel.evaluate(np.full(temp_shape, 26.0), np.full(illum_shape, 600.0))
         with pytest.raises(ShapeMismatch, match="snapshot has 1 workers"):
-            HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2), 1)
+            HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2), 4)
+
+    def test_refuses_fewer_than_two_rows(self):
+        # One schedule is rollout's: a one-row sum would be numpy's pairwise one.
+        for rows in (1, 0):
+            with pytest.raises(ShapeMismatch, match=f"two rows or more, got {rows}"):
+                HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(), rows)
 
 
 # Seeded solves on the shipped rooms, pinned as float.hex: the schedule
@@ -535,10 +570,10 @@ class TestObjectiveAndConstraint:
         cfg = MpcConfig(horizon=2, num_workers=1, p_temp=1e308, p_illum=1e308)
         snap = StateSnapshot((WorkerState(2.0),), 29.0, 900.0)
         sched = ControlSchedule((29.0, 29.0), (900.0, 900.0))
-        _, (v,) = HorizonKernel(models, snap, cfg, 1).evaluate(
-            np.array([sched.temp_setpoints]), np.array([sched.illum_setpoints]))
+        _, vs = HorizonKernel(models, snap, cfg, 2).evaluate(
+            np.array([sched.temp_setpoints] * 2), np.array([sched.illum_setpoints] * 2))
         violation = constraint_violation(rollout(models, snap, sched, cfg), cfg)
-        assert violation == v == np.finfo(float).max
+        assert violation == vs[0] == vs[1] == np.finfo(float).max
         assert type(violation) is float
 
 

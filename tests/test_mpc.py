@@ -24,26 +24,13 @@ from alertmpc.models import (
     rollout,
 )
 from alertmpc.mpc import Controller, solve
-from alertmpc.optimizer import BadBounds, DeParams
+from alertmpc.optimizer import BadBounds, DeParams, NonFiniteObjective
 
-from helpers import solve_failing_at
-
-
-def demo_models():
-    return ModelSet(
-        dl=DlModel(intercept=0.14, coef={
-            "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
-            "temp": 0.02, "temp_plus": 0.05, "temp_minus": -0.18,
-            "illum": -0.0004, "illum_plus": -0.0011, "illum_minus": 0.0006,
-            "effort": -0.06,
-        }),
-        idt=IdtModel(k_up=0.3, k_down=0.45),
-        ami=AmiModel(theta0=30.0, theta_prev=0.1, theta_set=0.85),
-    )
+from helpers import CASE1_MODELS, solve_failing_at
 
 
 def constant_dl_models(level=2.7):
-    coef = {name: 0.0 for name in demo_models().dl.coef}
+    coef = {name: 0.0 for name in CASE1_MODELS.dl.coef}
     return ModelSet(
         dl=DlModel(intercept=level, coef=coef),
         idt=IdtModel(k_up=0.3, k_down=0.45),
@@ -66,7 +53,7 @@ class TestNoc:
 
         monkeypatch.setattr(mpc_mod, "de_minimize", boom)
         cfg = MpcConfig(mode=ControlMode.NOC, num_workers=1)
-        sol = solve(demo_models(), snapshot(), cfg)
+        sol = solve(CASE1_MODELS, snapshot(), cfg)
         assert sol.schedule.temp_setpoints == (cfg.temp_comfort,) * cfg.horizon
         assert sol.schedule.illum_setpoints == (cfg.illum_comfort,) * cfg.horizon
         assert sol.feasible
@@ -84,15 +71,23 @@ class TestNoc:
         assert not sol.feasible
 
     def test_no_search_diagnostics(self):
-        sol = solve(demo_models(), snapshot(), MpcConfig(mode=ControlMode.NOC, num_workers=1))
+        sol = solve(CASE1_MODELS, snapshot(), MpcConfig(mode=ControlMode.NOC, num_workers=1))
         assert (sol.generations_used, sol.evaluations, sol.stop_reason) == (0, 0, None)
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_overflowing_illuminance_is_refused(self, mode):
+        # theta_set * 600 overflows to infinity at step 1, and 0 * infinity
+        # makes step 2's illuminance NaN: rollout keeps it, as the kernel does.
+        models = replace(CASE1_MODELS, ami=AmiModel(theta0=0.0, theta_prev=0.0, theta_set=1e306))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteObjective, match="objective returned nan"):
+            solve(models, snapshot(), MpcConfig(mode=mode, num_workers=1), FAST_DE)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_prediction_equals_single_schedule_views(self, workers):
         cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
         snap = snapshot(workers=workers, temp=28.3, illum=410.0)
-        sol = solve(demo_models(), snap, cfg)
-        pred = rollout(demo_models(), snap, sol.schedule, cfg)
+        sol = solve(CASE1_MODELS, snap, cfg)
+        pred = rollout(CASE1_MODELS, snap, sol.schedule, cfg)
         assert sol.objective_value == objective(pred)
         assert sol.violation == constraint_violation(pred, cfg)
         assert sol.feasible == (constraint_violation(pred, cfg) == 0.0)
@@ -107,14 +102,14 @@ class TestSolveModes:
 
     def test_mpc1_pins_illuminance(self):
         cfg = MpcConfig(mode=ControlMode.MPC1, num_workers=1)
-        sol = solve(demo_models(), snapshot(), cfg, FAST_DE)
+        sol = solve(CASE1_MODELS, snapshot(), cfg, FAST_DE)
         assert sol.schedule.illum_setpoints == (cfg.illum_comfort,) * cfg.horizon
         for t in sol.schedule.temp_setpoints:
             assert cfg.temp_lo <= t <= cfg.temp_hi
 
     def test_mpc2_matches_fine_grid_on_single_step(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=1)
-        models = demo_models()
+        models = CASE1_MODELS
         snap = snapshot()
 
         best = np.inf
@@ -134,15 +129,15 @@ class TestSolveModes:
     def test_mpc2_no_worse_than_mpc1(self):
         de = DeParams(population_size=40, max_generations=80, tolerance=0.0, seed=3)
         snap = snapshot()
-        sol1 = solve(demo_models(), snap,
+        sol1 = solve(CASE1_MODELS, snap,
                      MpcConfig(mode=ControlMode.MPC1, num_workers=1, horizon=2), de)
-        sol2 = solve(demo_models(), snap,
+        sol2 = solve(CASE1_MODELS, snap,
                      MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2), de)
         assert sol2.objective_value <= sol1.objective_value + 1e-3
 
     def test_setpoints_within_bounds(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=2, horizon=3)
-        models = demo_models()
+        models = CASE1_MODELS
         rng = np.random.default_rng(8)
         for i in range(20):
             ws = tuple(
@@ -170,7 +165,7 @@ class TestSolveModes:
         monkeypatch.setattr(mpc_mod, "de_minimize", spy)
         cfg = MpcConfig(mode=mode, num_workers=2, horizon=3)
         snap = snapshot(workers=2)
-        sol = solve(demo_models(), snap, cfg,
+        sol = solve(CASE1_MODELS, snap, cfg,
                     DeParams(population_size=16, max_generations=300, tolerance=1e-9, seed=4))
         (res,) = results
         assert sol.generations_used == res.generations_used > 0
@@ -179,7 +174,7 @@ class TestSolveModes:
         # The search's own scores of its best member are the single-schedule
         # definitions' scores of the returned schedule.
         assert (sol.objective_value, sol.violation) == (res.best_objective, res.best_violation)
-        pred = rollout(demo_models(), snap, sol.schedule, cfg)
+        pred = rollout(CASE1_MODELS, snap, sol.schedule, cfg)
         assert sol.objective_value == objective(pred)
         assert sol.violation == constraint_violation(pred, cfg)
 
@@ -188,7 +183,7 @@ class TestSolveModes:
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=3,
                         temp_lo=24.5, temp_hi=28.0, illum_lo=350.0, illum_hi=850.0,
                         penalty_cap=0.8)
-        models = demo_models()
+        models = CASE1_MODELS
         rng = np.random.default_rng(21)
         outcomes = {True: 0, False: 0}
         for i in range(12):
@@ -216,13 +211,15 @@ class TestSolveModes:
 @pytest.mark.parametrize("mode", list(ControlMode))
 def test_solve_scores_whole_populations_only(monkeypatch, mode):
     # Every kernel a solve builds and every call on it, by row count: the
-    # search's generations, or NOC's one schedule, and nothing after them.
+    # search's generations and nothing after them.  NOC's one schedule
+    # goes through rollout and builds no kernel.
     calls, built = [], []
-    for name in ("evaluate", "rollout"):
-        def spy(kernel, temp_sets, illum_sets, real=getattr(HorizonKernel, name), name=name):
-            calls.append((name, len(temp_sets)))
-            return real(kernel, temp_sets, illum_sets)
-        monkeypatch.setattr(HorizonKernel, name, spy)
+
+    def spy(kernel, temp_sets, illum_sets, real=HorizonKernel.evaluate):
+        calls.append(("evaluate", len(temp_sets)))
+        return real(kernel, temp_sets, illum_sets)
+
+    monkeypatch.setattr(HorizonKernel, "evaluate", spy)
 
     def counted_init(kernel, models, snapshot, cfg, rows, real=HorizonKernel.__init__):
         built.append(rows)
@@ -235,11 +232,13 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
     for population, search_rows in [(16, 16), (None, 10 * dim)]:
         calls.clear()
         built.clear()
-        sol = solve(demo_models(), snapshot(workers=2), cfg,
+        sol = solve(CASE1_MODELS, snapshot(workers=2), cfg,
                     DeParams(population_size=population, max_generations=30, seed=3))
-        rows = 1 if mode is ControlMode.NOC else search_rows
-        assert calls == [("evaluate", rows)] * (1 + sol.generations_used)
-        assert built == [rows]
+        if mode is ControlMode.NOC:
+            assert calls == built == []
+        else:
+            assert calls == [("evaluate", search_rows)] * (1 + sol.generations_used)
+            assert built == [search_rows]
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])
@@ -264,7 +263,7 @@ def test_violation_reported_and_backs_feasible(room, mode):
 
 def history(num_workers):
     """A Controller for num_workers workers, to observe steps into."""
-    return Controller(demo_models(), MpcConfig(mode=ControlMode.MPC2, num_workers=num_workers), FAST_DE)
+    return Controller(CASE1_MODELS, MpcConfig(mode=ControlMode.MPC2, num_workers=num_workers), FAST_DE)
 
 
 class TestMeasurementLog:
@@ -353,7 +352,7 @@ class TestStepController:
     """One interval decided by Controller.decide: freshness and seeding."""
 
     def fresh_controller(self, cfg, de, through_step):
-        ctl = Controller(demo_models(), cfg, de)
+        ctl = Controller(CASE1_MODELS, cfg, de)
         for s in range(through_step + 1):
             ctl.observe(s, [2.2 + 0.05 * s], [0.1], 26.5, 560.0)
         return ctl
@@ -367,7 +366,7 @@ class TestStepController:
         # Fresh latest measurement but the step before it is missing, so
         # the increment features cannot be formed.
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl = Controller(CASE1_MODELS, cfg, FAST_DE)
         ctl.observe(0, [2.2], [0.1], 26.5, 560.0)
         ctl.observe(1, [2.3], [0.1], 26.4, 565.0)
         ctl.observe(3, [2.4], [0.1], 26.3, 570.0)
@@ -401,7 +400,7 @@ class TestStepController:
 class TestController:
     def test_stale_before_any_data(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl = Controller(CASE1_MODELS, cfg, FAST_DE)
         setpoints, solution, status = ctl.decide(5)
         assert status == "stale"
         assert solution is None
@@ -409,7 +408,7 @@ class TestController:
 
     def test_holds_last_solution_when_lagging(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)
-        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl = Controller(CASE1_MODELS, cfg, FAST_DE)
         ctl.observe(4, [2.4], [0.1], 27.0, 520.0)
         ctl.observe(5, [2.6], [0.12], 26.7, 540.0)
         applied, solution, status = ctl.decide(6)
@@ -422,7 +421,7 @@ class TestController:
 
     def test_failed_solve_is_held_as_error(self, monkeypatch):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1, horizon=2)
-        ctl = Controller(demo_models(), cfg, FAST_DE)
+        ctl = Controller(CASE1_MODELS, cfg, FAST_DE)
         ctl.observe(4, [2.4], [0.1], 27.0, 520.0)
         ctl.observe(5, [2.6], [0.12], 26.7, 540.0)
         ok = ctl.decide(6)

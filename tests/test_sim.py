@@ -8,8 +8,6 @@ import alertmpc.sim as sim_mod
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
-    DlModel,
-    IdtModel,
     MpcConfig,
     NonFiniteSetting,
 )
@@ -37,17 +35,10 @@ from alertmpc.sim import (
     step_rng,
 )
 
-from helpers import solve_failing_at, trace_to_telemetry, working_day_drift
+from helpers import CASE1_MODELS, solve_failing_at, trace_to_telemetry, working_day_drift
 
 
-TRUE_DL = DlModel(intercept=0.14, coef={
-    "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
-    "temp": 0.02, "temp_plus": 0.05, "temp_minus": -0.18,
-    "illum": -0.0004, "illum_plus": -0.0011, "illum_minus": 0.0006,
-    "effort": -0.06,
-})
-TRUE_IDT = IdtModel(k_up=0.3, k_down=0.45)
-TRUE_AMI = AmiModel(theta0=30.0, theta_prev=0.1, theta_set=0.85)
+TRUE_DL, TRUE_IDT, TRUE_AMI = CASE1_MODELS.dl, CASE1_MODELS.idt, CASE1_MODELS.ami
 
 
 def quiet_plant(**overrides):
