@@ -58,6 +58,7 @@ from .identify import (
     InsufficientData,
     InvalidTelemetry,
     TelemetryTable,
+    UnstableFit,
     VALUE_COLUMNS,
     fit_ami_model,
     fit_dl_model,
@@ -945,7 +946,7 @@ def cmd_identify(args) -> int:
         )
         idt_model, idt_report = fit_idt_coeffs(table)
         ami_model, ami_report = fit_ami_model(table)
-    except (InsufficientData, DegenerateSweep) as err:
+    except (InsufficientData, DegenerateSweep, UnstableFit) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except BadRidge as err:

@@ -28,6 +28,11 @@ class DegenerateSweep(ValueError):
     """The excitation never varied, so the model is unidentifiable."""
 
 
+class UnstableFit(ValueError):
+    """The fitted response diverges: |theta_prev| >= 1 in the illuminance
+    fit, which no AmiModel may hold."""
+
+
 class BadRidge(ValueError):
     """The ridge strength of a fit is negative or not finite."""
 
@@ -241,7 +246,12 @@ def fit_idt_coeffs(data: TelemetryTable) -> tuple[IdtModel, FitReport]:
 
 
 def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
-    """Identify the illuminance response by least squares."""
+    """Identify the illuminance response by least squares.
+
+    Raises UnstableFit when the fitted |theta_prev| is 1 or more: the
+    model would diverge, and clipping theta_prev would pick an arbitrary
+    one.
+    """
     steps, _, illum, _, illum_set = data.step_environment()
     pair = steps[1:] == steps[:-1] + 1
     X = np.column_stack((illum[:-1][pair], illum_set[1:][pair]))
@@ -255,6 +265,10 @@ def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
             "illuminance setpoint never varied; sweep the setpoint to identify the response"
         )
     intercept, beta, rank = _centered_lstsq(X, y, ridge=0.0)
+    if not abs(beta[0]) < 1.0:
+        raise UnstableFit(
+            f"illuminance fit is unstable: theta_prev = {float(beta[0])}, |theta_prev| must be < 1"
+        )
     residuals = y - (intercept + X @ beta)
     model = AmiModel(theta0=intercept, theta_prev=float(beta[0]), theta_set=float(beta[1]))
     report = FitReport(
@@ -268,6 +282,7 @@ def fit_ami_model(data: TelemetryTable) -> tuple[AmiModel, FitReport]:
 __all__ = [
     "InsufficientData",
     "DegenerateSweep",
+    "UnstableFit",
     "BadRidge",
     "InvalidTelemetry",
     "TelemetryTable",

@@ -15,15 +15,17 @@ The search scores a whole population, two rows or more, per call with
 one HorizonKernel per solve, built for that population's row count.  The
 kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
-calls write and the views of each step that its loops read and write.
-It then runs the horizon over arrays of every row, worker and step in
-those buffers, so a call makes only fixed-shape ufunc calls.  At each
-step it writes the two drowsiness terms that depend on the previous
-prediction and adds all eight terms with one np.add.reduce along the
-term axis.  The objective and the violation are each one np.add.reduce
-along the rows of a buffer.  None of these axes is the innermost one, so
-numpy adds in order, and every row's scores equal those of rollout's
-prediction bit for bit.
+calls write, the views of each step that its loops read and write, and
+its constants as arrays.  It then runs the horizon over arrays of every
+row, worker and step in those buffers, so a call makes only fixed-shape
+ufunc calls, none of them with a mask but the room's choice of a rising
+or a falling gain.  Its buffer holds predict_dl's eleven terms: at each
+step it writes the three that depend on the previous prediction, the
+level and an increment pair, and adds all eleven with one np.add.reduce
+along the term axis.  The objective and the violation are each one
+np.add.reduce along the rows of a buffer.  None of these axes is the
+innermost one, so numpy adds in order, and every row's scores equal
+those of rollout's prediction bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
     DL_MAX,
@@ -45,6 +48,19 @@ from .domain import (
 )
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _operand(value) -> np.ndarray:
+    """value as a read-only 0-d float array.  A ufunc converts a Python
+    float operand to an array on every call, at about a third of the
+    cost of a call on a (workers, rows) block; HorizonKernel passes its
+    constants so, converted once."""
+    array = np.array(value, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+_ZERO, _DL_MIN, _DL_MAX, _LARGEST = (_operand(x) for x in (0.0, DL_MIN, DL_MAX, _FLOAT_MAX))
 
 
 class ShapeMismatch(ValueError):
@@ -148,11 +164,30 @@ class HorizonKernel:
 
     room_state is (horizon + 1, 2, rows): temperature and illuminance at
     each step, step 0 being the measured state.  terms is
-    (horizon, 8, workers, rows): predict_dl's terms at each step, in the
-    order predict_dl adds them.  The terms that depend only on the
-    snapshot (the intercept, the effort term and step 1's d_prev and
-    increment terms) are written here, once.  So are the views of each
-    step that the room and drowsiness loops read and write.
+    (horizon, 11, workers, rows): predict_dl's eleven terms at each step,
+    in the order predict_dl adds them.  The terms that depend only on the
+    snapshot (the intercept, the effort term and step 1's d_prev,
+    d_plus_prev and d_minus_prev terms) are written here, once.  So are
+    the views of each step that the room and drowsiness loops read and
+    write.
+
+    An increment pair is two adjacent slots of terms, the rise then the
+    fall, and needs no mask.  One subtract writes x_t - x_prev into the
+    first and x_prev - x_t into the second, reading the two steps once
+    in each order through views of the state; one maximum floors both at
+    zero; one multiply applies both coefficients.  That gives
+    predict_dl's c_plus * x_plus and c_minus * x_minus, since increments
+    returns (x_t - x_prev, 0.0) or (0.0, -(x_t - x_prev)), and
+    x_prev - x_t is exactly -(x_t - x_prev) in floating point.  Only the
+    sign of a zero can differ: for a step change of -0.0 increments
+    returns x_plus = -0.0 where np.maximum may give 0.0.  A zero's sign
+    changes a sum only while the sum is zero, so it can reach only the
+    sign of a raw level of zero, and the clamp onto the 1-5 scale makes
+    that 1.0 either way.  A NaN step change makes both slots NaN, where
+    predict_dl's x_minus alone is NaN: the sum is NaN either way.  An
+    infinite one gives (inf, 0.0) or (0.0, inf), as increments does.  So
+    every prediction is predict_dl's bit for bit, and a NaN or an
+    infinity spreads as it does there.
 
     No ufunc call broadcasts into, or reads scattered, an operand of
     workers x rows values: numpy would run such a call through buffers of
@@ -176,43 +211,38 @@ class HorizonKernel:
             raise ShapeMismatch(f"a kernel scores two rows or more, got {rows}; rollout scores one")
         self.shape = rows, horizon
         idt, ami, c = models.idt, models.ami, models.dl.coef
-        self._d_coef = (c["d_prev"], c["d_plus_prev"], -c["d_minus_prev"])
-        # predict_dl's coefficients of the room's level, rise and fall
-        # (negated, see _signed), each (temperature, illuminance).
-        room_coef = [[c["temp"], c["illum"]], [c["temp_plus"], c["illum_plus"]],
-                     [-c["temp_minus"], -c["illum_minus"]]]
-        self._room_coef = tuple(np.array(room_coef)[:, :, None, None])
 
         self.dls = np.empty((workers, horizon, rows))
         self._dl_rows = self.dls.reshape(-1, rows)
+        self._count = _operand(len(self._dl_rows))
         self._deviation = np.empty((horizon, 2, rows))
         self._excess = np.empty((horizon, rows))
-        self._over = np.empty((horizon, rows), dtype=bool)
 
         d_now, d_plus, d_minus, effort = np.array(
             [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in snapshot.workers]
         ).T
-        d_inc = d_plus - d_minus
-        _signed(d_inc, c["d_plus_prev"], -c["d_minus_prev"],
-                np.empty(workers, dtype=bool), np.empty(workers), out=d_inc)
-        self.terms = terms = np.empty((horizon, 8, workers, rows))
+        self.terms = terms = np.empty((horizon, 11, workers, rows))
         terms[:, 0] = models.dl.intercept
         terms[0, 1] = (c["d_prev"] * d_now)[:, None]
-        terms[0, 2] = d_inc[:, None]
-        terms[:, 7] = (c["effort"] * effort)[:, None]
-        self.raw = np.empty((workers, rows))
-        self.d_delta = np.empty((workers, rows))
-        self.d_rising = np.empty((workers, rows), dtype=bool)
-        self.d_coef = np.empty((workers, rows))
-        # Drowsiness by step, the measured level first: each step reads the
-        # two before it (step 0 needs neither).  dls gets a copy when all
+        terms[0, 2] = (c["d_plus_prev"] * d_plus)[:, None]
+        terms[0, 3] = (c["d_minus_prev"] * d_minus)[:, None]
+        terms[:, 10] = (c["effort"] * effort)[:, None]
+        self._c_prev = _operand(c["d_prev"])
+        self.d_coef = _pair_coef((2, workers, rows), c["d_plus_prev"], c["d_minus_prev"])
+        # Drowsiness by step, the measured level first.  Each step but the
+        # first reads the two levels before it as views (earlier, later) and
+        # (later, earlier): their difference is its pair's fall and rise,
+        # the pair's slots in reverse order.  dls gets a copy when all
         # steps are done.
         d_state = np.empty((horizon + 1, workers, rows))
         d_state[0] = d_now[:, None]
         self.d_steps = d_state[1:]
         self.dls_by_step = self.dls.transpose(1, 0, 2)
         d = tuple(d_state)
-        self.dl_steps = tuple(zip(terms, terms[:, 1], terms[:, 2], d, (None, *d), d[1:]))
+        earlier = tuple(d_state[n - 1:n + 1] for n in range(1, horizon))
+        self.dl_steps = tuple(zip(
+            terms, terms[:, 1], terms[:, 2:4], terms[:, 3:1:-1], d,
+            (None, *earlier), (None, *(pair[::-1] for pair in earlier)), d[1:]))
 
         self.room_state = np.empty((horizon + 1, 2, rows))
         self.room_state[0] = [[snapshot.temp_current], [snapshot.illum_current]]
@@ -221,19 +251,28 @@ class HorizonKernel:
         self.comfort, self.weights = np.empty((2, *self.room.shape))
         self.comfort[:, 0], self.comfort[:, 1] = cfg.temp_comfort, cfg.illum_comfort
         self.weights[:, 0], self.weights[:, 1] = cfg.p_temp, cfg.p_illum
-        self.cap = cfg.penalty_cap
-        # Steps 1.. and 0.. with a worker axis, as the room's terms have.
-        self.room_next = self.room_state[1:, :, None]
-        self.room_prev = self.room_state[:-1, :, None]
-        self.room_delta = np.empty((horizon, 2, 1, rows))
-        self.room_rising = np.empty((horizon, 2, 1, rows), dtype=bool)
-        self.room_coef = np.empty((horizon, 2, 1, rows))
-        # The room's terms for one worker, level then increment, and slots 3
-        # to 6 of terms as (step, quantity, level or increment, worker, row).
-        once = np.empty((2, horizon, 2, 1, rows))
-        self.room_level, self.room_inc = once[0], once[1]
+        self.cap = _operand(cfg.penalty_cap)
+        # The room's terms for one worker, slot first: each quantity's
+        # level, then its rise and fall, the pair.  room_terms_once is that
+        # as (step, quantity, slot, worker, row), and room_terms slots 4 to
+        # 9 of terms so shaped.
+        once = np.empty((3, horizon, 2, 1, rows))
+        self.room_level, self.room_pair = once[0], once[1:]
         self.room_terms_once = once.transpose(1, 2, 0, 3, 4)
-        self.room_terms = terms[:, 3:7].reshape(horizon, 2, 2, workers, rows)
+        self.room_terms = terms[:, 4:10].reshape(horizon, 2, 3, workers, rows)
+        # Steps 1.. with a worker axis, and the pair's two orders of steps
+        # 1.. and 0.., (x_t, x_prev) and (x_prev, x_t), with a slot axis.
+        self.room_next = self.room_state[1:, :, None]
+        window = sliding_window_view(self.room_state, 2, axis=0)[:, :, None]
+        self.room_later = np.moveaxis(window[..., ::-1], -1, 0)
+        self.room_earlier = np.moveaxis(window, -1, 0)
+        # Coefficients at the full shape of the terms they multiply: numpy
+        # runs a multiply by coefficients that broadcast through a buffer
+        # that it allocates.
+        self._level_coef = np.empty(self.room_level.shape)
+        self._level_coef[...] = np.array([c["temp"], c["illum"]])[:, None, None]
+        self.room_coef = _pair_coef(self.room_pair.shape, [c["temp_plus"], c["illum_plus"]],
+                                    [c["temp_minus"], c["illum_minus"]])
 
         # Each room quantity's next value is a + b * now: (a, b) is
         # (k * setpoint, 1 - k) for temperature, with k the gain of a rising
@@ -241,8 +280,7 @@ class HorizonKernel:
         # then adds theta_set * setpoint and is clamped at zero.  ab_by_move
         # holds k in place of k * setpoint.
         ab_by_move = np.array([[[k, ami.theta0], [1.0 - k, ami.theta_prev]] for k in (idt.k_up, idt.k_down)])
-        self._k = ab_by_move[:, :1, :1]
-        self._theta_set = ami.theta_set
+        self._theta_set = _operand(ami.theta_set)
         self.t_sets = np.empty((horizon, rows))
         self.lights = np.empty((horizon, rows))
         # (a, b) of temperature and illuminance per step, for a rising and
@@ -250,6 +288,9 @@ class HorizonKernel:
         up_down = np.empty((2, 2, 2, horizon, rows))
         up_down[...] = ab_by_move.transpose(1, 2, 0)[..., None, None]
         self.k_sets = up_down[0, 0]
+        # The gains themselves, at k_sets' full shape, as the pairs'
+        # coefficients are.
+        self._k = self.k_sets.copy()
         self.rising = np.empty(rows, dtype=bool)
         self.ab = np.empty((2, 2, rows))
         self.a, self.b = self.ab[0], self.ab[1]
@@ -267,75 +308,77 @@ class HorizonKernel:
                 f"schedules are {temp_sets.shape} and {illum_sets.shape}, "
                 f"the kernel scores (rows, horizon) = {self.shape}"
             )
-        np.copyto(self.t_sets, temp_sets.T)
+        # Plain copies assign to a view: np.copyto is a Python-level wrapper.
+        self.t_sets[...] = temp_sets.T
         np.multiply(self._k, self.t_sets, out=self.k_sets)
         np.multiply(self._theta_set, illum_sets.T, out=self.lights)
         rising, ab, a, b = self.rising, self.ab, self.a, self.b
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
             np.greater_equal(t_set, temp, out=rising)
-            np.copyto(ab, down)
+            ab[...] = down
             np.copyto(ab, up, where=rising)
             np.multiply(b, now, out=nxt)
             np.add(a, nxt, out=nxt)
             np.add(illum, light, out=illum)
-            np.maximum(illum, 0.0, out=illum)
+            np.maximum(illum, _ZERO, out=illum)
 
-        # The room's four terms of predict_dl, every step at once, then
+        # The room's six terms of predict_dl, every step at once, then
         # copied out for every worker.
-        level, rise, fall = self._room_coef
-        np.multiply(level, self.room_next, out=self.room_level)
-        np.subtract(self.room_next, self.room_prev, out=self.room_delta)
-        _signed(self.room_delta, rise, fall, self.room_rising, self.room_coef, out=self.room_inc)
-        np.copyto(self.room_terms, self.room_terms_once)
+        pair = self.room_pair
+        np.multiply(self._level_coef, self.room_next, out=self.room_level)
+        np.subtract(self.room_later, self.room_earlier, out=pair)
+        np.maximum(pair, _ZERO, out=pair)
+        np.multiply(pair, self.room_coef, out=pair)
+        self.room_terms[...] = self.room_terms_once
 
-        # Drowsiness, step by step: the two terms that depend on the
-        # previous prediction, then all eight summed in one reduction.
-        c_prev, c_plus, c_minus = self._d_coef
-        raw, delta, d_rising, d_coef = self.raw, self.d_delta, self.d_rising, self.d_coef
-        for terms, prev_term, inc_term, d_prev, d_before, d_next in self.dl_steps:
-            if d_before is not None:
+        # Drowsiness, step by step: the three terms that depend on the
+        # previous prediction, then all eleven summed in one reduction and
+        # clamped onto the 1-5 scale.  The pair's subtract writes its slots
+        # backwards, as its second input runs: numpy would run the call
+        # through a buffer it allocates if that input alone ran backwards.
+        c_prev, coef = self._c_prev, self.d_coef
+        for terms, prev_term, pair, reversed_pair, d_prev, earlier, later, d_next in self.dl_steps:
+            if earlier is not None:
                 np.multiply(c_prev, d_prev, out=prev_term)
-                np.subtract(d_prev, d_before, out=delta)
-                _signed(delta, c_plus, c_minus, d_rising, d_coef, out=inc_term)
-            np.add.reduce(terms, axis=0, out=raw)
-            np.maximum(raw, DL_MIN, out=raw)
-            np.minimum(raw, DL_MAX, out=d_next)
-        np.copyto(self.dls_by_step, self.d_steps)
+                np.subtract(earlier, later, out=reversed_pair)
+                np.maximum(pair, _ZERO, out=pair)
+                np.multiply(pair, coef, out=pair)
+            np.add.reduce(terms, axis=0, out=d_next)
+            np.maximum(d_next, _DL_MIN, out=d_next)
+            np.minimum(d_next, _DL_MAX, out=d_next)
+        self.dls_by_step[...] = self.d_steps
 
         # The objective: each row's mean drowsiness.
         mean = np.add.reduce(self._dl_rows, axis=0)
-        np.divide(mean, len(self._dl_rows), out=mean)
+        np.divide(mean, self._count, out=mean)
 
-        # The violation: comfort_penalty, one array operation at a time.
-        # Only the positive excess is summed, from zero: that adds
-        # where(excess > 0, excess, 0) row after row.  A total too large for
-        # a float (huge comfort weights) saturates at the largest float: the
+        # The violation: comfort_penalty, one array operation at a time,
+        # then each step's excess over the cap, floored at zero, summed
+        # down the steps.  fmax, not maximum: a NaN excess counts as none,
+        # as constraint_violation's "excess > 0.0" skips it.  The cap is
+        # positive, so no excess is -0.0, and the sum equals
+        # constraint_violation's from 0.0.  A total too large for a float
+        # (huge comfort weights) saturates at the largest float: the
         # search still ranks it as the worst violation, where an infinity
         # would stop it as a non-finite evaluation.
         deviation, excess = self._deviation, self._excess
         np.subtract(self.room, self.comfort, out=deviation)
         np.absolute(deviation, out=deviation)
         np.multiply(self.weights, deviation, out=deviation)
-        np.add(deviation[:, 0], deviation[:, 1], out=excess)
+        np.add.reduce(deviation, axis=1, out=excess)
         np.subtract(excess, self.cap, out=excess)
-        np.greater(excess, 0.0, out=self._over)
-        violation = np.add.reduce(excess, axis=0, where=self._over, initial=0.0)
-        return mean, np.minimum(violation, _FLOAT_MAX, out=violation)
+        np.fmax(excess, _ZERO, out=excess)
+        violation = np.add.reduce(excess, axis=0)
+        return mean, np.minimum(violation, _LARGEST, out=violation)
 
 
-def _signed(delta: np.ndarray, above, below, rising: np.ndarray, coef: np.ndarray, out):
-    """delta times above where delta >= 0, else times below, into out.
-
-    rising and coef are buffers of delta's shape, for the test and the
-    factor it picks.  With above = c_plus and below = -c_minus this is an
-    increment pair's two terms of predict_dl's sum as one term:
-    predict_dl adds c_plus * max(delta, 0), then c_minus * max(-delta, 0).
-    One of the two is zero and adding zero leaves a sum unchanged.
-    """
-    np.greater_equal(delta, 0.0, out=rising)
-    np.copyto(coef, below)
-    np.copyto(coef, above, where=rising)
-    np.multiply(delta, coef, out=out)
+def _pair_coef(shape, c_plus, c_minus) -> np.ndarray:
+    """Coefficients of increment pairs of that shape, slot first: c_plus
+    for the rise, c_minus for the fall.  Each is a scalar or holds one
+    coefficient per quantity, the third axis from the end."""
+    coef = np.empty(shape)
+    coef[0], coef[1] = (np.asarray(c)[..., None, None] for c in (c_plus, c_minus))
+    return coef
 
 
 def rollout(

@@ -13,7 +13,6 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,14 +91,25 @@ class DeResult:
         return self.best_violation == 0.0
 
 
-def not_worse(f_a, v_a, f_b, v_b) -> np.ndarray:
+def not_worse(f_a, v_a, f_b, v_b, out=None) -> np.ndarray:
     """Elementwise: is (f_a, v_a) at least as good as (f_b, v_b)?
 
     Feasibility first: two feasible points compare on objective,
     otherwise the smaller violation wins (a feasible point has violation
     0, so it beats every infeasible one).  Violations must be >= 0.
+
+    out, a (2, n) bool array for n points, takes the answer in its first
+    row and uses the second as scratch; one is made when it is None.
+    Returns the answer.
     """
-    return np.where((v_a == 0.0) & (v_b == 0.0), f_a <= f_b, v_a <= v_b)
+    if out is None:
+        out = np.empty((2, *np.broadcast(f_a, v_a, f_b, v_b).shape), dtype=bool)
+    take, infeasible = out[0, ...], out[1, ...]
+    np.less_equal(f_a, f_b, out=take)
+    # Nonzero is infeasible: where either point is, the violations decide.
+    np.logical_or(v_a, v_b, out=infeasible)
+    np.less_equal(v_a, v_b, out=take, where=infeasible)
+    return take
 
 
 def incumbent(fs: np.ndarray, vs: np.ndarray) -> int:
@@ -126,6 +136,8 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
         for index in taken:
             draw += draw >= index
         draws.append(draw)
+        if k == 2:
+            break  # no later draw reads the ordered list
         # Insert the new donor into the ordered list by compare-and-swap.
         for i, index in enumerate(taken):
             taken[i], draw = np.minimum(index, draw), np.maximum(index, draw)
@@ -133,11 +145,12 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
     return np.stack(draws, axis=1)
 
 
-def checked_scores(pop: np.ndarray, f, v) -> tuple[np.ndarray, np.ndarray]:
+def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.ndarray]:
     """The objectives f and violations v of the rows pop as float arrays.
 
     Raises ValueError unless each holds one value per row and v >= 0, and
-    NonFiniteObjective on a NaN or an infinity.
+    NonFiniteObjective on a NaN or an infinity.  finite, a (2, len(pop))
+    bool array, holds the finiteness test; one is made when it is None.
     """
     f = np.asarray(f, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -145,12 +158,11 @@ def checked_scores(pop: np.ndarray, f, v) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"evaluate must return two ({len(pop)},) arrays, got {f.shape} and {v.shape}"
         )
-    # A NaN or an infinity makes the total non-finite, so a finite total
-    # vouches for every value; only a total that overflows needs the scans.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(f) + np.add.reduce(v)
-    finite = math.isfinite(total) or (np.isfinite(f).all() and np.isfinite(v).all())
-    if finite and v.min() >= 0.0:
+    if finite is None:
+        finite = np.empty((2, len(pop)), dtype=bool)
+    np.isfinite(f, out=finite[0])
+    np.isfinite(v, out=finite[1])
+    if np.logical_and.reduce(finite, None) and np.minimum.reduce(v) >= 0.0:
         return f, v
     for name, values in (("objective", f), ("violation", v)):
         bad = ~np.isfinite(values)
@@ -202,7 +214,8 @@ def de_minimize(
 
     dim = lower.size
     pop_size = params.population_for(dim)
-    factor = params.mutation_factor
+    # A 0-d array: a ufunc converts a Python float operand on every call.
+    factor = np.array(params.mutation_factor)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
@@ -216,18 +229,34 @@ def de_minimize(
         return donors, ~cross
 
     pop = lower + rng.random((pop_size, dim)) * span
+    # The finiteness test's and the selection's buffers, and the stop
+    # test's results, reused by every generation.
+    finite = np.empty((2, pop_size), dtype=bool)
+    select = np.empty((2, pop_size), dtype=bool)
+    take = select[0]
+    take_rows = take[:, None]
+    infeasible, f_max, f_min = np.empty((), dtype=bool), np.empty(()), np.empty(())
     # Copies: the search updates them in place, and checked_scores() may
     # return the caller's own arrays.
-    fs, vs = (x.copy() for x in checked_scores(pop, *evaluate(pop)))
+    fs, vs = (x.copy() for x in checked_scores(pop, *evaluate(pop), finite))
     # Every generation's donors and trials go into these buffers.
     donor_rows = np.empty((3, pop_size, dim))
     r1, r2, r3 = donor_rows
     trials = np.empty((pop_size, dim))
+    # The box at the trials' shape: numpy clamps against bounds that
+    # broadcast along the rows through buffers, at about three times the
+    # cost.
+    lower_rows, upper_rows = np.tile(lower, (pop_size, 1)), np.tile(upper, (pop_size, 1))
     generations = 0
     stop_reason = "budget"
     for gen in range(params.max_generations):
-        # checked_scores() guarantees vs >= 0, so "none nonzero" is "all feasible".
-        if not vs.any() and float(fs.max() - fs.min()) < params.tolerance:
+        # checked_scores() guarantees vs >= 0, so "none nonzero" is "all
+        # feasible".  The ufuncs' reduce spares the Python wrappers of
+        # ndarray.any, max and min.
+        if not np.logical_or.reduce(vs, 0, None, infeasible) and (
+            float(np.maximum.reduce(fs, 0, None, f_max))
+            - float(np.minimum.reduce(fs, 0, None, f_min)) < params.tolerance
+        ):
             stop_reason = "tolerance"
             break
         step = gen % _BLOCK
@@ -241,13 +270,13 @@ def de_minimize(
         np.subtract(r2, r3, out=trials)
         np.multiply(factor, trials, out=trials)
         np.add(r1, trials, out=trials)
-        np.maximum(trials, lower, out=trials)
-        np.minimum(trials, upper, out=trials)
+        np.maximum(trials, lower_rows, out=trials)
+        np.minimum(trials, upper_rows, out=trials)
         np.copyto(trials, pop, where=keep[step])
 
-        f_t, v_t = checked_scores(trials, *evaluate(trials))
-        take = not_worse(f_t, v_t, fs, vs)
-        np.copyto(pop, trials, where=take[:, None])
+        f_t, v_t = checked_scores(trials, *evaluate(trials), finite)
+        not_worse(f_t, v_t, fs, vs, select)
+        np.copyto(pop, trials, where=take_rows)
         np.copyto(fs, f_t, where=take)
         np.copyto(vs, v_t, where=take)
 

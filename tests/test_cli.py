@@ -65,7 +65,14 @@ from alertmpc.sim import (
     scenario_for_arm,
 )
 
-from helpers import CASE1_MODELS, daemon_windows_by_number, replay_stream_lines, solve_failing_at
+from helpers import (
+    CASE1_MODELS,
+    daemon_windows_by_number,
+    replay_stream_lines,
+    rows_of,
+    solve_failing_at,
+    table_of,
+)
 
 TRUTH = CASE1_MODELS
 
@@ -1259,6 +1266,22 @@ class TestIdentifyCommand:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_unstable_illuminance_fit_exit_code(self, workdir, capsys):
+        # Readings whose illuminance grows 5% a step, whatever the setpoint:
+        # the least-squares theta_prev is about 1.05, which no model holds.
+        table = read_telemetry_csv(self.telemetry_file(workdir))
+        rows = [row._replace(illum=400.0 * 1.05**row.step_index) for row in rows_of(table)]
+        telem = str(workdir / "growing.csv")
+        write_telemetry_csv(telem, table_of(rows))
+        model = workdir / "m.json"
+        rc = main(["identify", telem, str(model), "--out-dir", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: illuminance fit is unstable: theta_prev = 1.05")
+        assert err.endswith(", |theta_prev| must be < 1\n")
+        assert not model.exists()
+        assert not (workdir / "identify_manifest.json").exists()
+
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_bad_ridge_is_usage_error(self, workdir, capsys, ridge):
         telem = self.telemetry_file(workdir)
@@ -1712,6 +1735,16 @@ class TestStreamRecord:
     def test_fields_are_not_coerced(self, field, value):
         with pytest.raises((KeyError, ValueError, TypeError)):
             _parse_stream_record(json.dumps(stream_doc(**{field: value})))
+
+    def test_repeated_key_reads_its_last_value(self):
+        # Documented in the README: the last value wins, and only it is
+        # checked.  A change to this is a change to the stream format.
+        head = '{"t": "2026-01-05T08:00:00", "worker": "w0", '
+        tail = ', "temp_c": 26, "illum_lx": 600}'
+        assert _parse_stream_record(head + '"dl": 9, "dl": 2.0' + tail)[2] == 2.0
+        assert _parse_stream_record(head + '"worker": "w1", "dl": 2.0' + tail)[1] == "w1"
+        with pytest.raises(ValueError, match="dl 9.0 outside the 1-5 scale"):
+            _parse_stream_record(head + '"dl": 2.0, "dl": 9' + tail)
 
     def test_integer_numbers_read_as_floats(self):
         when, worker, dl, temp, illum = _parse_stream_record(

@@ -7,6 +7,7 @@ from alertmpc.identify import (
     DegenerateSweep,
     InsufficientData,
     InvalidTelemetry,
+    UnstableFit,
     dl_design,
     fit_ami_model,
     fit_dl_model,
@@ -308,6 +309,19 @@ class TestAmiFit:
         with pytest.raises(DegenerateSweep):
             fit_ami_model(table_of(rows))
 
+    @pytest.mark.parametrize("theta_prev, theta0", [(1.05, 0.0), (1.2, 0.0), (-1.05, 1100.0)])
+    def test_unstable_fit_refused(self, theta_prev, theta0):
+        # A level that follows l' = theta0 + theta_prev * l + setpoint / 10
+        # with |theta_prev| > 1 is fitted so: refused, not clipped into some
+        # stable model.
+        illum, rows = 500.0, []
+        for s in range(12):
+            lset = 450.0 + (s * 37) % 300
+            illum = theta0 + theta_prev * illum + lset / 10.0
+            rows.append(env_row(s, 26.0, 26.0, illum=illum, lset=lset))
+        with pytest.raises(UnstableFit, match="illuminance fit is unstable: theta_prev = "):
+            fit_ami_model(table_of(rows))
+
     def test_insufficient_samples(self):
         rows = tuple(
             env_row(s, 26.0, 26.0, illum=500.0 + 10 * s, lset=500.0 + 20 * s)
@@ -411,7 +425,8 @@ def reference_ami(data):
     beta = np.linalg.lstsq(X - x_mean, y - y_mean, rcond=None)[0]
     intercept = float(y_mean - x_mean @ beta)
     if abs(beta[0]) >= 1.0:
-        return ValueError(f"|theta_prev| must be < 1 for stability, got {float(beta[0])}")
+        return UnstableFit(
+            f"illuminance fit is unstable: theta_prev = {float(beta[0])}, |theta_prev| must be < 1")
     rmse = float(np.sqrt(np.mean(np.square(y - (intercept + X @ beta)))))
     return intercept, float(beta[0]), float(beta[1]), rmse
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
@@ -379,6 +379,51 @@ def scorer(models, snap, cfg, rows):
     return score
 
 
+# A DL coefficient: zero, either sign, or a large one, so that increment
+# pairs of every sign meet the clamps.
+DL_COEF = st.one_of(st.sampled_from([0.0, -0.0, 2.5, -2.5]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Models, a snapshot, a configuration and (rows, horizon) schedules
+    for one HorizonKernel call, with 2 or 40 rows.
+
+    The draws take in zero and negative increment and room coefficients,
+    setpoints equal to the temperature before them (ties), an
+    illuminance model that clamps at zero, and workers whose last two
+    readings are equal (zero drowsiness increments)."""
+    coef = {name: draw(DL_COEF) for name in DL_FEATURES}
+    dl = DlModel(intercept=draw(st.floats(-2.0, 4.0)), coef=coef)
+    idt = IdtModel(k_up=draw(st.floats(0.05, 1.0)), k_down=draw(st.floats(0.05, 1.0)))
+    ami = draw(st.one_of(
+        st.just(AmiModel(theta0=-900.0, theta_prev=0.1, theta_set=0.6)),  # dark at low setpoints
+        st.builds(AmiModel, theta0=st.floats(-300.0, 100.0), theta_prev=st.floats(-0.9, 0.9),
+                  theta_set=st.floats(0.0, 1.2))))
+    rows, workers, horizon = draw(st.sampled_from([2, 40])), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    readings = st.floats(1.0, 5.0)
+    states = []
+    for _ in range(workers):
+        d_now = draw(readings)
+        d_before = d_now if draw(st.booleans()) else draw(readings)
+        states.append(WorkerState.from_history(d_now, d_before, effort=draw(st.floats(0.0, 0.5))))
+    snap = StateSnapshot(tuple(states), draw(st.floats(20.0, 30.0)), draw(st.floats(0.0, 900.0)))
+    cfg = MpcConfig(horizon=horizon, num_workers=workers, penalty_cap=draw(st.floats(0.05, 3.0)))
+    # Schedules from a drawn seed; a drawn share of the temperatures copy
+    # the one before them (the measured one at step 1), so they tie with
+    # the room's temperature when the gain is 1 or the room has settled.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    temps = rng.uniform(18.0, 32.0, (rows, horizon))
+    ties = rng.random((rows, horizon)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    for step in range(horizon):
+        before = snap.temp_current if step == 0 else temps[:, step - 1]
+        temps[:, step] = np.where(ties[:, step], before, temps[:, step])
+    temps[0] = snap.temp_current
+    illums = rng.uniform(0.0, 1000.0, (rows, horizon))
+    illums[-1] = 0.0
+    return ModelSet(dl=dl, idt=idt, ami=ami), snap, cfg, temps, illums
+
+
 class TestHorizonKernel:
     MODELS = TestRolloutBatch.MODELS
 
@@ -432,6 +477,20 @@ class TestHorizonKernel:
             hit["dark"] |= bool((illums == 0.0).any())
             hit["violated"] |= bool((v > 0.0).any())
         assert all(hit.values()), hit
+
+    @settings(max_examples=120, deadline=None)
+    @given(kernel_cases())
+    def test_rows_equal_rollout_and_scores_by_hex(self, case):
+        models, snap, cfg, temps, illums = case
+        kernel = HorizonKernel(models, snap, cfg, len(temps))
+        f, v = kernel.evaluate(temps, illums)
+        for row in range(len(temps)):
+            pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
+            assert tuple(kernel.room[:, 0, row]) == pred.temps
+            assert tuple(kernel.room[:, 1, row]) == pred.illums
+            assert tuple(map(tuple, kernel.dls[:, :, row])) == pred.dls
+            assert f[row].hex() == objective(pred).hex()
+            assert v[row].hex() == constraint_violation(pred, cfg).hex()
 
     def test_workspace_reuse_and_fresh_scores(self):
         rng = np.random.default_rng(8)

@@ -9,6 +9,7 @@ from alertmpc.optimizer import (
     BadBounds,
     DeParams,
     NonFiniteObjective,
+    checked_scores,
     de_minimize,
     donor_indices,
     incumbent,
@@ -297,6 +298,41 @@ class TestErrors:
             de_minimize(evaluate, LO4, HI4, DeParams(population_size=8, seed=1))
 
 
+class TestCheckedScores:
+    POP = np.array([[0.5, 1.0], [2.0, -3.0]])
+
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_finite_scores_whose_total_overflows_pass_silently(self, buffer):
+        # Each value is finite; only their sum overflows, and no warning
+        # is raised on the way.
+        finite = np.empty((2, 2), dtype=bool) if buffer else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, v = checked_scores(self.POP, [1e308, 1e308], [1.7e308, 1.7e308], finite)
+        assert f.tolist() == [1e308, 1e308] and v.tolist() == [1.7e308, 1.7e308]
+
+    @pytest.mark.parametrize("f, v, error, message", [
+        ([1.0, np.nan], [0.0, 0.0], NonFiniteObjective, "objective returned nan at [2.0, -3.0]"),
+        ([-np.inf, 1.0], [0.0, 0.0], NonFiniteObjective, "objective returned -inf at [0.5, 1.0]"),
+        ([1.0, 2.0], [0.0, np.inf], NonFiniteObjective, "violation returned inf at [2.0, -3.0]"),
+        # The objective is named first, and a non-finite value before a
+        # negative violation.
+        ([np.nan, 1.0], [np.inf, 0.0], NonFiniteObjective, "objective returned nan at [0.5, 1.0]"),
+        ([1.0, 2.0], [-1.0, np.nan], NonFiniteObjective, "violation returned nan at [2.0, -3.0]"),
+        ([1.0, 2.0], [0.0, -0.5], ValueError, "violation returned -0.5 at [2.0, -3.0], must be >= 0"),
+    ])
+    @pytest.mark.parametrize("buffer", [False, True])
+    def test_refusals_keep_their_types_and_messages(self, f, v, error, message, buffer):
+        finite = np.empty((2, 2), dtype=bool) if buffer else None
+        with pytest.raises(error) as info:
+            checked_scores(self.POP, f, v, finite)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"evaluate must return two \(2,\) arrays, got \(1,\) and \(2,\)"):
+            checked_scores(self.POP, [1.0], [0.0, 0.0])
+
+
 def _deb_not_worse(f_a, v_a, f_b, v_b):
     """Scalar feasibility-first comparison: the oracle for not_worse."""
     if v_a == 0.0 and v_b == 0.0:
@@ -333,6 +369,14 @@ class TestBatchedSelection:
             (True, True), (True, False), (False, True), (False, False)}
         assert any(a[1] == 0.0 == b[1] and a[0] == b[0] for a, b in pairs)
         assert any(0.0 < a[1] == b[1] for a, b in pairs)
+
+    def test_not_worse_into_a_buffer(self):
+        pairs = list(itertools.product(itertools.product(self.F, self.V), repeat=2))
+        f_a, v_a, f_b, v_b = (np.array(col) for col in zip(*(a + b for a, b in pairs)))
+        out = np.empty((2, len(pairs)), dtype=bool)
+        got = not_worse(f_a, v_a, f_b, v_b, out)
+        assert np.shares_memory(got, out[0])
+        assert got.tolist() == not_worse(f_a, v_a, f_b, v_b).tolist()
 
     def test_incumbent_matches_scalar_scan(self):
         rng = np.random.default_rng(12)

@@ -43,3 +43,30 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - exported)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def positional_out_extrema(source: str) -> list[int]:
+    """Lines of np.maximum or np.minimum calls given a third positional
+    argument.  numpy 2.4 deprecates that spelling of out, and the suite's
+    warnings-as-errors fails it only when the line runs."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("maximum", "minimum")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and len(node.args) > 2
+    ]
+
+
+def test_positional_out_extrema_finds_the_spelling():
+    source = "np.maximum(a, 0.0, out=a)\nnp.minimum(a, b, a)\nnp.maximum.reduce(a, 0, None, b)\n"
+    assert positional_out_extrema(source) == [2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_extrema_take_out_by_keyword(path):
+    lines = positional_out_extrema(path.read_text(encoding="utf-8"))
+    assert lines == [], f"{path.name}: np.maximum/np.minimum with a positional out on lines {lines}"
