@@ -8,7 +8,8 @@ simulator, and a CLI.
 
 Import from the modules: domain (configuration and state), models
 (prediction), optimizer (differential evolution), mpc (solve and
-Controller), identify (model fits), sim (the closed loop) and cli.
+Controller), identify (model fits), sim (the closed loop), formats (the
+files), daemon (the streaming loop) and cli.
 """
 
 __version__ = "0.1.0"

@@ -1,15 +1,15 @@
 """Command-line front end: identify, solve, simulate, report, daemon.
 
-File formats are deliberately plain: CSV with a fixed header for
-telemetry and traces (floats at 6 significant digits), a versioned JSON
-document for model sets, INI-style ``key = value`` sections for
-configuration, and newline-delimited JSON for the daemon's measurement
-input and setpoint output.  Every command drops a ``<command>_manifest.json``
+Configuration is read from INI-style ``key = value`` sections, each key
+the name of a field of the dataclass its section builds.  The files the
+commands read and write are declared in formats, and the streaming
+daemon lives in daemon.  Every command drops a ``<command>_manifest.json``
 into its output directory recording the resolved parameters, so any run
 can be reproduced exactly.
 
-Exit codes: 0 success, 2 malformed input or configuration, 3 not enough
-data to identify a model, 4 no feasible schedule.
+Exit codes: 0 success, 2 malformed input or configuration, or an output
+that cannot be written, 3 not enough data to identify a model, 4 no
+feasible schedule.
 """
 
 from __future__ import annotations
@@ -17,116 +17,59 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
 import enum
-import functools
 import io
-import itertools
 import json
-import math
 import os
 import sys
-import warnings
-from array import array
-from collections.abc import Callable
 from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
-from datetime import datetime, timedelta
-from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
+from .daemon import _utf8_lines, run_daemon
 from .domain import (
     AmiModel,
     ControlMode,
     DlModel,
     DL_FEATURES,
-    DL_MAX,
-    DL_MIN,
-    ILLUM_RANGE,
     IdtModel,
     ModelSet,
     MpcConfig,
-    StateSnapshot,
-    TEMP_RANGE,
-    WorkerState,
-    require_in_range,
+)
+from .formats import (
+    CliError,
+    _refused,
+    _writing,
+    fmt6,
+    read_model_set,
+    read_snapshot_csv,
+    read_telemetry_csv,
+    read_trace_csv,
+    write_metrics_csv,
+    write_model_set,
+    write_trace_csv,
 )
 from .identify import (
     BadRidge,
     DegenerateSweep,
     InsufficientData,
-    InvalidTelemetry,
-    TelemetryTable,
     UnstableFit,
-    VALUE_COLUMNS,
     fit_ami_model,
     fit_dl_model,
     fit_idt_coeffs,
 )
 from .models import ShapeMismatch
-from .mpc import Controller, solve
+from .mpc import solve
 from .optimizer import BadBounds, DeParams, NonFiniteObjective
 from .sim import (
     ArmComparison,
-    Metrics,
     PlantConfig,
     PlantOutOfRange,
     ScenarioConfig,
-    SimTrace,
-    TraceStep,
     compute_metrics,
     run_scenario,
 )
-
-MODEL_FILE_VERSION = 1
-
-TELEMETRY_HEADER = [
-    "step",
-    "worker_id",
-    "dl",
-    "effort",
-    "temp_c",
-    "illum_lx",
-    "temp_set_c",
-    "illum_set_lx",
-]
-
-SNAPSHOT_HEADER = [
-    "worker_id",
-    "dl",
-    "d_plus",
-    "d_minus",
-    "effort",
-    "temp_c",
-    "illum_lx",
-]
-
-
-class CliError(Exception):
-    """A user-facing failure with its process exit code."""
-
-    def __init__(self, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
-@contextlib.contextmanager
-def _refused(lead: str, errors=ValueError):
-    """Turn an error of type errors raised in the block, a refused value,
-    into a CliError whose message is lead followed by the error's."""
-    try:
-        yield
-    except errors as err:
-        raise CliError(f"{lead}{err}")
-
-
-def fmt6(x: float) -> str:
-    """Render a float at 6 significant digits (CSV convention)."""
-    x = float(x)
-    if x == 0.0:
-        return "0"
-    return format(x, ".6g")
 
 
 def _jsonable(obj):
@@ -143,425 +86,22 @@ def _jsonable(obj):
     return obj
 
 
+def make_out_dir(out_dir: str) -> None:
+    """Make the output directory, as a command does before its first output,
+    so that one which cannot be made leaves no output behind."""
+    with _refused(f"cannot write {out_dir}: ", OSError):
+        os.makedirs(out_dir, exist_ok=True)
+
+
 def write_manifest(out_dir: str, command: str, payload: dict) -> str:
     """Record the resolved run parameters next to the outputs."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command}_manifest.json")
     body = {"command": command, "tool_version": __version__}
     body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         json.dump(_jsonable(body), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-# ---------------------------------------------------------------------------
-# model files
-
-
-def write_model_set(path: str, models: ModelSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": MODEL_FILE_VERSION, **asdict(models)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-_JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's (key, value) pairs as a dict; a repeated key raises KeyError."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        raise KeyError(f"repeated key among {[key for key, _ in pairs]}")
-    return doc
-
-
-def _from_json(kind, value, name: str):
-    """value, the JSON value named name in a model file, as the type kind
-    that write_model_set's declaration gives it: a dataclass takes an
-    object of exactly its fields, a float a number, DlModel.coef's dict an
-    object of numbers."""
-    if kind is float:
-        if type(value) not in _JSON_NUMBER:
-            raise TypeError(f"{name} must be a number, got {type(value).__name__}")
-        return float(value)
-    if not isinstance(value, dict):
-        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
-    if not is_dataclass(kind):  # dict[str, float]
-        return {key: _from_json(float, item, key) for key, item in value.items()}
-    hints = get_type_hints(kind)
-    if value.keys() != hints.keys():
-        raise ValueError(f"{name} must hold the keys {sorted(hints)}, got {sorted(value)}")
-    return kind(**{key: _from_json(hint, value[key], key) for key, hint in hints.items()})
-
-
-def read_model_set(path: str) -> ModelSet:
-    """The model set in a file that write_model_set wrote: each object
-    holds exactly the keys written there, each once."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as err:
-        raise CliError(f"cannot read model file {path}: {err}")
-    except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8
-        raise CliError(f"model file {path} is not valid JSON: {err}")
-    except KeyError as err:
-        raise CliError(f"model file {path} is malformed: {err.args[0]}")
-    if not isinstance(doc, dict):
-        raise CliError(f"model file {path} must hold a JSON object, got {type(doc).__name__}")
-    version = doc.pop("version", None)
-    if type(version) is not int or version != MODEL_FILE_VERSION:
-        raise CliError(
-            f"model file {path} has unsupported version {version!r}, expected {MODEL_FILE_VERSION}"
-        )
-    with _refused(f"model file {path} is malformed: ", (TypeError, ValueError, OverflowError)):
-        return _from_json(ModelSet, doc, "the model set")
-
-
-# ---------------------------------------------------------------------------
-# telemetry and snapshot CSV
-
-
-class _CsvFile:
-    """A CSV file read with the rules every CSV reader here shares.
-
-    Opening it raises CliError "cannot read <what> <path>".  In a with
-    block, text that is not UTF-8 and a record the csv module refuses (a
-    field longer than csv.field_size_limit(), say) raise a CliError naming
-    the path and, for the record, its physical line.
-    """
-
-    def __init__(self, path: str, what: str):
-        try:
-            self.fh = open(path, newline="", encoding="utf-8")
-        except OSError as err:
-            raise CliError(f"cannot read {what} {path}: {err}")
-        self.path, self.what = path, what
-        self.reader = csv.reader(self.fh)
-        self.lines_before = 0  # lines read before the reader's first: metadata lines
-
-    def __enter__(self) -> "_CsvFile":
-        return self
-
-    def __exit__(self, kind, err, tb) -> None:
-        self.fh.close()
-        if isinstance(err, UnicodeDecodeError):
-            raise CliError(f"{self.path}: not UTF-8 text ({err.reason})")
-        if isinstance(err, csv.Error):
-            raise CliError(f"{self.path}:{self.lines_before + self.reader.line_num}: {err}")
-
-    def metadata_lines(self) -> list[str]:
-        """The leading lines that start with "#"."""
-        lines = []
-        for line in self.fh:
-            if not line.startswith("#"):
-                self.reader = csv.reader(itertools.chain([line], self.fh))
-                break
-            lines.append(line)
-        self.lines_before = len(lines)
-        return lines
-
-    def header(self, width: int, names: Callable[[], list[str]]) -> None:
-        """Read the header record, which must be the width names that
-        names() returns.  A record of another length is refused before
-        names() is called, so a width read from the file costs nothing."""
-        self.width = width
-        got = next(self.reader, None)
-        if got is None or len(got) != width:
-            raise CliError(f"{self.path}: {self.what} header mismatch, expected {width} fields, got {got!r}")
-        expected = names()
-        if got != expected:
-            raise CliError(
-                f"{self.path}: {self.what} header mismatch, expected "
-                f"{','.join(expected)!r}, got {got!r}"
-            )
-
-    def records(self, convert):
-        """(physical line, convert(record)) for each non-blank record past
-        the header; a ValueError or OverflowError of convert names the line."""
-        for record in self.reader:
-            if not record:
-                continue
-            line = self.lines_before + self.reader.line_num  # quoted fields may span lines
-            if len(record) != self.width:
-                raise CliError(f"{self.path}:{line}: expected {self.width} fields, got {len(record)}")
-            try:
-                yield line, convert(record)
-            except (ValueError, OverflowError) as err:
-                raise CliError(f"{self.path}:{line}: {err}")
-
-
-# One telemetry row as np.loadtxt reads it: fields in TELEMETRY_HEADER order.
-_TELEMETRY_DTYPE = np.dtype(
-    [("step", np.int64), ("worker_id", object), *((name, np.float64) for name in VALUE_COLUMNS)]
-)
-
-# The ASCII separators FS, GS, RS and US: numpy strips them from around a
-# number as whitespace, where int() and float() refuse the field.
-_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _numpy_may_differ(raw) -> bool:
-    """Whether np.loadtxt may have read the binary file raw otherwise than
-    the csv module: raw holds a _NUMPY_ONLY_SPACE byte, or a run of more
-    than csv.field_size_limit() bytes without a comma, which could be a
-    number field the csv module refuses as too long.
-    """
-    limit = csv.field_size_limit()
-    # A comma-free run longer than limit holds a whole block of this size,
-    # if the blocks start just past a comma.
-    block = limit // 2 + 1
-    run = 0  # comma-free bytes at the end of the chunks so far
-    raw.seek(0)
-    for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
-        if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
-            return True
-        first, last = chunk.find(b","), chunk.rfind(b",")
-        if first < 0:
-            run += len(chunk)
-        elif run + first > limit:
-            return True
-        else:
-            for start in range(first + 1, last - block + 1, block):
-                if chunk.find(b",", start, start + block) < 0:
-                    if chunk.find(b",", start + block) - chunk.rfind(b",", 0, start) - 1 > limit:
-                        return True
-            run = len(chunk) - 1 - last
-        if run > limit:
-            return True
-    return False
-
-
-def read_telemetry_csv(path: str) -> TelemetryTable:
-    """The validated telemetry table in the CSV file at path.
-
-    The body is parsed in one np.loadtxt call.  Where numpy's reading
-    could differ from the row reader's, the file is read again row by
-    row: when numpy refuses it or warns (numpy refuses 1_5 and non-ASCII
-    digits, which int() and float() accept), when _numpy_may_differ,
-    when a worker id is longer than csv.field_size_limit(), and when the
-    table fails validation.  So the accepted grammar is the row reader's,
-    and every error names its physical line.
-    """
-    with _CsvFile(path, "telemetry") as csv_file:
-        csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
-        try:
-            with warnings.catch_warnings():
-                # A warning means numpy read some text its own way (numpy 1.x
-                # reads an int64 "1.0" with a DeprecationWarning) ...
-                warnings.simplefilter("error")
-                # ... but a header-only file is an empty table, as the row reader returns.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(
-                    csv_file.fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"',
-                    comments=None, ndmin=1,
-                )
-            table = TelemetryTable(*(body[name] for name in _TELEMETRY_DTYPE.names))
-        except (ValueError, Warning):  # InvalidTelemetry and UnicodeDecodeError are ValueErrors
-            table = None
-        # loadtxt has read the file to its end, so its bytes can be scanned again.
-        if not (
-            table is None
-            or any(len(worker) > csv.field_size_limit() for worker in table.worker_ids)
-            or _numpy_may_differ(csv_file.fh.buffer)
-        ):
-            return table
-    return _read_telemetry_rows(path)
-
-
-def _read_telemetry_rows(path: str) -> TelemetryTable:
-    """read_telemetry_csv one record at a time, naming the physical line of an error."""
-    # Typed buffers hold 8 bytes a value where a list of floats holds 32.
-    step, line_of_row, worker = array("q"), array("q"), []
-    values = [array("d") for _ in VALUE_COLUMNS]
-
-    def append(record: list[str]) -> None:
-        step.append(int(record[0]))  # OverflowError beyond int64
-        for column, text in zip(values, record[2:]):
-            column.append(float(text))
-        worker.append(record[1])
-
-    with _CsvFile(path, "telemetry") as csv_file:
-        csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
-        for line, _ in csv_file.records(append):
-            line_of_row.append(line)
-    try:
-        return TelemetryTable(step, worker, *values)
-    except InvalidTelemetry as err:
-        raise CliError(f"{path}:{line_of_row[err.row]}: {err}")
-
-
-def write_telemetry_csv(path: str, table: TelemetryTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TELEMETRY_HEADER)
-        workers = [table.worker_ids[code] for code in table.worker.tolist()]
-        values = ([fmt6(x) for x in getattr(table, name).tolist()] for name in VALUE_COLUMNS)
-        writer.writerows(zip(table.step.tolist(), workers, *values))
-
-
-def _snapshot_row(record: list[str]) -> tuple[WorkerState, tuple[float, float]]:
-    temp, illum = float(record[5]), float(record[6])
-    require_in_range("temp_c", temp, TEMP_RANGE)
-    require_in_range("illum_lx", illum, ILLUM_RANGE)
-    return WorkerState(*map(float, record[1:5])), (temp, illum)
-
-
-def read_snapshot_csv(path: str) -> StateSnapshot:
-    """One row per worker plus the shared room temperature/illuminance."""
-    workers: list[WorkerState] = []
-    room = None
-    with _CsvFile(path, "snapshot") as csv_file:
-        csv_file.header(len(SNAPSHOT_HEADER), lambda: SNAPSHOT_HEADER)
-        for line, (worker, row_room) in csv_file.records(_snapshot_row):
-            workers.append(worker)
-            if room is None:
-                room = row_room
-            elif row_room != room:
-                raise CliError(f"{path}:{line}: temp_c/illum_lx must be identical on every row")
-    if not workers:
-        raise CliError(f"{path}: snapshot has no worker rows")
-    return StateSnapshot(tuple(workers), *room)
-
-
-# ---------------------------------------------------------------------------
-# trace and metrics CSV
-
-
-def _bounded(low: float, high: float = math.inf):
-    """A converter of a named field's text to a finite float in [low, high]."""
-    def convert(name: str, text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and low <= value <= high):
-            raise ValueError(f"{name} must be finite and lie in [{low}, {high}], got {text}")
-        return value
-    return convert
-
-
-def _at_least(low: int):
-    """A converter of a named field's text to an integer >= low."""
-    def convert(name: str, text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        return value
-    return convert
-
-
-# A trace, in file order: its metadata lines "# key=value", then the
-# columns of a step record, each with the SimTrace or TraceStep field it
-# holds and the converter of its text.  A step record ends in dl_w<i>,
-# effort_w<i> for each worker.
-_TRACE_METADATA = {
-    "mode": ("mode", lambda name, text: ControlMode.parse(text)),
-    "seed": ("seed", _at_least(0)),
-    "workers": ("num_workers", _at_least(1)),
-    "penalty_cap": ("penalty_cap", _bounded(0.0)),
-    "temp_comfort": ("temp_comfort", _bounded(*TEMP_RANGE)),
-    "illum_comfort": ("illum_comfort", _bounded(*ILLUM_RANGE)),
-}
-_TRACE_COLUMNS = {
-    "step": ("step", lambda name, text: int(text)),
-    "temp_set_c": ("temp_set", _bounded(*TEMP_RANGE)),
-    "illum_set_lx": ("illum_set", _bounded(*ILLUM_RANGE)),
-    "temp_c": ("temp", _bounded(*TEMP_RANGE)),
-    "illum_lx": ("illum", _bounded(*ILLUM_RANGE)),
-    "penalty": ("penalty", _bounded(0.0)),
-    # _trace_step checks these two together.
-    "feasible": ("feasible", lambda name, text: None if text == "" else text == "1"),
-    "status": ("status", lambda name, text: text),
-}
-# The statuses run_scenario records; only "ok" steps ran a solve.
-_TRACE_STATUSES = ("ok", "stale", "error", "lunch")
-_TRACE_DL = _bounded(DL_MIN, DL_MAX)
-_TRACE_EFFORT = _bounded(0.0)
-
-
-def _cell(value) -> str:
-    """A value as a CSV cell: a float at fmt6, a flag 0 or 1, None empty,
-    a mode by its value, an int by str."""
-    if isinstance(value, bool):  # before int, as bool is a subclass of int
-        return str(int(value))
-    if isinstance(value, float):
-        return fmt6(value)
-    if value is None:
-        return ""
-    return value.value if isinstance(value, enum.Enum) else str(value)
-
-
-def _trace_header(workers: int) -> list[str]:
-    return [*_TRACE_COLUMNS, *(f"{name}_w{i}" for i in range(workers) for name in ("dl", "effort"))]
-
-
-def write_trace_csv(path: str, trace: SimTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(
-            f"# {key}={_cell(getattr(trace, field))}\n" for key, (field, _) in _TRACE_METADATA.items()
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_trace_header(trace.num_workers))
-        for step in trace.steps:
-            record = [_cell(getattr(step, field)) for field, _ in _TRACE_COLUMNS.values()]
-            for dl, effort in zip(step.dls, step.efforts):
-                record += [fmt6(dl), fmt6(effort)]
-            writer.writerow(record)
-
-
-def _trace_step(record: list[str]) -> TraceStep:
-    cells = dict(zip(_TRACE_COLUMNS, record))
-    feasible, status = cells["feasible"], cells["status"]
-    if status not in _TRACE_STATUSES:
-        raise ValueError(f"status must be one of {', '.join(_TRACE_STATUSES)}, got {status!r}")
-    if status == "ok" and feasible not in ("0", "1"):
-        raise ValueError(f"feasible must be 0 or 1 on an ok step, got {feasible!r}")
-    if status != "ok" and feasible != "":
-        raise ValueError(f"feasible must be empty on a {status} step, got {feasible!r}")
-    step = {field: convert(name, cells[name]) for name, (field, convert) in _TRACE_COLUMNS.items()}
-    workers = record[len(_TRACE_COLUMNS):]
-    dls = tuple(_TRACE_DL(f"dl_w{i}", text) for i, text in enumerate(workers[::2]))
-    efforts = tuple(_TRACE_EFFORT(f"effort_w{i}", text) for i, text in enumerate(workers[1::2]))
-    return TraceStep(**step, dls=dls, efforts=efforts)
-
-
-def read_trace_csv(path: str) -> SimTrace:
-    """A trace that write_trace_csv wrote.  A field that cannot be such a
-    trace's (a non-finite number, a reading or setpoint outside the
-    measured range, a dl off the 1-5 scale, a negative effort, penalty or
-    seed, a status run_scenario does not record, a feasible flag on a step
-    that is not ok or none on one that is, a step not numbered 0, 1, 2,
-    ... in file order) is a CliError naming the file and its line, and so
-    is a metadata key that is not a trace's or that repeats."""
-    values, pending = {}, dict(_TRACE_METADATA)  # pending: the keys not read yet
-    with _CsvFile(path, "trace") as csv_file:
-        for number, line in enumerate(csv_file.metadata_lines(), start=1):
-            key, sep, text = line[1:].partition("=")
-            if not sep:
-                raise CliError(f"{path}:{number}: malformed metadata line {line.strip()!r}")
-            key = key.strip()
-            if key not in pending:
-                raise CliError(f"{path}:{number}: trace metadata key {key!r} is unknown or repeated")
-            field, convert = pending.pop(key)
-            with _refused(f"{path}:{number}: bad trace metadata: "):
-                values[field] = convert(key, text.strip())
-        if pending:
-            raise CliError(f"{path}: missing trace metadata {list(pending)}")
-        workers = values["num_workers"]
-        csv_file.header(len(_TRACE_COLUMNS) + 2 * workers, lambda: _trace_header(workers))
-        steps = []
-        for line, step in csv_file.records(_trace_step):
-            if step.step != len(steps):
-                raise CliError(f"{path}:{line}: step must be {len(steps)}, got {step.step}")
-            steps.append(step)
-    if not steps:
-        raise CliError(f"{path}: trace has no step rows")
-    return SimTrace(steps=tuple(steps), **values)
-
-
-def write_metrics_csv(path: str, metrics: Metrics) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerows([f.name, _cell(getattr(metrics, f.name))] for f in fields(metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -710,189 +250,6 @@ def shipped_config_path(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# daemon
-
-
-# The C scanner that JSONDecoder.raw_decode wraps, called without the wrapper.
-_scan_json = json.JSONDecoder().scan_once
-
-
-def _parse_stream_record(line: str):
-    """(when, worker, dl, temp, illum) from one stripped stream line.
-
-    The line must be exactly one JSON object: "t" and "worker" JSON
-    strings, "dl", "temp_c" and "illum_lx" JSON numbers (not true/false),
-    dl on the 1-5 scale, temp_c and illum_lx in TEMP_RANGE and
-    ILLUM_RANGE.  Anything else raises KeyError,
-    ValueError or TypeError, including nesting too deep to decode and
-    integers too large for a float.
-    """
-    try:
-        doc, end = _scan_json(line, 0)
-    except StopIteration:  # no JSON value starts the line
-        raise ValueError("expecting a JSON value") from None
-    except RecursionError:
-        raise ValueError("record nested too deeply") from None
-    if end != len(line):
-        raise ValueError("extra data after the record")
-    if type(doc) is not dict:
-        raise ValueError("record must be a JSON object")
-    t, worker = doc["t"], doc["worker"]
-    if type(t) is not str or type(worker) is not str:
-        raise TypeError("t and worker must be JSON strings")
-    dl, temp, illum = doc["dl"], doc["temp_c"], doc["illum_lx"]
-    if not (type(dl) in _JSON_NUMBER and type(temp) in _JSON_NUMBER and type(illum) in _JSON_NUMBER):
-        raise TypeError("dl, temp_c and illum_lx must be JSON numbers")
-    try:
-        dl, temp, illum = float(dl), float(temp), float(illum)
-    except OverflowError:
-        raise ValueError("measurement too large for a float") from None
-    if not (DL_MIN <= dl <= DL_MAX):
-        raise ValueError(f"dl {dl} outside the 1-5 scale")
-    # One comparison chain rather than two require_in_range calls: this
-    # runs on every stream line.
-    if not (TEMP_RANGE[0] <= temp <= TEMP_RANGE[1] and ILLUM_RANGE[0] <= illum <= ILLUM_RANGE[1]):
-        raise ValueError(f"temp_c {temp} or illum_lx {illum} outside the measured range")
-    return datetime.fromisoformat(t), worker, dl, temp, illum
-
-
-def _window_stats(buffers) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Mean and standard deviation of each buffer, in buffer order.
-
-    Buffers of equal length are stacked into one (k, n) array and reduced
-    along its rows.  Each row is summed pairwise exactly as np.mean and
-    np.std sum a lone buffer, so the values are bitwise equal to theirs.
-    """
-    by_length: dict[int, list[int]] = {}
-    for i, buf in enumerate(buffers):
-        by_length.setdefault(len(buf), []).append(i)
-    means = [0.0] * len(buffers)
-    stds = [0.0] * len(buffers)
-    for rows in by_length.values():
-        block = np.array([buffers[i] for i in rows], dtype=float)
-        for i, mean, std in zip(rows, block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
-            means[i] = mean
-            stds[i] = std
-    return tuple(means), tuple(stds)
-
-
-def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record) -> dict:
-    """Consume measurement lines, emitting one setpoint record per interval.
-
-    Records are aggregated over fixed windows of cfg.step_hours anchored
-    at the first record's timestamp: a record belongs to window
-    (t - origin) // step, so one on a boundary opens the later window, and
-    one before the current window is late.  Window 0 only starts the
-    controller history (status "warmup").  From window 1 on, which
-    completes the two-step history, each completed window w triggers the
-    solve for interval w - 1.  Windows missing data hold the previous
-    setpoints with status "stale".  The roster is the names of the latest window
-    that named exactly cfg.num_workers workers; a window counts as data
-    when every roster worker has a record in it, and a new roster starts
-    the two-step history afresh.  Each record carries "feasible",
-    "generations" and "stop_reason" (None without a solve; 0 and None
-    under NOC).  A failed solve is held as "error" and counted in "errors".
-    Malformed and out-of-order lines are skipped and counted; a line whose
-    window would start past year 9999 is malformed.
-    """
-    window = timedelta(hours=cfg.step_hours)
-    ctl = Controller(models, cfg, de)
-    origin = None
-    current = 0
-    # The current window's bounds [start, end).  Two comparisons place a
-    # record between them; only a record outside them works out its
-    # window number.  end is None before the first record and when the
-    # window ends past datetime.max.
-    start = end = None
-    dl_buf: dict[str, list[float]] = {}
-    temps: list[float] = []
-    illums: list[float] = []
-    roster: tuple[str, ...] | None = None
-    records_in = malformed = late = 0
-    stats = {"records_in": 0, "records_out": 0, "malformed": 0, "late": 0, "errors": 0}
-
-    def close_window(w: int) -> dict:
-        nonlocal roster
-        distinct = tuple(sorted(dl_buf))
-        if len(distinct) == cfg.num_workers and distinct != roster:
-            # The roster is missing from this window, which names exactly
-            # num_workers workers: they become the roster.  The history
-            # logged under the old names goes, so that no worker's readings
-            # are paired with another's.
-            roster = distinct
-            ctl.restart_history()
-        complete = (
-            roster is not None
-            and temps
-            and all(dl_buf.get(wid) for wid in roster)
-        )
-        if complete:
-            means, stds = _window_stats([dl_buf[wid] for wid in roster] + [temps, illums])
-            ctl.observe(w - 2, means[:-2], stds[:-2], means[-2], means[-1])
-        decision = ctl.hold("warmup") if w == 0 else ctl.decide(w - 1)
-        solution = decision.solution
-        stats["errors"] += decision.status == "error"
-        return {
-            "t": (origin + (w + 1) * window).isoformat(),
-            "temp_set_c": decision.setpoints[0],
-            "illum_set_lx": decision.setpoints[1],
-            "feasible": decision.feasible,
-            "status": decision.status,
-            "generations": None if solution is None else solution.generations_used,
-            "stop_reason": None if solution is None else solution.stop_reason,
-        }
-
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        records_in += 1
-        try:
-            when, worker, dl, temp, illum = _parse_stream_record(line)
-            # A naive timestamp against offset bounds, or the reverse,
-            # raises TypeError in the comparison as in the subtraction.
-            inside = end is not None and start <= when < end
-            if not inside:
-                if origin is None:
-                    origin = when
-                w = (when - origin) // window
-        except (KeyError, ValueError, TypeError):
-            malformed += 1
-            continue
-        if not inside:
-            if w < current:
-                late += 1
-                continue
-            try:
-                w_start = origin + w * window
-            except OverflowError:  # the window starts past year 9999
-                malformed += 1
-                continue
-            while current < w:
-                record = close_window(current)
-                on_record(record)
-                stats["records_out"] += 1
-                dl_buf.clear()
-                temps.clear()
-                illums.clear()
-                current += 1
-            start = w_start
-            try:
-                end = start + window
-            except OverflowError:
-                end = None  # every later record works out its window number
-        buf = dl_buf.get(worker)
-        if buf is None:
-            dl_buf[worker] = [dl]
-        else:
-            buf.append(dl)
-        temps.append(temp)
-        illums.append(illum)
-    stats.update(records_in=records_in, malformed=malformed, late=late)
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -921,23 +278,6 @@ def _open_stream(path: str, mode: str, std):
         raise CliError(f"cannot {verb} stream {path}: {err}")
 
 
-# Stands in for a stream line that is not UTF-8: run_daemon counts it
-# malformed, as it does not parse, and never reads the line's bytes.
-_NOT_UTF8 = "<not UTF-8>"
-
-
-def _utf8_lines(fh):
-    """fh's lines, each one that is not strictly UTF-8 replaced by _NOT_UTF8.
-    Under errors="surrogateescape" just the bytes that are not UTF-8 decode
-    to lone surrogates, which do not encode."""
-    for line in fh:
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            line = _NOT_UTF8
-        yield line
-
-
 def cmd_identify(args) -> int:
     table = read_telemetry_csv(args.telemetry)
     try:
@@ -952,6 +292,7 @@ def cmd_identify(args) -> int:
     except BadRidge as err:
         raise CliError(f"--ridge: {err}")
     models = ModelSet(dl=dl_model, idt=idt_model, ami=ami_model)
+    make_out_dir(args.out_dir)
     write_model_set(args.out_model, models)
     reports = {"dl": dl_report, "idt": idt_report, "ami": ami_report}
     for name, report in reports.items():
@@ -981,6 +322,7 @@ def cmd_solve(args) -> int:
         solution = solve(models, snapshot, cfg, de)
     schedule = solution.schedule
     steps = enumerate(zip(schedule.temp_setpoints, schedule.illum_setpoints), start=1)
+    make_out_dir(args.out_dir)
     if args.format == "csv":
         print(f"# objective={fmt6(solution.objective_value)}")
         print(f"# feasible={1 if solution.feasible else 0}")
@@ -1018,7 +360,7 @@ def cmd_simulate(args) -> int:
     sc = _override_seed(parse_scenario_config(args.config, controller_models), args.seed)
     with _refused(f"config {args.config}: ", PlantOutOfRange):
         trace, metrics = run_scenario(sc)
-    os.makedirs(args.out_dir, exist_ok=True)
+    make_out_dir(args.out_dir)
     trace_path = os.path.join(args.out_dir, "trace.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     write_trace_csv(trace_path, trace)
@@ -1072,6 +414,7 @@ def cmd_report(args) -> int:
         per_seed = comparison.paired_delta(arm, base)
         deltas.append((arm, fmt6(np.mean(per_seed)), len(per_seed)))
 
+    make_out_dir(args.out_dir)
     if args.format == "csv":
         print("kind,arm,metric,value")
         for arm in arms:
@@ -1104,6 +447,7 @@ def cmd_daemon(args) -> int:
         out_fh.write(json.dumps(record, sort_keys=True) + "\n")
         out_fh.flush()
 
+    make_out_dir(args.out_dir)
     # Nested, so --in is closed again when --out cannot be opened.
     with _open_stream(args.infile, "r", sys.stdin) as in_fh:
         with _open_stream(args.outfile, "w", sys.stdout) as out_fh:

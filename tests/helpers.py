@@ -10,7 +10,8 @@ from datetime import datetime, timedelta
 from typing import NamedTuple
 
 import alertmpc.mpc as mpc_module
-from alertmpc.cli import _parse_stream_record, parse_scenario_config, shipped_config_path
+from alertmpc.cli import parse_scenario_config, shipped_config_path
+from alertmpc.daemon import _parse_stream_record
 from alertmpc.domain import MpcConfig
 from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace

@@ -34,12 +34,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alertmpc.cli import (
-    main,
-    parse_scenario_config,
-    shipped_config_path,
-    write_model_set,
-)
+from alertmpc.cli import main, parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
@@ -52,6 +47,7 @@ from alertmpc.domain import (
     StateSnapshot,
     WorkerState,
 )
+from alertmpc.formats import write_model_set
 from alertmpc.identify import (
     fit_ami_model,
     fit_dl_model,

@@ -16,22 +16,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import alertmpc.cli as cli_module
+import alertmpc.daemon as daemon_module
+import alertmpc.formats as formats_module
 import alertmpc.mpc as mpc_module
 import alertmpc.sim as sim_module
-from alertmpc.cli import (
+from alertmpc.cli import main, parse_control_config, parse_scenario_config, shipped_config_path
+from alertmpc.daemon import Window, _parse_stream_record, _window_stats
+from alertmpc.formats import (
     SNAPSHOT_HEADER,
     CliError,
-    _parse_stream_record,
-    _window_stats,
     fmt6,
-    main,
-    parse_control_config,
-    parse_scenario_config,
     read_model_set,
     read_snapshot_csv,
     read_telemetry_csv,
     read_trace_csv,
-    shipped_config_path,
     write_model_set,
     write_telemetry_csv,
     write_trace_csv,
@@ -520,7 +518,7 @@ class TestTelemetryFastPath:
     def test_agrees_with_row_reader(self, tmp_path_factory, text):
         path = put(tmp_path_factory.mktemp("telemetry"), "t.csv", text)
         assert telemetry_outcome(read_telemetry_csv, path) == telemetry_outcome(
-            cli_module._read_telemetry_rows, path)
+            formats_module._read_telemetry_rows, path)
 
     def test_well_formed_file_never_reaches_row_reader(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
@@ -533,12 +531,12 @@ class TestTelemetryFastPath:
                 lines.append(",".join([str(step), worker, *(repr(float(v)) for v in values)]))
         lines.insert(1000, "")
         path = put(tmp_path, "t.csv", "\r\n".join(lines) + "\r\n")
-        expected = telemetry_outcome(cli_module._read_telemetry_rows, path)
+        expected = telemetry_outcome(formats_module._read_telemetry_rows, path)
 
         def refuse(path):
             raise AssertionError(f"{path} was read row by row")
 
-        monkeypatch.setattr(cli_module, "_read_telemetry_rows", refuse)
+        monkeypatch.setattr(formats_module, "_read_telemetry_rows", refuse)
         assert telemetry_outcome(read_telemetry_csv, path) == expected
         assert len(expected[1]) == 2000
         assert expected[3] == ("w,0", 'w"1', "w\n2", "w3")
@@ -631,6 +629,23 @@ class TestSnapshotCsv:
                    "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n")
         with pytest.raises(CliError, match="no worker rows"):
             read_snapshot_csv(path)
+
+    def test_repeated_worker_id_names_its_line(self, workdir, capsys):
+        # Two rows of w0 used to be scored as two workers.
+        snap = put(workdir, "s.csv",
+                   "worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx\n"
+                   "w0,2.4,0.1,0,0.12,26.8,540\n"
+                   "w0,3.0,0,0.2,0.05,26.8,540\n")
+        with pytest.raises(CliError, match=r"s\.csv:3: worker_id 'w0' repeats line 2$"):
+            read_snapshot_csv(snap)
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        cfg = put(workdir, "control.cfg", CONTROL_CFG.replace("num_workers = 1", "num_workers = 2"))
+        rc = main(["solve", snap, "--model", model, "--config", cfg, "--out-dir", str(workdir)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {snap}:3: worker_id 'w0' repeats line 2\n")
+        assert not (workdir / "solve_manifest.json").exists()
 
 
 @st.composite
@@ -927,7 +942,7 @@ class TestUnreadableText:
         worker = "w" * limit
         path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + f"\n0,{worker},"
                    + "0" * (limit - 3) + "2.0,0.1,26,600,26,600\n")
-        monkeypatch.setattr(cli_module, "_read_telemetry_rows", None)  # a fall-back would fail
+        monkeypatch.setattr(formats_module, "_read_telemetry_rows", None)  # a fall-back would fail
         table = read_telemetry_csv(path)
         assert table.worker_ids == (worker,) and table.dl.tolist() == [2.0]
 
@@ -949,7 +964,7 @@ def test_run_scan_matches_longest_comma_free_run(chunks, limit):
     data = b"".join(chunks)
     old = csv.field_size_limit(limit)
     try:
-        assert cli_module._numpy_may_differ(io.BytesIO(data)) == (longest_comma_free_run(data) > limit)
+        assert formats_module._numpy_may_differ(io.BytesIO(data)) == (longest_comma_free_run(data) > limit)
     finally:
         csv.field_size_limit(old)
 
@@ -961,7 +976,7 @@ def test_run_scan_carries_a_run_across_read_chunks(extra):
     start = (1 << 20) - limit // 2
     data = b"1," * (start // 2) + b"x" * (limit + extra) + b",1\n"
     assert longest_comma_free_run(data) == limit + extra
-    assert cli_module._numpy_may_differ(io.BytesIO(data)) == bool(extra)
+    assert formats_module._numpy_may_differ(io.BytesIO(data)) == bool(extra)
 
 
 class TestConfigParsing:
@@ -1203,6 +1218,18 @@ class TestShippedConfigs:
         cfg = sc.mpc_cfg
         assert cfg.num_workers == 6
         assert (cfg.temp_lo, cfg.temp_hi) == (25.0, 27.0)
+
+    @pytest.mark.parametrize("names", [
+        ("case1_noc.cfg", "case1_mpc1.cfg", "case1_mpc2.cfg"),
+        ("case2_noc.cfg", "case2_mpc2.cfg"),
+    ])
+    def test_presets_of_a_case_differ_only_in_mode(self, names):
+        # Each case's room is written out once per arm; nothing but the
+        # mode may drift between the copies.
+        configs = [parse_scenario_config(shipped_config_path(name)) for name in names]
+        assert len({sc.mpc_cfg.mode for sc in configs}) == len(names)
+        as_noc = [replace(sc, mpc_cfg=replace(sc.mpc_cfg, mode=ControlMode.NOC)) for sc in configs]
+        assert all(sc == as_noc[0] for sc in as_noc[1:])
 
     # sha256 of write_trace_csv's output for each shipped config at seed 1:
     # a change that alters any decision or reading of these runs shows here.
@@ -1819,6 +1846,56 @@ class TestWindowStats:
             assert std.hex() == float(np.std(buf)).hex()
 
 
+class TestWindow:
+    """The daemon's open window: the roster rule and one observation or none."""
+
+    @staticmethod
+    def fill(window, readings, room=(26.0, 600.0)):
+        """Record each (worker, dl) of readings, each with the room's readings."""
+        for worker, dl in readings:
+            window.dls.setdefault(worker, []).append(dl)
+            window.temps.append(room[0])
+            window.illums.append(room[1])
+
+    def test_roster_is_set_kept_and_replaced(self):
+        window = Window(2)
+        assert window.roster is None
+        self.fill(window, [("w1", 2.0), ("w0", 3.0), ("w0", 4.0)])
+        assert window.close() == (True, ((3.5, 2.0), (0.5, 0.0), 26.0, 600.0))
+        assert window.roster == ("w0", "w1")
+        self.fill(window, [("w0", 2.0), ("w1", 2.5)])
+        new_roster, observation = window.close()
+        assert not new_roster and observation is not None
+        # A window that names exactly two other workers replaces the roster,
+        # which tells run_daemon to restart the history.
+        self.fill(window, [("w0", 2.0), ("w2", 2.5)])
+        assert window.close() == (True, ((2.0, 2.5), (0.0, 0.0), 26.0, 600.0))
+        assert window.roster == ("w0", "w2")
+
+    def test_close_clears_the_buffers_in_place(self):
+        window = Window(1)
+        dls, temps, illums = window.dls, window.temps, window.illums
+        self.fill(window, [("w0", 2.0)])
+        window.close()
+        assert (dls, temps, illums) == ({}, [], [])
+        assert window.dls is dls and window.temps is temps and window.illums is illums
+
+    def test_incomplete_window_gives_no_observation(self):
+        window = Window(2)
+        self.fill(window, [("w0", 2.0)])
+        assert window.close() == (False, None)  # no roster yet
+        assert window.close() == (False, None)  # no readings at all
+        self.fill(window, [("w0", 2.0), ("w1", 2.0)])
+        assert window.close()[0]
+        # w1 is missing: the roster stays, and the window is no observation.
+        self.fill(window, [("w0", 2.0), ("w0", 2.2)])
+        assert window.close() == (False, None)
+        # Three names are not a roster; the roster's two are observed.
+        self.fill(window, [("w0", 2.0), ("w1", 3.0), ("w9", 5.0)])
+        assert window.close() == (False, ((2.0, 3.0), (0.0, 0.0), 26.0, 600.0))
+        assert window.roster == ("w0", "w1")
+
+
 def record_solutions(monkeypatch) -> list:
     """Patch Controller.decide to append each decision's solution (None
     when it ran no solve) to the list returned."""
@@ -2219,7 +2296,7 @@ def test_window_starting_past_year_9999_is_malformed():
     cfg, de = parse_control_config(shipped_config_path("case1_noc.cfg"))
     lines = [json.dumps(stream_doc(t=t)) for t in ("9999-12-31T23:50:00+14:00", "9999-12-31T23:50:00-10:00")]
     records = []
-    stats = cli_module.run_daemon(TRUTH, cfg, de, lines, records.append)
+    stats = daemon_module.run_daemon(TRUTH, cfg, de, lines, records.append)
     assert stats == {"records_in": 2, "records_out": 0, "malformed": 1, "late": 0, "errors": 0}
     assert records == []
 
@@ -2246,7 +2323,7 @@ class TestDaemonWindows:
     def run(lines, step_hours):
         cfg = MpcConfig(mode=ControlMode.NOC, horizon=2, num_workers=1, step_hours=step_hours)
         records = []
-        stats = cli_module.run_daemon(TRUTH, cfg, DeParams(), lines, records.append)
+        stats = daemon_module.run_daemon(TRUTH, cfg, DeParams(), lines, records.append)
         return stats, [(r["t"], r["status"]) for r in records]
 
     @staticmethod
@@ -2311,3 +2388,48 @@ def test_argparse_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required arguments
     assert exc.value.code == 2
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is exit 2, naming the path,
+    and a refused --out-dir leaves no output behind."""
+
+    def argv(self, workdir, command) -> list[str]:
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        if command == "identify":
+            return ["identify", TestIdentifyCommand().telemetry_file(workdir), str(workdir / "fit.json")]
+        if command == "solve":
+            return ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV), "--model", model,
+                    "--config", put(workdir, "control.cfg", CONTROL_CFG)]
+        if command == "simulate":
+            return ["simulate", "--config", put(workdir, "scenario.cfg", SCENARIO_CFG)]
+        if command == "report":
+            trace = str(workdir / "noc.csv")
+            write_trace_csv(trace, synth_trace("NOC", 0, 3.0))
+            return ["report", trace]
+        stream = put(workdir, "stream.jsonl", json.dumps(stream_doc()) + "\n")
+        return ["daemon", "--model", model, "--config", put(workdir, "scenario.cfg", SCENARIO_CFG),
+                "--in", stream, "--out", str(workdir / "out.jsonl")]
+
+    @pytest.mark.parametrize("command", ["identify", "solve", "simulate", "report", "daemon"])
+    def test_out_dir_that_is_a_file(self, workdir, capsys, command):
+        argv = self.argv(workdir, command)
+        out_dir = put(workdir, "afile", "")
+        before = sorted(workdir.iterdir())
+        assert main([*argv, "--out-dir", out_dir]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_dir}: "), err
+        assert err.count("\n") == 1
+        assert sorted(workdir.iterdir()) == before
+
+    def test_model_path_in_a_missing_directory(self, workdir, capsys):
+        telemetry = TestIdentifyCommand().telemetry_file(workdir)
+        model = str(workdir / "nodir" / "m.json")
+        assert main(["identify", telemetry, model, "--out-dir", str(workdir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {model}: "), err
+        assert not (workdir / "nodir").exists()
+        assert not (workdir / "identify_manifest.json").exists()

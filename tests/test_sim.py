@@ -11,9 +11,9 @@ from alertmpc.domain import (
     MpcConfig,
     NonFiniteSetting,
 )
+from alertmpc.formats import read_trace_csv, write_trace_csv
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt, rollout
 from alertmpc.mpc import Controller
-from alertmpc.cli import read_trace_csv, write_trace_csv
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
