@@ -60,7 +60,7 @@ from .identify import (
     fit_idt_coeffs,
 )
 from .models import ShapeMismatch
-from .mpc import solve
+from .mpc import require_search_fits, solve
 from .optimizer import BadBounds, DeParams, NonFiniteObjective
 from .sim import (
     ArmComparison,
@@ -131,7 +131,6 @@ _READERS = {
     "int": int,
     "int | None": int,
     "float": float,
-    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
     "ControlMode": ControlMode.parse,
     "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split(",")) if raw else (),
 }
@@ -197,7 +196,7 @@ def _read_section(path: str, parser, section: str, required: bool) -> list[dict]
         else:
             try:
                 value = _READERS[kind](raw)
-            except (KeyError, ValueError):  # KeyError: not a boolean spelling
+            except ValueError:
                 raise CliError(
                     f"config {path}: key {key!r} in [{section}] has bad value {raw!r} "
                     f"(expected {kind})"
@@ -238,8 +237,12 @@ def parse_scenario_config(
 
 
 def parse_control_config(path: str) -> tuple[MpcConfig, DeParams]:
-    """[mpc] + [de] only, as needed by solve and daemon."""
-    return _control_config(path, _load_config(path))
+    """[mpc] + [de] only, as needed by solve and daemon.  They build no
+    ScenarioConfig, which checks its search's size itself, so this checks it."""
+    cfg, de = _control_config(path, _load_config(path))
+    with _refused(f"config {path}: "):
+        require_search_fits(cfg, de)
+    return cfg, de
 
 
 def shipped_config_path(name: str) -> str:

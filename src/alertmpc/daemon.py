@@ -12,8 +12,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .domain import DL_MAX, DL_MIN, ILLUM_RANGE, TEMP_RANGE, ModelSet, MpcConfig
-from .formats import _JSON_NUMBER
+from .domain import DL_MAX, DL_MIN, ILLUM_RANGE, JSON_NUMBER, TEMP_RANGE, ModelSet, MpcConfig
 from .mpc import Controller
 from .optimizer import DeParams
 
@@ -46,7 +45,7 @@ def _parse_stream_record(line: str):
     if type(t) is not str or type(worker) is not str:
         raise TypeError("t and worker must be JSON strings")
     dl, temp, illum = doc["dl"], doc["temp_c"], doc["illum_lx"]
-    if not (type(dl) in _JSON_NUMBER and type(temp) in _JSON_NUMBER and type(illum) in _JSON_NUMBER):
+    if not (type(dl) in JSON_NUMBER and type(temp) in JSON_NUMBER and type(illum) in JSON_NUMBER):
         raise TypeError("dl, temp_c and illum_lx must be JSON numbers")
     try:
         dl, temp, illum = float(dl), float(temp), float(illum)

@@ -24,6 +24,10 @@ DL_MAX = 5.0
 TEMP_RANGE = (0.0, 50.0)
 ILLUM_RANGE = (0.0, 10000.0)
 
+# The types a decoded JSON number has, for the model file and the daemon's
+# stream.  bool is a subclass of int, so match the type exactly.
+JSON_NUMBER = (int, float)
+
 # Regressor names for the drowsiness model, in canonical order.
 DL_FEATURES = (
     "d_prev",
@@ -299,6 +303,7 @@ __all__ = [
     "DL_MAX",
     "TEMP_RANGE",
     "ILLUM_RANGE",
+    "JSON_NUMBER",
     "DL_FEATURES",
     "clamp_dl",
     "require_in_range",

@@ -30,6 +30,7 @@ from .domain import (
     DL_MAX,
     DL_MIN,
     ILLUM_RANGE,
+    JSON_NUMBER,
     ModelSet,
     StateSnapshot,
     TEMP_RANGE,
@@ -109,9 +110,6 @@ def write_model_set(path: str, models: ModelSet) -> None:
         fh.write("\n")
 
 
-_JSON_NUMBER = (int, float)  # bool is a subclass of int, so match the type exactly
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's (key, value) pairs as a dict; a repeated key raises KeyError."""
     doc = dict(pairs)
@@ -126,7 +124,7 @@ def _from_json(kind, value, name: str):
     object of exactly its fields, a float a number, DlModel.coef's dict an
     object of numbers."""
     if kind is float:
-        if type(value) not in _JSON_NUMBER:
+        if type(value) not in JSON_NUMBER:
             raise TypeError(f"{name} must be a number, got {type(value).__name__}")
         return float(value)
     if not isinstance(value, dict):

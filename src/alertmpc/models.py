@@ -204,6 +204,11 @@ class HorizonKernel:
     one schedule is rollout's.
     """
 
+    @staticmethod
+    def terms_nbytes(horizon: int, workers: int, rows: int) -> int:
+        """Bytes of the terms buffer, a kernel's largest, at that size."""
+        return horizon * 11 * workers * rows * 8
+
     def __init__(self, models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig, rows: int):
         horizon, workers = cfg.horizon, cfg.num_workers
         _check_workers(snapshot, cfg)

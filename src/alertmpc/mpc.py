@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import (
+    ConfigError,
     ControlMode,
     ControlSchedule,
     ModelSet,
@@ -28,7 +29,22 @@ from .domain import (
     WorkerState,
 )
 from .models import HorizonKernel, constraint_violation, objective, rollout
-from .optimizer import BadBounds, DeParams, DeResult, NonFiniteObjective, checked_scores, de_minimize
+from .optimizer import (
+    BadBounds,
+    DeParams,
+    DeResult,
+    NonFiniteObjective,
+    checked_scores,
+    de_minimize,
+    draw_block_bytes,
+)
+
+# The most memory one search may ask for: its kernel's terms buffer plus
+# one block of DE draws.  np.empty of more may succeed and the first write
+# then meet the out-of-memory killer, not a MemoryError, so a config that
+# asks for more is refused where it is built.  A 24-worker case-2 search
+# needs about 0.38 MB.
+SEARCH_BYTES_CEILING = 2**30
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,27 @@ def solve(
     schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
     search = (result.generations_used, result.evaluations, result.stop_reason)
     return MpcSolution(schedule, result.best_objective, result.best_violation, *search)
+
+
+def search_bytes(cfg: MpcConfig, de: DeParams) -> tuple[int, int]:
+    """Bytes of the kernel's terms buffer and of one DE draw block in a
+    solve under cfg and de.  NOC runs no search and needs neither."""
+    if cfg.mode is ControlMode.NOC:
+        return 0, 0
+    dim = cfg.horizon * (2 if cfg.mode is ControlMode.MPC2 else 1)
+    rows = de.population_for(dim)
+    return HorizonKernel.terms_nbytes(cfg.horizon, cfg.num_workers, rows), draw_block_bytes(rows, dim)
+
+
+def require_search_fits(cfg: MpcConfig, de: DeParams) -> None:
+    """Raise ConfigError when a solve under cfg and de needs more than
+    SEARCH_BYTES_CEILING bytes (see search_bytes)."""
+    terms, block = search_bytes(cfg, de)
+    if terms + block > SEARCH_BYTES_CEILING:
+        raise ConfigError(
+            f"the search needs {terms} bytes of kernel terms and {block} bytes per DE draw "
+            f"block, {terms + block} in all, over the ceiling of {SEARCH_BYTES_CEILING} bytes"
+        )
 
 
 class Decision(NamedTuple):
@@ -196,6 +233,9 @@ class Controller:
 __all__ = [
     "MpcSolution",
     "Decision",
+    "SEARCH_BYTES_CEILING",
+    "search_bytes",
+    "require_search_fits",
     "solve",
     "Controller",
 ]

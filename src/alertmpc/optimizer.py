@@ -20,9 +20,14 @@ import numpy as np
 
 
 # Generations whose random draws are made together.  One block holds
-# _BLOCK * P * (24 + D) bytes of draws (40 KB at P=40, D=8) whatever the
-# budget.
+# draw_block_bytes(P, D) bytes of draws whatever the budget.
 _BLOCK = 32
+
+
+def draw_block_bytes(pop_size: int, dim: int) -> int:
+    """Bytes of one block of draws for P = pop_size rows of D = dim:
+    _BLOCK * P * (24 + D), 40 KB at P=40, D=8."""
+    return _BLOCK * pop_size * (24 + dim)
 
 
 class BadBounds(ValueError):
@@ -291,4 +296,12 @@ def de_minimize(
     )
 
 
-__all__ = ["BadBounds", "NonFiniteObjective", "DeParams", "DeResult", "checked_scores", "de_minimize"]
+__all__ = [
+    "BadBounds",
+    "NonFiniteObjective",
+    "DeParams",
+    "DeResult",
+    "checked_scores",
+    "de_minimize",
+    "draw_block_bytes",
+]

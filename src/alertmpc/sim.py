@@ -36,7 +36,7 @@ from .domain import (
 )
 from .identify import TelemetryTable
 from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
-from .mpc import Controller
+from .mpc import Controller, require_search_fits
 from .optimizer import DeParams
 
 ARMS = (ControlMode.NOC, ControlMode.MPC1, ControlMode.MPC2)
@@ -87,20 +87,14 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Realized room state plus each worker's DL and its latest increments."""
+    """Realized room state plus each worker's DL, its latest increments
+    and the effort of the step that produced it."""
 
     temp: float
     illum: float
     dls: tuple[float, ...]
     dl_plus: tuple[float, ...]
     dl_minus: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    temp: float
-    illum: float
-    dls: tuple[float, ...]
     efforts: tuple[float, ...]
 
 
@@ -112,17 +106,12 @@ def initial_state(plant: PlantConfig, num_workers: int) -> PlantState:
         dls=(plant.init_dl,) * num_workers,
         dl_plus=zeros,
         dl_minus=zeros,
+        efforts=zeros,
     )
 
 
 class PlantOutOfRange(ValueError):
     """The simulated room left the measured range (TEMP_RANGE, ILLUM_RANGE)."""
-
-
-def _require_room_in_range(step: int, outcome: StepOutcome) -> None:
-    """Refuse a step whose realized room state no snapshot could hold."""
-    require_in_range(f"step {step}: plant temperature", outcome.temp, TEMP_RANGE, PlantOutOfRange)
-    require_in_range(f"step {step}: plant illuminance", outcome.illum, ILLUM_RANGE, PlantOutOfRange)
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -134,18 +123,22 @@ def plant_step(
     plant: PlantConfig,
     state: PlantState,
     setpoints: tuple[float, float],
-    rng: np.random.Generator,
-    drift_value: float = 0.0,
+    seed: int,
+    step: int,
     freeze_workers: bool = False,
-) -> tuple[PlantState, StepOutcome]:
-    """Advance the room one interval under the given setpoints.
+) -> PlantState:
+    """Advance the room over interval step of the run seeded seed.
 
-    Draw order is fixed (temperature, illuminance, then per worker:
-    instant jitter, DL disturbance) so a given rng yields the same
-    disturbances whatever controller produced the setpoints.  With
-    freeze_workers the room still evolves but worker state is carried
-    through unchanged (lunch break).
+    The disturbances come from step_rng(seed, step) alone, in a fixed
+    draw order (temperature, illuminance, then per worker: instant
+    jitter, DL disturbance), and the DL drift is plant.drift_at(step).
+    So a step sees the same disturbances whatever controller produced
+    the setpoints.  With freeze_workers the room still evolves but
+    worker state is carried through unchanged (lunch break).  A room
+    that leaves the measured range raises PlantOutOfRange: no snapshot
+    could hold it.
     """
+    rng = step_rng(seed, step)
     t_set, l_set = setpoints
 
     temp = predict_idt(plant.true_idt, state.temp, t_set)
@@ -158,14 +151,17 @@ def plant_step(
     illum += rng.normal(0.0, plant.ami_noise_sd)
     if illum < 0.0:
         illum = 0.0
+    require_in_range(f"step {step}: plant temperature", temp, TEMP_RANGE, PlantOutOfRange)
+    require_in_range(f"step {step}: plant illuminance", illum, ILLUM_RANGE, PlantOutOfRange)
 
     if freeze_workers:
         zeros = (0.0,) * len(state.dls)
-        return PlantState(temp, illum, state.dls, zeros, zeros), StepOutcome(temp, illum, state.dls, zeros)
+        return PlantState(temp, illum, state.dls, zeros, zeros, zeros)
 
     t_plus, t_minus = increments(temp, state.temp)
     l_plus, l_minus = increments(illum, state.illum)
 
+    drift = plant.drift_at(step)
     new_dls: list[float] = []
     efforts: list[float] = []
     plus: list[float] = []
@@ -189,16 +185,14 @@ def plant_step(
             l_minus,
             effort,
         )
-        dl = clamp_dl(base + drift_value + rng.normal(0.0, plant.dl_noise_sd))
+        dl = clamp_dl(base + drift + rng.normal(0.0, plant.dl_noise_sd))
         d_plus, d_minus = increments(dl, d_prev)
         new_dls.append(dl)
         efforts.append(effort)
         plus.append(d_plus)
         minus.append(d_minus)
 
-    dls = tuple(new_dls)
-    next_state = PlantState(temp, illum, dls, tuple(plus), tuple(minus))
-    return next_state, StepOutcome(temp, illum, dls, tuple(efforts))
+    return PlantState(temp, illum, tuple(new_dls), tuple(plus), tuple(minus), tuple(efforts))
 
 
 @dataclass(frozen=True)
@@ -224,6 +218,7 @@ class ScenarioConfig:
             raise ValueError(f"lunch_start must be >= 0, got {self.lunch_start}")
         if self.lunch_steps < 0:
             raise ValueError(f"lunch_steps must be >= 0, got {self.lunch_steps}")
+        require_search_fits(self.mpc_cfg, self.de)
 
 
 @dataclass(frozen=True)
@@ -325,24 +320,20 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
         lunch = _in_lunch(sc, t)
         decision = ctl.hold("lunch") if lunch else ctl.decide(t)
 
-        rng = step_rng(sc.seed, t)
-        state, outcome = plant_step(
-            plant, state, decision.setpoints, rng, plant.drift_at(t), freeze_workers=lunch
-        )
-        _require_room_in_range(t, outcome)
-        ctl.observe(t, outcome.dls, outcome.efforts, outcome.temp, outcome.illum)
+        state = plant_step(plant, state, decision.setpoints, sc.seed, t, freeze_workers=lunch)
+        ctl.observe(t, state.dls, state.efforts, state.temp, state.illum)
         records.append(
             TraceStep(
                 step=t,
                 temp_set=decision.setpoints[0],
                 illum_set=decision.setpoints[1],
-                temp=outcome.temp,
-                illum=outcome.illum,
-                penalty=comfort_penalty(outcome.temp, outcome.illum, cfg),
+                temp=state.temp,
+                illum=state.illum,
+                penalty=comfort_penalty(state.temp, state.illum, cfg),
                 feasible=decision.feasible,
                 status=decision.status,
-                dls=outcome.dls,
-                efforts=outcome.efforts,
+                dls=state.dls,
+                efforts=state.efforts,
             )
         )
 
@@ -376,15 +367,13 @@ def run_open_loop(
     workers = [f"w{i}" for i in range(num_workers)]
     step, worker_id, dl, effort, temp, illum, temp_set, illum_set = ([] for _ in range(8))
     for t, pair in enumerate(setpoints):
-        rng = step_rng(seed, t)
-        state, outcome = plant_step(plant, state, pair, rng, plant.drift_at(t))
-        _require_room_in_range(t, outcome)
+        state = plant_step(plant, state, pair, seed, t)
         step += [t] * num_workers
         worker_id += workers
-        dl += outcome.dls
-        effort += outcome.efforts
-        temp += [outcome.temp] * num_workers
-        illum += [outcome.illum] * num_workers
+        dl += state.dls
+        effort += state.efforts
+        temp += [state.temp] * num_workers
+        illum += [state.illum] * num_workers
         temp_set += [pair[0]] * num_workers
         illum_set += [pair[1]] * num_workers
     return TelemetryTable(step, worker_id, dl, effort, temp, illum, temp_set, illum_set)
@@ -450,7 +439,6 @@ __all__ = [
     "ARMS",
     "PlantConfig",
     "PlantState",
-    "StepOutcome",
     "initial_state",
     "PlantOutOfRange",
     "step_rng",

@@ -7,7 +7,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -1128,6 +1128,12 @@ class TestConfigParsing:
         allowed = ast.literal_eval(str(exc.value).split("allowed: ", 1)[1])
         assert set(allowed) == keys
 
+    def test_every_reader_serves_a_field(self):
+        # A reader whose type no section field declares is dead code.
+        declared = {f.type for classes in cli_module._SECTIONS.values()
+                    for cls, _ in classes for f in fields(cls)}
+        assert set(cli_module._READERS) <= declared
+
 
 CONTROL_BASE = {
     "mpc": {"mode": "mpc2", "horizon": "2", "num_workers": "1"},
@@ -1285,6 +1291,24 @@ class TestIdentifyCommand:
         ami_ref, _ = fit_ami_model(table)
         assert fitted == ModelSet(dl=dl_ref, idt=idt_ref, ami=ami_ref)
         assert (workdir / "identify_manifest.json").exists()
+
+    def test_keep_boundary_fits_on_scale_limit_samples(self, workdir, capsys):
+        # Every seventh reading sits on a scale limit: the default fit drops
+        # those targets, and --keep-boundary keeps them.
+        table = read_telemetry_csv(self.telemetry_file(workdir))
+        rows = [row._replace(dl=(DL_MIN, DL_MAX)[row.step_index % 2]) if row.step_index % 7 == 3 else row
+                for row in rows_of(table)]
+        telem = str(workdir / "boundary.csv")
+        write_telemetry_csv(telem, table_of(rows))
+        samples = {}
+        for flag in ([], ["--keep-boundary"]):
+            out_dir = workdir / ("keep" if flag else "default")
+            assert main(["identify", telem, str(out_dir / "m.json"), "--out-dir", str(out_dir)] + flag) == 0
+            samples[bool(flag)] = int(re.search(r"^dl: rmse=\S+ n=(\d+)", capsys.readouterr().out, re.M)[1])
+            manifest = json.loads((out_dir / "identify_manifest.json").read_text())
+            assert manifest["keep_boundary"] is bool(flag)
+        on_limit = sum(row.step_index % 7 == 3 and row.step_index >= 2 for row in rows)
+        assert samples[True] == samples[False] + on_limit
 
     def test_insufficient_data_exit_code(self, workdir, capsys):
         telem = self.telemetry_file(workdir, steps=5)
@@ -1551,6 +1575,35 @@ arm,NOC,mean_setpoint_changes,0
 """
 REPORT_CSV_DELTA = "delta,MPC2-NOC,mean_dl,-0.7\n"
 REPORT_SEED_WARNING = "warning: seed sets of MPC2 and NOC differ; paired deltas skipped\n"
+
+
+def oversize(text):
+    """text with a search too big to allocate: 24 workers over a 100000-step horizon."""
+    return (text.replace("horizon = 2\nnum_workers = 1", "horizon = 100000\nnum_workers = 24")
+                .replace("population_size = 10", "population_size = 80"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "daemon"])
+def test_oversize_search_is_refused(workdir, capsys, command):
+    # Refused when the config is read: nothing of its size is allocated.
+    model = put(workdir, "m.json", "")
+    write_model_set(model, TRUTH)
+    out = str(workdir / "out")
+    argv = {
+        "simulate": ["simulate", "--config", put(workdir, "s.cfg", oversize(SCENARIO_CFG))],
+        "solve": ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV), "--model", model,
+                  "--config", put(workdir, "c.cfg", oversize(CONTROL_CFG))],
+        "daemon": ["daemon", "--model", model, "--config", put(workdir, "c.cfg", oversize(CONTROL_CFG)),
+                   "--in", put(workdir, "in.jsonl", "")],
+    }[command]
+    assert main(argv + ["--out-dir", out]) == 2
+    cfg = argv[argv.index("--config") + 1]
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: the search needs 16896000000 bytes of kernel terms and "
+        "512061440 bytes per DE draw block, 17408061440 in all, over the ceiling of "
+        "1073741824 bytes\n"
+    )
+    assert not Path(out).exists()
 
 
 class TestReportCommand:

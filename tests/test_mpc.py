@@ -7,6 +7,7 @@ import alertmpc.mpc as mpc_mod
 from alertmpc.cli import parse_scenario_config, shipped_config_path
 from alertmpc.domain import (
     AmiModel,
+    ConfigError,
     ControlMode,
     ControlSchedule,
     DlModel,
@@ -23,8 +24,8 @@ from alertmpc.models import (
     objective,
     rollout,
 )
-from alertmpc.mpc import Controller, solve
-from alertmpc.optimizer import BadBounds, DeParams, NonFiniteObjective
+from alertmpc.mpc import Controller, require_search_fits, search_bytes, solve
+from alertmpc.optimizer import BadBounds, DeParams, NonFiniteObjective, draw_block_bytes
 
 from helpers import CASE1_MODELS, solve_failing_at
 
@@ -434,3 +435,49 @@ class TestController:
         assert error == (ok.setpoints, None, "error") and error.feasible is None
         ctl.observe(7, [2.5], [0.1], 26.5, 550.0)
         assert ctl.decide(8).status == "ok"
+
+
+class TestSearchCeiling:
+    """The sizes are computed, never allocated: no oversize search runs."""
+
+    @pytest.mark.parametrize("mode, dim", [(ControlMode.MPC1, 3), (ControlMode.MPC2, 6)])
+    def test_sizes_are_the_kernels_buffer_and_a_draw_block(self, mode, dim):
+        cfg = MpcConfig(mode=mode, horizon=3, num_workers=2)
+        de = DeParams(population_size=12)
+        kernel = HorizonKernel(CASE1_MODELS, snapshot(workers=2), cfg, 12)
+        assert search_bytes(cfg, de) == (kernel.terms.nbytes, draw_block_bytes(12, dim))
+        assert search_bytes(cfg, DeParams()) == (3 * 11 * 2 * 10 * dim * 8, draw_block_bytes(10 * dim, dim))
+
+    def test_draw_block_size(self):
+        assert draw_block_bytes(40, 8) == 40960  # 32 generations x 40 rows x (24 + 8) bytes
+
+    def test_noc_runs_no_search(self):
+        cfg = MpcConfig(mode=ControlMode.NOC, horizon=100_000, num_workers=24)
+        assert search_bytes(cfg, DeParams(population_size=10_000_000)) == (0, 0)
+        require_search_fits(cfg, DeParams(population_size=10_000_000))
+
+    def test_oversize_kernel_is_refused(self):
+        cfg = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
+        want = ("the search needs 16896000000 bytes of kernel terms and 512061440 bytes per DE "
+                "draw block, 17408061440 in all, over the ceiling of 1073741824 bytes")
+        with pytest.raises(ConfigError, match=f"^{want}$"):
+            require_search_fits(cfg, DeParams(population_size=80))
+
+    def test_oversize_population_is_refused(self):
+        cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
+        with pytest.raises(ConfigError, match="10240000000 bytes per DE draw block"):
+            require_search_fits(cfg, DeParams(population_size=10_000_000))
+
+    def test_ceiling_is_the_largest_size_accepted(self, monkeypatch):
+        cfg = MpcConfig(mode=ControlMode.MPC1, horizon=4, num_workers=5)
+        de = DeParams(population_size=40)
+        monkeypatch.setattr(mpc_mod, "SEARCH_BYTES_CEILING", sum(search_bytes(cfg, de)))
+        require_search_fits(cfg, de)
+        with pytest.raises(ConfigError, match="over the ceiling"):
+            require_search_fits(replace(cfg, num_workers=6), de)
+
+    def test_shipped_configs_fit_far_below_the_ceiling(self):
+        for name in ("case1_mpc1.cfg", "case1_mpc2.cfg", "case2_mpc2.cfg"):
+            sc = parse_scenario_config(shipped_config_path(name))
+            at_24 = search_bytes(replace(sc.mpc_cfg, num_workers=24), sc.de)
+            assert sum(at_24) < mpc_mod.SEARCH_BYTES_CEILING / 1000

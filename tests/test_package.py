@@ -102,12 +102,15 @@ def test_package_imports_finds_each_spelling():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_layering(path):
     """cli sits on top: no module imports it (bar __main__, the entry point
-    that runs it), and the file formats do not import the daemon."""
+    that runs it).  The file formats do not import the daemon, and the
+    daemon imports neither the file formats nor the simulator."""
     imports = package_imports(path.read_text(encoding="utf-8"))
     if path.stem != "__main__":
         assert "cli" not in imports, f"{path.name} imports alertmpc.cli"
     if path.stem == "formats":
         assert "daemon" not in imports, "formats.py imports alertmpc.daemon"
+    if path.stem == "daemon":
+        assert imports.isdisjoint({"formats", "sim"}), f"daemon.py imports {sorted(imports & {'formats', 'sim'})}"
 
 
 def test_every_span_hook_resolves(monkeypatch):

@@ -7,6 +7,7 @@ import alertmpc.mpc as mpc_mod
 import alertmpc.sim as sim_mod
 from alertmpc.domain import (
     AmiModel,
+    ConfigError,
     ControlMode,
     MpcConfig,
     NonFiniteSetting,
@@ -76,12 +77,11 @@ def small_scenario(mode=ControlMode.MPC2, plant=None, **overrides):
 class TestPlantStep:
     def start_state(self):
         return PlantState(temp=28.0, illum=520.0, dls=(2.0,),
-                          dl_plus=(0.0,), dl_minus=(0.0,))
+                          dl_plus=(0.0,), dl_minus=(0.0,), efforts=(0.0,))
 
     def test_zero_noise_matches_models(self):
         plant = quiet_plant()
-        state, out = plant_step(plant, self.start_state(), (26.0, 600.0),
-                                step_rng(0, 0))
+        out = plant_step(plant, self.start_state(), (26.0, 600.0), 0, 0)
         assert out.temp == predict_idt(TRUE_IDT, 28.0, 26.0)
         assert out.temp == pytest.approx(27.1, abs=1e-12)  # lowering branch
         assert out.illum == predict_ami(TRUE_AMI, 520.0, 600.0)
@@ -91,56 +91,65 @@ class TestPlantStep:
         want_dl = predict_dl(TRUE_DL, 2.0, 0.0, 0.0, out.temp, tp, tm,
                              out.illum, lp, lm, 0.0)
         assert out.dls[0] == want_dl
-        assert state.dls == out.dls
-        assert state.dl_minus[0] == 2.0 - want_dl
-        assert state.dl_plus[0] == 0.0
+        assert out.dl_minus[0] == 2.0 - want_dl
+        assert out.dl_plus[0] == 0.0
 
     def test_drift_enters_additively(self):
-        plant = quiet_plant()
-        _, base = plant_step(plant, self.start_state(), (26.0, 600.0),
-                             step_rng(0, 0))
-        _, bumped = plant_step(plant, self.start_state(), (26.0, 600.0),
-                               step_rng(0, 0), drift_value=0.1)
+        base = plant_step(quiet_plant(), self.start_state(), (26.0, 600.0), 0, 1)
+        bumped = plant_step(quiet_plant(drift=(0.0, 0.1)), self.start_state(), (26.0, 600.0), 0, 1)
         assert bumped.dls[0] == pytest.approx(base.dls[0] + 0.1, abs=1e-12)
 
     def test_ambient_pull_is_capped(self):
         base = predict_idt(TRUE_IDT, 28.0, 26.0)
         plant = quiet_plant(ambient_pull=0.2, ambient_temp=30.0)
-        _, out = plant_step(plant, self.start_state(), (26.0, 600.0),
-                            step_rng(0, 0))
+        out = plant_step(plant, self.start_state(), (26.0, 600.0), 0, 0)
         assert out.temp == base + 0.2  # gap exceeds the pull, so it saturates
         near = quiet_plant(ambient_pull=0.2, ambient_temp=27.15)
-        _, out2 = plant_step(near, self.start_state(), (26.0, 600.0),
-                             step_rng(0, 0))
+        out2 = plant_step(near, self.start_state(), (26.0, 600.0), 0, 0)
         assert out2.temp == pytest.approx(27.15, abs=1e-12)
 
     def test_freeze_holds_workers_but_room_moves(self):
         plant = quiet_plant()
-        state = PlantState(28.0, 520.0, (2.3,), (0.1,), (0.0,))
-        nxt, out = plant_step(plant, state, (26.0, 600.0), step_rng(0, 0),
-                              freeze_workers=True)
-        assert out.dls == (2.3,)
-        assert out.efforts == (0.0,)
+        state = PlantState(28.0, 520.0, (2.3,), (0.1,), (0.0,), (0.2,))
+        nxt = plant_step(plant, state, (26.0, 600.0), 0, 0, freeze_workers=True)
+        assert nxt.dls == (2.3,)
+        assert nxt.efforts == (0.0,)
         assert nxt.dl_plus == (0.0,) and nxt.dl_minus == (0.0,)
         assert nxt.temp != state.temp
 
     def test_single_substep_has_zero_effort(self):
         plant = noisy_plant(substeps=1)
-        _, out = plant_step(plant, self.start_state(), (26.0, 600.0),
-                            step_rng(3, 1))
+        out = plant_step(plant, self.start_state(), (26.0, 600.0), 3, 1)
         assert out.efforts == (0.0,)
 
     def test_common_random_numbers_across_setpoints(self):
-        # Identical (seed, step) streams must yield identical disturbances
+        # Identical (seed, step) pairs must yield identical disturbances
         # whatever the controller commanded.
         plant = noisy_plant()
         state = self.start_state()
-        _, out_a = plant_step(plant, state, (26.0, 600.0), step_rng(7, 2))
-        _, out_b = plant_step(plant, state, (25.5, 700.0), step_rng(7, 2))
+        out_a = plant_step(plant, state, (26.0, 600.0), 7, 2)
+        out_b = plant_step(plant, state, (25.5, 700.0), 7, 2)
         noise_a = out_a.temp - predict_idt(TRUE_IDT, state.temp, 26.0)
         noise_b = out_b.temp - predict_idt(TRUE_IDT, state.temp, 25.5)
         assert noise_a == noise_b
         assert out_a.efforts == out_b.efforts
+
+    def test_disturbances_come_from_the_step_stream(self):
+        # The temperature disturbance is the first draw of step_rng(seed, step).
+        plant = noisy_plant()
+        state = self.start_state()
+        out = plant_step(plant, state, (26.0, 600.0), 7, 2)
+        noise = step_rng(7, 2).normal(0.0, plant.idt_noise_sd)
+        assert out.temp == predict_idt(TRUE_IDT, state.temp, 26.0) + noise
+        assert plant_step(plant, state, (26.0, 600.0), 7, 3).temp != out.temp
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_room_outside_the_measured_range_is_refused(self, freeze):
+        # 30 + 0.5 * 9000 + 0.85 * 10000 = 13030 lx, past the 10000 lx limit.
+        plant = quiet_plant(true_ami=AmiModel(theta0=30.0, theta_prev=0.5, theta_set=0.85))
+        state = replace(self.start_state(), illum=9000.0)
+        with pytest.raises(PlantOutOfRange, match=r"^step 4: plant illuminance 13030\.0 outside the measured range"):
+            plant_step(plant, state, (26.0, 10000.0), 0, 4, freeze_workers=freeze)
 
     def test_telemetry_rows_satisfy_regression_when_quiet(self):
         # Realized DL must equal the true regression applied to realized
@@ -150,14 +159,14 @@ class TestPlantStep:
         pairs = [(26.0, 600.0), (26.5, 450.0), (25.5, 700.0)]
         for t, pair in enumerate(pairs):
             prev = state
-            state, out = plant_step(plant, state, pair, step_rng(11, t))
+            state = plant_step(plant, state, pair, 11, t)
             want = predict_dl(
                 TRUE_DL, prev.dls[0], prev.dl_plus[0], prev.dl_minus[0],
-                out.temp, max(out.temp - prev.temp, 0.0), max(prev.temp - out.temp, 0.0),
-                out.illum, max(out.illum - prev.illum, 0.0), max(prev.illum - out.illum, 0.0),
-                out.efforts[0],
+                state.temp, max(state.temp - prev.temp, 0.0), max(prev.temp - state.temp, 0.0),
+                state.illum, max(state.illum - prev.illum, 0.0), max(prev.illum - state.illum, 0.0),
+                state.efforts[0],
             )
-            assert out.dls[0] == want
+            assert state.dls[0] == want
 
 
 class TestScenarioValidation:
@@ -180,6 +189,13 @@ class TestScenarioValidation:
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
             replace(small_scenario(), steps=0)
+
+    def test_oversize_search_is_refused_when_built(self):
+        big = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
+        with pytest.raises(ConfigError, match="16896000000 bytes of kernel terms"):
+            small_scenario(mpc_cfg=big, de=DeParams(population_size=80))
+        with pytest.raises(ConfigError, match="over the ceiling"):
+            replace(small_scenario(), mpc_cfg=big)
 
     @pytest.mark.parametrize("name", ["seed", "lunch_start", "lunch_steps"])
     def test_negative_value_is_refused_when_built(self, name):
@@ -232,11 +248,11 @@ class TestRunScenario:
             setpoints, solution, status = ctl.decide(t)
             assert status == "ok"
             predicted = rollout(plant.truth(), snap, solution.schedule, cfg)
-            state, out = plant_step(plant, state, setpoints, step_rng(0, t))
-            assert out.temp == pytest.approx(predicted.temps[0], abs=1e-9)
-            assert out.illum == pytest.approx(predicted.illums[0], abs=1e-9)
-            assert out.dls[0] == pytest.approx(predicted.dls[0][0], abs=1e-9)
-            ctl.observe(t, out.dls, out.efforts, out.temp, out.illum)
+            state = plant_step(plant, state, setpoints, 0, t)
+            assert state.temp == pytest.approx(predicted.temps[0], abs=1e-9)
+            assert state.illum == pytest.approx(predicted.illums[0], abs=1e-9)
+            assert state.dls[0] == pytest.approx(predicted.dls[0][0], abs=1e-9)
+            ctl.observe(t, state.dls, state.efforts, state.temp, state.illum)
 
     def test_lunch_freezes_workers_and_setpoints(self):
         sc = small_scenario(plant=quiet_plant(), steps=7, lunch_start=2,
