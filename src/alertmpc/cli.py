@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import enum
 import io
 import json
 import os
 import sys
-from dataclasses import MISSING, Field, asdict, fields, is_dataclass, replace
+from dataclasses import MISSING, Field, asdict, fields, replace
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .identify import (
 )
 from .models import ShapeMismatch
 from .mpc import require_search_fits, solve
-from .optimizer import BadBounds, DeParams, NonFiniteObjective
+from .optimizer import DeParams, NonFiniteObjective
 from .sim import (
     ArmComparison,
     PlantConfig,
@@ -70,20 +69,6 @@ from .sim import (
     compute_metrics,
     run_scenario,
 )
-
-
-def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def make_out_dir(out_dir: str) -> None:
@@ -99,7 +84,7 @@ def write_manifest(out_dir: str, command: str, payload: dict) -> str:
     body = {"command": command, "tool_version": __version__}
     body.update(payload)
     with _writing(path) as fh:
-        json.dump(_jsonable(body), fh, indent=2, sort_keys=True)
+        json.dump(body, fh, indent=2, sort_keys=True, default=asdict)
         fh.write("\n")
     return path
 
@@ -321,7 +306,7 @@ def cmd_solve(args) -> int:
     cfg, de = parse_control_config(args.config)
     de = _override_seed(de, args.seed)
     snapshot = read_snapshot_csv(args.snapshot)
-    with _refused("", (ShapeMismatch, NonFiniteObjective, BadBounds)):
+    with _refused("", (ShapeMismatch, NonFiniteObjective)):
         solution = solve(models, snapshot, cfg, de)
     schedule = solution.schedule
     steps = enumerate(zip(schedule.temp_setpoints, schedule.illum_setpoints), start=1)

@@ -114,7 +114,7 @@ class Window:
             self.roster = names
         roster = self.roster
         observation = None
-        if roster is not None and temps and all(dls.get(wid) for wid in roster):
+        if roster is not None and all(dls.get(wid) for wid in roster):
             means, stds = _window_stats([dls[wid] for wid in roster] + [temps, illums])
             observation = (means[:-2], stds[:-2], means[-2], means[-1])
         dls.clear()

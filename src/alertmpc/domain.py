@@ -189,7 +189,7 @@ class IdtModel:
     def __post_init__(self):
         for name in ("k_up", "k_down"):
             k = getattr(self, name)
-            if not (np.isfinite(k) and 0.0 < k <= 1.0):
+            if not 0.0 < k <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {k}")
 
 

@@ -205,9 +205,15 @@ class HorizonKernel:
     """
 
     @staticmethod
-    def terms_nbytes(horizon: int, workers: int, rows: int) -> int:
-        """Bytes of the terms buffer, a kernel's largest, at that size."""
-        return horizon * 11 * workers * rows * 8
+    def nbytes(horizon: int, workers: int, rows: int) -> int:
+        """Bytes a kernel of that size allocates while it is built and called,
+        at most: float buffers of 13 values per step, worker and row and 33
+        per step and row, two ufunc buffers of up to np.getbufsize() values,
+        3 KB per step for the views its loops read (1.9 KB on CPython 3.11
+        with numpy 2), and 16 KB for its own objects."""
+        floats = horizon * rows * (13 * workers + 33) + rows * (3 * workers + 9)
+        floats += 2 * min(horizon * rows, np.getbufsize())
+        return 8 * floats + 3072 * horizon + 16384
 
     def __init__(self, models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig, rows: int):
         horizon, workers = cfg.horizon, cfg.num_workers

@@ -30,20 +30,18 @@ from .domain import (
 )
 from .models import HorizonKernel, constraint_violation, objective, rollout
 from .optimizer import (
-    BadBounds,
     DeParams,
     DeResult,
     NonFiniteObjective,
     checked_scores,
     de_minimize,
-    draw_block_bytes,
+    search_nbytes,
 )
 
-# The most memory one search may ask for: its kernel's terms buffer plus
-# one block of DE draws.  np.empty of more may succeed and the first write
-# then meet the out-of-memory killer, not a MemoryError, so a config that
-# asks for more is refused where it is built.  A 24-worker case-2 search
-# needs about 0.38 MB.
+# The most memory one search may ask for, its kernel's and DE's.  np.empty
+# of more may succeed and the first write then meet the out-of-memory
+# killer, not a MemoryError, so a config that asks for more is refused
+# where it is built.  A 24-worker case-2 search needs about 0.7 MB.
 SEARCH_BYTES_CEILING = 2**30
 
 
@@ -100,8 +98,8 @@ def solve(
     upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
     rows = de.population_for(lower.size)
     kernel = HorizonKernel(models, snapshot, cfg, rows)
-    # MPC1's illuminance schedule, the same in every row.
-    pinned = np.full((rows, horizon), cfg.illum_comfort)
+    # MPC1's illuminance schedule: one value, viewed at every row and step.
+    pinned = np.broadcast_to(cfg.illum_comfort, (rows, horizon))
 
     def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Temperature and illuminance setpoints of each row."""
@@ -120,24 +118,25 @@ def solve(
     return MpcSolution(schedule, result.best_objective, result.best_violation, *search)
 
 
-def search_bytes(cfg: MpcConfig, de: DeParams) -> tuple[int, int]:
-    """Bytes of the kernel's terms buffer and of one DE draw block in a
-    solve under cfg and de.  NOC runs no search and needs neither."""
+def search_bytes(cfg: MpcConfig, de: DeParams) -> int:
+    """Bytes a solve under cfg and de allocates, at most: its kernel's and
+    its search's.  NOC runs no search and needs neither."""
     if cfg.mode is ControlMode.NOC:
-        return 0, 0
+        return 0
     dim = cfg.horizon * (2 if cfg.mode is ControlMode.MPC2 else 1)
     rows = de.population_for(dim)
-    return HorizonKernel.terms_nbytes(cfg.horizon, cfg.num_workers, rows), draw_block_bytes(rows, dim)
+    return HorizonKernel.nbytes(cfg.horizon, cfg.num_workers, rows) + search_nbytes(rows, dim)
 
 
 def require_search_fits(cfg: MpcConfig, de: DeParams) -> None:
     """Raise ConfigError when a solve under cfg and de needs more than
     SEARCH_BYTES_CEILING bytes (see search_bytes)."""
-    terms, block = search_bytes(cfg, de)
-    if terms + block > SEARCH_BYTES_CEILING:
+    needed = search_bytes(cfg, de)
+    if needed > SEARCH_BYTES_CEILING:
         raise ConfigError(
-            f"the search needs {terms} bytes of kernel terms and {block} bytes per DE draw "
-            f"block, {terms + block} in all, over the ceiling of {SEARCH_BYTES_CEILING} bytes"
+            f"an {cfg.mode.value} search over horizon {cfg.horizon} for {cfg.num_workers} worker(s) with "
+            f"population_size {de.population_size or 'auto'} needs {needed} bytes, over the ceiling of "
+            f"{SEARCH_BYTES_CEILING} bytes"
         )
 
 
@@ -214,16 +213,16 @@ class Controller:
         The interval needs the two consecutive steps ending at clock - 1 or
         later, since the increment features are formed from both.  Then
         it is solved with the optimizer seeded as base seed + clock: "ok",
-        or "error" (setpoints held) on NonFiniteObjective or BadBounds.  A
-        history that lags the clock or has a gap before its latest step
-        holds the setpoints as "stale".
+        or "error" (setpoints held) when a prediction is not finite, the one
+        way a solve of a valid config fails.  A history that lags the clock
+        or has a gap before its latest step holds the setpoints as "stale".
         """
         if self._previous is None or self._latest[0] < clock - 1:
             return self.hold("stale")
         de_interval = replace(self.de, seed=self.de.seed + clock)
         try:
             solution = solve(self.models, self.snapshot(), self.cfg, de_interval)
-        except (NonFiniteObjective, BadBounds):
+        except NonFiniteObjective:
             return self.hold("error")
         schedule = solution.schedule
         self.last_applied = schedule.temp_setpoints[0], schedule.illum_setpoints[0]

@@ -19,15 +19,21 @@ from typing import Callable
 import numpy as np
 
 
-# Generations whose random draws are made together.  One block holds
-# draw_block_bytes(P, D) bytes of draws whatever the budget.
+# Generations whose random draws are made together, whatever the budget.
 _BLOCK = 32
 
 
-def draw_block_bytes(pop_size: int, dim: int) -> int:
-    """Bytes of one block of draws for P = pop_size rows of D = dim:
-    _BLOCK * P * (24 + D), 40 KB at P=40, D=8."""
-    return _BLOCK * pop_size * (24 + dim)
+def search_nbytes(pop_size: int, dim: int) -> int:
+    """Bytes de_minimize allocates for P = pop_size rows of D = dim, at most:
+    56 per row and dimension for its population, donors, trials and box
+    rows; a block of draws, (_BLOCK, 3, P) donors and (_BLOCK, P, D) masks;
+    while it draws the next, the larger of that block's nine (_BLOCK, P)
+    index arrays and its float64 uniforms beside their mask and the donors;
+    the box, the scores and 16 KB for small objects."""
+    index_bytes = 8 * _BLOCK * pop_size
+    block = 3 * index_bytes + _BLOCK * pop_size * dim
+    drawing = max(9 * index_bytes, 3 * index_bytes + 9 * _BLOCK * pop_size * dim)
+    return 56 * pop_size * dim + block + drawing + 24 * dim + 48 * pop_size + 16384
 
 
 class BadBounds(ValueError):
@@ -303,5 +309,5 @@ __all__ = [
     "DeResult",
     "checked_scores",
     "de_minimize",
-    "draw_block_bytes",
+    "search_nbytes",
 ]

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
@@ -1174,6 +1175,11 @@ def mutated_control_config(draw):
         sections[section].pop(key, None)
     else:
         sections[section][key] = value
+    return control_config_text(sections)
+
+
+def control_config_text(sections) -> str:
+    """The config file of sections, {section: {key: value text}}."""
     return "".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
         for name, keys in sections.items()
@@ -1199,6 +1205,46 @@ def test_any_control_config_is_rejected_or_solves_inside_the_box(tmp_path_factor
     assert np.all(np.isfinite(temps)) and np.all(np.isfinite(illums))
     assert np.all((cfg.temp_lo <= temps) & (temps <= cfg.temp_hi))
     assert np.all((cfg.illum_lo <= illums) & (illums <= cfg.illum_hi))
+
+
+# A model whose drowsiness rollout overflows, and a setpoint box wider
+# than the largest float.
+OVERFLOWING_MODELS = ModelSet(dl=DlModel(intercept=0.0, coef=dict(TRUTH.dl.coef, d_prev=1e308, temp=-1e308)),
+                              idt=TRUTH.idt, ami=TRUTH.ami)
+WIDE_BOX_CONFIG = control_config_text(
+    {"mpc": dict(CONTROL_BASE["mpc"], temp_lo="-1.7e308", temp_hi="1.7e308"), "de": CONTROL_BASE["de"]})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(models=st.sampled_from([TRUTH, OVERFLOWING_MODELS]) | MODEL_SETS, member=st.integers(0, 20),
+       mutation=st.none() | st.sampled_from(MODEL_MUTATIONS), workers=st.integers(1, 2),
+       row=st.integers(0, 1), field=st.integers(0, 6), text=st.none() | SNAPSHOT_FIELD_TEXTS,
+       control=mutated_control_config())
+@example(models=TRUTH, member=0, mutation=None, workers=1, row=0, field=0, text=None,
+         control=WIDE_BOX_CONFIG)
+@example(models=OVERFLOWING_MODELS, member=0, mutation=None, workers=1, row=0, field=0, text=None,
+         control=control_config_text(CONTROL_BASE))
+@example(models=TRUTH, member=0, mutation=None, workers=2, row=1, field=0, text="w0",
+         control=control_config_text(CONTROL_BASE))  # a repeated worker_id
+def test_solve_ends_in_an_exit_code(tmp_path_factory, models, member, mutation, workers, row, field, text,
+                                    control):
+    """A near-valid model file, snapshot and control config, each edited
+    independently: solve succeeds (0), refuses them (2) or finds no
+    feasible schedule (4), and raises nothing."""
+    directory = tmp_path_factory.mktemp("solve")
+    model = str(directory / "m.json")
+    write_model_set(model, models)
+    if mutation is not None:
+        put(directory, "m.json", mutated_model_text(Path(model).read_text(), member, mutation))
+    rows = [list(r) for r in SNAPSHOT_ROWS[:workers]]
+    if text is not None:
+        rows[row % workers][field] = text
+    snap = put(directory, "s.csv", "".join(",".join(r) + "\n" for r in [SNAPSHOT_HEADER, *rows]))
+    cfg = put(directory, "c.cfg", control)
+    argv = ["solve", snap, "--model", model, "--config", cfg, "--out-dir", str(directory / "out")]
+    assert main(argv) in (0, 2, 4)
 
 
 class TestShippedConfigs:
@@ -1599,11 +1645,33 @@ def test_oversize_search_is_refused(workdir, capsys, command):
     assert main(argv + ["--out-dir", out]) == 2
     cfg = argv[argv.index("--config") + 1]
     assert capsys.readouterr().err == (
-        f"error: config {cfg}: the search needs 16896000000 bytes of kernel terms and "
-        "512061440 bytes per DE draw block, 17408061440 in all, over the ceiling of "
-        "1073741824 bytes\n"
+        f"error: config {cfg}: an MPC2 search over horizon 100000 for 24 worker(s) with "
+        "population_size 80 needs 28408342400 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert not Path(out).exists()
+
+
+def test_long_search_over_one_worker_is_refused_before_it_is_built(workdir, capsys, monkeypatch):
+    # Its kernel is small; DE's (rows, dimension) buffers are not.
+    text = (SCENARIO_CFG.replace("horizon = 2", "horizon = 50000")
+                        .replace("population_size = 10", "population_size = 80"))
+    cfg = put(workdir, "s.cfg", text)
+
+    def must_not_run(sc):
+        raise AssertionError("an oversize scenario ran")
+
+    monkeypatch.setattr(cli_module, "run_scenario", must_not_run)
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out-dir", str(workdir / "out")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: an MPC2 search over horizon 50000 for 1 worker(s) with "
+        "population_size 80 needs 4636298240 bytes, over the ceiling of 1073741824 bytes\n"
+    )
+    assert peak < 2**20  # nothing of the search's size was built
 
 
 class TestReportCommand:

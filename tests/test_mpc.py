@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from alertmpc.models import (
     rollout,
 )
 from alertmpc.mpc import Controller, require_search_fits, search_bytes, solve
-from alertmpc.optimizer import BadBounds, DeParams, NonFiniteObjective, draw_block_bytes
+from alertmpc.optimizer import DeParams, NonFiniteObjective, search_nbytes
 
 from helpers import CASE1_MODELS, solve_failing_at
 
@@ -429,7 +431,8 @@ class TestController:
         assert ok.feasible == ok.solution.feasible and ok.feasible is not None
         assert ctl.hold("lunch") == (ok.setpoints, None, "lunch")
         assert ctl.hold("lunch").feasible is None
-        monkeypatch.setattr(mpc_mod, "solve", solve_failing_at(FAST_DE.seed + 7, BadBounds("no box")))
+        failure = NonFiniteObjective("objective returned nan")
+        monkeypatch.setattr(mpc_mod, "solve", solve_failing_at(FAST_DE.seed + 7, failure))
         ctl.observe(6, [2.5], [0.1], 26.6, 545.0)
         error = ctl.decide(7)
         assert error == (ok.setpoints, None, "error") and error.feasible is None
@@ -441,37 +444,60 @@ class TestSearchCeiling:
     """The sizes are computed, never allocated: no oversize search runs."""
 
     @pytest.mark.parametrize("mode, dim", [(ControlMode.MPC1, 3), (ControlMode.MPC2, 6)])
-    def test_sizes_are_the_kernels_buffer_and_a_draw_block(self, mode, dim):
+    def test_size_is_the_kernels_and_the_searchs(self, mode, dim):
         cfg = MpcConfig(mode=mode, horizon=3, num_workers=2)
         de = DeParams(population_size=12)
-        kernel = HorizonKernel(CASE1_MODELS, snapshot(workers=2), cfg, 12)
-        assert search_bytes(cfg, de) == (kernel.terms.nbytes, draw_block_bytes(12, dim))
-        assert search_bytes(cfg, DeParams()) == (3 * 11 * 2 * 10 * dim * 8, draw_block_bytes(10 * dim, dim))
+        assert search_bytes(cfg, de) == HorizonKernel.nbytes(3, 2, 12) + search_nbytes(12, dim)
+        rows = 10 * dim
+        assert search_bytes(cfg, DeParams()) == HorizonKernel.nbytes(3, 2, rows) + search_nbytes(rows, dim)
 
-    def test_draw_block_size(self):
-        assert draw_block_bytes(40, 8) == 40960  # 32 generations x 40 rows x (24 + 8) bytes
+    # 24 workers at horizon 4, one worker over a long horizon, and a size
+    # between.  33 generations make the search draw its second block of
+    # draws while it holds the first.
+    @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+    @pytest.mark.parametrize("horizon, workers, rows", [(4, 24, 40), (256, 1, 40), (64, 5, 80)])
+    def test_count_bounds_a_real_solves_peak(self, mode, horizon, workers, rows):
+        cfg = MpcConfig(mode=mode, horizon=horizon, num_workers=workers)
+        de = DeParams(population_size=rows, max_generations=33, tolerance=0.0)
+        state = snapshot(workers=workers)
+        solve(CASE1_MODELS, state, cfg, de)  # one-time allocations of numpy and Python
+        tracemalloc.start()
+        try:
+            solve(CASE1_MODELS, state, cfg, de)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = search_bytes(cfg, de)
+        assert count / 2 <= peak <= count
+
+    def test_search_size(self):
+        # At 40 rows and 8 dimensions: 56 x 40 x 8 held; a block of 32
+        # generations' donors and masks, 32 x 40 x (24 + 8); drawing the
+        # next, its uniforms and mask, 32 x 40 x 8 x 9, and donors; the box,
+        # the scores and 16 KB.
+        assert search_nbytes(40, 8) == 17920 + 40960 + (92160 + 30720) + 192 + 1920 + 16384
 
     def test_noc_runs_no_search(self):
         cfg = MpcConfig(mode=ControlMode.NOC, horizon=100_000, num_workers=24)
-        assert search_bytes(cfg, DeParams(population_size=10_000_000)) == (0, 0)
+        assert search_bytes(cfg, DeParams(population_size=10_000_000)) == 0
         require_search_fits(cfg, DeParams(population_size=10_000_000))
 
     def test_oversize_kernel_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
-        want = ("the search needs 16896000000 bytes of kernel terms and 512061440 bytes per DE "
-                "draw block, 17408061440 in all, over the ceiling of 1073741824 bytes")
-        with pytest.raises(ConfigError, match=f"^{want}$"):
+        want = ("an MPC2 search over horizon 100000 for 24 worker(s) with population_size 80 "
+                "needs 28408342400 bytes, over the ceiling of 1073741824 bytes")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             require_search_fits(cfg, DeParams(population_size=80))
 
     def test_oversize_population_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        with pytest.raises(ConfigError, match="10240000000 bytes per DE draw block"):
+        with pytest.raises(ConfigError, match="population_size 10000000 needs 61600176320 bytes"):
             require_search_fits(cfg, DeParams(population_size=10_000_000))
 
     def test_ceiling_is_the_largest_size_accepted(self, monkeypatch):
         cfg = MpcConfig(mode=ControlMode.MPC1, horizon=4, num_workers=5)
         de = DeParams(population_size=40)
-        monkeypatch.setattr(mpc_mod, "SEARCH_BYTES_CEILING", sum(search_bytes(cfg, de)))
+        monkeypatch.setattr(mpc_mod, "SEARCH_BYTES_CEILING", search_bytes(cfg, de))
         require_search_fits(cfg, de)
         with pytest.raises(ConfigError, match="over the ceiling"):
             require_search_fits(replace(cfg, num_workers=6), de)
@@ -480,4 +506,4 @@ class TestSearchCeiling:
         for name in ("case1_mpc1.cfg", "case1_mpc2.cfg", "case2_mpc2.cfg"):
             sc = parse_scenario_config(shipped_config_path(name))
             at_24 = search_bytes(replace(sc.mpc_cfg, num_workers=24), sc.de)
-            assert sum(at_24) < mpc_mod.SEARCH_BYTES_CEILING / 1000
+            assert at_24 < mpc_mod.SEARCH_BYTES_CEILING / 1000

@@ -103,7 +103,9 @@ def test_package_imports_finds_each_spelling():
 def test_layering(path):
     """cli sits on top: no module imports it (bar __main__, the entry point
     that runs it).  The file formats do not import the daemon, and the
-    daemon imports neither the file formats nor the simulator."""
+    daemon imports neither the file formats nor the simulator.  The search
+    is layered: optimizer imports no package module, models only domain,
+    and mpc only domain, models and optimizer."""
     imports = package_imports(path.read_text(encoding="utf-8"))
     if path.stem != "__main__":
         assert "cli" not in imports, f"{path.name} imports alertmpc.cli"
@@ -111,6 +113,10 @@ def test_layering(path):
         assert "daemon" not in imports, "formats.py imports alertmpc.daemon"
     if path.stem == "daemon":
         assert imports.isdisjoint({"formats", "sim"}), f"daemon.py imports {sorted(imports & {'formats', 'sim'})}"
+    allowed = {"optimizer": set(), "models": {"domain"}, "mpc": {"domain", "models", "optimizer"}}
+    if path.stem in allowed:
+        extra = imports - allowed[path.stem]
+        assert not extra, f"{path.name} imports {sorted(extra)}"
 
 
 def test_every_span_hook_resolves(monkeypatch):

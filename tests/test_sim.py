@@ -192,7 +192,7 @@ class TestScenarioValidation:
 
     def test_oversize_search_is_refused_when_built(self):
         big = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
-        with pytest.raises(ConfigError, match="16896000000 bytes of kernel terms"):
+        with pytest.raises(ConfigError, match="needs 28408342400 bytes"):
             small_scenario(mpc_cfg=big, de=DeParams(population_size=80))
         with pytest.raises(ConfigError, match="over the ceiling"):
             replace(small_scenario(), mpc_cfg=big)
