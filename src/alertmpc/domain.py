@@ -48,6 +48,14 @@ def clamp_dl(value: float) -> float:
     return min(max(value, DL_MIN), DL_MAX)
 
 
+def increments(x_t: float, x_prev: float) -> tuple[float, float]:
+    """Positive and negative parts of the step change x_t - x_prev."""
+    delta = x_t - x_prev
+    if delta >= 0.0:
+        return delta, 0.0
+    return 0.0, -delta
+
+
 def require_in_range(name: str, value: float, bounds: tuple[float, float], error=ValueError) -> None:
     """Raise error naming name unless bounds[0] <= value <= bounds[1]."""
     if not bounds[0] <= value <= bounds[1]:
@@ -115,13 +123,8 @@ class WorkerState:
     @classmethod
     def from_history(cls, d_current: float, d_previous: float, effort: float = 0.0):
         """Build a state from two consecutive step-averaged DL readings."""
-        delta = d_current - d_previous
-        return cls(
-            d_current=d_current,
-            d_plus=max(delta, 0.0),
-            d_minus=max(-delta, 0.0),
-            effort=effort,
-        )
+        d_plus, d_minus = increments(d_current, d_previous)
+        return cls(d_current=d_current, d_plus=d_plus, d_minus=d_minus, effort=effort)
 
 
 @dataclass(frozen=True)
@@ -306,6 +309,7 @@ __all__ = [
     "JSON_NUMBER",
     "DL_FEATURES",
     "clamp_dl",
+    "increments",
     "require_in_range",
     "ConfigError",
     "BoundsInverted",

@@ -210,16 +210,15 @@ def fit_idt_coeffs(data: TelemetryTable) -> tuple[IdtModel, FitReport]:
     t0, t1, tset = temp[:-1][pair], temp[1:][pair], temp_set[1:][pair]
     dp, do = tset - t0, t1 - t0  # commanded and observed moves
     raising = tset >= t0
-    for name, mask in (("raising", raising), ("lowering", ~raising)):
+    branches = (("raising", raising), ("lowering", ~raising))
+    for name, mask in branches:
         if np.count_nonzero(mask) < 2:
             raise InsufficientData(
                 f"temperature fit needs >= 2 {name} transitions, got {np.count_nonzero(mask)}"
             )
 
-    clipped = False
-
-    def branch_gain(mask: np.ndarray, name: str) -> float:
-        nonlocal clipped
+    gains = []
+    for name, mask in branches:
         # Python's sum over the per-transition products keeps the row-wise
         # fit's left-to-right summation, so a near-cancelling sum repeats it.
         denom = sum((dp[mask] * dp[mask]).tolist())
@@ -228,14 +227,9 @@ def fit_idt_coeffs(data: TelemetryTable) -> tuple[IdtModel, FitReport]:
                 f"temperature fit has no informative {name} transitions "
                 "(setpoint always equals the previous temperature)"
             )
-        k = sum((dp[mask] * do[mask]).tolist()) / denom
-        if not _K_FLOOR <= k <= 1.0:
-            clipped = True
-            k = min(max(k, _K_FLOOR), 1.0)
-        return k
-
-    k_up = branch_gain(raising, "raising")
-    k_down = branch_gain(~raising, "lowering")
+        gains.append(sum((dp[mask] * do[mask]).tolist()) / denom)
+    k_up, k_down = (min(max(k, _K_FLOOR), 1.0) for k in gains)
+    clipped = [k_up, k_down] != gains
     model = IdtModel(k_up=k_up, k_down=k_down)
     report = FitReport(
         rmse=_rmse(do - np.where(raising, k_up, k_down) * dp),

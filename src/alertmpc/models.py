@@ -45,6 +45,7 @@ from .domain import (
     ModelSet,
     MpcConfig,
     StateSnapshot,
+    increments,
 )
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -65,14 +66,6 @@ _ZERO, _DL_MIN, _DL_MAX, _LARGEST = (_operand(x) for x in (0.0, DL_MIN, DL_MAX, 
 
 class ShapeMismatch(ValueError):
     """Schedule or snapshot dimensions disagree with the configuration."""
-
-
-def increments(x_t: float, x_prev: float) -> tuple[float, float]:
-    """Positive and negative parts of the step change x_t - x_prev."""
-    delta = x_t - x_prev
-    if delta >= 0.0:
-        return delta, 0.0
-    return 0.0, -delta
 
 
 def predict_idt(m: IdtModel, temp_prev: float, setpoint: float) -> float:
@@ -208,11 +201,9 @@ class HorizonKernel:
     def nbytes(horizon: int, workers: int, rows: int) -> int:
         """Bytes a kernel of that size allocates while it is built and called,
         at most: float buffers of 13 values per step, worker and row and 33
-        per step and row, two ufunc buffers of up to np.getbufsize() values,
-        3 KB per step for the views its loops read (1.9 KB on CPython 3.11
-        with numpy 2), and 16 KB for its own objects."""
+        per step and row, 3 KB per step for the views its loops read (1.9 KB
+        on CPython 3.11 with numpy 2), and 16 KB for its own objects."""
         floats = horizon * rows * (13 * workers + 33) + rows * (3 * workers + 9)
-        floats += 2 * min(horizon * rows, np.getbufsize())
         return 8 * floats + 3072 * horizon + 16384
 
     def __init__(self, models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig, rows: int):
@@ -322,7 +313,8 @@ class HorizonKernel:
         # Plain copies assign to a view: np.copyto is a Python-level wrapper.
         self.t_sets[...] = temp_sets.T
         np.multiply(self._k, self.t_sets, out=self.k_sets)
-        np.multiply(self._theta_set, illum_sets.T, out=self.lights)
+        self.lights[...] = illum_sets.T
+        np.multiply(self._theta_set, self.lights, out=self.lights)
         rising, ab, a, b = self.rising, self.ab, self.a, self.b
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
             np.greater_equal(t_set, temp, out=rising)

@@ -26,14 +26,13 @@ _BLOCK = 32
 def search_nbytes(pop_size: int, dim: int) -> int:
     """Bytes de_minimize allocates for P = pop_size rows of D = dim, at most:
     56 per row and dimension for its population, donors, trials and box
-    rows; a block of draws, (_BLOCK, 3, P) donors and (_BLOCK, P, D) masks;
-    while it draws the next, the larger of that block's nine (_BLOCK, P)
-    index arrays and its float64 uniforms beside their mask and the donors;
-    the box, the scores and 16 KB for small objects."""
+    rows; a block of draws, the larger of its nine (_BLOCK, P) index arrays
+    as they are drawn and its float64 uniforms beside their mask and the
+    donors, (_BLOCK, 3, P); the box, the scores and 16 KB for small
+    objects.  The last block is dropped before the next is drawn."""
     index_bytes = 8 * _BLOCK * pop_size
-    block = 3 * index_bytes + _BLOCK * pop_size * dim
     drawing = max(9 * index_bytes, 3 * index_bytes + 9 * _BLOCK * pop_size * dim)
-    return 56 * pop_size * dim + block + drawing + 24 * dim + 48 * pop_size + 16384
+    return 56 * pop_size * dim + drawing + 24 * dim + 48 * pop_size + 16384
 
 
 class BadBounds(ValueError):
@@ -229,16 +228,6 @@ def de_minimize(
     factor = np.array(params.mutation_factor)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
-
-    def draw_block() -> tuple[np.ndarray, np.ndarray]:
-        """Donors (_BLOCK, 3, P) and the complement of the crossover masks,
-        (_BLOCK, P, D): true where a trial keeps its member's value."""
-        donors = donor_indices(rng, pop_size, _BLOCK)
-        cross = rng.random((_BLOCK, pop_size, dim)) < params.crossover_rate
-        forced = rng.integers(dim, size=(_BLOCK, pop_size))
-        cross[np.arange(_BLOCK)[:, None], np.arange(pop_size), forced] = True
-        return donors, ~cross
-
     pop = lower + rng.random((pop_size, dim)) * span
     # The finiteness test's and the selection's buffers, and the stop
     # test's results, reused by every generation.
@@ -272,7 +261,14 @@ def de_minimize(
             break
         step = gen % _BLOCK
         if step == 0:
-            donors, keep = draw_block()
+            # Donors (_BLOCK, 3, P) and the complement of the crossover
+            # masks, (_BLOCK, P, D): true where a trial keeps its member's
+            # value.  The last block goes first, so one is alive at a time.
+            donors = keep = None
+            donors = donor_indices(rng, pop_size, _BLOCK)
+            keep = rng.random((_BLOCK, pop_size, dim)) >= params.crossover_rate
+            keep[np.arange(_BLOCK)[:, None], np.arange(pop_size),
+                 rng.integers(dim, size=(_BLOCK, pop_size))] = False
         generations += 1
 
         # The donors are valid indices, so "clip" changes none of them; it

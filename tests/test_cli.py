@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -232,6 +233,19 @@ class TestModelFiles:
         write_model_set(path, models)
         assert read_model_set(path) == models
 
+    def test_nan_coefficient_is_exit_2(self, workdir, capsys):
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        doc = json.loads(Path(model).read_text())
+        doc["ami"]["theta0"] = float("nan")
+        Path(model).write_text(json.dumps(doc))  # json spells it NaN
+        argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV), "--model", model,
+                "--config", put(workdir, "c.cfg", CONTROL_CFG)]
+        assert main(argv + ["--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {model} is malformed: illuminance coefficients must be finite\n"
+        )
+
     # The members are numbered depth first, in file order: 0 is "ami",
     # 8 "dl.coef.d_prev", 19 "idt.k_up" and 20 "version".
     @settings(max_examples=60, deadline=None)
@@ -362,6 +376,15 @@ class TestTelemetryCsv:
         path = put(tmp_path, "t.csv", "step,worker\n0,w0\n")
         with pytest.raises(CliError, match="header"):
             read_telemetry_csv(path)
+
+    def test_header_with_one_wrong_name_is_exit_2(self, workdir, capsys):
+        header = "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set"
+        path = put(workdir, "t.csv", header + "\n0,w0,2.0,0.1,26.0,600,26,600\n")
+        assert main(["identify", path, str(workdir / "m.json"), "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: telemetry header mismatch, expected "
+            f"'{header}_lx', got {header.split(',')!r}\n"
+        )
 
     def test_bad_float_reports_line(self, tmp_path):
         path = put(tmp_path, "t.csv",
@@ -770,6 +793,11 @@ class TestTraceCsv:
         with pytest.raises(CliError, match="missing trace metadata"):
             read_trace_csv(path)
 
+    def test_metadata_line_without_equals_is_exit_2(self, workdir, capsys):
+        path = put(workdir, "r.csv", trace_text().replace("# seed=7\n", "# seed 7\n"))
+        assert main(["report", path, "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: malformed metadata line '# seed 7'\n"
+
     def test_header_mismatch(self, tmp_path):
         path = put(tmp_path, "trace.csv",
                    "# mode=MPC2\n# seed=0\n# workers=1\n# penalty_cap=2\n"
@@ -1108,6 +1136,29 @@ class TestConfigParsing:
         with pytest.raises(CliError, match=r"unknown section\(s\) \['DEFAULT'\]"):
             parse(put(tmp_path, "c.cfg", text))
 
+    def test_unreadable_config_is_exit_2(self, workdir, capsys):
+        missing = str(workdir / "missing.cfg")
+        assert main(["simulate", "--config", missing, "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {missing}: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+
+    def test_config_configparser_refuses_is_exit_2(self, workdir, capsys):
+        cfg = put(workdir, "c.cfg", "[mpc]\nmode = mpc2\n[mpc]\nhorizon = 3\n")
+        assert main(["simulate", "--config", cfg, "--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {cfg} is malformed: While reading from {cfg!r} [line  3]: "
+            "section 'mpc' already exists\n"
+        )
+
+    def test_zero_step_hours_is_exit_2(self, workdir, capsys):
+        model = str(workdir / "m.json")
+        write_model_set(model, TRUTH)
+        cfg = put(workdir, "c.cfg", CONTROL_CFG.replace("num_workers = 1\n", "num_workers = 1\nstep_hours = 0\n"))
+        argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV), "--model", model, "--config", cfg]
+        assert main(argv + ["--out-dir", str(workdir)]) == 2
+        assert capsys.readouterr().err == f"error: config {cfg}: step_hours must be positive, got 0.0\n"
+
     @pytest.mark.parametrize("section, keys", [
         ("mpc", {"horizon", "step_hours", "num_workers", "temp_lo", "temp_hi", "illum_lo",
                  "illum_hi", "temp_comfort", "illum_comfort", "p_temp", "p_illum",
@@ -1245,6 +1296,83 @@ def test_solve_ends_in_an_exit_code(tmp_path_factory, models, member, mutation, 
     cfg = put(directory, "c.cfg", control)
     argv = ["solve", snap, "--model", model, "--config", cfg, "--out-dir", str(directory / "out")]
     assert main(argv) in (0, 2, 4)
+
+
+def edit_cell(text: str, line: int, field: int, cell: str) -> str:
+    """text with one cell of one line set to cell.  A metadata line
+    "# key=value" has two cells, the key and the value; any other line's
+    cells are its comma-separated fields."""
+    lines = text.splitlines()
+    i = line % len(lines)
+    if lines[i].startswith("#"):
+        cells = list(lines[i][2:].partition("=")[::2])
+        cells[field % 2] = cell
+        lines[i] = f"# {cells[0]}={cells[1]}"
+    else:
+        cells = lines[i].split(",")
+        cells[field % len(cells)] = cell
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+# Field texts for telemetry edits: steps, worker ids and readings in and
+# out of range, odd spellings of numbers, a column name, a comma.
+TELEMETRY_FIELD_TEXTS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "1e18",
+                     "9223372036854775808", "0.5", "5", "5.5", "60", "2e4", "w0", "w1", "w9",
+                     "step", "illum_lx", "1,2", '"']),
+    st.text(alphabet="0123456789.-+e ", max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.integers(0, 40), field=st.integers(0, 7), text=st.none() | TELEMETRY_FIELD_TEXTS,
+       dropped=st.none() | st.integers(0, 40), keep_boundary=st.booleans(),
+       ridge=st.sampled_from(["0", "0.5", "1e308", "-1", "nan", "inf"]))
+def test_identify_ends_in_an_exit_code(tmp_path_factory, line, field, text, dropped, keep_boundary, ridge):
+    """A near-valid telemetry file, one cell edited or one line dropped,
+    and any --ridge: identify succeeds (0), refuses them (2) or cannot fit
+    (3), and raises nothing."""
+    directory = tmp_path_factory.mktemp("identify")
+    path = str(directory / "t.csv")
+    write_telemetry_csv(path, run_open_loop(sweep_plant(), 2, sweep_setpoints(20), seed=9))
+    content = Path(path).read_text()
+    if text is not None:
+        content = edit_cell(content, line, field, text)
+    if dropped is not None:
+        lines = content.splitlines(keepends=True)
+        del lines[dropped % len(lines)]
+        content = "".join(lines)
+    put(directory, "t.csv", content)
+    argv = ["identify", path, str(directory / "m.json"), "--ridge", ridge, "--out-dir", str(directory / "out")]
+    if keep_boundary:
+        argv.append("--keep-boundary")
+    assert main(argv) in (0, 2, 3)
+
+
+@st.composite
+def report_traces(draw):
+    """One to three traces as simulate writes them, their seeds drawn from
+    three so that arms pair and (mode, seed) may repeat."""
+    return [replace(draw(sim_traces()), seed=draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces=report_traces(), edited=st.integers(0, 2), line=st.integers(0, 12), field=st.integers(0, 13),
+       text=st.none() | TRACE_FIELD_TEXTS, fmt=st.sampled_from(["csv", "text"]))
+def test_report_ends_in_an_exit_code(tmp_path_factory, traces, edited, line, field, text, fmt):
+    """Near-valid trace files, one cell of one of them edited: report
+    succeeds (0) or refuses them (2), and raises nothing."""
+    directory = tmp_path_factory.mktemp("report")
+    paths = []
+    for i, trace in enumerate(traces):
+        path = str(directory / f"r{i}.csv")
+        write_trace_csv(path, trace)
+        paths.append(path)
+    if text is not None:
+        path = paths[edited % len(paths)]
+        put(directory, Path(path).name, edit_cell(Path(path).read_text(), line, field, text))
+    assert main(["report", *paths, "--format", fmt, "--out-dir", str(directory / "out")]) in (0, 2)
 
 
 class TestShippedConfigs:
@@ -1646,7 +1774,7 @@ def test_oversize_search_is_refused(workdir, capsys, command):
     cfg = argv[argv.index("--config") + 1]
     assert capsys.readouterr().err == (
         f"error: config {cfg}: an MPC2 search over horizon 100000 for 24 worker(s) with "
-        "population_size 80 needs 28408342400 bytes, over the ceiling of 1073741824 bytes\n"
+        "population_size 80 needs 27896149888 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert not Path(out).exists()
 
@@ -1669,7 +1797,7 @@ def test_long_search_over_one_worker_is_refused_before_it_is_built(workdir, caps
         tracemalloc.stop()
     assert capsys.readouterr().err == (
         f"error: config {cfg}: an MPC2 search over horizon 50000 for 1 worker(s) with "
-        "population_size 80 needs 4636298240 bytes, over the ceiling of 1073741824 bytes\n"
+        "population_size 80 needs 4380105728 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert peak < 2**20  # nothing of the search's size was built
 
@@ -2055,6 +2183,20 @@ class TestDaemonCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {cfg}: step_hours must round to a window"), err
+
+    def test_out_dash_writes_the_records_to_stdout(self, workdir, capsys):
+        model, _ = self.files(workdir)
+        stream = put(workdir, "stream.jsonl", "".join(
+            json.dumps(stream_doc(t=f"2026-01-05T{hour:02d}:{minute:02d}:00")) + "\n"
+            for hour in (8, 9) for minute in (0, 20, 40)))
+        argv = ["daemon", "--model", model, "--config", put(workdir, "c.cfg", CONTROL_CFG),
+                "--in", stream, "--out-dir", str(workdir)]
+        assert main(argv + ["--out", str(workdir / "out.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 6  # the windows from 08:00 to 09:15
+        assert out == (workdir / "out.jsonl").read_text()
 
     def test_replays_simulation_decisions_exactly(self, workdir, capsys):
         model, cfg_path = self.files(workdir)
@@ -2503,6 +2645,20 @@ def test_negative_seed_is_usage_error(workdir, capsys, command):
                       "--out-dir", str(workdir)])
     assert rc == 2
     assert "error: --seed: seed must be >= 0, got -1\n" in capsys.readouterr().err
+
+
+def test_broken_pipe_on_stdout_ends_with_0(workdir, monkeypatch):
+    # The reader of stdout has gone, as when a pipe's reader exits early.
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    model = str(workdir / "m.json")
+    write_model_set(model, TRUTH)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    argv = ["solve", put(workdir, "snap.csv", SNAPSHOT_CSV), "--model", model,
+            "--config", put(workdir, "c.cfg", CONTROL_CFG), "--out-dir", str(workdir)]
+    assert main(argv) == 0
 
 
 def test_argparse_usage_error():

@@ -22,6 +22,7 @@ from alertmpc.domain import (
     WorkerState,
     DL_FEATURES,
     clamp_dl,
+    increments,
 )
 
 
@@ -84,6 +85,14 @@ class TestWorkerState:
             w = WorkerState.from_history(cur, prev, effort=0.2)
             assert w.d_plus * w.d_minus == 0.0
             assert w.d_plus - w.d_minus == pytest.approx(cur - prev, abs=1e-12)
+
+    @given(st.floats(1.0, 5.0), st.floats(1.0, 5.0), st.booleans())
+    def test_from_history_is_increments_bit_for_bit(self, cur, prev, equal):
+        # Equal readings included: max(-0.0, 0.0) would make d_minus -0.0.
+        prev = cur if equal else prev
+        w = WorkerState.from_history(cur, prev)
+        assert (w.d_plus.hex(), w.d_minus.hex()) == tuple(x.hex() for x in increments(cur, prev))
+        assert WorkerState.from_history(3.0, 3.0).d_minus.hex() == "0x0.0p+0"
 
 
 class TestStateSnapshot:

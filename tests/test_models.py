@@ -540,6 +540,24 @@ class TestHorizonKernel:
         # nothing of a workers-by-rows size.
         assert peak < np.empty((workers, pop)).nbytes
 
+    def test_strided_illuminance_needs_no_buffer(self):
+        # MPC2 passes the two halves of its (rows, 2 * horizon) population,
+        # column slices: a ufunc reading one strided would run through a
+        # buffer of up to 64 KB that numpy allocates on every call.
+        horizon, pop = 256, 40
+        rng = np.random.default_rng(13)
+        kernel, _, _ = self.kernel(rng, 1, horizon, pop)
+        population = np.hstack(TestRolloutBatch().population(rng, pop, horizon))
+        halves = population[:, :horizon], population[:, horizon:]
+        kernel.evaluate(*halves)
+        tracemalloc.start()
+        try:
+            kernel.evaluate(*halves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192
+
     def test_shape_mismatch(self):
         kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3, 4)
         # Another horizon, another row count, or a row count that only

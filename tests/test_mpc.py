@@ -471,11 +471,10 @@ class TestSearchCeiling:
         assert count / 2 <= peak <= count
 
     def test_search_size(self):
-        # At 40 rows and 8 dimensions: 56 x 40 x 8 held; a block of 32
-        # generations' donors and masks, 32 x 40 x (24 + 8); drawing the
-        # next, its uniforms and mask, 32 x 40 x 8 x 9, and donors; the box,
-        # the scores and 16 KB.
-        assert search_nbytes(40, 8) == 17920 + 40960 + (92160 + 30720) + 192 + 1920 + 16384
+        # At 40 rows and 8 dimensions: 56 x 40 x 8 held; drawing a block of
+        # 32 generations, its uniforms and mask, 32 x 40 x 8 x 9, and
+        # donors; the box, the scores and 16 KB.
+        assert search_nbytes(40, 8) == 17920 + (92160 + 30720) + 192 + 1920 + 16384
 
     def test_noc_runs_no_search(self):
         cfg = MpcConfig(mode=ControlMode.NOC, horizon=100_000, num_workers=24)
@@ -485,13 +484,13 @@ class TestSearchCeiling:
     def test_oversize_kernel_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
         want = ("an MPC2 search over horizon 100000 for 24 worker(s) with population_size 80 "
-                "needs 28408342400 bytes, over the ceiling of 1073741824 bytes")
+                "needs 27896149888 bytes, over the ceiling of 1073741824 bytes")
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             require_search_fits(cfg, DeParams(population_size=80))
 
     def test_oversize_population_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        with pytest.raises(ConfigError, match="population_size 10000000 needs 61600176320 bytes"):
+        with pytest.raises(ConfigError, match="population_size 10000000 needs 51360045248 bytes"):
             require_search_fits(cfg, DeParams(population_size=10_000_000))
 
     def test_ceiling_is_the_largest_size_accepted(self, monkeypatch):

@@ -151,6 +151,16 @@ class TestPlantStep:
         with pytest.raises(PlantOutOfRange, match=r"^step 4: plant illuminance 13030\.0 outside the measured range"):
             plant_step(plant, state, (26.0, 10000.0), 0, 4, freeze_workers=freeze)
 
+    def test_illuminance_pushed_below_zero_is_recorded_as_zero(self):
+        # Lights off with no carry-over: the model predicts 0 lx, and this
+        # step's illuminance noise, its second draw, is negative.
+        plant = quiet_plant(true_ami=AmiModel(theta0=0.0, theta_prev=0.0, theta_set=1.0), ami_noise_sd=5.0)
+        rng = step_rng(0, 0)
+        rng.normal(0.0, plant.idt_noise_sd)
+        assert rng.normal(0.0, plant.ami_noise_sd) < 0.0
+        out = plant_step(plant, self.start_state(), (26.0, 0.0), 0, 0)
+        assert out.illum.hex() == "0x0.0p+0"
+
     def test_telemetry_rows_satisfy_regression_when_quiet(self):
         # Realized DL must equal the true regression applied to realized
         # inputs, which is what makes identification exact.
@@ -192,7 +202,7 @@ class TestScenarioValidation:
 
     def test_oversize_search_is_refused_when_built(self):
         big = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
-        with pytest.raises(ConfigError, match="needs 28408342400 bytes"):
+        with pytest.raises(ConfigError, match="needs 27896149888 bytes"):
             small_scenario(mpc_cfg=big, de=DeParams(population_size=80))
         with pytest.raises(ConfigError, match="over the ceiling"):
             replace(small_scenario(), mpc_cfg=big)
@@ -317,6 +327,17 @@ class TestRunScenario:
 def test_plant_rejects_nonfinite_settings(overrides, field):
     with pytest.raises(NonFiniteSetting, match=f"{field} must be finite"):
         quiet_plant(**overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"ami_noise_sd": -0.5}, "ami_noise_sd must be >= 0, got -0.5"),
+    ({"substeps": 0}, "substeps must be >= 1, got 0"),
+    ({"init_dl": 5.5}, "init_dl must lie on the 1-5 scale, got 5.5"),
+])
+def test_plant_rejects_settings_off_their_range(overrides, message):
+    with pytest.raises(ValueError) as info:
+        quiet_plant(**overrides)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("overrides, field", [
