@@ -167,7 +167,7 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
     # window number.  end is None before the first record and when the
     # window ends past datetime.max.
     start = end = None
-    records_in = records_out = malformed = late = errors = 0
+    records_in = malformed = late = errors = 0
 
     for line in lines:
         line = line.strip()
@@ -204,7 +204,6 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
                 decision = ctl.hold("warmup") if current == 0 else ctl.decide(current - 1)
                 errors += decision.status == "error"
                 on_record(_setpoint_record(origin + (current + 1) * step, decision))
-                records_out += 1
                 current += 1
             start = w_start
             try:
@@ -218,7 +217,7 @@ def run_daemon(models: ModelSet, cfg: MpcConfig, de: DeParams, lines, on_record)
             buf.append(dl)
         temps.append(temp)
         illums.append(illum)
-    return dict(records_in=records_in, records_out=records_out, malformed=malformed, late=late, errors=errors)
+    return dict(records_in=records_in, records_out=current, malformed=malformed, late=late, errors=errors)
 
 
 # Stands in for a stream line that is not UTF-8: run_daemon counts it

@@ -45,6 +45,7 @@ from .domain import (
     ModelSet,
     MpcConfig,
     StateSnapshot,
+    clamp_dl,
     increments,
 )
 
@@ -116,11 +117,7 @@ def predict_dl(
         + c["illum_minus"] * illum_minus
         + c["effort"] * effort
     )
-    if raw < DL_MIN:
-        return DL_MIN
-    if raw > DL_MAX:
-        return DL_MAX
-    return raw
+    return clamp_dl(raw)
 
 
 @dataclass(frozen=True)

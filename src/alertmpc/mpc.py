@@ -7,9 +7,9 @@ generation's objective and constraint from one batched rollout of the
 whole population, and report the search's own scores of the schedule
 they pick.
 Controller builds each interval's Decision for the simulator and the
-daemon.  It keeps the last two measured steps itself, holds the last
-applied setpoints while that history lags the clock or a solve fails,
-and otherwise solves seeded as base seed + clock.
+daemon.  It keeps the snapshot its two latest measured steps form,
+holds the last applied setpoints while it has none or lags the clock,
+or when a solve fails, and otherwise solves seeded as base seed + clock.
 """
 
 from __future__ import annotations
@@ -156,11 +156,12 @@ class Decision(NamedTuple):
 class Controller:
     """Decides each interval of the closed loop.
 
-    It keeps the measured history a snapshot reads: its latest step and,
-    only when that step directly follows it, the step before.  So its
-    state stays bounded however long it runs.  It also keeps the last
-    applied setpoints, which it holds when it cannot solve.  Its cfg, an
-    MpcConfig, checked itself when it was built.
+    It keeps its latest measured step's index and drowsiness, and as
+    snapshot the state that step forms with the step before it, None
+    when that step was not observed.  So its state stays bounded however
+    long it runs.  It also keeps the last applied setpoints, which it
+    holds when it cannot solve.  Its cfg, an MpcConfig, checked itself
+    when it was built.
     """
 
     def __init__(self, models: ModelSet, cfg: MpcConfig, de: DeParams = DeParams()):
@@ -168,12 +169,17 @@ class Controller:
         self.cfg = cfg
         self.de = de
         self.last_applied: tuple[float, float] = (cfg.temp_comfort, cfg.illum_comfort)
-        # Each step as (step_index, dl_means, dl_sds, temp, illum).
-        self._latest: tuple | None = None
-        self._previous: tuple | None = None
+        self._latest: tuple[int, tuple[float, ...]] | None = None  # (step_index, dl_means)
+        self.snapshot: StateSnapshot | None = None
 
     def observe(self, step_index: int, dl_means, dl_sds, temp: float, illum: float):
-        """Record one completed interval's averaged measurements."""
+        """Record one completed interval's averaged measurements.
+
+        When the step directly follows the latest one, snapshot becomes
+        the state the two form, and otherwise None.  A state that
+        WorkerState or StateSnapshot refuses raises their ValueError, with
+        the step recorded and snapshot None.
+        """
         dl_means = tuple(float(x) for x in dl_means)
         dl_sds = tuple(float(x) for x in dl_sds)
         if len(dl_means) != len(dl_sds):
@@ -184,24 +190,15 @@ class Controller:
         latest = self._latest
         if latest is not None and step_index <= latest[0]:
             raise ValueError(f"step indices must advance strictly: {step_index} after {latest[0]}")
-        self._previous = latest if latest is not None and latest[0] == step_index - 1 else None
-        self._latest = (step_index, dl_means, dl_sds, float(temp), float(illum))
+        self._latest = (step_index, dl_means)
+        self.snapshot = None
+        if latest is not None and latest[0] == step_index - 1:
+            workers = tuple(map(WorkerState.from_history, dl_means, latest[1], dl_sds))
+            self.snapshot = StateSnapshot(workers, float(temp), float(illum))
 
     def restart_history(self) -> None:
         """Forget the observed steps; the last applied setpoints stay."""
-        self._latest = self._previous = None
-
-    def snapshot(self) -> StateSnapshot:
-        """Measured state from the two most recent (consecutive) steps."""
-        if self._previous is None:
-            raise ValueError("history must contain the two most recent consecutive steps")
-        _, dl_means, dl_sds, temp, illum = self._latest
-        prev_means = self._previous[1]
-        workers = tuple(
-            WorkerState.from_history(d_cur, d_prev, effort)
-            for d_cur, d_prev, effort in zip(dl_means, prev_means, dl_sds)
-        )
-        return StateSnapshot(workers=workers, temp_current=temp, illum_current=illum)
+        self._latest = self.snapshot = None
 
     def hold(self, status: str) -> Decision:
         """Keep the last applied setpoints for this interval, unsolved."""
@@ -217,11 +214,11 @@ class Controller:
         way a solve of a valid config fails.  A history that lags the clock
         or has a gap before its latest step holds the setpoints as "stale".
         """
-        if self._previous is None or self._latest[0] < clock - 1:
+        if self.snapshot is None or self._latest[0] < clock - 1:
             return self.hold("stale")
         de_interval = replace(self.de, seed=self.de.seed + clock)
         try:
-            solution = solve(self.models, self.snapshot(), self.cfg, de_interval)
+            solution = solve(self.models, self.snapshot, self.cfg, de_interval)
         except NonFiniteObjective:
             return self.hold("error")
         schedule = solution.schedule

@@ -29,7 +29,9 @@ from .domain import (
     IdtModel,
     ModelSet,
     MpcConfig,
+    StateSnapshot,
     TEMP_RANGE,
+    WorkerState,
     clamp_dl,
     require_finite,
     require_in_range,
@@ -85,33 +87,27 @@ class PlantConfig:
         return ModelSet(dl=self.true_dl, idt=self.true_idt, ami=self.true_ami)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Realized room state plus each worker's DL, its latest increments
-    and the effort of the step that produced it."""
-
-    temp: float
-    illum: float
-    dls: tuple[float, ...]
-    dl_plus: tuple[float, ...]
-    dl_minus: tuple[float, ...]
-    efforts: tuple[float, ...]
+def initial_state(plant: PlantConfig, num_workers: int) -> StateSnapshot:
+    """The plant before step 0: every worker at init_dl, at rest."""
+    return StateSnapshot((WorkerState(plant.init_dl),) * num_workers, plant.init_temp, plant.init_illum)
 
 
-def initial_state(plant: PlantConfig, num_workers: int) -> PlantState:
-    zeros = (0.0,) * num_workers
-    return PlantState(
-        temp=plant.init_temp,
-        illum=plant.init_illum,
-        dls=(plant.init_dl,) * num_workers,
-        dl_plus=zeros,
-        dl_minus=zeros,
-        efforts=zeros,
+def _measured(state: StateSnapshot) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
+    """What Controller.observe reads of a state after the step index: each
+    worker's drowsiness and effort, then the temperature and illuminance."""
+    workers = state.workers
+    return (
+        tuple(w.d_current for w in workers),
+        tuple(w.effort for w in workers),
+        state.temp_current,
+        state.illum_current,
     )
 
 
 class PlantOutOfRange(ValueError):
-    """The simulated room left the measured range (TEMP_RANGE, ILLUM_RANGE)."""
+    """The simulated room left the measured range (TEMP_RANGE, ILLUM_RANGE),
+    or a worker's drowsiness is not on the 1-5 scale: clamping passes a nan
+    through, which a model whose terms overflow produces."""
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -121,33 +117,33 @@ def step_rng(seed: int, step: int) -> np.random.Generator:
 
 def plant_step(
     plant: PlantConfig,
-    state: PlantState,
+    state: StateSnapshot,
     setpoints: tuple[float, float],
     seed: int,
     step: int,
     freeze_workers: bool = False,
-) -> PlantState:
+) -> StateSnapshot:
     """Advance the room over interval step of the run seeded seed.
 
     The disturbances come from step_rng(seed, step) alone, in a fixed
     draw order (temperature, illuminance, then per worker: instant
     jitter, DL disturbance), and the DL drift is plant.drift_at(step).
     So a step sees the same disturbances whatever controller produced
-    the setpoints.  With freeze_workers the room still evolves but
-    worker state is carried through unchanged (lunch break).  A room
-    that leaves the measured range raises PlantOutOfRange: no snapshot
-    could hold it.
+    the setpoints.  With freeze_workers the room still evolves but each
+    worker keeps its drowsiness, at rest (lunch break).  A room that
+    leaves the measured range, or a drowsiness of nan, raises
+    PlantOutOfRange: no snapshot could hold it.
     """
     rng = step_rng(seed, step)
     t_set, l_set = setpoints
 
-    temp = predict_idt(plant.true_idt, state.temp, t_set)
+    temp = predict_idt(plant.true_idt, state.temp_current, t_set)
     if plant.ambient_pull > 0.0:
         gap = plant.ambient_temp - temp
         temp += max(-plant.ambient_pull, min(plant.ambient_pull, gap))
     temp += rng.normal(0.0, plant.idt_noise_sd)
 
-    illum = predict_ami(plant.true_ami, state.illum, l_set)
+    illum = predict_ami(plant.true_ami, state.illum_current, l_set)
     illum += rng.normal(0.0, plant.ami_noise_sd)
     if illum < 0.0:
         illum = 0.0
@@ -155,44 +151,27 @@ def plant_step(
     require_in_range(f"step {step}: plant illuminance", illum, ILLUM_RANGE, PlantOutOfRange)
 
     if freeze_workers:
-        zeros = (0.0,) * len(state.dls)
-        return PlantState(temp, illum, state.dls, zeros, zeros, zeros)
+        return StateSnapshot(tuple(WorkerState(w.d_current) for w in state.workers), temp, illum)
 
-    t_plus, t_minus = increments(temp, state.temp)
-    l_plus, l_minus = increments(illum, state.illum)
+    t_plus, t_minus = increments(temp, state.temp_current)
+    l_plus, l_minus = increments(illum, state.illum_current)
 
     drift = plant.drift_at(step)
-    new_dls: list[float] = []
-    efforts: list[float] = []
-    plus: list[float] = []
-    minus: list[float] = []
-    for i, d_prev in enumerate(state.dls):
+    workers: list[WorkerState] = []
+    for i, w in enumerate(state.workers):
         # Instant readings scatter around the step average; their SD is
         # the effort and feeds the same step's true model, so telemetry
         # rows satisfy the regression exactly when disturbances are off.
         jitter = rng.normal(0.0, plant.effort_sd, plant.substeps)
         effort = float(np.std(jitter))
         base = predict_dl(
-            plant.true_dl,
-            d_prev,
-            state.dl_plus[i],
-            state.dl_minus[i],
-            temp,
-            t_plus,
-            t_minus,
-            illum,
-            l_plus,
-            l_minus,
-            effort,
+            plant.true_dl, w.d_current, w.d_plus, w.d_minus,
+            temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
         )
         dl = clamp_dl(base + drift + rng.normal(0.0, plant.dl_noise_sd))
-        d_plus, d_minus = increments(dl, d_prev)
-        new_dls.append(dl)
-        efforts.append(effort)
-        plus.append(d_plus)
-        minus.append(d_minus)
-
-    return PlantState(temp, illum, tuple(new_dls), tuple(plus), tuple(minus), tuple(efforts))
+        require_in_range(f"step {step}: plant drowsiness of worker {i}", dl, (DL_MIN, DL_MAX), PlantOutOfRange)
+        workers.append(WorkerState.from_history(dl, w.d_current, effort))
+    return StateSnapshot(tuple(workers), temp, illum)
 
 
 @dataclass(frozen=True)
@@ -305,35 +284,30 @@ def run_scenario(sc: ScenarioConfig) -> tuple[SimTrace, Metrics]:
 
     models = plant.truth() if sc.controller_models is None else sc.controller_models
     ctl = Controller(models, cfg, sc.de)
-    for pre_step in (-2, -1):
-        ctl.observe(
-            pre_step,
-            (plant.init_dl,) * workers,
-            (0.0,) * workers,
-            plant.init_temp,
-            plant.init_illum,
-        )
-
     state = initial_state(plant, workers)
+    for pre_step in (-2, -1):
+        ctl.observe(pre_step, *_measured(state))
+
     records: list[TraceStep] = []
     for t in range(sc.steps):
         lunch = _in_lunch(sc, t)
         decision = ctl.hold("lunch") if lunch else ctl.decide(t)
 
         state = plant_step(plant, state, decision.setpoints, sc.seed, t, freeze_workers=lunch)
-        ctl.observe(t, state.dls, state.efforts, state.temp, state.illum)
+        dls, efforts, temp, illum = measured = _measured(state)
+        ctl.observe(t, *measured)
         records.append(
             TraceStep(
                 step=t,
                 temp_set=decision.setpoints[0],
                 illum_set=decision.setpoints[1],
-                temp=state.temp,
-                illum=state.illum,
-                penalty=comfort_penalty(state.temp, state.illum, cfg),
+                temp=temp,
+                illum=illum,
+                penalty=comfort_penalty(temp, illum, cfg),
                 feasible=decision.feasible,
                 status=decision.status,
-                dls=state.dls,
-                efforts=state.efforts,
+                dls=dls,
+                efforts=efforts,
             )
         )
 
@@ -368,12 +342,13 @@ def run_open_loop(
     step, worker_id, dl, effort, temp, illum, temp_set, illum_set = ([] for _ in range(8))
     for t, pair in enumerate(setpoints):
         state = plant_step(plant, state, pair, seed, t)
+        dls, efforts, room_temp, room_illum = _measured(state)
         step += [t] * num_workers
         worker_id += workers
-        dl += state.dls
-        effort += state.efforts
-        temp += [state.temp] * num_workers
-        illum += [state.illum] * num_workers
+        dl += dls
+        effort += efforts
+        temp += [room_temp] * num_workers
+        illum += [room_illum] * num_workers
         temp_set += [pair[0]] * num_workers
         illum_set += [pair[1]] * num_workers
     return TelemetryTable(step, worker_id, dl, effort, temp, illum, temp_set, illum_set)
@@ -438,7 +413,6 @@ def compare_arms(base: ScenarioConfig, seeds) -> ArmComparison:
 __all__ = [
     "ARMS",
     "PlantConfig",
-    "PlantState",
     "initial_state",
     "PlantOutOfRange",
     "step_rng",

@@ -1705,6 +1705,27 @@ class TestSimulateCommand:
         ), err
         assert not (workdir / "trace.csv").exists()
 
+    # The MPC2 kernel meets the same overflow in its rollouts.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["NOC", "MPC2"])
+    def test_plant_drowsiness_of_nan_is_refused(self, workdir, capsys, mode):
+        # The temperature and illuminance terms overflow to +inf and -inf,
+        # their sum is nan, and clamping passes nan through.
+        text = Path(shipped_config_path("case1_noc.cfg")).read_text()
+        for key, value in {"dl_temp": 1e308, "dl_illum": -1e308, "mode": mode}.items():
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1
+        cfg = put(workdir, "nan.cfg", text)
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: config {cfg}: step 0: plant drowsiness of worker 0 nan outside the measured range "
+            "[1.0, 5.0]\n"
+        ), err
+        assert not (workdir / "trace.csv").exists()
+
     def test_trace_reads_back(self, workdir, capsys):
         cfg = put(workdir, "scenario.cfg", SCENARIO_CFG)
         out = str(workdir / "out")

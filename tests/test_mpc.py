@@ -277,7 +277,7 @@ class TestMeasurementLog:
         ctl = history(2)
         ctl.observe(0, [2.0, 3.0], [0.10, 0.20], 26.5, 610.0)
         ctl.observe(1, [2.5, 2.75], [0.15, 0.05], 26.2, 605.0)
-        snap = ctl.snapshot()
+        snap = ctl.snapshot
         assert snap.temp_current == 26.2
         assert snap.illum_current == 605.0
         w0, w1 = snap.workers
@@ -313,41 +313,40 @@ class TestMeasurementLog:
         ctl = history(3)
         for step in steps:
             ctl.observe(*step)
-        # the latest step and the one before it, nothing older
-        assert (ctl._previous[0], ctl._latest[0]) == (998, 999)
+        # the latest step and the snapshot it forms, nothing older
+        assert ctl._latest[0] == 999
         # the state the two latest steps define, as an unbounded log gave
         (_, prev_dl, _, _, _), (_, cur_dl, cur_sd, temp, illum) = steps[-2:]
         want = StateSnapshot(
             tuple(WorkerState.from_history(float(d), float(p), float(e))
                   for d, p, e in zip(cur_dl, prev_dl, cur_sd)),
             float(temp), float(illum))
-        assert ctl.snapshot() == want
+        assert ctl.snapshot == want
 
     def test_gap_drops_unreadable_step(self):
         ctl = history(1)
         ctl.observe(0, [2.0], [0.1], 26.0, 600.0)
         ctl.observe(1, [2.2], [0.1], 26.0, 600.0)
         ctl.observe(3, [2.4], [0.1], 26.0, 600.0)
-        assert ctl._previous is None
+        assert ctl.snapshot is None
         assert ctl.decide(4).status == "stale"
         ctl.observe(4, [2.3], [0.1], 26.0, 600.0)
-        assert ctl._previous[0] == 3
-        w, = ctl.snapshot().workers
+        assert ctl._latest[0] == 4
+        w, = ctl.snapshot.workers
         assert (w.d_current, w.d_minus) == (2.3, pytest.approx(0.1))
         assert ctl.decide(5).status == "ok"
 
     def test_snapshot_requires_consecutive_steps(self):
         ctl = history(1)
-        with pytest.raises(ValueError, match="consecutive"):
-            ctl.snapshot()
+        assert ctl.snapshot is None
         ctl.observe(0, [2.0], [0.1], 26.0, 600.0)
+        assert ctl.snapshot is None
         ctl.observe(2, [2.1], [0.1], 26.0, 600.0)
-        with pytest.raises(ValueError, match="consecutive"):
-            ctl.snapshot()
+        assert ctl.snapshot is None
         ctl.observe(3, [2.2], [0.1], 26.0, 600.0)
+        assert ctl.snapshot is not None
         ctl.restart_history()
-        with pytest.raises(ValueError, match="consecutive"):
-            ctl.snapshot()
+        assert ctl.snapshot is None
         assert ctl.decide(4).status == "stale"
 
 
@@ -452,8 +451,8 @@ class TestSearchCeiling:
         assert search_bytes(cfg, DeParams()) == HorizonKernel.nbytes(3, 2, rows) + search_nbytes(rows, dim)
 
     # 24 workers at horizon 4, one worker over a long horizon, and a size
-    # between.  33 generations make the search draw its second block of
-    # draws while it holds the first.
+    # between.  33 generations make the search draw a second block of
+    # draws, once it has dropped the first.
     @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
     @pytest.mark.parametrize("horizon, workers, rows", [(4, 24, 40), (256, 1, 40), (64, 5, 80)])
     def test_count_bounds_a_real_solves_peak(self, mode, horizon, workers, rows):

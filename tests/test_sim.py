@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from alertmpc.domain import (
     ControlMode,
     MpcConfig,
     NonFiniteSetting,
+    StateSnapshot,
+    WorkerState,
 )
 from alertmpc.formats import read_trace_csv, write_trace_csv
 from alertmpc.models import increments, predict_ami, predict_dl, predict_idt, rollout
@@ -22,7 +24,6 @@ from alertmpc.sim import (
     Metrics,
     PlantConfig,
     PlantOutOfRange,
-    PlantState,
     ScenarioConfig,
     SimTrace,
     TraceStep,
@@ -63,6 +64,12 @@ def noisy_plant(**overrides):
 FAST_DE = DeParams(population_size=12, max_generations=10, tolerance=0.0, seed=900)
 
 
+def hex_fields(snapshot):
+    """Every float of a StateSnapshot as float.hex, so -0.0 differs from 0.0."""
+    room = (snapshot.temp_current, snapshot.illum_current)
+    return tuple(tuple(map(float.hex, astuple(w))) for w in snapshot.workers), tuple(map(float.hex, room))
+
+
 def small_scenario(mode=ControlMode.MPC2, plant=None, **overrides):
     cfg = MpcConfig(mode=mode, num_workers=1)
     defaults = dict(
@@ -76,51 +83,48 @@ def small_scenario(mode=ControlMode.MPC2, plant=None, **overrides):
 
 class TestPlantStep:
     def start_state(self):
-        return PlantState(temp=28.0, illum=520.0, dls=(2.0,),
-                          dl_plus=(0.0,), dl_minus=(0.0,), efforts=(0.0,))
+        return StateSnapshot((WorkerState(2.0),), temp_current=28.0, illum_current=520.0)
 
     def test_zero_noise_matches_models(self):
         plant = quiet_plant()
         out = plant_step(plant, self.start_state(), (26.0, 600.0), 0, 0)
-        assert out.temp == predict_idt(TRUE_IDT, 28.0, 26.0)
-        assert out.temp == pytest.approx(27.1, abs=1e-12)  # lowering branch
-        assert out.illum == predict_ami(TRUE_AMI, 520.0, 600.0)
-        assert out.efforts == (0.0,)
-        tp, tm = increments(out.temp, 28.0)
-        lp, lm = increments(out.illum, 520.0)
-        want_dl = predict_dl(TRUE_DL, 2.0, 0.0, 0.0, out.temp, tp, tm,
-                             out.illum, lp, lm, 0.0)
-        assert out.dls[0] == want_dl
-        assert out.dl_minus[0] == 2.0 - want_dl
-        assert out.dl_plus[0] == 0.0
+        assert out.temp_current == predict_idt(TRUE_IDT, 28.0, 26.0)
+        assert out.temp_current == pytest.approx(27.1, abs=1e-12)  # lowering branch
+        assert out.illum_current == predict_ami(TRUE_AMI, 520.0, 600.0)
+        assert out.workers[0].effort == 0.0
+        tp, tm = increments(out.temp_current, 28.0)
+        lp, lm = increments(out.illum_current, 520.0)
+        want_dl = predict_dl(TRUE_DL, 2.0, 0.0, 0.0, out.temp_current, tp, tm,
+                             out.illum_current, lp, lm, 0.0)
+        assert out.workers[0].d_current == want_dl
+        assert out.workers[0].d_minus == 2.0 - want_dl
+        assert out.workers[0].d_plus == 0.0
 
     def test_drift_enters_additively(self):
         base = plant_step(quiet_plant(), self.start_state(), (26.0, 600.0), 0, 1)
         bumped = plant_step(quiet_plant(drift=(0.0, 0.1)), self.start_state(), (26.0, 600.0), 0, 1)
-        assert bumped.dls[0] == pytest.approx(base.dls[0] + 0.1, abs=1e-12)
+        assert bumped.workers[0].d_current == pytest.approx(base.workers[0].d_current + 0.1, abs=1e-12)
 
     def test_ambient_pull_is_capped(self):
         base = predict_idt(TRUE_IDT, 28.0, 26.0)
         plant = quiet_plant(ambient_pull=0.2, ambient_temp=30.0)
         out = plant_step(plant, self.start_state(), (26.0, 600.0), 0, 0)
-        assert out.temp == base + 0.2  # gap exceeds the pull, so it saturates
+        assert out.temp_current == base + 0.2  # gap exceeds the pull, so it saturates
         near = quiet_plant(ambient_pull=0.2, ambient_temp=27.15)
         out2 = plant_step(near, self.start_state(), (26.0, 600.0), 0, 0)
-        assert out2.temp == pytest.approx(27.15, abs=1e-12)
+        assert out2.temp_current == pytest.approx(27.15, abs=1e-12)
 
     def test_freeze_holds_workers_but_room_moves(self):
         plant = quiet_plant()
-        state = PlantState(28.0, 520.0, (2.3,), (0.1,), (0.0,), (0.2,))
+        state = StateSnapshot((WorkerState(2.3, 0.1, 0.0, 0.2),), 28.0, 520.0)
         nxt = plant_step(plant, state, (26.0, 600.0), 0, 0, freeze_workers=True)
-        assert nxt.dls == (2.3,)
-        assert nxt.efforts == (0.0,)
-        assert nxt.dl_plus == (0.0,) and nxt.dl_minus == (0.0,)
-        assert nxt.temp != state.temp
+        assert nxt.workers == (WorkerState(2.3),)
+        assert nxt.temp_current != state.temp_current
 
     def test_single_substep_has_zero_effort(self):
         plant = noisy_plant(substeps=1)
         out = plant_step(plant, self.start_state(), (26.0, 600.0), 3, 1)
-        assert out.efforts == (0.0,)
+        assert out.workers[0].effort == 0.0
 
     def test_common_random_numbers_across_setpoints(self):
         # Identical (seed, step) pairs must yield identical disturbances
@@ -129,10 +133,10 @@ class TestPlantStep:
         state = self.start_state()
         out_a = plant_step(plant, state, (26.0, 600.0), 7, 2)
         out_b = plant_step(plant, state, (25.5, 700.0), 7, 2)
-        noise_a = out_a.temp - predict_idt(TRUE_IDT, state.temp, 26.0)
-        noise_b = out_b.temp - predict_idt(TRUE_IDT, state.temp, 25.5)
+        noise_a = out_a.temp_current - predict_idt(TRUE_IDT, state.temp_current, 26.0)
+        noise_b = out_b.temp_current - predict_idt(TRUE_IDT, state.temp_current, 25.5)
         assert noise_a == noise_b
-        assert out_a.efforts == out_b.efforts
+        assert out_a.workers[0].effort == out_b.workers[0].effort
 
     def test_disturbances_come_from_the_step_stream(self):
         # The temperature disturbance is the first draw of step_rng(seed, step).
@@ -140,14 +144,14 @@ class TestPlantStep:
         state = self.start_state()
         out = plant_step(plant, state, (26.0, 600.0), 7, 2)
         noise = step_rng(7, 2).normal(0.0, plant.idt_noise_sd)
-        assert out.temp == predict_idt(TRUE_IDT, state.temp, 26.0) + noise
-        assert plant_step(plant, state, (26.0, 600.0), 7, 3).temp != out.temp
+        assert out.temp_current == predict_idt(TRUE_IDT, state.temp_current, 26.0) + noise
+        assert plant_step(plant, state, (26.0, 600.0), 7, 3).temp_current != out.temp_current
 
     @pytest.mark.parametrize("freeze", [False, True])
     def test_room_outside_the_measured_range_is_refused(self, freeze):
         # 30 + 0.5 * 9000 + 0.85 * 10000 = 13030 lx, past the 10000 lx limit.
         plant = quiet_plant(true_ami=AmiModel(theta0=30.0, theta_prev=0.5, theta_set=0.85))
-        state = replace(self.start_state(), illum=9000.0)
+        state = replace(self.start_state(), illum_current=9000.0)
         with pytest.raises(PlantOutOfRange, match=r"^step 4: plant illuminance 13030\.0 outside the measured range"):
             plant_step(plant, state, (26.0, 10000.0), 0, 4, freeze_workers=freeze)
 
@@ -159,7 +163,7 @@ class TestPlantStep:
         rng.normal(0.0, plant.idt_noise_sd)
         assert rng.normal(0.0, plant.ami_noise_sd) < 0.0
         out = plant_step(plant, self.start_state(), (26.0, 0.0), 0, 0)
-        assert out.illum.hex() == "0x0.0p+0"
+        assert out.illum_current.hex() == "0x0.0p+0"
 
     def test_telemetry_rows_satisfy_regression_when_quiet(self):
         # Realized DL must equal the true regression applied to realized
@@ -170,13 +174,16 @@ class TestPlantStep:
         for t, pair in enumerate(pairs):
             prev = state
             state = plant_step(plant, state, pair, 11, t)
+            temp, prev_temp = state.temp_current, prev.temp_current
+            illum, prev_illum = state.illum_current, prev.illum_current
+            (was,), (now,) = prev.workers, state.workers
             want = predict_dl(
-                TRUE_DL, prev.dls[0], prev.dl_plus[0], prev.dl_minus[0],
-                state.temp, max(state.temp - prev.temp, 0.0), max(prev.temp - state.temp, 0.0),
-                state.illum, max(state.illum - prev.illum, 0.0), max(prev.illum - state.illum, 0.0),
-                state.efforts[0],
+                TRUE_DL, was.d_current, was.d_plus, was.d_minus,
+                temp, max(temp - prev_temp, 0.0), max(prev_temp - temp, 0.0),
+                illum, max(illum - prev_illum, 0.0), max(prev_illum - illum, 0.0),
+                now.effort,
             )
-            assert state.dls[0] == want
+            assert now.d_current == want
 
 
 class TestScenarioValidation:
@@ -254,15 +261,45 @@ class TestRunScenario:
             ctl.observe(pre, [plant.init_dl], [0.0], plant.init_temp, plant.init_illum)
         state = initial_state(plant, 1)
         for t in range(5):
-            snap = ctl.snapshot()
+            snap = ctl.snapshot
             setpoints, solution, status = ctl.decide(t)
             assert status == "ok"
             predicted = rollout(plant.truth(), snap, solution.schedule, cfg)
             state = plant_step(plant, state, setpoints, 0, t)
-            assert state.temp == pytest.approx(predicted.temps[0], abs=1e-9)
-            assert state.illum == pytest.approx(predicted.illums[0], abs=1e-9)
-            assert state.dls[0] == pytest.approx(predicted.dls[0][0], abs=1e-9)
-            ctl.observe(t, state.dls, state.efforts, state.temp, state.illum)
+            assert state.temp_current == pytest.approx(predicted.temps[0], abs=1e-9)
+            assert state.illum_current == pytest.approx(predicted.illums[0], abs=1e-9)
+            assert state.workers[0].d_current == pytest.approx(predicted.dls[0][0], abs=1e-9)
+            (w,) = state.workers
+            ctl.observe(t, [w.d_current], [w.effort], state.temp_current, state.illum_current)
+
+    def test_controller_snapshot_is_the_plant_state_bit_for_bit(self):
+        # The plant and Controller.observe take the increments of the same
+        # floats, so the state the controller solves from is the plant's own,
+        # lunch steps included.
+        plant = noisy_plant(drift=working_day_drift(10))
+        cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=2)
+        ctl = Controller(plant.truth(), cfg, FAST_DE)
+        state = initial_state(plant, 2)
+
+        def observe(step):
+            workers = state.workers
+            ctl.observe(step, [w.d_current for w in workers], [w.effort for w in workers],
+                        state.temp_current, state.illum_current)
+
+        observe(-2)
+        assert ctl.snapshot is None  # one step forms no increments
+        statuses = []
+        for t in range(-1, 10):
+            if t >= 0:
+                lunch = 4 <= t < 7
+                decision = ctl.hold("lunch") if lunch else ctl.decide(t)
+                statuses.append(decision.status)
+                state = plant_step(plant, state, decision.setpoints, 5, t, freeze_workers=lunch)
+            observe(t)
+            assert ctl.snapshot == state
+            assert hex_fields(ctl.snapshot) == hex_fields(state)
+        assert statuses == ["ok"] * 4 + ["lunch"] * 3 + ["ok"] * 3
+        assert any(w.d_plus for w in state.workers) or any(w.d_minus for w in state.workers)
 
     def test_lunch_freezes_workers_and_setpoints(self):
         sc = small_scenario(plant=quiet_plant(), steps=7, lunch_start=2,
@@ -367,6 +404,15 @@ class TestOpenLoopAndTelemetry:
         plant = quiet_plant(true_ami=AmiModel(theta0=30.0, theta_prev=0.5, theta_set=0.85))
         with pytest.raises(PlantOutOfRange, match=r"^step 1: plant illuminance 12925\.0 outside the measured range"):
             run_open_loop(plant, 1, [(26.0, 10000.0)] * 3, seed=0)
+
+    def test_plant_drowsiness_of_nan_is_refused(self):
+        # +inf from the temperature term plus -inf from the illuminance term
+        # is nan, which clamping passes through.
+        dl = replace(TRUE_DL, coef=dict(TRUE_DL.coef, temp=1e308, illum=-1e308))
+        plant = quiet_plant(true_dl=dl)
+        want = r"^step 0: plant drowsiness of worker 0 nan outside the measured range \[1\.0, 5\.0\]$"
+        with pytest.raises(PlantOutOfRange, match=want):
+            run_open_loop(plant, 2, [(26.0, 600.0)] * 3, seed=0)
 
     def test_trace_round_trip(self):
         trace, _ = run_scenario(small_scenario(steps=4))
