@@ -230,13 +230,6 @@ def parse_control_config(path: str) -> tuple[MpcConfig, DeParams]:
     return cfg, de
 
 
-def shipped_config_path(name: str) -> str:
-    """Filesystem path of a packaged configuration file."""
-    from importlib.resources import files
-
-    return str(files("alertmpc").joinpath("configs", name))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -275,8 +268,7 @@ def cmd_identify(args) -> int:
         idt_model, idt_report = fit_idt_coeffs(table)
         ami_model, ami_report = fit_ami_model(table)
     except (InsufficientData, DegenerateSweep, UnstableFit) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        raise CliError(str(err), exit_code=3)
     except BadRidge as err:
         raise CliError(f"--ridge: {err}")
     models = ModelSet(dl=dl_model, idt=idt_model, ami=ami_model)

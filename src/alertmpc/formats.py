@@ -38,7 +38,7 @@ from .domain import (
     require_in_range,
 )
 from .identify import InvalidTelemetry, TelemetryTable, VALUE_COLUMNS
-from .sim import Metrics, SimTrace, TraceStep
+from .sim import Metrics, SimTrace, TraceStep, TRACE_STATUSES
 
 MODEL_FILE_VERSION = 1
 
@@ -418,8 +418,6 @@ _TRACE_COLUMNS = {
     "feasible": ("feasible", lambda name, text: None if text == "" else text == "1"),
     "status": ("status", lambda name, text: text),
 }
-# The statuses run_scenario records; only "ok" steps ran a solve.
-_TRACE_STATUSES = ("ok", "stale", "error", "lunch")
 _TRACE_DL = _bounded(DL_MIN, DL_MAX)
 _TRACE_EFFORT = _bounded(0.0)
 
@@ -457,8 +455,8 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
 def _trace_step(record: list[str]) -> TraceStep:
     cells = dict(zip(_TRACE_COLUMNS, record))
     feasible, status = cells["feasible"], cells["status"]
-    if status not in _TRACE_STATUSES:
-        raise ValueError(f"status must be one of {', '.join(_TRACE_STATUSES)}, got {status!r}")
+    if status not in TRACE_STATUSES:
+        raise ValueError(f"status must be one of {', '.join(TRACE_STATUSES)}, got {status!r}")
     if status == "ok" and feasible not in ("0", "1"):
         raise ValueError(f"feasible must be 0 or 1 on an ok step, got {feasible!r}")
     if status != "ok" and feasible != "":

@@ -412,6 +412,16 @@ def rollout(
     return HorizonPrediction(tuple(r[0] for r in room), tuple(r[3] for r in room), tuple(dls))
 
 
+def rollout_nbytes(horizon: int, workers: int) -> int:
+    """Bytes a rollout of one schedule and its scores allocate, with the
+    schedule, at most: 256 per step for the room's values, the tuple that
+    holds them and the tuples of the schedule and the prediction, 36 per
+    step and worker for a drowsiness and its slots, and 4 KB for the
+    objects of one call.  On CPython 3.11 the first two are about 235
+    and 32."""
+    return horizon * (256 + 36 * workers) + 4096
+
+
 def objective(pred: HorizonPrediction) -> float:
     """Mean predicted drowsiness across workers and steps.
 
@@ -456,6 +466,7 @@ __all__ = [
     "HorizonPrediction",
     "HorizonKernel",
     "rollout",
+    "rollout_nbytes",
     "objective",
     "comfort_penalty",
     "constraint_violation",

@@ -28,7 +28,7 @@ from .domain import (
     StateSnapshot,
     WorkerState,
 )
-from .models import HorizonKernel, constraint_violation, objective, rollout
+from .models import HorizonKernel, constraint_violation, objective, rollout, rollout_nbytes
 from .optimizer import (
     DeParams,
     DeResult,
@@ -38,10 +38,11 @@ from .optimizer import (
     search_nbytes,
 )
 
-# The most memory one search may ask for, its kernel's and DE's.  np.empty
-# of more may succeed and the first write then meet the out-of-memory
-# killer, not a MemoryError, so a config that asks for more is refused
-# where it is built.  A 24-worker case-2 search needs about 0.7 MB.
+# The most memory one solve may ask for: NOC's rollout, or a search's
+# kernel and DE.  np.empty of more may succeed and the first write then
+# meet the out-of-memory killer, not a MemoryError, so a config that asks
+# for more is refused where it is built.  A 24-worker case-2 search needs
+# about 0.7 MB.
 SEARCH_BYTES_CEILING = 2**30
 
 
@@ -120,9 +121,10 @@ def solve(
 
 def search_bytes(cfg: MpcConfig, de: DeParams) -> int:
     """Bytes a solve under cfg and de allocates, at most: its kernel's and
-    its search's.  NOC runs no search and needs neither."""
+    its search's.  NOC runs no search; its count is the rollout that
+    scores its one schedule, and de does not change it."""
     if cfg.mode is ControlMode.NOC:
-        return 0
+        return rollout_nbytes(cfg.horizon, cfg.num_workers)
     dim = cfg.horizon * (2 if cfg.mode is ControlMode.MPC2 else 1)
     rows = de.population_for(dim)
     return HorizonKernel.nbytes(cfg.horizon, cfg.num_workers, rows) + search_nbytes(rows, dim)
@@ -133,10 +135,13 @@ def require_search_fits(cfg: MpcConfig, de: DeParams) -> None:
     SEARCH_BYTES_CEILING bytes (see search_bytes)."""
     needed = search_bytes(cfg, de)
     if needed > SEARCH_BYTES_CEILING:
+        if cfg.mode is ControlMode.NOC:
+            what, population = "solve", ""
+        else:
+            what, population = "search", f" with population_size {de.population_size or 'auto'}"
         raise ConfigError(
-            f"an {cfg.mode.value} search over horizon {cfg.horizon} for {cfg.num_workers} worker(s) with "
-            f"population_size {de.population_size or 'auto'} needs {needed} bytes, over the ceiling of "
-            f"{SEARCH_BYTES_CEILING} bytes"
+            f"an {cfg.mode.value} {what} over horizon {cfg.horizon} for {cfg.num_workers} worker(s)"
+            f"{population} needs {needed} bytes, over the ceiling of {SEARCH_BYTES_CEILING} bytes"
         )
 
 

@@ -101,7 +101,7 @@ class DeResult:
         return self.best_violation == 0.0
 
 
-def not_worse(f_a, v_a, f_b, v_b, out=None) -> np.ndarray:
+def not_worse(f_a, v_a, f_b, v_b, out: np.ndarray) -> np.ndarray:
     """Elementwise: is (f_a, v_a) at least as good as (f_b, v_b)?
 
     Feasibility first: two feasible points compare on objective,
@@ -109,11 +109,8 @@ def not_worse(f_a, v_a, f_b, v_b, out=None) -> np.ndarray:
     0, so it beats every infeasible one).  Violations must be >= 0.
 
     out, a (2, n) bool array for n points, takes the answer in its first
-    row and uses the second as scratch; one is made when it is None.
-    Returns the answer.
+    row and uses the second as scratch.  Returns the answer.
     """
-    if out is None:
-        out = np.empty((2, *np.broadcast(f_a, v_a, f_b, v_b).shape), dtype=bool)
     take, infeasible = out[0, ...], out[1, ...]
     np.less_equal(f_a, f_b, out=take)
     # Nonzero is infeasible: where either point is, the violations decide.

@@ -15,6 +15,7 @@ the model's (disturbed, clamped) step average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,8 +107,9 @@ def _measured(state: StateSnapshot) -> tuple[tuple[float, ...], tuple[float, ...
 
 class PlantOutOfRange(ValueError):
     """The simulated room left the measured range (TEMP_RANGE, ILLUM_RANGE),
-    or a worker's drowsiness is not on the 1-5 scale: clamping passes a nan
-    through, which a model whose terms overflow produces."""
+    a worker's effort is not finite (the SD of jitter too large for a
+    float), or a worker's drowsiness is not on the 1-5 scale: clamping
+    passes a nan through, which a model whose terms overflow produces."""
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -131,8 +133,8 @@ def plant_step(
     So a step sees the same disturbances whatever controller produced
     the setpoints.  With freeze_workers the room still evolves but each
     worker keeps its drowsiness, at rest (lunch break).  A room that
-    leaves the measured range, or a drowsiness of nan, raises
-    PlantOutOfRange: no snapshot could hold it.
+    leaves the measured range, an effort that is not finite, or a
+    drowsiness of nan raises PlantOutOfRange: no snapshot could hold it.
     """
     rng = step_rng(seed, step)
     t_set, l_set = setpoints
@@ -164,6 +166,8 @@ def plant_step(
         # rows satisfy the regression exactly when disturbances are off.
         jitter = rng.normal(0.0, plant.effort_sd, plant.substeps)
         effort = float(np.std(jitter))
+        if not math.isfinite(effort):
+            raise PlantOutOfRange(f"step {step}: plant effort of worker {i} {effort} is not finite")
         base = predict_dl(
             plant.true_dl, w.d_current, w.d_plus, w.d_minus,
             temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
@@ -198,6 +202,10 @@ class ScenarioConfig:
         if self.lunch_steps < 0:
             raise ValueError(f"lunch_steps must be >= 0, got {self.lunch_steps}")
         require_search_fits(self.mpc_cfg, self.de)
+
+
+# The statuses run_scenario records; only "ok" steps ran a solve.
+TRACE_STATUSES = ("ok", "stale", "error", "lunch")
 
 
 @dataclass(frozen=True)
@@ -418,6 +426,7 @@ __all__ = [
     "step_rng",
     "plant_step",
     "ScenarioConfig",
+    "TRACE_STATUSES",
     "TraceStep",
     "SimTrace",
     "Metrics",

@@ -1,5 +1,5 @@
-"""Builders that only the tests use: the case-1 model set, telemetry
-tables from rows and back,
+"""Builders that only the tests use: the path of a shipped config, the
+case-1 model set, telemetry tables from rows and back,
 telemetry and daemon input recast from a simulation trace, a drift
 profile for a working day, a solve that fails on one interval, and a
 reference for the daemon's windows."""
@@ -7,14 +7,20 @@ reference for the daemon's windows."""
 import json
 from collections import Counter
 from datetime import datetime, timedelta
+from importlib.resources import files
 from typing import NamedTuple
 
 import alertmpc.mpc as mpc_module
-from alertmpc.cli import parse_scenario_config, shipped_config_path
+from alertmpc.cli import parse_scenario_config
 from alertmpc.daemon import _parse_stream_record
 from alertmpc.domain import MpcConfig
 from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
+
+
+def shipped_config_path(name: str) -> str:
+    """Filesystem path of a packaged configuration file."""
+    return str(files("alertmpc").joinpath("configs", name))
 
 
 # The shipped case-1 room's true models, the set most tests predict with.

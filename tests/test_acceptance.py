@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alertmpc.cli import main, parse_scenario_config, shipped_config_path
+from alertmpc.cli import main, parse_scenario_config
 from alertmpc.domain import (
     AmiModel,
     ControlMode,
@@ -72,7 +72,7 @@ from alertmpc.sim import (
     run_scenario,
 )
 
-from helpers import Row, replay_stream_lines, table_of, working_day_drift
+from helpers import Row, replay_stream_lines, shipped_config_path, table_of, working_day_drift
 
 FIXTURE_DL = DlModel(intercept=0.14, coef={
     "d_prev": 0.8, "d_plus_prev": 0.08, "d_minus_prev": -0.04,

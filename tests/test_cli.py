@@ -22,7 +22,7 @@ import alertmpc.daemon as daemon_module
 import alertmpc.formats as formats_module
 import alertmpc.mpc as mpc_module
 import alertmpc.sim as sim_module
-from alertmpc.cli import main, parse_control_config, parse_scenario_config, shipped_config_path
+from alertmpc.cli import main, parse_control_config, parse_scenario_config
 from alertmpc.daemon import Window, _parse_stream_record, _window_stats
 from alertmpc.formats import (
     SNAPSHOT_HEADER,
@@ -70,6 +70,7 @@ from helpers import (
     daemon_windows_by_number,
     replay_stream_lines,
     rows_of,
+    shipped_config_path,
     solve_failing_at,
     table_of,
 )
@@ -1724,6 +1725,23 @@ class TestSimulateCommand:
             f"error: config {cfg}: step 0: plant drowsiness of worker 0 nan outside the measured range "
             "[1.0, 5.0]\n"
         ), err
+        assert not (workdir / "trace.csv").exists()
+
+    # np.std of the jitter overflows to inf, or to nan once a draw itself does.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["NOC", "MPC2"])
+    @pytest.mark.parametrize("effort_sd, effort", [("1e200", "inf"), ("1e308", "nan")])
+    def test_plant_effort_that_is_not_finite_is_refused(self, workdir, capsys, mode, effort_sd, effort):
+        text = Path(shipped_config_path("case1_noc.cfg")).read_text()
+        for key, value in {"effort_sd": effort_sd, "mode": mode}.items():
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1
+        cfg = put(workdir, "effort.cfg", text)
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(workdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {cfg}: step 0: plant effort of worker 0 {effort} is not finite\n", err
         assert not (workdir / "trace.csv").exists()
 
     def test_trace_reads_back(self, workdir, capsys):

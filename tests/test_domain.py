@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alertmpc.cli import parse_scenario_config, shipped_config_path
+from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
     BoundsInverted,
     ComfortOutsideBounds,
@@ -24,6 +24,8 @@ from alertmpc.domain import (
     clamp_dl,
     increments,
 )
+
+from helpers import shipped_config_path
 
 
 def shipped_mpc_config(name):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertmpc.cli import parse_scenario_config, shipped_config_path
+from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
     AmiModel,
     ControlSchedule,
@@ -30,6 +30,8 @@ from alertmpc.models import (
     rollout,
 )
 from alertmpc.mpc import solve
+
+from helpers import shipped_config_path
 
 
 def zero_coef(**overrides):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import alertmpc.mpc as mpc_mod
-from alertmpc.cli import parse_scenario_config, shipped_config_path
+from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
     AmiModel,
     ConfigError,
@@ -25,11 +25,12 @@ from alertmpc.models import (
     constraint_violation,
     objective,
     rollout,
+    rollout_nbytes,
 )
 from alertmpc.mpc import Controller, require_search_fits, search_bytes, solve
 from alertmpc.optimizer import DeParams, NonFiniteObjective, search_nbytes
 
-from helpers import CASE1_MODELS, solve_failing_at
+from helpers import CASE1_MODELS, shipped_config_path, solve_failing_at
 
 
 def constant_dl_models(level=2.7):
@@ -476,9 +477,36 @@ class TestSearchCeiling:
         assert search_nbytes(40, 8) == 17920 + (92160 + 30720) + 192 + 1920 + 16384
 
     def test_noc_runs_no_search(self):
+        # NOC's count is its rollout's, whatever [de] says.
         cfg = MpcConfig(mode=ControlMode.NOC, horizon=100_000, num_workers=24)
-        assert search_bytes(cfg, DeParams(population_size=10_000_000)) == 0
+        count = search_bytes(cfg, DeParams())
+        assert 0 < count == rollout_nbytes(100_000, 24) <= mpc_mod.SEARCH_BYTES_CEILING
+        assert search_bytes(cfg, DeParams(population_size=10_000_000)) == count
         require_search_fits(cfg, DeParams(population_size=10_000_000))
+
+    # NOC scores its one schedule with rollout, which allocates Python
+    # floats and tuples in proportion to the horizon.
+    @pytest.mark.parametrize("horizon", [500, 2000])
+    @pytest.mark.parametrize("workers", [1, 5, 24])
+    def test_noc_count_bounds_a_real_solves_peak(self, horizon, workers):
+        cfg = MpcConfig(mode=ControlMode.NOC, horizon=horizon, num_workers=workers)
+        state = snapshot(workers=workers)
+        solve(CASE1_MODELS, state, cfg)  # one-time allocations of numpy and Python
+        tracemalloc.start()
+        try:
+            solve(CASE1_MODELS, state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = search_bytes(cfg, DeParams())
+        assert count / 2 <= peak <= count
+
+    def test_oversize_noc_rollout_is_refused(self):
+        cfg = MpcConfig(mode=ControlMode.NOC, horizon=3_000_000, num_workers=5)
+        want = ("an NOC solve over horizon 3000000 for 5 worker(s) needs 1308004096 bytes, "
+                "over the ceiling of 1073741824 bytes")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            require_search_fits(cfg, DeParams())
 
     def test_oversize_kernel_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)

@@ -361,7 +361,7 @@ class TestBatchedSelection:
     def test_not_worse_matches_scalar_rule(self):
         pairs = list(itertools.product(itertools.product(self.F, self.V), repeat=2))
         f_a, v_a, f_b, v_b = (np.array(col) for col in zip(*(a + b for a, b in pairs)))
-        got = not_worse(f_a, v_a, f_b, v_b)
+        got = not_worse(f_a, v_a, f_b, v_b, np.empty((2, len(pairs)), dtype=bool))
         want = [_deb_not_worse(*a, *b) for a, b in pairs]
         assert got.tolist() == want
         # every feasibility pairing and both tie kinds are covered
@@ -373,10 +373,11 @@ class TestBatchedSelection:
     def test_not_worse_into_a_buffer(self):
         pairs = list(itertools.product(itertools.product(self.F, self.V), repeat=2))
         f_a, v_a, f_b, v_b = (np.array(col) for col in zip(*(a + b for a, b in pairs)))
-        out = np.empty((2, len(pairs)), dtype=bool)
+        # What the buffer held before does not reach the answer.
+        out = np.ones((2, len(pairs)), dtype=bool)
         got = not_worse(f_a, v_a, f_b, v_b, out)
         assert np.shares_memory(got, out[0])
-        assert got.tolist() == not_worse(f_a, v_a, f_b, v_b).tolist()
+        assert got.tolist() == [_deb_not_worse(*a, *b) for a, b in pairs]
 
     def test_incumbent_matches_scalar_scan(self):
         rng = np.random.default_rng(12)

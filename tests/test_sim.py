@@ -414,6 +414,14 @@ class TestOpenLoopAndTelemetry:
         with pytest.raises(PlantOutOfRange, match=want):
             run_open_loop(plant, 2, [(26.0, 600.0)] * 3, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_plant_effort_that_is_not_finite_is_refused(self):
+        # The jitter's squares overflow, so its SD is inf; dl_effort * inf
+        # is -inf, which the clamp would move onto the scale.
+        plant = quiet_plant(effort_sd=1e200, substeps=4)
+        with pytest.raises(PlantOutOfRange, match=r"^step 0: plant effort of worker 0 inf is not finite$"):
+            run_open_loop(plant, 2, [(26.0, 600.0)] * 3, seed=0)
+
     def test_trace_round_trip(self):
         trace, _ = run_scenario(small_scenario(steps=4))
         table = trace_to_telemetry(trace)
