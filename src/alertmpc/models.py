@@ -64,6 +64,16 @@ def _operand(value) -> np.ndarray:
 
 _ZERO, _DL_MIN, _DL_MAX, _LARGEST = (_operand(x) for x in (0.0, DL_MIN, DL_MAX, _FLOAT_MAX))
 
+# The ufuncs and the ufunc method HorizonKernel.evaluate calls, bound once.
+# At 40 rows a call costs little more than its dispatch: np.add is a
+# global and an attribute lookup on every call, and an out= keyword costs
+# a keyword parse, so the kernel passes out positionally.  np.maximum,
+# np.minimum and np.fmax keep out= as a keyword: numpy 2.4 deprecates a
+# third positional argument to the first two.
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_maximum, _minimum, _fmax = np.maximum, np.minimum, np.fmax
+_absolute, _greater_equal, _add_reduce = np.absolute, np.greater_equal, np.add.reduce
+
 
 class ShapeMismatch(ValueError):
     """Schedule or snapshot dimensions disagree with the configuration."""
@@ -309,26 +319,27 @@ class HorizonKernel:
             )
         # Plain copies assign to a view: np.copyto is a Python-level wrapper.
         self.t_sets[...] = temp_sets.T
-        np.multiply(self._k, self.t_sets, out=self.k_sets)
+        _multiply(self._k, self.t_sets, self.k_sets)
         self.lights[...] = illum_sets.T
-        np.multiply(self._theta_set, self.lights, out=self.lights)
+        _multiply(self._theta_set, self.lights, self.lights)
         rising, ab, a, b = self.rising, self.ab, self.a, self.b
+        greater_equal, copyto, multiply, add, maximum = _greater_equal, np.copyto, _multiply, _add, _maximum
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
-            np.greater_equal(t_set, temp, out=rising)
+            greater_equal(t_set, temp, rising)
             ab[...] = down
-            np.copyto(ab, up, where=rising)
-            np.multiply(b, now, out=nxt)
-            np.add(a, nxt, out=nxt)
-            np.add(illum, light, out=illum)
-            np.maximum(illum, _ZERO, out=illum)
+            copyto(ab, up, where=rising)
+            multiply(b, now, nxt)
+            add(a, nxt, nxt)
+            add(illum, light, illum)
+            maximum(illum, _ZERO, out=illum)
 
         # The room's six terms of predict_dl, every step at once, then
         # copied out for every worker.
         pair = self.room_pair
-        np.multiply(self._level_coef, self.room_next, out=self.room_level)
-        np.subtract(self.room_later, self.room_earlier, out=pair)
-        np.maximum(pair, _ZERO, out=pair)
-        np.multiply(pair, self.room_coef, out=pair)
+        _multiply(self._level_coef, self.room_next, self.room_level)
+        _subtract(self.room_later, self.room_earlier, pair)
+        _maximum(pair, _ZERO, out=pair)
+        _multiply(pair, self.room_coef, pair)
         self.room_terms[...] = self.room_terms_once
 
         # Drowsiness, step by step: the three terms that depend on the
@@ -337,20 +348,21 @@ class HorizonKernel:
         # backwards, as its second input runs: numpy would run the call
         # through a buffer it allocates if that input alone ran backwards.
         c_prev, coef = self._c_prev, self.d_coef
+        subtract, minimum, add_reduce = _subtract, _minimum, _add_reduce
         for terms, prev_term, pair, reversed_pair, d_prev, earlier, later, d_next in self.dl_steps:
             if earlier is not None:
-                np.multiply(c_prev, d_prev, out=prev_term)
-                np.subtract(earlier, later, out=reversed_pair)
-                np.maximum(pair, _ZERO, out=pair)
-                np.multiply(pair, coef, out=pair)
-            np.add.reduce(terms, axis=0, out=d_next)
-            np.maximum(d_next, _DL_MIN, out=d_next)
-            np.minimum(d_next, _DL_MAX, out=d_next)
+                multiply(c_prev, d_prev, prev_term)
+                subtract(earlier, later, reversed_pair)
+                maximum(pair, _ZERO, out=pair)
+                multiply(pair, coef, pair)
+            add_reduce(terms, 0, None, d_next)
+            maximum(d_next, _DL_MIN, out=d_next)
+            minimum(d_next, _DL_MAX, out=d_next)
         self.dls_by_step[...] = self.d_steps
 
         # The objective: each row's mean drowsiness.
-        mean = np.add.reduce(self._dl_rows, axis=0)
-        np.divide(mean, self._count, out=mean)
+        mean = _add_reduce(self._dl_rows, 0)
+        _divide(mean, self._count, mean)
 
         # The violation: comfort_penalty, one array operation at a time,
         # then each step's excess over the cap, floored at zero, summed
@@ -362,14 +374,14 @@ class HorizonKernel:
         # search still ranks it as the worst violation, where an infinity
         # would stop it as a non-finite evaluation.
         deviation, excess = self._deviation, self._excess
-        np.subtract(self.room, self.comfort, out=deviation)
-        np.absolute(deviation, out=deviation)
-        np.multiply(self.weights, deviation, out=deviation)
-        np.add.reduce(deviation, axis=1, out=excess)
-        np.subtract(excess, self.cap, out=excess)
-        np.fmax(excess, _ZERO, out=excess)
-        violation = np.add.reduce(excess, axis=0)
-        return mean, np.minimum(violation, _LARGEST, out=violation)
+        _subtract(self.room, self.comfort, deviation)
+        _absolute(deviation, deviation)
+        _multiply(self.weights, deviation, deviation)
+        _add_reduce(deviation, 1, None, excess)
+        _subtract(excess, self.cap, excess)
+        _fmax(excess, _ZERO, out=excess)
+        violation = _add_reduce(excess, 0)
+        return mean, _minimum(violation, _LARGEST, out=violation)
 
 
 def _pair_coef(shape, c_plus, c_minus) -> np.ndarray:

@@ -98,7 +98,6 @@ def solve(
     lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
     upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
     rows = de.population_for(lower.size)
-    kernel = HorizonKernel(models, snapshot, cfg, rows)
     # MPC1's illuminance schedule: one value, viewed at every row and step.
     pinned = np.broadcast_to(cfg.illum_comfort, (rows, horizon))
 
@@ -108,11 +107,20 @@ def solve(
             return pop[:, :horizon], pop[:, horizon:]
         return pop, pinned
 
-    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return kernel.evaluate(*split(pop))
+    # Huge coefficients or comfort weights overflow the kernel's sums, to
+    # an infinity or a NaN the search refuses as NonFiniteObjective, or to
+    # a violation the kernel saturates.  numpy's warnings on the way would
+    # print before the refusal.  The error state is set once per solve,
+    # not per kernel call: setting it costs about as much as five ufunc
+    # calls.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = HorizonKernel(models, snapshot, cfg, rows)
 
-    # params by keyword: the perfbench de_minimize hook reads it from there.
-    result: DeResult = de_minimize(evaluate, lower, upper, params=de)
+        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return kernel.evaluate(*split(pop))
+
+        # params by keyword: the perfbench de_minimize hook reads it from there.
+        result: DeResult = de_minimize(evaluate, lower, upper, params=de)
     temp_sets, illum_sets = split(result.best_vector[None, :])
     schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
     search = (result.generations_used, result.evaluations, result.stop_reason)

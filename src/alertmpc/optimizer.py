@@ -22,14 +22,24 @@ import numpy as np
 # Generations whose random draws are made together, whatever the budget.
 _BLOCK = 32
 
+# The ufuncs and ufunc methods the search calls every generation, bound
+# once: at 40 rows a call costs little more than its dispatch.  Calls pass
+# out positionally, except to np.maximum and np.minimum, whose third
+# positional argument numpy 2.4 deprecates.
+_add, _subtract, _multiply, _maximum, _minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
+_less_equal, _logical_or, _isfinite, _greater_equal = np.less_equal, np.logical_or, np.isfinite, np.greater_equal
+_and_reduce, _or_reduce = np.logical_and.reduce, np.logical_or.reduce
+_max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
+
 
 def search_nbytes(pop_size: int, dim: int) -> int:
     """Bytes de_minimize allocates for P = pop_size rows of D = dim, at most:
     56 per row and dimension for its population, donors, trials and box
-    rows; a block of draws, the larger of its nine (_BLOCK, P) index arrays
-    as they are drawn and its float64 uniforms beside their mask and the
-    donors, (_BLOCK, 3, P); the box, the scores and 16 KB for small
-    objects.  The last block is dropped before the next is drawn."""
+    rows; a block of draws, the larger of nine (_BLOCK, P) index arrays,
+    which bound the donors and their buffers as they are drawn, and its
+    float64 uniforms beside their mask and the donors, (_BLOCK, 3, P); the
+    box, the scores and 16 KB for small objects.  The last block is
+    dropped before the next is drawn."""
     index_bytes = 8 * _BLOCK * pop_size
     drawing = max(9 * index_bytes, 3 * index_bytes + 9 * _BLOCK * pop_size * dim)
     return 56 * pop_size * dim + drawing + 24 * dim + 48 * pop_size + 16384
@@ -108,14 +118,15 @@ def not_worse(f_a, v_a, f_b, v_b, out: np.ndarray) -> np.ndarray:
     otherwise the smaller violation wins (a feasible point has violation
     0, so it beats every infeasible one).  Violations must be >= 0.
 
-    out, a (2, n) bool array for n points, takes the answer in its first
-    row and uses the second as scratch.  Returns the answer.
+    out, a (2, n) bool array for n points or a pair of its rows, takes
+    the answer in its first row and uses the second as scratch.  Returns
+    the answer.  A search passes the pair, built once.
     """
-    take, infeasible = out[0, ...], out[1, ...]
-    np.less_equal(f_a, f_b, out=take)
+    take, infeasible = out
+    _less_equal(f_a, f_b, take)
     # Nonzero is infeasible: where either point is, the violations decide.
-    np.logical_or(v_a, v_b, out=infeasible)
-    np.less_equal(v_a, v_b, out=take, where=infeasible)
+    _logical_or(v_a, v_b, infeasible)
+    _less_equal(v_a, v_b, take, where=infeasible)
     return take
 
 
@@ -136,20 +147,40 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
     taken, shifted past the taken ones in increasing order.
     """
     shape = (generations, pop_size)
-    taken = [np.broadcast_to(np.arange(pop_size), shape)]  # kept in increasing order
-    draws = []
+    donors = np.empty((generations, 3, pop_size), dtype=np.int64)
+    # The indices taken, kept in increasing order, and the buffers that
+    # the shift's comparison and the insertion's smaller index go to.
+    taken = [np.broadcast_to(np.arange(pop_size), shape)]
+    past, spare = np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int64)
     for k in range(3):
         draw = rng.integers(pop_size - 1 - k, size=shape)
         for index in taken:
-            draw += draw >= index
-        draws.append(draw)
+            _greater_equal(draw, index, past)
+            _add(draw, past, draw)
+        donors[:, k] = draw
         if k == 2:
             break  # no later draw reads the ordered list
-        # Insert the new donor into the ordered list by compare-and-swap.
+        # Insert the new donor into the ordered list by compare-and-swap:
+        # the smaller index takes the slot, the larger moves on as draw.
         for i, index in enumerate(taken):
-            taken[i], draw = np.minimum(index, draw), np.maximum(index, draw)
+            _minimum(index, draw, out=spare)
+            _maximum(index, draw, out=draw)
+            # The member's indices are a read-only view: a new buffer
+            # takes their place as the spare.
+            taken[i], spare = spare, index if index.flags.writeable else np.empty(shape, dtype=np.int64)
         taken.append(draw)
-    return np.stack(draws, axis=1)
+    return donors
+
+
+def draw_block(rng: np.random.Generator, pop_size: int, dim: int, crossover_rate: float):
+    """One block of _BLOCK generations' draws, in this order: the donors
+    (_BLOCK, 3, pop_size) of donor_indices, then the complement of the
+    crossover masks, (_BLOCK, pop_size, dim), true where a trial keeps its
+    member's value, and last each trial's forced crossover column."""
+    donors = donor_indices(rng, pop_size, _BLOCK)
+    keep = rng.random((_BLOCK, pop_size, dim)) >= crossover_rate
+    keep[np.arange(_BLOCK)[:, None], np.arange(pop_size), rng.integers(dim, size=(_BLOCK, pop_size))] = False
+    return donors, keep
 
 
 def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.ndarray]:
@@ -159,17 +190,23 @@ def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.n
     NonFiniteObjective on a NaN or an infinity.  finite, a (2, len(pop))
     bool array, holds the finiteness test; one is made when it is None.
     """
-    f = np.asarray(f, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if f.shape != (len(pop),) or v.shape != (len(pop),):
-        raise ValueError(
-            f"evaluate must return two ({len(pop)},) arrays, got {f.shape} and {v.shape}"
-        )
     if finite is None:
         finite = np.empty((2, len(pop)), dtype=bool)
-    np.isfinite(f, out=finite[0])
-    np.isfinite(v, out=finite[1])
-    if np.logical_and.reduce(finite, None) and np.minimum.reduce(v) >= 0.0:
+    return _checked_scores(pop, f, v, finite, *finite)
+
+
+def _checked_scores(pop, f, v, finite, finite_f, finite_v) -> tuple[np.ndarray, np.ndarray]:
+    """checked_scores with finite's two rows given: a search builds them once."""
+    f = np.asarray(f, float)
+    v = np.asarray(v, float)
+    shape = (len(pop),)
+    if f.shape != shape or v.shape != shape:
+        raise ValueError(
+            f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}"
+        )
+    _isfinite(f, finite_f)
+    _isfinite(v, finite_v)
+    if _and_reduce(finite, None) and _min_reduce(v) >= 0.0:
         return f, v
     for name, values in (("objective", f), ("violation", v)):
         bad = ~np.isfinite(values)
@@ -226,16 +263,18 @@ def de_minimize(
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
     pop = lower + rng.random((pop_size, dim)) * span
-    # The finiteness test's and the selection's buffers, and the stop
-    # test's results, reused by every generation.
+    # The finiteness test's and the selection's buffers, their rows, and
+    # the stop test's results, reused by every generation.
     finite = np.empty((2, pop_size), dtype=bool)
+    finite_f, finite_v = finite
     select = np.empty((2, pop_size), dtype=bool)
-    take = select[0]
+    select_rows = tuple(select)
+    take = select_rows[0]
     take_rows = take[:, None]
     infeasible, f_max, f_min = np.empty((), dtype=bool), np.empty(()), np.empty(())
     # Copies: the search updates them in place, and checked_scores() may
     # return the caller's own arrays.
-    fs, vs = (x.copy() for x in checked_scores(pop, *evaluate(pop), finite))
+    fs, vs = (x.copy() for x in _checked_scores(pop, *evaluate(pop), finite, finite_f, finite_v))
     # Every generation's donors and trials go into these buffers.
     donor_rows = np.empty((3, pop_size, dim))
     r1, r2, r3 = donor_rows
@@ -244,45 +283,40 @@ def de_minimize(
     # broadcast along the rows through buffers, at about three times the
     # cost.
     lower_rows, upper_rows = np.tile(lower, (pop_size, 1)), np.tile(upper, (pop_size, 1))
+    take_donors, copyto, tolerance = pop.take, np.copyto, params.tolerance
     generations = 0
     stop_reason = "budget"
     for gen in range(params.max_generations):
         # checked_scores() guarantees vs >= 0, so "none nonzero" is "all
         # feasible".  The ufuncs' reduce spares the Python wrappers of
         # ndarray.any, max and min.
-        if not np.logical_or.reduce(vs, 0, None, infeasible) and (
-            float(np.maximum.reduce(fs, 0, None, f_max))
-            - float(np.minimum.reduce(fs, 0, None, f_min)) < params.tolerance
+        if not _or_reduce(vs, 0, None, infeasible) and (
+            float(_max_reduce(fs, 0, None, f_max)) - float(_min_reduce(fs, 0, None, f_min)) < tolerance
         ):
             stop_reason = "tolerance"
             break
         step = gen % _BLOCK
         if step == 0:
-            # Donors (_BLOCK, 3, P) and the complement of the crossover
-            # masks, (_BLOCK, P, D): true where a trial keeps its member's
-            # value.  The last block goes first, so one is alive at a time.
+            # The last block goes first, so one is alive at a time.
             donors = keep = None
-            donors = donor_indices(rng, pop_size, _BLOCK)
-            keep = rng.random((_BLOCK, pop_size, dim)) >= params.crossover_rate
-            keep[np.arange(_BLOCK)[:, None], np.arange(pop_size),
-                 rng.integers(dim, size=(_BLOCK, pop_size))] = False
+            donors, keep = draw_block(rng, pop_size, dim, params.crossover_rate)
         generations += 1
 
         # The donors are valid indices, so "clip" changes none of them; it
         # spares take the copy it makes of out for "raise".
-        pop.take(donors[step], axis=0, out=donor_rows, mode="clip")
-        np.subtract(r2, r3, out=trials)
-        np.multiply(factor, trials, out=trials)
-        np.add(r1, trials, out=trials)
-        np.maximum(trials, lower_rows, out=trials)
-        np.minimum(trials, upper_rows, out=trials)
-        np.copyto(trials, pop, where=keep[step])
+        take_donors(donors[step], 0, donor_rows, "clip")
+        _subtract(r2, r3, trials)
+        _multiply(factor, trials, trials)
+        _add(r1, trials, trials)
+        _maximum(trials, lower_rows, out=trials)
+        _minimum(trials, upper_rows, out=trials)
+        copyto(trials, pop, where=keep[step])
 
-        f_t, v_t = checked_scores(trials, *evaluate(trials), finite)
-        not_worse(f_t, v_t, fs, vs, select)
-        np.copyto(pop, trials, where=take_rows)
-        np.copyto(fs, f_t, where=take)
-        np.copyto(vs, v_t, where=take)
+        f_t, v_t = _checked_scores(trials, *evaluate(trials), finite, finite_f, finite_v)
+        not_worse(f_t, v_t, fs, vs, select_rows)
+        copyto(pop, trials, where=take_rows)
+        copyto(fs, f_t, where=take)
+        copyto(vs, v_t, where=take)
 
     best = incumbent(fs, vs)
     return DeResult(

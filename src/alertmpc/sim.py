@@ -22,6 +22,7 @@ import numpy as np
 
 from .domain import (
     AmiModel,
+    ConfigError,
     ControlMode,
     DL_MAX,
     DL_MIN,
@@ -160,22 +161,43 @@ def plant_step(
 
     drift = plant.drift_at(step)
     workers: list[WorkerState] = []
-    for i, w in enumerate(state.workers):
-        # Instant readings scatter around the step average; their SD is
-        # the effort and feeds the same step's true model, so telemetry
-        # rows satisfy the regression exactly when disturbances are off.
-        jitter = rng.normal(0.0, plant.effort_sd, plant.substeps)
-        effort = float(np.std(jitter))
-        if not math.isfinite(effort):
-            raise PlantOutOfRange(f"step {step}: plant effort of worker {i} {effort} is not finite")
-        base = predict_dl(
-            plant.true_dl, w.d_current, w.d_plus, w.d_minus,
-            temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
-        )
-        dl = clamp_dl(base + drift + rng.normal(0.0, plant.dl_noise_sd))
-        require_in_range(f"step {step}: plant drowsiness of worker {i}", dl, (DL_MIN, DL_MAX), PlantOutOfRange)
-        workers.append(WorkerState.from_history(dl, w.d_current, effort))
+    # A huge effort_sd overflows the jitter's SD to inf or nan, which is
+    # refused below; numpy's warnings would print before the refusal.  The
+    # state is set once per step, not per worker.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, w in enumerate(state.workers):
+            # Instant readings scatter around the step average; their SD is
+            # the effort and feeds the same step's true model, so telemetry
+            # rows satisfy the regression exactly when disturbances are off.
+            jitter = rng.normal(0.0, plant.effort_sd, plant.substeps)
+            effort = float(np.std(jitter))
+            if not math.isfinite(effort):
+                raise PlantOutOfRange(f"step {step}: plant effort of worker {i} {effort} is not finite")
+            base = predict_dl(
+                plant.true_dl, w.d_current, w.d_plus, w.d_minus,
+                temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
+            )
+            dl = clamp_dl(base + drift + rng.normal(0.0, plant.dl_noise_sd))
+            require_in_range(f"step {step}: plant drowsiness of worker {i}", dl, (DL_MIN, DL_MAX), PlantOutOfRange)
+            workers.append(WorkerState.from_history(dl, w.d_current, effort))
     return StateSnapshot(tuple(workers), temp, illum)
+
+
+# The most memory one run's trace may hold.  run_scenario keeps every
+# step's record, so a config whose steps would need more is refused where
+# it is built, as a search too large is (mpc.SEARCH_BYTES_CEILING).  Five
+# workers over a 28-step day need about 42 KB.
+TRACE_BYTES_CEILING = 2**30
+
+
+def trace_nbytes(steps: int, workers: int) -> int:
+    """Bytes the trace of a run of steps steps for workers workers holds,
+    at most: 512 per step for its TraceStep, the record's values and its
+    slot in the trace, 80 per step and worker for a drowsiness and an
+    effort with their tuple slots and the metrics' arrays of them, and
+    16 KB for the trace's own objects.  On CPython 3.11 the first two are
+    about 330 and 64."""
+    return steps * (512 + 80 * workers) + 16384
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,13 @@ class ScenarioConfig:
         if self.lunch_steps < 0:
             raise ValueError(f"lunch_steps must be >= 0, got {self.lunch_steps}")
         require_search_fits(self.mpc_cfg, self.de)
+        workers = self.mpc_cfg.num_workers
+        needed = trace_nbytes(self.steps, workers)
+        if needed > TRACE_BYTES_CEILING:
+            raise ConfigError(
+                f"a run of {self.steps} steps for {workers} worker(s) keeps a trace of {needed} bytes, "
+                f"over the ceiling of {TRACE_BYTES_CEILING} bytes"
+            )
 
 
 # The statuses run_scenario records; only "ok" steps ran a solve.
@@ -426,6 +455,8 @@ __all__ = [
     "step_rng",
     "plant_step",
     "ScenarioConfig",
+    "TRACE_BYTES_CEILING",
+    "trace_nbytes",
     "TRACE_STATUSES",
     "TraceStep",
     "SimTrace",

@@ -63,6 +63,7 @@ from alertmpc.sim import (
     run_open_loop,
     run_scenario,
     scenario_for_arm,
+    trace_nbytes,
 )
 
 from helpers import (
@@ -1238,9 +1239,6 @@ def control_config_text(sections) -> str:
     )
 
 
-# Comfort weights near the largest float overflow the penalty, which the
-# violation saturates; numpy warns on the way.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(text=mutated_control_config())
 def test_any_control_config_is_rejected_or_solves_inside_the_box(tmp_path_factory, text):
@@ -1267,8 +1265,6 @@ WIDE_BOX_CONFIG = control_config_text(
     {"mpc": dict(CONTROL_BASE["mpc"], temp_lo="-1.7e308", temp_hi="1.7e308"), "de": CONTROL_BASE["de"]})
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(models=st.sampled_from([TRUTH, OVERFLOWING_MODELS]) | MODEL_SETS, member=st.integers(0, 20),
        mutation=st.none() | st.sampled_from(MODEL_MUTATIONS), workers=st.integers(1, 2),
@@ -1601,8 +1597,6 @@ class TestSolveCommand:
         assert rc == 2
         assert "temp_hi - temp_lo must be finite" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     # NOC scores its one schedule without a search, and fails the same way.
     @pytest.mark.parametrize("mode", ["mpc2", "noc"])
     def test_nonfinite_objective_is_usage_error(self, workdir, capsys, mode):
@@ -1707,8 +1701,6 @@ class TestSimulateCommand:
         assert not (workdir / "trace.csv").exists()
 
     # The MPC2 kernel meets the same overflow in its rollouts.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["NOC", "MPC2"])
     def test_plant_drowsiness_of_nan_is_refused(self, workdir, capsys, mode):
         # The temperature and illuminance terms overflow to +inf and -inf,
@@ -1728,8 +1720,6 @@ class TestSimulateCommand:
         assert not (workdir / "trace.csv").exists()
 
     # np.std of the jitter overflows to inf, or to nan once a draw itself does.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["NOC", "MPC2"])
     @pytest.mark.parametrize("effort_sd, effort", [("1e200", "inf"), ("1e308", "nan")])
     def test_plant_effort_that_is_not_finite_is_refused(self, workdir, capsys, mode, effort_sd, effort):
@@ -1839,6 +1829,24 @@ def test_long_search_over_one_worker_is_refused_before_it_is_built(workdir, caps
         "population_size 80 needs 4380105728 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert peak < 2**20  # nothing of the search's size was built
+
+
+def test_run_too_long_to_trace_is_refused(workdir, capsys, monkeypatch):
+    # The trace's size is computed from steps and the worker count; the
+    # run never starts.
+    cfg = put(workdir, "s.cfg", SCENARIO_CFG.replace("steps = 4", "steps = 1000000000000"))
+
+    def must_not_run(sc):
+        raise AssertionError("an oversize scenario ran")
+
+    monkeypatch.setattr(cli_module, "run_scenario", must_not_run)
+    out = str(workdir / "out")
+    assert main(["simulate", "--config", cfg, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: a run of 1000000000000 steps for 1 worker(s) keeps a trace of "
+        f"{trace_nbytes(10**12, 1)} bytes, over the ceiling of 1073741824 bytes\n"
+    )
+    assert not Path(out).exists()
 
 
 class TestReportCommand:
@@ -2316,8 +2324,6 @@ class TestDaemonCommand:
         assert "skipped 1 malformed and 0 late" in capsys.readouterr().err
         assert [json.loads(line)["status"] for line in Path(out_path).read_text().splitlines()] == ["warmup"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["mpc2", "noc"])
     def test_nonfinite_objective_is_held_as_error(self, workdir, capsys, mode):
         # Coefficients this large overflow the drowsiness rollout to nan.

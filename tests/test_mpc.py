@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,31 @@ def test_violation_reported_and_backs_feasible(room, mode):
         assert sol.violation == constraint_violation(pred, cfg)
         outcomes.add(sol.feasible)
     assert outcomes == {True, False}
+
+
+class TestNoNumpyWarnings:
+    """A search that overflows warns nothing: it refuses, or saturates the
+    violation, silently.  The suite makes warnings errors; these tests
+    check it by themselves, as a run outside the suite would."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+    def test_saturated_violation(self, mode):
+        # Comfort weights near the largest float overflow the penalty.
+        cfg = MpcConfig(mode=mode, num_workers=2, p_temp=1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(CASE1_MODELS, snapshot(workers=2, temp=30.0), cfg, FAST_DE)
+        assert sol.violation == np.finfo(float).max
+
+    @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+    def test_overflowing_rollout_is_refused(self, mode):
+        # Coefficients this large overflow the drowsiness rollout to nan.
+        coef = dict(CASE1_MODELS.dl.coef, d_prev=1e308, temp=-1e308)
+        models = replace(CASE1_MODELS, dl=DlModel(intercept=0.0, coef=coef))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjective, match="objective returned nan"):
+                solve(models, snapshot(), MpcConfig(mode=mode, num_workers=1), FAST_DE)
 
 
 def history(num_workers):

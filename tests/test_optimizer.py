@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from alertmpc.optimizer import (
     checked_scores,
     de_minimize,
     donor_indices,
+    draw_block,
     incumbent,
     not_worse,
 )
@@ -179,6 +181,42 @@ class TestDeterminism:
         assert res.stop_reason == "tolerance"
         assert (res.generations_used > 32) == past_first_block
         assert peak < 5 * 2**20
+
+
+def sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestDrawPins:
+    """One block's draws, bit for bit: the donors and the complement of
+    the crossover masks, by seed, population and dimension.  A trace pin
+    sees a changed draw only through a whole closed loop."""
+
+    # (seed, P, D, crossover_rate): donors' digest, masks' digest.  Case 1's
+    # MPC2 search is 40 rows of 8 dimensions.
+    PINS = {
+        (0, 4, 1, 0.9): ("6f6dd66afd6fefb29ffd221ad9cd29c3b548b14c8bdf7e4495b66df07f6addbe",
+                         "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca"),
+        (42, 17, 5, 0.5): ("103a503e12fbbb6d47d67bc47172bb00c866d649663d04fb1226f0ae2a0ebd49",
+                           "1d825247f6d99428c7c206f20ed9611ff6d5384c8441658e2b0db5f0294a965c"),
+        (901, 40, 8, 0.9): ("ddc935b0f29686f0ccce952eeec2c76bc9a63c75518acf7c064148b396ab5cbb",
+                            "9723cf31a12799870c0f463493b0053149879dda79f023b043f5b1b0629a1950"),
+        (3, 80, 24, 0.9): ("955fe2c1141dcfaf888f6e2762ba29996ff6038d4fbec8c08926ed16dc3bf436",
+                           "fc8672f229b3c8aa3ac7bf4367525d2df7f73b8b4ce5f7f9547f826316994b9f"),
+    }
+
+    @pytest.mark.parametrize("seed, pop_size, dim, crossover_rate", sorted(PINS))
+    def test_block(self, seed, pop_size, dim, crossover_rate):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        donors, keep = draw_block(rng, pop_size, dim, crossover_rate)
+        assert (donors.dtype, donors.shape, donors.flags.c_contiguous) == (np.int64, (32, 3, pop_size), True)
+        assert (keep.dtype, keep.shape) == (bool, (32, pop_size, dim))
+        assert (sha256(donors), sha256(keep)) == self.PINS[seed, pop_size, dim, crossover_rate]
+
+    @pytest.mark.parametrize("seed, pop_size, dim, crossover_rate", sorted(PINS))
+    def test_donors_open_the_block(self, seed, pop_size, dim, crossover_rate):
+        donors = donor_indices(np.random.Generator(np.random.PCG64(seed)), pop_size, 32)
+        assert sha256(donors) == self.PINS[seed, pop_size, dim, crossover_rate][0]
 
 
 class TestMechanics:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from alertmpc.sim import (
     Metrics,
     PlantConfig,
     PlantOutOfRange,
+    TRACE_BYTES_CEILING,
     ScenarioConfig,
     SimTrace,
     TraceStep,
@@ -35,6 +38,7 @@ from alertmpc.sim import (
     run_scenario,
     scenario_for_arm,
     step_rng,
+    trace_nbytes,
 )
 
 from helpers import CASE1_MODELS, solve_failing_at, trace_to_telemetry, working_day_drift
@@ -218,6 +222,55 @@ class TestScenarioValidation:
     def test_negative_value_is_refused_when_built(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
             small_scenario(**{name: -1})
+
+
+class TestTraceCeiling:
+    """The sizes are computed, never allocated: no oversize run starts."""
+
+    def test_trace_size(self):
+        # 28 steps of five workers: 512 + 5 x 80 per step, and 16 KB.
+        assert trace_nbytes(28, 5) == 28 * 912 + 16384
+
+    def test_oversize_steps_are_refused_when_built(self):
+        needed = trace_nbytes(10**12, 1)
+        with pytest.raises(ConfigError) as info:
+            replace(small_scenario(), steps=10**12)
+        assert str(info.value) == (
+            f"a run of 1000000000000 steps for 1 worker(s) keeps a trace of {needed} bytes, "
+            "over the ceiling of 1073741824 bytes"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 24])
+    def test_ceiling_is_the_largest_size_accepted(self, workers):
+        per_step = trace_nbytes(2, workers) - trace_nbytes(1, workers)
+        steps = (TRACE_BYTES_CEILING - trace_nbytes(0, workers)) // per_step
+        cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
+        assert trace_nbytes(steps, workers) <= TRACE_BYTES_CEILING < trace_nbytes(steps + 1, workers)
+        small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, steps=steps)
+        with pytest.raises(ConfigError, match="over the ceiling"):
+            small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, steps=steps + 1)
+
+    # A run with and one without a search, at one worker and at 24.
+    @pytest.mark.parametrize("mode", [ControlMode.NOC, ControlMode.MPC1])
+    @pytest.mark.parametrize("workers", [1, 24])
+    def test_count_bounds_what_a_real_runs_trace_holds(self, mode, workers):
+        steps = 150 if mode is ControlMode.NOC else 40
+        sc = small_scenario(mode=mode, mpc_cfg=MpcConfig(mode=mode, num_workers=workers), steps=steps,
+                            de=DeParams(population_size=8, max_generations=5))
+        run_scenario(replace(sc, steps=2))  # one-time allocations of numpy and Python
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace, metrics = run_scenario(sc)
+            # Collecting empties the interpreter's free lists of floats and
+            # tuples, which the run filled and no trace holds.
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == steps
+        count = trace_nbytes(steps, workers)
+        assert count / 2 <= held <= count
 
 
 class TestRunScenario:
@@ -414,7 +467,6 @@ class TestOpenLoopAndTelemetry:
         with pytest.raises(PlantOutOfRange, match=want):
             run_open_loop(plant, 2, [(26.0, 600.0)] * 3, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_plant_effort_that_is_not_finite_is_refused(self):
         # The jitter's squares overflow, so its SD is inf; dl_effort * inf
         # is -inf, which the clamp would move onto the scale.
