@@ -11,6 +11,11 @@ them.  rollout propagates one schedule with them, step by step, and
 objective and constraint_violation are the two scores of its prediction,
 summed one float at a time.  NOC scores its one schedule so.
 
+comfort_holds decides, once per solve and in plain floats, whether any
+schedule inside the setpoint box can break the comfort cap from the
+measured state.  When it cannot, every violation is +0.0 and the search
+scores candidates with HorizonKernel.objective alone.
+
 The search scores a whole population, two rows or more, per call with
 one HorizonKernel per solve, built for that population's row count.  The
 kernel folds the terms of the drowsiness sum that depend only on the
@@ -30,6 +35,7 @@ those of rollout's prediction bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,7 @@ from .domain import (
     DL_MAX,
     DL_MIN,
     AmiModel,
+    ControlMode,
     ControlSchedule,
     DlModel,
     IdtModel,
@@ -312,6 +319,35 @@ class HorizonKernel:
         """Objective and violation of (rows, horizon) schedules, as new
         (rows,) arrays.  The predictions stay in room and dls until the
         next call."""
+        mean = self._predict(temp_sets, illum_sets)
+
+        # The violation: comfort_penalty, one array operation at a time,
+        # then each step's excess over the cap, floored at zero, summed
+        # down the steps.  fmax, not maximum: a NaN excess counts as none,
+        # as constraint_violation's "excess > 0.0" skips it.  The cap is
+        # positive, so no excess is -0.0, and the sum equals
+        # constraint_violation's from 0.0.  A total too large for a float
+        # (huge comfort weights) saturates at the largest float: the
+        # search still ranks it as the worst violation, where an infinity
+        # would stop it as a non-finite evaluation.
+        deviation, excess = self._deviation, self._excess
+        _subtract(self.room, self.comfort, deviation)
+        _absolute(deviation, deviation)
+        _multiply(self.weights, deviation, deviation)
+        _add_reduce(deviation, 1, None, excess)
+        _subtract(excess, self.cap, excess)
+        _fmax(excess, _ZERO, out=excess)
+        violation = _add_reduce(excess, 0)
+        return mean, _minimum(violation, _LARGEST, out=violation)
+
+    def objective(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> np.ndarray:
+        """evaluate's objective alone, without the violation: solve scores
+        a search so when comfort_holds has proved every violation zero."""
+        return self._predict(temp_sets, illum_sets)
+
+    def _predict(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> np.ndarray:
+        """Roll (rows, horizon) schedules over the horizon into room and
+        dls, and return each row's mean drowsiness as a new (rows,) array."""
         if temp_sets.shape != self.shape or illum_sets.shape != self.shape:
             raise ShapeMismatch(
                 f"schedules are {temp_sets.shape} and {illum_sets.shape}, "
@@ -362,26 +398,7 @@ class HorizonKernel:
 
         # The objective: each row's mean drowsiness.
         mean = _add_reduce(self._dl_rows, 0)
-        _divide(mean, self._count, mean)
-
-        # The violation: comfort_penalty, one array operation at a time,
-        # then each step's excess over the cap, floored at zero, summed
-        # down the steps.  fmax, not maximum: a NaN excess counts as none,
-        # as constraint_violation's "excess > 0.0" skips it.  The cap is
-        # positive, so no excess is -0.0, and the sum equals
-        # constraint_violation's from 0.0.  A total too large for a float
-        # (huge comfort weights) saturates at the largest float: the
-        # search still ranks it as the worst violation, where an infinity
-        # would stop it as a non-finite evaluation.
-        deviation, excess = self._deviation, self._excess
-        _subtract(self.room, self.comfort, deviation)
-        _absolute(deviation, deviation)
-        _multiply(self.weights, deviation, deviation)
-        _add_reduce(deviation, 1, None, excess)
-        _subtract(excess, self.cap, excess)
-        _fmax(excess, _ZERO, out=excess)
-        violation = _add_reduce(excess, 0)
-        return mean, _minimum(violation, _LARGEST, out=violation)
+        return _divide(mean, self._count, mean)
 
 
 def _pair_coef(shape, c_plus, c_minus) -> np.ndarray:
@@ -469,6 +486,67 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
     return min(total, _FLOAT_MAX)
 
 
+# How far comfort_holds widens an interval at each step, relative to the
+# size of the values it bounds.  A step's few float operations round by a
+# few parts in 1e16 of that size, and DE's first population, drawn as
+# lower + u * span, can pass the box's upper bound by one unit in the
+# last place, which moves a step's values by about as little; this
+# covers both many times over.
+_COMFORT_SLACK = 1e-9
+
+
+def comfort_holds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig) -> bool:
+    """True when no schedule inside cfg's setpoint box breaks the comfort
+    cap at any step from snapshot: then constraint_violation, and every
+    HorizonKernel violation, of every such schedule is +0.0.  False
+    proves nothing.
+
+    The room is bounded by intervals, step by step, in plain floats.
+    predict_idt mixes the setpoint and the last temperature with a gain
+    in (0, 1], so every predicted temperature lies between the lowest and
+    the highest of the measured one, temp_lo and temp_hi.  Illuminance
+    is carried through predict_ami's affine map, whatever the signs of
+    theta_prev and theta_set, and its clamp at zero; MPC2's setpoints span
+    [illum_lo, illum_hi], the other modes' are illum_comfort.  Each
+    interval is widened by _COMFORT_SLACK at every step, so every rounded
+    prediction, also from a setpoint one unit in the last place past the
+    box, lies inside it.  Rounding is monotonic, so comfort_penalty
+    at each interval's end farthest from the comfort point bounds the
+    penalty computed at any point of the intervals; comfort holds when
+    that bound is at most penalty_cap at every step.  A bound that is not
+    finite (huge weights, an overflowing model) fails the test.
+    """
+    theta0, theta_prev, theta_set = models.ami.theta0, models.ami.theta_prev, models.ami.theta_set
+    t_comfort, l_comfort, p_temp, p_illum = cfg.temp_comfort, cfg.illum_comfort, cfg.p_temp, cfg.p_illum
+    if cfg.mode is ControlMode.MPC2:
+        illum_sets = cfg.illum_lo, cfg.illum_hi
+    else:
+        illum_sets = l_comfort, l_comfort
+    # theta_set * setpoint, the same at every step.
+    light_lo, light_hi = sorted((theta_set * illum_sets[0], theta_set * illum_sets[1]))
+    t_lo = t_hi = snapshot.temp_current
+    l_lo = l_hi = snapshot.illum_current
+    for _ in range(cfg.horizon):
+        t_lo, t_hi = min(t_lo, cfg.temp_lo), max(t_hi, cfg.temp_hi)
+        slack = _COMFORT_SLACK * max(abs(t_lo), abs(t_hi))
+        t_lo, t_hi = t_lo - slack, t_hi + slack
+        prev_lo, prev_hi = sorted((theta_prev * l_lo, theta_prev * l_hi))
+        # Rounding errs in proportion to the terms' sizes, not the sum's.
+        size = abs(theta0) + max(abs(prev_lo), abs(prev_hi)) + max(abs(light_lo), abs(light_hi))
+        slack = _COMFORT_SLACK * size
+        if not math.isfinite(slack):
+            return False
+        # No bound is NaN now, so max() compares each pair truly.
+        l_lo = max(theta0 + prev_lo + light_lo - slack, 0.0)
+        l_hi = max(theta0 + prev_hi + light_hi + slack, 0.0)
+        # comfort_penalty, in its order of operations, at the farthest ends.
+        penalty = (p_temp * max(abs(t_lo - t_comfort), abs(t_hi - t_comfort))
+                   + p_illum * max(abs(l_lo - l_comfort), abs(l_hi - l_comfort)))
+        if not penalty <= cfg.penalty_cap:
+            return False
+    return True
+
+
 __all__ = [
     "ShapeMismatch",
     "increments",
@@ -482,4 +560,5 @@ __all__ = [
     "objective",
     "comfort_penalty",
     "constraint_violation",
+    "comfort_holds",
 ]

@@ -5,7 +5,8 @@ holds the comfort point and scores it with the plain rollout; the
 optimizing modes search the setpoint box by differential evolution, scoring each
 generation's objective and constraint from one batched rollout of the
 whole population, and report the search's own scores of the schedule
-they pick.
+they pick.  When comfort_holds proves that no schedule in the box breaks
+comfort, the search scores the objective alone.
 Controller builds each interval's Decision for the simulator and the
 daemon.  It keeps the snapshot its two latest measured steps form,
 holds the last applied setpoints while it has none or lags the clock,
@@ -28,7 +29,7 @@ from .domain import (
     StateSnapshot,
     WorkerState,
 )
-from .models import HorizonKernel, constraint_violation, objective, rollout, rollout_nbytes
+from .models import HorizonKernel, comfort_holds, constraint_violation, objective, rollout, rollout_nbytes
 from .optimizer import (
     DeParams,
     DeResult,
@@ -115,9 +116,13 @@ def solve(
     # calls.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = HorizonKernel(models, snapshot, cfg, rows)
-
-        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return kernel.evaluate(*split(pop))
+        if comfort_holds(models, snapshot, cfg):
+            # Every violation would be +0.0: de_minimize reads None so.
+            def evaluate(pop: np.ndarray) -> tuple[np.ndarray, None]:
+                return kernel.objective(*split(pop)), None
+        else:
+            def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return kernel.evaluate(*split(pop))
 
         # params by keyword: the perfbench de_minimize hook reads it from there.
         result: DeResult = de_minimize(evaluate, lower, upper, params=de)

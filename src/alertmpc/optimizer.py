@@ -6,9 +6,11 @@ and each generation scores every trial with one call of the caller's
 evaluate(pop) -> (objective, violation).
 Candidates are compared by constraint violation before objective: any
 feasible point beats any infeasible one, two infeasible points compare
-on violation, two feasible ones on objective.  Mutants are clipped back
-into the box, so bound-hitting optima are reachable exactly.  Runs are
-bit-reproducible for a fixed seed.
+on violation, two feasible ones on objective.  A caller that knows every
+point of the box is feasible returns None as the violation, and the
+search compares on the objective alone, keeping no violations.  Mutants
+are clipped back into the box, so bound-hitting optima are reachable
+exactly.  Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -130,9 +132,12 @@ def not_worse(f_a, v_a, f_b, v_b, out: np.ndarray) -> np.ndarray:
     return take
 
 
-def incumbent(fs: np.ndarray, vs: np.ndarray) -> int:
+def incumbent(fs: np.ndarray, vs: np.ndarray | None) -> int:
     """Index of the best member: the first minimum of the objective among
-    feasible members, else the first minimum of the violation."""
+    feasible members, else the first minimum of the violation.  vs of
+    None: every member is feasible."""
+    if vs is None:
+        return int(np.argmin(fs))
     feasible = vs == 0.0
     if feasible.any():
         return int(np.argmin(np.where(feasible, fs, np.inf)))
@@ -183,32 +188,42 @@ def draw_block(rng: np.random.Generator, pop_size: int, dim: int, crossover_rate
     return donors, keep
 
 
-def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.ndarray]:
+def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.ndarray | None]:
     """The objectives f and violations v of the rows pop as float arrays.
 
     Raises ValueError unless each holds one value per row and v >= 0, and
-    NonFiniteObjective on a NaN or an infinity.  finite, a (2, len(pop))
-    bool array, holds the finiteness test; one is made when it is None.
+    NonFiniteObjective on a NaN or an infinity.  A v of None (every row
+    feasible) is returned as None, and f alone is checked.  finite, a
+    (2, len(pop)) bool array, holds the finiteness test; one is made when
+    it is None.
     """
     if finite is None:
         finite = np.empty((2, len(pop)), dtype=bool)
     return _checked_scores(pop, f, v, finite, *finite)
 
 
-def _checked_scores(pop, f, v, finite, finite_f, finite_v) -> tuple[np.ndarray, np.ndarray]:
+def _checked_scores(pop, f, v, finite, finite_f, finite_v) -> tuple[np.ndarray, np.ndarray | None]:
     """checked_scores with finite's two rows given: a search builds them once."""
     f = np.asarray(f, float)
-    v = np.asarray(v, float)
     shape = (len(pop),)
-    if f.shape != shape or v.shape != shape:
-        raise ValueError(
-            f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}"
-        )
-    _isfinite(f, finite_f)
-    _isfinite(v, finite_v)
-    if _and_reduce(finite, None) and _min_reduce(v) >= 0.0:
-        return f, v
-    for name, values in (("objective", f), ("violation", v)):
+    if v is None:
+        if f.shape != shape:
+            raise ValueError(f"evaluate must return a {shape} objective, got {f.shape}")
+        if _and_reduce(_isfinite(f, finite_f), None):
+            return f, None
+        scores = (("objective", f),)
+    else:
+        v = np.asarray(v, float)
+        if f.shape != shape or v.shape != shape:
+            raise ValueError(
+                f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}"
+            )
+        _isfinite(f, finite_f)
+        _isfinite(v, finite_v)
+        if _and_reduce(finite, None) and _min_reduce(v) >= 0.0:
+            return f, v
+        scores = (("objective", f), ("violation", v))
+    for name, values in scores:
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))
@@ -218,7 +233,7 @@ def _checked_scores(pop, f, v, finite, finite_f, finite_v) -> tuple[np.ndarray, 
 
 
 def de_minimize(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
     lower,
     upper,
     params: DeParams,
@@ -230,6 +245,14 @@ def de_minimize(
     nonnegative, zero exactly on the feasible set.  evaluate must be
     pure and score each row independently of the others.  The array it
     is given is a buffer that the next generation overwrites.
+
+    A violation of None means that every row is feasible: the search
+    checks the objective only, selects a trial whose objective is at
+    most its member's, stops on the objective's spread alone, keeps no
+    violations and reports best_violation 0.0.  Those are the choices it
+    makes when every violation is zero, so both give the same result.
+    evaluate returns None in every call or in none; a mix raises
+    ValueError.
 
     The initial population is drawn first; then, right before
     generations 0, _BLOCK, 2 * _BLOCK, ... run, the donors, crossover
@@ -274,7 +297,9 @@ def de_minimize(
     infeasible, f_max, f_min = np.empty((), dtype=bool), np.empty(()), np.empty(())
     # Copies: the search updates them in place, and checked_scores() may
     # return the caller's own arrays.
-    fs, vs = (x.copy() for x in _checked_scores(pop, *evaluate(pop), finite, finite_f, finite_v))
+    fs, vs = _checked_scores(pop, *evaluate(pop), finite, finite_f, finite_v)
+    feasible = vs is None
+    fs, vs = fs.copy(), None if feasible else vs.copy()
     # Every generation's donors and trials go into these buffers.
     donor_rows = np.empty((3, pop_size, dim))
     r1, r2, r3 = donor_rows
@@ -290,7 +315,7 @@ def de_minimize(
         # checked_scores() guarantees vs >= 0, so "none nonzero" is "all
         # feasible".  The ufuncs' reduce spares the Python wrappers of
         # ndarray.any, max and min.
-        if not _or_reduce(vs, 0, None, infeasible) and (
+        if (feasible or not _or_reduce(vs, 0, None, infeasible)) and (
             float(_max_reduce(fs, 0, None, f_max)) - float(_min_reduce(fs, 0, None, f_min)) < tolerance
         ):
             stop_reason = "tolerance"
@@ -312,17 +337,23 @@ def de_minimize(
         _minimum(trials, upper_rows, out=trials)
         copyto(trials, pop, where=keep[step])
 
-        f_t, v_t = _checked_scores(trials, *evaluate(trials), finite, finite_f, finite_v)
-        not_worse(f_t, v_t, fs, vs, select_rows)
+        f_t, v_t = evaluate(trials)
+        if (v_t is None) is not feasible:
+            raise ValueError("evaluate must return None as the violation in every generation or in none")
+        f_t, v_t = _checked_scores(trials, f_t, v_t, finite, finite_f, finite_v)
+        if feasible:
+            _less_equal(f_t, fs, take)
+        else:
+            not_worse(f_t, v_t, fs, vs, select_rows)
+            copyto(vs, v_t, where=take)
         copyto(pop, trials, where=take_rows)
         copyto(fs, f_t, where=take)
-        copyto(vs, v_t, where=take)
 
     best = incumbent(fs, vs)
     return DeResult(
         best_vector=pop[best].copy(),
         best_objective=float(fs[best]),
-        best_violation=float(vs[best]),
+        best_violation=0.0 if feasible else float(vs[best]),
         generations_used=generations,
         evaluations=pop_size * (1 + generations),
         stop_reason=stop_reason,

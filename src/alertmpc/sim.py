@@ -186,18 +186,19 @@ def plant_step(
 # The most memory one run's trace may hold.  run_scenario keeps every
 # step's record, so a config whose steps would need more is refused where
 # it is built, as a search too large is (mpc.SEARCH_BYTES_CEILING).  Five
-# workers over a 28-step day need about 42 KB.
+# workers over a 28-step day need about 38 KB.
 TRACE_BYTES_CEILING = 2**30
 
 
 def trace_nbytes(steps: int, workers: int) -> int:
     """Bytes the trace of a run of steps steps for workers workers holds,
-    at most: 512 per step for its TraceStep, the record's values and its
+    at most: 384 per step for its TraceStep, the record's values and its
     slot in the trace, 80 per step and worker for a drowsiness and an
     effort with their tuple slots and the metrics' arrays of them, and
     16 KB for the trace's own objects.  On CPython 3.11 the first two are
-    about 330 and 64."""
-    return steps * (512 + 80 * workers) + 16384
+    about 180 and 64: TraceStep has slots, so a step keeps no instance
+    dict."""
+    return steps * (384 + 80 * workers) + 16384
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ class ScenarioConfig:
 TRACE_STATUSES = ("ok", "stale", "error", "lunch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     step: int
     temp_set: float

@@ -52,6 +52,7 @@ from alertmpc.domain import (
     WorkerState,
 )
 from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_idt_coeffs
+from alertmpc.models import constraint_violation, rollout
 from alertmpc.mpc import Controller, solve
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
@@ -1241,6 +1242,10 @@ def control_config_text(sections) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(text=mutated_control_config())
+# A comfort weight whose penalty overflows: every search meets the
+# saturated violation, and no solve may be proved feasible in advance.
+@example(text=control_config_text(
+    {"mpc": dict(CONTROL_BASE["mpc"], p_illum="1.7e308"), "de": CONTROL_BASE["de"]}))
 def test_any_control_config_is_rejected_or_solves_inside_the_box(tmp_path_factory, text):
     path = put(tmp_path_factory.mktemp("cfg"), "c.cfg", text)
     try:
@@ -1248,13 +1253,17 @@ def test_any_control_config_is_rejected_or_solves_inside_the_box(tmp_path_factor
     except CliError:
         return
     workers = tuple(WorkerState(d_current=2.5) for _ in range(cfg.num_workers))
-    solution = solve(TRUTH, StateSnapshot(workers, 26.0, 600.0), cfg, de)
+    snap = StateSnapshot(workers, 26.0, 600.0)
+    solution = solve(TRUTH, snap, cfg, de)
     temps = np.array(solution.schedule.temp_setpoints)
     illums = np.array(solution.schedule.illum_setpoints)
     assert len(temps) == cfg.horizon
     assert np.all(np.isfinite(temps)) and np.all(np.isfinite(illums))
     assert np.all((cfg.temp_lo <= temps) & (temps <= cfg.temp_hi))
     assert np.all((cfg.illum_lo <= illums) & (illums <= cfg.illum_hi))
+    # The reported violation is the schedule's, also when the search ran
+    # on the objective alone.
+    assert solution.violation == constraint_violation(rollout(TRUTH, snap, solution.schedule, cfg), cfg)
 
 
 # A model whose drowsiness rollout overflows, and a setpoint box wider

@@ -1,13 +1,15 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
     AmiModel,
+    ControlMode,
     ControlSchedule,
     DlModel,
     DL_FEATURES,
@@ -20,6 +22,7 @@ from alertmpc.domain import (
 from alertmpc.models import (
     HorizonKernel,
     ShapeMismatch,
+    comfort_holds,
     comfort_penalty,
     constraint_violation,
     increments,
@@ -654,6 +657,142 @@ class TestObjectiveAndConstraint:
         violation = constraint_violation(rollout(models, snap, sched, cfg), cfg)
         assert violation == vs[0] == vs[1] == np.finfo(float).max
         assert type(violation) is float
+
+
+def box_schedules(cfg, rng, rows=32):
+    """(rows, horizon) setpoints inside cfg's box, as a search of cfg's
+    mode scores them.  Each quantity holds its lower bound, its upper
+    bound or one step past it (DE's first population, lower + u * span,
+    can pass it by so much), or alternates between the lower bound and
+    that step, in either phase; the first 25 rows are every pair of
+    those, the rest uniform draws.  MPC1's illuminance is illum_comfort
+    throughout."""
+    def patterns(lo, hi):
+        past = np.nextafter(hi, np.inf)
+        alternating = np.resize([lo, past], cfg.horizon)
+        return [np.full(cfg.horizon, x) for x in (lo, hi, past)] + [alternating, alternating[::-1]]
+
+    temps = rng.uniform(cfg.temp_lo, cfg.temp_hi, (rows, cfg.horizon))
+    illums = rng.uniform(cfg.illum_lo, cfg.illum_hi, (rows, cfg.horizon))
+    pairs = itertools.product(patterns(cfg.temp_lo, cfg.temp_hi), patterns(cfg.illum_lo, cfg.illum_hi))
+    for row, (t, l) in enumerate(pairs):
+        temps[row], illums[row] = t, l
+    if cfg.mode is ControlMode.MPC1:
+        illums[...] = cfg.illum_comfort
+    return temps, illums
+
+
+@st.composite
+def comfort_cases(draw):
+    """Models, a snapshot, a configuration and box_schedules of its box
+    for comfort_holds.
+
+    The gains are 1 or lie in 0.05-1, and the illuminance model is the
+    identity or has coefficients of either sign; snapshots lie inside the
+    box or anywhere in the measured range.  At unit gains from inside the
+    box the temperatures reach the box's corners, and so do the
+    illuminances under the identity model.  The cap may be drawn one step
+    under the largest penalty that any of the schedules meets: a proof
+    then leaves no room for a bound that misses a reachable room, a
+    rounding or a row past the box."""
+    def ordered(low, high):
+        a, b = draw(st.floats(low, high)), draw(st.floats(low, high))
+        return min(a, b), max(a, b)
+
+    (temp_lo, temp_hi), (illum_lo, illum_hi) = ordered(15.0, 35.0), ordered(0.0, 1500.0)
+    comfort = {"temp_comfort": draw(st.floats(temp_lo, temp_hi)),
+               "illum_comfort": draw(st.floats(illum_lo, illum_hi))}
+    if draw(st.booleans()):
+        idt, temp = IdtModel(k_up=1.0, k_down=1.0), draw(st.floats(temp_lo, temp_hi))
+    else:
+        idt = IdtModel(k_up=draw(st.floats(0.05, 1.0)), k_down=draw(st.floats(0.05, 1.0)))
+        temp = draw(st.floats(temp_lo, temp_hi) | st.floats(0.0, 50.0))
+    ami = draw(st.just(IDENTITY_AMI) | st.builds(
+        AmiModel, theta0=st.floats(-300.0, 300.0), theta_prev=st.floats(-0.95, 0.95),
+        theta_set=st.floats(-1.5, 1.5)))
+    illum = draw(st.floats(illum_lo, illum_hi) | st.floats(0.0, 10000.0))
+    cfg = MpcConfig(horizon=draw(st.integers(1, 6)), num_workers=1, temp_lo=temp_lo, temp_hi=temp_hi,
+                    illum_lo=illum_lo, illum_hi=illum_hi, **comfort,
+                    p_temp=draw(st.floats(1e-3, 1.0)), p_illum=draw(st.floats(1e-6, 0.01)),
+                    penalty_cap=draw(st.floats(0.05, 10.0)),
+                    mode=draw(st.sampled_from([ControlMode.MPC1, ControlMode.MPC2])))
+    models = ModelSet(dl=TestRolloutBatch.MODELS.dl, idt=idt, ami=ami)
+    snap = StateSnapshot((WorkerState(2.0),), temp, illum)
+    case = models, snap, cfg, *box_schedules(cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return tightened(*case) if draw(st.booleans()) else case
+
+
+def comfort_case(models, cfg, temp=26.0, illum=600.0):
+    """A comfort_cases value: one worker, the room at (temp, illum), and
+    box_schedules from seed 0."""
+    return (models, StateSnapshot((WorkerState(2.0),), temp, illum), cfg,
+            *box_schedules(cfg, np.random.default_rng(0)))
+
+
+def tightened(models, snap, cfg, temps, illums):
+    """The case with its cap one step under the largest penalty that the
+    schedules' predictions meet, when that is positive."""
+    preds = (rollout(models, snap, ControlSchedule(t, l), cfg) for t, l in zip(temps, illums))
+    largest = max(comfort_penalty(t, l, cfg) for p in preds for t, l in zip(p.temps, p.illums))
+    if largest > 0.0:
+        cfg = replace(cfg, penalty_cap=float(np.nextafter(largest, 0.0)))
+    return models, snap, cfg, temps, illums
+
+
+# Bounds that overflow: a comfort weight whose penalty is past the largest
+# float, and illuminance models whose prediction is, above it or below
+# (the room is then dark, but the bound proves nothing).
+OVERFLOWING_BOUNDS = {
+    "weight": comfort_case(TestRolloutBatch.MODELS, MpcConfig(horizon=3, p_illum=1.7e308)),
+    "model": comfort_case(replace(TestRolloutBatch.MODELS, ami=AmiModel(1e308, 0.5, 1e308)),
+                          MpcConfig(horizon=3)),
+    "dark model": comfort_case(replace(TestRolloutBatch.MODELS, ami=AmiModel(0.0, 0.0, -1e308)),
+                               MpcConfig(horizon=1, p_illum=1e-6)),
+}
+
+
+class TestComfortHolds:
+    @settings(max_examples=300, deadline=None)
+    @given(comfort_cases())
+    @example(OVERFLOWING_BOUNDS["weight"])
+    @example(OVERFLOWING_BOUNDS["model"])
+    # An exact room whose far corner is the upper one, and a cap at that
+    # corner's penalty: rounding and the rows past the box leave no slack.
+    @example(comfort_case(
+        ModelSet(dl=TestRolloutBatch.MODELS.dl, idt=IdtModel(1.0, 1.0), ami=IDENTITY_AMI),
+        MpcConfig(horizon=2, temp_comfort=25.5, illum_comfort=450.0,
+                  penalty_cap=0.5 * (26.5 - 25.5) + (1.0 / 150.0) * (750.0 - 450.0))))
+    # A negative theta_prev: the brightest second step follows the darkest
+    # first one.
+    @example(tightened(*comfort_case(
+        ModelSet(dl=TestRolloutBatch.MODELS.dl, idt=IdtModel(1.0, 1.0), ami=AmiModel(0.0, -0.9, 1.0)),
+        MpcConfig(horizon=2, illum_lo=0.0, illum_hi=1000.0, illum_comfort=0.0, p_temp=1e-3, p_illum=1e-3),
+        illum=500.0)))
+    def test_a_proof_means_every_violation_is_zero(self, case):
+        models, snap, cfg, temps, illums = case
+        if not comfort_holds(models, snap, cfg):
+            return
+        kernel = HorizonKernel(models, snap, cfg, len(temps))
+        _, violations = kernel.evaluate(temps, illums)
+        assert [v.hex() for v in violations] == [(0.0).hex()] * len(temps)
+        for row in (0, 1, 2):
+            pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
+            assert constraint_violation(pred, cfg).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_BOUNDS))
+    def test_a_bound_that_overflows_proves_nothing(self, name):
+        models, snap, cfg, _, _ = OVERFLOWING_BOUNDS[name]
+        assert not comfort_holds(models, snap, cfg)
+
+    def test_default_box_is_proved_from_comfort(self):
+        # The default box's farthest corner costs 0.25 + 1.0 of the cap of
+        # 2.  A cap of exactly that leaves no slack; a room at 29 C costs
+        # 1.5 + 1.0 at step 1.
+        models = replace(TestRolloutBatch.MODELS, idt=IdtModel(1.0, 1.0), ami=IDENTITY_AMI)
+        snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
+        assert comfort_holds(models, snap, MpcConfig())
+        assert not comfort_holds(models, snap, MpcConfig(penalty_cap=1.25))
+        assert not comfort_holds(models, replace(snap, temp_current=29.0), MpcConfig())
 
 
 class TestObjectiveGradient:

@@ -22,6 +22,7 @@ from alertmpc.domain import (
 )
 from alertmpc.models import (
     HorizonKernel,
+    comfort_holds,
     comfort_penalty,
     constraint_violation,
     objective,
@@ -30,6 +31,7 @@ from alertmpc.models import (
 )
 from alertmpc.mpc import Controller, require_search_fits, search_bytes, solve
 from alertmpc.optimizer import DeParams, NonFiniteObjective, search_nbytes
+from alertmpc.sim import run_scenario
 
 from helpers import CASE1_MODELS, shipped_config_path, solve_failing_at
 
@@ -200,6 +202,10 @@ class TestSolveModes:
                 (WorkerState.from_history(rng.uniform(1.5, 4.5), rng.uniform(1.5, 4.5),
                                           effort=rng.uniform(0, 0.3)),),
                 temp0, rng.uniform(300.0, 900.0))
+            # No solve here is proved feasible in advance: the box's
+            # hottest corner alone costs 1.0 of the cap, and a hot start
+            # more.  So each runs the feasibility-first search.
+            assert not comfort_holds(models, snap, cfg)
             sol = solve(models, snap, cfg,
                         DeParams(population_size=24, max_generations=40, seed=i))
             outcomes[sol.feasible] += 1
@@ -217,14 +223,16 @@ class TestSolveModes:
 def test_solve_scores_whole_populations_only(monkeypatch, mode):
     # Every kernel a solve builds and every call on it, by row count: the
     # search's generations and nothing after them.  NOC's one schedule
-    # goes through rollout and builds no kernel.
+    # goes through rollout and builds no kernel.  A search scores with
+    # evaluate, or with objective alone when comfort is proved.
     calls, built = [], []
 
-    def spy(kernel, temp_sets, illum_sets, real=HorizonKernel.evaluate):
-        calls.append(("evaluate", len(temp_sets)))
-        return real(kernel, temp_sets, illum_sets)
+    for name in ("evaluate", "objective"):
+        def spy(kernel, temp_sets, illum_sets, name=name, real=getattr(HorizonKernel, name)):
+            calls.append((name, len(temp_sets)))
+            return real(kernel, temp_sets, illum_sets)
 
-    monkeypatch.setattr(HorizonKernel, "evaluate", spy)
+        monkeypatch.setattr(HorizonKernel, name, spy)
 
     def counted_init(kernel, models, snapshot, cfg, rows, real=HorizonKernel.__init__):
         built.append(rows)
@@ -242,8 +250,29 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
         if mode is ControlMode.NOC:
             assert calls == built == []
         else:
-            assert calls == [("evaluate", search_rows)] * (1 + sol.generations_used)
+            assert calls in ([(name, search_rows)] * (1 + sol.generations_used)
+                             for name in ("evaluate", "objective"))
             assert built == [search_rows]
+
+
+@pytest.mark.parametrize("room", ["case1", "case2"])
+@pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+def test_every_shipped_solve_is_proved(monkeypatch, room, mode):
+    # The shipped boxes lie inside the comfort band with room to spare:
+    # every solve of their closed loops searches on the objective alone.
+    proofs = []
+
+    def spy(models, snapshot, cfg, real=mpc_mod.comfort_holds):
+        proofs.append(real(models, snapshot, cfg))
+        return proofs[-1]
+
+    monkeypatch.setattr(mpc_mod, "comfort_holds", spy)
+    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
+    for seed in (1, 2, 3):
+        proofs.clear()
+        trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
+        solves = sum(step.status == "ok" for step in trace.steps)
+        assert solves > 0 and proofs == [True] * solves
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])

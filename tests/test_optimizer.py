@@ -290,6 +290,67 @@ class TestMechanics:
         assert np.array_equal(res2.best_vector, orig)
 
 
+class TestFeasibleByProof:
+    """evaluate returning None as the violation: every row is feasible."""
+
+    @staticmethod
+    def searches(objective, lo, hi, params):
+        """The search with zero violations and with None."""
+        def zeros(pop):
+            return objective(pop), np.zeros(len(pop))
+
+        def none(pop):
+            return objective(pop), None
+
+        return de_minimize(zeros, lo, hi, params), de_minimize(none, lo, hi, params)
+
+    @pytest.mark.parametrize("seed, pop_size, dim, generations", [
+        (0, 4, 1, 40), (3, 12, 3, 200), (42, 40, 8, 60), (9, 25, 4, 33), (11, 80, 24, 5)])
+    # The sphere, and a staircase whose ties take the trial.
+    @pytest.mark.parametrize("objective", [
+        lambda pop: (pop * pop).sum(axis=1),
+        lambda pop: np.floor(np.abs(pop).sum(axis=1)),
+    ], ids=["sphere", "steps"])
+    def test_none_equals_zero_violations(self, seed, pop_size, dim, generations, objective):
+        lo, hi = np.full(dim, -5.0), np.full(dim, 5.0)
+        params = DeParams(population_size=pop_size, max_generations=generations, seed=seed)
+        zeros, none = self.searches(objective, lo, hi, params)
+        assert zeros.best_vector.tobytes() == none.best_vector.tobytes()
+        assert ((zeros.best_objective, zeros.best_violation, zeros.generations_used, zeros.evaluations,
+                 zeros.stop_reason)
+                == (none.best_objective, none.best_violation, none.generations_used, none.evaluations,
+                    none.stop_reason))
+        assert none.best_violation == 0.0 and none.feasible
+
+    def test_both_stop_reasons_are_covered(self):
+        params = DeParams(population_size=12, max_generations=60, seed=3)
+        flat = self.searches(lambda pop: np.floor(np.abs(pop).sum(axis=1)), LO4, HI4, params)
+        sphere = self.searches(lambda pop: (pop * pop).sum(axis=1), LO4, HI4, params)
+        assert [r.stop_reason for r in (*flat, *sphere)] == ["tolerance"] * 2 + ["budget"] * 2
+
+    @pytest.mark.parametrize("first", ["none", "array"])
+    def test_mixing_none_and_arrays_is_refused(self, first):
+        calls = []
+
+        def evaluate(pop):
+            calls.append(len(pop))
+            none = (len(calls) % 2 == 1) == (first == "none")
+            return (pop * pop).sum(axis=1), None if none else np.zeros(len(pop))
+
+        with pytest.raises(ValueError, match="None as the violation in every generation or in none"):
+            de_minimize(evaluate, LO4, HI4, DeParams(population_size=8, max_generations=5, seed=1))
+        assert len(calls) == 2
+
+    def test_objective_alone_is_checked(self):
+        def evaluate(pop):
+            return np.where(pop[:, 0] > 0, np.nan, 0.0), None
+
+        with pytest.raises(NonFiniteObjective, match="objective returned nan"):
+            de_minimize(evaluate, LO4, HI4, DeParams(population_size=20, max_generations=10, seed=1))
+        with pytest.raises(ValueError, match=r"evaluate must return a \(8,\) objective, got \(7,\)"):
+            de_minimize(lambda pop: (np.zeros(7), None), LO4, HI4, DeParams(population_size=8, seed=1))
+
+
 class TestErrors:
     def test_bad_bounds(self):
         with pytest.raises(BadBounds):

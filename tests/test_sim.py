@@ -228,8 +228,8 @@ class TestTraceCeiling:
     """The sizes are computed, never allocated: no oversize run starts."""
 
     def test_trace_size(self):
-        # 28 steps of five workers: 512 + 5 x 80 per step, and 16 KB.
-        assert trace_nbytes(28, 5) == 28 * 912 + 16384
+        # 28 steps of five workers: 384 + 5 x 80 per step, and 16 KB.
+        assert trace_nbytes(28, 5) == 28 * 784 + 16384
 
     def test_oversize_steps_are_refused_when_built(self):
         needed = trace_nbytes(10**12, 1)
