@@ -8,8 +8,8 @@ into its output directory recording the resolved parameters, so any run
 can be reproduced exactly.
 
 Exit codes: 0 success, 2 malformed input or configuration, or an output
-that cannot be written, 3 not enough data to identify a model, 4 no
-feasible schedule.
+that cannot be written, 3 not enough data to identify a model or a fit
+that overflows, 4 no feasible schedule.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .identify import (
     BadRidge,
     DegenerateSweep,
     InsufficientData,
+    OverflowingFit,
     UnstableFit,
     fit_ami_model,
     fit_dl_model,
@@ -267,7 +268,7 @@ def cmd_identify(args) -> int:
         )
         idt_model, idt_report = fit_idt_coeffs(table)
         ami_model, ami_report = fit_ami_model(table)
-    except (InsufficientData, DegenerateSweep, UnstableFit) as err:
+    except (InsufficientData, DegenerateSweep, UnstableFit, OverflowingFit) as err:
         raise CliError(str(err), exit_code=3)
     except BadRidge as err:
         raise CliError(f"--ridge: {err}")

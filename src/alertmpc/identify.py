@@ -37,6 +37,10 @@ class BadRidge(ValueError):
     """The ridge strength of a fit is negative or not finite."""
 
 
+class OverflowingFit(ValueError):
+    """Finite telemetry overflows the drowsiness fit's arithmetic."""
+
+
 VALUE_COLUMNS = ("dl", "effort", "temp", "illum", "temp_set", "illum_set")
 # The range each bounded value column must lie in.
 _RANGES = {"dl": (DL_MIN, DL_MAX), "temp": TEMP_RANGE, "illum": ILLUM_RANGE,
@@ -122,14 +126,19 @@ def _centered_lstsq(X: np.ndarray, y: np.ndarray, ridge: float):
 
     Returns (intercept, coefficients, rank of the centered design).  With
     a rank-deficient design the coefficient vector is the minimum-norm
-    solution and the intercept absorbs the sample mean.
+    solution and the intercept absorbs the sample mean.  Non-finite
+    column means or Gram matrix raise OverflowingFit before LAPACK.
     """
     x_mean = X.mean(axis=0)
+    if not np.isfinite(x_mean).all():
+        raise OverflowingFit("drowsiness fit overflows: its column means are not finite")
     y_mean = y.mean()
-    xc = X - x_mean
+    xc = X - x_mean  # finite: each column is bounded, or nonnegative as effort is
     yc = y - y_mean
     if ridge > 0.0:
         gram = xc.T @ xc + ridge * np.eye(X.shape[1])
+        if not np.isfinite(gram).all():
+            raise OverflowingFit("drowsiness fit overflows: its Gram matrix is not finite")
         beta = np.linalg.solve(gram, xc.T @ yc)
         rank = np.linalg.matrix_rank(xc)
     else:
@@ -143,7 +152,7 @@ def _rmse(residuals: np.ndarray) -> float:
 
 
 def _parts(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative parts, elementwise as models.increments."""
+    """Positive and negative parts, elementwise as domain.increments."""
     return np.where(delta >= 0, delta, 0.0), np.where(delta >= 0, 0.0, -delta)
 
 
@@ -177,7 +186,8 @@ def fit_dl_model(
     data: TelemetryTable, exclude_boundary: bool = True, ridge: float = 0.0
 ) -> tuple[DlModel, FitReport]:
     """Identify the drowsiness regression from telemetry; ridge must be
-    finite and >= 0, and 0 fits plain least squares."""
+    finite and >= 0, and 0 fits plain least squares.  Readings that
+    overflow the fit, a huge effort say, raise OverflowingFit."""
     if not (np.isfinite(ridge) and ridge >= 0.0):
         raise BadRidge(f"ridge must be finite and >= 0, got {ridge}")
     X, y = dl_design(data, exclude_boundary)
@@ -186,11 +196,14 @@ def fit_dl_model(
         raise InsufficientData(
             f"drowsiness fit needs >= {n_params} usable samples, got {len(y)}"
         )
-    intercept, beta, rank = _centered_lstsq(X, y, ridge)
-    residuals = y - (intercept + X @ beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned about
+        intercept, beta, rank = _centered_lstsq(X, y, ridge)
+        rmse = _rmse(y - (intercept + X @ beta))
+    if not np.isfinite([intercept, rmse, *beta]).all():
+        raise OverflowingFit("drowsiness fit overflows: its coefficients or RMSE are not finite")
     model = DlModel(intercept=intercept, coef=dict(zip(DL_FEATURES, (float(b) for b in beta))))
     report = FitReport(
-        rmse=_rmse(residuals),
+        rmse=rmse,
         n_samples=len(y),
         condition_warning=rank < len(DL_FEATURES),
     )
@@ -278,6 +291,7 @@ __all__ = [
     "DegenerateSweep",
     "UnstableFit",
     "BadRidge",
+    "OverflowingFit",
     "InvalidTelemetry",
     "TelemetryTable",
     "VALUE_COLUMNS",

@@ -17,7 +17,8 @@ measured state.  When it cannot, every violation is +0.0 and the search
 scores candidates with HorizonKernel.objective alone.
 
 The search scores a whole population, two rows or more, per call with
-one HorizonKernel per solve, built for that population's row count.  The
+one HorizonKernel per solve, built for that population's row count:
+objective predicts and takes the mean, evaluate adds the violation.  The
 kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
 calls write, the views of each step that its loops read and write, and
@@ -163,8 +164,8 @@ class HorizonKernel:
 
     Built once per solve from the models, the measured state, the
     configuration and the number of rows each call scores, two or more;
-    solve scores every generation of its search with it.  A call takes
-    (rows, horizon) setpoints and refuses any other shape.
+    solve scores every generation of its search with it, by objective or
+    evaluate.  A call takes (rows, horizon) setpoints, no other shape.
 
     Each row's prediction equals rollout's of that schedule, and its
     scores objective's and constraint_violation's, bit for bit.
@@ -317,9 +318,9 @@ class HorizonKernel:
 
     def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
         """Objective and violation of (rows, horizon) schedules, as new
-        (rows,) arrays.  The predictions stay in room and dls until the
-        next call."""
-        mean = self._predict(temp_sets, illum_sets)
+        (rows,) arrays: objective's prediction and mean, then the comfort
+        violation of the room it leaves."""
+        mean = self.objective(temp_sets, illum_sets)
 
         # The violation: comfort_penalty, one array operation at a time,
         # then each step's excess over the cap, floored at zero, summed
@@ -341,13 +342,9 @@ class HorizonKernel:
         return mean, _minimum(violation, _LARGEST, out=violation)
 
     def objective(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> np.ndarray:
-        """evaluate's objective alone, without the violation: solve scores
-        a search so when comfort_holds has proved every violation zero."""
-        return self._predict(temp_sets, illum_sets)
-
-    def _predict(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> np.ndarray:
         """Roll (rows, horizon) schedules over the horizon into room and
-        dls, and return each row's mean drowsiness as a new (rows,) array."""
+        dls, and return each row's mean drowsiness as a new (rows,) array.
+        The predictions stay in room and dls until the next call."""
         if temp_sets.shape != self.shape or illum_sets.shape != self.shape:
             raise ShapeMismatch(
                 f"schedules are {temp_sets.shape} and {illum_sets.shape}, "
@@ -549,7 +546,6 @@ def comfort_holds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig) -> 
 
 __all__ = [
     "ShapeMismatch",
-    "increments",
     "predict_idt",
     "predict_ami",
     "predict_dl",

@@ -4,9 +4,9 @@ solve() turns one measured state into a setpoint schedule.  NOC simply
 holds the comfort point and scores it with the plain rollout; the
 optimizing modes search the setpoint box by differential evolution, scoring each
 generation's objective and constraint from one batched rollout of the
-whole population, and report the search's own scores of the schedule
-they pick.  When comfort_holds proves that no schedule in the box breaks
-comfort, the search scores the objective alone.
+whole population through one evaluate callback, and report the search's
+own scores of the schedule they pick.  When comfort_holds proves that no
+schedule in the box breaks comfort, the callback scores the objective alone.
 Controller builds each interval's Decision for the simulator and the
 daemon.  It keeps the snapshot its two latest measured steps form,
 holds the last applied setpoints while it has none or lags the clock,
@@ -92,7 +92,7 @@ def solve(
         schedule = ControlSchedule((cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon)
         pred = rollout(models, snapshot, schedule, cfg)
         row = np.array([schedule.temp_setpoints + schedule.illum_setpoints])
-        f, v = checked_scores(row, [objective(pred)], [constraint_violation(pred, cfg)])
+        f, v = checked_scores(row, [objective(pred)], [constraint_violation(pred, cfg)], np.empty((2, 1), dtype=bool))
         return MpcSolution(schedule, float(f[0]), float(v[0]))
 
     mpc2 = cfg.mode is ControlMode.MPC2
@@ -116,13 +116,12 @@ def solve(
     # calls.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = HorizonKernel(models, snapshot, cfg, rows)
-        if comfort_holds(models, snapshot, cfg):
-            # Every violation would be +0.0: de_minimize reads None so.
-            def evaluate(pop: np.ndarray) -> tuple[np.ndarray, None]:
+        proved = comfort_holds(models, snapshot, cfg)
+
+        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+            if proved:  # every violation would be +0.0: de_minimize reads None so
                 return kernel.objective(*split(pop)), None
-        else:
-            def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return kernel.evaluate(*split(pop))
+            return kernel.evaluate(*split(pop))
 
         # params by keyword: the perfbench de_minimize hook reads it from there.
         result: DeResult = de_minimize(evaluate, lower, upper, params=de)

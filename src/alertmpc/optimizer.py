@@ -3,7 +3,7 @@
 Classic DE/rand/1/bin over a whole population at a time: donors and
 crossover masks are drawn as arrays, a block of generations at a time,
 and each generation scores every trial with one call of the caller's
-evaluate(pop) -> (objective, violation).
+evaluate(pop) -> (objective, violation), checked in a reused buffer.
 Candidates are compared by constraint violation before objective: any
 feasible point beats any infeasible one, two infeasible points compare
 on violation, two feasible ones on objective.  A caller that knows every
@@ -188,42 +188,32 @@ def draw_block(rng: np.random.Generator, pop_size: int, dim: int, crossover_rate
     return donors, keep
 
 
-def checked_scores(pop: np.ndarray, f, v, finite=None) -> tuple[np.ndarray, np.ndarray | None]:
+def checked_scores(pop: np.ndarray, f, v, finite: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The objectives f and violations v of the rows pop as float arrays.
 
     Raises ValueError unless each holds one value per row and v >= 0, and
     NonFiniteObjective on a NaN or an infinity.  A v of None (every row
     feasible) is returned as None, and f alone is checked.  finite, a
-    (2, len(pop)) bool array, holds the finiteness test; one is made when
-    it is None.
+    (2, len(pop)) bool array that the caller makes once, takes the
+    finiteness test, as not_worse's out takes the comparison.
     """
-    if finite is None:
-        finite = np.empty((2, len(pop)), dtype=bool)
-    return _checked_scores(pop, f, v, finite, *finite)
-
-
-def _checked_scores(pop, f, v, finite, finite_f, finite_v) -> tuple[np.ndarray, np.ndarray | None]:
-    """checked_scores with finite's two rows given: a search builds them once."""
     f = np.asarray(f, float)
     shape = (len(pop),)
     if v is None:
         if f.shape != shape:
             raise ValueError(f"evaluate must return a {shape} objective, got {f.shape}")
-        if _and_reduce(_isfinite(f, finite_f), None):
+        if _and_reduce(_isfinite(f, finite[0]), None):
             return f, None
-        scores = (("objective", f),)
     else:
         v = np.asarray(v, float)
         if f.shape != shape or v.shape != shape:
-            raise ValueError(
-                f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}"
-            )
-        _isfinite(f, finite_f)
-        _isfinite(v, finite_v)
+            raise ValueError(f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}")
+        _isfinite(f, finite[0])
+        _isfinite(v, finite[1])
         if _and_reduce(finite, None) and _min_reduce(v) >= 0.0:
             return f, v
-        scores = (("objective", f), ("violation", v))
-    for name, values in scores:
+    # Without violations, only a non-finite objective gets here: it raises first.
+    for name, values in (("objective", f), ("violation", v)):
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))
@@ -286,18 +276,16 @@ def de_minimize(
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
     pop = lower + rng.random((pop_size, dim)) * span
-    # The finiteness test's and the selection's buffers, their rows, and
-    # the stop test's results, reused by every generation.
+    # Buffers every generation reuses, each an array of its own: numpy
+    # reduces over a view of a larger one more slowly.
     finite = np.empty((2, pop_size), dtype=bool)
-    finite_f, finite_v = finite
-    select = np.empty((2, pop_size), dtype=bool)
-    select_rows = tuple(select)
+    select_rows = tuple(np.empty((2, pop_size), dtype=bool))
     take = select_rows[0]
     take_rows = take[:, None]
     infeasible, f_max, f_min = np.empty((), dtype=bool), np.empty(()), np.empty(())
     # Copies: the search updates them in place, and checked_scores() may
     # return the caller's own arrays.
-    fs, vs = _checked_scores(pop, *evaluate(pop), finite, finite_f, finite_v)
+    fs, vs = checked_scores(pop, *evaluate(pop), finite)
     feasible = vs is None
     fs, vs = fs.copy(), None if feasible else vs.copy()
     # Every generation's donors and trials go into these buffers.
@@ -340,7 +328,7 @@ def de_minimize(
         f_t, v_t = evaluate(trials)
         if (v_t is None) is not feasible:
             raise ValueError("evaluate must return None as the violation in every generation or in none")
-        f_t, v_t = _checked_scores(trials, f_t, v_t, finite, finite_f, finite_v)
+        f_t, v_t = checked_scores(trials, f_t, v_t, finite)
         if feasible:
             _less_equal(f_t, fs, take)
         else:

@@ -35,11 +35,12 @@ from .domain import (
     TEMP_RANGE,
     WorkerState,
     clamp_dl,
+    increments,
     require_finite,
     require_in_range,
 )
 from .identify import TelemetryTable
-from .models import comfort_penalty, increments, predict_ami, predict_dl, predict_idt
+from .models import comfort_penalty, predict_ami, predict_dl, predict_idt
 from .mpc import Controller, require_search_fits
 from .optimizer import DeParams
 

@@ -46,6 +46,7 @@ from alertmpc.domain import (
     MpcConfig,
     StateSnapshot,
     WorkerState,
+    increments,
 )
 from alertmpc.formats import write_model_set
 from alertmpc.identify import (
@@ -56,7 +57,6 @@ from alertmpc.identify import (
 from alertmpc.models import (
     comfort_penalty,
     constraint_violation,
-    increments,
     objective,
     predict_ami,
     predict_dl,

@@ -1332,6 +1332,7 @@ TELEMETRY_FIELD_TEXTS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
+@example(line=10, field=3, text="1e200", dropped=None, keep_boundary=False, ridge="0.5")
 @given(line=st.integers(0, 40), field=st.integers(0, 7), text=st.none() | TELEMETRY_FIELD_TEXTS,
        dropped=st.none() | st.integers(0, 40), keep_boundary=st.booleans(),
        ridge=st.sampled_from(["0", "0.5", "1e308", "-1", "nan", "inf"]))
@@ -1435,6 +1436,34 @@ class TestShippedConfigs:
         write_trace_csv(str(path), trace)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256[name]
 
+    # The same pin for case2_mpc2.cfg at penalty_cap 0.05, seed 1, by mode.
+    # comfort_holds proves nothing on any of its solves, so every search
+    # scores violations, a path no shipped config takes; MPC1 ends one
+    # step infeasible and MPC2 two.
+    UNPROVED_TRACE_SHA256 = {
+        "MPC1": ("38439cb7583020edcaed3e47b69d0ba6068a9040ad9d4ea909135ddd3bdbf3d2", 1),
+        "MPC2": ("308ff1bd6d0d0df3d75fd9e2ca816c54e7a854d0799b1c07219142b9e015014e", 2),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(UNPROVED_TRACE_SHA256))
+    def test_unproved_trace_at_seed_1_is_pinned(self, tmp_path, monkeypatch, mode):
+        proofs = []
+
+        def spy(models, snapshot, cfg, real=mpc_module.comfort_holds):
+            proofs.append(real(models, snapshot, cfg))
+            return proofs[-1]
+
+        monkeypatch.setattr(mpc_module, "comfort_holds", spy)
+        sc = parse_scenario_config(shipped_config_path("case2_mpc2.cfg"))
+        cfg = replace(sc.mpc_cfg, penalty_cap=0.05, mode=ControlMode(mode))
+        trace, _ = run_scenario(replace(sc, seed=1, mpc_cfg=cfg))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        digest, infeasible = self.UNPROVED_TRACE_SHA256[mode]
+        assert proofs == [False] * len(trace.steps)
+        assert sum(step.feasible is False for step in trace.steps) == infeasible
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("name", NAMES)
     def test_traces_read_back(self, tmp_path, name):
         # read_trace_csv's field checks accept every trace simulate writes.
@@ -1510,6 +1539,27 @@ class TestIdentifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: illuminance fit is unstable: theta_prev = 1.05")
         assert err.endswith(", |theta_prev| must be < 1\n")
+        assert not model.exists()
+        assert not (workdir / "identify_manifest.json").exists()
+
+    @pytest.mark.parametrize("efforts, ridge", [({10: "1e200"}, ["--ridge", "0.5"]),
+                                                ({10: "1e308", 12: "1e308"}, [])])
+    def test_overflowing_fit_exit_code(self, workdir, capfd, efforts, ridge):
+        # Effort readings that the telemetry accepts but whose squares or
+        # sum overflow the drowsiness fit: it cannot fit, says so on one
+        # line, and neither numpy nor LAPACK prints anything.
+        path = workdir / "t.csv"
+        write_telemetry_csv(str(path), run_open_loop(sweep_plant(), 2, sweep_setpoints(20), seed=9))
+        content = path.read_text()
+        for line, text in efforts.items():
+            content = edit_cell(content, line, 3, text)
+        put(workdir, "t.csv", content)
+        model = workdir / "m.json"
+        rc = main(["identify", str(path), str(model), *ridge, "--out-dir", str(workdir)])
+        out, err = capfd.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: drowsiness fit overflows: ") and err.count("\n") == 1
         assert not model.exists()
         assert not (workdir / "identify_manifest.json").exists()
 

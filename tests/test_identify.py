@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertmpc.domain import AmiModel, DL_FEATURES, DL_MAX, DL_MIN, IdtModel
+from alertmpc.domain import AmiModel, DL_FEATURES, DL_MAX, DL_MIN, IdtModel, increments
 from alertmpc.identify import (
     DegenerateSweep,
     InsufficientData,
     InvalidTelemetry,
+    OverflowingFit,
     UnstableFit,
     dl_design,
     fit_ami_model,
     fit_dl_model,
     fit_idt_coeffs,
 )
-from alertmpc.models import increments, predict_ami, predict_dl, predict_idt
+from alertmpc.models import predict_ami, predict_dl, predict_idt
 from helpers import CASE1_MODELS, Row, rows_of, table_of
 
 TRUTH_DL, TRUTH_IDT, TRUTH_AMI = CASE1_MODELS.dl, CASE1_MODELS.idt, CASE1_MODELS.ami
@@ -203,6 +204,18 @@ class TestDlFit:
     def test_ridge_stays_close_on_clean_data(self):
         model, _ = fit_dl_model(make_sweep(seed=2), ridge=1e-8)
         assert model.coef["d_prev"] == pytest.approx(0.8, abs=1e-3)
+
+    @pytest.mark.parametrize("effort, rows, ridge, part", [
+        (1e200, (10,), 0.5, "Gram matrix"),
+        (1e308, (10, 12), 0.0, "column means"),
+    ])
+    def test_overflowing_fit_refused(self, effort, rows, ridge, part):
+        # Valid telemetry whose effort readings overflow the fit's sums:
+        # refused before the solver sees them, with no numpy warning.
+        table = table_of(row._replace(effort=effort) if i in rows else row
+                         for i, row in enumerate(rows_of(make_sweep())))
+        with pytest.raises(OverflowingFit, match=f"drowsiness fit overflows: its {part}"):
+            fit_dl_model(table, ridge=ridge)
 
 
 def env_row(step, temp, tset, illum=600.0, lset=600.0):

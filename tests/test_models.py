@@ -18,6 +18,7 @@ from alertmpc.domain import (
     MpcConfig,
     StateSnapshot,
     WorkerState,
+    increments,
 )
 from alertmpc.models import (
     HorizonKernel,
@@ -25,7 +26,6 @@ from alertmpc.models import (
     comfort_holds,
     comfort_penalty,
     constraint_violation,
-    increments,
     objective,
     predict_ami,
     predict_dl,

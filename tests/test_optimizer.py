@@ -400,14 +400,15 @@ class TestErrors:
 class TestCheckedScores:
     POP = np.array([[0.5, 1.0], [2.0, -3.0]])
 
-    @pytest.mark.parametrize("buffer", [False, True])
-    def test_finite_scores_whose_total_overflows_pass_silently(self, buffer):
+    # held: what the finiteness buffer holds before the call, which must
+    # not reach the answer.
+    @pytest.mark.parametrize("held", [False, True])
+    def test_finite_scores_whose_total_overflows_pass_silently(self, held):
         # Each value is finite; only their sum overflows, and no warning
         # is raised on the way.
-        finite = np.empty((2, 2), dtype=bool) if buffer else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, v = checked_scores(self.POP, [1e308, 1e308], [1.7e308, 1.7e308], finite)
+            f, v = checked_scores(self.POP, [1e308, 1e308], [1.7e308, 1.7e308], np.full((2, 2), held))
         assert f.tolist() == [1e308, 1e308] and v.tolist() == [1.7e308, 1.7e308]
 
     @pytest.mark.parametrize("f, v, error, message", [
@@ -420,16 +421,15 @@ class TestCheckedScores:
         ([1.0, 2.0], [-1.0, np.nan], NonFiniteObjective, "violation returned nan at [2.0, -3.0]"),
         ([1.0, 2.0], [0.0, -0.5], ValueError, "violation returned -0.5 at [2.0, -3.0], must be >= 0"),
     ])
-    @pytest.mark.parametrize("buffer", [False, True])
-    def test_refusals_keep_their_types_and_messages(self, f, v, error, message, buffer):
-        finite = np.empty((2, 2), dtype=bool) if buffer else None
+    @pytest.mark.parametrize("held", [False, True])
+    def test_refusals_keep_their_types_and_messages(self, f, v, error, message, held):
         with pytest.raises(error) as info:
-            checked_scores(self.POP, f, v, finite)
+            checked_scores(self.POP, f, v, np.full((2, 2), held))
         assert type(info.value) is error and str(info.value) == message
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match=r"evaluate must return two \(2,\) arrays, got \(1,\) and \(2,\)"):
-            checked_scores(self.POP, [1.0], [0.0, 0.0])
+            checked_scores(self.POP, [1.0], [0.0, 0.0], np.empty((2, 2), dtype=bool))
 
 
 def _deb_not_worse(f_a, v_a, f_b, v_b):

@@ -15,9 +15,10 @@ from alertmpc.domain import (
     NonFiniteSetting,
     StateSnapshot,
     WorkerState,
+    increments,
 )
 from alertmpc.formats import read_trace_csv, write_trace_csv
-from alertmpc.models import increments, predict_ami, predict_dl, predict_idt, rollout
+from alertmpc.models import predict_ami, predict_dl, predict_idt, rollout
 from alertmpc.mpc import Controller
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
