@@ -14,7 +14,11 @@ summed one float at a time.  NOC scores its one schedule so.
 comfort_holds decides, once per solve and in plain floats, whether any
 schedule inside the setpoint box can break the comfort cap from the
 measured state.  When it cannot, every violation is +0.0 and the search
-scores candidates with HorizonKernel.objective alone.
+scores candidates with HorizonKernel.objective alone.  The same bounds on
+the room, from _room_bounds, let HorizonKernel.skip_idle_clamps drop the
+illuminance floor and the drowsiness ceiling when no schedule in the box
+reaches them: a clamp that would return its input unchanged is a call
+saved at every step of every kernel call.
 
 The search scores a whole population, two rows or more, per call with
 one HorizonKernel per solve, built for that population's row count:
@@ -38,9 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
     DL_MAX,
@@ -60,17 +65,20 @@ from .domain import (
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _operand(value) -> np.ndarray:
-    """value as a read-only 0-d float array.  A ufunc converts a Python
-    float operand to an array on every call, at about a third of the
-    cost of a call on a (workers, rows) block; HorizonKernel passes its
-    constants so, converted once."""
-    array = np.array(value, dtype=float)
+def _operands(*values) -> tuple[np.ndarray, ...]:
+    """Each value as a read-only 0-d float array, views of one array.  A
+    ufunc converts a Python float operand to an array on every call, at
+    about a third of the cost of a call on a (workers, rows) block;
+    HorizonKernel passes its constants so, converted once."""
+    array = np.array(values, dtype=float)
     array.flags.writeable = False
-    return array
+    return tuple(array[i, ...] for i in range(len(values)))
 
 
-_ZERO, _DL_MIN, _DL_MAX, _LARGEST = (_operand(x) for x in (0.0, DL_MIN, DL_MAX, _FLOAT_MAX))
+_ZERO, _DL_MIN, _DL_MAX, _LARGEST = _operands(0.0, DL_MIN, DL_MAX, _FLOAT_MAX)
+
+# A worker's values that HorizonKernel reads, in the order it stores them.
+_worker_values = attrgetter("d_current", "d_plus", "d_minus", "effort")
 
 # The ufuncs and the ufunc method HorizonKernel.evaluate calls, bound once.
 # At 40 rows a call costs little more than its dispatch: np.add is a
@@ -168,7 +176,12 @@ class HorizonKernel:
     evaluate.  A call takes (rows, horizon) setpoints, no other shape.
 
     Each row's prediction equals rollout's of that schedule, and its
-    scores objective's and constraint_violation's, bit for bit.
+    scores objective's and constraint_violation's, bit for bit.  After
+    skip_idle_clamps that holds for the schedules inside cfg's setpoint
+    box, which are the ones a search scores: the kernel then skips the
+    illuminance floor, or the drowsiness ceiling, when a bound shows that
+    no such schedule reaches it.  floor and ceiling say which clamps a
+    call applies; a new kernel applies both.
 
     room_state is (horizon + 1, 2, rows): temperature and illuminance at
     each step, step 0 being the measured state.  terms is
@@ -227,25 +240,29 @@ class HorizonKernel:
         if rows < 2:
             raise ShapeMismatch(f"a kernel scores two rows or more, got {rows}; rollout scores one")
         self.shape = rows, horizon
+        self._models, self._snapshot, self._cfg = models, snapshot, cfg
+        self.floor = self.ceiling = True
         idt, ami, c = models.idt, models.ami, models.dl.coef
 
         self.dls = np.empty((workers, horizon, rows))
         self._dl_rows = self.dls.reshape(-1, rows)
-        self._count = _operand(len(self._dl_rows))
         self._deviation = np.empty((horizon, 2, rows))
         self._excess = np.empty((horizon, rows))
+        self._count, self._c_prev, self.cap, self._theta_set = _operands(
+            workers * horizon, c["d_prev"], cfg.penalty_cap, ami.theta_set)
 
-        d_now, d_plus, d_minus, effort = np.array(
-            [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in snapshot.workers]
-        ).T
+        # Each worker's level, its rise and fall, and effort, one row each.
+        values = chain.from_iterable(map(_worker_values, snapshot.workers))
+        self._workers = states = np.fromiter(values, float, 4 * workers).reshape(workers, 4).T
+        d_now = states[0]
         self.terms = terms = np.empty((horizon, 11, workers, rows))
         terms[:, 0] = models.dl.intercept
-        terms[0, 1] = (c["d_prev"] * d_now)[:, None]
-        terms[0, 2] = (c["d_plus_prev"] * d_plus)[:, None]
-        terms[0, 3] = (c["d_minus_prev"] * d_minus)[:, None]
-        terms[:, 10] = (c["effort"] * effort)[:, None]
-        self._c_prev = _operand(c["d_prev"])
-        self.d_coef = _pair_coef((2, workers, rows), c["d_plus_prev"], c["d_minus_prev"])
+        # Step 1's three terms of the measured levels, and effort's at every step.
+        products = np.array([c["d_prev"], c["d_plus_prev"], c["d_minus_prev"], c["effort"]])[:, None] * states
+        terms[0, 1:4] = products[:3, :, None]
+        terms[:, 10] = products[3, :, None]
+        self.d_coef = np.empty((2, workers, rows))
+        self.d_coef[0], self.d_coef[1] = c["d_plus_prev"], c["d_minus_prev"]
         # Drowsiness by step, the measured level first.  Each step but the
         # first reads the two levels before it as views (earlier, later) and
         # (later, earlier): their difference is its pair's fall and rise,
@@ -261,14 +278,13 @@ class HorizonKernel:
             terms, terms[:, 1], terms[:, 2:4], terms[:, 3:1:-1], d,
             (None, *earlier), (None, *(pair[::-1] for pair in earlier)), d[1:]))
 
-        self.room_state = np.empty((horizon + 1, 2, rows))
-        self.room_state[0] = [[snapshot.temp_current], [snapshot.illum_current]]
-        self.room = self.room_state[1:]
+        self.room_state = room_state = np.empty((horizon + 1, 2, rows))
+        room_state[0] = [[snapshot.temp_current], [snapshot.illum_current]]
+        self.room = room_state[1:]
         # The comfort point and the penalty weights, at every step and row.
-        self.comfort, self.weights = np.empty((2, *self.room.shape))
-        self.comfort[:, 0], self.comfort[:, 1] = cfg.temp_comfort, cfg.illum_comfort
-        self.weights[:, 0], self.weights[:, 1] = cfg.p_temp, cfg.p_illum
-        self.cap = _operand(cfg.penalty_cap)
+        comfort = np.empty((2, horizon, 2, rows))
+        comfort.transpose(1, 3, 0, 2)[...] = (cfg.temp_comfort, cfg.illum_comfort), (cfg.p_temp, cfg.p_illum)
+        self.comfort, self.weights = comfort
         # The room's terms for one worker, slot first: each quantity's
         # level, then its rise and fall, the pair.  room_terms_once is that
         # as (step, quantity, slot, worker, row), and room_terms slots 4 to
@@ -278,32 +294,34 @@ class HorizonKernel:
         self.room_terms_once = once.transpose(1, 2, 0, 3, 4)
         self.room_terms = terms[:, 4:10].reshape(horizon, 2, 3, workers, rows)
         # Steps 1.. with a worker axis, and the pair's two orders of steps
-        # 1.. and 0.., (x_t, x_prev) and (x_prev, x_t), with a slot axis.
-        self.room_next = self.room_state[1:, :, None]
-        window = sliding_window_view(self.room_state, 2, axis=0)[:, :, None]
-        self.room_later = np.moveaxis(window[..., ::-1], -1, 0)
-        self.room_earlier = np.moveaxis(window, -1, 0)
-        # Coefficients at the full shape of the terms they multiply: numpy
-        # runs a multiply by coefficients that broadcast through a buffer
-        # that it allocates.
-        self._level_coef = np.empty(self.room_level.shape)
-        self._level_coef[...] = np.array([c["temp"], c["illum"]])[:, None, None]
-        self.room_coef = _pair_coef(self.room_pair.shape, [c["temp_plus"], c["illum_plus"]],
-                                    [c["temp_minus"], c["illum_minus"]])
+        # 1.. and 0.., (x_t, x_prev) and (x_prev, x_t), with a slot axis:
+        # views of room_state whose first axis steps one step forward, or,
+        # from step 1, one back.
+        self.room_next = room_state[1:, :, None]
+        step, quantity, row = room_state.strides
+        pair_shape, strides = self.room_pair.shape, (step, quantity, 0, row)
+        self.room_later = np.ndarray(pair_shape, float, room_state, step, (-step, *strides))
+        self.room_earlier = np.ndarray(pair_shape, float, room_state, 0, (step, *strides))
+        # Coefficients at the full shape of the terms they multiply, in
+        # once's layout: numpy runs a multiply by coefficients that
+        # broadcast through a buffer that it allocates.
+        coef = np.empty(once.shape)
+        coef[...] = np.array([[c["temp"], c["illum"]], [c["temp_plus"], c["illum_plus"]],
+                              [c["temp_minus"], c["illum_minus"]]])[:, None, :, None, None]
+        self._level_coef, self.room_coef = coef[0], coef[1:]
 
         # Each room quantity's next value is a + b * now: (a, b) is
         # (k * setpoint, 1 - k) for temperature, with k the gain of a rising
         # or a falling move, and (theta0, theta_prev) for illuminance, which
-        # then adds theta_set * setpoint and is clamped at zero.  ab_by_move
-        # holds k in place of k * setpoint.
-        ab_by_move = np.array([[[k, ami.theta0], [1.0 - k, ami.theta_prev]] for k in (idt.k_up, idt.k_down)])
-        self._theta_set = _operand(ami.theta_set)
+        # then adds theta_set * setpoint and is clamped at zero.  up_down
+        # holds k in place of k * setpoint: (a, b) of temperature and
+        # illuminance per step, for a rising and a falling temperature.
+        up_down = np.empty((2, 2, 2, horizon, rows))
+        up_down.transpose(3, 4, 0, 1, 2)[...] = (
+            [(idt.k_up, idt.k_down), (ami.theta0, ami.theta0)],
+            [(1.0 - idt.k_up, 1.0 - idt.k_down), (ami.theta_prev, ami.theta_prev)])
         self.t_sets = np.empty((horizon, rows))
         self.lights = np.empty((horizon, rows))
-        # (a, b) of temperature and illuminance per step, for a rising and
-        # a falling temperature, and the pair a step selects, row by row.
-        up_down = np.empty((2, 2, 2, horizon, rows))
-        up_down[...] = ab_by_move.transpose(1, 2, 0)[..., None, None]
         self.k_sets = up_down[0, 0]
         # The gains themselves, at k_sets' full shape, as the pairs'
         # coefficients are.
@@ -311,10 +329,28 @@ class HorizonKernel:
         self.rising = np.empty(rows, dtype=bool)
         self.ab = np.empty((2, 2, rows))
         self.a, self.b = self.ab[0], self.ab[1]
+        # The pair a step selects, row by row.
         up, down = up_down.transpose(2, 3, 0, 1, 4)
-        temps, illums = self.room_state[:, 0], self.room_state[1:, 1]
-        room = tuple(self.room_state)
-        self.room_steps = tuple(zip(self.t_sets, temps, up, down, room, room[1:], illums, self.lights))
+        room = tuple(room_state)
+        self.room_steps = tuple(zip(self.t_sets, room_state[:, 0], up, down, room, room[1:],
+                                    room_state[1:, 1], self.lights))
+
+    def skip_idle_clamps(self) -> None:
+        """Skip, in every later call, each clamp that no schedule inside
+        cfg's setpoint box can reach from the snapshot: the illuminance
+        floor when _floor_idle proves it idle, and the drowsiness ceiling
+        when _ceiling_idle does.  floor and ceiling say which clamps a call
+        still applies.
+
+        Call it when every schedule the kernel will score lies inside the
+        box, as a search's do: rows outside it may then differ from
+        rollout's.  Inside it, and one unit in the last place past it, a
+        skipped clamp would have returned its input unchanged, so every
+        row's prediction and scores stay rollout's bit for bit.
+        """
+        bounds = _room_bounds(self._models, self._snapshot, self._cfg)
+        self.floor = not _floor_idle(self._models.ami, bounds)
+        self.ceiling = not _ceiling_idle(self._models.dl, self._workers, bounds)
 
     def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
         """Objective and violation of (rows, horizon) schedules, as new
@@ -355,7 +391,7 @@ class HorizonKernel:
         _multiply(self._k, self.t_sets, self.k_sets)
         self.lights[...] = illum_sets.T
         _multiply(self._theta_set, self.lights, self.lights)
-        rising, ab, a, b = self.rising, self.ab, self.a, self.b
+        rising, ab, a, b, floor = self.rising, self.ab, self.a, self.b, self.floor
         greater_equal, copyto, multiply, add, maximum = _greater_equal, np.copyto, _multiply, _add, _maximum
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
             greater_equal(t_set, temp, rising)
@@ -364,7 +400,8 @@ class HorizonKernel:
             multiply(b, now, nxt)
             add(a, nxt, nxt)
             add(illum, light, illum)
-            maximum(illum, _ZERO, out=illum)
+            if floor:
+                maximum(illum, _ZERO, out=illum)
 
         # The room's six terms of predict_dl, every step at once, then
         # copied out for every worker.
@@ -380,7 +417,7 @@ class HorizonKernel:
         # clamped onto the 1-5 scale.  The pair's subtract writes its slots
         # backwards, as its second input runs: numpy would run the call
         # through a buffer it allocates if that input alone ran backwards.
-        c_prev, coef = self._c_prev, self.d_coef
+        c_prev, coef, ceiling = self._c_prev, self.d_coef, self.ceiling
         subtract, minimum, add_reduce = _subtract, _minimum, _add_reduce
         for terms, prev_term, pair, reversed_pair, d_prev, earlier, later, d_next in self.dl_steps:
             if earlier is not None:
@@ -390,21 +427,13 @@ class HorizonKernel:
                 multiply(pair, coef, pair)
             add_reduce(terms, 0, None, d_next)
             maximum(d_next, _DL_MIN, out=d_next)
-            minimum(d_next, _DL_MAX, out=d_next)
+            if ceiling:
+                minimum(d_next, _DL_MAX, out=d_next)
         self.dls_by_step[...] = self.d_steps
 
         # The objective: each row's mean drowsiness.
         mean = _add_reduce(self._dl_rows, 0)
         return _divide(mean, self._count, mean)
-
-
-def _pair_coef(shape, c_plus, c_minus) -> np.ndarray:
-    """Coefficients of increment pairs of that shape, slot first: c_plus
-    for the rise, c_minus for the fall.  Each is a scalar or holds one
-    coefficient per quantity, the third axis from the end."""
-    coef = np.empty(shape)
-    coef[0], coef[1] = (np.asarray(c)[..., None, None] for c in (c_plus, c_minus))
-    return coef
 
 
 def rollout(
@@ -483,7 +512,7 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
     return min(total, _FLOAT_MAX)
 
 
-# How far comfort_holds widens an interval at each step, relative to the
+# How far _room_bounds widens an interval at each step, relative to the
 # size of the values it bounds.  A step's few float operations round by a
 # few parts in 1e16 of that size, and DE's first population, drawn as
 # lower + u * span, can pass the box's upper bound by one unit in the
@@ -492,55 +521,138 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
 _COMFORT_SLACK = 1e-9
 
 
+def _room_bounds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig):
+    """Intervals that hold the room of every schedule inside cfg's setpoint
+    box: (t_lo, t_hi, l_lo, l_hi), temperature and illuminance, at each
+    step from 0, the measured state, to the horizon.  None when a bound is
+    not finite (an overflowing illuminance model).
+
+    The room is bounded by intervals, step by step, in plain floats.
+    predict_idt mixes the setpoint and the last temperature with a gain
+    in (0, 1], so every predicted temperature lies between the lowest and
+    the highest of the measured one, temp_lo and temp_hi.  Illuminance is
+    carried through predict_ami's affine map, whatever the signs of
+    theta_prev and theta_set, and its clamp at zero; MPC2's setpoints span
+    [illum_lo, illum_hi], the other modes' are illum_comfort.  Each
+    interval is widened by _COMFORT_SLACK at every step, so every rounded
+    prediction, also from a setpoint one unit in the last place past the
+    box, lies inside it, and so does predict_ami's level before its clamp
+    wherever l_lo is above zero.
+    """
+    theta0, theta_prev, theta_set = models.ami.theta0, models.ami.theta_prev, models.ami.theta_set
+    if cfg.mode is ControlMode.MPC2:
+        illum_sets = cfg.illum_lo, cfg.illum_hi
+    else:
+        illum_sets = cfg.illum_comfort, cfg.illum_comfort
+    # theta_set * setpoint, the same at every step.
+    light_lo, light_hi = sorted((theta_set * illum_sets[0], theta_set * illum_sets[1]))
+    theta_size, light_size = abs(theta0), max(abs(light_lo), abs(light_hi))
+    temp_lo, temp_hi = cfg.temp_lo, cfg.temp_hi
+    t_lo = t_hi = snapshot.temp_current
+    l_lo = l_hi = snapshot.illum_current
+    bounds = [(t_lo, t_hi, l_lo, l_hi)]
+    for _ in range(cfg.horizon):
+        t_lo, t_hi = min(t_lo, temp_lo), max(t_hi, temp_hi)
+        slack = _COMFORT_SLACK * max(abs(t_lo), abs(t_hi))
+        t_lo, t_hi = t_lo - slack, t_hi + slack
+        prev_lo, prev_hi = theta_prev * l_lo, theta_prev * l_hi
+        if theta_prev < 0.0:
+            prev_lo, prev_hi = prev_hi, prev_lo
+        # Rounding errs in proportion to the terms' sizes, not the sum's.
+        slack = _COMFORT_SLACK * (theta_size + max(abs(prev_lo), abs(prev_hi)) + light_size)
+        if not math.isfinite(slack):
+            return None
+        # No bound is NaN now, so max() compares each pair truly.
+        l_lo = max(theta0 + prev_lo + light_lo - slack, 0.0)
+        l_hi = max(theta0 + prev_hi + light_hi + slack, 0.0)
+        bounds.append((t_lo, t_hi, l_lo, l_hi))
+    return bounds
+
+
 def comfort_holds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig) -> bool:
     """True when no schedule inside cfg's setpoint box breaks the comfort
     cap at any step from snapshot: then constraint_violation, and every
     HorizonKernel violation, of every such schedule is +0.0.  False
     proves nothing.
 
-    The room is bounded by intervals, step by step, in plain floats.
-    predict_idt mixes the setpoint and the last temperature with a gain
-    in (0, 1], so every predicted temperature lies between the lowest and
-    the highest of the measured one, temp_lo and temp_hi.  Illuminance
-    is carried through predict_ami's affine map, whatever the signs of
-    theta_prev and theta_set, and its clamp at zero; MPC2's setpoints span
-    [illum_lo, illum_hi], the other modes' are illum_comfort.  Each
-    interval is widened by _COMFORT_SLACK at every step, so every rounded
-    prediction, also from a setpoint one unit in the last place past the
-    box, lies inside it.  Rounding is monotonic, so comfort_penalty
-    at each interval's end farthest from the comfort point bounds the
-    penalty computed at any point of the intervals; comfort holds when
-    that bound is at most penalty_cap at every step.  A bound that is not
-    finite (huge weights, an overflowing model) fails the test.
+    Rounding is monotonic, so comfort_penalty at the ends of _room_bounds'
+    intervals farthest from the comfort point bounds the penalty computed
+    at any point of the intervals; comfort holds when that bound is at
+    most penalty_cap at every step.  A bound that is not finite (huge
+    weights, an overflowing model) fails the test.
     """
-    theta0, theta_prev, theta_set = models.ami.theta0, models.ami.theta_prev, models.ami.theta_set
+    bounds = _room_bounds(models, snapshot, cfg)
+    if bounds is None:
+        return False
     t_comfort, l_comfort, p_temp, p_illum = cfg.temp_comfort, cfg.illum_comfort, cfg.p_temp, cfg.p_illum
-    if cfg.mode is ControlMode.MPC2:
-        illum_sets = cfg.illum_lo, cfg.illum_hi
-    else:
-        illum_sets = l_comfort, l_comfort
-    # theta_set * setpoint, the same at every step.
-    light_lo, light_hi = sorted((theta_set * illum_sets[0], theta_set * illum_sets[1]))
-    t_lo = t_hi = snapshot.temp_current
-    l_lo = l_hi = snapshot.illum_current
-    for _ in range(cfg.horizon):
-        t_lo, t_hi = min(t_lo, cfg.temp_lo), max(t_hi, cfg.temp_hi)
-        slack = _COMFORT_SLACK * max(abs(t_lo), abs(t_hi))
-        t_lo, t_hi = t_lo - slack, t_hi + slack
-        prev_lo, prev_hi = sorted((theta_prev * l_lo, theta_prev * l_hi))
-        # Rounding errs in proportion to the terms' sizes, not the sum's.
-        size = abs(theta0) + max(abs(prev_lo), abs(prev_hi)) + max(abs(light_lo), abs(light_hi))
-        slack = _COMFORT_SLACK * size
-        if not math.isfinite(slack):
-            return False
-        # No bound is NaN now, so max() compares each pair truly.
-        l_lo = max(theta0 + prev_lo + light_lo - slack, 0.0)
-        l_hi = max(theta0 + prev_hi + light_hi + slack, 0.0)
+    for t_lo, t_hi, l_lo, l_hi in bounds[1:]:
         # comfort_penalty, in its order of operations, at the farthest ends.
         penalty = (p_temp * max(abs(t_lo - t_comfort), abs(t_hi - t_comfort))
                    + p_illum * max(abs(l_lo - l_comfort), abs(l_hi - l_comfort)))
         if not penalty <= cfg.penalty_cap:
             return False
+    return True
+
+
+def _floor_idle(ami: AmiModel, bounds) -> bool:
+    """True when predict_ami's clamp at zero returns every level unchanged
+    for every schedule of _room_bounds' box, which bounds is (or None).
+
+    np.maximum(x, 0.0) is x, bit for bit, when x > 0.  Every level is at
+    least theta0 when theta0 > 0 and theta_prev and theta_set are not
+    negative, since the measured illuminance and every box's setpoints are
+    not (domain's ranges), and rounding is monotonic; that needs no bound.
+    Otherwise every level is above zero when bounds' l_lo is at every step.
+    """
+    if ami.theta0 > 0.0 and ami.theta_prev >= 0.0 and ami.theta_set >= 0.0:
+        return True
+    return bounds is not None and all(l_lo > 0.0 for _, _, l_lo, _ in bounds[1:])
+
+
+def _top(c: float, lo: float, hi: float) -> float:
+    """The largest rounded product of c and a value in [lo, hi]."""
+    return c * hi if c >= 0.0 else c * lo
+
+
+def _ceiling_idle(dl: DlModel, workers: np.ndarray, bounds) -> bool:
+    """True when predict_dl's level stays below DL_MAX, so that its clamp
+    there returns every level unchanged, at every step of every schedule
+    of _room_bounds' box, which bounds is (or None).  workers is each
+    worker's measured level, its rise and fall, and effort, as (4, workers).
+
+    Each of predict_dl's eleven terms is at most its coefficient times
+    one end of its variable's interval: a level's lowest or highest value
+    (_top), and for a rise, a fall or effort, which are never negative,
+    zero or the largest value.  The room's levels, rises and falls come
+    from bounds, at the step and the step before it.  Step 1 reads the
+    measured levels and their rise and fall, and every step effort, over
+    all the workers.  After step 1 the last level lies in [DL_MIN, the
+    last step's bound], since the clamp at DL_MIN is kept, and its rise
+    and fall are at most what the two levels before it allow.  The bound
+    adds the terms' largest values in predict_dl's order, which is the
+    kernel's: rounding is monotonic, so it bounds the rounded level of
+    every row.  bounds holds every rounded room value, also from a
+    setpoint one unit in the last place past the box.  A bound that is
+    not finite proves nothing.
+    """
+    if bounds is None:
+        return False
+    c = dl.coef
+    c_prev, c_temp, c_illum = c["d_prev"], c["temp"], c["illum"]
+    c_rise, c_fall, c_temp_rise, c_temp_fall, c_illum_rise, c_illum_fall, c_effort = (
+        max(c[name], 0.0)
+        for name in ("d_plus_prev", "d_minus_prev", "temp_plus", "temp_minus", "illum_plus", "illum_minus", "effort"))
+    d, rises, falls, efforts = workers.tolist()
+    d_lo, d_hi, rise, fall, effort_term = min(d), max(d), max(rises), max(falls), c_effort * max(efforts)
+    for (t0, t0_hi, l0, l0_hi), (t1, t1_hi, l1, l1_hi) in zip(bounds, bounds[1:]):
+        high = (dl.intercept + _top(c_prev, d_lo, d_hi) + c_rise * rise + c_fall * fall
+                + _top(c_temp, t1, t1_hi) + c_temp_rise * max(t1_hi - t0, 0.0) + c_temp_fall * max(t0_hi - t1, 0.0)
+                + _top(c_illum, l1, l1_hi) + c_illum_rise * max(l1_hi - l0, 0.0)
+                + c_illum_fall * max(l0_hi - l1, 0.0) + effort_term)
+        if not high < DL_MAX:  # a NaN or an infinity fails too
+            return False
+        top = max(high, DL_MIN)
+        rise, fall, d_lo, d_hi = max(top - d_lo, 0.0), max(d_hi - DL_MIN, 0.0), DL_MIN, top
     return True
 
 

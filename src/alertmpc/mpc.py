@@ -6,7 +6,8 @@ optimizing modes search the setpoint box by differential evolution, scoring each
 generation's objective and constraint from one batched rollout of the
 whole population through one evaluate callback, and report the search's
 own scores of the schedule they pick.  When comfort_holds proves that no
-schedule in the box breaks comfort, the callback scores the objective alone.
+schedule in the box breaks comfort, the callback scores the objective alone;
+the kernel skips each clamp that no schedule in the box reaches.
 Controller builds each interval's Decision for the simulator and the
 daemon.  It keeps the snapshot its two latest measured steps form,
 holds the last applied setpoints while it has none or lags the clock,
@@ -96,11 +97,12 @@ def solve(
         return MpcSolution(schedule, float(f[0]), float(v[0]))
 
     mpc2 = cfg.mode is ControlMode.MPC2
-    lower = np.repeat([cfg.temp_lo, cfg.illum_lo][: 1 + mpc2], horizon)
-    upper = np.repeat([cfg.temp_hi, cfg.illum_hi][: 1 + mpc2], horizon)
+    lower = np.array([cfg.temp_lo] * horizon + [cfg.illum_lo] * horizon * mpc2)
+    upper = np.array([cfg.temp_hi] * horizon + [cfg.illum_hi] * horizon * mpc2)
     rows = de.population_for(lower.size)
-    # MPC1's illuminance schedule: one value, viewed at every row and step.
-    pinned = np.broadcast_to(cfg.illum_comfort, (rows, horizon))
+    # MPC1's illuminance schedule: one value, viewed at every row and step
+    # (np.broadcast_to's view, without its Python overhead).
+    pinned = np.ndarray((rows, horizon), float, np.array(cfg.illum_comfort), 0, (0, 0))
 
     def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Temperature and illuminance setpoints of each row."""
@@ -116,6 +118,7 @@ def solve(
     # calls.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = HorizonKernel(models, snapshot, cfg, rows)
+        kernel.skip_idle_clamps()  # DE scores only schedules inside the box
         proved = comfort_holds(models, snapshot, cfg)
 
         def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

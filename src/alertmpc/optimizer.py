@@ -155,8 +155,9 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
     donors = np.empty((generations, 3, pop_size), dtype=np.int64)
     # The indices taken, kept in increasing order, and the buffers that
     # the shift's comparison and the insertion's smaller index go to.
-    taken = [np.broadcast_to(np.arange(pop_size), shape)]
-    past, spare = np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int64)
+    members, spare = np.empty((2, *shape), dtype=np.int64)
+    members[...] = np.arange(pop_size)
+    taken, past = [members], np.empty(shape, dtype=bool)
     for k in range(3):
         draw = rng.integers(pop_size - 1 - k, size=shape)
         for index in taken:
@@ -170,9 +171,7 @@ def donor_indices(rng: np.random.Generator, pop_size: int, generations: int) -> 
         for i, index in enumerate(taken):
             _minimum(index, draw, out=spare)
             _maximum(index, draw, out=draw)
-            # The member's indices are a read-only view: a new buffer
-            # takes their place as the spare.
-            taken[i], spare = spare, index if index.flags.writeable else np.empty(shape, dtype=np.int64)
+            taken[i], spare = spare, index
         taken.append(draw)
     return donors
 
@@ -184,7 +183,10 @@ def draw_block(rng: np.random.Generator, pop_size: int, dim: int, crossover_rate
     member's value, and last each trial's forced crossover column."""
     donors = donor_indices(rng, pop_size, _BLOCK)
     keep = rng.random((_BLOCK, pop_size, dim)) >= crossover_rate
-    keep[np.arange(_BLOCK)[:, None], np.arange(pop_size), rng.integers(dim, size=(_BLOCK, pop_size))] = False
+    # Each trial's forced column, as a flat index into keep.
+    forced = rng.integers(dim, size=_BLOCK * pop_size)
+    _add(forced, np.arange(0, keep.size, dim), forced)
+    keep.reshape(-1)[forced] = False
     return donors, keep
 
 
@@ -295,7 +297,8 @@ def de_minimize(
     # The box at the trials' shape: numpy clamps against bounds that
     # broadcast along the rows through buffers, at about three times the
     # cost.
-    lower_rows, upper_rows = np.tile(lower, (pop_size, 1)), np.tile(upper, (pop_size, 1))
+    lower_rows, upper_rows = np.empty((pop_size, dim)), np.empty((pop_size, dim))
+    lower_rows[...], upper_rows[...] = lower, upper
     take_donors, copyto, tolerance = pop.take, np.copyto, params.tolerance
     generations = 0
     stop_reason = "budget"

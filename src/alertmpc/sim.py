@@ -161,26 +161,31 @@ def plant_step(
     l_plus, l_minus = increments(illum, state.illum_current)
 
     drift = plant.drift_at(step)
-    workers: list[WorkerState] = []
+    # Each worker's instant jitter, then its DL disturbance, worker after
+    # worker: one draw of rows of substeps + 1 values, each the value that
+    # drawing them one call at a time gives.  Instant readings scatter
+    # around the step average; their SD is the effort and feeds the same
+    # step's true model, so telemetry rows satisfy the regression exactly
+    # when disturbances are off.  np.std along the rows gives each row's
+    # own np.std bit for bit.
+    scales = np.empty((len(state.workers), plant.substeps + 1))
+    scales[:, :-1], scales[:, -1] = plant.effort_sd, plant.dl_noise_sd
+    draws = rng.normal(0.0, scales)
     # A huge effort_sd overflows the jitter's SD to inf or nan, which is
-    # refused below; numpy's warnings would print before the refusal.  The
-    # state is set once per step, not per worker.
+    # refused below; numpy's warnings would print before the refusal.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, w in enumerate(state.workers):
-            # Instant readings scatter around the step average; their SD is
-            # the effort and feeds the same step's true model, so telemetry
-            # rows satisfy the regression exactly when disturbances are off.
-            jitter = rng.normal(0.0, plant.effort_sd, plant.substeps)
-            effort = float(np.std(jitter))
-            if not math.isfinite(effort):
-                raise PlantOutOfRange(f"step {step}: plant effort of worker {i} {effort} is not finite")
-            base = predict_dl(
-                plant.true_dl, w.d_current, w.d_plus, w.d_minus,
-                temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
-            )
-            dl = clamp_dl(base + drift + rng.normal(0.0, plant.dl_noise_sd))
-            require_in_range(f"step {step}: plant drowsiness of worker {i}", dl, (DL_MIN, DL_MAX), PlantOutOfRange)
-            workers.append(WorkerState.from_history(dl, w.d_current, effort))
+        efforts = np.std(draws[:, :-1], axis=1).tolist()
+    workers: list[WorkerState] = []
+    for i, (w, effort, disturbance) in enumerate(zip(state.workers, efforts, draws[:, -1].tolist())):
+        if not math.isfinite(effort):
+            raise PlantOutOfRange(f"step {step}: plant effort of worker {i} {effort} is not finite")
+        base = predict_dl(
+            plant.true_dl, w.d_current, w.d_plus, w.d_minus,
+            temp, t_plus, t_minus, illum, l_plus, l_minus, effort,
+        )
+        dl = clamp_dl(base + drift + disturbance)
+        require_in_range(f"step {step}: plant drowsiness of worker {i}", dl, (DL_MIN, DL_MAX), PlantOutOfRange)
+        workers.append(WorkerState.from_history(dl, w.d_current, effort))
     return StateSnapshot(tuple(workers), temp, illum)
 
 

@@ -1,5 +1,6 @@
 """Builders that only the tests use: the path of a shipped config, the
-case-1 model set, telemetry tables from rows and back,
+case-1 model set, solve inputs from which a kernel keeps both its
+skippable clamps, telemetry tables from rows and back,
 telemetry and daemon input recast from a simulation trace, a drift
 profile for a working day, a solve that fails on one interval, and a
 reference for the daemon's windows."""
@@ -13,7 +14,8 @@ from typing import NamedTuple
 import alertmpc.mpc as mpc_module
 from alertmpc.cli import parse_scenario_config
 from alertmpc.daemon import _parse_stream_record
-from alertmpc.domain import MpcConfig
+from alertmpc.domain import AmiModel, DlModel, IdtModel, ModelSet, MpcConfig
+from alertmpc.formats import write_model_set
 from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
 
@@ -25,6 +27,36 @@ def shipped_config_path(name: str) -> str:
 
 # The shipped case-1 room's true models, the set most tests predict with.
 CASE1_MODELS = parse_scenario_config(shipped_config_path("case1_mpc2.cfg")).plant.truth()
+
+
+# Models and a snapshot of case 2's six workers from which a solve in the
+# case-2 box keeps both clamps that a kernel can skip, and each binds for
+# some schedule in the box: the room goes dark after two steps at the
+# lowest illuminance setpoint, and warmth lifts the worker at DL 4.9 past
+# the 1-5 scale.  A schedule at the highest illuminance keeps comfort, so
+# the solve is feasible.  CI's warnings step solves them.
+KEPT_CLAMPS_MODELS = ModelSet(
+    dl=DlModel(intercept=0.3, coef={
+        "d_prev": 0.95, "d_plus_prev": 0.08, "d_minus_prev": -0.04,
+        "temp": 0.02, "temp_plus": 0.05, "temp_minus": -0.18,
+        "illum": -0.0004, "illum_plus": -0.0011, "illum_minus": 0.0006, "effort": -0.06}),
+    idt=IdtModel(k_up=0.3, k_down=0.45),
+    ami=AmiModel(theta0=-600.0, theta_prev=0.1, theta_set=1.25),
+)
+KEPT_CLAMPS_SNAPSHOT = ["worker_id,dl,d_plus,d_minus,effort,temp_c,illum_lx"] + [
+    f"w{i:02d},{dl},{d_plus},0,0.1,26.2,580" for i, (dl, d_plus) in enumerate(
+        [(2.2, 0.1), (2.3, 0.1), (2.4, 0.1), (2.5, 0.1), (2.6, 0.1), (4.9, 0.2)])]
+
+
+def write_kept_clamps_inputs(directory) -> tuple[str, str]:
+    """Write KEPT_CLAMPS_MODELS and KEPT_CLAMPS_SNAPSHOT into directory as
+    kept_clamps_model.json and kept_clamps_snapshot.csv; return the two
+    paths."""
+    model, snapshot = f"{directory}/kept_clamps_model.json", f"{directory}/kept_clamps_snapshot.csv"
+    write_model_set(model, KEPT_CLAMPS_MODELS)
+    with open(snapshot, "w") as fh:
+        fh.write("\n".join(KEPT_CLAMPS_SNAPSHOT) + "\n")
+    return model, snapshot
 
 
 class Row(NamedTuple):

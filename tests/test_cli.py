@@ -44,6 +44,7 @@ from alertmpc.domain import (
     TEMP_RANGE,
     AmiModel,
     ControlMode,
+    ControlSchedule,
     DlModel,
     IdtModel,
     ModelSet,
@@ -52,7 +53,7 @@ from alertmpc.domain import (
     WorkerState,
 )
 from alertmpc.identify import VALUE_COLUMNS, fit_ami_model, fit_dl_model, fit_idt_coeffs
-from alertmpc.models import constraint_violation, rollout
+from alertmpc.models import HorizonKernel, constraint_violation, rollout
 from alertmpc.mpc import Controller, solve
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
@@ -69,12 +70,14 @@ from alertmpc.sim import (
 
 from helpers import (
     CASE1_MODELS,
+    KEPT_CLAMPS_MODELS,
     daemon_windows_by_number,
     replay_stream_lines,
     rows_of,
     shipped_config_path,
     solve_failing_at,
     table_of,
+    write_kept_clamps_inputs,
 )
 
 TRUTH = CASE1_MODELS
@@ -1646,6 +1649,29 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert "# feasible=0" in captured.out
         assert "no feasible schedule" in captured.err
+
+    def test_kept_clamps_inputs_solve_with_both_clamps(self, workdir, monkeypatch):
+        # The inputs CI's warnings step solves: each clamp binds for a
+        # schedule in the case-2 box, the kernel keeps both, and the
+        # solve succeeds without a warning.
+        clamps = []
+
+        def spy(kernel, real=HorizonKernel.skip_idle_clamps):
+            real(kernel)
+            clamps.append((kernel.floor, kernel.ceiling))
+
+        monkeypatch.setattr(HorizonKernel, "skip_idle_clamps", spy)
+        model, snap = write_kept_clamps_inputs(workdir)
+        config = shipped_config_path("case2_mpc2.cfg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", snap, "--model", model, "--config", config, "--out-dir", str(workdir)])
+        assert rc == 0 and clamps == [(True, True)]
+        cfg, _ = parse_control_config(config)
+        snapshot = read_snapshot_csv(snap)
+        dark = rollout(KEPT_CLAMPS_MODELS, snapshot, ControlSchedule((cfg.temp_lo,) * 4, (cfg.illum_lo,) * 4), cfg)
+        warm = rollout(KEPT_CLAMPS_MODELS, snapshot, ControlSchedule((cfg.temp_hi,) * 4, (cfg.illum_hi,) * 4), cfg)
+        assert 0.0 in dark.illums and 5.0 in warm.dls[-1]
 
     def test_box_wider_than_largest_float_is_config_error(self, workdir, capsys):
         model, _, snap = self.setup_files(workdir)

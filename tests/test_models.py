@@ -34,7 +34,7 @@ from alertmpc.models import (
 )
 from alertmpc.mpc import solve
 
-from helpers import shipped_config_path
+from helpers import CASE1_MODELS, shipped_config_path
 
 
 def zero_coef(**overrides):
@@ -722,10 +722,10 @@ def comfort_cases(draw):
     return tightened(*case) if draw(st.booleans()) else case
 
 
-def comfort_case(models, cfg, temp=26.0, illum=600.0):
+def comfort_case(models, cfg, temp=26.0, illum=600.0, worker=WorkerState(2.0)):
     """A comfort_cases value: one worker, the room at (temp, illum), and
     box_schedules from seed 0."""
-    return (models, StateSnapshot((WorkerState(2.0),), temp, illum), cfg,
+    return (models, StateSnapshot((worker,), temp, illum), cfg,
             *box_schedules(cfg, np.random.default_rng(0)))
 
 
@@ -793,6 +793,77 @@ class TestComfortHolds:
         assert comfort_holds(models, snap, MpcConfig())
         assert not comfort_holds(models, snap, MpcConfig(penalty_cap=1.25))
         assert not comfort_holds(models, replace(snap, temp_current=29.0), MpcConfig())
+
+
+def lagged_case(coef, d_now):
+    """A comfort_case whose drowsiness follows its own last level, pushed
+    by the room at step 1 and by its own lagged rise or fall at step 2."""
+    models = ModelSet(dl=DlModel(intercept=0.0, coef=zero_coef(d_prev=1.0, **coef)),
+                      idt=IdtModel(1.0, 1.0), ami=IDENTITY_AMI)
+    return comfort_case(models, MpcConfig(horizon=2), worker=WorkerState(d_now))
+
+
+# Cases where a clamp binds inside the box: a room that goes dark at the
+# box's lower illuminance; a worker at DL 4.9 who was at 1.1 a step ago,
+# whom a warming room lifts past the 1-5 scale; and workers whom step 1's
+# rise or fall, lagged, lifts past it at step 2 only.
+BINDING_CLAMPS = {
+    "floor": comfort_case(replace(TestRolloutBatch.MODELS, ami=AmiModel(-900.0, 0.1, 0.6)),
+                          MpcConfig(horizon=3)),
+    "ceiling": comfort_case(TestRolloutBatch.MODELS, MpcConfig(horizon=3),
+                            worker=WorkerState.from_history(4.9, 1.1)),
+    "ceiling after a rise": lagged_case({"d_plus_prev": 4.0, "temp_plus": 1.0}, 3.0),
+    "ceiling after a fall": lagged_case({"d_minus_prev": 4.0, "temp_minus": -1.0}, 4.0),
+}
+
+
+class TestSkippedClamps:
+    @settings(max_examples=300, deadline=None)
+    @given(comfort_cases())
+    @example(BINDING_CLAMPS["floor"])
+    @example(BINDING_CLAMPS["ceiling"])
+    @example(BINDING_CLAMPS["ceiling after a rise"])
+    @example(BINDING_CLAMPS["ceiling after a fall"])
+    def test_every_row_in_the_box_stays_rollouts(self, case):
+        # Rows at the box's corners, one unit in the last place past it and
+        # inside it, whichever clamps the kernel skips.
+        models, snap, cfg, temps, illums = case
+        kernel = HorizonKernel(models, snap, cfg, len(temps))
+        kernel.skip_idle_clamps()
+        f, v = kernel.evaluate(temps, illums)
+        for row in range(len(temps)):
+            pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
+            assert tuple(kernel.room[:, 0, row]) == pred.temps
+            assert tuple(kernel.room[:, 1, row]) == pred.illums
+            assert tuple(map(tuple, kernel.dls[:, :, row])) == pred.dls
+            assert f[row].hex() == objective(pred).hex()
+            assert v[row].hex() == constraint_violation(pred, cfg).hex()
+
+    @pytest.mark.parametrize("name", sorted(BINDING_CLAMPS))
+    def test_a_clamp_that_binds_is_kept(self, name):
+        models, snap, cfg, temps, illums = BINDING_CLAMPS[name]
+        kernel = HorizonKernel(models, snap, cfg, len(temps))
+        kernel.skip_idle_clamps()
+        preds = [rollout(models, snap, ControlSchedule(tuple(t), tuple(l)), cfg) for t, l in zip(temps, illums)]
+        if name == "floor":
+            assert kernel.floor and any(0.0 in pred.illums for pred in preds)
+        else:
+            assert kernel.ceiling and any(5.0 in path for pred in preds for path in pred.dls)
+
+    def test_a_kernel_clamps_until_told_its_box(self):
+        snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
+        kernel = HorizonKernel(CASE1_MODELS, snap, MpcConfig(num_workers=1), 2)
+        assert (kernel.floor, kernel.ceiling) == (True, True)
+        kernel.skip_idle_clamps()
+        assert (kernel.floor, kernel.ceiling) == (False, False)
+
+    def test_an_overflowing_bound_keeps_the_ceiling(self):
+        # The illuminance bound overflows, so the ceiling is kept; the floor
+        # needs no bound when every coefficient of the room's light is positive.
+        models, snap, cfg, _, _ = OVERFLOWING_BOUNDS["model"]
+        kernel = HorizonKernel(models, snap, cfg, 2)
+        kernel.skip_idle_clamps()
+        assert (kernel.floor, kernel.ceiling) == (False, True)
 
 
 class TestObjectiveGradient:

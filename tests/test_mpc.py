@@ -276,6 +276,27 @@ def test_every_shipped_solve_is_proved(monkeypatch, room, mode):
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])
+@pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+def test_every_shipped_solve_skips_both_clamps(monkeypatch, room, mode):
+    # No schedule in the shipped boxes darkens the room or lifts a worker
+    # past the 1-5 scale: every kernel call of their closed loops, and so
+    # of the benchmark's, skips the illuminance floor and the ceiling.
+    clamps = []
+
+    def spy(kernel, real=HorizonKernel.skip_idle_clamps):
+        real(kernel)
+        clamps.append((kernel.floor, kernel.ceiling))
+
+    monkeypatch.setattr(HorizonKernel, "skip_idle_clamps", spy)
+    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
+    for seed in (1, 2, 3):
+        clamps.clear()
+        trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
+        solves = sum(step.status == "ok" for step in trace.steps)
+        assert solves > 0 and clamps == [(False, False)] * solves
+
+
+@pytest.mark.parametrize("room", ["case1", "case2"])
 @pytest.mark.parametrize("mode", list(ControlMode))
 def test_violation_reported_and_backs_feasible(room, mode):
     sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
