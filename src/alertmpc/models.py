@@ -11,19 +11,16 @@ them.  rollout propagates one schedule with them, step by step, and
 objective and constraint_violation are the two scores of its prediction,
 summed one float at a time.  NOC scores its one schedule so.
 
-comfort_holds decides, once per solve and in plain floats, whether any
-schedule inside the setpoint box can break the comfort cap from the
-measured state.  When it cannot, every violation is +0.0 and the search
-scores candidates with HorizonKernel.objective alone.  The same bounds on
-the room, from _room_bounds, let HorizonKernel.skip_idle_clamps drop the
-illuminance floor and the drowsiness ceiling when no schedule in the box
-reaches them: a clamp that would return its input unchanged is a call
-saved at every step of every kernel call.
+HorizonKernel is a search's evaluate callback: one per solve, built for
+its population's row count, two or more, and called with each (rows,
+columns) population in the layout of cfg's mode.  restrict_to_box walks
+_room_bounds, intervals that hold the room of every schedule in the
+setpoint box, once per solve, in plain floats.  When no such schedule can
+break the comfort cap (comfort_holds), every violation is +0.0 and the
+kernel returns None in its place; it also skips the illuminance floor and
+the drowsiness ceiling when no such schedule reaches them.
 
-The search scores a whole population, two rows or more, per call with
-one HorizonKernel per solve, built for that population's row count:
-objective predicts and takes the mean, evaluate adds the violation.  The
-kernel folds the terms of the drowsiness sum that depend only on the
+The kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
 calls write, the views of each step that its loops read and write, and
 its constants as arrays.  It then runs the horizon over arrays of every
@@ -172,16 +169,18 @@ class HorizonKernel:
 
     Built once per solve from the models, the measured state, the
     configuration and the number of rows each call scores, two or more;
-    solve scores every generation of its search with it, by objective or
-    evaluate.  A call takes (rows, horizon) setpoints, no other shape.
+    solve passes evaluate to de_minimize.  A call takes a population of
+    shape (rows, columns): each row's temperature setpoints, then under
+    MPC2 its illuminance setpoints.  The other modes hold illuminance at
+    illum_comfort, whose theta_set product is written once, here.
 
     Each row's prediction equals rollout's of that schedule, and its
     scores objective's and constraint_violation's, bit for bit.  After
-    skip_idle_clamps that holds for the schedules inside cfg's setpoint
-    box, which are the ones a search scores: the kernel then skips the
-    illuminance floor, or the drowsiness ceiling, when a bound shows that
-    no such schedule reaches it.  floor and ceiling say which clamps a
-    call applies; a new kernel applies both.
+    restrict_to_box that holds for the schedules inside cfg's setpoint
+    box, which are the ones a search scores: proved then says whether
+    evaluate returns None as the violation, and floor and ceiling which
+    clamps a call applies.  A new kernel proves nothing, applies both
+    clamps and always returns violations.
 
     room_state is (horizon + 1, 2, rows): temperature and illuminance at
     each step, step 0 being the measured state.  terms is
@@ -239,9 +238,10 @@ class HorizonKernel:
         _check_workers(snapshot, cfg)
         if rows < 2:
             raise ShapeMismatch(f"a kernel scores two rows or more, got {rows}; rollout scores one")
-        self.shape = rows, horizon
+        self._mpc2 = cfg.mode is ControlMode.MPC2
+        self._horizon, self.shape = horizon, (rows, horizon * (1 + self._mpc2))
         self._models, self._snapshot, self._cfg = models, snapshot, cfg
-        self.floor = self.ceiling = True
+        self.proved, self.floor, self.ceiling = False, True, True
         idt, ami, c = models.idt, models.ami, models.dl.coef
 
         self.dls = np.empty((workers, horizon, rows))
@@ -321,7 +321,11 @@ class HorizonKernel:
             [(idt.k_up, idt.k_down), (ami.theta0, ami.theta0)],
             [(1.0 - idt.k_up, 1.0 - idt.k_down), (ami.theta_prev, ami.theta_prev)])
         self.t_sets = np.empty((horizon, rows))
+        # theta_set * setpoint at each step: MPC2's are written by each
+        # call, the other modes' illum_comfort's here, once.
         self.lights = np.empty((horizon, rows))
+        if not self._mpc2:
+            self.lights[...] = ami.theta_set * cfg.illum_comfort
         self.k_sets = up_down[0, 0]
         # The gains themselves, at k_sets' full shape, as the pairs'
         # coefficients are.
@@ -335,62 +339,35 @@ class HorizonKernel:
         self.room_steps = tuple(zip(self.t_sets, room_state[:, 0], up, down, room, room[1:],
                                     room_state[1:, 1], self.lights))
 
-    def skip_idle_clamps(self) -> None:
-        """Skip, in every later call, each clamp that no schedule inside
-        cfg's setpoint box can reach from the snapshot: the illuminance
-        floor when _floor_idle proves it idle, and the drowsiness ceiling
-        when _ceiling_idle does.  floor and ceiling say which clamps a call
-        still applies.
+    def restrict_to_box(self) -> None:
+        """Tell the kernel that every row it will score lies inside cfg's
+        setpoint box, as a search's do, and walk _room_bounds once for
+        that box: proved becomes comfort_holds' answer, floor the negation
+        of _floor_idle's and ceiling that of _ceiling_idle's.  Inside the
+        box, and one unit in the last place past it, a skipped clamp would
+        return its input unchanged and every violation would be +0.0, so
+        every row's prediction and scores stay rollout's bit for bit."""
+        models, cfg = self._models, self._cfg
+        bounds = _room_bounds(models, self._snapshot, cfg)
+        self.proved = _comfort_within(cfg, bounds)
+        self.floor = not _floor_idle(models.ami, bounds)
+        self.ceiling = not _ceiling_idle(models.dl, self._workers, bounds)
 
-        Call it when every schedule the kernel will score lies inside the
-        box, as a search's do: rows outside it may then differ from
-        rollout's.  Inside it, and one unit in the last place past it, a
-        skipped clamp would have returned its input unchanged, so every
-        row's prediction and scores stay rollout's bit for bit.
-        """
-        bounds = _room_bounds(self._models, self._snapshot, self._cfg)
-        self.floor = not _floor_idle(self._models.ami, bounds)
-        self.ceiling = not _ceiling_idle(self._models.dl, self._workers, bounds)
-
-    def evaluate(self, temp_sets: np.ndarray, illum_sets: np.ndarray):
-        """Objective and violation of (rows, horizon) schedules, as new
-        (rows,) arrays: objective's prediction and mean, then the comfort
-        violation of the room it leaves."""
-        mean = self.objective(temp_sets, illum_sets)
-
-        # The violation: comfort_penalty, one array operation at a time,
-        # then each step's excess over the cap, floored at zero, summed
-        # down the steps.  fmax, not maximum: a NaN excess counts as none,
-        # as constraint_violation's "excess > 0.0" skips it.  The cap is
-        # positive, so no excess is -0.0, and the sum equals
-        # constraint_violation's from 0.0.  A total too large for a float
-        # (huge comfort weights) saturates at the largest float: the
-        # search still ranks it as the worst violation, where an infinity
-        # would stop it as a non-finite evaluation.
-        deviation, excess = self._deviation, self._excess
-        _subtract(self.room, self.comfort, deviation)
-        _absolute(deviation, deviation)
-        _multiply(self.weights, deviation, deviation)
-        _add_reduce(deviation, 1, None, excess)
-        _subtract(excess, self.cap, excess)
-        _fmax(excess, _ZERO, out=excess)
-        violation = _add_reduce(excess, 0)
-        return mean, _minimum(violation, _LARGEST, out=violation)
-
-    def objective(self, temp_sets: np.ndarray, illum_sets: np.ndarray) -> np.ndarray:
-        """Roll (rows, horizon) schedules over the horizon into room and
-        dls, and return each row's mean drowsiness as a new (rows,) array.
-        The predictions stay in room and dls until the next call."""
-        if temp_sets.shape != self.shape or illum_sets.shape != self.shape:
-            raise ShapeMismatch(
-                f"schedules are {temp_sets.shape} and {illum_sets.shape}, "
-                f"the kernel scores (rows, horizon) = {self.shape}"
-            )
+    def evaluate(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Roll a (rows, columns) population, in shape's layout, over the
+        horizon into room and dls, and return each row's mean drowsiness
+        and comfort violation as new (rows,) arrays; the violation is
+        None once restrict_to_box has proved comfort.  The predictions
+        stay in room and dls until the next call."""
+        if pop.shape != self.shape:
+            raise ShapeMismatch(f"the population is {pop.shape}, the kernel scores {self.shape}")
         # Plain copies assign to a view: np.copyto is a Python-level wrapper.
-        self.t_sets[...] = temp_sets.T
+        sets = pop.T
+        self.t_sets[...] = sets[:self._horizon]
         _multiply(self._k, self.t_sets, self.k_sets)
-        self.lights[...] = illum_sets.T
-        _multiply(self._theta_set, self.lights, self.lights)
+        if self._mpc2:
+            self.lights[...] = sets[self._horizon:]
+            _multiply(self._theta_set, self.lights, self.lights)
         rising, ab, a, b, floor = self.rising, self.ab, self.a, self.b, self.floor
         greater_equal, copyto, multiply, add, maximum = _greater_equal, np.copyto, _multiply, _add, _maximum
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
@@ -433,7 +410,28 @@ class HorizonKernel:
 
         # The objective: each row's mean drowsiness.
         mean = _add_reduce(self._dl_rows, 0)
-        return _divide(mean, self._count, mean)
+        _divide(mean, self._count, mean)
+        if self.proved:  # every violation would be +0.0: de_minimize reads None so
+            return mean, None
+
+        # The violation: comfort_penalty, one array operation at a time,
+        # then each step's excess over the cap, floored at zero, summed
+        # down the steps.  fmax, not maximum: a NaN excess counts as none,
+        # as constraint_violation's "excess > 0.0" skips it.  The cap is
+        # positive, so no excess is -0.0, and the sum equals
+        # constraint_violation's from 0.0.  A total too large for a float
+        # (huge comfort weights) saturates at the largest float: the
+        # search still ranks it as the worst violation, where an infinity
+        # would stop it as a non-finite evaluation.
+        deviation, excess = self._deviation, self._excess
+        _subtract(self.room, self.comfort, deviation)
+        _absolute(deviation, deviation)
+        _multiply(self.weights, deviation, deviation)
+        _add_reduce(deviation, 1, None, excess)
+        _subtract(excess, self.cap, excess)
+        _fmax(excess, _ZERO, out=excess)
+        violation = _add_reduce(excess, 0)
+        return mean, _minimum(violation, _LARGEST, out=violation)
 
 
 def rollout(
@@ -581,7 +579,11 @@ def comfort_holds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig) -> 
     most penalty_cap at every step.  A bound that is not finite (huge
     weights, an overflowing model) fails the test.
     """
-    bounds = _room_bounds(models, snapshot, cfg)
+    return _comfort_within(cfg, _room_bounds(models, snapshot, cfg))
+
+
+def _comfort_within(cfg: MpcConfig, bounds) -> bool:
+    """comfort_holds' test on _room_bounds' intervals, bounds (or None)."""
     if bounds is None:
         return False
     t_comfort, l_comfort, p_temp, p_illum = cfg.temp_comfort, cfg.illum_comfort, cfg.p_temp, cfg.p_illum

@@ -2,12 +2,10 @@
 
 solve() turns one measured state into a setpoint schedule.  NOC simply
 holds the comfort point and scores it with the plain rollout; the
-optimizing modes search the setpoint box by differential evolution, scoring each
-generation's objective and constraint from one batched rollout of the
-whole population through one evaluate callback, and report the search's
-own scores of the schedule they pick.  When comfort_holds proves that no
-schedule in the box breaks comfort, the callback scores the objective alone;
-the kernel skips each clamp that no schedule in the box reaches.
+optimizing modes search the setpoint box by differential evolution.  A
+search's callback is its HorizonKernel: solve builds it, tells it the
+box once, and reports the search's own scores of the schedule it picks.
+How a candidate is scored, and when comfort is proved, is the kernel's.
 Controller builds each interval's Decision for the simulator and the
 daemon.  It keeps the snapshot its two latest measured steps form,
 holds the last applied setpoints while it has none or lags the clock,
@@ -30,7 +28,7 @@ from .domain import (
     StateSnapshot,
     WorkerState,
 )
-from .models import HorizonKernel, comfort_holds, constraint_violation, objective, rollout, rollout_nbytes
+from .models import HorizonKernel, constraint_violation, objective, rollout, rollout_nbytes
 from .optimizer import (
     DeParams,
     DeResult,
@@ -99,17 +97,6 @@ def solve(
     mpc2 = cfg.mode is ControlMode.MPC2
     lower = np.array([cfg.temp_lo] * horizon + [cfg.illum_lo] * horizon * mpc2)
     upper = np.array([cfg.temp_hi] * horizon + [cfg.illum_hi] * horizon * mpc2)
-    rows = de.population_for(lower.size)
-    # MPC1's illuminance schedule: one value, viewed at every row and step
-    # (np.broadcast_to's view, without its Python overhead).
-    pinned = np.ndarray((rows, horizon), float, np.array(cfg.illum_comfort), 0, (0, 0))
-
-    def split(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature and illuminance setpoints of each row."""
-        if mpc2:
-            return pop[:, :horizon], pop[:, horizon:]
-        return pop, pinned
-
     # Huge coefficients or comfort weights overflow the kernel's sums, to
     # an infinity or a NaN the search refuses as NonFiniteObjective, or to
     # a violation the kernel saturates.  numpy's warnings on the way would
@@ -117,19 +104,13 @@ def solve(
     # not per kernel call: setting it costs about as much as five ufunc
     # calls.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = HorizonKernel(models, snapshot, cfg, rows)
-        kernel.skip_idle_clamps()  # DE scores only schedules inside the box
-        proved = comfort_holds(models, snapshot, cfg)
-
-        def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-            if proved:  # every violation would be +0.0: de_minimize reads None so
-                return kernel.objective(*split(pop)), None
-            return kernel.evaluate(*split(pop))
-
+        kernel = HorizonKernel(models, snapshot, cfg, de.population_for(lower.size))
+        kernel.restrict_to_box()  # DE scores only schedules inside the box
         # params by keyword: the perfbench de_minimize hook reads it from there.
-        result: DeResult = de_minimize(evaluate, lower, upper, params=de)
-    temp_sets, illum_sets = split(result.best_vector[None, :])
-    schedule = ControlSchedule(tuple(temp_sets[0]), tuple(illum_sets[0]))
+        result: DeResult = de_minimize(kernel.evaluate, lower, upper, params=de)
+    best = result.best_vector.tolist()
+    illum_sets = best[horizon:] if mpc2 else [cfg.illum_comfort] * horizon
+    schedule = ControlSchedule(best[:horizon], illum_sets)
     search = (result.generations_used, result.evaluations, result.stop_reason)
     return MpcSolution(schedule, result.best_objective, result.best_violation, *search)
 

@@ -189,11 +189,22 @@ def plant_step(
     return StateSnapshot(tuple(workers), temp, illum)
 
 
-# The most memory one run's trace may hold.  run_scenario keeps every
-# step's record, so a config whose steps would need more is refused where
+# The most memory one run's trace, or one plant_step's draws, may take.
+# run_scenario keeps every step's record, and plant_step draws every
+# worker's jitter at once, so a config that needs more is refused where
 # it is built, as a search too large is (mpc.SEARCH_BYTES_CEILING).  Five
-# workers over a 28-step day need about 38 KB.
-TRACE_BYTES_CEILING = 2**30
+# workers over a 28-step day keep a trace of about 38 KB.
+TRACE_BYTES_CEILING = DRAW_BYTES_CEILING = 2**30
+
+
+def require_draws_fit(substeps: int, workers: int) -> None:
+    """Raise ConfigError when one plant_step would allocate more than
+    DRAW_BYTES_CEILING bytes: three float arrays of workers x
+    (substeps + 1), the draws, their scales and np.std's deviations."""
+    needed = 24 * workers * (substeps + 1)
+    if needed > DRAW_BYTES_CEILING:
+        raise ConfigError(f"a plant step of {substeps} substeps for {workers} worker(s) draws {needed} bytes, "
+                          f"over the ceiling of {DRAW_BYTES_CEILING} bytes")
 
 
 def trace_nbytes(steps: int, workers: int) -> int:
@@ -232,6 +243,7 @@ class ScenarioConfig:
             raise ValueError(f"lunch_steps must be >= 0, got {self.lunch_steps}")
         require_search_fits(self.mpc_cfg, self.de)
         workers = self.mpc_cfg.num_workers
+        require_draws_fit(self.plant.substeps, workers)
         needed = trace_nbytes(self.steps, workers)
         if needed > TRACE_BYTES_CEILING:
             raise ConfigError(
@@ -377,10 +389,12 @@ def run_open_loop(
 
     This is the identification data collector: sweep the setpoints over
     their ranges and fit models from the returned table.  A step that
-    takes the room out of the measured range raises PlantOutOfRange.
+    takes the room out of the measured range raises PlantOutOfRange, and
+    a step whose draws are too large (require_draws_fit) ConfigError.
     """
     if not setpoints:
         raise ValueError("setpoint sequence must not be empty")
+    require_draws_fit(plant.substeps, num_workers)
     state = initial_state(plant, num_workers)
     workers = [f"w{i}" for i in range(num_workers)]
     step, worker_id, dl, effort, temp, illum, temp_set, illum_set = ([] for _ in range(8))
@@ -462,6 +476,7 @@ __all__ = [
     "step_rng",
     "plant_step",
     "ScenarioConfig",
+    "DRAW_BYTES_CEILING",
     "TRACE_BYTES_CEILING",
     "trace_nbytes",
     "TRACE_STATUSES",

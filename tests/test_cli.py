@@ -1440,7 +1440,7 @@ class TestShippedConfigs:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256[name]
 
     # The same pin for case2_mpc2.cfg at penalty_cap 0.05, seed 1, by mode.
-    # comfort_holds proves nothing on any of its solves, so every search
+    # No kernel proves comfort on any of its solves, so every search
     # scores violations, a path no shipped config takes; MPC1 ends one
     # step infeasible and MPC2 two.
     UNPROVED_TRACE_SHA256 = {
@@ -1452,11 +1452,11 @@ class TestShippedConfigs:
     def test_unproved_trace_at_seed_1_is_pinned(self, tmp_path, monkeypatch, mode):
         proofs = []
 
-        def spy(models, snapshot, cfg, real=mpc_module.comfort_holds):
-            proofs.append(real(models, snapshot, cfg))
-            return proofs[-1]
+        def spy(kernel, real=HorizonKernel.restrict_to_box):
+            real(kernel)
+            proofs.append(kernel.proved)
 
-        monkeypatch.setattr(mpc_module, "comfort_holds", spy)
+        monkeypatch.setattr(HorizonKernel, "restrict_to_box", spy)
         sc = parse_scenario_config(shipped_config_path("case2_mpc2.cfg"))
         cfg = replace(sc.mpc_cfg, penalty_cap=0.05, mode=ControlMode(mode))
         trace, _ = run_scenario(replace(sc, seed=1, mpc_cfg=cfg))
@@ -1656,11 +1656,11 @@ class TestSolveCommand:
         # solve succeeds without a warning.
         clamps = []
 
-        def spy(kernel, real=HorizonKernel.skip_idle_clamps):
+        def spy(kernel, real=HorizonKernel.restrict_to_box):
             real(kernel)
             clamps.append((kernel.floor, kernel.ceiling))
 
-        monkeypatch.setattr(HorizonKernel, "skip_idle_clamps", spy)
+        monkeypatch.setattr(HorizonKernel, "restrict_to_box", spy)
         model, snap = write_kept_clamps_inputs(workdir)
         config = shipped_config_path("case2_mpc2.cfg")
         with warnings.catch_warnings():
@@ -1930,6 +1930,25 @@ def test_run_too_long_to_trace_is_refused(workdir, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         f"error: config {cfg}: a run of 1000000000000 steps for 1 worker(s) keeps a trace of "
         f"{trace_nbytes(10**12, 1)} bytes, over the ceiling of 1073741824 bytes\n"
+    )
+    assert not Path(out).exists()
+
+
+def test_plant_step_too_large_to_draw_is_refused(workdir, capsys, monkeypatch):
+    # One step's draws are computed from substeps and the worker count;
+    # the run never starts.
+    text = SCENARIO_CFG.replace("substeps = 1", "substeps = 100000000").replace("num_workers = 1", "num_workers = 24")
+    cfg = put(workdir, "s.cfg", text)
+
+    def must_not_run(sc):
+        raise AssertionError("a scenario with oversize draws ran")
+
+    monkeypatch.setattr(cli_module, "run_scenario", must_not_run)
+    out = str(workdir / "out")
+    assert main(["simulate", "--config", cfg, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: a plant step of 100000000 substeps for 24 worker(s) draws "
+        f"{24 * 24 * (10**8 + 1)} bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert not Path(out).exists()
 

@@ -304,7 +304,7 @@ class TestRolloutBatch:
             cfg = MpcConfig(horizon=horizon, num_workers=3)
             temp_sets, illum_sets = self.population(rng, 16, horizon)
             kernel = HorizonKernel(self.MODELS, snap, cfg, 16)
-            kernel.evaluate(temp_sets, illum_sets)
+            kernel.evaluate(np.hstack((temp_sets, illum_sets)))
             temps, illums, dls = kernel.room[:, 0], kernel.room[:, 1], kernel.dls
             assert temps.shape == illums.shape == (horizon, 16)
             assert dls.shape == (3, horizon, 16)
@@ -327,7 +327,7 @@ class TestRolloutBatch:
         # Half the rows stay near comfort, so both outcomes occur.
         temp_sets[8:] = rng.uniform(25.8, 26.2, (8, 3))
         illum_sets[8:] = rng.uniform(900.0, 920.0, (8, 3))
-        fs, vs = HorizonKernel(self.MODELS, snap, cfg, 16).evaluate(temp_sets, illum_sets)
+        fs, vs = HorizonKernel(self.MODELS, snap, cfg, 16).evaluate(np.hstack((temp_sets, illum_sets)))
         assert (vs > 0.0).any() and (vs == 0.0).any()
         for row in range(16):
             pred = rollout(self.MODELS, snap,
@@ -338,8 +338,7 @@ class TestRolloutBatch:
     def test_shape_mismatch(self):
         snap = snapshot_one()
         with pytest.raises(ShapeMismatch):
-            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3), 4).evaluate(
-                np.zeros((4, 2)), np.zeros((4, 2)))
+            HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3), 4).evaluate(np.zeros((4, 4)))
         with pytest.raises(ShapeMismatch):
             HorizonKernel(self.MODELS, snap, MpcConfig(horizon=3, num_workers=2), 4)
 
@@ -370,7 +369,7 @@ def scorer(models, snap, cfg, rows):
         kernel = HorizonKernel(models, snap, cfg, rows)
 
         def score(temp_sets, illum_sets):
-            f, v = kernel.evaluate(temp_sets, illum_sets)
+            f, v = kernel.evaluate(np.hstack((temp_sets, illum_sets)))
             return kernel.room[:, 0], kernel.room[:, 1], kernel.dls, f, v
 
         return score
@@ -488,7 +487,7 @@ class TestHorizonKernel:
     def test_rows_equal_rollout_and_scores_by_hex(self, case):
         models, snap, cfg, temps, illums = case
         kernel = HorizonKernel(models, snap, cfg, len(temps))
-        f, v = kernel.evaluate(temps, illums)
+        f, v = kernel.evaluate(np.hstack((temps, illums)))
         for row in range(len(temps)):
             pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
             assert tuple(kernel.room[:, 0, row]) == pred.temps
@@ -500,21 +499,21 @@ class TestHorizonKernel:
     def test_workspace_reuse_and_fresh_scores(self):
         rng = np.random.default_rng(8)
         kernel, _, _ = self.kernel(rng, 5, 4, 40)
-        a = TestRolloutBatch().population(rng, 40, 4)
-        b = TestRolloutBatch().population(rng, 40, 4)
-        f_a, v_a = kernel.evaluate(*a)
+        a = np.hstack(TestRolloutBatch().population(rng, 40, 4))
+        b = np.hstack(TestRolloutBatch().population(rng, 40, 4))
+        f_a, v_a = kernel.evaluate(a)
         want = f_a.copy(), v_a.copy()
-        f_b, v_b = kernel.evaluate(*b)
+        f_b, v_b = kernel.evaluate(b)
         assert not (np.array_equal(f_a, f_b) and np.array_equal(v_a, v_b))
         # Scoring B left A's arrays alone: they are not the workspace's.
         assert np.array_equal(f_a, want[0]) and np.array_equal(v_a, want[1])
         # Another row count is refused and leaves the buffers alone.
         with pytest.raises(ShapeMismatch):
-            kernel.evaluate(a[0][:1], a[1][:1])
+            kernel.evaluate(a[:1])
         # The caller may write into the returned arrays, as de_minimize does.
         np.copyto(f_a, -1.0)
         np.copyto(v_a, -1.0)
-        f_again, v_again = kernel.evaluate(*a)
+        f_again, v_again = kernel.evaluate(a)
         assert np.array_equal(f_again, want[0]) and np.array_equal(v_again, want[1])
 
     @pytest.mark.parametrize("pop", [1, 2, 4, 40])
@@ -533,11 +532,11 @@ class TestHorizonKernel:
         workers, pop = 24, 40
         rng = np.random.default_rng(12)
         kernel, _, _ = self.kernel(rng, workers, 4, pop)
-        temp_sets, illum_sets = TestRolloutBatch().population(rng, pop, 4)
-        kernel.evaluate(temp_sets, illum_sets)
+        population = np.hstack(TestRolloutBatch().population(rng, pop, 4))
+        kernel.evaluate(population)
         tracemalloc.start()
         try:
-            kernel.evaluate(temp_sets, illum_sets)
+            kernel.evaluate(population)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -546,18 +545,17 @@ class TestHorizonKernel:
         assert peak < np.empty((workers, pop)).nbytes
 
     def test_strided_illuminance_needs_no_buffer(self):
-        # MPC2 passes the two halves of its (rows, 2 * horizon) population,
-        # column slices: a ufunc reading one strided would run through a
-        # buffer of up to 64 KB that numpy allocates on every call.
+        # MPC2's illuminances are the second half of its (rows, 2 * horizon)
+        # population's columns: a ufunc reading them strided would run
+        # through a buffer of up to 64 KB that numpy allocates on every call.
         horizon, pop = 256, 40
         rng = np.random.default_rng(13)
         kernel, _, _ = self.kernel(rng, 1, horizon, pop)
         population = np.hstack(TestRolloutBatch().population(rng, pop, horizon))
-        halves = population[:, :horizon], population[:, horizon:]
-        kernel.evaluate(*halves)
+        kernel.evaluate(population)
         tracemalloc.start()
         try:
-            kernel.evaluate(*halves)
+            kernel.evaluate(population)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -565,12 +563,11 @@ class TestHorizonKernel:
 
     def test_shape_mismatch(self):
         kernel, _, _ = self.kernel(np.random.default_rng(2), 2, 3, 4)
-        # Another horizon, another row count, or a row count that only
-        # one of the two schedules has.
-        for temp_shape, illum_shape in [((4, 2), (4, 2)), ((5, 3), (5, 3)), ((1, 3), (1, 3)),
-                                        ((4, 3), (1, 3)), ((3, 3), (4, 3))]:
-            with pytest.raises(ShapeMismatch, match=r"the kernel scores \(rows, horizon\) = \(4, 3\)"):
-                kernel.evaluate(np.full(temp_shape, 26.0), np.full(illum_shape, 600.0))
+        # Another horizon, another row count, MPC1's columns alone, or
+        # no row axis.
+        for shape in [(4, 4), (5, 6), (1, 6), (4, 3), (6,)]:
+            with pytest.raises(ShapeMismatch, match=r"the kernel scores \(4, 6\)"):
+                kernel.evaluate(np.full(shape, 26.0))
         with pytest.raises(ShapeMismatch, match="snapshot has 1 workers"):
             HorizonKernel(self.MODELS, snapshot_one(), MpcConfig(num_workers=2), 4)
 
@@ -653,7 +650,7 @@ class TestObjectiveAndConstraint:
         snap = StateSnapshot((WorkerState(2.0),), 29.0, 900.0)
         sched = ControlSchedule((29.0, 29.0), (900.0, 900.0))
         _, vs = HorizonKernel(models, snap, cfg, 2).evaluate(
-            np.array([sched.temp_setpoints] * 2), np.array([sched.illum_setpoints] * 2))
+            np.array([sched.temp_setpoints + sched.illum_setpoints] * 2))
         violation = constraint_violation(rollout(models, snap, sched, cfg), cfg)
         assert violation == vs[0] == vs[1] == np.finfo(float).max
         assert type(violation) is float
@@ -680,6 +677,13 @@ def box_schedules(cfg, rng, rows=32):
     if cfg.mode is ControlMode.MPC1:
         illums[...] = cfg.illum_comfort
     return temps, illums
+
+
+def population(cfg, temps, illums):
+    """box_schedules' setpoints as the population a kernel of cfg's mode
+    scores: MPC2's temperatures and illuminances, the other modes'
+    temperatures alone."""
+    return np.hstack((temps, illums)) if cfg.mode is ControlMode.MPC2 else temps
 
 
 @st.composite
@@ -770,10 +774,16 @@ class TestComfortHolds:
         illum=500.0)))
     def test_a_proof_means_every_violation_is_zero(self, case):
         models, snap, cfg, temps, illums = case
-        if not comfort_holds(models, snap, cfg):
+        proved = comfort_holds(models, snap, cfg)
+        # A kernel told its box returns None as the violation exactly on a proof.
+        kernel = HorizonKernel(models, snap, cfg, len(temps))
+        kernel.restrict_to_box()
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing bounds' penalties
+            assert (kernel.evaluate(population(cfg, temps, illums))[1] is None) == proved
+        if not proved:
             return
         kernel = HorizonKernel(models, snap, cfg, len(temps))
-        _, violations = kernel.evaluate(temps, illums)
+        _, violations = kernel.evaluate(population(cfg, temps, illums))
         assert [v.hex() for v in violations] == [(0.0).hex()] * len(temps)
         for row in (0, 1, 2):
             pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
@@ -829,21 +839,22 @@ class TestSkippedClamps:
         # inside it, whichever clamps the kernel skips.
         models, snap, cfg, temps, illums = case
         kernel = HorizonKernel(models, snap, cfg, len(temps))
-        kernel.skip_idle_clamps()
-        f, v = kernel.evaluate(temps, illums)
+        kernel.restrict_to_box()
+        f, v = kernel.evaluate(population(cfg, temps, illums))
         for row in range(len(temps)):
             pred = rollout(models, snap, ControlSchedule(tuple(temps[row]), tuple(illums[row])), cfg)
             assert tuple(kernel.room[:, 0, row]) == pred.temps
             assert tuple(kernel.room[:, 1, row]) == pred.illums
             assert tuple(map(tuple, kernel.dls[:, :, row])) == pred.dls
             assert f[row].hex() == objective(pred).hex()
-            assert v[row].hex() == constraint_violation(pred, cfg).hex()
+            # None: comfort is proved, so every violation is +0.0.
+            assert (0.0 if v is None else v[row]).hex() == constraint_violation(pred, cfg).hex()
 
     @pytest.mark.parametrize("name", sorted(BINDING_CLAMPS))
     def test_a_clamp_that_binds_is_kept(self, name):
         models, snap, cfg, temps, illums = BINDING_CLAMPS[name]
         kernel = HorizonKernel(models, snap, cfg, len(temps))
-        kernel.skip_idle_clamps()
+        kernel.restrict_to_box()
         preds = [rollout(models, snap, ControlSchedule(tuple(t), tuple(l)), cfg) for t, l in zip(temps, illums)]
         if name == "floor":
             assert kernel.floor and any(0.0 in pred.illums for pred in preds)
@@ -853,16 +864,20 @@ class TestSkippedClamps:
     def test_a_kernel_clamps_until_told_its_box(self):
         snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
         kernel = HorizonKernel(CASE1_MODELS, snap, MpcConfig(num_workers=1), 2)
-        assert (kernel.floor, kernel.ceiling) == (True, True)
-        kernel.skip_idle_clamps()
-        assert (kernel.floor, kernel.ceiling) == (False, False)
+        comfort = np.full((2, 8), 26.0)
+        comfort[:, 4:] = 600.0
+        assert (kernel.proved, kernel.floor, kernel.ceiling) == (False, True, True)
+        assert kernel.evaluate(comfort)[1].tolist() == [0.0, 0.0]
+        kernel.restrict_to_box()
+        assert (kernel.proved, kernel.floor, kernel.ceiling) == (True, False, False)
+        assert kernel.evaluate(comfort)[1] is None
 
     def test_an_overflowing_bound_keeps_the_ceiling(self):
         # The illuminance bound overflows, so the ceiling is kept; the floor
         # needs no bound when every coefficient of the room's light is positive.
         models, snap, cfg, _, _ = OVERFLOWING_BOUNDS["model"]
         kernel = HorizonKernel(models, snap, cfg, 2)
-        kernel.skip_idle_clamps()
+        kernel.restrict_to_box()
         assert (kernel.floor, kernel.ceiling) == (False, True)
 
 

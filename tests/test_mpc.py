@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import alertmpc.models as models_mod
 import alertmpc.mpc as mpc_mod
 from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
@@ -223,16 +225,14 @@ class TestSolveModes:
 def test_solve_scores_whole_populations_only(monkeypatch, mode):
     # Every kernel a solve builds and every call on it, by row count: the
     # search's generations and nothing after them.  NOC's one schedule
-    # goes through rollout and builds no kernel.  A search scores with
-    # evaluate, or with objective alone when comfort is proved.
+    # goes through rollout and builds no kernel.
     calls, built = [], []
 
-    for name in ("evaluate", "objective"):
-        def spy(kernel, temp_sets, illum_sets, name=name, real=getattr(HorizonKernel, name)):
-            calls.append((name, len(temp_sets)))
-            return real(kernel, temp_sets, illum_sets)
+    def spy(kernel, pop, real=HorizonKernel.evaluate):
+        calls.append(len(pop))
+        return real(kernel, pop)
 
-        monkeypatch.setattr(HorizonKernel, name, spy)
+    monkeypatch.setattr(HorizonKernel, "evaluate", spy)
 
     def counted_init(kernel, models, snapshot, cfg, rows, real=HorizonKernel.__init__):
         built.append(rows)
@@ -250,50 +250,58 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
         if mode is ControlMode.NOC:
             assert calls == built == []
         else:
-            assert calls in ([(name, search_rows)] * (1 + sol.generations_used)
-                             for name in ("evaluate", "objective"))
+            assert calls == [search_rows] * (1 + sol.generations_used)
             assert built == [search_rows]
 
 
+@functools.cache
+def shipped_solve_boxes(room, mode):
+    # Runs the shipped room's closed loops once, for seeds 1-3, spying the
+    # box method; per seed: the ok solves, each solve's (proved, floor,
+    # ceiling) and the modes of its walks over the room's bounds.  Both
+    # tests below read this one record.
+    boxes, walks, runs = [], [], []
+
+    def spy(kernel, real=HorizonKernel.restrict_to_box):
+        real(kernel)
+        boxes.append((kernel.proved, kernel.floor, kernel.ceiling))
+
+    def counted_bounds(models, snapshot, cfg, real=models_mod._room_bounds):
+        walks.append(cfg.mode)
+        return real(models, snapshot, cfg)
+
+    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HorizonKernel, "restrict_to_box", spy)
+        mp.setattr(models_mod, "_room_bounds", counted_bounds)
+        for seed in (1, 2, 3):
+            boxes.clear()
+            walks.clear()
+            trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
+            solves = sum(step.status == "ok" for step in trace.steps)
+            runs.append((solves, tuple(boxes), tuple(walks)))
+    return tuple(runs)
+
+
 @pytest.mark.parametrize("room", ["case1", "case2"])
 @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
-def test_every_shipped_solve_is_proved(monkeypatch, room, mode):
+def test_every_shipped_solve_is_proved(room, mode):
     # The shipped boxes lie inside the comfort band with room to spare:
     # every solve of their closed loops searches on the objective alone.
-    proofs = []
-
-    def spy(models, snapshot, cfg, real=mpc_mod.comfort_holds):
-        proofs.append(real(models, snapshot, cfg))
-        return proofs[-1]
-
-    monkeypatch.setattr(mpc_mod, "comfort_holds", spy)
-    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
-    for seed in (1, 2, 3):
-        proofs.clear()
-        trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
-        solves = sum(step.status == "ok" for step in trace.steps)
-        assert solves > 0 and proofs == [True] * solves
+    # Each solve walks the room's bounds once, for the proof and both clamps.
+    for solves, boxes, walks in shipped_solve_boxes(room, mode):
+        assert solves > 0 and [proved for proved, _, _ in boxes] == [True] * solves
+        assert walks == (mode,) * solves
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])
 @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
-def test_every_shipped_solve_skips_both_clamps(monkeypatch, room, mode):
+def test_every_shipped_solve_skips_both_clamps(room, mode):
     # No schedule in the shipped boxes darkens the room or lifts a worker
     # past the 1-5 scale: every kernel call of their closed loops, and so
     # of the benchmark's, skips the illuminance floor and the ceiling.
-    clamps = []
-
-    def spy(kernel, real=HorizonKernel.skip_idle_clamps):
-        real(kernel)
-        clamps.append((kernel.floor, kernel.ceiling))
-
-    monkeypatch.setattr(HorizonKernel, "skip_idle_clamps", spy)
-    sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
-    for seed in (1, 2, 3):
-        clamps.clear()
-        trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
-        solves = sum(step.status == "ok" for step in trace.steps)
-        assert solves > 0 and clamps == [(False, False)] * solves
+    for solves, boxes, _ in shipped_solve_boxes(room, mode):
+        assert solves > 0 and boxes == ((True, False, False),) * solves
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])

@@ -23,6 +23,7 @@ from alertmpc.mpc import Controller
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
+    DRAW_BYTES_CEILING,
     ArmComparison,
     Metrics,
     PlantConfig,
@@ -272,6 +273,36 @@ class TestTraceCeiling:
         assert len(trace.steps) == steps
         count = trace_nbytes(steps, workers)
         assert count / 2 <= held <= count
+
+
+class TestDrawCeiling:
+    """One plant step's draws, workers x (substeps + 1) values in three
+    float arrays, are bounded before any step: nothing is allocated."""
+
+    def test_oversize_substeps_are_refused_before_a_step(self):
+        plant = noisy_plant(substeps=10**8)
+        message = (f"a plant step of 100000000 substeps for 24 worker(s) draws {24 * 24 * (10**8 + 1)} "
+                   "bytes, over the ceiling of 1073741824 bytes")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as built:
+                small_scenario(mode=ControlMode.NOC, plant=plant,
+                               mpc_cfg=MpcConfig(mode=ControlMode.NOC, num_workers=24))
+            with pytest.raises(ConfigError) as run:
+                run_open_loop(plant, 24, [(26.0, 600.0)], seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(built.value) == str(run.value) == message
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("workers", [1, 24])
+    def test_ceiling_is_the_largest_size_accepted(self, workers):
+        substeps = DRAW_BYTES_CEILING // (24 * workers) - 1
+        cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
+        small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, plant=noisy_plant(substeps=substeps))
+        with pytest.raises(ConfigError, match="over the ceiling"):
+            small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, plant=noisy_plant(substeps=substeps + 1))
 
 
 class TestRunScenario:
