@@ -18,21 +18,21 @@ _room_bounds, intervals that hold the room of every schedule in the
 setpoint box, once per solve, in plain floats.  When no such schedule can
 break the comfort cap (comfort_holds), every violation is +0.0 and the
 kernel returns None in its place; it also skips the illuminance floor and
-the drowsiness ceiling when no such schedule reaches them.
+either end of the drowsiness scale when no such schedule reaches them.
 
 The kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
 calls write, the views of each step that its loops read and write, and
 its constants as arrays.  It then runs the horizon over arrays of every
 row, worker and step in those buffers, so a call makes only fixed-shape
-ufunc calls, none of them with a mask but the room's choice of a rising
-or a falling gain.  Its buffer holds predict_dl's eleven terms: at each
-step it writes the three that depend on the previous prediction, the
-level and an increment pair, and adds all eleven with one np.add.reduce
-along the term axis.  The objective and the violation are each one
-np.add.reduce along the rows of a buffer.  None of these axes is the
-innermost one, so numpy adds in order, and every row's scores equal
-those of rollout's prediction bit for bit.
+ufunc calls, none of them with a mask but the choice of temperature's
+rising or falling gain.  Its buffer holds predict_dl's eleven terms: at
+each step after the first it writes the three that depend on the
+previous prediction, the level and an increment pair, and adds all
+eleven with one np.add.reduce along the term axis.  The objective and
+the violation are each one np.add.reduce along the rows of a buffer.
+None of these axes is the innermost one, so numpy adds in order, and
+every row's scores equal those of rollout's prediction bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from operator import attrgetter
 import numpy as np
 
 from .domain import (
+    DL_FEATURES,
     DL_MAX,
     DL_MIN,
     AmiModel,
@@ -178,9 +179,10 @@ class HorizonKernel:
     scores objective's and constraint_violation's, bit for bit.  After
     restrict_to_box that holds for the schedules inside cfg's setpoint
     box, which are the ones a search scores: proved then says whether
-    evaluate returns None as the violation, and floor and ceiling which
-    clamps a call applies.  A new kernel proves nothing, applies both
-    clamps and always returns violations.
+    evaluate returns None as the violation, and floor, bottom and ceiling
+    which clamps a call applies: illuminance's at zero and drowsiness's at
+    DL_MIN and DL_MAX.  A new kernel proves nothing, applies every clamp
+    and always returns violations.
 
     room_state is (horizon + 1, 2, rows): temperature and illuminance at
     each step, step 0 being the measured state.  terms is
@@ -192,10 +194,13 @@ class HorizonKernel:
     write.
 
     An increment pair is two adjacent slots of terms, the rise then the
-    fall, and needs no mask.  One subtract writes x_t - x_prev into the
-    first and x_prev - x_t into the second, reading the two steps once
-    in each order through views of the state; one maximum floors both at
-    zero; one multiply applies both coefficients.  That gives
+    fall, and needs no mask.  x_t - x_prev goes into the first and
+    x_prev - x_t into the second: for the room, one subtract of every
+    step reads the two steps once in each order through views of the
+    state; for drowsiness, two subtracts of one step each read the two
+    levels forward, as a reversed write would run through a buffer.  One
+    maximum floors both slots at zero; one multiply applies both
+    coefficients.  That gives
     predict_dl's c_plus * x_plus and c_minus * x_minus, since increments
     returns (x_t - x_prev, 0.0) or (0.0, -(x_t - x_prev)), and
     x_prev - x_t is exactly -(x_t - x_prev) in floating point.  Only the
@@ -241,7 +246,7 @@ class HorizonKernel:
         self._mpc2 = cfg.mode is ControlMode.MPC2
         self._horizon, self.shape = horizon, (rows, horizon * (1 + self._mpc2))
         self._models, self._snapshot, self._cfg = models, snapshot, cfg
-        self.proved, self.floor, self.ceiling = False, True, True
+        self.proved, self.floor, self.bottom, self.ceiling = False, True, True, True
         idt, ami, c = models.idt, models.ami, models.dl.coef
 
         self.dls = np.empty((workers, horizon, rows))
@@ -263,20 +268,18 @@ class HorizonKernel:
         terms[:, 10] = products[3, :, None]
         self.d_coef = np.empty((2, workers, rows))
         self.d_coef[0], self.d_coef[1] = c["d_plus_prev"], c["d_minus_prev"]
-        # Drowsiness by step, the measured level first.  Each step but the
-        # first reads the two levels before it as views (earlier, later) and
-        # (later, earlier): their difference is its pair's fall and rise,
-        # the pair's slots in reverse order.  dls gets a copy when all
-        # steps are done.
+        # Drowsiness by step, the measured level first.  Step 1 reads only
+        # the terms written here; each later step writes its level's term
+        # from the level before it, and its pair's rise and fall from the
+        # two levels before it.  dls gets a copy when all steps are done.
         d_state = np.empty((horizon + 1, workers, rows))
         d_state[0] = d_now[:, None]
         self.d_steps = d_state[1:]
         self.dls_by_step = self.dls.transpose(1, 0, 2)
         d = tuple(d_state)
-        earlier = tuple(d_state[n - 1:n + 1] for n in range(1, horizon))
-        self.dl_steps = tuple(zip(
-            terms, terms[:, 1], terms[:, 2:4], terms[:, 3:1:-1], d,
-            (None, *earlier), (None, *(pair[::-1] for pair in earlier)), d[1:]))
+        self.dl_first = terms[0], d[1]
+        later = terms[1:]
+        self.dl_steps = tuple(zip(later, later[:, 1], later[:, 2], later[:, 3], later[:, 2:4], d[1:], d, d[2:]))
 
         self.room_state = room_state = np.empty((horizon + 1, 2, rows))
         room_state[0] = [[snapshot.temp_current], [snapshot.illum_current]]
@@ -314,27 +317,29 @@ class HorizonKernel:
         # (k * setpoint, 1 - k) for temperature, with k the gain of a rising
         # or a falling move, and (theta0, theta_prev) for illuminance, which
         # then adds theta_set * setpoint and is clamped at zero.  up_down
-        # holds k in place of k * setpoint: (a, b) of temperature and
-        # illuminance per step, for a rising and a falling temperature.
-        up_down = np.empty((2, 2, 2, horizon, rows))
-        up_down.transpose(3, 4, 0, 1, 2)[...] = (
-            [(idt.k_up, idt.k_down), (ami.theta0, ami.theta0)],
-            [(1.0 - idt.k_up, 1.0 - idt.k_down), (ami.theta_prev, ami.theta_prev)])
+        # holds temperature's (a, b) per step for a rising and a falling
+        # move, with k in place of k * setpoint.
+        up_down = np.empty((2, 2, horizon, rows))
+        up_down.transpose(2, 3, 0, 1)[...] = [(idt.k_up, idt.k_down), (1.0 - idt.k_up, 1.0 - idt.k_down)]
         self.t_sets = np.empty((horizon, rows))
         # theta_set * setpoint at each step: MPC2's are written by each
         # call, the other modes' illum_comfort's here, once.
         self.lights = np.empty((horizon, rows))
         if not self._mpc2:
             self.lights[...] = ami.theta_set * cfg.illum_comfort
-        self.k_sets = up_down[0, 0]
+        self.k_sets = up_down[0]
         # The gains themselves, at k_sets' full shape, as the pairs'
         # coefficients are.
         self._k = self.k_sets.copy()
         self.rising = np.empty(rows, dtype=bool)
+        # (a, b) of temperature and illuminance.  Illuminance's is the same
+        # for a rising and a falling temperature, so it is written here; a
+        # step selects temperature's, row by row, into temp_ab.
         self.ab = np.empty((2, 2, rows))
+        self.ab[:, 1] = [[ami.theta0], [ami.theta_prev]]
         self.a, self.b = self.ab[0], self.ab[1]
-        # The pair a step selects, row by row.
-        up, down = up_down.transpose(2, 3, 0, 1, 4)
+        self.temp_ab = self.ab[:, 0]
+        up, down = up_down.transpose(1, 2, 0, 3)
         room = tuple(room_state)
         self.room_steps = tuple(zip(self.t_sets, room_state[:, 0], up, down, room, room[1:],
                                     room_state[1:, 1], self.lights))
@@ -343,15 +348,17 @@ class HorizonKernel:
         """Tell the kernel that every row it will score lies inside cfg's
         setpoint box, as a search's do, and walk _room_bounds once for
         that box: proved becomes comfort_holds' answer, floor the negation
-        of _floor_idle's and ceiling that of _ceiling_idle's.  Inside the
-        box, and one unit in the last place past it, a skipped clamp would
-        return its input unchanged and every violation would be +0.0, so
-        every row's prediction and scores stay rollout's bit for bit."""
+        of _floor_idle's, and bottom and ceiling those of _scale_idle's.
+        Inside the box, and one unit in the last place past it, a skipped
+        clamp would return its input unchanged and every violation would
+        be +0.0, so every row's prediction and scores stay rollout's bit
+        for bit."""
         models, cfg = self._models, self._cfg
         bounds = _room_bounds(models, self._snapshot, cfg)
         self.proved = _comfort_within(cfg, bounds)
         self.floor = not _floor_idle(models.ami, bounds)
-        self.ceiling = not _ceiling_idle(models.dl, self._workers, bounds)
+        bottom_idle, ceiling_idle = _scale_idle(models.dl, self._workers, bounds)
+        self.bottom, self.ceiling = not bottom_idle, not ceiling_idle
 
     def evaluate(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Roll a (rows, columns) population, in shape's layout, over the
@@ -368,12 +375,12 @@ class HorizonKernel:
         if self._mpc2:
             self.lights[...] = sets[self._horizon:]
             _multiply(self._theta_set, self.lights, self.lights)
-        rising, ab, a, b, floor = self.rising, self.ab, self.a, self.b, self.floor
+        rising, temp_ab, a, b, floor = self.rising, self.temp_ab, self.a, self.b, self.floor
         greater_equal, copyto, multiply, add, maximum = _greater_equal, np.copyto, _multiply, _add, _maximum
         for t_set, temp, up, down, now, nxt, illum, light in self.room_steps:
             greater_equal(t_set, temp, rising)
-            ab[...] = down
-            copyto(ab, up, where=rising)
+            temp_ab[...] = down
+            copyto(temp_ab, up, where=rising)
             multiply(b, now, nxt)
             add(a, nxt, nxt)
             add(illum, light, illum)
@@ -389,21 +396,27 @@ class HorizonKernel:
         _multiply(pair, self.room_coef, pair)
         self.room_terms[...] = self.room_terms_once
 
-        # Drowsiness, step by step: the three terms that depend on the
-        # previous prediction, then all eleven summed in one reduction and
-        # clamped onto the 1-5 scale.  The pair's subtract writes its slots
-        # backwards, as its second input runs: numpy would run the call
-        # through a buffer it allocates if that input alone ran backwards.
-        c_prev, coef, ceiling = self._c_prev, self.d_coef, self.ceiling
+        # Drowsiness, step by step: after step 1, whose terms are all
+        # written, the three terms that depend on the previous prediction;
+        # then all eleven summed in one reduction and clamped onto the 1-5
+        # scale, at each end that restrict_to_box has not shown idle.
+        c_prev, coef, bottom, ceiling = self._c_prev, self.d_coef, self.bottom, self.ceiling
         subtract, minimum, add_reduce = _subtract, _minimum, _add_reduce
-        for terms, prev_term, pair, reversed_pair, d_prev, earlier, later, d_next in self.dl_steps:
-            if earlier is not None:
-                multiply(c_prev, d_prev, prev_term)
-                subtract(earlier, later, reversed_pair)
-                maximum(pair, _ZERO, out=pair)
-                multiply(pair, coef, pair)
-            add_reduce(terms, 0, None, d_next)
+        terms, d_next = self.dl_first
+        add_reduce(terms, 0, None, d_next)
+        if bottom:
             maximum(d_next, _DL_MIN, out=d_next)
+        if ceiling:
+            minimum(d_next, _DL_MAX, out=d_next)
+        for terms, prev_term, rise, fall, pair, d_prev, d_before, d_next in self.dl_steps:
+            multiply(c_prev, d_prev, prev_term)
+            subtract(d_prev, d_before, rise)
+            subtract(d_before, d_prev, fall)
+            maximum(pair, _ZERO, out=pair)
+            multiply(pair, coef, pair)
+            add_reduce(terms, 0, None, d_next)
+            if bottom:
+                maximum(d_next, _DL_MIN, out=d_next)
             if ceiling:
                 minimum(d_next, _DL_MAX, out=d_next)
         self.dls_by_step[...] = self.d_steps
@@ -611,51 +624,63 @@ def _floor_idle(ami: AmiModel, bounds) -> bool:
     return bounds is not None and all(l_lo > 0.0 for _, _, l_lo, _ in bounds[1:])
 
 
+def _bottom(c: float, lo: float, hi: float) -> float:
+    """The smallest rounded product of c and a value in [lo, hi]."""
+    return c * lo if c >= 0.0 else c * hi
+
+
 def _top(c: float, lo: float, hi: float) -> float:
     """The largest rounded product of c and a value in [lo, hi]."""
     return c * hi if c >= 0.0 else c * lo
 
 
-def _ceiling_idle(dl: DlModel, workers: np.ndarray, bounds) -> bool:
-    """True when predict_dl's level stays below DL_MAX, so that its clamp
-    there returns every level unchanged, at every step of every schedule
+def _rise(lo0: float, hi0: float, lo1: float, hi1: float) -> tuple[float, float]:
+    """The interval of max(x1 - x0, 0.0), rounded, for x0 in [lo0, hi0] and
+    x1 in [lo1, hi1]: a rise, or with the intervals swapped a fall."""
+    return max(lo1 - hi0, 0.0), max(hi1 - lo0, 0.0)
+
+
+def _scale_idle(dl: DlModel, workers: np.ndarray, bounds) -> tuple[bool, bool]:
+    """Whether predict_dl's clamp at DL_MIN, and whether its clamp at
+    DL_MAX, returns every level unchanged at every step of every schedule
     of _room_bounds' box, which bounds is (or None).  workers is each
     worker's measured level, its rise and fall, and effort, as (4, workers).
 
-    Each of predict_dl's eleven terms is at most its coefficient times
-    one end of its variable's interval: a level's lowest or highest value
-    (_top), and for a rise, a fall or effort, which are never negative,
-    zero or the largest value.  The room's levels, rises and falls come
-    from bounds, at the step and the step before it.  Step 1 reads the
-    measured levels and their rise and fall, and every step effort, over
-    all the workers.  After step 1 the last level lies in [DL_MIN, the
-    last step's bound], since the clamp at DL_MIN is kept, and its rise
-    and fall are at most what the two levels before it allow.  The bound
-    adds the terms' largest values in predict_dl's order, which is the
-    kernel's: rounding is monotonic, so it bounds the rounded level of
-    every row.  bounds holds every rounded room value, also from a
-    setpoint one unit in the last place past the box.  A bound that is
-    not finite proves nothing.
+    Each of predict_dl's eleven terms lies between its coefficient times
+    one end of its variable's interval and times the other (_bottom,
+    _top).  The room's levels come from bounds at the step, its rises and
+    falls from bounds at the step and the step before it (_rise).  Step 1
+    reads the measured levels and their rises and falls, and every step
+    effort, over all the workers.  Each later step reads the last level
+    and the one before it in their clamped intervals: the clamps are
+    monotonic, so a level lies between the clamped ends of its raw
+    interval, whichever clamps a kernel applies.  The bounds add the
+    terms' extremes in predict_dl's order, which is the kernel's: rounding
+    is monotonic, so they bound the rounded level of every row.  bounds
+    holds every rounded room value, also from a setpoint one unit in the
+    last place past the box.  A bound that is not finite proves nothing.
     """
     if bounds is None:
-        return False
-    c = dl.coef
-    c_prev, c_temp, c_illum = c["d_prev"], c["temp"], c["illum"]
-    c_rise, c_fall, c_temp_rise, c_temp_fall, c_illum_rise, c_illum_fall, c_effort = (
-        max(c[name], 0.0)
-        for name in ("d_plus_prev", "d_minus_prev", "temp_plus", "temp_minus", "illum_plus", "illum_minus", "effort"))
-    d, rises, falls, efforts = workers.tolist()
-    d_lo, d_hi, rise, fall, effort_term = min(d), max(d), max(rises), max(falls), c_effort * max(efforts)
+        return False, False
+    # DL_FEATURES is the order in which predict_dl adds its terms.
+    coefs = [dl.coef[name] for name in DL_FEATURES]
+    d, rises, falls, efforts = ((min(values), max(values)) for values in workers.tolist())
+    bottom = top = True
     for (t0, t0_hi, l0, l0_hi), (t1, t1_hi, l1, l1_hi) in zip(bounds, bounds[1:]):
-        high = (dl.intercept + _top(c_prev, d_lo, d_hi) + c_rise * rise + c_fall * fall
-                + _top(c_temp, t1, t1_hi) + c_temp_rise * max(t1_hi - t0, 0.0) + c_temp_fall * max(t0_hi - t1, 0.0)
-                + _top(c_illum, l1, l1_hi) + c_illum_rise * max(l1_hi - l0, 0.0)
-                + c_illum_fall * max(l0_hi - l1, 0.0) + effort_term)
-        if not high < DL_MAX:  # a NaN or an infinity fails too
-            return False
-        top = max(high, DL_MIN)
-        rise, fall, d_lo, d_hi = max(top - d_lo, 0.0), max(d_hi - DL_MIN, 0.0), DL_MIN, top
-    return True
+        intervals = (d, rises, falls, (t1, t1_hi), _rise(t0, t0_hi, t1, t1_hi), _rise(t1, t1_hi, t0, t0_hi),
+                     (l1, l1_hi), _rise(l0, l0_hi, l1, l1_hi), _rise(l1, l1_hi, l0, l0_hi), efforts)
+        low = high = dl.intercept
+        for c, (lo, hi) in zip(coefs, intervals):
+            low += _bottom(c, lo, hi)
+            high += _top(c, lo, hi)
+        if not (math.isfinite(low) and math.isfinite(high)):
+            return False, False
+        bottom, top = bottom and low >= DL_MIN, top and high < DL_MAX
+        if not (bottom or top):
+            return False, False
+        level = min(max(low, DL_MIN), DL_MAX), min(max(high, DL_MIN), DL_MAX)
+        rises, falls, d = _rise(*d, *level), _rise(*level, *d), level
+    return bottom, top
 
 
 __all__ = [

@@ -11,6 +11,12 @@ point of the box is feasible returns None as the violation, and the
 search compares on the objective alone, keeping no violations.  Mutants
 are clipped back into the box, so bound-hitting optima are reachable
 exactly.  Runs are bit-reproducible for a fixed seed.
+
+Before each generation the search stops once every member is feasible
+and the objectives' spread, max - min, is below the tolerance.  The
+first and the last member settle that test whenever they lie at least
+the tolerance apart, so most generations skip its reductions and stop
+where the full test would.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ _BLOCK = 32
 # positional argument numpy 2.4 deprecates.
 _add, _subtract, _multiply, _maximum, _minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
 _less_equal, _logical_or, _isfinite, _greater_equal = np.less_equal, np.logical_or, np.isfinite, np.greater_equal
-_and_reduce, _or_reduce = np.logical_and.reduce, np.logical_or.reduce
-_max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
+_or_reduce, _max_reduce, _min_reduce = np.logical_or.reduce, np.maximum.reduce, np.minimum.reduce
+_count_nonzero = np.count_nonzero
 
 
 def search_nbytes(pop_size: int, dim: int) -> int:
@@ -197,14 +203,16 @@ def checked_scores(pop: np.ndarray, f, v, finite: np.ndarray) -> tuple[np.ndarra
     NonFiniteObjective on a NaN or an infinity.  A v of None (every row
     feasible) is returned as None, and f alone is checked.  finite, a
     (2, len(pop)) bool array that the caller makes once, takes the
-    finiteness test, as not_worse's out takes the comparison.
+    finiteness test, as not_worse's out takes the comparison.  The test
+    is one count of the finite values: a sum of the scores would settle
+    it as well, but numpy warns when finite scores overflow their sum.
     """
     f = np.asarray(f, float)
     shape = (len(pop),)
     if v is None:
         if f.shape != shape:
             raise ValueError(f"evaluate must return a {shape} objective, got {f.shape}")
-        if _and_reduce(_isfinite(f, finite[0]), None):
+        if _count_nonzero(_isfinite(f, finite[0])) == shape[0]:
             return f, None
     else:
         v = np.asarray(v, float)
@@ -212,7 +220,7 @@ def checked_scores(pop: np.ndarray, f, v, finite: np.ndarray) -> tuple[np.ndarra
             raise ValueError(f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}")
         _isfinite(f, finite[0])
         _isfinite(v, finite[1])
-        if _and_reduce(finite, None) and _min_reduce(v) >= 0.0:
+        if _count_nonzero(finite) == 2 * shape[0] and _min_reduce(v) >= 0.0:
             return f, v
     # Without violations, only a non-finite objective gets here: it raises first.
     for name, values in (("objective", f), ("violation", v)):
@@ -299,15 +307,19 @@ def de_minimize(
     # cost.
     lower_rows, upper_rows = np.empty((pop_size, dim)), np.empty((pop_size, dim))
     lower_rows[...], upper_rows[...] = lower, upper
-    take_donors, copyto, tolerance = pop.take, np.copyto, params.tolerance
+    take_donors, copyto, tolerance, score = pop.take, np.copyto, params.tolerance, fs.item
     generations = 0
     stop_reason = "budget"
     for gen in range(params.max_generations):
-        # checked_scores() guarantees vs >= 0, so "none nonzero" is "all
-        # feasible".  The ufuncs' reduce spares the Python wrappers of
-        # ndarray.any, max and min.
-        if (feasible or not _or_reduce(vs, 0, None, infeasible)) and (
-            float(_max_reduce(fs, 0, None, f_max)) - float(_min_reduce(fs, 0, None, f_min)) < tolerance
+        # The spread is at least |fs[0] - fs[-1]|, and rounding is
+        # monotonic, so two members at least tolerance apart settle the
+        # test without the reductions.  checked_scores() guarantees
+        # vs >= 0, so "none nonzero" is "all feasible".  The ufuncs'
+        # reduce spares the Python wrappers of ndarray.any, max and min.
+        if (
+            abs(score(0) - score(-1)) < tolerance
+            and (feasible or not _or_reduce(vs, 0, None, infeasible))
+            and float(_max_reduce(fs, 0, None, f_max)) - float(_min_reduce(fs, 0, None, f_min)) < tolerance
         ):
             stop_reason = "tolerance"
             break

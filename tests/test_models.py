@@ -813,10 +813,21 @@ def lagged_case(coef, d_now):
     return comfort_case(models, MpcConfig(horizon=2), worker=WorkerState(d_now))
 
 
+def steady_case(intercept, d_prev=0.0, d_now=2.0):
+    """A comfort_case whose drowsiness is intercept plus d_prev times its
+    last level, whatever the room."""
+    models = ModelSet(dl=DlModel(intercept=intercept, coef=zero_coef(d_prev=d_prev)),
+                      idt=IdtModel(1.0, 1.0), ami=IDENTITY_AMI)
+    return comfort_case(models, MpcConfig(horizon=2), worker=WorkerState(d_now))
+
+
 # Cases where a clamp binds inside the box: a room that goes dark at the
 # box's lower illuminance; a worker at DL 4.9 who was at 1.1 a step ago,
-# whom a warming room lifts past the 1-5 scale; and workers whom step 1's
-# rise or fall, lagged, lifts past it at step 2 only.
+# whom a warming room lifts past the 1-5 scale; workers whom step 1's
+# rise or fall, lagged, lifts past it at step 2 only; a worker at DL 1.2
+# whom a cooling room drops under it; one whom step 1's rise, lagged,
+# drops under it at step 2 only; one who loses 0.3 a step from 1.55,
+# whose bound is exact; and a level one unit in the last place under it.
 BINDING_CLAMPS = {
     "floor": comfort_case(replace(TestRolloutBatch.MODELS, ami=AmiModel(-900.0, 0.1, 0.6)),
                           MpcConfig(horizon=3)),
@@ -824,6 +835,10 @@ BINDING_CLAMPS = {
                             worker=WorkerState.from_history(4.9, 1.1)),
     "ceiling after a rise": lagged_case({"d_plus_prev": 4.0, "temp_plus": 1.0}, 3.0),
     "ceiling after a fall": lagged_case({"d_minus_prev": 4.0, "temp_minus": -1.0}, 4.0),
+    "bottom": lagged_case({"temp_minus": -1.0}, 1.2),
+    "bottom after a rise": lagged_case({"d_plus_prev": -4.0, "temp_plus": 1.0}, 1.5),
+    "bottom at step 2": steady_case(-0.3, d_prev=1.0, d_now=1.55),
+    "bottom just under": steady_case(float(np.nextafter(1.0, 0.0))),
 }
 
 
@@ -834,6 +849,12 @@ class TestSkippedClamps:
     @example(BINDING_CLAMPS["ceiling"])
     @example(BINDING_CLAMPS["ceiling after a rise"])
     @example(BINDING_CLAMPS["ceiling after a fall"])
+    @example(BINDING_CLAMPS["bottom"])
+    @example(BINDING_CLAMPS["bottom after a rise"])
+    @example(BINDING_CLAMPS["bottom at step 2"])
+    @example(BINDING_CLAMPS["bottom just under"])
+    # Every level exactly at the bottom of the scale: the clamp there is idle.
+    @example(steady_case(1.0))
     def test_every_row_in_the_box_stays_rollouts(self, case):
         # Rows at the box's corners, one unit in the last place past it and
         # inside it, whichever clamps the kernel skips.
@@ -858,6 +879,8 @@ class TestSkippedClamps:
         preds = [rollout(models, snap, ControlSchedule(tuple(t), tuple(l)), cfg) for t, l in zip(temps, illums)]
         if name == "floor":
             assert kernel.floor and any(0.0 in pred.illums for pred in preds)
+        elif name.startswith("bottom"):
+            assert kernel.bottom and any(1.0 in path for pred in preds for path in pred.dls)
         else:
             assert kernel.ceiling and any(5.0 in path for pred in preds for path in pred.dls)
 
@@ -867,6 +890,7 @@ class TestSkippedClamps:
         comfort = np.full((2, 8), 26.0)
         comfort[:, 4:] = 600.0
         assert (kernel.proved, kernel.floor, kernel.ceiling) == (False, True, True)
+        assert kernel.bottom
         assert kernel.evaluate(comfort)[1].tolist() == [0.0, 0.0]
         kernel.restrict_to_box()
         assert (kernel.proved, kernel.floor, kernel.ceiling) == (True, False, False)

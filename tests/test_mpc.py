@@ -258,13 +258,14 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
 def shipped_solve_boxes(room, mode):
     # Runs the shipped room's closed loops once, for seeds 1-3, spying the
     # box method; per seed: the ok solves, each solve's (proved, floor,
-    # ceiling) and the modes of its walks over the room's bounds.  Both
-    # tests below read this one record.
-    boxes, walks, runs = [], [], []
+    # ceiling), the modes of its walks over the room's bounds and each
+    # solve's bottom.  The tests below read this one record.
+    boxes, walks, bottoms, runs = [], [], [], []
 
     def spy(kernel, real=HorizonKernel.restrict_to_box):
         real(kernel)
         boxes.append((kernel.proved, kernel.floor, kernel.ceiling))
+        bottoms.append(kernel.bottom)
 
     def counted_bounds(models, snapshot, cfg, real=models_mod._room_bounds):
         walks.append(cfg.mode)
@@ -277,9 +278,10 @@ def shipped_solve_boxes(room, mode):
         for seed in (1, 2, 3):
             boxes.clear()
             walks.clear()
+            bottoms.clear()
             trace, _ = run_scenario(replace(sc, seed=seed, mpc_cfg=replace(sc.mpc_cfg, mode=mode)))
             solves = sum(step.status == "ok" for step in trace.steps)
-            runs.append((solves, tuple(boxes), tuple(walks)))
+            runs.append((solves, tuple(boxes), tuple(walks), tuple(bottoms)))
     return tuple(runs)
 
 
@@ -289,7 +291,7 @@ def test_every_shipped_solve_is_proved(room, mode):
     # The shipped boxes lie inside the comfort band with room to spare:
     # every solve of their closed loops searches on the objective alone.
     # Each solve walks the room's bounds once, for the proof and both clamps.
-    for solves, boxes, walks in shipped_solve_boxes(room, mode):
+    for solves, boxes, walks, _ in shipped_solve_boxes(room, mode):
         assert solves > 0 and [proved for proved, _, _ in boxes] == [True] * solves
         assert walks == (mode,) * solves
 
@@ -300,8 +302,19 @@ def test_every_shipped_solve_skips_both_clamps(room, mode):
     # No schedule in the shipped boxes darkens the room or lifts a worker
     # past the 1-5 scale: every kernel call of their closed loops, and so
     # of the benchmark's, skips the illuminance floor and the ceiling.
-    for solves, boxes, _ in shipped_solve_boxes(room, mode):
+    for solves, boxes, _, _ in shipped_solve_boxes(room, mode):
         assert solves > 0 and boxes == ((True, False, False),) * solves
+
+
+@pytest.mark.parametrize("room, mode, bottom", [
+    ("case1", ControlMode.MPC1, False), ("case1", ControlMode.MPC2, True), ("case2", ControlMode.MPC2, True)])
+def test_shipped_solves_clamp_at_one_where_their_box_reaches_it(room, mode, bottom):
+    # Under MPC1 the lights stay at comfort, and the lower bound on case
+    # 1's levels stays at 1.43 or above: every such solve skips the clamp
+    # at 1.  MPC2's lights may move the illuminance by hundreds of lux a
+    # step, whose terms take the bound under 1: every MPC2 solve keeps it.
+    for solves, _, _, bottoms in shipped_solve_boxes(room, mode):
+        assert solves > 0 and bottoms == (bottom,) * solves
 
 
 @pytest.mark.parametrize("room", ["case1", "case2"])

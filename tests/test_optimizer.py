@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from alertmpc.optimizer import (
     BadBounds,
@@ -290,6 +291,90 @@ class TestMechanics:
         assert np.array_equal(res2.best_vector, orig)
 
 
+def scripted(objectives, violations):
+    """evaluate(pop) whose k-th call returns objectives[k] and violations[k]
+    (None: every row feasible), whatever the rows."""
+    calls = iter(zip(objectives, violations))
+
+    def evaluate(pop):
+        f, v = next(calls)
+        return np.array(f), None if v is None else np.array(v)
+
+    return evaluate
+
+
+def full_test_stop(objectives, violations, tolerance):
+    """The generations a search of these scripted scores runs, and why it
+    stops, by the full test: before each generation, every member feasible
+    and max - min < tolerance.  The search's selection is replayed row by
+    row; objectives[0] is the first population's, each later one a
+    generation's trials."""
+    zeros = [0.0] * len(objectives[0])
+    fs, vs = list(objectives[0]), list(violations[0] or zeros)
+    for gen, (f_t, v_t) in enumerate(zip(objectives[1:], violations[1:])):
+        if not any(vs) and max(fs) - min(fs) < tolerance:
+            return gen, "tolerance"
+        for i, (f, v) in enumerate(zip(f_t, v_t or zeros)):
+            if _deb_not_worse(f, v, fs[i], vs[i]):
+                fs[i], vs[i] = f, v
+    return len(objectives) - 1, "budget"
+
+
+@st.composite
+def stop_cases(draw):
+    """Scripted scores of a few generations: objectives drawn from a base
+    value and offsets at, one unit in the last place either side of, half
+    and twice the tolerance; rows 0 and P-1 often tied; violations of
+    None, zeros or 0 and 1."""
+    rows, generations = draw(st.integers(4, 6)), draw(st.integers(1, 6))
+    tolerance = draw(st.sampled_from([0.0, 1e-8, 0.25, 1.0]))
+    base = draw(st.sampled_from([0.0, 1.0, -3.0, 1e6]))
+    near = [tolerance, np.nextafter(tolerance, 0.0), np.nextafter(tolerance, np.inf), tolerance / 2, 2 * tolerance]
+    values = st.sampled_from([base] + [float(base + sign * x) for x in near for sign in (1, -1)])
+    tie = draw(st.booleans())
+    objectives = []
+    for _ in range(generations + 1):
+        f = draw(st.lists(values, min_size=rows, max_size=rows))
+        if tie:
+            f[-1] = f[0]
+        objectives.append(f)
+    kind = draw(st.sampled_from(["none", "zeros", "drawn"]))
+    if kind == "none":
+        violations = [None] * (generations + 1)
+    else:
+        violation = st.sampled_from([0.0, 1.0] if kind == "drawn" else [0.0])
+        violations = [draw(st.lists(violation, min_size=rows, max_size=rows)) for _ in objectives]
+    return objectives, violations, tolerance
+
+
+class TestSpreadStop:
+    @pytest.mark.parametrize("violations", [None, [0.0] * 4])
+    def test_tied_end_members_do_not_stop_the_search(self, violations):
+        # Rows 0 and P-1 tie exactly, row 1 lies twice the tolerance away,
+        # and no trial is taken: the spread never falls below the tolerance.
+        first, trials = [1.0, 1.0 + 2e-8, 1.0, 1.0], [2.0] * 4
+        evaluate = scripted([first] + [trials] * 5, [violations] * 6)
+        res = de_minimize(evaluate, LO4, HI4,
+                          DeParams(population_size=4, max_generations=5, tolerance=1e-8, seed=1))
+        assert (res.generations_used, res.stop_reason) == (5, "budget")
+
+    @settings(max_examples=300, deadline=None)
+    @given(stop_cases())
+    # Equal ends with the spread one unit in the last place under the
+    # tolerance and exactly at it, and a tolerance of zero, which stops
+    # nothing.
+    @example(([[1.0, float(np.nextafter(1.25, 0.0)), 1.0, 1.0]] * 2, [None] * 2, 0.25))
+    @example(([[1.0, 1.25, 1.0, 1.0]] * 2, [None] * 2, 0.25))
+    @example(([[1.0] * 4] * 3, [[0.0] * 4] * 3, 0.0))
+    def test_stops_where_the_full_test_stops(self, case):
+        objectives, violations, tolerance = case
+        generations = len(objectives) - 1
+        res = de_minimize(scripted(objectives, violations), LO4, HI4,
+                          DeParams(population_size=len(objectives[0]), max_generations=generations,
+                                   tolerance=tolerance, seed=2))
+        assert (res.generations_used, res.stop_reason) == full_test_stop(objectives, violations, tolerance)
+
+
 class TestFeasibleByProof:
     """evaluate returning None as the violation: every row is feasible."""
 
@@ -420,12 +505,24 @@ class TestCheckedScores:
         ([np.nan, 1.0], [np.inf, 0.0], NonFiniteObjective, "objective returned nan at [0.5, 1.0]"),
         ([1.0, 2.0], [-1.0, np.nan], NonFiniteObjective, "violation returned nan at [2.0, -3.0]"),
         ([1.0, 2.0], [0.0, -0.5], ValueError, "violation returned -0.5 at [2.0, -3.0], must be >= 0"),
+        # Without violations the first non-finite objective is named, also
+        # among values whose sum would overflow or be nan.
+        ([1.0, np.nan], None, NonFiniteObjective, "objective returned nan at [2.0, -3.0]"),
+        ([-np.inf, np.inf], None, NonFiniteObjective, "objective returned -inf at [0.5, 1.0]"),
+        ([1e308, np.inf], None, NonFiniteObjective, "objective returned inf at [2.0, -3.0]"),
     ])
     @pytest.mark.parametrize("held", [False, True])
     def test_refusals_keep_their_types_and_messages(self, f, v, error, message, held):
         with pytest.raises(error) as info:
             checked_scores(self.POP, f, v, np.full((2, 2), held))
         assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_finite_objectives_whose_total_overflows_pass_alone(self, held):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, v = checked_scores(self.POP, [1e308, 1e308], None, np.full((2, 2), held))
+        assert f.tolist() == [1e308, 1e308] and v is None
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match=r"evaluate must return two \(2,\) arrays, got \(1,\) and \(2,\)"):
