@@ -291,6 +291,21 @@ class MpcConfig:
             raise ConfigError(f"mode must be a ControlMode, got {self.mode!r}")
 
 
+# The most memory one solve, one run's trace or one plant step's draws may
+# take: mpc.search_bytes, sim.trace_nbytes and sim.require_draws_fit count
+# them.  np.empty of more may succeed and the first write then meet the
+# out-of-memory killer, not a MemoryError, so a config that asks for more
+# is refused where it is built.
+BYTES_CEILING = 2**30
+
+
+def require_bytes(what: str, needed: int) -> None:
+    """Raise ConfigError, "<what> <needed> bytes, over the ceiling of
+    <BYTES_CEILING> bytes", when needed is over BYTES_CEILING."""
+    if needed > BYTES_CEILING:
+        raise ConfigError(f"{what} {needed} bytes, over the ceiling of {BYTES_CEILING} bytes")
+
+
 def require_finite(settings) -> None:
     """Raise NonFiniteSetting naming the first float (or float tuple) field
     of a settings dataclass that holds a nan or an infinity."""
@@ -325,5 +340,7 @@ __all__ = [
     "AmiModel",
     "ModelSet",
     "MpcConfig",
+    "BYTES_CEILING",
+    "require_bytes",
     "require_finite",
 ]

@@ -14,11 +14,12 @@ summed one float at a time.  NOC scores its one schedule so.
 HorizonKernel is a search's evaluate callback: one per solve, built for
 its population's row count, two or more, and called with each (rows,
 columns) population in the layout of cfg's mode.  restrict_to_box walks
-_room_bounds, intervals that hold the room of every schedule in the
-setpoint box, once per solve, in plain floats.  When no such schedule can
-break the comfort cap (comfort_holds), every violation is +0.0 and the
-kernel returns None in its place; it also skips the illuminance floor and
-either end of the drowsiness scale when no such schedule reaches them.
+the horizon once per solve, in plain floats, over intervals that hold the
+room and the drowsiness of every schedule in the setpoint box.  When no
+such schedule can break the comfort cap (proved), every violation is +0.0
+and the kernel returns None in its place; it also skips the illuminance
+floor and either end of the drowsiness scale when no such schedule
+reaches them.
 
 The kernel folds the terms of the drowsiness sum that depend only on the
 measured state once, when it is built, together with every buffer its
@@ -61,6 +62,14 @@ from .domain import (
 )
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+# How far HorizonKernel.restrict_to_box widens an interval at each step,
+# relative to the size of the values it bounds.  A step's few float
+# operations round by a few parts in 1e16 of that size, and DE's first
+# population, drawn as lower + u * span, can pass the box's upper bound by
+# one unit in the last place, which moves a step's values by about as
+# little; this covers both many times over.
+_SLACK = 1e-9
 
 
 def _operands(*values) -> tuple[np.ndarray, ...]:
@@ -232,10 +241,10 @@ class HorizonKernel:
     @staticmethod
     def nbytes(horizon: int, workers: int, rows: int) -> int:
         """Bytes a kernel of that size allocates while it is built and called,
-        at most: float buffers of 13 values per step, worker and row and 33
+        at most: float buffers of 13 values per step, worker and row and 29
         per step and row, 3 KB per step for the views its loops read (1.9 KB
         on CPython 3.11 with numpy 2), and 16 KB for its own objects."""
-        floats = horizon * rows * (13 * workers + 33) + rows * (3 * workers + 9)
+        floats = horizon * rows * (13 * workers + 29) + rows * (3 * workers + 9)
         return 8 * floats + 3072 * horizon + 16384
 
     def __init__(self, models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig, rows: int):
@@ -346,19 +355,104 @@ class HorizonKernel:
 
     def restrict_to_box(self) -> None:
         """Tell the kernel that every row it will score lies inside cfg's
-        setpoint box, as a search's do, and walk _room_bounds once for
-        that box: proved becomes comfort_holds' answer, floor the negation
-        of _floor_idle's, and bottom and ceiling those of _scale_idle's.
-        Inside the box, and one unit in the last place past it, a skipped
-        clamp would return its input unchanged and every violation would
-        be +0.0, so every row's prediction and scores stay rollout's bit
-        for bit."""
-        models, cfg = self._models, self._cfg
-        bounds = _room_bounds(models, self._snapshot, cfg)
-        self.proved = _comfort_within(cfg, bounds)
-        self.floor = not _floor_idle(models.ami, bounds)
-        bottom_idle, ceiling_idle = _scale_idle(models.dl, self._workers, bounds)
-        self.bottom, self.ceiling = not bottom_idle, not ceiling_idle
+        setpoint box, as a search's do, and walk the horizon once, in plain
+        floats, bounding by intervals what every schedule of that box can
+        reach at each step.  proved becomes True when none breaks the
+        comfort cap, so every violation, constraint_violation's too, is
+        +0.0; floor False when none darkens the room to zero; bottom and
+        ceiling False when none takes a worker to DL_MIN, or to DL_MAX.
+        A skipped clamp would return its input unchanged, so every row's
+        prediction and scores stay rollout's bit for bit.  A bound that is
+        not finite (huge weights or coefficients) proves nothing.
+
+        The room.  predict_idt mixes the setpoint and the last temperature
+        with a gain in (0, 1], so every predicted temperature lies between
+        the lowest and the highest of the measured one, temp_lo and
+        temp_hi.  Illuminance is carried through predict_ami's affine map,
+        whatever the signs of theta_prev and theta_set, and its clamp at
+        zero; MPC2's setpoints span [illum_lo, illum_hi], the other modes'
+        are illum_comfort.  Each interval is widened by _SLACK at every
+        step, so it holds every rounded prediction, also from a setpoint
+        one unit in the last place past the box, and so holds predict_ami's
+        level before its clamp wherever its lower end is above zero.
+
+        Comfort.  Rounding is monotonic, so comfort_penalty at the ends of
+        the step's intervals farthest from the comfort point, in its order
+        of operations, bounds the penalty of every point of them.
+
+        The floor.  np.maximum(x, 0.0) is x, bit for bit, when x > 0.
+        Every level is at least theta0 when theta0 > 0 and theta_prev and
+        theta_set are not negative, since the measured illuminance and
+        every box's setpoints are not (domain's ranges); that needs no
+        bound.  Otherwise every level is above zero when the interval's
+        lower end is, at every step.
+
+        The drowsiness scale.  Each of predict_dl's eleven terms lies
+        between its coefficient times one end of its variable's interval
+        and times the other (_bottom, _top).  The room's levels come from
+        the step's intervals, its rises and falls from the step's and the
+        step before's (_rise).  Step 1 reads the measured levels with
+        their rises and falls, and every step effort, over all the
+        workers.  Each later step reads the last level and the one before
+        it in their clamped intervals: the clamps are monotonic, so a
+        level lies between the clamped ends of its raw interval, whichever
+        clamps a kernel applies.  The ends add the terms' extremes in
+        predict_dl's order, which is the kernel's: rounding is monotonic,
+        so they bound the rounded level of every row.
+        """
+        cfg, dl, ami = self._cfg, self._models.dl, self._models.ami
+        theta0, theta_prev, theta_set = ami.theta0, ami.theta_prev, ami.theta_set
+        temp_lo, temp_hi, cap = cfg.temp_lo, cfg.temp_hi, cfg.penalty_cap
+        t_comfort, l_comfort, p_temp, p_illum = cfg.temp_comfort, cfg.illum_comfort, cfg.p_temp, cfg.p_illum
+        illum_sets = (cfg.illum_lo, cfg.illum_hi) if self._mpc2 else (l_comfort, l_comfort)
+        # theta_set * setpoint, the same at every step.
+        light_lo, light_hi = sorted((theta_set * illum_sets[0], theta_set * illum_sets[1]))
+        theta_size, light_size = abs(theta0), max(abs(light_lo), abs(light_hi))
+        # DL_FEATURES is the order in which predict_dl adds its terms.
+        coefs = [dl.coef[name] for name in DL_FEATURES]
+        d, rises, falls, efforts = ((min(values), max(values)) for values in self._workers.tolist())
+        # Whether comfort holds, the room stays lit, and the levels stay
+        # off the bottom and off the top of the scale, at every step so far.
+        proved = lit = bottom = top = True
+        t1 = t1_hi = self._snapshot.temp_current
+        l1 = l1_hi = self._snapshot.illum_current
+        for _ in range(cfg.horizon):
+            t0, t0_hi, l0, l0_hi = t1, t1_hi, l1, l1_hi
+            t1, t1_hi = min(t0, temp_lo), max(t0_hi, temp_hi)
+            slack = _SLACK * max(abs(t1), abs(t1_hi))
+            t1, t1_hi = t1 - slack, t1_hi + slack
+            prev_lo, prev_hi = theta_prev * l0, theta_prev * l0_hi
+            if theta_prev < 0.0:
+                prev_lo, prev_hi = prev_hi, prev_lo
+            # Rounding errs in proportion to the terms' sizes, not the sum's.
+            slack = _SLACK * (theta_size + max(abs(prev_lo), abs(prev_hi)) + light_size)
+            if not math.isfinite(slack):
+                proved = lit = bottom = top = False
+                break
+            # No bound is NaN now, so max() compares each pair truly.
+            l1 = max(theta0 + prev_lo + light_lo - slack, 0.0)
+            l1_hi = max(theta0 + prev_hi + light_hi + slack, 0.0)
+            penalty = (p_temp * max(abs(t1 - t_comfort), abs(t1_hi - t_comfort))
+                       + p_illum * max(abs(l1 - l_comfort), abs(l1_hi - l_comfort)))
+            proved = proved and penalty <= cap
+            lit = lit and l1 > 0.0
+            if not (bottom or top):
+                continue
+            intervals = (d, rises, falls, (t1, t1_hi), _rise(t0, t0_hi, t1, t1_hi), _rise(t1, t1_hi, t0, t0_hi),
+                         (l1, l1_hi), _rise(l0, l0_hi, l1, l1_hi), _rise(l1, l1_hi, l0, l0_hi), efforts)
+            low = high = dl.intercept
+            for c, (lo, hi) in zip(coefs, intervals):
+                low += _bottom(c, lo, hi)
+                high += _top(c, lo, hi)
+            if not (math.isfinite(low) and math.isfinite(high)):
+                bottom = top = False
+                continue
+            bottom, top = bottom and low >= DL_MIN, top and high < DL_MAX
+            level = min(max(low, DL_MIN), DL_MAX), min(max(high, DL_MIN), DL_MAX)
+            rises, falls, d = _rise(*d, *level), _rise(*level, *d), level
+        self.proved = proved
+        self.floor = not (lit or theta0 > 0.0 and theta_prev >= 0.0 and theta_set >= 0.0)
+        self.bottom, self.ceiling = not bottom, not top
 
     def evaluate(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Roll a (rows, columns) population, in shape's layout, over the
@@ -523,107 +617,6 @@ def constraint_violation(pred: HorizonPrediction, cfg: MpcConfig) -> float:
     return min(total, _FLOAT_MAX)
 
 
-# How far _room_bounds widens an interval at each step, relative to the
-# size of the values it bounds.  A step's few float operations round by a
-# few parts in 1e16 of that size, and DE's first population, drawn as
-# lower + u * span, can pass the box's upper bound by one unit in the
-# last place, which moves a step's values by about as little; this
-# covers both many times over.
-_COMFORT_SLACK = 1e-9
-
-
-def _room_bounds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig):
-    """Intervals that hold the room of every schedule inside cfg's setpoint
-    box: (t_lo, t_hi, l_lo, l_hi), temperature and illuminance, at each
-    step from 0, the measured state, to the horizon.  None when a bound is
-    not finite (an overflowing illuminance model).
-
-    The room is bounded by intervals, step by step, in plain floats.
-    predict_idt mixes the setpoint and the last temperature with a gain
-    in (0, 1], so every predicted temperature lies between the lowest and
-    the highest of the measured one, temp_lo and temp_hi.  Illuminance is
-    carried through predict_ami's affine map, whatever the signs of
-    theta_prev and theta_set, and its clamp at zero; MPC2's setpoints span
-    [illum_lo, illum_hi], the other modes' are illum_comfort.  Each
-    interval is widened by _COMFORT_SLACK at every step, so every rounded
-    prediction, also from a setpoint one unit in the last place past the
-    box, lies inside it, and so does predict_ami's level before its clamp
-    wherever l_lo is above zero.
-    """
-    theta0, theta_prev, theta_set = models.ami.theta0, models.ami.theta_prev, models.ami.theta_set
-    if cfg.mode is ControlMode.MPC2:
-        illum_sets = cfg.illum_lo, cfg.illum_hi
-    else:
-        illum_sets = cfg.illum_comfort, cfg.illum_comfort
-    # theta_set * setpoint, the same at every step.
-    light_lo, light_hi = sorted((theta_set * illum_sets[0], theta_set * illum_sets[1]))
-    theta_size, light_size = abs(theta0), max(abs(light_lo), abs(light_hi))
-    temp_lo, temp_hi = cfg.temp_lo, cfg.temp_hi
-    t_lo = t_hi = snapshot.temp_current
-    l_lo = l_hi = snapshot.illum_current
-    bounds = [(t_lo, t_hi, l_lo, l_hi)]
-    for _ in range(cfg.horizon):
-        t_lo, t_hi = min(t_lo, temp_lo), max(t_hi, temp_hi)
-        slack = _COMFORT_SLACK * max(abs(t_lo), abs(t_hi))
-        t_lo, t_hi = t_lo - slack, t_hi + slack
-        prev_lo, prev_hi = theta_prev * l_lo, theta_prev * l_hi
-        if theta_prev < 0.0:
-            prev_lo, prev_hi = prev_hi, prev_lo
-        # Rounding errs in proportion to the terms' sizes, not the sum's.
-        slack = _COMFORT_SLACK * (theta_size + max(abs(prev_lo), abs(prev_hi)) + light_size)
-        if not math.isfinite(slack):
-            return None
-        # No bound is NaN now, so max() compares each pair truly.
-        l_lo = max(theta0 + prev_lo + light_lo - slack, 0.0)
-        l_hi = max(theta0 + prev_hi + light_hi + slack, 0.0)
-        bounds.append((t_lo, t_hi, l_lo, l_hi))
-    return bounds
-
-
-def comfort_holds(models: ModelSet, snapshot: StateSnapshot, cfg: MpcConfig) -> bool:
-    """True when no schedule inside cfg's setpoint box breaks the comfort
-    cap at any step from snapshot: then constraint_violation, and every
-    HorizonKernel violation, of every such schedule is +0.0.  False
-    proves nothing.
-
-    Rounding is monotonic, so comfort_penalty at the ends of _room_bounds'
-    intervals farthest from the comfort point bounds the penalty computed
-    at any point of the intervals; comfort holds when that bound is at
-    most penalty_cap at every step.  A bound that is not finite (huge
-    weights, an overflowing model) fails the test.
-    """
-    return _comfort_within(cfg, _room_bounds(models, snapshot, cfg))
-
-
-def _comfort_within(cfg: MpcConfig, bounds) -> bool:
-    """comfort_holds' test on _room_bounds' intervals, bounds (or None)."""
-    if bounds is None:
-        return False
-    t_comfort, l_comfort, p_temp, p_illum = cfg.temp_comfort, cfg.illum_comfort, cfg.p_temp, cfg.p_illum
-    for t_lo, t_hi, l_lo, l_hi in bounds[1:]:
-        # comfort_penalty, in its order of operations, at the farthest ends.
-        penalty = (p_temp * max(abs(t_lo - t_comfort), abs(t_hi - t_comfort))
-                   + p_illum * max(abs(l_lo - l_comfort), abs(l_hi - l_comfort)))
-        if not penalty <= cfg.penalty_cap:
-            return False
-    return True
-
-
-def _floor_idle(ami: AmiModel, bounds) -> bool:
-    """True when predict_ami's clamp at zero returns every level unchanged
-    for every schedule of _room_bounds' box, which bounds is (or None).
-
-    np.maximum(x, 0.0) is x, bit for bit, when x > 0.  Every level is at
-    least theta0 when theta0 > 0 and theta_prev and theta_set are not
-    negative, since the measured illuminance and every box's setpoints are
-    not (domain's ranges), and rounding is monotonic; that needs no bound.
-    Otherwise every level is above zero when bounds' l_lo is at every step.
-    """
-    if ami.theta0 > 0.0 and ami.theta_prev >= 0.0 and ami.theta_set >= 0.0:
-        return True
-    return bounds is not None and all(l_lo > 0.0 for _, _, l_lo, _ in bounds[1:])
-
-
 def _bottom(c: float, lo: float, hi: float) -> float:
     """The smallest rounded product of c and a value in [lo, hi]."""
     return c * lo if c >= 0.0 else c * hi
@@ -640,49 +633,6 @@ def _rise(lo0: float, hi0: float, lo1: float, hi1: float) -> tuple[float, float]
     return max(lo1 - hi0, 0.0), max(hi1 - lo0, 0.0)
 
 
-def _scale_idle(dl: DlModel, workers: np.ndarray, bounds) -> tuple[bool, bool]:
-    """Whether predict_dl's clamp at DL_MIN, and whether its clamp at
-    DL_MAX, returns every level unchanged at every step of every schedule
-    of _room_bounds' box, which bounds is (or None).  workers is each
-    worker's measured level, its rise and fall, and effort, as (4, workers).
-
-    Each of predict_dl's eleven terms lies between its coefficient times
-    one end of its variable's interval and times the other (_bottom,
-    _top).  The room's levels come from bounds at the step, its rises and
-    falls from bounds at the step and the step before it (_rise).  Step 1
-    reads the measured levels and their rises and falls, and every step
-    effort, over all the workers.  Each later step reads the last level
-    and the one before it in their clamped intervals: the clamps are
-    monotonic, so a level lies between the clamped ends of its raw
-    interval, whichever clamps a kernel applies.  The bounds add the
-    terms' extremes in predict_dl's order, which is the kernel's: rounding
-    is monotonic, so they bound the rounded level of every row.  bounds
-    holds every rounded room value, also from a setpoint one unit in the
-    last place past the box.  A bound that is not finite proves nothing.
-    """
-    if bounds is None:
-        return False, False
-    # DL_FEATURES is the order in which predict_dl adds its terms.
-    coefs = [dl.coef[name] for name in DL_FEATURES]
-    d, rises, falls, efforts = ((min(values), max(values)) for values in workers.tolist())
-    bottom = top = True
-    for (t0, t0_hi, l0, l0_hi), (t1, t1_hi, l1, l1_hi) in zip(bounds, bounds[1:]):
-        intervals = (d, rises, falls, (t1, t1_hi), _rise(t0, t0_hi, t1, t1_hi), _rise(t1, t1_hi, t0, t0_hi),
-                     (l1, l1_hi), _rise(l0, l0_hi, l1, l1_hi), _rise(l1, l1_hi, l0, l0_hi), efforts)
-        low = high = dl.intercept
-        for c, (lo, hi) in zip(coefs, intervals):
-            low += _bottom(c, lo, hi)
-            high += _top(c, lo, hi)
-        if not (math.isfinite(low) and math.isfinite(high)):
-            return False, False
-        bottom, top = bottom and low >= DL_MIN, top and high < DL_MAX
-        if not (bottom or top):
-            return False, False
-        level = min(max(low, DL_MIN), DL_MAX), min(max(high, DL_MIN), DL_MAX)
-        rises, falls, d = _rise(*d, *level), _rise(*level, *d), level
-    return bottom, top
-
-
 __all__ = [
     "ShapeMismatch",
     "predict_idt",
@@ -695,5 +645,4 @@ __all__ = [
     "objective",
     "comfort_penalty",
     "constraint_violation",
-    "comfort_holds",
 ]

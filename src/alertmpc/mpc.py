@@ -20,13 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import (
-    ConfigError,
     ControlMode,
     ControlSchedule,
     ModelSet,
     MpcConfig,
     StateSnapshot,
     WorkerState,
+    require_bytes,
 )
 from .models import HorizonKernel, constraint_violation, objective, rollout, rollout_nbytes
 from .optimizer import (
@@ -37,14 +37,6 @@ from .optimizer import (
     de_minimize,
     search_nbytes,
 )
-
-# The most memory one solve may ask for: NOC's rollout, or a search's
-# kernel and DE.  np.empty of more may succeed and the first write then
-# meet the out-of-memory killer, not a MemoryError, so a config that asks
-# for more is refused where it is built.  A 24-worker case-2 search needs
-# about 0.7 MB.
-SEARCH_BYTES_CEILING = 2**30
-
 
 @dataclass(frozen=True)
 class MpcSolution:
@@ -118,7 +110,8 @@ def solve(
 def search_bytes(cfg: MpcConfig, de: DeParams) -> int:
     """Bytes a solve under cfg and de allocates, at most: its kernel's and
     its search's.  NOC runs no search; its count is the rollout that
-    scores its one schedule, and de does not change it."""
+    scores its one schedule, and de does not change it.  A 24-worker
+    case-2 search needs about 0.7 MB."""
     if cfg.mode is ControlMode.NOC:
         return rollout_nbytes(cfg.horizon, cfg.num_workers)
     dim = cfg.horizon * (2 if cfg.mode is ControlMode.MPC2 else 1)
@@ -128,17 +121,13 @@ def search_bytes(cfg: MpcConfig, de: DeParams) -> int:
 
 def require_search_fits(cfg: MpcConfig, de: DeParams) -> None:
     """Raise ConfigError when a solve under cfg and de needs more than
-    SEARCH_BYTES_CEILING bytes (see search_bytes)."""
-    needed = search_bytes(cfg, de)
-    if needed > SEARCH_BYTES_CEILING:
-        if cfg.mode is ControlMode.NOC:
-            what, population = "solve", ""
-        else:
-            what, population = "search", f" with population_size {de.population_size or 'auto'}"
-        raise ConfigError(
-            f"an {cfg.mode.value} {what} over horizon {cfg.horizon} for {cfg.num_workers} worker(s)"
-            f"{population} needs {needed} bytes, over the ceiling of {SEARCH_BYTES_CEILING} bytes"
-        )
+    domain.BYTES_CEILING bytes (see search_bytes)."""
+    if cfg.mode is ControlMode.NOC:
+        what, population = "solve", ""
+    else:
+        what, population = "search", f" with population_size {de.population_size or 'auto'}"
+    require_bytes(f"an {cfg.mode.value} {what} over horizon {cfg.horizon} for {cfg.num_workers} worker(s)"
+                  f"{population} needs", search_bytes(cfg, de))
 
 
 class Decision(NamedTuple):
@@ -230,7 +219,6 @@ class Controller:
 __all__ = [
     "MpcSolution",
     "Decision",
-    "SEARCH_BYTES_CEILING",
     "search_bytes",
     "require_search_fits",
     "solve",

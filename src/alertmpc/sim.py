@@ -22,7 +22,6 @@ import numpy as np
 
 from .domain import (
     AmiModel,
-    ConfigError,
     ControlMode,
     DL_MAX,
     DL_MIN,
@@ -36,6 +35,7 @@ from .domain import (
     WorkerState,
     clamp_dl,
     increments,
+    require_bytes,
     require_finite,
     require_in_range,
 )
@@ -189,22 +189,13 @@ def plant_step(
     return StateSnapshot(tuple(workers), temp, illum)
 
 
-# The most memory one run's trace, or one plant_step's draws, may take.
-# run_scenario keeps every step's record, and plant_step draws every
-# worker's jitter at once, so a config that needs more is refused where
-# it is built, as a search too large is (mpc.SEARCH_BYTES_CEILING).  Five
-# workers over a 28-step day keep a trace of about 38 KB.
-TRACE_BYTES_CEILING = DRAW_BYTES_CEILING = 2**30
-
-
 def require_draws_fit(substeps: int, workers: int) -> None:
     """Raise ConfigError when one plant_step would allocate more than
-    DRAW_BYTES_CEILING bytes: three float arrays of workers x
-    (substeps + 1), the draws, their scales and np.std's deviations."""
-    needed = 24 * workers * (substeps + 1)
-    if needed > DRAW_BYTES_CEILING:
-        raise ConfigError(f"a plant step of {substeps} substeps for {workers} worker(s) draws {needed} bytes, "
-                          f"over the ceiling of {DRAW_BYTES_CEILING} bytes")
+    domain.BYTES_CEILING bytes: three float arrays of workers x
+    (substeps + 1), the draws, their scales and np.std's deviations.
+    plant_step draws every worker's jitter at once, so a config that
+    needs more is refused where it is built."""
+    require_bytes(f"a plant step of {substeps} substeps for {workers} worker(s) draws", 24 * workers * (substeps + 1))
 
 
 def trace_nbytes(steps: int, workers: int) -> int:
@@ -212,10 +203,12 @@ def trace_nbytes(steps: int, workers: int) -> int:
     at most: 384 per step for its TraceStep, the record's values and its
     slot in the trace, 80 per step and worker for a drowsiness and an
     effort with their tuple slots and the metrics' arrays of them, and
-    16 KB for the trace's own objects.  On CPython 3.11 the first two are
+    4 KB for the trace's own objects.  On CPython 3.11 the first two are
     about 180 and 64: TraceStep has slots, so a step keeps no instance
-    dict."""
-    return steps * (384 + 80 * workers) + 16384
+    dict.  run_scenario keeps every step's record, so a config whose trace
+    needs more than domain.BYTES_CEILING is refused where it is built.
+    Five workers over a 28-step day keep a trace of about 26 KB."""
+    return steps * (384 + 80 * workers) + 4096
 
 
 @dataclass(frozen=True)
@@ -244,12 +237,8 @@ class ScenarioConfig:
         require_search_fits(self.mpc_cfg, self.de)
         workers = self.mpc_cfg.num_workers
         require_draws_fit(self.plant.substeps, workers)
-        needed = trace_nbytes(self.steps, workers)
-        if needed > TRACE_BYTES_CEILING:
-            raise ConfigError(
-                f"a run of {self.steps} steps for {workers} worker(s) keeps a trace of {needed} bytes, "
-                f"over the ceiling of {TRACE_BYTES_CEILING} bytes"
-            )
+        require_bytes(f"a run of {self.steps} steps for {workers} worker(s) keeps a trace of",
+                      trace_nbytes(self.steps, workers))
 
 
 # The statuses run_scenario records; only "ok" steps ran a solve.
@@ -476,8 +465,6 @@ __all__ = [
     "step_rng",
     "plant_step",
     "ScenarioConfig",
-    "DRAW_BYTES_CEILING",
-    "TRACE_BYTES_CEILING",
     "trace_nbytes",
     "TRACE_STATUSES",
     "TraceStep",

@@ -1,6 +1,6 @@
 """Builders that only the tests use: the path of a shipped config, the
-case-1 model set, solve inputs from which a kernel keeps both its
-skippable clamps, telemetry tables from rows and back,
+case-1 model set, whether a kernel proves comfort in its box, solve
+inputs from which a kernel keeps both its skippable clamps, telemetry tables from rows and back,
 telemetry and daemon input recast from a simulation trace, a drift
 profile for a working day, a solve that fails on one interval, and a
 reference for the daemon's windows."""
@@ -16,6 +16,7 @@ from alertmpc.cli import parse_scenario_config
 from alertmpc.daemon import _parse_stream_record
 from alertmpc.domain import AmiModel, DlModel, IdtModel, ModelSet, MpcConfig
 from alertmpc.formats import write_model_set
+from alertmpc.models import HorizonKernel
 from alertmpc.identify import VALUE_COLUMNS, TelemetryTable
 from alertmpc.sim import PlantConfig, SimTrace
 
@@ -27,6 +28,14 @@ def shipped_config_path(name: str) -> str:
 
 # The shipped case-1 room's true models, the set most tests predict with.
 CASE1_MODELS = parse_scenario_config(shipped_config_path("case1_mpc2.cfg")).plant.truth()
+
+
+def comfort_proved(models: ModelSet, snapshot, cfg: MpcConfig) -> bool:
+    """Whether a kernel told cfg's setpoint box proves that no schedule in
+    it breaks the comfort cap from snapshot."""
+    kernel = HorizonKernel(models, snapshot, cfg, 2)
+    kernel.restrict_to_box()
+    return kernel.proved
 
 
 # Models and a snapshot of case 2's six workers from which a solve in the

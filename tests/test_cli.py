@@ -1566,6 +1566,22 @@ class TestIdentifyCommand:
         assert not model.exists()
         assert not (workdir / "identify_manifest.json").exists()
 
+    def test_fit_whose_solution_is_not_finite_exit_code(self, workdir, capfd):
+        # A worker and a room that never change but for the lights, which
+        # flicker between 0 and 1e-300 lx.  Centering leaves the level and
+        # temperature columns as constant roundings, powers of two apart,
+        # so the ridge of 1e-300 vanishes beside their Gram block, which
+        # is singular but for the lights' subnormal terms: the solve
+        # returns infinite and NaN coefficients, which the fit refuses.
+        rows = "".join(f"{k},w,3.7,0,26.1,{k % 2}e-300,26.1,{k % 2}e-300\n" for k in range(15))
+        path = put(workdir, "t.csv", "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n" + rows)
+        model = workdir / "m.json"
+        rc = main(["identify", path, str(model), "--ridge", "1e-300", "--out-dir", str(workdir)])
+        out, err = capfd.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == "error: drowsiness fit overflows: its coefficients or RMSE are not finite\n"
+        assert not model.exists()
+
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_bad_ridge_is_usage_error(self, workdir, capsys, ridge):
         telem = self.telemetry_file(workdir)
@@ -1888,7 +1904,7 @@ def test_oversize_search_is_refused(workdir, capsys, command):
     cfg = argv[argv.index("--config") + 1]
     assert capsys.readouterr().err == (
         f"error: config {cfg}: an MPC2 search over horizon 100000 for 24 worker(s) with "
-        "population_size 80 needs 27896149888 bytes, over the ceiling of 1073741824 bytes\n"
+        "population_size 80 needs 27640149888 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert not Path(out).exists()
 
@@ -1911,7 +1927,7 @@ def test_long_search_over_one_worker_is_refused_before_it_is_built(workdir, caps
         tracemalloc.stop()
     assert capsys.readouterr().err == (
         f"error: config {cfg}: an MPC2 search over horizon 50000 for 1 worker(s) with "
-        "population_size 80 needs 4380105728 bytes, over the ceiling of 1073741824 bytes\n"
+        "population_size 80 needs 4252105728 bytes, over the ceiling of 1073741824 bytes\n"
     )
     assert peak < 2**20  # nothing of the search's size was built
 

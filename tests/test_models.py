@@ -23,7 +23,6 @@ from alertmpc.domain import (
 from alertmpc.models import (
     HorizonKernel,
     ShapeMismatch,
-    comfort_holds,
     comfort_penalty,
     constraint_violation,
     objective,
@@ -34,7 +33,7 @@ from alertmpc.models import (
 )
 from alertmpc.mpc import solve
 
-from helpers import CASE1_MODELS, shipped_config_path
+from helpers import CASE1_MODELS, comfort_proved, shipped_config_path
 
 
 def zero_coef(**overrides):
@@ -689,7 +688,7 @@ def population(cfg, temps, illums):
 @st.composite
 def comfort_cases(draw):
     """Models, a snapshot, a configuration and box_schedules of its box
-    for comfort_holds.
+    for restrict_to_box.
 
     The gains are 1 or lie in 0.05-1, and the illuminance model is the
     identity or has coefficients of either sign; snapshots lie inside the
@@ -774,10 +773,10 @@ class TestComfortHolds:
         illum=500.0)))
     def test_a_proof_means_every_violation_is_zero(self, case):
         models, snap, cfg, temps, illums = case
-        proved = comfort_holds(models, snap, cfg)
         # A kernel told its box returns None as the violation exactly on a proof.
         kernel = HorizonKernel(models, snap, cfg, len(temps))
         kernel.restrict_to_box()
+        proved = kernel.proved
         with np.errstate(over="ignore", invalid="ignore"):  # the overflowing bounds' penalties
             assert (kernel.evaluate(population(cfg, temps, illums))[1] is None) == proved
         if not proved:
@@ -792,7 +791,7 @@ class TestComfortHolds:
     @pytest.mark.parametrize("name", sorted(OVERFLOWING_BOUNDS))
     def test_a_bound_that_overflows_proves_nothing(self, name):
         models, snap, cfg, _, _ = OVERFLOWING_BOUNDS[name]
-        assert not comfort_holds(models, snap, cfg)
+        assert not comfort_proved(models, snap, cfg)
 
     def test_default_box_is_proved_from_comfort(self):
         # The default box's farthest corner costs 0.25 + 1.0 of the cap of
@@ -800,9 +799,9 @@ class TestComfortHolds:
         # 1.5 + 1.0 at step 1.
         models = replace(TestRolloutBatch.MODELS, idt=IdtModel(1.0, 1.0), ami=IDENTITY_AMI)
         snap = StateSnapshot((WorkerState(2.0),), 26.0, 600.0)
-        assert comfort_holds(models, snap, MpcConfig())
-        assert not comfort_holds(models, snap, MpcConfig(penalty_cap=1.25))
-        assert not comfort_holds(models, replace(snap, temp_current=29.0), MpcConfig())
+        assert comfort_proved(models, snap, MpcConfig())
+        assert not comfort_proved(models, snap, MpcConfig(penalty_cap=1.25))
+        assert not comfort_proved(models, replace(snap, temp_current=29.0), MpcConfig())
 
 
 def lagged_case(coef, d_now):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import alertmpc.models as models_mod
+import alertmpc.domain as domain_mod
 import alertmpc.mpc as mpc_mod
 from alertmpc.cli import parse_scenario_config
 from alertmpc.domain import (
@@ -24,7 +24,6 @@ from alertmpc.domain import (
 )
 from alertmpc.models import (
     HorizonKernel,
-    comfort_holds,
     comfort_penalty,
     constraint_violation,
     objective,
@@ -35,7 +34,7 @@ from alertmpc.mpc import Controller, require_search_fits, search_bytes, solve
 from alertmpc.optimizer import DeParams, NonFiniteObjective, search_nbytes
 from alertmpc.sim import run_scenario
 
-from helpers import CASE1_MODELS, shipped_config_path, solve_failing_at
+from helpers import CASE1_MODELS, comfort_proved, shipped_config_path, solve_failing_at
 
 
 def constant_dl_models(level=2.7):
@@ -207,7 +206,7 @@ class TestSolveModes:
             # No solve here is proved feasible in advance: the box's
             # hottest corner alone costs 1.0 of the cap, and a hot start
             # more.  So each runs the feasibility-first search.
-            assert not comfort_holds(models, snap, cfg)
+            assert not comfort_proved(models, snap, cfg)
             sol = solve(models, snap, cfg,
                         DeParams(population_size=24, max_generations=40, seed=i))
             outcomes[sol.feasible] += 1
@@ -254,27 +253,50 @@ def test_solve_scores_whole_populations_only(monkeypatch, mode):
             assert built == [search_rows]
 
 
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_each_search_walks_its_box_once(monkeypatch, mode):
+    # One walk per MPC solve, on the solve's own kernel, before its first
+    # call; NOC scores its one schedule with rollout and walks nothing.
+    events = []
+
+    def spy(kernel, real=HorizonKernel.restrict_to_box):
+        events.append(("walk", kernel))
+        real(kernel)
+
+    def counted_evaluate(kernel, pop, real=HorizonKernel.evaluate):
+        events.append(("call", kernel))
+        return real(kernel, pop)
+
+    monkeypatch.setattr(HorizonKernel, "restrict_to_box", spy)
+    monkeypatch.setattr(HorizonKernel, "evaluate", counted_evaluate)
+    cfg = MpcConfig(mode=mode, num_workers=2, horizon=3)
+    for seed in (1, 2):
+        events.clear()
+        solve(CASE1_MODELS, snapshot(workers=2), cfg, DeParams(population_size=12, max_generations=5, seed=seed))
+        if mode is ControlMode.NOC:
+            assert events == []
+        else:
+            (walk, kernel), *calls = events
+            assert walk == "walk" and calls and set(calls) == {("call", kernel)}
+
+
 @functools.cache
 def shipped_solve_boxes(room, mode):
     # Runs the shipped room's closed loops once, for seeds 1-3, spying the
-    # box method; per seed: the ok solves, each solve's (proved, floor,
-    # ceiling), the modes of its walks over the room's bounds and each
-    # solve's bottom.  The tests below read this one record.
+    # box walk; per seed: the ok solves, each walk's (proved, floor,
+    # ceiling), the mode of each walk's kernel and each walk's bottom.
+    # The tests below read this one record.
     boxes, walks, bottoms, runs = [], [], [], []
 
     def spy(kernel, real=HorizonKernel.restrict_to_box):
         real(kernel)
         boxes.append((kernel.proved, kernel.floor, kernel.ceiling))
+        walks.append(kernel._cfg.mode)
         bottoms.append(kernel.bottom)
-
-    def counted_bounds(models, snapshot, cfg, real=models_mod._room_bounds):
-        walks.append(cfg.mode)
-        return real(models, snapshot, cfg)
 
     sc = parse_scenario_config(shipped_config_path(f"{room}_mpc2.cfg"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(HorizonKernel, "restrict_to_box", spy)
-        mp.setattr(models_mod, "_room_bounds", counted_bounds)
         for seed in (1, 2, 3):
             boxes.clear()
             walks.clear()
@@ -290,7 +312,7 @@ def shipped_solve_boxes(room, mode):
 def test_every_shipped_solve_is_proved(room, mode):
     # The shipped boxes lie inside the comfort band with room to spare:
     # every solve of their closed loops searches on the objective alone.
-    # Each solve walks the room's bounds once, for the proof and both clamps.
+    # Each solve walks its box once, for the proof and every clamp.
     for solves, boxes, walks, _ in shipped_solve_boxes(room, mode):
         assert solves > 0 and [proved for proved, _, _ in boxes] == [True] * solves
         assert walks == (mode,) * solves
@@ -577,7 +599,7 @@ class TestSearchCeiling:
         # NOC's count is its rollout's, whatever [de] says.
         cfg = MpcConfig(mode=ControlMode.NOC, horizon=100_000, num_workers=24)
         count = search_bytes(cfg, DeParams())
-        assert 0 < count == rollout_nbytes(100_000, 24) <= mpc_mod.SEARCH_BYTES_CEILING
+        assert 0 < count == rollout_nbytes(100_000, 24) <= domain_mod.BYTES_CEILING
         assert search_bytes(cfg, DeParams(population_size=10_000_000)) == count
         require_search_fits(cfg, DeParams(population_size=10_000_000))
 
@@ -608,19 +630,19 @@ class TestSearchCeiling:
     def test_oversize_kernel_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
         want = ("an MPC2 search over horizon 100000 for 24 worker(s) with population_size 80 "
-                "needs 27896149888 bytes, over the ceiling of 1073741824 bytes")
+                "needs 27640149888 bytes, over the ceiling of 1073741824 bytes")
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             require_search_fits(cfg, DeParams(population_size=80))
 
     def test_oversize_population_is_refused(self):
         cfg = MpcConfig(mode=ControlMode.MPC2, num_workers=1)
-        with pytest.raises(ConfigError, match="population_size 10000000 needs 51360045248 bytes"):
+        with pytest.raises(ConfigError, match="population_size 10000000 needs 50080045248 bytes"):
             require_search_fits(cfg, DeParams(population_size=10_000_000))
 
     def test_ceiling_is_the_largest_size_accepted(self, monkeypatch):
         cfg = MpcConfig(mode=ControlMode.MPC1, horizon=4, num_workers=5)
         de = DeParams(population_size=40)
-        monkeypatch.setattr(mpc_mod, "SEARCH_BYTES_CEILING", search_bytes(cfg, de))
+        monkeypatch.setattr(domain_mod, "BYTES_CEILING", search_bytes(cfg, de))
         require_search_fits(cfg, de)
         with pytest.raises(ConfigError, match="over the ceiling"):
             require_search_fits(replace(cfg, num_workers=6), de)
@@ -629,4 +651,4 @@ class TestSearchCeiling:
         for name in ("case1_mpc1.cfg", "case1_mpc2.cfg", "case2_mpc2.cfg"):
             sc = parse_scenario_config(shipped_config_path(name))
             at_24 = search_bytes(replace(sc.mpc_cfg, num_workers=24), sc.de)
-            assert at_24 < mpc_mod.SEARCH_BYTES_CEILING / 1000
+            assert at_24 < domain_mod.BYTES_CEILING / 1000

@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+import alertmpc.domain as domain_mod
 import alertmpc.mpc as mpc_mod
 import alertmpc.sim as sim_mod
 from alertmpc.domain import (
@@ -19,16 +20,14 @@ from alertmpc.domain import (
 )
 from alertmpc.formats import read_trace_csv, write_trace_csv
 from alertmpc.models import predict_ami, predict_dl, predict_idt, rollout
-from alertmpc.mpc import Controller
+from alertmpc.mpc import Controller, require_search_fits
 from alertmpc.optimizer import DeParams, NonFiniteObjective
 from alertmpc.sim import (
     ARMS,
-    DRAW_BYTES_CEILING,
     ArmComparison,
     Metrics,
     PlantConfig,
     PlantOutOfRange,
-    TRACE_BYTES_CEILING,
     ScenarioConfig,
     SimTrace,
     TraceStep,
@@ -37,6 +36,7 @@ from alertmpc.sim import (
     initial_state,
     plant_step,
     run_open_loop,
+    require_draws_fit,
     run_scenario,
     scenario_for_arm,
     step_rng,
@@ -215,7 +215,7 @@ class TestScenarioValidation:
 
     def test_oversize_search_is_refused_when_built(self):
         big = MpcConfig(mode=ControlMode.MPC2, horizon=100_000, num_workers=24)
-        with pytest.raises(ConfigError, match="needs 27896149888 bytes"):
+        with pytest.raises(ConfigError, match="needs 27640149888 bytes"):
             small_scenario(mpc_cfg=big, de=DeParams(population_size=80))
         with pytest.raises(ConfigError, match="over the ceiling"):
             replace(small_scenario(), mpc_cfg=big)
@@ -230,8 +230,8 @@ class TestTraceCeiling:
     """The sizes are computed, never allocated: no oversize run starts."""
 
     def test_trace_size(self):
-        # 28 steps of five workers: 384 + 5 x 80 per step, and 16 KB.
-        assert trace_nbytes(28, 5) == 28 * 784 + 16384
+        # 28 steps of five workers: 384 + 5 x 80 per step, and 4 KB.
+        assert trace_nbytes(28, 5) == 28 * 784 + 4096
 
     def test_oversize_steps_are_refused_when_built(self):
         needed = trace_nbytes(10**12, 1)
@@ -245,9 +245,9 @@ class TestTraceCeiling:
     @pytest.mark.parametrize("workers", [1, 24])
     def test_ceiling_is_the_largest_size_accepted(self, workers):
         per_step = trace_nbytes(2, workers) - trace_nbytes(1, workers)
-        steps = (TRACE_BYTES_CEILING - trace_nbytes(0, workers)) // per_step
+        steps = (domain_mod.BYTES_CEILING - trace_nbytes(0, workers)) // per_step
         cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
-        assert trace_nbytes(steps, workers) <= TRACE_BYTES_CEILING < trace_nbytes(steps + 1, workers)
+        assert trace_nbytes(steps, workers) <= domain_mod.BYTES_CEILING < trace_nbytes(steps + 1, workers)
         small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, steps=steps)
         with pytest.raises(ConfigError, match="over the ceiling"):
             small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, steps=steps + 1)
@@ -298,11 +298,27 @@ class TestDrawCeiling:
 
     @pytest.mark.parametrize("workers", [1, 24])
     def test_ceiling_is_the_largest_size_accepted(self, workers):
-        substeps = DRAW_BYTES_CEILING // (24 * workers) - 1
+        substeps = domain_mod.BYTES_CEILING // (24 * workers) - 1
         cfg = MpcConfig(mode=ControlMode.NOC, num_workers=workers)
         small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, plant=noisy_plant(substeps=substeps))
         with pytest.raises(ConfigError, match="over the ceiling"):
             small_scenario(mode=ControlMode.NOC, mpc_cfg=cfg, plant=noisy_plant(substeps=substeps + 1))
+
+
+def test_one_ceiling_bounds_the_search_the_trace_and_the_draws(monkeypatch):
+    # Under a ceiling of 10,000 bytes: a 4-step MPC1 search over one
+    # worker, a 100-step trace (50,496 bytes) and a plant step of 1000
+    # substeps (24,024 bytes) are each refused, while a 4-step NOC solve
+    # (5,264 bytes) and one substep's draws (48 bytes) still fit.
+    monkeypatch.setattr(domain_mod, "BYTES_CEILING", 10_000)
+    over = "bytes, over the ceiling of 10000 bytes"
+    with pytest.raises(ConfigError, match=f"^an MPC1 search over horizon 4 for 1 worker.* {over}$"):
+        require_search_fits(MpcConfig(mode=ControlMode.MPC1, num_workers=1), DeParams())
+    with pytest.raises(ConfigError, match=f"^a run of 100 steps for 1 worker.* 50496 {over}$"):
+        small_scenario(mode=ControlMode.NOC, mpc_cfg=MpcConfig(mode=ControlMode.NOC, num_workers=1),
+                       plant=noisy_plant(substeps=1), steps=100)
+    with pytest.raises(ConfigError, match=f"^a plant step of 1000 substeps for 1 worker.* 24024 {over}$"):
+        require_draws_fit(1000, 1)
 
 
 class TestRunScenario:
