@@ -38,7 +38,8 @@ class BadRidge(ValueError):
 
 
 class OverflowingFit(ValueError):
-    """Finite telemetry overflows the drowsiness fit's arithmetic."""
+    """Finite telemetry overflows the drowsiness fit's arithmetic, or
+    leaves its ridged Gram matrix singular in floating point."""
 
 
 VALUE_COLUMNS = ("dl", "effort", "temp", "illum", "temp_set", "illum_set")
@@ -127,7 +128,10 @@ def _centered_lstsq(X: np.ndarray, y: np.ndarray, ridge: float):
     Returns (intercept, coefficients, rank of the centered design).  With
     a rank-deficient design the coefficient vector is the minimum-norm
     solution and the intercept absorbs the sample mean.  Non-finite
-    column means or Gram matrix raise OverflowingFit before LAPACK.
+    column means or Gram matrix raise OverflowingFit before LAPACK, and so
+    does a ridged Gram matrix that LAPACK finds singular: a ridge too
+    small to show beside the Gram's entries leaves it as singular as the
+    design.
     """
     x_mean = X.mean(axis=0)
     if not np.isfinite(x_mean).all():
@@ -139,7 +143,10 @@ def _centered_lstsq(X: np.ndarray, y: np.ndarray, ridge: float):
         gram = xc.T @ xc + ridge * np.eye(X.shape[1])
         if not np.isfinite(gram).all():
             raise OverflowingFit("drowsiness fit overflows: its Gram matrix is not finite")
-        beta = np.linalg.solve(gram, xc.T @ yc)
+        try:
+            beta = np.linalg.solve(gram, xc.T @ yc)
+        except np.linalg.LinAlgError:
+            raise OverflowingFit("drowsiness fit overflows: its ridged Gram matrix is singular") from None
         rank = np.linalg.matrix_rank(xc)
     else:
         beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)

@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -83,9 +81,6 @@ def _operands(*values) -> tuple[np.ndarray, ...]:
 
 
 _ZERO, _DL_MIN, _DL_MAX, _LARGEST = _operands(0.0, DL_MIN, DL_MAX, _FLOAT_MAX)
-
-# A worker's values that HorizonKernel reads, in the order it stores them.
-_worker_values = attrgetter("d_current", "d_plus", "d_minus", "effort")
 
 # The ufuncs and the ufunc method HorizonKernel.evaluate calls, bound once.
 # At 40 rows a call costs little more than its dispatch: np.add is a
@@ -204,11 +199,10 @@ class HorizonKernel:
 
     An increment pair is two adjacent slots of terms, the rise then the
     fall, and needs no mask.  x_t - x_prev goes into the first and
-    x_prev - x_t into the second: for the room, one subtract of every
-    step reads the two steps once in each order through views of the
-    state; for drowsiness, two subtracts of one step each read the two
-    levels forward, as a reversed write would run through a buffer.  One
-    maximum floors both slots at zero; one multiply applies both
+    x_prev - x_t into the second, by two subtracts that read the two
+    levels forward, as a reversed write would run through a buffer: of
+    every step at once for the room, of one step each for drowsiness.
+    One maximum floors both slots at zero; one multiply applies both
     coefficients.  That gives
     predict_dl's c_plus * x_plus and c_minus * x_minus, since increments
     returns (x_t - x_prev, 0.0) or (0.0, -(x_t - x_prev)), and
@@ -236,6 +230,12 @@ class HorizonKernel:
     and the comfort excess, (horizon, rows).  Along the innermost axis
     numpy would sum pairwise, which is why a kernel has two rows or more:
     one schedule is rollout's.
+
+    Only the objective can be NaN or infinite, where a prediction
+    overflows; de_minimize checks it, once per generation, and refuses
+    it.  The violation is always finite and >= 0: each step's excess is
+    floored at zero by np.fmax, which counts a NaN excess as none, and
+    the sum saturates at the largest float.
     """
 
     @staticmethod
@@ -266,8 +266,8 @@ class HorizonKernel:
             workers * horizon, c["d_prev"], cfg.penalty_cap, ami.theta_set)
 
         # Each worker's level, its rise and fall, and effort, one row each.
-        values = chain.from_iterable(map(_worker_values, snapshot.workers))
-        self._workers = states = np.fromiter(values, float, 4 * workers).reshape(workers, 4).T
+        self._workers = states = np.array(
+            [(w.d_current, w.d_plus, w.d_minus, w.effort) for w in snapshot.workers], float).T
         d_now = states[0]
         self.terms = terms = np.empty((horizon, 11, workers, rows))
         terms[:, 0] = models.dl.intercept
@@ -305,15 +305,10 @@ class HorizonKernel:
         self.room_level, self.room_pair = once[0], once[1:]
         self.room_terms_once = once.transpose(1, 2, 0, 3, 4)
         self.room_terms = terms[:, 4:10].reshape(horizon, 2, 3, workers, rows)
-        # Steps 1.. with a worker axis, and the pair's two orders of steps
-        # 1.. and 0.., (x_t, x_prev) and (x_prev, x_t), with a slot axis:
-        # views of room_state whose first axis steps one step forward, or,
-        # from step 1, one back.
-        self.room_next = room_state[1:, :, None]
-        step, quantity, row = room_state.strides
-        pair_shape, strides = self.room_pair.shape, (step, quantity, 0, row)
-        self.room_later = np.ndarray(pair_shape, float, room_state, step, (-step, *strides))
-        self.room_earlier = np.ndarray(pair_shape, float, room_state, 0, (step, *strides))
+        # Steps 1.. and 0.. with a worker axis, x_t and x_prev, and the
+        # pair's two slots that take their differences.
+        self.room_next, self.room_prev = room_state[1:, :, None], room_state[:-1, :, None]
+        self.room_rise, self.room_fall = self.room_pair
         # Coefficients at the full shape of the terms they multiply, in
         # once's layout: numpy runs a multiply by coefficients that
         # broadcast through a buffer that it allocates.
@@ -458,8 +453,9 @@ class HorizonKernel:
         """Roll a (rows, columns) population, in shape's layout, over the
         horizon into room and dls, and return each row's mean drowsiness
         and comfort violation as new (rows,) arrays; the violation is
-        None once restrict_to_box has proved comfort.  The predictions
-        stay in room and dls until the next call."""
+        None once restrict_to_box has proved comfort, and otherwise finite
+        and >= 0.  The predictions stay in room and dls until the next
+        call."""
         if pop.shape != self.shape:
             raise ShapeMismatch(f"the population is {pop.shape}, the kernel scores {self.shape}")
         # Plain copies assign to a view: np.copyto is a Python-level wrapper.
@@ -483,9 +479,10 @@ class HorizonKernel:
 
         # The room's six terms of predict_dl, every step at once, then
         # copied out for every worker.
-        pair = self.room_pair
-        _multiply(self._level_coef, self.room_next, self.room_level)
-        _subtract(self.room_later, self.room_earlier, pair)
+        pair, now, before = self.room_pair, self.room_next, self.room_prev
+        _multiply(self._level_coef, now, self.room_level)
+        _subtract(now, before, self.room_rise)
+        _subtract(before, now, self.room_fall)
         _maximum(pair, _ZERO, out=pair)
         _multiply(pair, self.room_coef, pair)
         self.room_terms[...] = self.room_terms_once

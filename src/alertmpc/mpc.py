@@ -83,7 +83,7 @@ def solve(
         schedule = ControlSchedule((cfg.temp_comfort,) * horizon, (cfg.illum_comfort,) * horizon)
         pred = rollout(models, snapshot, schedule, cfg)
         row = np.array([schedule.temp_setpoints + schedule.illum_setpoints])
-        f, v = checked_scores(row, [objective(pred)], [constraint_violation(pred, cfg)], np.empty((2, 1), dtype=bool))
+        f, v = checked_scores(row, [objective(pred)], [constraint_violation(pred, cfg)], np.empty(1, dtype=bool))
         return MpcSolution(schedule, float(f[0]), float(v[0]))
 
     mpc2 = cfg.mode is ControlMode.MPC2

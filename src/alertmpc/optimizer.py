@@ -3,14 +3,24 @@
 Classic DE/rand/1/bin over a whole population at a time: donors and
 crossover masks are drawn as arrays, a block of generations at a time,
 and each generation scores every trial with one call of the caller's
-evaluate(pop) -> (objective, violation), checked in a reused buffer.
-Candidates are compared by constraint violation before objective: any
-feasible point beats any infeasible one, two infeasible points compare
-on violation, two feasible ones on objective.  A caller that knows every
-point of the box is feasible returns None as the violation, and the
-search compares on the objective alone, keeping no violations.  Mutants
-are clipped back into the box, so bound-hitting optima are reachable
-exactly.  Runs are bit-reproducible for a fixed seed.
+evaluate(pop) -> (objective, violation).  Candidates are compared by
+constraint violation before objective: any feasible point beats any
+infeasible one, two infeasible points compare on violation, two feasible
+ones on objective.  A caller that knows every point of the box is
+feasible returns None as the violation, and the search compares on the
+objective alone, keeping no violations.  Mutants are clipped back into
+the box, so bound-hitting optima are reachable exactly.  Runs are
+bit-reproducible for a fixed seed.
+
+The search takes on trust what its caller guarantees once.  solve, its
+caller in the package, builds the box from an MpcConfig, which refused
+any bound that is not finite or lies outside its range, any inverted
+pair and any horizon under 1 when it was built; and HorizonKernel, its
+evaluate, returns (rows,) arrays whose violations are finite and >= 0,
+or None as the violation in every call once restrict_to_box has run.
+What no caller can rule out is a prediction that overflows: each
+generation's objectives go through checked_scores, which refuses a NaN
+or an infinity as NonFiniteObjective.
 
 Before each generation the search stops once every member is feasible
 and the objectives' spread, max - min, is below the tolerance.  The
@@ -53,12 +63,8 @@ def search_nbytes(pop_size: int, dim: int) -> int:
     return 56 * pop_size * dim + drawing + 24 * dim + 48 * pop_size + 16384
 
 
-class BadBounds(ValueError):
-    """Bound arrays are malformed or inverted."""
-
-
 class NonFiniteObjective(RuntimeError):
-    """A callback returned NaN or infinity during the search."""
+    """An objective is NaN or infinite: its prediction overflowed."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,9 @@ def not_worse(f_a, v_a, f_b, v_b, out: np.ndarray) -> np.ndarray:
 
     Feasibility first: two feasible points compare on objective,
     otherwise the smaller violation wins (a feasible point has violation
-    0, so it beats every infeasible one).  Violations must be >= 0.
+    0, so it beats every infeasible one).  Violations are >= 0, as
+    HorizonKernel.evaluate returns them: it floors each step's excess at
+    zero and saturates their sum at the largest float.
 
     out, a (2, n) bool array for n points or a pair of its rows, takes
     the answer in its first row and uses the second as scratch.  Returns
@@ -197,62 +205,50 @@ def draw_block(rng: np.random.Generator, pop_size: int, dim: int, crossover_rate
 
 
 def checked_scores(pop: np.ndarray, f, v, finite: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The objectives f and violations v of the rows pop as float arrays.
+    """The objectives f of the rows pop as a float array, and their
+    violations v as given.
 
-    Raises ValueError unless each holds one value per row and v >= 0, and
-    NonFiniteObjective on a NaN or an infinity.  A v of None (every row
-    feasible) is returned as None, and f alone is checked.  finite, a
-    (2, len(pop)) bool array that the caller makes once, takes the
-    finiteness test, as not_worse's out takes the comparison.  The test
-    is one count of the finite values: a sum of the scores would settle
-    it as well, but numpy warns when finite scores overflow their sum.
+    Raises NonFiniteObjective, naming the first, on an objective that is
+    NaN or infinite.  f holds one value per row, and v is None or one
+    finite value >= 0 per row, as de_minimize's evaluate returns them;
+    their shapes and v are not checked.  finite, a (len(pop),) bool array
+    that the caller makes once, takes the finiteness test, as not_worse's
+    out takes the comparison.  The test is one count of the finite values:
+    a sum of the objectives would settle it as well, but numpy warns when
+    finite values overflow their sum.
     """
     f = np.asarray(f, float)
-    shape = (len(pop),)
-    if v is None:
-        if f.shape != shape:
-            raise ValueError(f"evaluate must return a {shape} objective, got {f.shape}")
-        if _count_nonzero(_isfinite(f, finite[0])) == shape[0]:
-            return f, None
-    else:
-        v = np.asarray(v, float)
-        if f.shape != shape or v.shape != shape:
-            raise ValueError(f"evaluate must return two {shape} arrays, got {f.shape} and {v.shape}")
-        _isfinite(f, finite[0])
-        _isfinite(v, finite[1])
-        if _count_nonzero(finite) == 2 * shape[0] and _min_reduce(v) >= 0.0:
-            return f, v
-    # Without violations, only a non-finite objective gets here: it raises first.
-    for name, values in (("objective", f), ("violation", v)):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteObjective(f"{name} returned {values[i]} at {pop[i].tolist()}")
-    i = int(np.argmax(v < 0.0))
-    raise ValueError(f"violation returned {v[i]} at {pop[i].tolist()}, must be >= 0")
+    if _count_nonzero(_isfinite(f, finite)) < len(pop):
+        i = int(np.argmin(finite))
+        raise NonFiniteObjective(f"objective returned {f[i]} at {pop[i].tolist()}")
+    return f, v
 
 
 def de_minimize(
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
-    lower,
-    upper,
+    lower: np.ndarray,
+    upper: np.ndarray,
     params: DeParams,
 ) -> DeResult:
     """Minimize the objective subject to violation == 0 inside the box.
 
-    evaluate(pop) scores a (P, D) population at once and returns the
-    objective and the violation, each of shape (P,).  Violation must be
-    nonnegative, zero exactly on the feasible set.  evaluate must be
-    pure and score each row independently of the others.  The array it
-    is given is a buffer that the next generation overwrites.
+    lower and upper are float arrays of one bound per dimension, one or
+    more: finite, lower <= upper, with finite spans, as solve builds them
+    from a valid MpcConfig.  They are not checked again here.
 
-    A violation of None means that every row is feasible: the search
-    checks the objective only, selects a trial whose objective is at
-    most its member's, stops on the objective's spread alone, keeps no
-    violations and reports best_violation 0.0.  Those are the choices it
-    makes when every violation is zero, so both give the same result.
-    evaluate returns None in every call or in none; a mix raises
-    ValueError.
+    evaluate(pop) scores a (P, D) population at once and returns the
+    objective and the violation, each a (P,) array.  The violation is
+    finite and >= 0, zero exactly on the feasible set; the objective may
+    be NaN or infinite only where a prediction overflows, which raises
+    NonFiniteObjective.  evaluate must be pure and score each row
+    independently of the others.  The array it is given is a buffer that
+    the next generation overwrites.
+
+    A violation of None, in every call, means that every row is feasible:
+    the search selects a trial whose objective is at most its member's,
+    stops on the objective's spread alone, keeps no violations and
+    reports best_violation 0.0.  Those are the choices it makes when
+    every violation is zero, so both give the same result.
 
     The initial population is drawn first; then, right before
     generations 0, _BLOCK, 2 * _BLOCK, ... run, the donors, crossover
@@ -260,35 +256,16 @@ def de_minimize(
     The draws depend only on the seed and the generation index, so a run
     with a budget of g generations is a prefix of one with g + 1.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
-        raise BadBounds(
-            f"bounds must be equal-length 1-D arrays, got {lower.shape} and {upper.shape}"
-        )
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise BadBounds("bounds must be finite")
-    if np.any(lower > upper):
-        bad = int(np.argmax(lower > upper))
-        raise BadBounds(f"lower[{bad}]={lower[bad]} exceeds upper[{bad}]={upper[bad]}")
-    with np.errstate(over="ignore"):
-        span = upper - lower
-    if not np.isfinite(span).all():
-        bad = int(np.argmax(~np.isfinite(span)))
-        raise BadBounds(
-            f"upper[{bad}] - lower[{bad}] must be finite, got {upper[bad]} - {lower[bad]}"
-        )
-
     dim = lower.size
     pop_size = params.population_for(dim)
     # A 0-d array: a ufunc converts a Python float operand on every call.
     factor = np.array(params.mutation_factor)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    pop = lower + rng.random((pop_size, dim)) * span
+    pop = lower + rng.random((pop_size, dim)) * (upper - lower)
     # Buffers every generation reuses, each an array of its own: numpy
     # reduces over a view of a larger one more slowly.
-    finite = np.empty((2, pop_size), dtype=bool)
+    finite = np.empty(pop_size, dtype=bool)
     select_rows = tuple(np.empty((2, pop_size), dtype=bool))
     take = select_rows[0]
     take_rows = take[:, None]
@@ -313,9 +290,10 @@ def de_minimize(
     for gen in range(params.max_generations):
         # The spread is at least |fs[0] - fs[-1]|, and rounding is
         # monotonic, so two members at least tolerance apart settle the
-        # test without the reductions.  checked_scores() guarantees
-        # vs >= 0, so "none nonzero" is "all feasible".  The ufuncs'
-        # reduce spares the Python wrappers of ndarray.any, max and min.
+        # test without the reductions.  evaluate's violations are >= 0, as
+        # HorizonKernel.evaluate returns them, so "none nonzero" is "all
+        # feasible".  The ufuncs' reduce spares the Python wrappers of
+        # ndarray.any, max and min.
         if (
             abs(score(0) - score(-1)) < tolerance
             and (feasible or not _or_reduce(vs, 0, None, infeasible))
@@ -340,10 +318,7 @@ def de_minimize(
         _minimum(trials, upper_rows, out=trials)
         copyto(trials, pop, where=keep[step])
 
-        f_t, v_t = evaluate(trials)
-        if (v_t is None) is not feasible:
-            raise ValueError("evaluate must return None as the violation in every generation or in none")
-        f_t, v_t = checked_scores(trials, f_t, v_t, finite)
+        f_t, v_t = checked_scores(trials, *evaluate(trials), finite)
         if feasible:
             _less_equal(f_t, fs, take)
         else:
@@ -364,7 +339,6 @@ def de_minimize(
 
 
 __all__ = [
-    "BadBounds",
     "NonFiniteObjective",
     "DeParams",
     "DeResult",

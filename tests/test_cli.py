@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1580,6 +1581,26 @@ class TestIdentifyCommand:
         out, err = capfd.readouterr()
         assert (rc, out) == (3, "")
         assert err == "error: drowsiness fit overflows: its coefficients or RMSE are not finite\n"
+        assert not model.exists()
+
+    def test_singular_ridged_fit_exit_code(self, workdir):
+        # One worker at a constant DL and temperature, effort cycling 0-0.3
+        # and the lights 500-520 lx: a ridge of 1e-100 vanishes beside the
+        # Gram matrix, which LAPACK finds singular.  Whether that or the
+        # non-finite coefficients refuse it depends on LAPACK's rounding,
+        # so only the message's first words are pinned.  The command runs
+        # as a user runs it, with every warning an error.
+        rows = "".join(f"{k},w,3.7,{k % 4 / 10},26.1,{500 + 10 * (k % 3)},26.1,{500 + 10 * (k % 3)}\n"
+                       for k in range(14))
+        path = put(workdir, "t.csv", "step,worker_id,dl,effort,temp_c,illum_lx,temp_set_c,illum_set_lx\n" + rows)
+        model = workdir / "m.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "alertmpc", "identify", path, str(model),
+             "--ridge", "1e-100", "--out-dir", str(workdir)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr.startswith("error: drowsiness fit ") and run.stderr.count("\n") == 1
         assert not model.exists()
 
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])

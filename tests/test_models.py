@@ -904,6 +904,64 @@ class TestSkippedClamps:
         assert (kernel.floor, kernel.ceiling) == (False, True)
 
 
+# An illuminance model that overflows: theta_set * setpoint is infinite
+# at step 1, and 0 * infinity makes step 2's illuminance NaN.
+OVERFLOWING_LIGHTS = replace(CASE1_MODELS, ami=AmiModel(theta0=0.0, theta_prev=0.0, theta_set=1e306))
+
+
+class TestScoreGuarantees:
+    """What de_minimize takes on trust from its evaluate and checks no
+    more: a (rows,) objective, and None or a (rows,) violation that is
+    finite and >= 0.  Only the objective may be NaN or infinite."""
+
+    @staticmethod
+    def assert_guaranteed(kernel, pop):
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing bounds' penalties
+            f, v = kernel.evaluate(pop)
+        assert f.shape == (len(pop),)
+        if v is not None:
+            assert v.shape == (len(pop),)
+            assert np.isfinite(v).all() and (v >= 0.0).all()
+
+    def assert_both_kernels_keep_them(self, models, snap, cfg, pop):
+        # A new kernel, which always returns violations, and one told its box.
+        self.assert_guaranteed(HorizonKernel(models, snap, cfg, len(pop)), pop)
+        kernel = HorizonKernel(models, snap, cfg, len(pop))
+        kernel.restrict_to_box()
+        self.assert_guaranteed(kernel, pop)
+
+    @settings(max_examples=120, deadline=None)
+    @given(kernel_cases())
+    def test_kernel_cases(self, case):
+        models, snap, cfg, temps, illums = case
+        # restrict_to_box is told that the rows lie in cfg's box.
+        temps = np.clip(temps, cfg.temp_lo, cfg.temp_hi)
+        illums = np.clip(illums, cfg.illum_lo, cfg.illum_hi)
+        self.assert_both_kernels_keep_them(models, snap, cfg, np.hstack((temps, illums)))
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_BOUNDS))
+    def test_overflowing_bounds(self, name):
+        models, snap, cfg, temps, illums = OVERFLOWING_BOUNDS[name]
+        self.assert_both_kernels_keep_them(models, snap, cfg, population(cfg, temps, illums))
+
+    @pytest.mark.parametrize("mode", [ControlMode.MPC1, ControlMode.MPC2])
+    def test_nan_illuminance(self, mode):
+        models, snap, cfg, temps, illums = comfort_case(OVERFLOWING_LIGHTS, MpcConfig(horizon=3, mode=mode))
+        self.assert_both_kernels_keep_them(models, snap, cfg, population(cfg, temps, illums))
+
+    def test_constraint_violation_of_nan_illuminance(self):
+        # NOC's comfort schedule, as tests/test_mpc.py's
+        # TestNoc::test_overflowing_illuminance_is_refused scores it.
+        cfg = MpcConfig(mode=ControlMode.NOC, num_workers=1)
+        schedule = ControlSchedule((cfg.temp_comfort,) * cfg.horizon, (cfg.illum_comfort,) * cfg.horizon)
+        snap = StateSnapshot((WorkerState(2.4, 0.0, 0.0, 0.1),), 26.8, 540.0)
+        with np.errstate(all="ignore"):
+            pred = rollout(OVERFLOWING_LIGHTS, snap, schedule, cfg)
+        assert np.isinf(pred.illums[0]) and np.isnan(pred.illums[1])
+        violation = constraint_violation(pred, cfg)
+        assert np.isfinite(violation) and violation >= 0.0
+
+
 class TestObjectiveGradient:
     """Check smoothness of the optimizer's landscape at a kink-free point:
     central finite differences of the rolled-out objective must agree with a
