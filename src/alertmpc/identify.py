@@ -68,6 +68,8 @@ class TelemetryTable:
 
     The one constructor takes the table's columns: per-row sequences of
     step indices, worker ids, and the values in VALUE_COLUMNS order.
+    What the fits share is derived once and kept: the chain mask that
+    validation leaves, and what step_environment() returns.
     """
 
     def __init__(self, step, worker_id, dl, effort, temp, illum, temp_set, illum_set):
@@ -78,18 +80,28 @@ class TelemetryTable:
         for name, column in zip(VALUE_COLUMNS, (dl, effort, temp, illum, temp_set, illum_set)):
             setattr(self, name, np.array(column, dtype=float))
         # Rows grouped by worker (in first-appearance order), in row order within each.
-        self._by_worker = np.argsort(self.worker, kind="stable")
-        self._validate()
-        for array in (self.worker, self.step, self._by_worker, *self._values()):
+        # A stable sort has one answer; numpy finds it by radix sort, much
+        # faster than on int64, when the codes fit in 8 or 16 bits.
+        self._by_worker = np.argsort(
+            self.worker.astype(np.min_scalar_type(len(self.worker_ids))), kind="stable"
+        )
+        # _chained[k]: row k + 1 of the worker-grouped order is the same worker's next step.
+        self._chained = self._validate()
+        self._environment = None
+        for array in (self.worker, self.step, self._by_worker, self._chained, *self._values()):
             array.flags.writeable = False
 
     def _values(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in VALUE_COLUMNS]
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Raise InvalidTelemetry for the first broken rule, at its first
+        row; return the chain mask."""
         g, worker, step = self._by_worker, self.worker, self.step
+        grouped_worker, grouped_step = worker[g], step[g]
+        same = grouped_worker[1:] == grouped_worker[:-1]
         repeated = np.zeros(len(step), dtype=bool)  # indexed by row, as every mask below
-        repeated[g[1:]] = (worker[g[1:]] == worker[g[:-1]]) & (step[g[1:]] <= step[g[:-1]])
+        repeated[g[1:]] = same & (grouped_step[1:] <= grouped_step[:-1])
         checks = [(~np.isfinite(v), v, f"{n} must be finite") for n, v in zip(VALUE_COLUMNS, self._values())]
         for name, (lo, hi) in _RANGES.items():
             v = getattr(self, name)
@@ -103,16 +115,22 @@ class TelemetryTable:
                 row = int(np.argmax(bad))
                 where = f"worker {self.worker_ids[worker[row]]}, step {step[row]}"
                 raise InvalidTelemetry(f"{message}, got {column[row]} ({where})", row)
+        return same & (grouped_step[1:] == grouped_step[:-1] + 1)
 
     def __len__(self) -> int:
         return len(self.step)
 
     def step_environment(self) -> tuple[np.ndarray, ...]:
         """Sorted step indices and, per step, the worker-averaged temp,
-        illum, temp_set and illum_set."""
-        steps, at, counts = np.unique(self.step, return_inverse=True, return_counts=True)
-        columns = (self.temp, self.illum, self.temp_set, self.illum_set)
-        return (steps, *(np.bincount(at, weights=c) / counts for c in columns))
+        illum, temp_set and illum_set; read-only, computed on the first call."""
+        if self._environment is None:
+            steps, at, counts = np.unique(self.step, return_inverse=True, return_counts=True)
+            columns = (self.temp, self.illum, self.temp_set, self.illum_set)
+            environment = (steps, *(np.bincount(at, weights=c) / counts for c in columns))
+            for array in environment:
+                array.flags.writeable = False
+            self._environment = environment
+        return self._environment
 
 
 @dataclass(frozen=True)
@@ -160,7 +178,8 @@ def _rmse(residuals: np.ndarray) -> float:
 
 def _parts(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positive and negative parts, elementwise as domain.increments."""
-    return np.where(delta >= 0, delta, 0.0), np.where(delta >= 0, 0.0, -delta)
+    rising = delta >= 0
+    return np.where(rising, delta, 0.0), np.where(rising, 0.0, -delta)
 
 
 def dl_design(
@@ -173,20 +192,29 @@ def dl_design(
     the scale limits are dropped since the clamp censors them.  Samples
     come grouped by worker in order of first appearance, then in row order.
     """
-    g, step, dl = data._by_worker, data.step, data.dl
-    older, prev, cur = g[:-2], g[1:-1], g[2:]
-    keep = (data.worker[older] == data.worker[cur]) & (step[prev] == step[older] + 1) & (step[cur] == step[prev] + 1)
+    g = data._by_worker
+    # Sample k is grouped rows k, k + 1 and k + 2, kept when both pairs chain.
+    keep = data._chained[:-1] & data._chained[1:]
+    dl = data.dl[g]
     if exclude_boundary:
-        keep &= (dl[cur] != DL_MIN) & (dl[cur] != DL_MAX)
-    older, prev, cur = older[keep], prev[keep], cur[keep]
-    temp, illum = data.temp[cur], data.illum[cur]
-    X = np.column_stack((
-        dl[prev], *_parts(dl[prev] - dl[older]),
-        temp, *_parts(temp - data.temp[prev]),
-        illum, *_parts(illum - data.illum[prev]),
-        data.effort[cur],
-    ))
-    return X, dl[cur]
+        keep &= (dl[2:] != DL_MIN) & (dl[2:] != DL_MAX)
+
+    def lagged(grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per kept sample: the previous step's value and the current one."""
+        return grouped[1:-1][keep], grouped[2:][keep]
+
+    # X is filled in place, column by column: its ten columns are never
+    # all held beside it, which keeps the fit's peak memory down.
+    dl_prev, dl_cur = lagged(dl)
+    X = np.empty((len(dl_cur), len(DL_FEATURES)))
+    X[:, 0] = dl_prev
+    X[:, 1], X[:, 2] = _parts(dl_prev - dl[:-2][keep])
+    for j, column in ((3, data.temp), (6, data.illum)):
+        prev, cur = lagged(column[g])
+        X[:, j] = cur
+        X[:, j + 1], X[:, j + 2] = _parts(cur - prev)
+    X[:, 9] = data.effort[g[2:][keep]]
+    return X, dl_cur
 
 
 def fit_dl_model(

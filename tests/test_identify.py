@@ -382,6 +382,17 @@ def reference_dl_design(data, exclude_boundary=True):
     return X, np.asarray(targets, dtype=float)
 
 
+def reference_chain_mask(data):
+    """Per pair of neighbours in the worker-grouped row order: is the
+    second the same worker's next step?"""
+    grouped = {}
+    for row in rows_of(data):
+        grouped.setdefault(row.worker_id, []).append(row)
+    rows = [row for worker_rows in grouped.values() for row in worker_rows]
+    return [b.worker_id == a.worker_id and b.step_index == a.step_index + 1
+            for a, b in zip(rows, rows[1:])]
+
+
 def reference_step_environment(data):
     buckets = {}
     for row in rows_of(data):
@@ -469,7 +480,13 @@ def assert_matches_reference(table):
         X_ref, y_ref = reference_dl_design(table, exclude)
         assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
         assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
-    steps, *means = table.step_environment()
+    assert not table._chained.flags.writeable
+    assert table._chained.tolist() == reference_chain_mask(table)
+    environment = table.step_environment()
+    again = table.step_environment()
+    assert len(again) == len(environment) == 5
+    assert all(a is b and not a.flags.writeable for a, b in zip(again, environment))
+    steps, *means = environment
     ref = reference_step_environment(table)
     assert steps.tolist() == [e[0] for e in ref]
     for column, got in enumerate(means, start=1):
@@ -523,6 +540,18 @@ class TestColumnarMatchesRowwise:
         ]
         assert_matches_reference(table_of(rows))
 
+    def test_more_workers_than_eight_bit_codes_hold(self):
+        # 300 workers group through 16-bit codes; a few skip a step.
+        rng = np.random.default_rng(3)
+        rows = [
+            Row(step, f"w{j}", float(rng.uniform(1.0, 5.0)), 0.1, float(rng.uniform(25.0, 27.0)),
+                float(rng.uniform(400.0, 800.0)), 26.0 - step % 2, 450.0 + 50.0 * (step % 3))
+            for step in range(5) for j in range(300) if (step, j % 7) != (2, 3)
+        ]
+        table = table_of(rows)
+        assert len(table.worker_ids) == 300
+        assert_matches_reference(table)
+
 
 class TestColumnarTable:
     def test_rows_round_trip(self):
@@ -545,3 +574,17 @@ class TestColumnarTable:
         with pytest.raises(InvalidTelemetry, match=f"{column} must be finite.*w1, step 1") as info:
             table_of((ok, Row(1, "w0", **values), bad))
         assert info.value.row == 2
+
+    @pytest.mark.parametrize("nonfinite_row", [1, 4])
+    def test_first_broken_rule_wins(self, nonfinite_row):
+        # w0 repeats step 2 at row 3; a NaN temp sits before it or after
+        # it.  The finiteness rule is checked before the step rule, so it
+        # is reported either way, at its own row.
+        steps = [(0, "w0"), (1, "w0"), (2, "w0"), (2, "w0"), (0, "w1"), (1, "w1")]
+        rows = [Row(step, worker, 2.0, 0.1, 26.0, 600.0, 26.0, 600.0) for step, worker in steps]
+        rows[nonfinite_row] = rows[nonfinite_row]._replace(temp=float("nan"))
+        step, worker = steps[nonfinite_row]
+        with pytest.raises(InvalidTelemetry) as info:
+            table_of(rows)
+        assert str(info.value) == f"temp must be finite, got nan (worker {worker}, step {step})"
+        assert info.value.row == nonfinite_row
