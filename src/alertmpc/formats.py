@@ -17,6 +17,9 @@ import functools
 import itertools
 import json
 import math
+import operator
+import os
+import stat
 import warnings
 from array import array
 from collections.abc import Callable
@@ -243,76 +246,114 @@ _TELEMETRY_DTYPE = np.dtype(
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _numpy_may_differ(raw) -> bool:
-    """Whether np.loadtxt may have read the binary file raw otherwise than
-    the csv module: raw holds a _NUMPY_ONLY_SPACE byte, or a run of more
-    than csv.field_size_limit() bytes without a comma, which could be a
-    number field the csv module refuses as too long.
+def _numpy_may_differ(raw) -> tuple[bool, bool]:
+    """Whether np.loadtxt may read the binary file raw otherwise than the
+    csv module, (through its text handle, by its path).  Through the
+    handle: raw holds a _NUMPY_ONLY_SPACE byte, or a run of more than
+    csv.field_size_limit() bytes without a comma, which could be a number
+    field the csv module refuses as too long.  By its path: that, or raw
+    holds both a "\\r" and a '"', as numpy opens a path with universal
+    newlines, which turn a CR in a quoted field into LF.
     """
     limit = csv.field_size_limit()
     # A comma-free run longer than limit holds a whole block of this size,
     # if the blocks start just past a comma.
     block = limit // 2 + 1
     run = 0  # comma-free bytes at the end of the chunks so far
+    cr = quote = False
     raw.seek(0)
     for chunk in iter(functools.partial(raw.read, 1 << 20), b""):
         if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
-            return True
+            return True, True
         first, last = chunk.find(b","), chunk.rfind(b",")
         if first < 0:
             run += len(chunk)
         elif run + first > limit:
-            return True
+            return True, True
         else:
             for start in range(first + 1, last - block + 1, block):
                 if chunk.find(b",", start, start + block) < 0:
                     if chunk.find(b",", start + block) - chunk.rfind(b",", 0, start) - 1 > limit:
-                        return True
+                        return True, True
             run = len(chunk) - 1 - last
         if run > limit:
-            return True
-    return False
+            return True, True
+        cr = cr or b"\r" in chunk
+        quote = quote or b'"' in chunk
+    return False, cr and quote
+
+
+# Names that numpy's DataSource decompresses, by their extension.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# What numpy's second open of a path must find unchanged since the first.
+_FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def read_telemetry_csv(path: str) -> TelemetryTable:
     """The validated telemetry table in the CSV file at path.
 
-    The body is parsed in one np.loadtxt call.  Where numpy's reading
-    could differ from the row reader's, the file is read again row by
-    row: when numpy refuses it or warns (numpy refuses 1_5 and non-ASCII
-    digits, which int() and float() accept), when _numpy_may_differ,
-    when a worker id is longer than csv.field_size_limit(), and when the
-    table fails validation.  So the accepted grammar is the row reader's,
-    and every error names its physical line.
+    The body of a regular file is parsed in one np.loadtxt call, which
+    reads the file by its absolute path, in chunks; a file that holds
+    both a CR and a quote, numpy reads through the open text handle, line
+    by line with its newlines kept.  Where numpy's reading could differ
+    from the row reader's, the file is read again row by row: when its
+    name is one numpy would decompress, when numpy refuses it or warns
+    (numpy refuses 1_5 and non-ASCII digits, which int() and float()
+    accept), when _numpy_may_differ through the handle, when a worker id
+    is longer than csv.field_size_limit(), when the path no longer names
+    the file that was opened and scanned, and when the table fails
+    validation.  A file that is not regular, a pipe say, can be read only
+    once: row by row, through the one open.  So the accepted grammar is
+    the row reader's, and every error names its physical line.
     """
     with _CsvFile(path, "telemetry") as csv_file:
+        opened = os.fstat(csv_file.fh.fileno())
+        if not stat.S_ISREG(opened.st_mode):
+            return _telemetry_rows(csv_file)
         csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
-        try:
-            with warnings.catch_warnings():
-                # A warning means numpy read some text its own way (numpy 1.x
-                # reads an int64 "1.0" with a DeprecationWarning) ...
-                warnings.simplefilter("error")
-                # ... but a header-only file is an empty table, as the row reader returns.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(
-                    csv_file.fh, dtype=_TELEMETRY_DTYPE, delimiter=",", quotechar='"',
-                    comments=None, ndmin=1,
-                )
-            table = TelemetryTable(*(body[name] for name in _TELEMETRY_DTYPE.names))
-        except (ValueError, Warning):  # InvalidTelemetry and UnicodeDecodeError are ValueErrors
-            table = None
-        # loadtxt has read the file to its end, so its bytes can be scanned again.
-        if not (
-            table is None
-            or any(len(worker) > csv.field_size_limit() for worker in table.worker_ids)
-            or _numpy_may_differ(csv_file.fh.buffer)
-        ):
-            return table
+        if not path.endswith(_COMPRESSED):
+            # numpy fetches a URL, but never one spelled as an absolute path.
+            table = _numpy_table(csv_file, os.path.abspath(path), opened)
+            if table is not None:
+                return table
     return _read_telemetry_rows(path)
+
+
+def _numpy_table(csv_file: _CsvFile, path: str, opened: os.stat_result) -> TelemetryTable | None:
+    """The table np.loadtxt reads from csv_file, a regular file opened at
+    path with os.fstat opened; None where the row reader's could differ."""
+    by_handle, by_path = _numpy_may_differ(csv_file.fh.buffer)
+    if by_handle:
+        return None
+    csv_file.fh.seek(0)  # numpy skips the header line, of the handle or the path
+    try:
+        with warnings.catch_warnings():
+            # A warning means numpy read some text its own way (numpy 1.x
+            # reads an int64 "1.0" with a DeprecationWarning) ...
+            warnings.simplefilter("error")
+            # ... but a header-only file is an empty table, as the row reader returns.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(
+                csv_file.fh if by_path else path, dtype=_TELEMETRY_DTYPE, delimiter=",",
+                quotechar='"', comments=None, skiprows=1, ndmin=1, encoding="utf-8",
+            )
+        table = TelemetryTable(*(body[name] for name in _TELEMETRY_DTYPE.names))
+        moved = _FILE_IDENTITY(os.stat(path)) != _FILE_IDENTITY(opened)
+    except (ValueError, Warning, OSError):  # InvalidTelemetry and UnicodeDecodeError are ValueErrors
+        return None
+    if moved or any(len(worker) > csv.field_size_limit() for worker in table.worker_ids):
+        return None
+    return table
 
 
 def _read_telemetry_rows(path: str) -> TelemetryTable:
     """read_telemetry_csv one record at a time, naming the physical line of an error."""
+    with _CsvFile(path, "telemetry") as csv_file:
+        return _telemetry_rows(csv_file)
+
+
+def _telemetry_rows(csv_file: _CsvFile) -> TelemetryTable:
+    """The table in csv_file, read from its start one record at a time."""
     # Typed buffers hold 8 bytes a value where a list of floats holds 32.
     step, line_of_row, worker = array("q"), array("q"), []
     values = [array("d") for _ in VALUE_COLUMNS]
@@ -323,14 +364,13 @@ def _read_telemetry_rows(path: str) -> TelemetryTable:
             column.append(float(text))
         worker.append(record[1])
 
-    with _CsvFile(path, "telemetry") as csv_file:
-        csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
-        for line, _ in csv_file.records(append):
-            line_of_row.append(line)
+    csv_file.header(len(TELEMETRY_HEADER), lambda: TELEMETRY_HEADER)
+    for line, _ in csv_file.records(append):
+        line_of_row.append(line)
     try:
         return TelemetryTable(step, worker, *values)
     except InvalidTelemetry as err:
-        raise CliError(f"{path}:{line_of_row[err.row]}: {err}")
+        raise CliError(f"{csv_file.path}:{line_of_row[err.row]}: {err}")
 
 
 def write_telemetry_csv(path: str, table: TelemetryTable) -> None:

@@ -10,6 +10,8 @@ the minimum-norm coefficient vector with the intercept carrying the mean.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +75,10 @@ class TelemetryTable:
     """
 
     def __init__(self, step, worker_id, dl, effort, temp, illum, temp_set, illum_set):
-        self.worker_ids = tuple(dict.fromkeys(worker_id))
-        codes = {w: i for i, w in enumerate(self.worker_ids)}
+        # Each id's code is the count of ids seen before its first row.
+        codes = collections.defaultdict(itertools.count().__next__)
         self.worker = np.fromiter(map(codes.__getitem__, worker_id), np.int64, count=len(worker_id))
+        self.worker_ids = tuple(codes)
         self.step = np.array(step, dtype=np.int64)
         for name, column in zip(VALUE_COLUMNS, (dl, effort, temp, illum, temp_set, illum_set)):
             setattr(self, name, np.array(column, dtype=float))

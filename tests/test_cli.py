@@ -1,6 +1,7 @@
 import ast
 import csv
 import functools
+import gzip
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -546,6 +548,7 @@ class TestTelemetryFastPath:
     @example(text=TELEMETRY_HEADER_LINE + '\n0,"w\n0",1_5,0.1,26,600,26,600\n')
     @example(text=TELEMETRY_HEADER_LINE + '\r\n0,"a,""b""",2.0,0.1,26,600,26,600\r\n')
     @example(text=TELEMETRY_HEADER_LINE)
+    @example(text=TELEMETRY_HEADER_LINE + '\n0,"\r",1.0,0.0,0.0,0.0,0.0,0.0')
     def test_agrees_with_row_reader(self, tmp_path_factory, text):
         path = put(tmp_path_factory.mktemp("telemetry"), "t.csv", text)
         assert telemetry_outcome(read_telemetry_csv, path) == telemetry_outcome(
@@ -571,6 +574,84 @@ class TestTelemetryFastPath:
         assert telemetry_outcome(read_telemetry_csv, path) == expected
         assert len(expected[1]) == 2000
         assert expected[3] == ("w,0", 'w"1', "w\n2", "w3")
+
+    @pytest.fixture
+    def sources(self, monkeypatch):
+        """What each np.loadtxt call reads, with a read row by row refused."""
+        seen, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            seen.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read row by row")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(formats_module, "_read_telemetry_rows", refuse)
+        return seen
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_file_without_quotes_is_read_by_path(self, tmp_path, sources, newline):
+        rows = [f"{step},w{step % 3},2.0,0.1,26,600,26,600" for step in range(30)]
+        path = put(tmp_path, "t.csv", newline.join([TELEMETRY_HEADER_LINE, *rows]) + newline)
+        table = read_telemetry_csv(path)
+        assert sources == [os.path.abspath(path)]
+        assert table.worker_ids == ("w0", "w1", "w2") and table.step.tolist() == list(range(30))
+
+    def test_relative_url_like_name_is_read_as_a_local_path(self, tmp_path, monkeypatch, sources):
+        # "http://h/t.csv" names the file http:/h/t.csv under the working directory.
+        (tmp_path / "http:" / "h").mkdir(parents=True)
+        put(tmp_path / "http:" / "h", "t.csv", TELEMETRY_HEADER_LINE + "\n0,w0,2.0,0.1,26,600,26,600\n")
+        monkeypatch.chdir(tmp_path)
+
+        def fetch(*args, **kwargs):
+            raise AssertionError("a telemetry name was fetched as a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", fetch)
+        table = read_telemetry_csv("http://h/t.csv")
+        assert sources == [os.path.join(os.getcwd(), "http:", "h", "t.csv")]
+        assert table.worker_ids == ("w0",) and table.dl.tolist() == [2.0]
+
+    def test_plain_text_named_as_compressed_is_read_row_by_row(self, tmp_path, monkeypatch):
+        path = put(tmp_path, "t.csv.gz", TELEMETRY_HEADER_LINE + "\n0,w0,2.0,0.1,26,600,26,600\n")
+        monkeypatch.setattr(np, "loadtxt", None)  # numpy would decompress the name
+        outcome = telemetry_outcome(read_telemetry_csv, path)
+        assert outcome == telemetry_outcome(formats_module._read_telemetry_rows, path)
+        assert outcome[0] == "table"
+
+    def test_gzip_file_is_not_utf8_text(self, tmp_path):
+        path = tmp_path / "t.csv.gz"
+        path.write_bytes(gzip.compress((TELEMETRY_HEADER_LINE + "\n0,w0,2.0,0.1,26,600,26,600\n").encode()))
+        with pytest.raises(CliError, match="t.csv.gz: not UTF-8 text"):
+            read_telemetry_csv(str(path))
+
+    def test_file_replaced_before_numpy_opens_it_is_read_row_by_row(self, tmp_path, monkeypatch):
+        # The new file's quoted CR is a worker id numpy would read by path as LF.
+        path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + "\n0,w0,2.0,0.1,26,600,26,600\n")
+        put(tmp_path, "new.csv", TELEMETRY_HEADER_LINE + '\n0,"\r",2.0,0.1,26,600,26,600\n')
+        loadtxt = np.loadtxt
+
+        def replace_first(source, *args, **kwargs):
+            os.replace(tmp_path / "new.csv", path)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", replace_first)
+        outcome = telemetry_outcome(read_telemetry_csv, path)
+        assert outcome == telemetry_outcome(formats_module._read_telemetry_rows, path)
+        assert outcome[3] == ("\r",)
+
+    def test_file_removed_before_numpy_opens_it_is_a_named_error(self, tmp_path, monkeypatch):
+        path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + "\n0,w0,2.0,0.1,26,600,26,600\n")
+        loadtxt = np.loadtxt
+
+        def remove_first(source, *args, **kwargs):
+            os.remove(path)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", remove_first)
+        with pytest.raises(CliError, match="cannot read telemetry .*t.csv"):
+            read_telemetry_csv(path)
 
     def test_header_only_file_is_an_empty_table_without_warning(self, tmp_path):
         path = put(tmp_path, "t.csv", TELEMETRY_HEADER_LINE + "\n")
@@ -994,13 +1075,15 @@ def longest_comma_free_run(data: bytes) -> int:
 
 
 @settings(max_examples=300, deadline=None)
-@given(chunks=st.lists(st.sampled_from([b",", b"x", b"\n", b"xxxxx"]), max_size=60),
+@given(chunks=st.lists(st.sampled_from([b",", b"x", b"\n", b"xxxxx", b"\r", b'"']), max_size=60),
        limit=st.integers(0, 30))
 def test_run_scan_matches_longest_comma_free_run(chunks, limit):
     data = b"".join(chunks)
     old = csv.field_size_limit(limit)
     try:
-        assert formats_module._numpy_may_differ(io.BytesIO(data)) == (longest_comma_free_run(data) > limit)
+        by_handle, by_path = formats_module._numpy_may_differ(io.BytesIO(data))
+        assert by_handle == (longest_comma_free_run(data) > limit)
+        assert by_path == (longest_comma_free_run(data) > limit or (b"\r" in data and b'"' in data))
     finally:
         csv.field_size_limit(old)
 
@@ -1012,7 +1095,14 @@ def test_run_scan_carries_a_run_across_read_chunks(extra):
     start = (1 << 20) - limit // 2
     data = b"1," * (start // 2) + b"x" * (limit + extra) + b",1\n"
     assert longest_comma_free_run(data) == limit + extra
-    assert formats_module._numpy_may_differ(io.BytesIO(data)) == bool(extra)
+    assert formats_module._numpy_may_differ(io.BytesIO(data)) == (bool(extra), bool(extra))
+
+
+@pytest.mark.parametrize("first, second", [(b"\r", b'"'), (b'"', b"\r"), (b"\r", b"\n")])
+def test_scan_finds_cr_and_quote_in_different_read_chunks(first, second):
+    data = b"1," * (1 << 19) + first + b"1," * (1 << 19) + second + b"\n"
+    by_path = {first, second} == {b"\r", b'"'}
+    assert formats_module._numpy_may_differ(io.BytesIO(data)) == (False, by_path)
 
 
 class TestConfigParsing:
@@ -1618,6 +1708,25 @@ class TestIdentifyCommand:
         rc = main(["identify", str(workdir / "nope.csv"), str(workdir / "m.json"),
                    "--out-dir", str(workdir)])
         assert rc == 2
+
+    def test_telemetry_from_a_pipe(self, workdir, capsys):
+        # A FIFO cannot be scanned twice or read by its path again: it is
+        # read row by row through the one open, into the same model file.
+        telem = self.telemetry_file(workdir)
+        assert main(["identify", telem, "file/m.json", "--out-dir", "file"]) == 0
+        fifo = str(workdir / "telemetry.fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(Path(telem).read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert main(["identify", fifo, "pipe/m.json", "--out-dir", "pipe"]) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert (workdir / "pipe/m.json").read_bytes() == (workdir / "file/m.json").read_bytes()
 
 
 class TestSolveCommand:
