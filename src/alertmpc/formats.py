@@ -320,8 +320,8 @@ def read_telemetry_csv(path: str) -> TelemetryTable:
 
 
 def _numpy_table(csv_file: _CsvFile, path: str, opened: os.stat_result) -> TelemetryTable | None:
-    """The table np.loadtxt reads from csv_file, a regular file opened at
-    path with os.fstat opened; None where the row reader's could differ."""
+    """The table np.loadtxt reads from csv_file, the regular file at path
+    whose os.fstat() was opened; None where the row reader's could differ."""
     by_handle, by_path = _numpy_may_differ(csv_file.fh.buffer)
     if by_handle:
         return None
